@@ -9,7 +9,7 @@ objectives.
 
 from repro.arrayudf.engine import WorkloadSpec
 from repro.cluster import cori_haswell
-from repro.core.planner import best_plan, plan
+from repro.core.autoselect import best_plan, plan
 
 WORKLOAD = WorkloadSpec(
     total_bytes=int(1.9 * 2**40),

@@ -147,7 +147,7 @@ def bench_cse(vca: str, chunk: int, fs: float) -> tuple[dict, str]:
         single_s += s
         single_bytes += nbytes
         single_outs.append(out)
-    cse_hits = getattr(co_results[0].profile, "cse_hits", 0)
+    cse_hits = co_results[0].profile.cse_hits
     assert cse_hits > 0, "co-run must record shared-prefix hits"
     assert co_bytes < single_bytes, (
         f"co-run must read fewer backend bytes than two singles: "

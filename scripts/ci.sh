@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 test suite + benchmark smoke runs.
+# CI entry point: static checks, the tier-1 test suite, the benchmark
+# harness's own self-tests (benchmarks/harness/tests), and the per-layer
+# benchmark smoke runs.
 #
 # The cache smoke run asserts the cached VCA read path issues strictly
 # fewer file opens and backend read requests than the uncached path, and
 # that a budget-0 cache reproduces uncached behaviour byte-for-byte
-# (BENCH_cache.json).  The pipeline smoke run asserts the streaming
-# chunked executor matches materialized execution to 1e-9 while its peak
-# resident bytes stay strictly below (BENCH_pipeline.json).  The rt
+# (BENCH_cache.json).  The pipeline smoke run asserts the one chunk-loop
+# kernel matches materialized execution to 1e-9 while its peak resident
+# bytes stay strictly below (BENCH_pipeline.json).  The rt
 # smoke run drip-feeds a spool through the monitoring service and
 # asserts its event log is seam-equivalent to one batch run over the
 # concatenated record (BENCH_rt.json).  The faults smoke run asserts
@@ -61,6 +63,7 @@ print(f"checks incremental smoke: full {full_s:.2f}s -> --changed-since "
       f"findings byte-identical")
 EOF
 python -m pytest -x -q
+python -m pytest benchmarks/harness/tests -q
 python benchmarks/bench_cache.py --smoke
 python benchmarks/bench_pipeline.py --smoke
 python benchmarks/bench_rt_service.py --smoke

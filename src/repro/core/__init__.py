@@ -11,9 +11,13 @@
 * :mod:`repro.core.framework` — the ``DASSA`` facade: search → merge →
   analyse in three calls (the paper's future-work "Python API"),
 * :mod:`repro.core.pipeline` / :mod:`repro.core.operators` — the
-  streaming chunked execution core: overlap-aware operators, the
-  chunk-at-a-time runner, and the materialised (MATLAB-style) execution
-  of the same graphs.
+  streaming chunked execution core: overlap-aware operators, the one
+  chunk-loop kernel every chain runs through, and the materialised
+  (MATLAB-style) reference execution of the same graphs,
+* :mod:`repro.core.graph` / :mod:`repro.core.optimizer` — the lazy query
+  planner, lowered onto that kernel,
+* :mod:`repro.core.autoselect` — node-count and chunk/thread selection
+  from the machine model.
 """
 
 from repro.core.detection import DetectedEvent, detect_events
@@ -45,11 +49,9 @@ from repro.core.operators import (
 from repro.core.pipeline import (
     OpContext,
     Operator,
-    Pipeline,
     PipelineProfile,
     PipelineResult,
     SinkOp,
-    Stage,
     StreamPipeline,
     run_materialized,
 )
@@ -85,7 +87,7 @@ from repro.core.optimizer import (
     optimize,
     plan_incremental,
 )
-from repro.core.planner import (
+from repro.core.autoselect import (
     PlanOption,
     StreamTuning,
     best_plan,
@@ -144,8 +146,6 @@ __all__ = [
     "explain",
     "plan_incremental",
     # streaming execution core
-    "Stage",
-    "Pipeline",
     "OpContext",
     "Operator",
     "SinkOp",

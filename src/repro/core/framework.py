@@ -77,8 +77,8 @@ class DASSAConfig:
 class DASSA:
     """One entry point tying DASS (storage) and DASA (analysis) together.
 
-    Every analysis call streams its source through the chunked execution
-    core (:class:`~repro.core.pipeline.StreamPipeline`); the profile of
+    Every analysis call streams its source through the one chunk-loop
+    kernel (:func:`~repro.core.pipeline.run_chunks`); the profile of
     the most recent run (per-stage seconds, bytes streamed, peak
     resident bytes) is kept in :attr:`last_profile`, and — when degraded
     reads or a ``continue`` failure policy are active — the spans lost to
@@ -206,22 +206,24 @@ class DASSA:
             )
         return as_source(source), False
 
-    def _finish(self, result: PipelineResult, src: ChunkSource) -> None:
-        """Record the run's profile and its fault report.
+    def _finish(self, src: ChunkSource, *results: PipelineResult) -> None:
+        """Record a run's profile (shared by every branch result) and its
+        fault report.
 
         ``last_gaps`` merges source-level gaps (input-sample spans a
-        degraded VCA read masked) with chunk-level gaps (final *output*
-        spans filled under a ``continue`` policy — the pipeline may
-        decimate, so the two coordinate systems differ); ``None`` when
-        the run was clean.
+        degraded VCA read masked) with each result's chunk-level gaps
+        (final *output* spans filled under a ``continue`` policy — the
+        pipeline may decimate, so the two coordinate systems differ);
+        ``None`` when the run was clean.
         """
-        self.last_profile = result.profile
+        self.last_profile = results[0].profile
         gaps = GapMap()
         source_gaps = getattr(src, "gaps", None)
         if source_gaps:
             gaps.merge(source_gaps)
-        if result.gaps:
-            gaps.merge(result.gaps)
+        for result in results:
+            if result.gaps:
+                gaps.merge(result.gaps)
         self.last_gaps = gaps if gaps else None
 
     def _chunk_for(self, src: ChunkSource) -> int:
@@ -259,7 +261,7 @@ class DASSA:
         finally:
             if owns:
                 src.close()
-        self._finish(result, src)
+        self._finish(src, result)
         return result.output, centers
 
     def detect(
@@ -296,7 +298,7 @@ class DASSA:
         finally:
             if owns:
                 src.close()
-        self._finish(result, src)
+        self._finish(src, result)
         return result.output
 
     def sta_lta(
@@ -323,7 +325,7 @@ class DASSA:
         finally:
             if owns:
                 src.close()
-        self._finish(result, src)
+        self._finish(src, result)
         return result.output
 
     def stack(
@@ -362,7 +364,7 @@ class DASSA:
         finally:
             if owns:
                 src.close()
-        self._finish(result, src)
+        self._finish(src, result)
         return result.output
 
     def noise_correlations(
@@ -616,15 +618,7 @@ class AnalysisPlan:
         finally:
             if owns:
                 src.close()
-        self._dassa.last_profile = results[0].profile
-        gaps = GapMap()
-        source_gaps = getattr(src, "gaps", None)
-        if source_gaps:
-            gaps.merge(source_gaps)
-        for res in results:
-            if res.gaps:
-                gaps.merge(res.gaps)
-        self._dassa.last_gaps = gaps if gaps else None
+        self._dassa._finish(src, *results)
         self._dassa.last_frame = plan.frame
         out: dict = {}
         for (kind, label, _spec), res, post in zip(

@@ -17,21 +17,28 @@ scan and produces a :class:`PhysicalPlan` via four rewrites:
    to every branch tail.
 4. **Auto-tuning** — when no chunk size is given and a cluster model is
    supplied, chunk/thread selection comes from
-   :func:`~repro.core.planner.tune_stream` over the declared halo
+   :func:`~repro.core.autoselect.tune_stream` over the declared halo
    geometry.
+
+A plan does not execute itself: :func:`execute` lowers it onto the one
+chunk-loop kernel, :func:`repro.core.pipeline.run_chunks` (shared map
+prefix → branch tails), choosing only the source, the prefix and the
+tails.  This module contains no chunk loop and reads no chunk data.
 
 Equivalence contract (asserted by the test suite):
 
-* a **single-output** optimized plan is *bit-identical* to the eager
-  :class:`~repro.core.pipeline.StreamPipeline` run of the same operator
-  list (``naive=True`` executes exactly that eager form);
-* a **multi-output** plan's ``naive=True`` mode plans the same
-  union-interval chunks but re-computes the shared prefix per branch,
-  unfused and without pushdown — optimized output is bit-identical to
-  that reference by construction.  Co-run branches are *not* claimed
-  bit-identical to independent single runs: interval-sensitive kernels
-  (IIR settling, running-sum ratios) legitimately differ in final bits
-  when evaluated over the union of two branches' halos.
+* ``execute(plan, naive=True)`` is the reference lowering: the raw
+  source, the eager unfused chains split at the logical shared prefix,
+  and the prefix recomputed per branch with identical arguments — so
+  hoisting it (the CSE rewrite) is bitwise safe by construction.  For a
+  **single-output** plan that is exactly the eager
+  :class:`~repro.core.pipeline.StreamPipeline` run of the operator list;
+* the optimized lowering (pushdown + fusion + shared prefix) is
+  *bit-identical* to that reference, single- or multi-output.  Co-run
+  branches are *not* claimed bit-identical to independent single runs:
+  interval-sensitive kernels (IIR settling, running-sum ratios)
+  legitimately differ in final bits when evaluated over the union of two
+  branches' halos.
 
 Fusion is restricted to operators whose interval methods are the
 defaults with ``decimate == 1``: for those, composing ``in_needed`` /
@@ -59,31 +66,22 @@ from repro.core.graph import (
     verify_geometry,
 )
 from repro.core.pipeline import (
-    FnOperator,
+    Branch,
     OpContext,
     Operator,
-    PipelineProfile,
     PipelineResult,
     SinkOp,
-    StreamPipeline,
     _ceil_div,
-    _clamp,
+    run_chunks,
 )
 from repro.errors import ConfigError
 from repro.faults.policy import FailurePolicy
-from repro.storage.chunks import (
-    SlicedSource,
-    as_source,
-    auto_chunk_samples,
-    iter_intervals,
-)
+from repro.storage.chunks import SlicedSource, as_source, auto_chunk_samples
 from repro.utils.iostats import IOStats
 from repro.utils.timer import Timer
 
 __all__ = [
-    "BranchPlan",
     "FusedOp",
-    "LogicalChain",
     "PhysicalPlan",
     "execute",
     "explain",
@@ -215,48 +213,26 @@ def plan_incremental(operators: Sequence[Operator]) -> list:
 
 
 @dataclass
-class LogicalChain:
-    """One query's eager operator chain (the 'before' of the rewrite)."""
-
-    label: str
-    maps: list
-    sink: SinkOp | None
-    post: list
-
-    def op_names(self) -> list[str]:
-        ops = list(self.maps) + ([self.sink] if self.sink else []) + self.post
-        return [op.name for op in ops]
-
-
-@dataclass
-class BranchPlan:
-    """One branch's optimized tail (after the shared prefix)."""
-
-    label: str
-    maps: list
-    sink: SinkOp | None
-    post: list
-
-
-@dataclass
 class PhysicalPlan:
     """An optimized, executable plan for one or more queries.
 
-    ``chains`` keeps the eager form (``naive=True`` runs it verbatim);
-    ``select``/``step``/``prefix``/``branches`` are the rewritten form.
+    ``chains`` keeps each query's eager operator chain (``naive=True``
+    runs it verbatim); ``select``/``step``/``prefix``/``branches`` are the
+    rewritten form — each branch the optimized tail after the shared
+    prefix.
     ``shared_len`` counts the *logical* shared map prefix (including the
     ``pushed_ops`` absorbed into the source).
     """
 
     source: Any
     fs: float | None
-    chains: list[LogicalChain]
+    chains: list[Branch]
     shared_len: int
     pushed_ops: int
     select: tuple[int, int] | None
     step: int
     prefix: list
-    branches: list[BranchPlan]
+    branches: list[Branch]
     chunk_samples: int | None
     threads: int
     cluster: Any = None
@@ -298,7 +274,7 @@ def optimize(
     if threads < 1:
         raise ConfigError("threads must be >= 1")
 
-    chains: list[LogicalChain] = []
+    chains: list[Branch] = []
     id_lists: list[list[int]] = []
     root = None
     for i, q in enumerate(queries):
@@ -324,7 +300,7 @@ def optimize(
             else:
                 post.append(n.op)
         chains.append(
-            LogicalChain(label=q.label or f"q{i}", maps=maps, sink=sink, post=post)
+            Branch(label=q.label or f"q{i}", maps=maps, sink=sink, post=post)
         )
         id_lists.append(map_ids)
     labels = [c.label for c in chains]
@@ -384,7 +360,7 @@ def optimize(
     if len(chains) > 1:
         prefix = _maybe_fuse(shared_rest)
         branches = [
-            BranchPlan(
+            Branch(
                 label=c.label,
                 maps=_maybe_fuse(c.maps[shared_len:]),
                 sink=c.sink,
@@ -401,7 +377,7 @@ def optimize(
         prefix = []
         c = chains[0]
         branches = [
-            BranchPlan(
+            Branch(
                 label=c.label,
                 maps=_maybe_fuse(c.maps[n_push:]),
                 sink=c.sink,
@@ -470,7 +446,7 @@ def _resolve_execution(plan: PhysicalPlan, src) -> tuple[int, int]:
     threads = plan.threads
     if chunk is None:
         if plan.tune and plan.cluster is not None:
-            from repro.core.planner import tune_stream
+            from repro.core.autoselect import tune_stream
 
             halo = _composed_halo(plan.chains[0].maps)
             tuning = tune_stream(
@@ -503,10 +479,14 @@ def execute(
 ) -> list[PipelineResult]:
     """Run a physical plan; returns one result per branch (query order).
 
-    ``naive=True`` executes the equivalence reference instead: the eager
-    un-rewritten form (single output), or the union-interval plan with
-    per-branch prefix recomputation (multi output).  ``source`` overrides
-    the plan's scan payload (e.g. an already-open source).
+    This only chooses what :func:`~repro.core.pipeline.run_chunks` runs.
+    The optimized lowering hands it the pushed-down
+    :class:`~repro.storage.chunks.SlicedSource`, the fused shared prefix
+    and the fused branch tails.  ``naive=True`` is the equivalence
+    reference: the raw source, the eager unfused chains split at the
+    logical shared prefix, and that prefix recomputed per branch (for a
+    single query: exactly the eager ``StreamPipeline`` run).  ``source``
+    overrides the plan's scan payload (e.g. an already-open source).
     """
     spec = source if source is not None else plan.source
     if spec is None:
@@ -518,297 +498,28 @@ def execute(
     try:
         if plan.verify:
             _verify_plan(plan, src)
-        timer = timer if timer is not None else Timer()
         chunk, threads = _resolve_execution(plan, src)
-        if len(plan.chains) == 1:
-            return [
-                _execute_single(
-                    plan, src, chunk, threads, naive, timer, iostats, policy
-                )
+        if naive:
+            run_src = src
+            prefix = plan.chains[0].maps[: plan.shared_len]
+            branches = [
+                Branch(c.label, c.maps[plan.shared_len :], c.sink, c.post)
+                for c in plan.chains
             ]
-        if policy is not None:
-            raise ConfigError(
-                "failure policies are not supported for multi-output plans"
-            )
-        return _execute_multi(plan, src, chunk, naive, timer, iostats)
+        else:
+            prefix, branches = plan.prefix, plan.branches
+            run_src = src
+            if plan.pushed:
+                lo, hi = plan.select or (0, src.n_channels)
+                run_src = SlicedSource(src, lo, hi, plan.step)
+                chunk = max(1, chunk // plan.step)
+        return run_chunks(
+            run_src, prefix, branches, chunk, threads, timer, iostats, policy,
+            share_prefix=not naive,
+        )
     finally:
         if close_after:
             src.close()
-
-
-def _wrap_pushdown(plan: PhysicalPlan, src, chunk: int):
-    """The optimized run's source and chunk at that source's level."""
-    if not plan.pushed:
-        return src, chunk
-    lo, hi = plan.select if plan.select is not None else (0, src.n_channels)
-    return (
-        SlicedSource(src, lo, hi, plan.step),
-        max(1, chunk // plan.step),
-    )
-
-
-def _passthrough() -> FnOperator:
-    """Identity stage for plans whose every operator was pushed into the
-    source (a pure select/decimate read): :class:`StreamPipeline` refuses
-    an empty operator list, and the identity has no halo and no rate
-    change, so the run is exactly the chunked read."""
-    return FnOperator("read", lambda block: block)
-
-
-def _execute_single(
-    plan: PhysicalPlan,
-    src,
-    chunk: int,
-    threads: int,
-    naive: bool,
-    timer: Timer,
-    iostats: IOStats | None,
-    policy: FailurePolicy | None,
-) -> PipelineResult:
-    chain = plan.chains[0]
-    if naive:
-        ops = list(chain.maps)
-        if chain.sink is not None:
-            ops.append(chain.sink)
-        ops.extend(chain.post)
-        pipe = StreamPipeline(ops or [_passthrough()])
-        return pipe.run(
-            src,
-            chunk_samples=chunk,
-            threads=threads,
-            timer=timer,
-            iostats=iostats,
-            policy=policy,
-        )
-    branch = plan.branches[0]
-    ops = list(plan.prefix) + list(branch.maps)
-    if branch.sink is not None:
-        ops.append(branch.sink)
-    ops.extend(branch.post)
-    run_src, run_chunk = _wrap_pushdown(plan, src, chunk)
-    pipe = StreamPipeline(ops or [_passthrough()])
-    return pipe.run(
-        run_src,
-        chunk_samples=run_chunk,
-        threads=threads,
-        timer=timer,
-        iostats=iostats,
-        policy=policy,
-    )
-
-
-def _execute_multi(
-    plan: PhysicalPlan,
-    src,
-    chunk: int,
-    naive: bool,
-    timer: Timer,
-    iostats: IOStats | None,
-) -> list[PipelineResult]:
-    """Union-interval execution of a multi-branch plan.
-
-    Per chunk the branch targets are planned through each full chain,
-    their needs are unioned at the source and at the prefix/tail
-    boundary, the prefix runs on the union interval, and every branch
-    tail consumes its slice of the prefix output.  ``naive`` recomputes
-    the prefix per branch (identical arguments, so hoisting it — the CSE
-    rewrite — is bitwise safe) and runs the eager unfused, un-pushed
-    operator forms.
-    """
-    share = not naive
-    if naive:
-        psrc, run_chunk = src, chunk
-        prefix_maps = list(plan.chains[0].maps[: plan.shared_len])
-        tails = [
-            (c.label, list(c.maps[plan.shared_len :]), c.sink, list(c.post))
-            for c in plan.chains
-        ]
-    else:
-        psrc, run_chunk = _wrap_pushdown(plan, src, chunk)
-        prefix_maps = list(plan.prefix)
-        tails = [
-            (b.label, list(b.maps), b.sink, list(b.post))
-            for b in plan.branches
-        ]
-
-    if psrc.n_samples < 1 or psrc.n_channels < 1:
-        raise ConfigError("cannot stream an empty source")
-    run_chunk = min(max(1, run_chunk), psrc.n_samples)
-    n_chunks = _ceil_div(psrc.n_samples, run_chunk)
-    n_prefix = len(prefix_maps)
-
-    streamed_before = psrc.bytes_streamed
-    io_before = iostats.full_snapshot() if iostats is not None else None
-
-    # Levels: shared prefix, then per-branch tails from the prefix output.
-    p_tot = [psrc.n_samples]
-    p_rate = [psrc.fs]
-    p_ch = [psrc.n_channels]
-    for op in prefix_maps:
-        p_tot.append(op.out_total(p_tot[-1]))
-        p_rate.append(op.out_fs(p_rate[-1]))
-        p_ch.append(op.out_channels(p_ch[-1]))
-        if p_ch[-1] < 1:
-            raise ConfigError(
-                f"operator {op.name!r} needs more channels than available"
-            )
-    pre_sp = StreamPipeline(prefix_maps) if prefix_maps else None
-    prefix_states = [
-        op.bind(p_ch[k], p_tot[k], p_rate[k])
-        for k, op in enumerate(prefix_maps)
-    ]
-
-    branch_info = []
-    for label, maps, sink, post in tails:
-        t_tot, t_rate, t_ch = [p_tot[-1]], [p_rate[-1]], [p_ch[-1]]
-        for op in maps:
-            t_tot.append(op.out_total(t_tot[-1]))
-            t_rate.append(op.out_fs(t_rate[-1]))
-            t_ch.append(op.out_channels(t_ch[-1]))
-            if t_ch[-1] < 1:
-                raise ConfigError(
-                    f"operator {op.name!r} needs more channels than available"
-                )
-            if op.needs_prepass and n_chunks > 1:
-                raise ConfigError(
-                    f"pre-pass operator {op.name!r} must sit in the shared "
-                    "prefix of a multi-output plan"
-                )
-        branch_info.append(
-            {
-                "label": label,
-                "maps": maps,
-                "sink": sink,
-                "post": post,
-                "sp": StreamPipeline(maps) if maps else None,
-                "tot": t_tot,
-                "rate": t_rate,
-                "ch": t_ch,
-                "full_maps": prefix_maps + maps,
-                "full_tot": p_tot + t_tot[1:],
-                "states": [
-                    op.bind(t_ch[k], t_tot[k], t_rate[k])
-                    for k, op in enumerate(maps)
-                ],
-                "pieces": [],
-                "sink_state": None,
-            }
-        )
-    if n_chunks > 1 and pre_sp is not None and any(
-        op.needs_prepass for op in prefix_maps
-    ):
-        pre_sp._run_prepasses(
-            psrc, run_chunk, p_tot, p_rate, p_ch, prefix_states, timer
-        )
-    for bi in branch_info:
-        if bi["sink"] is not None:
-            bi["sink_state"] = bi["sink"].init(
-                bi["ch"][-1], bi["tot"][-1], bi["rate"][-1]
-            )
-
-    cse_hits = 0
-    for c0, c1 in iter_intervals(psrc.n_samples, run_chunk):
-        active = []
-        for bi in branch_info:
-            full_maps, full_tot = bi["full_maps"], bi["full_tot"]
-            t = (c0, c1)
-            for k, op in enumerate(full_maps):
-                t = _clamp(*op.out_core(*t), full_tot[k + 1])
-            if t[1] <= t[0]:
-                continue
-            needs = [t]
-            for k in reversed(range(len(full_maps))):
-                needs.insert(
-                    0, _clamp(*full_maps[k].in_needed(*needs[0]), full_tot[k])
-                )
-            active.append((bi, t, needs[0], needs[n_prefix]))
-        if not active:
-            continue
-        A = min(n0[0] for _, _, n0, _ in active)
-        B = max(n0[1] for _, _, n0, _ in active)
-        Ta = min(np_[0] for _, _, _, np_ in active)
-        Tb = max(np_[1] for _, _, _, np_ in active)
-        with timer.phase("read"):
-            block = psrc.read(A, B)
-
-        def run_prefix() -> np.ndarray:
-            if pre_sp is None:
-                return block[..., Ta - A : Tb - A]
-            out, _ = pre_sp._run_chain(
-                block, (A, B), (Ta, Tb), p_tot, p_rate, prefix_states,
-                0, n_prefix, timer,
-            )
-            return out
-
-        shared_out = run_prefix() if share else None
-        if share:
-            cse_hits += max(0, len(active) - 1)
-        for bi, tgt, _n0, (ta, tb) in active:
-            pre = shared_out if share else run_prefix()
-            seg = pre[..., ta - Ta : tb - Ta]
-            if bi["sp"] is not None:
-                out, _ = bi["sp"]._run_chain(
-                    seg, (ta, tb), tgt, bi["tot"], bi["rate"], bi["states"],
-                    0, len(bi["maps"]), timer,
-                )
-            else:
-                out = seg[..., tgt[0] - ta : tgt[1] - ta]
-            if bi["sink"] is not None:
-                ctx = OpContext(
-                    start=tgt[0],
-                    stop=tgt[1],
-                    total=bi["tot"][-1],
-                    fs=bi["rate"][-1],
-                    state=bi["sink_state"],
-                )
-                with timer.phase(bi["sink"].name):
-                    bi["sink"].consume(bi["sink_state"], out, ctx)
-            else:
-                bi["pieces"].append(np.ascontiguousarray(out))
-
-    output_bytes = 0
-    for bi in branch_info:
-        if bi["sink"] is not None:
-            with timer.phase(bi["sink"].name):
-                output: Any = bi["sink"].finalize(bi["sink_state"])
-            for op in bi["post"]:
-                n = output.shape[-1] if isinstance(output, np.ndarray) else 0
-                ctx = OpContext(
-                    start=0, stop=n, total=n, fs=bi["rate"][-1]
-                )
-                with timer.phase(op.name):
-                    output = op.apply(output, ctx)
-        elif bi["pieces"]:
-            output = (
-                bi["pieces"][0]
-                if len(bi["pieces"]) == 1
-                else np.concatenate(bi["pieces"], axis=-1)
-            )
-        else:
-            output = np.zeros((bi["ch"][-1], 0))
-        bi["output"] = output
-        if isinstance(output, np.ndarray):
-            output_bytes += output.nbytes
-
-    profile = PipelineProfile(
-        phases=dict(timer.phases),
-        n_chunks=n_chunks,
-        chunk_samples=run_chunk,
-        threads=1,
-        bytes_streamed=psrc.bytes_streamed - streamed_before,
-        bytes_read=(
-            iostats.full_snapshot()["bytes_read"] - io_before["bytes_read"]
-            if io_before is not None
-            else None
-        ),
-        peak_resident_bytes=0,
-        output_bytes=output_bytes,
-    )
-    profile.cse_hits = cse_hits  # plan-level extra, shared by every branch
-    return [
-        PipelineResult(output=bi["output"], profile=profile, gaps=None)
-        for bi in branch_info
-    ]
 
 
 # ---------------------------------------------------------------------------

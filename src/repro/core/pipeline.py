@@ -14,31 +14,37 @@ whole-array materialisation.  This module is that execution core:
 * :class:`SinkOp` — a terminal reduction with carried state that consumes
   the streamed chunks (an FFT accumulator, an NCF stacker); operators
   after a sink run once on its finalised output.
-* :class:`StreamPipeline` — the runner: for each core time interval it
-  plans the padded read by composing ``in_needed`` backwards through the
-  chain, pulls the block from a :class:`~repro.storage.chunks.ChunkSource`
-  (VCA/LAV/array — halo re-reads hit the hdf5lite block cache), executes
-  the fused chain (optionally thread-parallel over channel blocks in the
-  ApplyMT structure), and stitches the ghost zones away so streamed
-  output is numerically equivalent to whole-array output.
-* :func:`run_materialized` — the same operator graph executed MATLAB
-  style: one stage at a time over the whole array, optionally with
-  interpreted per-channel loops.  Both Fig. 9 execution styles are
-  literally the same graph under different chunking policies.
+* :func:`run_chunks` — the kernel, the one loop that walks a source in
+  chunks and runs operators: a shared map prefix fanned out to N
+  :class:`Branch` tails.  Per chunk it plans every branch's owned
+  target by composing ``out_core`` forwards and ``in_needed`` backwards,
+  reads the union interval once from a
+  :class:`~repro.storage.chunks.ChunkSource` (VCA/LAV/array — halo
+  re-reads hit the hdf5lite block cache), runs each chain segment
+  thread-parallel over channel blocks in the ApplyMT structure, applies
+  the per-chunk :class:`~repro.faults.policy.FailurePolicy`, and stitches
+  the ghost zones away so streamed output is numerically equivalent to
+  whole-array output.  Everything else is a lowering onto it:
+  :meth:`StreamPipeline.run` is the one-branch call,
+  :func:`repro.core.optimizer.execute` chooses source, prefix and tails,
+  and :class:`IncrementalRunner` drives the kernel's planning helpers and
+  chain runner over an unbounded record with a carried tail buffer.
+* :func:`run_materialized` — the reference the tests compare against:
+  the same operator graph executed MATLAB style, one stage at a time
+  over the whole array, optionally with interpreted per-channel loops.
+  Both Fig. 9 execution styles are literally the same graph under
+  different chunking policies.
 
 Every run reports a :class:`PipelineProfile`: per-stage wall time
 (:class:`~repro.utils.timer.Timer` phases), bytes streamed/read, and the
 peak resident array bytes — the quantity chunking is meant to bound.
-
-The original tiny :class:`Pipeline` stage list is kept for lightweight
-composition and the Fig. 9 micro-comparisons.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -51,13 +57,13 @@ from repro.utils.iostats import IOStats
 from repro.utils.timer import Timer
 
 __all__ = [
-    "Stage",
-    "Pipeline",
     "OpContext",
     "Operator",
     "SinkOp",
     "PipelineProfile",
     "PipelineResult",
+    "Branch",
+    "run_chunks",
     "StreamPipeline",
     "IncrementalRunner",
     "run_materialized",
@@ -221,17 +227,6 @@ class SinkOp:
         return f"{type(self).__name__}({self.name!r})"
 
 
-class FnOperator(Operator):
-    """A same-geometry operator from a plain ``fn(block) -> block``."""
-
-    def __init__(self, name: str, fn: Callable[[np.ndarray], np.ndarray]):
-        self.name = name
-        self._fn = fn
-
-    def apply(self, data: np.ndarray, ctx: OpContext) -> np.ndarray:
-        return self._fn(data)
-
-
 # ---------------------------------------------------------------------------
 # profiles
 # ---------------------------------------------------------------------------
@@ -249,6 +244,9 @@ class PipelineProfile:
     bytes_read: int | None = None
     peak_resident_bytes: int = 0
     output_bytes: int = 0
+    #: Per-chunk branch executions served by a shared-prefix result
+    #: instead of recomputing it (0 for a single chain).
+    cse_hits: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -264,6 +262,7 @@ class PipelineProfile:
             "bytes_read": self.bytes_read,
             "peak_resident_bytes": self.peak_resident_bytes,
             "output_bytes": self.output_bytes,
+            "cse_hits": self.cse_hits,
             "total_seconds": self.total_seconds,
         }
 
@@ -283,8 +282,443 @@ class PipelineResult:
 
 
 # ---------------------------------------------------------------------------
-# the runner
+# the kernel: the one loop that walks a source in chunks and runs operators
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class Branch:
+    """One output of a kernel run: the map operators after the shared
+    prefix, an optional sink, and the operators applied once to the
+    sink's finalised output."""
+
+    label: str
+    maps: list
+    sink: SinkOp | None = None
+    post: list = field(default_factory=list)
+
+
+def _levels(
+    maps: list, n_channels: int, total: int, fs: float
+) -> tuple[list[int], list[float], list[int]]:
+    """Record length, sampling rate and channel count at every level of a
+    map chain fed ``(n_channels, total)`` samples at ``fs``."""
+    totals, rates, channels = [total], [fs], [n_channels]
+    for op in maps:
+        totals.append(op.out_total(totals[-1]))
+        rates.append(op.out_fs(rates[-1]))
+        channels.append(op.out_channels(channels[-1]))
+        if channels[-1] < 1:
+            raise ConfigError(
+                f"operator {op.name!r} needs more channels than the "
+                f"{channels[-2]} available"
+            )
+    return totals, rates, channels
+
+
+def _core_target(
+    maps: list, interval: tuple[int, int], totals: list[int]
+) -> tuple[int, int]:
+    """The final-level outputs a source interval *owns*: ``out_core``
+    composed forwards, clamped at every level."""
+    for k, op in enumerate(maps):
+        interval = _clamp(*op.out_core(*interval), totals[k + 1])
+    return interval
+
+
+def _needed(
+    maps: list, target: tuple[int, int], totals: list[int] | None
+) -> list[tuple[int, int]]:
+    """Per-level padded input intervals required to produce final-level
+    ``target`` accurately: ``in_needed`` composed backwards.
+
+    Batch runs clamp both edges at the true record edges, ``totals``.
+    With ``totals=None`` the record has not ended: only the left edge
+    (sample 0, a true edge) is clamped and the right edge stays *open* —
+    clamping it would diverge from the eventual batch run."""
+    needs = [target]
+    for k in reversed(range(len(maps))):
+        lo, hi = maps[k].in_needed(*needs[0])
+        needs.insert(
+            0, (max(lo, 0), hi) if totals is None else _clamp(lo, hi, totals[k])
+        )
+    return needs
+
+
+def _run_chain(
+    maps: list,
+    block: np.ndarray,
+    interval: tuple[int, int],
+    target: tuple[int, int],
+    totals: list[int],
+    rates: list[float],
+    states: list,
+    channel_lo: int | list[int],
+    timer: Timer | None,
+) -> tuple[np.ndarray, int]:
+    """Run ``maps`` on a padded block covering ``interval`` and trim to
+    ``target``.  Returns ``(trimmed, peak_bytes)`` where ``peak_bytes``
+    is the largest in+out footprint any stage held.  An empty chain is
+    just the trim.
+
+    ``channel_lo`` is either one absolute row offset shared by every
+    level (correct while each level keeps row 0 aligned) or a per-level
+    list, needed once a channel-mapping operator (e.g. an eager channel
+    selection) shifts row origins between levels."""
+    a, b = interval
+    cur = block
+    peak = block.nbytes
+    per_level = isinstance(channel_lo, list)
+    for k, op in enumerate(maps):
+        ctx = OpContext(
+            start=a,
+            stop=b,
+            total=totals[k],
+            fs=rates[k],
+            channel_lo=channel_lo[k] if per_level else channel_lo,
+            state=states[k],
+        )
+        if timer is not None:
+            with timer.phase(op.name):
+                nxt = op.apply(cur, ctx)
+        else:
+            nxt = op.apply(cur, ctx)
+        lo, hi = _clamp(*op.out_full(a, b), totals[k + 1])
+        if nxt.shape[-1] != hi - lo:
+            raise ConfigError(
+                f"operator {op.name!r} produced {nxt.shape[-1]} samples "
+                f"for interval [{lo}, {hi})"
+            )
+        peak = max(peak, cur.nbytes + nxt.nbytes)
+        cur, (a, b) = nxt, (lo, hi)
+    lo, hi = target
+    if not (a <= lo and hi <= b):
+        raise ConfigError(
+            f"chunk plan did not cover target [{lo}, {hi}) with [{a}, {b})"
+        )
+    return cur[..., lo - a : hi - a], peak
+
+
+def _run_rows(
+    maps: list,
+    out_rows: int,
+    threads: int,
+    block: np.ndarray,
+    interval: tuple[int, int],
+    target: tuple[int, int],
+    totals: list[int],
+    rates: list[float],
+    states: list,
+    timer: Timer,
+) -> tuple[np.ndarray, int]:
+    """:func:`_run_chain` with the chain's ``out_rows`` output rows split
+    statically among ``threads`` (the ApplyMT structure): each thread
+    runs the whole chain on the input rows its slice needs, and the
+    slices are concatenated in row order."""
+    threads = min(threads, out_rows)
+    if threads == 1 or not maps:
+        return _run_chain(
+            maps, block, interval, target, totals, rates, states, 0, timer
+        )
+    timers = [Timer() for _ in range(threads)]
+    peaks = [0] * threads
+
+    def worker(tid: int, lo: int, hi: int) -> np.ndarray:
+        offs = [0] * len(maps)
+        for k in range(len(maps) - 1, -1, -1):
+            lo, hi = maps[k].in_rows(lo, hi)
+            offs[k] = lo
+        out, peaks[tid] = _run_chain(
+            maps, block[lo:hi], interval, target, totals, rates, states,
+            offs, timers[tid],
+        )
+        return out
+
+    parts = map_blocks_mt(out_rows, threads, worker)
+    for sub in timers:
+        timer.merge(sub)
+    return np.concatenate(parts, axis=0), max(block.nbytes, sum(peaks))
+
+
+def _run_post(
+    post: list, output: Any, fs: float, timer: Timer, interpreted: bool
+) -> Any:
+    for op in post:
+        n = output.shape[-1] if isinstance(output, np.ndarray) else 0
+        ctx = OpContext(start=0, stop=n, total=n, fs=fs, interpreted=interpreted)
+        with timer.phase(op.name):
+            output = op.apply(output, ctx)
+    return output
+
+
+def _prepass(
+    src: ChunkSource,
+    chunk: int,
+    maps: list,
+    totals: list[int],
+    rates: list[float],
+    channels: list[int],
+    states: list,
+    timer: Timer,
+) -> None:
+    """Fill the whole-record state of every ``needs_prepass`` operator by
+    streaming the chain below it once, chunk by chunk."""
+    for j, op in enumerate(maps):
+        if not op.needs_prepass:
+            continue
+        below = maps[:j]
+        acc = op.prepass_init(channels[j], totals[j])
+        with timer.phase(f"{op.name}:prepass"):
+            for c0, c1 in iter_intervals(src.n_samples, chunk):
+                tgt = _core_target(below, (c0, c1), totals)
+                if tgt[1] <= tgt[0]:
+                    continue
+                a, b = _needed(below, tgt, totals)[0]
+                level, _ = _run_chain(
+                    below, src.read(a, b), (a, b), tgt, totals, rates,
+                    states, 0, None,
+                )
+                op.prepass_update(acc, level, tgt[0])
+        states[j] = op.prepass_finalize(acc)
+
+
+@dataclass
+class _BranchRun:
+    """A branch's per-run geometry and carried state.  ``tot``/``rate``/
+    ``ch`` are its tail levels (level 0 is the prefix output);
+    ``chain``/``chain_tot`` are the whole prefix+tail chain the per-chunk
+    plan composes through."""
+
+    branch: Branch
+    maps: list
+    tot: list[int]
+    rate: list[float]
+    ch: list[int]
+    states: list
+    chain: list
+    chain_tot: list[int]
+    sink_state: Any = None
+    pieces: list = field(default_factory=list)
+    gaps: GapMap | None = None
+
+
+def run_chunks(
+    src: ChunkSource,
+    prefix: list,
+    branches: list[Branch],
+    chunk: int,
+    threads: int = 1,
+    timer: Timer | None = None,
+    iostats: IOStats | None = None,
+    policy: FailurePolicy | None = None,
+    share_prefix: bool = True,
+) -> list[PipelineResult]:
+    """Stream ``src`` through a shared map ``prefix`` fanned out to
+    ``branches``; returns one result per branch, all sharing one profile.
+
+    Per source chunk every branch's owned target is planned through its
+    whole chain (``out_core`` forwards, ``in_needed`` backwards), the
+    needs are unioned at the source and at the prefix/tail boundary, the
+    union interval is read once, the prefix runs on it, and every branch
+    tail consumes its slice of the prefix output — each chain segment
+    row-split over ``threads``.  A lone branch's maps are the prefix (its
+    tail is empty), so a single chain may hold pre-pass operators
+    anywhere; with several branches they must sit in the shared prefix.
+    ``share_prefix=False`` recomputes the prefix per branch with
+    identical arguments — the reference that makes hoisting it bitwise
+    safe by construction.
+
+    With a :class:`~repro.faults.policy.FailurePolicy`, each chunk's
+    read-plus-compute is retried on retryable faults; a chunk that stays
+    broken either raises the typed error (``fail_fast``) or fills every
+    branch's owned span with ``policy.fill``, recorded in that branch's
+    :attr:`~PipelineResult.gaps` in its own output coordinates.
+    """
+    if src.n_samples < 1 or src.n_channels < 1:
+        raise ConfigError("cannot stream an empty source")
+    if threads < 1:
+        raise ConfigError("threads must be >= 1")
+    if chunk < 1:
+        raise ConfigError("chunk_samples must be >= 1")
+    timer = timer if timer is not None else Timer()
+    chunk = min(chunk, src.n_samples)
+    n_chunks = _ceil_div(src.n_samples, chunk)
+    streamed_before = src.bytes_streamed
+    io_before = iostats.full_snapshot() if iostats is not None else None
+
+    if len(branches) == 1:
+        prefix = list(prefix) + list(branches[0].maps)
+        tails: list[list] = [[]]
+    else:
+        tails = [list(b.maps) for b in branches]
+    n_prefix = len(prefix)
+    p_tot, p_rate, p_ch = _levels(prefix, src.n_channels, src.n_samples, src.fs)
+    p_states = [
+        op.bind(p_ch[k], p_tot[k], p_rate[k]) for k, op in enumerate(prefix)
+    ]
+    collect_gaps = policy is not None and not policy.fail_fast
+    runs: list[_BranchRun] = []
+    for branch, maps in zip(branches, tails):
+        tot, rate, ch = _levels(maps, p_ch[-1], p_tot[-1], p_rate[-1])
+        for op in maps:
+            if op.needs_prepass and n_chunks > 1:
+                raise ConfigError(
+                    f"pre-pass operator {op.name!r} must sit in the shared "
+                    f"prefix of a multi-output plan (branch {branch.label!r})"
+                )
+        runs.append(
+            _BranchRun(
+                branch=branch,
+                maps=maps,
+                tot=tot,
+                rate=rate,
+                ch=ch,
+                states=[
+                    op.bind(ch[k], tot[k], rate[k]) for k, op in enumerate(maps)
+                ],
+                chain=prefix + maps,
+                chain_tot=p_tot + tot[1:],
+                gaps=GapMap() if collect_gaps else None,
+            )
+        )
+    if n_chunks > 1:
+        # A single whole-record chunk needs no pre-pass: every operator
+        # sees ctx.whole and computes its global state in place, exactly
+        # as the materialised execution does.
+        _prepass(src, chunk, prefix, p_tot, p_rate, p_ch, p_states, timer)
+    sinks = [r for r in runs if r.branch.sink is not None]
+    for r in sinks:
+        r.sink_state = r.branch.sink.init(r.ch[-1], r.tot[-1], r.rate[-1])
+
+    src_label = getattr(src, "path", None) or "stream"
+    pieces_bytes = 0
+    peak_resident = 0
+    cse_hits = 0
+    for c0, c1 in iter_intervals(src.n_samples, chunk):
+        active = []
+        for r in runs:
+            tgt = _core_target(r.chain, (c0, c1), r.chain_tot)
+            if tgt[1] > tgt[0]:
+                needs = _needed(r.chain, tgt, r.chain_tot)
+                active.append((r, tgt, needs[0], needs[n_prefix]))
+        if not active:
+            continue
+        A = min(n0[0] for _, _, n0, _ in active)
+        B = max(n0[1] for _, _, n0, _ in active)
+        Ta = min(np_[0] for _, _, _, np_ in active)
+        Tb = max(np_[1] for _, _, _, np_ in active)
+
+        def compute() -> tuple[list[np.ndarray], int]:
+            with timer.phase("read"):
+                block = src.read(A, B)
+
+            def run_prefix() -> tuple[np.ndarray, int]:
+                return _run_rows(
+                    prefix, p_ch[-1], threads, block, (A, B), (Ta, Tb),
+                    p_tot, p_rate, p_states, timer,
+                )
+
+            shared = run_prefix() if share_prefix else None
+            outs, peak = [], 0
+            for r, tgt, _n0, (ta, tb) in active:
+                pre, pre_peak = shared or run_prefix()
+                seg = pre[..., ta - Ta : tb - Ta]
+                out, tail_peak = _run_rows(
+                    r.maps, r.ch[-1], threads, seg, (ta, tb), tgt,
+                    r.tot, r.rate, r.states, timer,
+                )
+                outs.append(out)
+                peak = max(peak, pre_peak, pre.nbytes + tail_peak - seg.nbytes)
+            return outs, peak
+
+        if policy is None:
+            outs, chunk_peak = compute()
+        else:
+            try:
+                outs, chunk_peak = retry_call(
+                    compute, retries=policy.retries, backoff=policy.backoff
+                )
+            except RETRYABLE as exc:
+                if policy.fail_fast:
+                    raise
+                # The chunk stays broken: every branch's owned output span
+                # becomes fill, reported as a gap instead of crashing.
+                outs = []
+                for r, tgt, _n0, _np in active:
+                    outs.append(np.full((r.ch[-1], tgt[1] - tgt[0]), policy.fill))
+                    r.gaps.record(
+                        src_label,
+                        tgt[0],
+                        tgt[1],
+                        f"{type(exc).__name__}: {exc}",
+                        attempts=policy.retries + 1,
+                    )
+                chunk_peak = sum(out.nbytes for out in outs)
+        if share_prefix:
+            cse_hits += len(active) - 1
+
+        for (r, tgt, _n0, _np), out in zip(active, outs):
+            sink = r.branch.sink
+            if sink is not None:
+                ctx = OpContext(
+                    start=tgt[0],
+                    stop=tgt[1],
+                    total=r.tot[-1],
+                    fs=r.rate[-1],
+                    state=r.sink_state,
+                )
+                with timer.phase(sink.name):
+                    sink.consume(r.sink_state, out, ctx)
+            else:
+                piece = np.ascontiguousarray(out)
+                r.pieces.append(piece)
+                pieces_bytes += piece.nbytes
+        resident = chunk_peak + pieces_bytes + sum(
+            r.branch.sink.resident_bytes(r.sink_state) for r in sinks
+        )
+        peak_resident = max(peak_resident, resident)
+
+    outputs: list = []
+    for r in runs:
+        sink = r.branch.sink
+        if sink is not None:
+            with timer.phase(sink.name):
+                output: Any = sink.finalize(r.sink_state)
+            output = _run_post(
+                r.branch.post, output, r.rate[-1], timer, interpreted=False
+            )
+        elif r.pieces:
+            output = (
+                r.pieces[0]
+                if len(r.pieces) == 1
+                else np.concatenate(r.pieces, axis=-1)
+            )
+        else:
+            output = np.zeros((r.ch[-1], 0))
+        outputs.append(output)
+    output_bytes = sum(
+        out.nbytes for out in outputs if isinstance(out, np.ndarray)
+    )
+
+    profile = PipelineProfile(
+        phases=dict(timer.phases),
+        n_chunks=n_chunks,
+        chunk_samples=chunk,
+        threads=min(threads, max([p_ch[-1]] + [r.ch[-1] for r in runs])),
+        bytes_streamed=src.bytes_streamed - streamed_before,
+        bytes_read=(
+            iostats.full_snapshot()["bytes_read"] - io_before["bytes_read"]
+            if io_before is not None
+            else None
+        ),
+        peak_resident_bytes=max(peak_resident, output_bytes),
+        output_bytes=output_bytes,
+        cse_hits=cse_hits,
+    )
+    return [
+        PipelineResult(output=out, profile=profile, gaps=r.gaps)
+        for r, out in zip(runs, outputs)
+    ]
 
 
 class StreamPipeline:
@@ -329,130 +763,6 @@ class StreamPipeline:
     def names(self) -> list[str]:
         return [op.name for op in self.operators]
 
-    # -- planning helpers ---------------------------------------------------
-    def _levels(self, src: ChunkSource) -> tuple[list[int], list[float], list[int]]:
-        totals = [src.n_samples]
-        rates = [src.fs]
-        channels = [src.n_channels]
-        for op in self.maps:
-            totals.append(op.out_total(totals[-1]))
-            rates.append(op.out_fs(rates[-1]))
-            channels.append(op.out_channels(channels[-1]))
-            if channels[-1] < 1:
-                raise ConfigError(
-                    f"operator {op.name!r} needs more channels than the "
-                    f"{channels[-2]} available"
-                )
-        return totals, rates, channels
-
-    def _core_targets(
-        self, c0: int, c1: int, totals: list[int], upto: int
-    ) -> list[tuple[int, int]]:
-        """Per-level core (owned) output intervals for source chunk [c0, c1)."""
-        targets = [(c0, c1)]
-        for k in range(upto):
-            lo, hi = self.maps[k].out_core(*targets[-1])
-            targets.append(_clamp(lo, hi, totals[k + 1]))
-        return targets
-
-    def _needed(
-        self, target: tuple[int, int], totals: list[int], upto: int
-    ) -> list[tuple[int, int]]:
-        """Per-level padded input intervals required for ``target`` (level
-        ``upto``), walking ``in_needed`` backwards with clamping at the
-        true record edges."""
-        needs = [target]
-        for k in reversed(range(upto)):
-            lo, hi = self.maps[k].in_needed(*needs[0])
-            needs.insert(0, _clamp(lo, hi, totals[k]))
-        return needs
-
-    def _run_chain(
-        self,
-        block: np.ndarray,
-        interval: tuple[int, int],
-        target: tuple[int, int],
-        totals: list[int],
-        rates: list[float],
-        states: list,
-        channel_lo: int | list[int],
-        upto: int,
-        timer: Timer | None,
-    ) -> tuple[np.ndarray, int]:
-        """Run map operators ``[0, upto)`` on a padded block and trim to
-        ``target``.  Returns ``(trimmed, peak_bytes)`` where ``peak_bytes``
-        is the largest in+out footprint any stage held.
-
-        ``channel_lo`` is either one absolute row offset shared by every
-        level (the historical behaviour — correct while each level keeps
-        row 0 aligned) or a per-level list, needed once a channel-mapping
-        operator (e.g. a pushed-down selection) shifts row origins between
-        levels."""
-        a, b = interval
-        cur = block
-        peak = block.nbytes
-        per_level = isinstance(channel_lo, (list, tuple))
-        for k in range(upto):
-            op = self.maps[k]
-            ctx = OpContext(
-                start=a,
-                stop=b,
-                total=totals[k],
-                fs=rates[k],
-                channel_lo=channel_lo[k] if per_level else channel_lo,
-                state=states[k],
-            )
-            if timer is not None:
-                with timer.phase(op.name):
-                    nxt = op.apply(cur, ctx)
-            else:
-                nxt = op.apply(cur, ctx)
-            lo, hi = _clamp(*op.out_full(a, b), totals[k + 1])
-            if nxt.shape[-1] != hi - lo:
-                raise ConfigError(
-                    f"operator {op.name!r} produced {nxt.shape[-1]} samples "
-                    f"for interval [{lo}, {hi})"
-                )
-            peak = max(peak, cur.nbytes + nxt.nbytes)
-            cur, (a, b) = nxt, (lo, hi)
-        lo, hi = target
-        if not (a <= lo and hi <= b):
-            raise ConfigError(
-                f"chunk plan did not cover target [{lo}, {hi}) with [{a}, {b})"
-            )
-        return cur[..., lo - a : hi - a], peak
-
-    # -- pre-passes ---------------------------------------------------------
-    def _run_prepasses(
-        self,
-        src: ChunkSource,
-        chunk: int,
-        totals: list[int],
-        rates: list[float],
-        channels: list[int],
-        states: list,
-        timer: Timer,
-    ) -> None:
-        for j, op in enumerate(self.maps):
-            if not op.needs_prepass:
-                continue
-            acc = op.prepass_init(channels[j], totals[j])
-            with timer.phase(f"{op.name}:prepass"):
-                for c0, c1 in iter_intervals(src.n_samples, chunk):
-                    targets = self._core_targets(c0, c1, totals, j)
-                    tgt = targets[j]
-                    if tgt[1] <= tgt[0]:
-                        continue
-                    needs = self._needed(tgt, totals, j)
-                    a, b = needs[0]
-                    block = src.read(a, b)
-                    level, _ = self._run_chain(
-                        block, (a, b), tgt, totals, rates, states, 0, j, None
-                    )
-                    op.prepass_update(acc, level, tgt[0])
-            states[j] = op.prepass_finalize(acc)
-
-    # -- execution ----------------------------------------------------------
     def run(
         self,
         source: object,
@@ -463,234 +773,25 @@ class StreamPipeline:
         fs: float | None = None,
         policy: FailurePolicy | None = None,
     ) -> PipelineResult:
-        """Stream ``source`` through the chain.
+        """Stream ``source`` through the chain: the one-branch call of
+        :func:`run_chunks`.
 
         ``chunk_samples=None`` runs a single chunk covering the whole
         record (the materialising policy, with exact whole-array stage
         behaviour); any other value bounds the resident block to roughly
         ``channels * (chunk + halos) * 8`` bytes.  ``threads`` splits the
         output channels into ApplyMT-style static blocks per chunk.
-
-        With a :class:`~repro.faults.policy.FailurePolicy`, each chunk's
-        read-plus-compute is retried (``policy.retries`` with exponential
-        ``policy.backoff``) on retryable faults; a chunk that stays broken
-        either raises the typed error (``fail_fast``) or contributes a
-        ``policy.fill``-valued output span recorded in the result's
-        :attr:`~PipelineResult.gaps` (``continue``) — a bad chunk becomes
-        a reported gap rather than a crash.
+        ``policy`` turns a chunk that stays broken after retries into a
+        typed error (``fail_fast``) or a ``policy.fill``-valued output
+        span reported in the result's :attr:`~PipelineResult.gaps`
+        (``continue``).
         """
         src = as_source(source, fs=fs)
-        if src.n_samples < 1 or src.n_channels < 1:
-            raise ConfigError("cannot stream an empty source")
-        if threads < 1:
-            raise ConfigError("threads must be >= 1")
-        timer = timer if timer is not None else Timer()
-        totals, rates, channels = self._levels(src)
         chunk = src.n_samples if chunk_samples is None else int(chunk_samples)
-        if chunk < 1:
-            raise ConfigError("chunk_samples must be >= 1")
-        chunk = min(chunk, src.n_samples)
-        n_chunks = _ceil_div(src.n_samples, chunk)
-
-        streamed_before = src.bytes_streamed
-        io_before = iostats.full_snapshot() if iostats is not None else None
-
-        n_maps = len(self.maps)
-        states: list = [
-            op.bind(channels[k], totals[k], rates[k])
-            for k, op in enumerate(self.maps)
-        ]
-        if n_chunks > 1:
-            # A single whole-record chunk needs no pre-pass: every
-            # operator sees ctx.whole and computes its global state in
-            # place, exactly as the materialised execution does.
-            self._run_prepasses(
-                src, chunk, totals, rates, channels, states, timer
-            )
-
-        sink_state = (
-            self.sink.init(channels[-1], totals[-1], rates[-1])
-            if self.sink is not None
-            else None
-        )
-        out_rows = channels[-1]
-        use_threads = min(threads, out_rows)
-
-        pieces: list[np.ndarray] = []
-        pieces_bytes = 0
-        peak_resident = 0
-        gaps = GapMap() if policy is not None and not policy.fail_fast else None
-        src_label = getattr(src, "path", None) or "stream"
-        for c0, c1 in iter_intervals(src.n_samples, chunk):
-            targets = self._core_targets(c0, c1, totals, n_maps)
-            tgt = targets[-1]
-            if tgt[1] <= tgt[0]:
-                continue
-            needs = self._needed(tgt, totals, n_maps)
-            a, b = needs[0]
-
-            def process_chunk() -> tuple[np.ndarray, int]:
-                with timer.phase("read"):
-                    block = src.read(a, b)
-
-                if use_threads == 1:
-                    return self._run_chain(
-                        block, (a, b), tgt, totals, rates, states, 0, n_maps,
-                        timer,
-                    )
-                thread_timers = [Timer() for _ in range(use_threads)]
-                peaks = [0] * use_threads
-
-                def worker(tid: int, lo: int, hi: int) -> np.ndarray:
-                    rlo, rhi = lo, hi
-                    offs = [0] * n_maps
-                    for k in range(n_maps - 1, -1, -1):
-                        rlo, rhi = self.maps[k].in_rows(rlo, rhi)
-                        offs[k] = rlo
-                    out, peak = self._run_chain(
-                        block[rlo:rhi],
-                        (a, b),
-                        tgt,
-                        totals,
-                        rates,
-                        states,
-                        offs,
-                        n_maps,
-                        thread_timers[tid],
-                    )
-                    peaks[tid] = peak
-                    return out
-
-                parts = map_blocks_mt(out_rows, use_threads, worker)
-                trimmed = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-                for sub in thread_timers:
-                    timer.merge(sub)
-                chain_peak = block.nbytes + sum(
-                    max(0, p - block.nbytes) for p in peaks
-                )
-                return trimmed, chain_peak
-
-            if policy is None:
-                trimmed, chain_peak = process_chunk()
-            else:
-                try:
-                    trimmed, chain_peak = retry_call(
-                        process_chunk,
-                        retries=policy.retries,
-                        backoff=policy.backoff,
-                    )
-                except RETRYABLE as exc:
-                    if policy.fail_fast:
-                        raise
-                    # The chunk stays broken: its owned output span becomes
-                    # fill, reported as a gap instead of crashing the run.
-                    trimmed = np.full(
-                        (out_rows, tgt[1] - tgt[0]), policy.fill
-                    )
-                    chain_peak = trimmed.nbytes
-                    gaps.record(
-                        src_label,
-                        tgt[0],
-                        tgt[1],
-                        f"{type(exc).__name__}: {exc}",
-                        attempts=policy.retries + 1,
-                    )
-
-            if self.sink is not None:
-                ctx = OpContext(
-                    start=tgt[0],
-                    stop=tgt[1],
-                    total=totals[-1],
-                    fs=rates[-1],
-                    state=sink_state,
-                )
-                with timer.phase(self.sink.name):
-                    self.sink.consume(sink_state, trimmed, ctx)
-            else:
-                piece = np.ascontiguousarray(trimmed)
-                pieces.append(piece)
-                pieces_bytes += piece.nbytes
-            resident = chain_peak + pieces_bytes
-            if self.sink is not None:
-                resident += self.sink.resident_bytes(sink_state)
-            peak_resident = max(peak_resident, resident)
-
-        if self.sink is not None:
-            with timer.phase(self.sink.name):
-                output: Any = self.sink.finalize(sink_state)
-            output = self._run_post(output, rates[-1], timer, interpreted=False)
-        elif pieces:
-            output = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=-1)
-        else:
-            output = np.zeros((out_rows, 0))
-        if isinstance(output, np.ndarray):
-            peak_resident = max(peak_resident, output.nbytes)
-
-        profile = PipelineProfile(
-            phases=dict(timer.phases),
-            n_chunks=n_chunks,
-            chunk_samples=chunk,
-            threads=use_threads,
-            bytes_streamed=src.bytes_streamed - streamed_before,
-            bytes_read=(
-                iostats.full_snapshot()["bytes_read"] - io_before["bytes_read"]
-                if io_before is not None
-                else None
-            ),
-            peak_resident_bytes=peak_resident,
-            output_bytes=output.nbytes if isinstance(output, np.ndarray) else 0,
-        )
-        return PipelineResult(output=output, profile=profile, gaps=gaps)
-
-    def _run_post(
-        self, output: Any, fs: float, timer: Timer, interpreted: bool
-    ) -> Any:
-        for op in self.post:
-            n = output.shape[-1] if isinstance(output, np.ndarray) else 0
-            ctx = OpContext(
-                start=0, stop=n, total=n, fs=fs, interpreted=interpreted
-            )
-            with timer.phase(op.name):
-                output = op.apply(output, ctx)
-        return output
-
-    def stream(
-        self,
-        source: object,
-        chunk_samples: int,
-        timer: Timer | None = None,
-        fs: float | None = None,
-    ) -> Iterator[tuple[tuple[int, int], np.ndarray]]:
-        """Generator form for map-only chains: yields ``((lo, hi), block)``
-        core output intervals in order, holding one chunk at a time."""
-        if self.sink is not None or self.post:
-            raise ConfigError("stream() supports map-only pipelines")
-        src = as_source(source, fs=fs)
-        timer = timer if timer is not None else Timer()
-        totals, rates, channels = self._levels(src)
-        chunk = min(int(chunk_samples), src.n_samples)
-        if chunk < 1:
-            raise ConfigError("chunk_samples must be >= 1")
-        n_maps = len(self.maps)
-        states: list = [
-            op.bind(c, t, r)
-            for op, c, t, r in zip(self.maps, channels, totals, rates)
-        ]
-        if _ceil_div(src.n_samples, chunk) > 1:
-            self._run_prepasses(
-                src, chunk, totals, rates, channels, states, timer
-            )
-        for c0, c1 in iter_intervals(src.n_samples, chunk):
-            tgt = self._core_targets(c0, c1, totals, n_maps)[-1]
-            if tgt[1] <= tgt[0]:
-                continue
-            a, b = self._needed(tgt, totals, n_maps)[0]
-            with timer.phase("read"):
-                block = src.read(a, b)
-            trimmed, _ = self._run_chain(
-                block, (a, b), tgt, totals, rates, states, 0, n_maps, timer
-            )
-            yield tgt, trimmed
+        branch = Branch("", self.maps, self.sink, self.post)
+        return run_chunks(
+            src, [], [branch], chunk, threads, timer, iostats, policy
+        )[0]
 
     def incremental(self, n_channels: int, fs: float = 0.0) -> "IncrementalRunner":
         """Carried-state execution over an *unbounded* record.
@@ -776,31 +877,9 @@ class IncrementalRunner:
         return self._seen - self._buf_start
 
     # -- planning -----------------------------------------------------------
-    def _levels(self) -> tuple[list[int], list[float], list[int]]:
-        totals = [self._seen]
-        rates = [self.fs]
-        channels = [self.n_channels]
-        for op in self._pipe.maps:
-            totals.append(op.out_total(totals[-1]))
-            rates.append(op.out_fs(rates[-1]))
-            channels.append(op.out_channels(channels[-1]))
-            if channels[-1] < 1:
-                raise ConfigError(
-                    f"operator {op.name!r} needs more channels than the "
-                    f"{channels[-2]} available"
-                )
-        return totals, rates, channels
-
-    def _needed_open(self, target: tuple[int, int]) -> list[tuple[int, int]]:
-        """``in_needed`` composed backwards with the left edge clamped at 0
-        (a true record edge) and the right edge left *open* — the record
-        has not ended, so right-edge clamping would diverge from the
-        eventual batch run."""
-        needs = [target]
-        for op in reversed(self._pipe.maps):
-            lo, hi = op.in_needed(*needs[0])
-            needs.insert(0, (max(lo, 0), hi))
-        return needs
+    def _open_need(self, target: tuple[int, int]) -> tuple[int, int]:
+        """Raw input interval ``target`` needs with the right edge open."""
+        return _needed(self._pipe.maps, target, None)[0]
 
     def _safe_hi(self) -> int:
         """Largest final-level output index whose full (unclamped) right
@@ -811,7 +890,7 @@ class IncrementalRunner:
         def covered(candidate: int) -> bool:
             if candidate <= start:
                 return True
-            return self._needed_open((start, candidate))[0][1] <= self._seen
+            return self._open_need((start, candidate))[1] <= self._seen
 
         while lo < hi:
             mid = (lo + hi + 1) // 2
@@ -860,17 +939,15 @@ class IncrementalRunner:
     def _emit(
         self, at_edge: bool, timer: Timer | None
     ) -> list[tuple[tuple[int, int], np.ndarray]]:
-        totals, rates, channels = self._levels()
-        n_maps = len(self._pipe.maps)
+        maps = self._pipe.maps
+        totals, rates, channels = _levels(
+            maps, self.n_channels, self._seen, self.fs
+        )
         hi = totals[-1] if at_edge else self._safe_hi()
         pieces: list[tuple[tuple[int, int], np.ndarray]] = []
         if hi > self._emitted:
             target = (self._emitted, hi)
-            if at_edge:
-                needs = self._pipe._needed(target, totals, n_maps)
-            else:
-                needs = self._needed_open(target)
-            a, b = needs[0]
+            a, b = _needed(maps, target, totals if at_edge else None)[0]
             if a < self._buf_start:
                 raise ConfigError(
                     f"carried buffer starts at {self._buf_start} but the next "
@@ -878,11 +955,11 @@ class IncrementalRunner:
                 )
             states = [
                 op.bind(channels[k], totals[k], rates[k])
-                for k, op in enumerate(self._pipe.maps)
+                for k, op in enumerate(maps)
             ]
             block = self._buf[:, a - self._buf_start : b - self._buf_start]
-            out, _ = self._pipe._run_chain(
-                block, (a, b), target, totals, rates, states, 0, n_maps, timer
+            out, _ = _run_chain(
+                maps, block, (a, b), target, totals, rates, states, 0, timer
             )
             pieces.append((target, np.ascontiguousarray(out)))
             self._emitted = hi
@@ -892,7 +969,7 @@ class IncrementalRunner:
     def _trim(self) -> None:
         """Drop buffered samples no emission can need again: everything
         left of the next target's composed left context."""
-        keep = self._needed_open((self._emitted, self._emitted + 1))[0][0]
+        keep = self._open_need((self._emitted, self._emitted + 1))[0]
         keep = min(max(keep, 0), self._seen)
         if keep > self._buf_start:
             self._buf = self._buf[:, keep - self._buf_start :].copy()
@@ -1025,7 +1102,7 @@ def run_materialized(
             output = pipe.sink.finalize(state)
         if isinstance(output, np.ndarray):
             peak = max(peak, cur.nbytes + output.nbytes)
-    output = pipe._run_post(output, rate, timer, interpreted)
+    output = _run_post(pipe.post, output, rate, timer, interpreted)
     profile = PipelineProfile(
         phases=dict(timer.phases),
         n_chunks=1,
@@ -1041,71 +1118,3 @@ def run_materialized(
         output_bytes=output.nbytes if isinstance(output, np.ndarray) else 0,
     )
     return PipelineResult(output=output, profile=profile)
-
-
-# ---------------------------------------------------------------------------
-# the original tiny stage list (kept for composition and the Fig. 9
-# micro-comparisons)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Stage:
-    """One named transformation."""
-
-    name: str
-    fn: Callable[[Any], Any]
-
-
-@dataclass
-class Pipeline:
-    """An ordered chain of stages."""
-
-    stages: list[Stage] = field(default_factory=list)
-
-    def add(self, name: str, fn: Callable[[Any], Any]) -> "Pipeline":
-        if any(stage.name == name for stage in self.stages):
-            raise ConfigError(f"duplicate stage name {name!r}")
-        self.stages.append(Stage(name, fn))
-        return self
-
-    def run(self, data: Any, timer: Timer | None = None) -> Any:
-        """Run all stages in order; per-stage wall time lands in ``timer``."""
-        if not self.stages:
-            raise ConfigError("empty pipeline")
-        timer = timer if timer is not None else Timer()
-        for stage in self.stages:
-            with timer.phase(stage.name):
-                data = stage.fn(data)
-        return data
-
-    def fused(self) -> Callable[..., Any]:
-        """A single callable running the whole chain (DASSA's fusion).
-
-        The callable accepts an optional ``timer`` and records the same
-        per-stage phases as :meth:`run`, so baseline-vs-fused comparisons
-        time identical stage sets.
-        """
-        if not self.stages:
-            raise ConfigError("empty pipeline")
-
-        def fused_fn(data: Any, timer: Timer | None = None) -> Any:
-            if timer is None:
-                for stage in self.stages:
-                    data = stage.fn(data)
-                return data
-            for stage in self.stages:
-                with timer.phase(stage.name):
-                    data = stage.fn(data)
-            return data
-
-        return fused_fn
-
-    def to_operators(self) -> list[Operator]:
-        """Lift the stage list into streaming operators (same-geometry,
-        no halo) runnable by :class:`StreamPipeline`."""
-        return [FnOperator(stage.name, stage.fn) for stage in self.stages]
-
-    @property
-    def names(self) -> list[str]:
-        return [stage.name for stage in self.stages]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.arrayudf.engine import WorkloadSpec
 from repro.cluster import cori_haswell
-from repro.core.planner import PlanOption, best_plan, plan
+from repro.core.autoselect import PlanOption, best_plan, plan
 from repro.errors import ConfigError
 
 

@@ -1,5 +1,5 @@
-"""Tests for the MATLAB-style baseline, the Fig. 9 model, the Pipeline
-helper, and the DASSA facade."""
+"""Tests for the MATLAB-style baseline, the Fig. 9 model, and the DASSA
+facade."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.core.baseline import Fig9Model, dassa_pipeline, matlab_style_pipeline
 from repro.core.framework import DASSA
 from repro.core.interferometry import InterferometryConfig, interferometry_block
 from repro.core.local_similarity import LocalSimilarityConfig
-from repro.core.pipeline import Pipeline
 from repro.errors import ConfigError, StorageError
 from repro.utils.timer import Timer
 
@@ -16,32 +15,6 @@ from repro.utils.timer import Timer
 @pytest.fixture
 def config():
     return InterferometryConfig(fs=100.0, band=(0.5, 10.0), resample_q=4)
-
-
-class TestPipeline:
-    def test_runs_in_order(self):
-        p = Pipeline().add("double", lambda x: x * 2).add("inc", lambda x: x + 1)
-        assert p.run(10) == 21
-        assert p.names == ["double", "inc"]
-
-    def test_stage_timing(self):
-        timer = Timer()
-        Pipeline().add("a", lambda x: x).run(1, timer=timer)
-        assert "a" in timer.phases
-
-    def test_fused_equals_staged(self):
-        p = Pipeline().add("sq", lambda x: x**2).add("neg", lambda x: -x)
-        assert p.fused()(3) == p.run(3) == -9
-
-    def test_duplicate_stage_rejected(self):
-        with pytest.raises(ConfigError):
-            Pipeline().add("a", lambda x: x).add("a", lambda x: x)
-
-    def test_empty_pipeline_rejected(self):
-        with pytest.raises(ConfigError):
-            Pipeline().run(1)
-        with pytest.raises(ConfigError):
-            Pipeline().fused()
 
 
 class TestBaselineCorrectness:

@@ -29,7 +29,7 @@ from repro.core.local_similarity import (
 from repro.core.operators import DetrendOp, FFTSink, FiltFiltOp
 from repro.core.pipeline import (
     OpContext,
-    Pipeline,
+    SinkOp,
     StreamPipeline,
     run_materialized,
 )
@@ -89,11 +89,27 @@ class TestInterferometryStreaming:
         assert result.output.shape == whole.shape
         assert result.output == pytest.approx(whole, abs=1e-9)
 
-    def test_stream_generator_tiles_output(self, noise):
+    def test_core_intervals_tile_in_order(self, noise):
+        """A sink is handed the owned core intervals in order, ghost
+        zones already stitched away."""
+
+        class Recorder(SinkOp):
+            name = "record"
+
+            def init(self, n_channels, total_in, fs_in):
+                return []
+
+            def consume(self, state, chunk, ctx):
+                state.append(((ctx.start, ctx.stop), chunk.copy()))
+
+            def finalize(self, state):
+                return state
+
         whole = preprocess(noise, CFG)
-        pipe = StreamPipeline(preprocess_operators(CFG))
+        pipe = StreamPipeline(preprocess_operators(CFG) + [Recorder()])
         seen = 0
-        for (lo, hi), block in pipe.stream(noise, chunk_samples=900, fs=CFG.fs):
+        result = pipe.run(noise, chunk_samples=900, fs=CFG.fs)
+        for (lo, hi), block in result.output:
             assert lo == seen
             assert block == pytest.approx(whole[:, lo:hi], abs=1e-9)
             seen = hi
@@ -310,24 +326,3 @@ class TestRunnerContracts:
         b, a = CFG.coefficients()
         StreamPipeline([FiltFiltOp(b, a)]).run(src, chunk_samples=400)
         assert src.bytes_streamed > noise.nbytes
-
-
-class TestFusedTimer:
-    def test_fused_records_per_stage_phases(self):
-        pipe = (
-            Pipeline()
-            .add("double", lambda x: x * 2)
-            .add("inc", lambda x: x + 1)
-        )
-        fused = pipe.fused()
-        assert fused(3) == 7  # timer stays optional
-        timer = Timer()
-        assert fused(3, timer=timer) == 7
-        assert set(timer.phases) == {"double", "inc"}
-        assert all(v >= 0.0 for v in timer.phases.values())
-
-    def test_fused_matches_run_phases(self):
-        pipe = Pipeline().add("square", lambda x: x * x)
-        run_timer, fused_timer = Timer(), Timer()
-        assert pipe.run(4, timer=run_timer) == pipe.fused()(4, timer=fused_timer)
-        assert set(run_timer.phases) == set(fused_timer.phases)

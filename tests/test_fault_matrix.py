@@ -227,6 +227,89 @@ class TestFaultMatrix:
             )
 
 
+class TestMultiBranchChunkPolicy:
+    """A two-branch plan honours the per-chunk failure policy: one bad
+    chunk becomes one reported gap per branch, in that branch's output
+    coordinates, instead of a crash or a silently wrong span."""
+
+    CHUNK = 120
+
+    def _run(self, vca, policy=None):
+        from repro.core.graph import Query
+        from repro.core.local_similarity import (
+            LocalSimilarityConfig,
+            LocalSimilarityOp,
+        )
+        from repro.core.optimizer import execute, optimize
+        from repro.core.stalta import StaLtaOp
+
+        cfg = LocalSimilarityConfig(half_window=5, half_lag=2, stride=10)
+        base = Query.scan(vca)
+        plan = optimize(
+            [
+                base.then(StaLtaOp(4, 16)).with_label("trig"),
+                base.then(LocalSimilarityOp(cfg)).with_label("simi"),
+            ],
+            chunk_samples=self.CHUNK,
+            threads=2,
+        )
+        return execute(plan, policy=policy)
+
+    def _break_one_chunk(self, faulted, policy):
+        # Every attempt at the first chunk touching the victim file
+        # fails on its first backend read; later chunks read cleanly.
+        install_read_fault(
+            faulted["paths"][VICTIM],
+            "raise-on-nth-read",
+            fail_reads=policy.retries + 1,
+        )
+
+    def test_continue_fills_every_branch_and_reports_gaps(self, faulted):
+        from repro.faults.policy import FailurePolicy
+
+        clean = self._run(faulted["vca"])
+        policy = FailurePolicy(mode="continue", retries=1, fill=-7.0)
+        self._break_one_chunk(faulted, policy)
+        broken = self._run(faulted["vca"], policy=policy)
+
+        assert [r.gaps is not None for r in broken] == [True, True]
+        for ref, got in zip(clean, broken):
+            (span,) = got.gaps.spans  # one gap per branch
+            assert span.attempts == policy.retries + 1
+            assert "DegradedReadError" in span.reason
+            cols = got.gaps.time_mask(got.output.shape[1])
+            assert 0 < cols.sum() < cols.size
+            assert (got.output[:, cols] == policy.fill).all()
+            np.testing.assert_array_equal(
+                got.output[:, ~cols], ref.output[:, ~cols]
+            )
+        # Output coordinates: the same-rate trigger owns the chunk's
+        # samples, the strided similarity grid owns its window indices.
+        trig, simi = (r.gaps.spans[0] for r in broken)
+        assert (trig.t0, trig.t1) == (V0 - self.CHUNK, V0)
+        assert (simi.t0, simi.t1) != (trig.t0, trig.t1)
+        assert simi.t1 - simi.t0 == self.CHUNK // 10
+
+    def test_facade_merges_branch_gaps(self, faulted):
+        from repro.faults.policy import FailurePolicy
+
+        policy = FailurePolicy(mode="continue", retries=0)
+        self._break_one_chunk(faulted, policy)
+        d = DASSA(threads=2, chunk_samples=self.CHUNK, failure_policy=policy)
+        out = d.plan(faulted["vca"]).sta_lta(4, 16, label="trig").run()
+        assert np.isnan(out["trig"]).any()
+        assert d.last_gaps is not None and len(d.last_gaps) == 1
+
+    def test_fail_fast_raises_typed_error(self, faulted):
+        from repro.errors import DegradedReadError
+        from repro.faults.policy import FailurePolicy
+
+        policy = FailurePolicy(retries=1)
+        self._break_one_chunk(faulted, policy)
+        with pytest.raises(DegradedReadError):
+            self._run(faulted["vca"], policy=policy)
+
+
 class TestTransientFaultsRetried:
     """One failed read then success: bounded retry absorbs it silently."""
 

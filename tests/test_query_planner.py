@@ -12,7 +12,7 @@ storage-level test asserts that pushdown strictly reduces the bytes read
 from the backend.
 
 Comparisons always hand the eager reference the *same* raw-level chunk
-the optimized run resolves (``_resolve_execution`` rounds the chunk up
+the optimized run resolves (``execute`` rounds the chunk up
 to a multiple of the pushed stride so both runs tile identical core
 targets); chunk sizes in the sweeps are pre-rounded the same way.
 """
@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import butter
 
+from repro.core.autoselect import tune_stream
 from repro.core.graph import (
     CoordFrame,
     Query,
@@ -41,7 +42,6 @@ from repro.core.optimizer import (
     plan_incremental,
 )
 from repro.core.pipeline import Operator, StreamPipeline
-from repro.core.planner import tune_stream
 from repro.core.stalta import StaLtaOp
 from repro.errors import ConfigError
 from repro.faults.inject import FaultInjector, clear_read_faults
@@ -372,8 +372,8 @@ class TestBitExactness:
         naive = execute(plan, naive=True)
         for o, n in zip(opt, naive):
             np.testing.assert_array_equal(o.output, n.output)
-        assert getattr(opt[0].profile, "cse_hits", 0) > 0
-        assert getattr(naive[0].profile, "cse_hits", 1) == 0
+        assert opt[0].profile.cse_hits > 0
+        assert naive[0].profile.cse_hits == 0
 
     def test_single_chunk_detrend_whole_record(self, noise):
         """n_chunks == 1 skips the pre-pass; every operator sees

@@ -1,13 +1,8 @@
-"""Remaining coverage: the storage cost-model helpers and composing the
-Algorithm-3 pipeline from the generic Pipeline stages."""
+"""Remaining coverage: the storage cost-model helpers."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import cori_haswell
-from repro.core.interferometry import InterferometryConfig, interferometry_block
-from repro.core.pipeline import Pipeline
-from repro.daslib import abscorr, detrend, fft, filtfilt, next_fast_len, resample, taper
 from repro.storage.model import (
     ReadCost,
     files_per_rank,
@@ -59,53 +54,3 @@ class TestReadCost:
     def test_files_per_rank_sums(self):
         for n, p in ((2880, 90), (7, 3), (5, 8)):
             assert sum(files_per_rank(n, p, r) for r in range(p)) == n
-
-
-class TestAlgorithm3AsPipeline:
-    """Algorithm 3 expressed through the generic Pipeline abstraction
-    gives the same answer as the fused kernel — the composability the
-    UDF interface promises."""
-
-    def test_staged_equals_kernel(self):
-        config = InterferometryConfig(fs=100.0, band=(0.5, 10.0), resample_q=4)
-        b, a = config.coefficients()
-        rng = np.random.default_rng(0)
-        data = rng.normal(size=(5, 800))
-
-        nfft = next_fast_len(200)
-
-        def correlate_with_master(spectra):
-            return np.asarray(abscorr(spectra, spectra[config.master_channel][None, :], axis=-1))
-
-        pipeline = (
-            Pipeline()
-            .add("detrend", lambda x: detrend(x, axis=-1))
-            .add("taper", lambda x: taper(x, config.taper_fraction, axis=-1))
-            .add("filtfilt", lambda x: filtfilt(b, a, x, axis=-1))
-            .add("resample", lambda x: resample(x, 1, config.resample_q, axis=-1))
-            .add("fft", lambda x: fft(x, n=nfft, axis=-1))
-            .add("correlate", correlate_with_master)
-        )
-        staged = pipeline.run(data)
-        kernel = interferometry_block(data, config)
-        np.testing.assert_allclose(staged, kernel, atol=1e-9)
-
-    def test_fused_pipeline_equals_staged(self):
-        config = InterferometryConfig(fs=100.0, band=(0.5, 10.0), resample_q=4)
-        b, a = config.coefficients()
-        data = np.random.default_rng(1).normal(size=(3, 600))
-        pipeline = (
-            Pipeline()
-            .add("detrend", lambda x: detrend(x, axis=-1))
-            .add("filter", lambda x: filtfilt(b, a, x, axis=-1))
-        )
-        np.testing.assert_allclose(pipeline.fused()(data), pipeline.run(data))
-
-    def test_stage_timing_accounts_everything(self):
-        from repro.utils.timer import Timer
-
-        timer = Timer()
-        pipeline = Pipeline().add("a", lambda x: x + 1).add("b", lambda x: x * 2)
-        pipeline.run(np.zeros(10), timer=timer)
-        assert set(timer.phases) == {"a", "b"}
-        assert timer.total >= 0.0
