@@ -5,9 +5,12 @@ and through its eager reference (``naive=True``) on a synthetic VCA of
 per-minute DAS files, and records in ``BENCH_planner.json``:
 
 * **pushdown** — a decimate-by-8 STA/LTA query, naive vs optimized:
-  backend bytes read (:class:`~repro.utils.iostats.IOStats`) and wall
-  time.  Asserts the optimized plan reads *strictly fewer* backend bytes
-  and produces *bit-identical* output.
+  backend requests and bytes (:class:`~repro.utils.iostats.IOStats`) and
+  best-of-N wall time.  Asserts *bit-identical* output, no more backend
+  requests and no more bytes than the naive plan's bounding-block reads
+  (the 28-byte holes of a stride-8 float32 lattice are bridged, not
+  skipped: bytes are exchanged for requests) and, at the full size, an
+  optimized wall no slower than the naive one.
 * **cse** — a two-detector co-run (STA/LTA + local similarity behind a
   shared taper + filter-cascade prefix) vs two independent single runs.
   Asserts the co-run reads strictly fewer backend bytes than the two
@@ -51,8 +54,8 @@ REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 
 
 def build_vca(root: str, n_channels: int, minutes: int, spm: int, fs: float) -> str:
-    """Per-minute files (unchecksummed, so strided reads pay only for the
-    lattice) merged into one VCA."""
+    """Per-minute files (unchecksummed, so reads are not rounded up to
+    whole CRC blocks) merged into one VCA."""
     rng = np.random.default_rng(3)
     stamp = "170620100545"
     paths = []
@@ -76,42 +79,55 @@ def build_vca(root: str, n_channels: int, minutes: int, spm: int, fs: float) -> 
 
 
 def run_plan(vca: str, queries, chunk: int, naive: bool):
-    """Execute and return (outputs, seconds, backend bytes read).
-
-    ``verify=False``: runtime geometry verification is a constant
-    per-execute cost that would swamp the rewrite effects this benchmark
-    measures (the planner test suite covers verification)."""
+    """Execute and return (outputs, seconds, backend traffic, results) —
+    the traffic as the ``IOStats`` snapshot (``reads``, ``bytes_read``)."""
     stats = IOStats()
     with open_stream(vca, iostats=stats) as src:
-        plan = optimize(queries, chunk_samples=chunk, verify=False)
+        plan = optimize(queries, chunk_samples=chunk)
         t0 = time.perf_counter()
         results = execute(plan, source=src, naive=naive, iostats=stats)
         seconds = time.perf_counter() - t0
     outs = [r.output for r in results]
-    return outs, seconds, stats.full_snapshot()["bytes_read"], results
+    return outs, seconds, stats.full_snapshot(), results
 
 
-def bench_pushdown(vca: str, chunk: int) -> dict:
+PUSHDOWN_REPEATS = 5
+
+
+def bench_pushdown(vca: str, chunk: int, gate_wall: bool) -> dict:
     q = Query.scan(None).decimate(8).then(StaLtaOp(4, 16))
-    (opt_out,), opt_s, opt_bytes, _ = run_plan(vca, q, chunk, naive=False)
-    (ref_out,), ref_s, ref_bytes, _ = run_plan(vca, q, chunk, naive=True)
+    opt_s = ref_s = float("inf")
+    for _ in range(PUSHDOWN_REPEATS):  # alternate, keep each side's best
+        (opt_out,), s, opt_io, _ = run_plan(vca, q, chunk, naive=False)
+        opt_s = min(opt_s, s)
+        (ref_out,), s, ref_io, _ = run_plan(vca, q, chunk, naive=True)
+        ref_s = min(ref_s, s)
     np.testing.assert_array_equal(opt_out, ref_out)
-    assert opt_bytes < ref_bytes, (
-        f"pushdown must read fewer backend bytes: {opt_bytes} >= {ref_bytes}"
+    opt_reads, opt_bytes = opt_io["reads"], opt_io["bytes_read"]
+    ref_reads, ref_bytes = ref_io["reads"], ref_io["bytes_read"]
+    assert opt_reads <= ref_reads, (
+        f"pushdown must not add backend requests: {opt_reads} > {ref_reads}"
     )
+    assert opt_bytes <= ref_bytes, (
+        f"pushdown must stay inside the bounding block: {opt_bytes} > {ref_bytes}"
+    )
+    if gate_wall:
+        assert opt_s <= ref_s, (
+            f"pushdown must not be slower than the naive plan: "
+            f"{opt_s:.4f}s > {ref_s:.4f}s (best of {PUSHDOWN_REPEATS})"
+        )
     return {
         "query": "decimate(8) | sta_lta(4,16)",
         "chunk_samples": chunk,
+        "naive_reads": ref_reads,
+        "optimized_reads": opt_reads,
         "naive_bytes_read": ref_bytes,
         "optimized_bytes_read": opt_bytes,
         "bytes_ratio": round(opt_bytes / ref_bytes, 4),
+        "repeats": PUSHDOWN_REPEATS,
         "naive_seconds": round(ref_s, 4),
         "optimized_seconds": round(opt_s, 4),
-        "note": (
-            "byte reduction is the asserted claim; strided reads issue many "
-            "small requests, so wall time only wins on bandwidth-limited "
-            "storage, not on a warm local page cache"
-        ),
+        "wall_gated": gate_wall,
     }
 
 
@@ -138,14 +154,15 @@ def bench_cse(vca: str, chunk: int, fs: float) -> tuple[dict, str]:
             base.then(LocalSimilarityOp(simi)).with_label("similarity"),
         ]
 
-    co_outs, co_s, co_bytes, co_results = run_plan(
+    co_outs, co_s, co_io, co_results = run_plan(
         vca, queries(), chunk, naive=False
     )
+    co_bytes = co_io["bytes_read"]
     single_s, single_bytes, single_outs = 0.0, 0, []
     for q in queries():
-        (out,), s, nbytes, _ = run_plan(vca, q, chunk, naive=False)
+        (out,), s, io, _ = run_plan(vca, q, chunk, naive=False)
         single_s += s
-        single_bytes += nbytes
+        single_bytes += io["bytes_read"]
         single_outs.append(out)
     cse_hits = co_results[0].profile.cse_hits
     assert cse_hits > 0, "co-run must record shared-prefix hits"
@@ -183,7 +200,7 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as root:
         vca = build_vca(root, n_channels, minutes, spm, fs)
-        pushdown = bench_pushdown(vca, chunk)
+        pushdown = bench_pushdown(vca, chunk, gate_wall=not args.smoke)
         cse, plan_text = bench_cse(vca, chunk, fs)
 
     doc = {

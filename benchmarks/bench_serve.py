@@ -179,7 +179,7 @@ def bench_window_exactness(vca: str) -> dict:
                 query = Query.scan(None).select_channels(lo, hi)
                 if step > 1:
                     query = query.decimate(step)
-                plan = optimize(query, verify=False)
+                plan = optimize(query)
                 (ref,) = execute(plan, source=WindowSource(src, t0, t1))
             np.testing.assert_array_equal(result.data, ref.output)
             checked.append(

@@ -18,11 +18,12 @@
 # codec roundtrip through storage is bit-identical and that compressed
 # source files move strictly fewer backend bytes than raw on a full VCA
 # read (BENCH_compress.json).  The planner smoke run asserts pushdown
-# plans read strictly fewer backend bytes than their eager reference
-# with bit-identical output, and that a shared-prefix two-detector
-# co-run beats two single-detector runs in wall time and bytes read
-# (BENCH_planner.json).  The serve smoke run asserts pyramid previews
-# read strictly fewer backend bytes than raw-path decimation with
+# plans issue no more backend requests and read no more bytes than
+# their eager reference's bounding blocks with bit-identical output
+# (and, at the full size, run no slower), and that a shared-prefix
+# two-detector co-run beats two single-detector runs in wall time and
+# bytes read (BENCH_planner.json).  The serve smoke run asserts pyramid
+# previews read strictly fewer backend bytes than raw-path decimation with
 # identical pixels, served windows are bit-exact against a direct
 # planner query, and a greedy tenant saturating its quota leaves a
 # polite tenant's p95 latency within the configured isolation bound

@@ -4,12 +4,13 @@ The query planner (:mod:`repro.core.optimizer`) composes each
 operator's declared interval algebra — ``out_total`` / ``out_core`` /
 ``out_full`` / ``in_needed`` — to decide what to read, what to fuse,
 and what each chunk owns.  A declaration that is internally inconsistent
-produces plans that read too little or trim the wrong samples, failing
-either loudly at :func:`repro.core.graph.verify_geometry` time or — the
-case a linter exists for — silently at a chunk seam the test data never
-exercises.  These checks are the static half of ``verify_geometry``:
-they flag declaration *shapes* that cannot be consistent, at review
-time.
+produces plans that read too little or trim the wrong samples.  The
+kernel refuses such a plan before its first read, but only on the one
+chunking a run uses (:func:`repro.core.pipeline.run_chunks`), and
+:func:`repro.core.graph.verify_geometry` — the exhaustive sweep the test
+suite runs over every shipped operator — only on the operators it is
+handed.  These checks are the static half of that pair: they flag
+declaration *shapes* that cannot be consistent, at review time.
 
 Checks (on :class:`~repro.core.pipeline.Operator` subclasses, resolved
 by name across the project like the ``OPC`` series):

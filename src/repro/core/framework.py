@@ -391,8 +391,9 @@ class DASSA:
 
         ``channels=(lo, hi)`` keeps that channel range and ``decimate=q``
         keeps every ``q``-th raw sample (exact pointwise selection);
-        the optimizer pushes both into the storage read, so a
-        ``decimate=8`` plan moves roughly 1/8 of the bytes.  Add analysis
+        the optimizer pushes both into the storage read, so unselected
+        channels are never read and the kept lattice is fetched and
+        converted without materialising the samples between.  Add analysis
         branches (:meth:`AnalysisPlan.local_similarity`,
         :meth:`~AnalysisPlan.interferometry`,
         :meth:`~AnalysisPlan.sta_lta`, :meth:`~AnalysisPlan.stack`) and

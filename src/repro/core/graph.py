@@ -25,13 +25,15 @@ makes the pushdown rewrite testably bit-exact: the optimized plan reads
 the selected lattice straight from storage and must produce byte-equal
 output.
 
-:func:`verify_geometry` is the runtime half of the ``PLN`` lint series:
-the planner trusts each operator's declared interval algebra
-(``out_total`` / ``out_core`` / ``out_full`` / ``in_needed``), so before
-an optimized plan runs, each operator's declarations are round-trip
-checked against the record geometry exactly the way the runner composes
-them (tiling, coverage, and containment of every core target in its
-padded production).
+:func:`verify_geometry` is the exhaustive half of the ``PLN`` lint series:
+the kernel trusts each operator's declared interval algebra
+(``out_total`` / ``out_core`` / ``out_full`` / ``in_needed``) and
+validates it on the one chunking a run actually uses
+(:func:`repro.core.pipeline.run_chunks`, before its first read);
+``verify_geometry`` sweeps a single operator over several chunkings with
+the same checks (tiling, coverage, and containment of every core target
+in its padded production), which is what the test suite runs over every
+shipped operator.
 """
 
 from __future__ import annotations
@@ -42,9 +44,8 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from repro.core.pipeline import Operator, SinkOp, _clamp
+from repro.core.pipeline import Operator, SinkOp, _plan_chunks
 from repro.errors import ConfigError
-from repro.storage.chunks import iter_intervals
 
 __all__ = [
     "ChannelSelectOp",
@@ -273,7 +274,7 @@ class Query:
 
 
 # ---------------------------------------------------------------------------
-# geometry verification (runtime half of the PLN lint series)
+# geometry verification (exhaustive half of the PLN lint series)
 # ---------------------------------------------------------------------------
 
 
@@ -284,19 +285,16 @@ def verify_geometry(
 ) -> None:
     """Round-trip check an operator's declared interval algebra.
 
-    Emulates the runner's planning for a record of ``total`` input
-    samples over a few chunkings and requires, per chunk ``[c0, c1)``:
-
-    * **tiling** — consecutive clamped ``out_core`` intervals share their
-      boundary (no owned output is dropped or produced twice);
-    * **coverage** — the final chunk's core reaches ``out_total(total)``;
-    * **containment** — the padded production ``out_full(in_needed(tgt))``
-      (both clamped, as the runner clamps) contains the core target
-      ``tgt``, so trimming can never fail at run time.
+    Runs the kernel's own chunk planner
+    (:func:`repro.core.pipeline._plan_chunks`: tiling, containment,
+    coverage) for a record of ``total`` input samples over several
+    chunkings — by default the whole record, ``/2``, ``/3``, ``/7`` and
+    the operator's decimation factor — where a run only validates the
+    one chunking it executes.
 
     Raises :class:`~repro.errors.ConfigError` naming the operator and the
-    first violated invariant.  The planner calls this before trusting an
-    unfamiliar operator's declarations; the static ``PLN`` analyzers in
+    first violated invariant.  This is the lint API: tests sweep every
+    shipped operator with it, and the static ``PLN`` analyzers in
     :mod:`repro.checks` lint the same declarations at review time.
     """
     if total < 1:
@@ -317,29 +315,4 @@ def verify_geometry(
             }
         )
     for chunk in chunk_sizes:
-        chunk = max(1, min(int(chunk), total))
-        prev_hi = 0
-        for c0, c1 in iter_intervals(total, chunk):
-            lo, hi = _clamp(*op.out_core(c0, c1), out_total)
-            if lo != prev_hi:
-                raise ConfigError(
-                    f"operator {op.name!r}: out_core does not tile — chunk "
-                    f"[{c0}, {c1}) owns [{lo}, {hi}) but the previous chunk "
-                    f"ended at {prev_hi} (total={total}, chunk={chunk})"
-                )
-            prev_hi = hi
-            if hi <= lo:
-                continue
-            a, b = _clamp(*op.in_needed(lo, hi), total)
-            fa, fb = _clamp(*op.out_full(a, b), out_total)
-            if not (fa <= lo and hi <= fb):
-                raise ConfigError(
-                    f"operator {op.name!r}: containment violated — target "
-                    f"[{lo}, {hi}) needs inputs [{a}, {b}) but out_full "
-                    f"produces only [{fa}, {fb}) (total={total})"
-                )
-        if prev_hi != out_total:
-            raise ConfigError(
-                f"operator {op.name!r}: out_core covers [0, {prev_hi}) but "
-                f"out_total({total}) = {out_total} (chunk={chunk})"
-            )
+        _plan_chunks([op], [total, out_total], max(1, min(int(chunk), total)))

@@ -7,8 +7,10 @@ scan and produces a :class:`PhysicalPlan` via four rewrites:
    :class:`~repro.core.graph.ChannelSelectOp` /
    :class:`~repro.core.graph.SubsampleOp` is absorbed into a
    :class:`~repro.storage.chunks.SlicedSource`, so a decimate-by-``q``
-   query issues strided backend reads (~``1/q`` of the bytes) and a
-   channel selection never reads unselected rows.
+   query issues strided backend reads (bounding spans of the lattice:
+   never more requests or bytes than the block it sits in, fewer bytes
+   once the holes exceed the coalescing gap) and a channel selection
+   never reads unselected rows.
 2. **Fusion** — maximal runs of adjacent *halo-compatible* maps (same
    rate, default interval algebra, no pre-pass) collapse into one
    :class:`FusedOp` chain stage.
@@ -63,7 +65,6 @@ from repro.core.graph import (
     CoordFrame,
     Query,
     SubsampleOp,
-    verify_geometry,
 )
 from repro.core.pipeline import (
     Branch,
@@ -237,7 +238,6 @@ class PhysicalPlan:
     threads: int
     cluster: Any = None
     tune: bool = False
-    verify: bool = True
     frame: CoordFrame = field(default_factory=CoordFrame)
     notes: list[str] = field(default_factory=list)
 
@@ -263,7 +263,6 @@ def optimize(
     tune: bool = False,
     pushdown: bool = True,
     fuse: bool = True,
-    verify: bool = True,
 ) -> PhysicalPlan:
     """Lower one or more queries sharing a scan into a physical plan."""
     if isinstance(queries, Query):
@@ -403,7 +402,6 @@ def optimize(
         threads=int(threads),
         cluster=cluster,
         tune=tune,
-        verify=verify,
         frame=CoordFrame(
             channel_lo=select[0] if select is not None else 0,
             channel_hi=select[1] if select is not None else None,
@@ -425,19 +423,6 @@ def _composed_halo(maps: Sequence[Operator]) -> tuple[int, int]:
     for op in reversed(list(maps)):
         lo, hi = op.in_needed(lo, hi)
     return max(0, -lo), max(0, hi - 1)
-
-
-def _verify_plan(plan: PhysicalPlan, src) -> None:
-    for chain in plan.chains:
-        total = src.n_samples
-        for op in chain.maps:
-            if total < 1:
-                raise ConfigError(
-                    f"record exhausted before operator {op.name!r} "
-                    f"(branch {chain.label!r})"
-                )
-            verify_geometry(op, total)
-            total = op.out_total(total)
 
 
 def _resolve_execution(plan: PhysicalPlan, src) -> tuple[int, int]:
@@ -487,6 +472,8 @@ def execute(
     logical shared prefix, and that prefix recomputed per branch (for a
     single query: exactly the eager ``StreamPipeline`` run).  ``source``
     overrides the plan's scan payload (e.g. an already-open source).
+    Either way the kernel validates the operators' interval algebra on the
+    chunking it is about to run, before its first read.
     """
     spec = source if source is not None else plan.source
     if spec is None:
@@ -496,8 +483,6 @@ def execute(
         spec, (str, os.PathLike)
     )
     try:
-        if plan.verify:
-            _verify_plan(plan, src)
         chunk, threads = _resolve_execution(plan, src)
         if naive:
             run_src = src

@@ -16,11 +16,12 @@ whole-array materialisation.  This module is that execution core:
   after a sink run once on its finalised output.
 * :func:`run_chunks` — the kernel, the one loop that walks a source in
   chunks and runs operators: a shared map prefix fanned out to N
-  :class:`Branch` tails.  Per chunk it plans every branch's owned
-  target by composing ``out_core`` forwards and ``in_needed`` backwards,
-  reads the union interval once from a
-  :class:`~repro.storage.chunks.ChunkSource` (VCA/LAV/array — halo
-  re-reads hit the hdf5lite block cache), runs each chain segment
+  :class:`Branch` tails.  Up front it plans every chunk's owned target
+  per branch by composing ``out_core`` forwards and ``in_needed``
+  backwards and validates that plan — tiling, containment, coverage —
+  before anything is read; per chunk it reads the union interval once
+  from a :class:`~repro.storage.chunks.ChunkSource` (VCA/LAV/array —
+  halo re-reads hit the hdf5lite block cache), runs each chain segment
   thread-parallel over channel blocks in the ApplyMT structure, applies
   the per-chunk :class:`~repro.faults.policy.FailurePolicy`, and stitches
   the ghost zones away so streamed output is numerically equivalent to
@@ -316,16 +317,6 @@ def _levels(
     return totals, rates, channels
 
 
-def _core_target(
-    maps: list, interval: tuple[int, int], totals: list[int]
-) -> tuple[int, int]:
-    """The final-level outputs a source interval *owns*: ``out_core``
-    composed forwards, clamped at every level."""
-    for k, op in enumerate(maps):
-        interval = _clamp(*op.out_core(*interval), totals[k + 1])
-    return interval
-
-
 def _needed(
     maps: list, target: tuple[int, int], totals: list[int] | None
 ) -> list[tuple[int, int]]:
@@ -343,6 +334,66 @@ def _needed(
             0, (max(lo, 0), hi) if totals is None else _clamp(lo, hi, totals[k])
         )
     return needs
+
+
+def _plan_chunks(
+    maps: list, totals: list[int], chunk: int
+) -> list[tuple[tuple[int, int], list[tuple[int, int]] | None]]:
+    """The validated chunk plan of one chain over ``totals[0]`` source
+    samples: per source chunk, the final-level ``target`` it *owns*
+    (``out_core`` composed forwards, clamped at every level) and the
+    per-level padded ``needs`` that produce it (``None`` when the target
+    is empty and the chunk is skipped).
+
+    Before anything is read, the operators' declared interval algebra is
+    checked on exactly these chunks, level by level:
+
+    * **tiling** — consecutive owned intervals share their boundary (no
+      owned output is dropped or produced twice);
+    * **containment** — the padded production ``out_full(in_needed(tgt))``
+      (both clamped, as :func:`_run_chain` clamps) contains what the next
+      level needs, so trimming can never fail at run time;
+    * **coverage** — the final chunk's owned interval reaches the level's
+      total.
+
+    Raises :class:`~repro.errors.ConfigError` naming the operator and the
+    first violated invariant.
+    """
+    plan: list[tuple[tuple[int, int], list[tuple[int, int]] | None]] = []
+    ends = [0] * (len(maps) + 1)
+    for interval in iter_intervals(totals[0], chunk):
+        for k, op in enumerate(maps):
+            c0, c1 = interval
+            lo, hi = interval = _clamp(*op.out_core(c0, c1), totals[k + 1])
+            if lo != ends[k + 1]:
+                raise ConfigError(
+                    f"operator {op.name!r}: out_core does not tile — chunk "
+                    f"[{c0}, {c1}) owns [{lo}, {hi}) but the previous chunk "
+                    f"ended at {ends[k + 1]} (total={totals[k]}, chunk={chunk})"
+                )
+            ends[k + 1] = hi
+        if interval[1] <= interval[0]:
+            plan.append((interval, None))
+            continue
+        needs = _needed(maps, interval, totals)
+        for k, op in enumerate(maps):
+            lo, hi = needs[k + 1]
+            fa, fb = _clamp(*op.out_full(*needs[k]), totals[k + 1])
+            if not (fa <= lo and hi <= fb):
+                raise ConfigError(
+                    f"operator {op.name!r}: containment violated — target "
+                    f"[{lo}, {hi}) needs inputs [{needs[k][0]}, {needs[k][1]}) "
+                    f"but out_full produces only [{fa}, {fb}) "
+                    f"(total={totals[k]})"
+                )
+        plan.append((interval, needs))
+    for k, op in enumerate(maps):
+        if ends[k + 1] != totals[k + 1]:
+            raise ConfigError(
+                f"operator {op.name!r}: out_core covers [0, {ends[k + 1]}) but "
+                f"out_total({totals[k]}) = {totals[k + 1]} (chunk={chunk})"
+            )
+    return plan
 
 
 def _run_chain(
@@ -469,11 +520,10 @@ def _prepass(
         below = maps[:j]
         acc = op.prepass_init(channels[j], totals[j])
         with timer.phase(f"{op.name}:prepass"):
-            for c0, c1 in iter_intervals(src.n_samples, chunk):
-                tgt = _core_target(below, (c0, c1), totals)
-                if tgt[1] <= tgt[0]:
+            for tgt, needs in _plan_chunks(below, totals, chunk):
+                if needs is None:
                     continue
-                a, b = _needed(below, tgt, totals)[0]
+                a, b = needs[0]
                 level, _ = _run_chain(
                     below, src.read(a, b), (a, b), tgt, totals, rates,
                     states, 0, None,
@@ -486,8 +536,8 @@ def _prepass(
 class _BranchRun:
     """A branch's per-run geometry and carried state.  ``tot``/``rate``/
     ``ch`` are its tail levels (level 0 is the prefix output);
-    ``chain``/``chain_tot`` are the whole prefix+tail chain the per-chunk
-    plan composes through."""
+    ``chain``/``chain_tot`` are the whole prefix+tail chain the chunk
+    plan (:func:`_plan_chunks`) composes through."""
 
     branch: Branch
     maps: list
@@ -516,8 +566,11 @@ def run_chunks(
     """Stream ``src`` through a shared map ``prefix`` fanned out to
     ``branches``; returns one result per branch, all sharing one profile.
 
-    Per source chunk every branch's owned target is planned through its
-    whole chain (``out_core`` forwards, ``in_needed`` backwards), the
+    Every branch's chunk plan — the owned target of each source chunk
+    through its whole chain (``out_core`` forwards, ``in_needed``
+    backwards) — is computed and validated by :func:`_plan_chunks` before
+    the first read (the ``plan`` phase of the profile), so every lowering
+    is checked on the chunking it actually runs.  Per source chunk the
     needs are unioned at the source and at the prefix/tail boundary, the
     union interval is read once, the prefix runs on it, and every branch
     tail consumes its slice of the prefix output — each chain segment
@@ -581,6 +634,8 @@ def run_chunks(
                 gaps=GapMap() if collect_gaps else None,
             )
         )
+    with timer.phase("plan"):
+        plans = [_plan_chunks(r.chain, r.chain_tot, chunk) for r in runs]
     if n_chunks > 1:
         # A single whole-record chunk needs no pre-pass: every operator
         # sees ctx.whole and computes its global state in place, exactly
@@ -594,13 +649,12 @@ def run_chunks(
     pieces_bytes = 0
     peak_resident = 0
     cse_hits = 0
-    for c0, c1 in iter_intervals(src.n_samples, chunk):
-        active = []
-        for r in runs:
-            tgt = _core_target(r.chain, (c0, c1), r.chain_tot)
-            if tgt[1] > tgt[0]:
-                needs = _needed(r.chain, tgt, r.chain_tot)
-                active.append((r, tgt, needs[0], needs[n_prefix]))
+    for step in zip(*plans):
+        active = [
+            (r, tgt, needs[0], needs[n_prefix])
+            for r, (tgt, needs) in zip(runs, step)
+            if needs is not None
+        ]
         if not active:
             continue
         A = min(n0[0] for _, _, n0, _ in active)

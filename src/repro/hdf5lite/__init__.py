@@ -46,8 +46,10 @@ from repro.hdf5lite.hyperslab import (
     Hyperslab,
     coalesce_runs,
     contiguous_runs,
+    gather_spans,
     intersect,
     normalize_selection,
+    plan_spans,
     selection_shape,
 )
 from repro.hdf5lite.pyramid import (
@@ -83,6 +85,8 @@ __all__ = [
     "selection_shape",
     "coalesce_runs",
     "contiguous_runs",
+    "plan_spans",
+    "gather_spans",
     "intersect",
     "PYRAMID_GROUP",
     "PyramidLevel",

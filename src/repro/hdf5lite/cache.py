@@ -20,7 +20,7 @@ assert on exactly how many requests the cache absorbed.
 
 A ``byte_budget`` of 0 disables the cache entirely: every read takes the
 uncached code path and the backend sees byte-for-byte the same requests as
-before this layer existed.
+with no cache attached.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ DEFAULT_BYTE_BUDGET = 64 * 2**20
 #: Default page size for contiguous datasets (1 MiB keeps a whole scaled
 #: one-minute dataset in one page while bounding read amplification).
 DEFAULT_PAGE_SIZE = 1 << 20
-#: Default maximum gap (bytes) across which adjacent element runs are
-#: coalesced into one backend request.
-DEFAULT_COALESCE_GAP = 4096
 #: Default maximum number of simultaneously open pooled file handles.
 DEFAULT_MAX_HANDLES = 64
 
@@ -56,22 +53,16 @@ class CacheConfig:
     ``byte_budget`` — total bytes of cached blocks kept resident; 0 disables
     caching (reads behave exactly as without a cache).
     ``page_size`` — granularity for contiguous-dataset pages.
-    ``coalesce_gap`` — adjacent element runs separated by at most this many
-    bytes are merged into a single backend request (the gap bytes are read
-    and discarded); 0 merges only exactly-adjacent runs.
     """
 
     byte_budget: int = DEFAULT_BYTE_BUDGET
     page_size: int = DEFAULT_PAGE_SIZE
-    coalesce_gap: int = DEFAULT_COALESCE_GAP
 
     def __post_init__(self) -> None:
         if self.byte_budget < 0:
             raise FormatError(f"byte_budget must be >= 0, got {self.byte_budget}")
         if self.page_size < 1:
             raise FormatError(f"page_size must be >= 1, got {self.page_size}")
-        if self.coalesce_gap < 0:
-            raise FormatError(f"coalesce_gap must be >= 0, got {self.coalesce_gap}")
 
     @property
     def enabled(self) -> bool:

@@ -1,7 +1,7 @@
 """Dataset objects: N-dimensional arrays with three storage layouts.
 
-* ``contiguous`` — one C-ordered buffer in the file; hyperslab reads touch
-  only the needed byte runs.
+* ``contiguous`` — one C-ordered buffer in the file; hyperslab reads fetch
+  the spans the selection lands on, bridging only small holes.
 * ``chunked`` — the array is split on a regular chunk grid, each chunk a
   contiguous buffer; reads open only the chunks a selection intersects.
 * ``virtual`` — the data live in *other* files (see
@@ -26,10 +26,13 @@ from repro.hdf5lite.checksum import (
 )
 from repro.hdf5lite.codecs import CODEC_ATTR, Codec, resolve_codec
 from repro.hdf5lite.hyperslab import (
+    COALESCE_GAP_BYTES,
+    SPAN_SCRATCH_BYTES,
     Hyperslab,
-    coalesce_runs,
     contiguous_runs,
+    gather_spans,
     normalize_selection,
+    plan_spans,
     selection_shape,
 )
 from repro.hdf5lite.virtual import VirtualSource
@@ -219,51 +222,70 @@ class Dataset:
             return self._read_virtual(hs)
         raise FormatError(f"unknown dataset layout {layout!r}")
 
-    def _read_contiguous(self, hs: Hyperslab) -> np.ndarray:
-        cache = self._file._cache
-        if cache is not None and cache.enabled:
-            return self._read_contiguous_cached(hs, cache)
-        info = self._checksums()
-        if info is not None and not info.chunked:
-            return self._read_contiguous_verified(hs, info)
-        base = int(self._meta["offset"])
-        itemsize = self.itemsize
-        out = np.empty(hs.size, dtype=self.dtype)
-        view = memoryview(out.view(np.uint8)).cast("B")
-        cursor = 0
-        backend = self._file._backend
-        for elem_offset, elem_count in contiguous_runs(hs, self.shape):
-            nbytes = elem_count * itemsize
-            backend.readinto_at(
-                base + elem_offset * itemsize,
-                view[cursor : cursor + nbytes],
-            )
-            cursor += nbytes
-        return out.reshape(hs.count)
+    def _read_spans(
+        self,
+        hs: Hyperslab,
+        shape: Sequence[int],
+        fetch: Callable[[int, memoryview], None],
+    ) -> np.ndarray:
+        """Read ``hs`` of a C-ordered byte region laid out as ``shape``.
 
-    def _read_contiguous_verified(self, hs: Hyperslab, info: "ChecksumInfo") -> np.ndarray:
-        """Uncached contiguous read with CRC verification.
+        The one place a selection becomes requests: :func:`plan_spans`
+        bridges holes up to ``COALESCE_GAP_BYTES`` and ``fetch(byte_offset,
+        dest)`` — the only thing the contiguous and raw-chunk read paths
+        differ in — fills ``dest`` with the region's bytes from
+        ``byte_offset`` on.  Spans arrive in ascending offset order.
+        """
+        itemsize = self.itemsize
+        out = np.empty(hs.count, dtype=self.dtype)
+        plan = plan_spans(
+            hs, shape, COALESCE_GAP_BYTES // itemsize, SPAN_SCRATCH_BYTES // itemsize
+        )
+        gather_spans(plan, out, fetch)
+        return out
+
+    def _read_contiguous(self, hs: Hyperslab) -> np.ndarray:
+        base = int(self._meta["offset"])
+        region = self.nbytes
+        backend = self._file._backend
+        cache = self._file._cache
+        info = self._checksums()
+        if info is not None and info.chunked:
+            info = None
+
+        if cache is not None and cache.enabled:
+
+            def fetch(offset: int, dest: memoryview) -> None:
+                self._page_read(cache, base, region, offset, dest, info)
+
+        elif info is not None:
+            fetch = self._verified_fetch(base, region, info)
+        else:
+
+            def fetch(offset: int, dest: memoryview) -> None:
+                backend.readinto_at(base + offset, dest)
+
+        return self._read_spans(hs, self.shape, fetch)
+
+    def _verified_fetch(
+        self, base: int, region: int, info: "ChecksumInfo"
+    ) -> Callable[[int, memoryview], None]:
+        """The uncached fetch with CRC verification.
 
         Bytes can only be verified at checksum-block granularity, so each
-        needed element run is served from whole blocks, each read and
-        verified once per call.  Runs arrive in ascending offset order;
-        blocks behind the current run are dropped to bound memory.
+        requested range is served from whole blocks, each read and
+        verified once per hyperslab read.  Ranges arrive in ascending
+        offset order; blocks behind the current one are dropped to bound
+        memory.
         """
-        base = int(self._meta["offset"])
-        itemsize = self.itemsize
-        region = self.nbytes
         bs = info.block_size
-        out = np.empty(hs.size, dtype=self.dtype)
-        view = memoryview(out.view(np.uint8)).cast("B")
-        cursor = 0
         blocks: dict[int, bytes] = {}
-        for elem_offset, elem_count in contiguous_runs(hs, self.shape):
-            lo = elem_offset * itemsize
-            hi = lo + elem_count * itemsize
+
+        def fetch(lo: int, dest: memoryview) -> None:
+            hi = lo + len(dest)
             first = lo // bs
             for stale in [b for b in blocks if b < first]:
                 del blocks[stale]
-            dest = view[cursor : cursor + (hi - lo)]
             pos = 0
             for b in range(first, (hi - 1) // bs + 1):
                 data = blocks.get(b)
@@ -273,8 +295,8 @@ class Dataset:
                 bhi = min(hi, b * bs + len(data))
                 dest[pos : pos + (bhi - blo)] = data[blo - b * bs : bhi - b * bs]
                 pos += bhi - blo
-            cursor += hi - lo
-        return out.reshape(hs.count)
+
+        return fetch
 
     def _page_read(
         self,
@@ -344,40 +366,6 @@ class Dataset:
             hi = min(page_off + page_len, b * bs + len(data))
             parts.append(data[lo - b * bs : hi - b * bs])
         return parts[0] if len(parts) == 1 else b"".join(parts)
-
-    def _read_contiguous_cached(self, hs: Hyperslab, cache: "BlockCache") -> np.ndarray:
-        base = int(self._meta["offset"])
-        itemsize = self.itemsize
-        region_nbytes = self.nbytes
-        info = self._checksums()
-        if info is not None and info.chunked:
-            info = None
-        out = np.empty(hs.size, dtype=self.dtype)
-        view = memoryview(out.view(np.uint8)).cast("B")
-        cursor = 0
-        gap_elems = cache.config.coalesce_gap // itemsize
-        for span_off, span_count, pieces in coalesce_runs(
-            contiguous_runs(hs, self.shape), gap_elems
-        ):
-            if len(pieces) == 1:
-                nbytes = span_count * itemsize
-                self._page_read(
-                    cache, base, region_nbytes, span_off * itemsize,
-                    view[cursor : cursor + nbytes], info,
-                )
-                cursor += nbytes
-                continue
-            # Gap-coalesced span: one cached fetch, then scatter the runs.
-            scratch = memoryview(bytearray(span_count * itemsize))
-            self._page_read(
-                cache, base, region_nbytes, span_off * itemsize, scratch, info
-            )
-            for elem_offset, elem_count in pieces:
-                nbytes = elem_count * itemsize
-                rel = (elem_offset - span_off) * itemsize
-                view[cursor : cursor + nbytes] = scratch[rel : rel + nbytes]
-                cursor += nbytes
-        return out.reshape(hs.count)
 
     def _read_chunked(self, hs: Hyperslab) -> np.ndarray:
         chunks = self.chunks
@@ -464,30 +452,20 @@ class Dataset:
                     )
                     out[vals] = chunk_arr[local]
                 else:
-                    # Raw uncached chunk: read only the lattice's byte runs,
-                    # so a stride-q read moves ~1/q of the chunk's bytes.
-                    counts = tuple(v.stop - v.start for v in vals)
+                    # Raw uncached chunk: fetch only the spans the lattice
+                    # lands on, not the whole chunk.
                     local_slab = Hyperslab(
                         start=tuple(sl.start for sl in local),
-                        count=counts,
+                        count=tuple(v.stop - v.start for v in vals),
                         stride=tuple(sl.step for sl in local),
                     )
-                    n_elems = 1
-                    for n in counts:
-                        n_elems *= n
-                    piece = np.empty(n_elems, dtype=self.dtype)
-                    view = memoryview(piece.view(np.uint8)).cast("B")
-                    cursor = 0
-                    for elem_offset, elem_count in contiguous_runs(
-                        local_slab, chunk_count
-                    ):
-                        nbytes = elem_count * itemsize
-                        backend.readinto_at(
-                            chunk_offset + elem_offset * itemsize,
-                            view[cursor : cursor + nbytes],
-                        )
-                        cursor += nbytes
-                    out[vals] = piece.reshape(counts)
+                    out[vals] = self._read_spans(
+                        local_slab,
+                        chunk_count,
+                        lambda offset, dest, at=chunk_offset: backend.readinto_at(
+                            at + offset, dest
+                        ),
+                    )
             # Odometer over chunk grid coordinates.
             dim_idx = len(coord) - 1
             while dim_idx >= 0:

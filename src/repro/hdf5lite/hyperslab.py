@@ -4,16 +4,34 @@ A *hyperslab* is a regular N-dimensional selection described per dimension
 by ``(start, count, stride)`` — the same model as HDF5's hyperslab and the
 paper's Logical Array View (LAV).  This module converts numpy-style basic
 indexing into hyperslabs, computes result shapes, intersects hyperslabs
-(needed by virtual datasets / VCA), and linearises selections into
-contiguous byte runs for minimal-I/O reads.
+(needed by virtual datasets / VCA), and plans how a selection is fetched:
+:func:`plan_spans` turns it into a few large backend requests that bridge
+small holes, :func:`contiguous_runs` / :func:`coalesce_runs` are the
+run-by-run reference the planner is tested against (and what writes use,
+which cannot bridge holes).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.errors import SelectionError
+
+#: Largest hole (bytes) one read request bridges: selected elements no
+#: further apart than this are fetched together, the hole read and
+#: discarded.  Break-even is request cost x bandwidth — upwards of 10 KiB on
+#: a warm page cache, ~500 KiB on the ``cluster`` Lustre model — so 4 KiB
+#: is on the safe side everywhere; one value serves every caller, hence a
+#: constant, not a setting.
+COALESCE_GAP_BYTES = 4096
+#: Upper bound on the scratch buffer a hole-bridging span is fetched into
+#: before its lattice is scattered out; longer spans are split.
+SPAN_SCRATCH_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -232,6 +250,145 @@ def contiguous_runs(
             yield (pending_offset, pending_len)
 
     yield from emit_runs()
+
+
+@dataclass(frozen=True)
+class SpanPlan:
+    """How a hyperslab over a C-ordered array is fetched, one request per span.
+
+    The trailing dimensions are *folded* into the spans, the leading ones
+    enumerated index by index.  ``counts``/``steps`` are the selected
+    count and the element step of the folded dimensions; the outermost of
+    them is covered ``block`` selected indices per span (the last span of
+    a row may be shorter), the others lie wholly inside every span and
+    extend over ``inner_len`` elements.  ``offsets`` holds every span's
+    first element, in row-major order of the result.
+    """
+
+    offsets: np.ndarray
+    block: int
+    counts: tuple[int, ...]
+    steps: tuple[int, ...]
+    inner_len: int
+
+    def span_len(self, n_indices: int) -> int:
+        """Element extent of a span over ``n_indices`` of the outermost
+        folded dimension."""
+        return (n_indices - 1) * self.steps[0] + self.inner_len
+
+
+def plan_spans(
+    hs: Hyperslab,
+    shape: Sequence[int],
+    max_gap: int = 0,
+    max_span: int | None = None,
+) -> SpanPlan:
+    """Plan the spans that fetch ``hs`` from a C-ordered array of ``shape``.
+
+    Working outwards from the innermost dimension, a dimension is folded
+    into the span while the hole between its consecutive selected indices
+    is at most ``max_gap`` elements — so a stride-8 row is one bounding
+    span, adjacent rows merge when the row gap also fits, and a full
+    selection is a single span — and stops at the first hole that is
+    wider: from there on every index is its own request, the
+    seek-per-run behaviour of :func:`contiguous_runs`.  A span that
+    bridges holes is fetched into scratch, so it is kept within
+    ``max_span`` elements by taking fewer indices of the outermost folded
+    dimension per span; hole-free spans land directly in the result and
+    are not limited.
+    """
+    ndim = len(shape)
+    if hs.ndim != ndim:
+        raise SelectionError("hyperslab rank does not match array rank")
+    if not hs.within(shape):
+        raise SelectionError(
+            f"hyperslab {hs} does not fit within array shape {tuple(shape)}"
+        )
+    if max_gap < 0:
+        raise SelectionError(f"max_gap must be >= 0, got {max_gap}")
+    elem_strides = [1] * ndim
+    for dim in range(ndim - 2, -1, -1):
+        elem_strides[dim] = elem_strides[dim + 1] * shape[dim + 1]
+    steps = [st * es for st, es in zip(hs.stride, elem_strides)]
+
+    split, block, inner_len, dense = ndim - 1, 1, 1, True
+    for dim in range(ndim - 1, -1, -1):
+        n, step = hs.count[dim], steps[dim]
+        hole = step - inner_len
+        full = (n - 1) * step + inner_len
+        full_dense = dense and (n == 1 or hole == 0)
+        split = dim
+        if n > 1 and hole > max_gap:
+            block = 1
+            break
+        if max_span is not None and not full_dense and full > max_span:
+            block = max(1, 1 + (max_span - inner_len) // step)
+            break
+        block = max(n, 1)
+        if dim:
+            inner_len, dense = full, full_dense
+
+    if hs.size == 0:
+        offsets = np.empty(0, dtype=np.int64)
+    else:
+        base = sum(s * es for s, es in zip(hs.start, elem_strides))
+        offsets = np.array([base], dtype=np.int64)
+        for dim in range(split + 1):
+            every = block if dim == split else 1
+            along = np.arange(0, hs.count[dim], every, dtype=np.int64) * steps[dim]
+            offsets = (offsets[:, None] + along).reshape(-1)
+    return SpanPlan(
+        offsets=offsets,
+        block=block,
+        counts=tuple(hs.count[split:]),
+        steps=tuple(steps[split:]),
+        inner_len=inner_len,
+    )
+
+
+def gather_spans(
+    plan: SpanPlan,
+    out: np.ndarray,
+    fetch: Callable[[int, memoryview], None],
+) -> None:
+    """Fill ``out`` — C-contiguous, shaped like the planned hyperslab's
+    ``count`` — with one ``fetch`` per span.
+
+    ``fetch(byte_offset, dest)`` fills the byte buffer ``dest`` with the
+    source bytes from ``byte_offset`` (the span's element offset times
+    ``out.itemsize``) on.  A hole-free span is fetched straight into its
+    place in ``out``; a span with holes goes through one reused scratch
+    buffer and its lattice is copied out through a strided view.
+    """
+    if plan.offsets.size == 0:
+        return
+    n, block = plan.counts[0], plan.block
+    inner_shape = plan.counts[1:]
+    inner_size = math.prod(inner_shape)
+    per_row = -(-n // block)
+    ragged = n - (per_row - 1) * block  # indices in the last span of a row
+    itemsize = out.itemsize
+    strides = tuple(step * itemsize for step in plan.steps)
+    flat = out.reshape(-1)
+    dest = memoryview(flat.view(np.uint8))
+    scratch = scratch_bytes = None
+    pos = 0
+    for i, offset in enumerate((plan.offsets * itemsize).tolist()):
+        indices = ragged if (i + 1) % per_row == 0 else block
+        size = indices * inner_size
+        length = plan.span_len(indices)
+        if size == length:
+            fetch(offset, dest[pos * itemsize : (pos + size) * itemsize])
+        else:
+            if scratch is None:
+                scratch = np.empty(plan.span_len(min(block, n)), dtype=out.dtype)
+                scratch_bytes = memoryview(scratch.view(np.uint8))
+            fetch(offset, scratch_bytes[: length * itemsize])
+            shape = (indices,) + inner_shape
+            flat[pos : pos + size].reshape(shape)[...] = as_strided(
+                scratch, shape=shape, strides=strides
+            )
+        pos += size
 
 
 def coalesce_runs(

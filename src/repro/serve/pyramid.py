@@ -103,7 +103,6 @@ def compute_level(
     plan = optimize(
         Query.scan(None).then(DecimateOp(int(factor))),
         chunk_samples=chunk_samples,
-        verify=False,
     )
     (result,) = execute(plan, source=src, iostats=iostats)
     return result.output

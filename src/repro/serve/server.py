@@ -279,8 +279,8 @@ class ServeSession:
         Bit-exact to ``raw[lo:hi, t0:t1][:, ::step]`` — the request
         lowers through the planner onto a
         :class:`~repro.storage.chunks.WindowSource`, so the stride
-        lattice anchors at the window start and only the lattice's bytes
-        are read.
+        lattice anchors at the window start and the storage layer fetches
+        it as bounding spans (never more than the window's block).
         """
         t0, t1 = self._window(t0, t1)
         lo, hi = self._channels(channels)
@@ -305,7 +305,6 @@ class ServeSession:
         plan = optimize(
             query,
             chunk_samples=self.server.config.chunk_samples,
-            verify=False,
         )
         (result,) = execute(plan, source=window, iostats=self.server.iostats)
         self.server.admission.reconcile(
@@ -383,7 +382,6 @@ class ServeSession:
             plan = optimize(
                 query,
                 chunk_samples=self.server.config.chunk_samples,
-                verify=False,
             )
             (result,) = execute(
                 plan, source=window, iostats=self.server.iostats

@@ -83,7 +83,8 @@ class ChunkSource:
 
         The base implementation reads the bounding block and subsamples in
         memory; sources backed by sliceable datasets override this to push
-        the stride into the storage layer so only the lattice's bytes move.
+        the stride into the storage layer, which fetches the lattice's
+        bounding spans and hands back only the lattice.
         """
         if tstep < 1:
             raise ConfigError("tstep must be >= 1")
@@ -170,7 +171,7 @@ class DatasetSource(ChunkSource):
             raise ConfigError("tstep must be >= 1")
         self._check(r0, r1, t0, t1)
         # The dataset slice carries the stride all the way down: hdf5lite
-        # reads only the lattice's byte runs (and skips missed chunks).
+        # fetches the lattice's spans (and skips missed chunks).
         block = np.ascontiguousarray(
             np.asarray(self._dataset[r0:r1, t0:t1:tstep], dtype=np.float64)
         )

@@ -8,6 +8,10 @@ across chunk size x thread count x chain shape — a pre-pass operator, a
 decimating operator, a channel-halo operator, a sink with post stages —
 and requires byte-identical output.  Multi-branch plans are held to their
 own ``naive`` reference, and must honour ``threads`` like a single chain.
+
+The kernel also validates the chunk plan it is about to run — before its
+first read, whatever the lowering — and the exhaustive half of that
+check, ``verify_geometry``, is swept here over every shipped operator.
 """
 
 import numpy as np
@@ -17,14 +21,22 @@ from hypothesis import strategies as st
 from scipy.signal import butter
 
 from repro.core import DASSA
-from repro.core.graph import Query
+from repro.core.graph import ChannelSelectOp, Query, SubsampleOp, verify_geometry
 from repro.core.interferometry import InterferometryConfig, interferometry_operators
 from repro.core.local_similarity import LocalSimilarityConfig, LocalSimilarityOp
-from repro.core.operators import DecimateOp, DetrendOp, FiltFiltOp, TaperOp
-from repro.core.optimizer import execute, optimize
-from repro.core.pipeline import StreamPipeline
+from repro.core.operators import (
+    CorrelateOp,
+    DecimateOp,
+    DetrendOp,
+    FiltFiltOp,
+    TaperOp,
+    WhitenOp,
+)
+from repro.core.optimizer import FusedOp, execute, optimize
+from repro.core.pipeline import Operator, StreamPipeline
 from repro.core.stalta import StaLtaOp
 from repro.errors import ConfigError
+from repro.storage.chunks import ArraySource, WindowSource
 
 B, A = butter(2, [0.1, 0.4], btype="band", fs=1.0)
 SIMI = LocalSimilarityConfig(half_window=8, half_lag=2, stride=20)
@@ -163,3 +175,136 @@ def test_branch_tail_prepass_rejected_when_chunked():
     assert alone.output.shape == data.shape
     whole = execute(optimize([late, other], chunk_samples=1500))
     assert whole[0].output.shape == data.shape
+
+
+# ---------------------------------------------------------------------------
+# the kernel validates the chunk plan it runs, before the first read
+# ---------------------------------------------------------------------------
+
+
+class Untiled(Operator):
+    """``out_core`` drops the last sample of every chunk."""
+
+    name = "untiled"
+
+    def out_core(self, lo, hi):
+        return lo, max(lo, hi - 1)
+
+    def out_full(self, a, b):
+        return a, b
+
+    def apply(self, data, ctx):
+        return data
+
+
+class UnderCovered(Operator):
+    """``out_full`` admits to producing one sample less than is owned."""
+
+    name = "under-covered"
+
+    def out_full(self, a, b):
+        return a + 1, b
+
+    def apply(self, data, ctx):
+        return data[..., 1:]
+
+
+class RecordingSource(ArraySource):
+    """Counts every read that reaches it."""
+
+    def __init__(self, data):
+        super().__init__(data, fs=100.0)
+        self.reads = 0
+
+    def read_rows(self, r0, r1, t0, t1):
+        self.reads += 1
+        return super().read_rows(r0, r1, t0, t1)
+
+    def read_strided(self, r0, r1, t0, t1, tstep=1):
+        self.reads += 1
+        return super().read_strided(r0, r1, t0, t1, tstep)
+
+
+def _eager(src, bad):
+    StreamPipeline([FiltFiltOp(B, A), bad]).run(src, chunk_samples=400)
+
+
+def _one_branch(src, bad):
+    q = Query.scan(None).select_channels(1, 9).then(bad).then(StaLtaOp(4, 16))
+    execute(optimize(q, chunk_samples=400), source=src)
+
+
+def _two_branch(src, bad):
+    base = Query.scan(None).then(FiltFiltOp(B, A))
+    trig = base.then(StaLtaOp(4, 16)).with_label("trig")
+    broken = base.then(bad).then(LocalSimilarityOp(SIMI)).with_label("broken")
+    execute(optimize([trig, broken], chunk_samples=400), source=src)
+
+
+def _window(src, bad):
+    q = Query.scan(None).decimate(2).then(bad)
+    execute(optimize(q, chunk_samples=400), source=WindowSource(src, 100, 1400))
+
+
+@pytest.mark.parametrize("lowering", [_eager, _one_branch, _two_branch, _window])
+@pytest.mark.parametrize(
+    "bad, invariant",
+    [(Untiled, "out_core does not tile"), (UnderCovered, "containment violated")],
+)
+def test_bad_algebra_is_refused_before_any_read(lowering, bad, invariant):
+    src = RecordingSource(_data(3))
+    with pytest.raises(ConfigError, match=invariant) as err:
+        lowering(src, bad())
+    assert repr(bad.name) in str(err.value)
+    assert src.reads == 0
+
+
+def test_single_chunk_run_still_checks_coverage():
+    """One whole-record chunk has nothing to tile against: the dropped
+    sample shows as the owned interval falling short of the total."""
+    src = RecordingSource(_data(3))
+    with pytest.raises(ConfigError, match=r"'untiled': out_core covers \[0, 1499\)"):
+        StreamPipeline([Untiled()]).run(src)
+    assert src.reads == 0
+
+
+def test_planning_is_a_profile_phase():
+    result = StreamPipeline([StaLtaOp(4, 16)]).run(_data(3), chunk_samples=400)
+    assert result.profile.phases["plan"] > 0
+
+
+SHIPPED = [
+    DetrendOp(),
+    TaperOp(0.05),
+    FiltFiltOp(B, A),
+    DecimateOp(3),
+    WhitenOp(),
+    CorrelateOp(),
+    StaLtaOp(5, 20),
+    LocalSimilarityOp(SIMI),
+    LocalSimilarityOp(LocalSimilarityConfig(half_window=10, half_lag=3, stride=1)),
+    ChannelSelectOp(2, 6),
+    SubsampleOp(1),
+    SubsampleOp(8),
+    FusedOp([TaperOp(0.05), FiltFiltOp(B, A), StaLtaOp(5, 20)]),
+]
+
+
+def _operator_classes(cls=Operator):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _operator_classes(sub)
+
+
+def test_every_shipped_operator_is_swept():
+    shipped = {
+        cls for cls in _operator_classes() if cls.__module__.startswith("repro.")
+    }
+    assert shipped == {type(op) for op in SHIPPED}
+
+
+@pytest.mark.parametrize("total", [1, 2, 7, 97, 1000, 1001, 4099])
+@pytest.mark.parametrize("op", SHIPPED, ids=lambda op: op.name)
+def test_shipped_algebra_verifies_across_ragged_totals(op, total):
+    verify_geometry(op, total)
+    verify_geometry(op, total, chunk_sizes=[1, 5, 64, total - 1, total])

@@ -142,8 +142,9 @@ class TestInterferometryStreaming:
             "resample", "fft", "correlate",
         }
         assert set(mat_timer.phases) == expected
-        # Profiling parity: both policies populate the same phase set.
-        assert set(str_timer.phases) == expected
+        # Profiling parity: both policies populate the same phase set; the
+        # chunked run adds only the kernel's up-front chunk planning.
+        assert set(str_timer.phases) == expected | {"plan"}
 
 
 SIMI_CFG = LocalSimilarityConfig(

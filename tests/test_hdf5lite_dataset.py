@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FormatError, SelectionError
-from repro.hdf5lite import File, Hyperslab, VirtualSource
+from repro.hdf5lite import CacheConfig, File, Hyperslab, VirtualSource
 from repro.utils.iostats import IOStats
 
 
@@ -106,14 +106,55 @@ class TestContiguous:
             assert stats.reads - reads_before == 1
 
     def test_column_read_is_one_request_per_row(self, tmpfile):
-        data = np.arange(100, dtype=np.float64).reshape(10, 10)
+        # 8 KiB rows: the hole between two rows' column elements is wider
+        # than the coalescing gap, so every row is its own request.
+        data = np.arange(10 * 1024, dtype=np.float64).reshape(10, 1024)
         with File(tmpfile, "w") as f:
             f.create_dataset("d", data=data)
         stats = IOStats()
         with File(tmpfile, "r", iostats=stats) as f:
             reads_before = stats.reads
-            f.dataset("d")[:, 4]
+            np.testing.assert_array_equal(f.dataset("d")[:, 4], data[:, 4])
             assert stats.reads - reads_before == 10
+
+    def test_column_read_of_narrow_rows_is_one_request(self, tmpfile):
+        # 80-byte rows: the holes fit the gap, one bounding span is fetched.
+        data = np.arange(100, dtype=np.float64).reshape(10, 10)
+        with File(tmpfile, "w") as f:
+            f.create_dataset("d", data=data)
+        stats = IOStats()
+        with File(tmpfile, "r", iostats=stats) as f:
+            reads_before, bytes_before = stats.reads, stats.bytes_read
+            np.testing.assert_array_equal(f.dataset("d")[:, 4], data[:, 4])
+            assert stats.reads - reads_before == 1
+            assert stats.bytes_read - bytes_before == (9 * 10 + 1) * 8
+
+    def test_strided_read_is_at_most_one_request_per_row(self, tmpfile):
+        # [:, ::8] of float32 leaves 28-byte holes: every row is fetched as
+        # one bounding span (adjacent rows merge when the row hole fits
+        # too), never element by element; warm, nothing reaches the backend.
+        rows, cols = 8, 4096
+        data = np.arange(rows * cols, dtype=np.float32).reshape(rows, cols)
+        with File(tmpfile, "w") as f:
+            f.create_dataset("d", data=data)
+        stats = IOStats()
+        with File(tmpfile, "r", iostats=stats) as f:
+            ds = f.dataset("d")
+            before = stats.reads
+            np.testing.assert_array_equal(ds[:, ::8], data[:, ::8])
+            assert stats.reads - before <= rows
+            # half rows: the 8 KiB hole between rows is not bridged
+            before, bytes_before = stats.reads, stats.bytes_read
+            np.testing.assert_array_equal(ds[:, : cols // 2 : 8], data[:, :2048:8])
+            assert stats.reads - before == rows
+            assert stats.bytes_read - bytes_before == rows * (2041 * 4)
+        warm = IOStats()
+        with File(tmpfile, "r", iostats=warm, cache=CacheConfig()) as f:
+            ds = f.dataset("d")
+            ds[:, ::8]
+            before = warm.reads
+            np.testing.assert_array_equal(ds[:, ::8], data[:, ::8])
+            assert warm.reads - before == 0
 
     def test_array_protocol(self, tmpfile):
         data = np.arange(4.0)

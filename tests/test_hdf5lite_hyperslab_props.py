@@ -7,24 +7,38 @@ Invariants:
 * runs are disjoint, ordered, and their total length equals the selection
   size;
 * ``intersect`` is commutative and yields a region contained in both
-  operands.
+  operands;
+* the span planner (``plan_spans`` + ``gather_spans``) materialises the
+  same values as the run-by-run reference
+  (``coalesce_runs(contiguous_runs(...))``) and as numpy slicing, with
+  requests that stay in bounds, ascend, bridge no hole wider than the gap
+  and never outnumber the selection's innermost-dimension runs;
+* every dataset read path — uncached, cached, CRC-verified, raw chunked —
+  returns the same bytes for strided 2-D selections, and the verified
+  path still refuses a flipped bit.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import CorruptDataError
+from repro.hdf5lite import CacheConfig, File
 from repro.hdf5lite.hyperslab import (
     Hyperslab,
+    coalesce_runs,
     contiguous_runs,
+    gather_spans,
     intersect,
     normalize_selection,
+    plan_spans,
     selection_shape,
 )
 
 
 @st.composite
-def shapes(draw, max_ndim=3, max_dim=12):
+def shapes(draw, max_ndim=4, max_dim=12):
     ndim = draw(st.integers(1, max_ndim))
     return tuple(draw(st.integers(1, max_dim)) for _ in range(ndim))
 
@@ -121,3 +135,159 @@ def test_full_selection_is_single_run(data):
     shape = data.draw(shapes())
     runs = list(contiguous_runs(Hyperslab.full(shape), shape))
     assert runs == [(0, int(np.prod(shape)))]
+
+
+# ---------------------------------------------------------------------------
+# the span planner against its run-by-run reference
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape_and_selection(),
+    st.sampled_from([0, 1, 2, 5, 40, 10_000]),
+    st.sampled_from([None, 1, 4, 30, 500]),
+)
+def test_planned_spans_match_runs_and_numpy(case, max_gap, max_span):
+    shape, sel = case
+    arr = np.arange(int(np.prod(shape)), dtype=np.int32).reshape(shape)
+    flat = arr.reshape(-1)
+    hs, squeeze = normalize_selection(sel, shape)
+
+    requests = []
+    source = memoryview(flat.view(np.uint8))
+
+    def fetch(byte_offset, dest):
+        assert byte_offset % 4 == 0 and len(dest) % 4 == 0
+        assert 0 <= byte_offset and byte_offset + len(dest) <= len(source)
+        requests.append((byte_offset // 4, len(dest) // 4))
+        dest[:] = source[byte_offset : byte_offset + len(dest)]
+
+    plan = plan_spans(hs, shape, max_gap, max_span)
+    out = np.full(hs.count, -1, dtype=np.int32)
+    gather_spans(plan, out, fetch)
+
+    runs = list(contiguous_runs(hs, shape))
+    spans = coalesce_runs(runs, max_gap)
+    reference = [
+        flat[off : off + n] for _, _, pieces in spans for off, n in pieces
+    ]
+    reference = (
+        np.concatenate(reference) if reference else np.empty(0, dtype=np.int32)
+    )
+    np.testing.assert_array_equal(out.reshape(-1), reference)
+    np.testing.assert_array_equal(
+        out.reshape(selection_shape(hs, squeeze)), arr[sel]
+    )
+
+    # requests: ascending and disjoint, between the reference's optimum
+    # (greedy coalescing is minimal) and one per innermost-dimension run
+    # (the reference also merges a row's last element with the next row's
+    # first when they happen to be adjacent; the planner does not)
+    assert all(
+        a_off + a_n <= b_off
+        for (a_off, a_n), (b_off, _) in zip(requests, requests[1:])
+    )
+    inner_run = hs.count[-1] if hs.stride[-1] == 1 else 1
+    assert len(spans) <= len(requests) <= hs.size // max(inner_run, 1)
+    # every request starts and ends on a selected element, bridges no hole
+    # wider than the gap, and one that bridges any fits the scratch bound
+    selected = np.zeros(flat.size + 1, dtype=bool)
+    for off, n in runs:
+        selected[off : off + n] = True
+    for off, n in requests:
+        inside = selected[off : off + n]
+        assert inside[0] and inside[-1]
+        holes = np.diff(np.flatnonzero(inside)) - 1
+        assert holes.size == 0 or holes.max() <= max_gap
+        if max_span is not None and not inside.all():
+            assert n <= max(max_span, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_full_selection_is_single_span(data):
+    shape = data.draw(shapes())
+    plan = plan_spans(Hyperslab.full(shape), shape, 0, 4)
+    assert plan.offsets.tolist() == [0]
+    assert plan.span_len(plan.block) == int(np.prod(shape))
+
+
+# ---------------------------------------------------------------------------
+# every dataset read path returns the same bytes
+# ---------------------------------------------------------------------------
+
+ROWS, COLS = 12, 1536  # 6 KiB float32 rows: row holes straddle the 4 KiB gap
+
+
+@pytest.fixture(scope="module")
+def layouts(tmp_path_factory):
+    """One array stored four ways; ``open_all`` yields the datasets."""
+    root = tmp_path_factory.mktemp("layouts")
+    data = (
+        np.random.default_rng(3).normal(size=(ROWS, COLS)).astype(np.float32)
+    )
+    kinds = {
+        "plain": {},
+        "verified": {"checksum": True, "checksum_block": 1024},
+        "chunked": {"chunks": (5, 500)},
+    }
+    for name, kwargs in kinds.items():
+        with File(str(root / f"{name}.h5"), "w") as f:
+            f.create_dataset("d", data=data, **kwargs)
+    return root, data
+
+
+@st.composite
+def strided_2d(draw):
+    sel = []
+    for dim in (ROWS, COLS):
+        start = draw(st.integers(0, dim - 1))
+        stop = draw(st.integers(start + 1, dim))
+        step = draw(st.sampled_from([1, 2, 3, 8, 64, 1100]))
+        sel.append(slice(start, stop, step))
+    return tuple(sel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(strided_2d())
+def test_read_paths_agree_on_strided_selections(layouts, sel):
+    root, data = layouts
+    expected = data[sel]
+    opened = [
+        ("plain", {}),
+        ("plain", {"cache": CacheConfig()}),
+        ("verified", {}),
+        ("verified", {"cache": CacheConfig(page_size=4096)}),
+        ("chunked", {}),
+        ("chunked", {"cache": CacheConfig()}),
+    ]
+    for name, kwargs in opened:
+        with File(str(root / f"{name}.h5"), "r", **kwargs) as f:
+            np.testing.assert_array_equal(f.dataset("d")[sel], expected)
+
+
+def test_verified_strided_read_refuses_a_flipped_block(tmp_path):
+    data = np.random.default_rng(4).normal(size=(ROWS, COLS)).astype(np.float32)
+    path = str(tmp_path / "v.h5")
+    with File(path, "w") as f:
+        f.create_dataset("d", data=data, checksum=True, checksum_block=1024)
+    with File(path, "r") as f:
+        base = int(f.dataset("d")._meta["offset"])
+    victim = base + (3 * COLS + 8 * 10) * 4  # row 3, a selected column
+    with open(path, "r+b") as fh:
+        fh.seek(victim)
+        byte = fh.read(1)[0]
+        fh.seek(victim)
+        fh.write(bytes([byte ^ 0x10]))
+    with File(path, "r") as f:
+        # rows the flip is not in still read clean...
+        np.testing.assert_array_equal(
+            f.dataset("d")[5:, :400:8], data[5:, :400:8]
+        )
+        # ...the strided read that lands on the block does not
+        with pytest.raises(CorruptDataError, match="crc32"):
+            f.dataset("d")[:, :400:8]
+    with File(path, "r", cache=CacheConfig()) as f:
+        with pytest.raises(CorruptDataError, match="crc32"):
+            f.dataset("d")[:, :400:8]

@@ -7,9 +7,9 @@ plans the reference is the eager legacy ``StreamPipeline`` run of the
 same operator list; for multi-output plans it is the same union-interval
 plan with the shared prefix recomputed per branch (``naive=True``),
 unfused and without pushdown.  A hypothesis sweep drives the equivalence
-across chunk-boundary geometries for all four analysis algorithms, and a
-storage-level test asserts that pushdown strictly reduces the bytes read
-from the backend.
+across chunk-boundary geometries for all four analysis algorithms, and
+storage-level tests assert what pushdown saves at the backend: requests
+always, bytes wherever the skipped holes exceed the coalescing gap.
 
 Comparisons always hand the eager reference the *same* raw-level chunk
 the optimized run resolves (``execute`` rounds the chunk up
@@ -448,34 +448,84 @@ class TestHypothesisEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# storage: pushdown must strictly reduce backend bytes
+# storage: what pushdown saves at the backend
 # ---------------------------------------------------------------------------
 
 
 class TestPushdownBytes:
-    """Backend byte accounting needs *non-checksummed* source files:
+    """Backend accounting needs *non-checksummed* source files:
     CRC-verified reads are served at whole-block granularity, which wipes
-    out stride savings on files smaller than one block (the ``das_dir``
-    conftest fixture is unchecksummed; ``vca_setup`` is not)."""
+    out pushdown savings on files smaller than one block (the ``das_dir``
+    conftest fixture is unchecksummed; ``vca_setup`` is not).
 
-    def _backend_bytes(self, vca, query):
+    A pushed-down selection always saves requests and never reads past
+    its bounding block; it saves *bytes* only where the holes it skips are
+    wider than the coalescing gap (whole unselected channels, a sparse
+    time stride) — narrower holes are read and discarded, bytes exchanged
+    for requests."""
+
+    def _backend(self, vca, query, chunk=240):
+        """``(output, stats)`` — ``stats`` the backend traffic of the
+        ``execute`` alone (source-file opens included)."""
         stats = IOStats()
         with open_stream(vca, iostats=stats) as src:
-            plan = optimize(query, chunk_samples=240)
+            plan = optimize(query, chunk_samples=chunk)
+            before = stats.full_snapshot()
             out = execute(plan, source=src, iostats=stats)[0]
-        return out.output, stats.full_snapshot()["bytes_read"]
+            after = stats.full_snapshot()
+        return out.output, {k: after[k] - before[k] for k in after}
 
-    def test_decimation_reads_fewer_backend_bytes(self, das_dir, tmp_path):
+    def _backend_bytes(self, vca, query):
+        out, stats = self._backend(vca, query)
+        return out, stats["bytes_read"]
+
+    def test_dense_decimation_trades_bytes_for_requests(self, das_dir, tmp_path):
+        """decimate(8) over float32 leaves 28-byte holes: each source
+        file's lattice is fetched as bounding spans — at most one request
+        per row and file, no byte beyond the bounding block."""
         vca = create_vca(str(tmp_path / "b.h5"), das_dir["paths"])
-        q_full = Query.scan(None).then(StaLtaOp(3, 11))
+        full_out, full = self._backend(vca, Query.scan(None))
+        thin_out, thin = self._backend(vca, Query.scan(None).decimate(8))
+        np.testing.assert_array_equal(thin_out, full_out[:, ::8])
+        rows, files = das_dir["full"].shape[0], len(das_dir["paths"])
+        assert thin["reads"] <= rows * files
+        assert thin["bytes_read"] <= full["bytes_read"]
+        # behind an operator with a lookback the strided read still equals
+        # the eager subsample of the stream
         q_thin = Query.scan(None).decimate(8).then(StaLtaOp(3, 11))
-        _, full_bytes = self._backend_bytes(vca, q_full)
-        thin_out, thin_bytes = self._backend_bytes(vca, q_thin)
-        assert thin_bytes < full_bytes
-        # and the strided read equals the eager subsample of the stream
+        out, _ = self._backend(vca, q_thin)
         with open_stream(vca) as src:
             ref = _legacy(q_thin, src, 240).output
-        np.testing.assert_array_equal(thin_out, ref)
+        np.testing.assert_array_equal(out, ref)
+
+    def test_decimation_reads_fewer_backend_bytes(self, tmp_path):
+        """A stride whose holes (8 KiB) exceed the coalescing gap is read
+        element by element: strictly fewer bytes than the full scan."""
+        rng = np.random.default_rng(5)
+        stamp, paths, blocks = "170620100545", [], []
+        for _ in range(2):
+            data = rng.normal(size=(4, 8192)).astype(np.float32)
+            metadata = DASMetadata(
+                sampling_frequency=100.0,
+                spatial_resolution=2.0,
+                timestamp=stamp,
+                n_channels=4,
+            )
+            path = str(tmp_path / das_filename(stamp))
+            write_das_file(path, data, metadata, channel_groups=False)
+            paths.append(path)
+            blocks.append(data)
+            stamp = timestamp_add_seconds(stamp, 60)
+        vca = create_vca(str(tmp_path / "sparse.h5"), paths)
+        _, full = self._backend(vca, Query.scan(None), chunk=16384)
+        thin_out, thin = self._backend(
+            vca, Query.scan(None).decimate(2048), chunk=16384
+        )
+        np.testing.assert_array_equal(
+            thin_out, np.concatenate(blocks, axis=1)[:, ::2048]
+        )
+        assert thin["bytes_read"] < full["bytes_read"] // 8
+        assert thin["reads"] > full["reads"]
 
     def test_channel_selection_reads_fewer_backend_bytes(self, das_dir, tmp_path):
         vca = create_vca(str(tmp_path / "b2.h5"), das_dir["paths"])

@@ -50,7 +50,6 @@ def whole_record_reference(data: np.ndarray, factor: int) -> np.ndarray:
     plan = optimize(
         Query.scan(None).then(DecimateOp(factor)),
         chunk_samples=data.shape[1],
-        verify=False,
     )
     (result,) = execute(plan, source=ArraySource(data))
     return result.output
