@@ -3,6 +3,10 @@
 Drives a :class:`~repro.serve.DataServer` over a synthetic VCA archive
 with simulated concurrent viewers and records in ``BENCH_serve.json``:
 
+* **pyramid_build** — the wall time of ``build_pyramid`` and the backend
+  bytes and requests it issued.  Asserts the build moves no more bytes
+  than one full read of the archive, whatever the number of levels (a
+  per-level scan would read it once per level).
 * **preview_reduction** — the same whole-record preview served from a
   stored pyramid level vs computed from raw by the streaming planner.
   Asserts the pyramid path reads *strictly fewer* backend bytes and
@@ -64,9 +68,9 @@ REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 
 def build_archive(
     root: str, n_channels: int, minutes: int, spm: int, fs: float
-) -> tuple[str, str]:
-    """Per-minute files merged into a VCA, pyramid built in place, plus a
-    synthetic event catalog covering the record."""
+) -> tuple[str, str, dict]:
+    """Per-minute files merged into a VCA, pyramid built in place (its
+    cost returned), plus a synthetic event catalog covering the record."""
     rng = np.random.default_rng(11)
     stamp = "170620100545"
     paths = []
@@ -87,7 +91,26 @@ def build_archive(
         paths.append(path)
         stamp = timestamp_add_seconds(stamp, 60)
     vca = create_vca(os.path.join(root, "bench.h5"), paths)
-    build_pyramid(vca, PyramidConfig(factor=4, min_samples=64))
+    scan = IOStats()
+    with open_stream(vca, iostats=scan) as src:
+        src.read(0, src.n_samples)
+    build = IOStats()
+    started = time.perf_counter()
+    levels = build_pyramid(
+        vca, PyramidConfig(factor=4, min_samples=64), iostats=build
+    )
+    pyramid_build_s = time.perf_counter() - started
+    assert build.bytes_read <= scan.bytes_read, (
+        f"pyramid build must read the archive once: {build.bytes_read} "
+        f"bytes for {len(levels)} levels > one scan ({scan.bytes_read})"
+    )
+    pyramid_build = {
+        "levels": len(levels),
+        "pyramid_build_s": round(pyramid_build_s, 4),
+        "backend_bytes": build.bytes_read,
+        "backend_reads": build.reads,
+        "archive_scan_bytes": scan.bytes_read,
+    }
 
     duration_s = minutes * 60.0
     events_path = os.path.join(root, "events.jsonl")
@@ -109,7 +132,7 @@ def build_archive(
         )
         for k, t in enumerate(np.linspace(5.0, duration_s - 10.0, 6))
     ])
-    return vca, events_path
+    return vca, events_path, pyramid_build
 
 
 # -- pyramid vs raw ----------------------------------------------------------
@@ -354,7 +377,9 @@ def main() -> None:
     fs = float(spm) / 60.0
 
     with tempfile.TemporaryDirectory() as root:
-        vca, events_path = build_archive(root, n_channels, minutes, spm, fs)
+        vca, events_path, pyramid_build = build_archive(
+            root, n_channels, minutes, spm, fs
+        )
         preview_reduction = bench_preview_reduction(vca)
         window_exactness = bench_window_exactness(vca)
         viewers = bench_viewers(vca, events_path, n_viewers, requests)
@@ -368,6 +393,7 @@ def main() -> None:
             "samples_per_minute": spm,
             "fs": fs,
         },
+        "pyramid_build": pyramid_build,
         "preview_reduction": preview_reduction,
         "window_exactness": window_exactness,
         "viewers": viewers,

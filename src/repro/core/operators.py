@@ -29,7 +29,7 @@ from repro.core.pipeline import OpContext, Operator, SinkOp
 from repro.daslib import (
     abscorr,
     decimate_chunk,
-    design_resample_filter,
+    decimation_bank,
     detrend,
     fft,
     filtfilt,
@@ -167,7 +167,9 @@ class DecimateOp(Operator):
     Whole-array ``resample`` emits one output per absolute input index
     ``j*q``; :func:`~repro.daslib.resample.decimate_chunk` computes
     exactly the outputs whose centre falls inside the chunk, so chunks
-    tile the decimated axis with the global phase intact.
+    tile the decimated axis with the global phase intact.  The operator
+    holds its (memoised) polyphase tap bank, so building one per request
+    costs a cache lookup, not a filter design.
     """
 
     name = "resample"
@@ -179,10 +181,8 @@ class DecimateOp(Operator):
         self.decimate = self.q
         halo = resample_halo(self.q, half_width=half_width)
         self.halo = (halo, halo)
-        self.taps = (
-            design_resample_filter(1, self.q, half_width=half_width, beta=beta)
-            if self.q > 1
-            else None
+        self.bank = (
+            decimation_bank(self.q, half_width, beta) if self.q > 1 else None
         )
 
     def apply(self, data: np.ndarray, ctx: OpContext) -> np.ndarray:
@@ -191,10 +191,10 @@ class DecimateOp(Operator):
             out = np.empty((data.shape[0], out_len))
             for channel in range(data.shape[0]):
                 out[channel] = decimate_chunk(
-                    data[channel], self.q, 0, taps=self.taps
+                    data[channel], self.q, 0, bank=self.bank
                 )
             return out
-        return decimate_chunk(data, self.q, ctx.start, taps=self.taps)
+        return decimate_chunk(data, self.q, ctx.start, bank=self.bank)
 
 
 class FFTSink(SinkOp):

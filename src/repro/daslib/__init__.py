@@ -48,6 +48,7 @@ from repro.daslib.moving import moving_average, sliding_windows
 from repro.daslib.resample import (
     decimate,
     decimate_chunk,
+    decimation_bank,
     design_resample_filter,
     resample,
     resample_halo,
@@ -81,6 +82,7 @@ __all__ = [
     "resample",
     "decimate",
     "decimate_chunk",
+    "decimation_bank",
     "design_resample_filter",
     "resample_halo",
     "upfirdn",

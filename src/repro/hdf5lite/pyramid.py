@@ -6,14 +6,17 @@ A pyramid is a family of progressively coarser copies of one base
 the block cache, and ``das_inspect`` all apply unchanged).  Level ``k``
 holds the base record decimated by ``factor**k`` with the phase-aligned
 anti-aliasing semantics of :class:`repro.core.operators.DecimateOp`:
-level sample ``j`` is centred on base sample ``j * factor**k``.
+level sample ``j`` is centred on base sample ``j * factor**k`` and is
+NaN exactly when a base sample within ``10 * factor**k`` of that centre
+is non-finite (a masked gap).
 
 This module defines the on-disk *convention* only — the attribute names
 a reader keys on, discovery (:func:`pyramid_levels`), and structural
 validation (:func:`pyramid_problems`, folded into
 :func:`repro.hdf5lite.inspect.verify`).  *Building* pyramids needs the
 DSP operators and therefore lives up the stack in
-:mod:`repro.serve.pyramid`; keeping the format spec here lets
+:mod:`repro.serve.pyramid` (one pass over the base record for all
+levels); keeping the format spec here lets
 ``das_inspect`` describe and verify pyramid-carrying files without the
 inspection layer reaching above its rank.
 """

@@ -4,20 +4,24 @@ The storage-side format — attribute names, discovery, validation — lives
 in :mod:`repro.hdf5lite.pyramid` (so ``das_inspect`` works without this
 package).  This module produces the levels and picks one per request:
 
-* :func:`build_pyramid` streams the archive through the core
-  :class:`~repro.core.operators.DecimateOp` once per level and stores the
-  results as chunked hdf5lite datasets (codec + CRC sidecar) inside the
-  archive file itself.  Each level is computed *from the raw record*
-  with the cumulative factor — never by re-decimating the previous level
-  — which is what makes the bit-exactness contract checkable: level
-  ``k`` equals ``DecimateOp(factor**k)`` applied to the raw record,
-  nothing more.
+* :func:`build_pyramid` streams the archive **once**: every level is a
+  branch ``scan → DecimateOp(factor**k)`` of one multi-output plan, so
+  each chunk is fetched, CRC-verified and decoded a single time and
+  fanned out to all levels.  The results are stored as chunked hdf5lite
+  datasets (codec + CRC sidecar) inside the archive file itself.  Each
+  level is computed *from the raw record* with the cumulative factor —
+  never by re-decimating the previous level — which is what makes the
+  bit-exactness contract checkable: level ``k`` equals
+  :func:`compute_level` ``(raw, factor**k)``, nothing more.
 * :func:`select_level` picks the coarsest stored level that still
   delivers at least one sample per requested output pixel, so a
   zoomed-out preview reads O(output pixels) backend bytes.
 * NaN gap columns (degraded reads masked by the storage layer) propagate
   through the decimation FIR into NaN preview pixels — the mask arrives
-  for free, no side-channel needed.
+  for free, no side-channel needed.  A non-finite sample masks exactly
+  the pixels whose FIR support (``10 * factor`` raw samples each side of
+  the pixel centre) holds it; every other pixel equals the clean
+  record's.
 """
 
 from __future__ import annotations
@@ -64,9 +68,8 @@ class PyramidConfig:
     at ``1/factor**k`` rate); levels stop at ``max_levels`` or when the
     next level would fall below ``min_samples``.  ``codec`` /
     ``checksum`` are stored per level exactly like any other hdf5lite
-    dataset; ``chunk_samples`` is the stored chunk length,
-    ``build_chunk`` the streaming chunk during construction (``None`` =
-    auto).
+    dataset; ``chunk_samples`` is the stored chunk length.  The build
+    itself streams with the planner's auto-sized chunk.
     """
 
     factor: int = 4
@@ -75,7 +78,6 @@ class PyramidConfig:
     codec: str | None = "delta-zlib:1"
     checksum: bool = True
     chunk_samples: int = 8192
-    build_chunk: int | None = None
 
     def __post_init__(self) -> None:
         if self.factor < 2:
@@ -117,9 +119,10 @@ def build_pyramid(
 ) -> list[PyramidLevel]:
     """Build and store a decimation pyramid inside a VCA archive file.
 
-    Streams the archive once per level (raw → ``DecimateOp(factor**k)``)
-    and appends the outputs as ``pyramid/level<k>`` chunked datasets with
-    the configured codec and CRC sidecars.  Returns the stored levels.
+    Streams the archive once — one plan with a ``DecimateOp(factor**k)``
+    branch per level, one read per chunk — and appends the outputs as
+    ``pyramid/level<k>`` chunked datasets with the configured codec and
+    CRC sidecars.  Returns the stored levels.
 
     ``on_error="mask"`` builds through degraded sources: vanished or
     corrupt minutes become NaN spans in the raw stream and hence NaN
@@ -133,31 +136,31 @@ def build_pyramid(
         if PYRAMID_GROUP in probe:
             raise ServeError(f"{path}: archive already carries a pyramid")
 
-    levels: list[tuple[int, int, np.ndarray, float]] = []
     with open_stream(
         path, iostats=iostats, on_error=on_error, fill_value=fill_value
     ) as src:
         base_samples = src.n_samples
         base_fs = src.fs
-        for k in range(1, config.max_levels + 1):
-            factor = config.factor ** k
-            if -(-base_samples // factor) < config.min_samples:
-                break
-            out = compute_level(
-                src, factor, chunk_samples=config.build_chunk, iostats=iostats
+        factors = [
+            f
+            for f in (config.factor ** k for k in range(1, config.max_levels + 1))
+            if -(-base_samples // f) >= config.min_samples
+        ]
+        if not factors:
+            raise ServeError(
+                f"{path}: record too short for any pyramid level "
+                f"(needs >= {config.min_samples * config.factor} samples)"
             )
-            levels.append((k, factor, out, base_fs / factor if base_fs else 0.0))
-
-    if not levels:
-        raise ServeError(
-            f"{path}: record too short for any pyramid level "
-            f"(needs >= {config.min_samples * config.factor} samples)"
-        )
+        scan = Query.scan(None)
+        plan = optimize([scan.then(DecimateOp(f)) for f in factors])
+        results = execute(plan, source=src, iostats=iostats)
 
     with File(path, "r+") as f:
         group = f.create_group(PYRAMID_GROUP)
         group.attrs[BASE_FACTOR_ATTR] = int(config.factor)
-        for k, factor, out, fs in levels:
+        for k, (factor, result) in enumerate(zip(factors, results), start=1):
+            out = result.output
+            fs = base_fs / factor if base_fs else 0.0
             ds = f.create_dataset(
                 f"{PYRAMID_GROUP}/level{k}",
                 data=out,

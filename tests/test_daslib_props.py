@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for DasLib invariants."""
 
+import tracemalloc
+
 import numpy as np
 import scipy.signal as sps
 from hypothesis import assume, given, settings
@@ -9,6 +11,10 @@ from hypothesis.extra import numpy as hnp
 from repro.daslib import (
     abscorr,
     butter,
+    decimate,
+    decimate_chunk,
+    decimation_bank,
+    design_resample_filter,
     detrend,
     filtfilt,
     get_window,
@@ -16,7 +22,9 @@ from repro.daslib import (
     moving_average,
     next_fast_len,
     resample,
+    resample_halo,
     taper,
+    upfirdn,
 )
 
 finite_floats = st.floats(
@@ -171,6 +179,147 @@ class TestResampleProps:
     def test_identity_rate(self, n, seed):
         x = np.random.default_rng(seed).normal(size=n)
         np.testing.assert_allclose(resample(x, 3, 3), x, atol=1e-12)
+
+
+def fft_decimate_reference(x, q, abs_start, full_convolve=upfirdn):
+    """The definition the polyphase kernel must reproduce: the full-rate
+    convolution with the anti-aliasing FIR, delay-compensated, sampled at
+    the absolute indices ``j * q``."""
+    taps = design_resample_filter(1, q)
+    half = (len(taps) - 1) // 2
+    x = np.asarray(x, dtype=np.float64)
+    full = full_convolve(taps, x)
+    phase = (-abs_start) % q
+    return full[..., half : half + x.shape[-1]][..., phase::q]
+
+
+def chunk_signal(seed, n, two_d, as_float32):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(3, n) if two_d else n) * rng.choice([1e-3, 1.0, 1e4])
+    return x.astype(np.float32) if as_float32 else x
+
+
+class TestDecimateKernelProps:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        q=st.integers(2, 1100),
+        n=st.integers(1, 3000),
+        abs_start=st.integers(0, 10**6),
+        two_d=st.booleans(),
+        as_float32=st.booleans(),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_matches_full_rate_references(
+        self, q, n, abs_start, two_d, as_float32, seed
+    ):
+        # n < 20 * q + 1 (a record shorter than the filter) is the common
+        # case in this sweep
+        x = chunk_signal(seed, n, two_d, as_float32)
+        got = decimate_chunk(x, q, abs_start)
+        assert got.dtype == np.float64
+        atol = 1e-12 * float(np.abs(x).max())
+        ours = fft_decimate_reference(x, q, abs_start)
+        assert got.shape == ours.shape
+        np.testing.assert_allclose(got, ours, rtol=0, atol=atol)
+        # scipy's direct-form polyphase upfirdn: an oracle sharing no code
+        scipys = fft_decimate_reference(
+            x, q, abs_start, lambda taps, x: sps.upfirdn(taps, x, axis=-1)
+        )
+        np.testing.assert_allclose(got, scipys, rtol=0, atol=atol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        q=st.integers(2, 70),
+        n=st.integers(200, 4000),
+        chunk=st.integers(40, 900),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_overlapping_chunks_stitch_to_whole_record(self, q, n, chunk, seed):
+        x = np.random.default_rng(seed).normal(size=(2, n))
+        whole = decimate_chunk(x, q, 0)
+        halo = resample_halo(q)
+        pieces = []
+        for a in range(0, n, chunk):
+            b = min(n, a + chunk)
+            lo, hi = max(0, a - halo), min(n, b + halo)
+            out = decimate_chunk(x[:, lo:hi], q, lo)
+            first = -(-lo // q)  # absolute index of out[..., 0]
+            pieces.append(out[:, -(-a // q) - first : -(-b // q) - first])
+        np.testing.assert_allclose(
+            np.concatenate(pieces, axis=-1), whole, rtol=0, atol=1e-9
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        q=st.integers(2, 300),
+        n=st.integers(1, 2000),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_resample_and_decimate_are_the_kernel(self, q, n, seed):
+        x = np.random.default_rng(seed).normal(size=(2, n))
+        kernel = decimate_chunk(x, q, 0)
+        np.testing.assert_array_equal(resample(x, 1, q), kernel)
+        np.testing.assert_array_equal(resample(x, 3, 3 * q), kernel)
+        np.testing.assert_array_equal(decimate(x, q), kernel)
+        np.testing.assert_array_equal(resample(x.T, 1, q, axis=0), kernel.T)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        q=st.integers(2, 200),
+        n=st.integers(1, 3000),
+        abs_start=st.integers(0, 10**5),
+        holes=st.lists(
+            st.tuples(st.floats(0, 1), st.sampled_from([np.nan, np.inf, -np.inf])),
+            min_size=1,
+            max_size=4,
+        ),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_non_finite_sample_poisons_exactly_its_support(
+        self, q, n, abs_start, holes, seed
+    ):
+        clean = np.random.default_rng(seed).normal(size=(2, n))
+        dirty = clean.copy()
+        positions = sorted({min(n - 1, int(frac * n)) for frac, _ in holes})
+        for pos, (_, value) in zip(positions, holes):
+            dirty[1, pos] = value
+        got = decimate_chunk(dirty, q, abs_start)
+        expected = decimate_chunk(clean, q, abs_start)
+        centres = np.arange(-(-abs_start // q), -(-(abs_start + n) // q)) * q
+        poisoned = np.zeros(expected.shape, dtype=bool)
+        for pos in positions:
+            poisoned[1] |= np.abs(centres - (abs_start + pos)) <= 10 * q
+        np.testing.assert_array_equal(np.isnan(got), poisoned)
+        np.testing.assert_array_equal(got[~poisoned], expected[~poisoned])
+
+    def test_one_lost_stretch_does_not_mask_the_record(self):
+        # the FFT kernel turned this whole row into NaN
+        x = np.random.default_rng(0).normal(size=20000)
+        x[9000:9010] = np.nan
+        out = decimate_chunk(x, 4, 0)
+        # centres within 10 * q of a lost sample: 8960, 8964, ..., 9048
+        assert np.flatnonzero(np.isnan(out)).tolist() == list(range(2240, 2263))
+
+    def test_scratch_is_bounded_by_the_block_not_the_chunk(self):
+        x = np.random.default_rng(0).normal(size=(4, 1 << 20))  # 32 MiB
+        for q in (4, 1024):
+            decimation_bank(q)  # the cached bank is not per-call scratch
+            tracemalloc.start()
+            try:
+                out = decimate_chunk(x, q, 0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # scratch block + its product, 1 MiB each at most
+            assert peak - out.nbytes < 3 << 20, (q, peak)
+
+    def test_filters_and_banks_are_memoised_read_only(self):
+        # however the defaults are spelled, one design per key
+        assert decimation_bank(1024) is decimation_bank(1024, half_width=10)
+        taps = design_resample_filter(1, 1024)
+        assert taps is design_resample_filter(1, 1024, 10, beta=5.0)
+        assert not taps.flags.writeable
+        assert not decimation_bank(1024).matrix.flags.writeable
 
 
 class TestWindowProps:

@@ -32,8 +32,9 @@ from repro.serve import (
     ServeConfig,
     TenantQuota,
     build_pyramid,
-    level_slice,
+    compute_level,
 )
+from repro.storage.chunks import open_stream
 from repro.storage.dasfile import das_filename, write_das_file
 from repro.storage.metadata import DASMetadata, timestamp_add_seconds
 from repro.storage.vca import create_vca
@@ -179,22 +180,27 @@ def test_degraded_window_masks_and_reports_gaps(tmp_path):
 
 def test_degraded_pyramid_preview_masks_gap_pixels(tmp_path):
     vca, paths = make_vca(str(tmp_path))
+    with open_stream(vca) as src:
+        clean = compute_level(src.read(0, 1800), 16)
     os.remove(paths[1])
-    # build *through* the degraded source: NaN spans decimate into NaN
-    # pixels at every level (build_chunk small so the FFT's chunk-wide
-    # NaN contamination stays local to the gap's chunks)
+    # build *through* the degraded source with the default config: the
+    # NaN span decimates into NaN pixels at every level, widened by the
+    # FIR half-length (10 * factor raw samples) and no further
     build_pyramid(
-        vca,
-        PyramidConfig(factor=4, min_samples=32, build_chunk=128),
-        on_error="mask",
+        vca, PyramidConfig(factor=4, min_samples=32), on_error="mask"
     )
     with DataServer(vca) as server:
         preview = server.session("viewer").preview(0, 1800, width=1800 // 16)
         assert preview.level == 2
-        j0, j1 = level_slice(16, 600, 1200)
-        assert preview.mask[:, j0:j1].all()  # gap-centred pixels masked
-        assert not preview.mask[:, :10].any()  # far from the gap: clean
-        assert not preview.mask[:, -10:].any()
+        centres = np.arange(preview.data.shape[1]) * 16
+        masked = (centres + 160 >= 600) & (centres - 160 <= 1199)
+        np.testing.assert_array_equal(
+            preview.mask, np.broadcast_to(masked, preview.mask.shape)
+        )
+        # minutes 1 and 3 outside the fringe: the clean build's pixels
+        np.testing.assert_array_equal(
+            preview.data[:, ~masked], clean[:, ~masked]
+        )
 
 
 # -- events ------------------------------------------------------------------
