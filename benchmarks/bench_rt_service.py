@@ -11,6 +11,9 @@ deployment is judged on:
   batch run over the concatenated record (event spans and kinds
   identical, scores within 1e-6), the property that makes the service's
   output trustworthy at file boundaries,
+* **no fringe compute** — similarity columns the detector computed ÷
+  columns the service emitted; asserted <= 1.05, so a change that hands
+  the detector the filter's settle halo again fails CI,
 * **chaos recovery** — a seeded shard kill mid-replay through the
   sharded deployment; asserts the recovered merged catalog equals the
   fault-free reference and records the detection-to-recovery time,
@@ -34,6 +37,7 @@ import os
 import sys
 import tempfile
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -42,6 +46,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.cluster import cori_haswell  # noqa: E402
 from repro.core.local_similarity import (  # noqa: E402
     LocalSimilarityConfig,
+    LocalSimilarityOp,
     local_similarity_block,
 )
 from repro.daslib import butter, filtfilt  # noqa: E402
@@ -69,6 +74,8 @@ from repro.synthetic.generator import (  # noqa: E402
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 FS = 50.0
+#: Most similarity columns the detector may compute per column emitted.
+MAX_COMPUTE_RATIO = 1.05
 
 
 def run_case(channels: int, minutes: int, spm: int) -> dict:
@@ -86,12 +93,31 @@ def run_case(channels: int, minutes: int, spm: int) -> dict:
 
     spool = tempfile.mkdtemp(prefix="das-bench-spool-")
     service = RTService(spool, detector=detector, policy=policy, config=config)
+    computed = 0
+    similarity_apply = LocalSimilarityOp.apply
+
+    def counting_apply(op, block, ctx):
+        nonlocal computed
+        out = similarity_apply(op, block, ctx)
+        computed += out.shape[-1]
+        return out
+
     t0 = time.perf_counter()
-    for _ in drip_feed_dataset(spool, minutes, scene=scene, samples_per_minute=spm):
-        service.drain()
-    service.flush()
+    with mock.patch.object(LocalSimilarityOp, "apply", counting_apply):
+        for _ in drip_feed_dataset(
+            spool, minutes, scene=scene, samples_per_minute=spm
+        ):
+            service.drain()
+        service.flush()
     wall = time.perf_counter() - t0
     streamed = service.sink.load()
+    # Flushed, the service has emitted every column of the record's grid.
+    emitted = len(similarity.centers(minutes * spm))
+    compute_ratio = computed / emitted
+    assert compute_ratio <= MAX_COMPUTE_RATIO, (
+        f"the detector computed {computed} similarity columns to emit "
+        f"{emitted} ({compute_ratio:.2f}x): fringe is being computed on again"
+    )
 
     # Seam-equivalence check against one batch pass.
     data = synthesize_scene(scene, minutes, samples_per_minute=spm).astype(
@@ -130,6 +156,11 @@ def run_case(channels: int, minutes: int, spm: int) -> dict:
         "events": len(streamed),
         "seam_equivalent": True,
         "max_score_drift": score_drift,
+        "similarity_columns": {
+            "computed": computed,
+            "emitted": emitted,
+            "ratio": compute_ratio,
+        },
         "latency": {
             "p50_s": total.get("p50_s"),
             "p95_s": total.get("p95_s"),
@@ -297,6 +328,11 @@ def main() -> None:
         print(
             f"  events     : {entry['events']}, seam-equivalent to batch "
             f"(score drift {entry['max_score_drift']:.1e})"
+        )
+        columns = entry["similarity_columns"]
+        print(
+            f"  similarity : {columns['computed']} columns computed for "
+            f"{columns['emitted']} emitted ({columns['ratio']:.3f}x)"
         )
         results.append(entry)
 

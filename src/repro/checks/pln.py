@@ -2,8 +2,8 @@
 
 The query planner (:mod:`repro.core.optimizer`) composes each
 operator's declared interval algebra — ``out_total`` / ``out_core`` /
-``out_full`` / ``in_needed`` — to decide what to read, what to fuse,
-and what each chunk owns.  A declaration that is internally inconsistent
+``out_full`` / ``in_needed`` — to decide what to read, what each
+operator is handed, and what each chunk owns.  A declaration that is internally inconsistent
 produces plans that read too little or trim the wrong samples.  The
 kernel refuses such a plan before its first read, but only on the one
 chunking a run uses (:func:`repro.core.pipeline.run_chunks`), and
@@ -26,12 +26,12 @@ by name across the project like the ``OPC`` series):
     with the default affine one.
 ``PLN003`` — a literal ``decimate`` != 1 combined with a time-grid
     override: the default algebra already derives the grid from
-    ``decimate``; declaring both makes fusion eligibility and the
-    override disagree about the sample lattice.
+    ``decimate``; declaring both leaves the defaults that still read it
+    (``out_fs``) and the override disagreeing about the sample lattice.
 ``PLN004`` — a literal non-zero ``halo`` combined with an ``in_needed``
     override: ``in_needed`` *is* the halo declaration, so the literal is
-    either redundant or (if they differ) silently double-counted by
-    halo-summing rewrites such as operator fusion.
+    either redundant or (if they differ) a second, contradicting
+    declaration nothing reads.
 """
 
 from __future__ import annotations
@@ -146,8 +146,8 @@ class PlannerGeometryAnalyzer(Analyzer):
                     "PLN004", mod, line,
                     f"{cls.name} declares halo = {value} and also "
                     f"overrides in_needed — in_needed is the halo "
-                    f"declaration; halo-summing rewrites (fusion) would "
-                    f"double-count it",
+                    f"declaration, so the literal is redundant or "
+                    f"contradicts it",
                     hint="fold the halo into in_needed and declare "
                          "halo = (0, 0), or drop the override",
                 )

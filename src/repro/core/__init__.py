@@ -79,13 +79,10 @@ from repro.core.graph import (
     verify_geometry,
 )
 from repro.core.optimizer import (
-    FusedOp,
     PhysicalPlan,
     execute,
     explain,
-    fuse_operators,
     optimize,
-    plan_incremental,
 )
 from repro.core.autoselect import (
     PlanOption,
@@ -138,13 +135,10 @@ __all__ = [
     "ChannelSelectOp",
     "SubsampleOp",
     "verify_geometry",
-    "FusedOp",
-    "fuse_operators",
     "PhysicalPlan",
     "optimize",
     "execute",
     "explain",
-    "plan_incremental",
     # streaming execution core
     "OpContext",
     "Operator",

@@ -12,10 +12,10 @@ connected components, and classifies each component by its geometry:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from repro.errors import ConfigError
 
@@ -44,31 +44,12 @@ class DetectedEvent:
 
 
 def _connected_components(mask: np.ndarray) -> np.ndarray:
-    """4-connected component labelling (BFS, pure numpy/stdlib).
+    """4-connected component labelling.
 
-    Returns an int array: 0 = background, 1..n = component ids.
+    Returns an int array: 0 = background, 1..n = component ids, numbered
+    in raster order of each component's first cell.
     """
-    labels = np.zeros(mask.shape, dtype=np.int32)
-    current = 0
-    rows, cols = mask.shape
-    for r in range(rows):
-        for c in range(cols):
-            if mask[r, c] and labels[r, c] == 0:
-                current += 1
-                queue = deque([(r, c)])
-                labels[r, c] = current
-                while queue:
-                    rr, cc = queue.popleft()
-                    for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                        nr, nc = rr + dr, cc + dc
-                        if (
-                            0 <= nr < rows
-                            and 0 <= nc < cols
-                            and mask[nr, nc]
-                            and labels[nr, nc] == 0
-                        ):
-                            labels[nr, nc] = current
-                            queue.append((nr, nc))
+    labels, _ = ndimage.label(mask)  # default structure: 4-connected
     return labels
 
 
@@ -196,17 +177,23 @@ def detect_events(
     total_duration = (
         (centers[-1] - centers[0]) / fs if len(centers) > 1 else 1.0 / fs
     )
+    # Group the hit cells by component once (raster order within each): a
+    # stable sort by label, with the cell counts dropping the specks
+    # before any per-event work.
+    hit_ch, hit_ct = np.nonzero(labels)
+    hit_label = labels[hit_ch, hit_ct]
+    by_label = np.argsort(hit_label, kind="stable")
+    counts = np.bincount(hit_label)
+    ends = np.cumsum(counts)
     events: list[DetectedEvent] = []
-    for label in range(1, labels.max() + 1):
-        cells = np.argwhere(labels == label)
-        if len(cells) < min_cells:
-            continue
-        ch = cells[:, 0]
-        ct = cells[:, 1]
+    for label in np.flatnonzero(counts >= max(min_cells, 1)).tolist():
+        cells = by_label[ends[label] - counts[label] : ends[label]]
+        ch = hit_ch[cells]
+        ct = hit_ct[cells]
         t_cells = centers[ct] / fs
         ch_lo, ch_hi = int(ch.min()), int(ch.max())
         t0, t1 = float(t_cells.min()), float(t_cells.max())
-        peak = float(similarity[labels == label].max())
+        peak = float(similarity[ch, ct].max())
 
         # Ridge slope: channels per second, fitted over the component.
         if t1 > t0:

@@ -1,7 +1,7 @@
 """Rule-based optimizer lowering expression graphs to physical plans.
 
 Takes one or more :class:`~repro.core.graph.Query` expressions sharing a
-scan and produces a :class:`PhysicalPlan` via four rewrites:
+scan and produces a :class:`PhysicalPlan` via three rewrites:
 
 1. **Pushdown** — a leading run of
    :class:`~repro.core.graph.ChannelSelectOp` /
@@ -11,13 +11,10 @@ scan and produces a :class:`PhysicalPlan` via four rewrites:
    never more requests or bytes than the block it sits in, fewer bytes
    once the holes exceed the coalescing gap) and a channel selection
    never reads unselected rows.
-2. **Fusion** — maximal runs of adjacent *halo-compatible* maps (same
-   rate, default interval algebra, no pre-pass) collapse into one
-   :class:`FusedOp` chain stage.
-3. **Common-subexpression sharing** — queries branching from the same
+2. **Common-subexpression sharing** — queries branching from the same
    node execute the shared prefix once per chunk and fan its output out
    to every branch tail.
-4. **Auto-tuning** — when no chunk size is given and a cluster model is
+3. **Auto-tuning** — when no chunk size is given and a cluster model is
    supplied, chunk/thread selection comes from
    :func:`~repro.core.autoselect.tune_stream` over the declared halo
    geometry.
@@ -30,33 +27,24 @@ tails.  This module contains no chunk loop and reads no chunk data.
 Equivalence contract (asserted by the test suite):
 
 * ``execute(plan, naive=True)`` is the reference lowering: the raw
-  source, the eager unfused chains split at the logical shared prefix,
-  and the prefix recomputed per branch with identical arguments — so
-  hoisting it (the CSE rewrite) is bitwise safe by construction.  For a
+  source, the eager chains split at the logical shared prefix, and the
+  prefix recomputed per branch with identical arguments — so hoisting
+  it (the CSE rewrite) is bitwise safe by construction.  For a
   **single-output** plan that is exactly the eager
   :class:`~repro.core.pipeline.StreamPipeline` run of the operator list;
-* the optimized lowering (pushdown + fusion + shared prefix) is
+* the optimized lowering (pushdown + shared prefix) is
   *bit-identical* to that reference, single- or multi-output.  Co-run
   branches are *not* claimed bit-identical to independent single runs:
   interval-sensitive kernels (IIR settling, running-sum ratios)
   legitimately differ in final bits when evaluated over the union of two
   branches' halos.
-
-Fusion is restricted to operators whose interval methods are the
-defaults with ``decimate == 1``: for those, composing ``in_needed`` /
-``out_full`` without internal clamping is provably identical (after the
-runner's single clamp) to per-level clamped eager execution, which is
-what makes fused output bitwise equal — and keeps
-:class:`~repro.core.pipeline.IncrementalRunner`'s open-right-edge
-planning consistent, so the RT scheduler can fuse its detector chains
-without disturbing seam equivalence.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -68,7 +56,6 @@ from repro.core.graph import (
 )
 from repro.core.pipeline import (
     Branch,
-    OpContext,
     Operator,
     PipelineResult,
     SinkOp,
@@ -82,130 +69,11 @@ from repro.utils.iostats import IOStats
 from repro.utils.timer import Timer
 
 __all__ = [
-    "FusedOp",
     "PhysicalPlan",
     "execute",
     "explain",
-    "fuse_operators",
     "optimize",
-    "plan_incremental",
 ]
-
-
-# ---------------------------------------------------------------------------
-# operator fusion
-# ---------------------------------------------------------------------------
-
-
-def _fusable(op: Operator) -> bool:
-    """Halo-compatible: fusing must be provably bit-exact *and* planning-
-    transparent, so only same-rate maps with the default interval algebra
-    and no whole-record pre-pass qualify."""
-    t = type(op)
-    return (
-        isinstance(op, Operator)
-        and op.decimate == 1
-        and not op.needs_prepass
-        and t.out_total is Operator.out_total
-        and t.out_fs is Operator.out_fs
-        and t.out_channels is Operator.out_channels
-        and t.in_rows is Operator.in_rows
-        and t.out_core is Operator.out_core
-        and t.out_full is Operator.out_full
-        and t.in_needed is Operator.in_needed
-    )
-
-
-class FusedOp(Operator):
-    """Adjacent halo-compatible maps executed as one chain stage.
-
-    Declares the summed halo ``(sum L, sum R)`` and channel halo; because
-    every member keeps the default interval algebra at ``decimate == 1``,
-    the composed stage's default declarations reproduce the per-member
-    composition exactly, and running the members back-to-back on the
-    padded block equals eager per-level execution bit for bit (each
-    member sees the same absolute interval it would have seen unfused).
-    """
-
-    def __init__(self, members: Sequence[Operator]):
-        members = list(members)
-        if len(members) < 2:
-            raise ConfigError("fusion needs at least two operators")
-        for m in members:
-            if not _fusable(m):
-                raise ConfigError(f"operator {m.name!r} is not fusable")
-        self.members = members
-        self.name = "fused(" + "+".join(m.name for m in members) + ")"
-        self.halo = (
-            sum(m.halo[0] for m in members),
-            sum(m.halo[1] for m in members),
-        )
-        self.channel_halo = sum(m.channel_halo for m in members)
-        self.stream_safe = all(m.stream_safe for m in members)
-
-    def bind(self, n_channels: int, total_in: int, fs_in: float) -> list:
-        states = []
-        ch, tot, fs = n_channels, total_in, fs_in
-        for m in self.members:
-            states.append(m.bind(ch, tot, fs))
-            ch = m.out_channels(ch)
-            tot = m.out_total(tot)
-            fs = m.out_fs(fs)
-        return states
-
-    def apply(self, data: np.ndarray, ctx: OpContext) -> np.ndarray:
-        cur = data
-        # ctx.total is only folded through each member's out_total so
-        # every member sees its own level geometry; stream-safety is
-        # inherited from the members.
-        tot, fs = ctx.total, ctx.fs  # noqa: OPC001 - per-level geometry fold
-        for m, state in zip(self.members, ctx.state):
-            mctx = OpContext(
-                start=ctx.start,
-                stop=ctx.stop,
-                total=tot,
-                fs=fs,
-                channel_lo=ctx.channel_lo,
-                state=state,
-                interpreted=ctx.interpreted,
-            )
-            cur = m.apply(cur, mctx)
-            tot = m.out_total(tot)
-            fs = m.out_fs(fs)
-        return cur
-
-
-def fuse_operators(operators: Iterable[Operator]) -> list:
-    """Replace maximal runs (length >= 2) of fusable adjacent maps with a
-    :class:`FusedOp`; everything else passes through unchanged."""
-    out: list = []
-    run: list = []
-
-    def flush() -> None:
-        if len(run) >= 2:
-            out.append(FusedOp(list(run)))
-        else:
-            out.extend(run)
-        run.clear()
-
-    for op in operators:
-        if isinstance(op, Operator) and not isinstance(op, SinkOp) and _fusable(op):
-            run.append(op)
-        else:
-            flush()
-            out.append(op)
-    flush()
-    return out
-
-
-def plan_incremental(operators: Sequence[Operator]) -> list:
-    """Optimize an eager map chain for incremental (RT) execution.
-
-    Currently fusion only — pushdown/CSE need a planned batch source.
-    Fused chains keep :class:`~repro.core.pipeline.IncrementalRunner`'s
-    open-right-edge planning and therefore seam equivalence.
-    """
-    return fuse_operators(list(operators))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +130,6 @@ def optimize(
     cluster: Any = None,
     tune: bool = False,
     pushdown: bool = True,
-    fuse: bool = True,
 ) -> PhysicalPlan:
     """Lower one or more queries sharing a scan into a physical plan."""
     if isinstance(queries, Query):
@@ -352,16 +219,13 @@ def optimize(
 
     shared_rest = chains[0].maps[n_push:shared_len]
 
-    # Rules 2+3: fuse, and split shared prefix from branch tails.
-    def _maybe_fuse(ops: list) -> list:
-        return fuse_operators(ops) if fuse else list(ops)
-
+    # Rule 2: split the shared prefix from the branch tails.
     if len(chains) > 1:
-        prefix = _maybe_fuse(shared_rest)
+        prefix = list(shared_rest)
         branches = [
             Branch(
                 label=c.label,
-                maps=_maybe_fuse(c.maps[shared_len:]),
+                maps=list(c.maps[shared_len:]),
                 sink=c.sink,
                 post=list(c.post),
             )
@@ -378,15 +242,11 @@ def optimize(
         branches = [
             Branch(
                 label=c.label,
-                maps=_maybe_fuse(c.maps[n_push:]),
+                maps=list(c.maps[n_push:]),
                 sink=c.sink,
                 post=list(c.post),
             )
         ]
-    for op in list(prefix) + [op for b in branches for op in b.maps]:
-        if isinstance(op, FusedOp):
-            notes.append(f"fuse: {op.name} runs as one chain stage")
-
     payload = root.payload
     return PhysicalPlan(
         source=payload.get("source"),
@@ -466,10 +326,10 @@ def execute(
 
     This only chooses what :func:`~repro.core.pipeline.run_chunks` runs.
     The optimized lowering hands it the pushed-down
-    :class:`~repro.storage.chunks.SlicedSource`, the fused shared prefix
-    and the fused branch tails.  ``naive=True`` is the equivalence
-    reference: the raw source, the eager unfused chains split at the
-    logical shared prefix, and that prefix recomputed per branch (for a
+    :class:`~repro.storage.chunks.SlicedSource`, the shared prefix and
+    the branch tails.  ``naive=True`` is the equivalence reference: the
+    raw source, the eager chains split at the logical shared prefix, and
+    that prefix recomputed per branch (for a
     single query: exactly the eager ``StreamPipeline`` run).  ``source``
     overrides the plan's scan payload (e.g. an already-open source).
     Either way the kernel validates the operators' interval algebra on the

@@ -24,7 +24,8 @@ whole-array materialisation.  This module is that execution core:
   halo re-reads hit the hdf5lite block cache), runs each chain segment
   thread-parallel over channel blocks in the ApplyMT structure, applies
   the per-chunk :class:`~repro.faults.policy.FailurePolicy`, and stitches
-  the ghost zones away so streamed output is numerically equivalent to
+  the ghost zones away — between operators, so no stage computes on a
+  predecessor's fringe — so streamed output is numerically equivalent to
   whole-array output.  Everything else is a lowering onto it:
   :meth:`StreamPipeline.run` is the one-branch call,
   :func:`repro.core.optimizer.execute` chooses source, prefix and tails,
@@ -138,6 +139,11 @@ class Operator:
       padded block covering ``[a, b)`` (core plus approximate fringe),
     * ``in_needed(lo, hi)`` — which inputs are needed to produce outputs
       ``[lo, hi)`` *accurately*.
+
+    The fringe is produced but never forwarded: the runner cuts every
+    output to the interval the next level's ``in_needed`` asked for
+    before the next :meth:`apply`, so an operator's ``ctx.start/stop`` is
+    always exactly its planned need, never a neighbour's settle zone.
     """
 
     name = "op"
@@ -399,28 +405,33 @@ def _plan_chunks(
 def _run_chain(
     maps: list,
     block: np.ndarray,
-    interval: tuple[int, int],
-    target: tuple[int, int],
+    needs: list[tuple[int, int]],
     totals: list[int],
     rates: list[float],
     states: list,
     channel_lo: int | list[int],
     timer: Timer | None,
 ) -> tuple[np.ndarray, int]:
-    """Run ``maps`` on a padded block covering ``interval`` and trim to
-    ``target``.  Returns ``(trimmed, peak_bytes)`` where ``peak_bytes``
-    is the largest in+out footprint any stage held.  An empty chain is
-    just the trim.
+    """Run ``maps`` level by level on a block covering ``needs[0]``.
+
+    ``needs`` are the per-level intervals of :func:`_needed`: operator
+    ``k`` is applied to exactly ``needs[k]`` and its output is cut to
+    ``needs[k + 1]`` before the next operator sees it — the fringe an
+    operator produces beyond what the next level asked for is dropped on
+    the spot, never computed on.  Returns ``(output, peak_bytes)`` with
+    ``output`` covering ``needs[len(maps)]`` and ``peak_bytes`` the
+    largest in+out footprint any stage held.  An empty chain hands the
+    block back untouched.
 
     ``channel_lo`` is either one absolute row offset shared by every
     level (correct while each level keeps row 0 aligned) or a per-level
     list, needed once a channel-mapping operator (e.g. an eager channel
     selection) shifts row origins between levels."""
-    a, b = interval
     cur = block
-    peak = block.nbytes
+    held = peak = block.nbytes  # ``held``: the untrimmed array ``cur`` views
     per_level = isinstance(channel_lo, list)
     for k, op in enumerate(maps):
+        a, b = needs[k]
         ctx = OpContext(
             start=a,
             stop=b,
@@ -440,14 +451,16 @@ def _run_chain(
                 f"operator {op.name!r} produced {nxt.shape[-1]} samples "
                 f"for interval [{lo}, {hi})"
             )
-        peak = max(peak, cur.nbytes + nxt.nbytes)
-        cur, (a, b) = nxt, (lo, hi)
-    lo, hi = target
-    if not (a <= lo and hi <= b):
-        raise ConfigError(
-            f"chunk plan did not cover target [{lo}, {hi}) with [{a}, {b})"
-        )
-    return cur[..., lo - a : hi - a], peak
+        peak = max(peak, held + nxt.nbytes)
+        held = nxt.nbytes
+        ta, tb = needs[k + 1]
+        if not (lo <= ta and tb <= hi):
+            raise ConfigError(
+                f"operator {op.name!r} produced [{lo}, {hi}) but the next "
+                f"level needs [{ta}, {tb})"
+            )
+        cur = nxt[..., ta - lo : tb - lo]
+    return cur, peak
 
 
 def _run_rows(
@@ -455,8 +468,7 @@ def _run_rows(
     out_rows: int,
     threads: int,
     block: np.ndarray,
-    interval: tuple[int, int],
-    target: tuple[int, int],
+    needs: list[tuple[int, int]],
     totals: list[int],
     rates: list[float],
     states: list,
@@ -468,9 +480,7 @@ def _run_rows(
     slices are concatenated in row order."""
     threads = min(threads, out_rows)
     if threads == 1 or not maps:
-        return _run_chain(
-            maps, block, interval, target, totals, rates, states, 0, timer
-        )
+        return _run_chain(maps, block, needs, totals, rates, states, 0, timer)
     timers = [Timer() for _ in range(threads)]
     peaks = [0] * threads
 
@@ -480,8 +490,7 @@ def _run_rows(
             lo, hi = maps[k].in_rows(lo, hi)
             offs[k] = lo
         out, peaks[tid] = _run_chain(
-            maps, block[lo:hi], interval, target, totals, rates, states,
-            offs, timers[tid],
+            maps, block[lo:hi], needs, totals, rates, states, offs, timers[tid]
         )
         return out
 
@@ -523,9 +532,8 @@ def _prepass(
             for tgt, needs in _plan_chunks(below, totals, chunk):
                 if needs is None:
                     continue
-                a, b = needs[0]
                 level, _ = _run_chain(
-                    below, src.read(a, b), (a, b), tgt, totals, rates,
+                    below, src.read(*needs[0]), needs, totals, rates,
                     states, 0, None,
                 )
                 op.prepass_update(acc, level, tgt[0])
@@ -651,34 +659,43 @@ def run_chunks(
     cse_hits = 0
     for step in zip(*plans):
         active = [
-            (r, tgt, needs[0], needs[n_prefix])
+            (r, tgt, needs)
             for r, (tgt, needs) in zip(runs, step)
             if needs is not None
         ]
         if not active:
             continue
-        A = min(n0[0] for _, _, n0, _ in active)
-        B = max(n0[1] for _, _, n0, _ in active)
-        Ta = min(np_[0] for _, _, _, np_ in active)
-        Tb = max(np_[1] for _, _, _, np_ in active)
+        # What the shared prefix must produce, level by level: the hull of
+        # the active branches' needs (one branch: its needs as planned).
+        hull = active[0][2]
+        if len(active) > 1:
+            hull = [
+                (
+                    min(needs[k][0] for _, _, needs in active),
+                    max(needs[k][1] for _, _, needs in active),
+                )
+                for k in range(n_prefix + 1)
+            ]
+        Ta = hull[n_prefix][0]
 
         def compute() -> tuple[list[np.ndarray], int]:
             with timer.phase("read"):
-                block = src.read(A, B)
+                block = src.read(*hull[0])
 
             def run_prefix() -> tuple[np.ndarray, int]:
                 return _run_rows(
-                    prefix, p_ch[-1], threads, block, (A, B), (Ta, Tb),
+                    prefix, p_ch[-1], threads, block, hull,
                     p_tot, p_rate, p_states, timer,
                 )
 
             shared = run_prefix() if share_prefix else None
             outs, peak = [], 0
-            for r, tgt, _n0, (ta, tb) in active:
+            for r, _tgt, needs in active:
                 pre, pre_peak = shared or run_prefix()
+                ta, tb = needs[n_prefix]
                 seg = pre[..., ta - Ta : tb - Ta]
                 out, tail_peak = _run_rows(
-                    r.maps, r.ch[-1], threads, seg, (ta, tb), tgt,
+                    r.maps, r.ch[-1], threads, seg, needs[n_prefix:],
                     r.tot, r.rate, r.states, timer,
                 )
                 outs.append(out)
@@ -698,7 +715,7 @@ def run_chunks(
                 # The chunk stays broken: every branch's owned output span
                 # becomes fill, reported as a gap instead of crashing.
                 outs = []
-                for r, tgt, _n0, _np in active:
+                for r, tgt, _needs in active:
                     outs.append(np.full((r.ch[-1], tgt[1] - tgt[0]), policy.fill))
                     r.gaps.record(
                         src_label,
@@ -711,7 +728,7 @@ def run_chunks(
         if share_prefix:
             cse_hits += len(active) - 1
 
-        for (r, tgt, _n0, _np), out in zip(active, outs):
+        for (r, tgt, _needs), out in zip(active, outs):
             sink = r.branch.sink
             if sink is not None:
                 ctx = OpContext(
@@ -859,6 +876,15 @@ class StreamPipeline:
         return IncrementalRunner(self, n_channels, fs=fs)
 
 
+def _tail_digest(tail: np.ndarray) -> str:
+    """SHA-256 of a ``(channels, n)`` float64 tail's C-order bytes, fed
+    row by row so a sliced view is hashed without a contiguous copy."""
+    digest = hashlib.sha256()
+    for row in tail:
+        digest.update(row)
+    return digest.hexdigest()
+
+
 class IncrementalRunner:
     """Drives a map-only operator chain across record-piece boundaries.
 
@@ -931,28 +957,23 @@ class IncrementalRunner:
         return self._seen - self._buf_start
 
     # -- planning -----------------------------------------------------------
-    def _open_need(self, target: tuple[int, int]) -> tuple[int, int]:
-        """Raw input interval ``target`` needs with the right edge open."""
-        return _needed(self._pipe.maps, target, None)[0]
-
-    def _safe_hi(self) -> int:
-        """Largest final-level output index whose full (unclamped) right
-        input context is already buffered."""
-        start = self._emitted
-        lo, hi = start, self._seen  # decimate >= 1 bounds outputs by inputs
-
-        def covered(candidate: int) -> bool:
-            if candidate <= start:
-                return True
-            return self._open_need((start, candidate))[1] <= self._seen
-
+    def _open_needs(self, cap: int) -> list[tuple[int, int]] | None:
+        """Per-level needs (right edge open) of the longest target
+        ``[emitted, hi)``, ``hi <= cap``, whose whole unclamped input
+        context is already buffered; ``None`` while no output is ready.
+        One bisection finds the watermark and the plan the emission runs
+        on together."""
+        maps, start = self._pipe.maps, self._emitted
+        best = None
+        lo, hi = start, cap
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if covered(mid):
-                lo = mid
+            needs = _needed(maps, (start, mid), None)
+            if needs[0][1] <= self._seen:
+                lo, best = mid, needs
             else:
                 hi = mid - 1
-        return lo
+        return best
 
     # -- execution ----------------------------------------------------------
     def push(
@@ -963,16 +984,17 @@ class IncrementalRunner:
         order, tiling the output axis across pushes)."""
         if self._finished:
             raise ConfigError("record already flushed; cannot push more samples")
-        block = np.asarray(block, dtype=np.float64)
+        block = np.asarray(block)
         if block.ndim != 2 or block.shape[0] != self.n_channels:
             raise ConfigError(
                 f"need a ({self.n_channels}, n) block, got {block.shape}"
             )
         if block.shape[1]:
-            if self._buf.shape[1]:
-                self._buf = np.concatenate([self._buf, block], axis=1)
-            else:
-                self._buf = block.copy()
+            # The push's one copy: the carried tail (a view since the last
+            # trim) and the new piece land in one fresh float64 buffer.
+            self._buf = np.concatenate(
+                [self._buf, block], axis=1, dtype=np.float64
+            )
             self._seen += block.shape[1]
         return self._emit(at_edge=False, timer=timer)
 
@@ -997,11 +1019,16 @@ class IncrementalRunner:
         totals, rates, channels = _levels(
             maps, self.n_channels, self._seen, self.fs
         )
-        hi = totals[-1] if at_edge else self._safe_hi()
+        if not at_edge:
+            # No more outputs can be ready than a record ending here holds.
+            needs = self._open_needs(totals[-1])
+        elif totals[-1] > self._emitted:
+            needs = _needed(maps, (self._emitted, totals[-1]), totals)
+        else:
+            needs = None
         pieces: list[tuple[tuple[int, int], np.ndarray]] = []
-        if hi > self._emitted:
-            target = (self._emitted, hi)
-            a, b = _needed(maps, target, totals if at_edge else None)[0]
+        if needs is not None:
+            a, b = needs[0]
             if a < self._buf_start:
                 raise ConfigError(
                     f"carried buffer starts at {self._buf_start} but the next "
@@ -1013,20 +1040,22 @@ class IncrementalRunner:
             ]
             block = self._buf[:, a - self._buf_start : b - self._buf_start]
             out, _ = _run_chain(
-                maps, block, (a, b), target, totals, rates, states, 0, timer
+                maps, block, needs, totals, rates, states, 0, timer
             )
-            pieces.append((target, np.ascontiguousarray(out)))
-            self._emitted = hi
+            pieces.append((needs[-1], np.ascontiguousarray(out)))
+            self._emitted = needs[-1][1]
         self._trim()
         return pieces
 
     def _trim(self) -> None:
         """Drop buffered samples no emission can need again: everything
-        left of the next target's composed left context."""
-        keep = self._open_need((self._emitted, self._emitted + 1))[0]
+        left of the next target's composed left context.  The tail stays
+        a view; the next :meth:`push` copies it once, with the new piece."""
+        target = (self._emitted, self._emitted + 1)
+        keep = _needed(self._pipe.maps, target, None)[0][0]
         keep = min(max(keep, 0), self._seen)
         if keep > self._buf_start:
-            self._buf = self._buf[:, keep - self._buf_start :].copy()
+            self._buf = self._buf[:, keep - self._buf_start :]
             self._buf_start = keep
 
     # -- carried-state export/import ---------------------------------------
@@ -1038,7 +1067,6 @@ class IncrementalRunner:
         ``[buf_start, seen)`` — only their SHA-256, which
         :meth:`import_state` verifies after the caller re-reads them.
         """
-        tail = np.ascontiguousarray(self._buf, dtype=np.float64)
         return {
             "version": self.STATE_VERSION,
             "operators": self._pipe.names,
@@ -1047,8 +1075,8 @@ class IncrementalRunner:
             "seen": self._seen,
             "emitted": self._emitted,
             "buf_start": self._buf_start,
-            "tail_samples": int(tail.shape[1]),
-            "tail_sha256": hashlib.sha256(tail.tobytes()).hexdigest(),
+            "tail_samples": self.pending_samples,
+            "tail_sha256": _tail_digest(self._buf),
         }
 
     def import_state(self, payload: dict, tail: np.ndarray) -> None:
@@ -1078,8 +1106,7 @@ class IncrementalRunner:
         expect = (self.n_channels, seen - buf_start)
         if tail.ndim != 2 or tail.shape != expect:
             raise ConfigError(f"tail shape {tail.shape} != expected {expect}")
-        digest = hashlib.sha256(tail.tobytes()).hexdigest()
-        if digest != payload["tail_sha256"]:
+        if _tail_digest(tail) != payload["tail_sha256"]:
             raise ConfigError(
                 "carried-state digest mismatch: the re-read tail differs "
                 "from the checkpointed samples"

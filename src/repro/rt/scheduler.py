@@ -124,14 +124,7 @@ class SeamScheduler:
         return self._runner.pending_samples if self._runner is not None else 0
 
     def _build(self, n_channels: int, fs: float):
-        # Route the chain through the query optimizer's fusion rewrite:
-        # adjacent halo-compatible maps (e.g. bandpass + STA/LTA) run as
-        # one incremental stage.  Fusion is restricted to operators whose
-        # open-right-edge planning composes exactly, so seam equivalence
-        # with batch execution is preserved bit for bit.
-        from repro.core.optimizer import plan_incremental
-
-        pipe = StreamPipeline(plan_incremental(self.config.operators(fs)))
+        pipe = StreamPipeline(self.config.operators(fs))
         return pipe.incremental(n_channels, fs=fs)
 
     def _ensure(self, n_channels: int, fs: float) -> None:

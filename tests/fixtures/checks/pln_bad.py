@@ -59,8 +59,8 @@ class TrioWithoutTotalOp(Operator):
 
 class DecimatedCustomGridOp(Operator):
     """PLN003: literal decimate != 1 *and* a custom grid — the affine
-    default (used for fusion eligibility and auto-chunking) and the
-    override disagree about the lattice."""
+    default (still read by ``out_fs``) and the override disagree about
+    the lattice."""
 
     name = "decimated-custom"
     decimate = 5
@@ -83,7 +83,7 @@ class DecimatedCustomGridOp(Operator):
 
 class DoubleHaloOp(Operator):
     """PLN004: literal non-zero halo alongside an in_needed override —
-    fusion's halo summing would double-count the lookback."""
+    two declarations of the lookback, only one of which is read."""
 
     name = "double-halo"
 

@@ -187,7 +187,7 @@ def test_pln_inherited_grid_not_reflagged():
 def test_pln_real_operator_stack_is_clean():
     """The shipped operator stack's declarations must pass their own
     lint: LocalSimilarityOp overrides the full trio, SubsampleOp's
-    decimate is non-literal, FusedOp's halo is computed."""
+    decimate is non-literal."""
     project = load_project(ROOT_SRC.parent.parent)
     findings = [
         f for f in run_analyzers(project) if f.code.startswith("PLN")

@@ -1,7 +1,11 @@
 """Tests for event detection/classification on similarity maps."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.detection import DetectedEvent, detect_events, _connected_components
 from repro.errors import ConfigError
@@ -14,7 +18,46 @@ def make_map(n_channels=40, n_centers=60):
     return simi, centers
 
 
+def _bfs_components(mask):
+    """The reference labelling: a per-cell breadth-first flood fill,
+    4-connected, numbering components in raster order of discovery."""
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    current = 0
+    rows, cols = mask.shape
+    for r in range(rows):
+        for c in range(cols):
+            if mask[r, c] and labels[r, c] == 0:
+                current += 1
+                queue = deque([(r, c)])
+                labels[r, c] = current
+                while queue:
+                    rr, cc = queue.popleft()
+                    for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                        nr, nc = rr + dr, cc + dc
+                        if (
+                            0 <= nr < rows
+                            and 0 <= nc < cols
+                            and mask[nr, nc]
+                            and labels[nr, nc] == 0
+                        ):
+                            labels[nr, nc] = current
+                            queue.append((nr, nc))
+    return labels
+
+
 class TestConnectedComponents:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        shape=st.tuples(st.integers(1, 24), st.integers(1, 60)),
+        density=st.floats(0.05, 0.95),
+    )
+    def test_labels_and_numbering_match_the_flood_fill(self, seed, shape, density):
+        mask = np.random.default_rng(seed).random(shape) < density
+        np.testing.assert_array_equal(
+            _connected_components(mask), _bfs_components(mask)
+        )
+
     def test_empty(self):
         labels = _connected_components(np.zeros((3, 3), dtype=bool))
         assert labels.max() == 0
@@ -113,3 +156,40 @@ class TestDetectEvents:
         simi = np.full((10, 10), 0.5)
         centers = np.arange(10) * 10
         assert detect_events(simi, centers, fs=100.0) == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("min_cells", [0, 3, 6])
+    def test_events_equal_a_per_label_rescan(self, seed, min_cells):
+        """Grouping the hit cells once gives, event for event, what
+        rescanning the whole map per flood-fill label gives."""
+        rng = np.random.default_rng(seed)
+        simi = 0.3 + 0.05 * rng.standard_normal((20, 300))
+        simi[4:9, 100:140] += 0.3
+        centers = 30 + 25 * np.arange(300)
+        fs, sigmas = 50.0, 1.25
+        median = np.median(simi)
+        threshold = median + sigmas * 1.4826 * np.median(np.abs(simi - median))
+        labels = _bfs_components(simi > threshold)
+        want = []
+        for label in range(1, labels.max() + 1):
+            cells = np.argwhere(labels == label)
+            if len(cells) < min_cells:
+                continue
+            t = centers[cells[:, 1]] / fs
+            slope = 0.0
+            if t.max() > t.min():
+                slope = float(np.polyfit(t, cells[:, 0].astype(float), 1)[0])
+            want.append((
+                label, int(cells[:, 0].min()), int(cells[:, 0].max()),
+                float(t.min()), float(t.max()),
+                float(simi[labels == label].max()), len(cells), slope,
+            ))
+        got = detect_events(
+            simi, centers, fs, threshold_sigmas=sigmas, min_cells=min_cells
+        )
+        assert len(got) >= 1 and (min_cells or len(got) > 50)
+        assert sorted(
+            (e.label, e.channel_lo, e.channel_hi, e.t_start, e.t_end,
+             e.peak_similarity, e.n_cells, e.speed_channels_per_s)
+            for e in got
+        ) == want

@@ -1,7 +1,7 @@
 """The one chunk-loop kernel and its lowerings agree bit for bit.
 
 ``StreamPipeline.run`` (the one-branch call), ``execute(optimize(q))``
-(pushdown + fusion + shared prefix) and ``execute(..., naive=True)`` (the
+(pushdown + shared prefix) and ``execute(..., naive=True)`` (the
 eager reference) are three ways of choosing what
 :func:`repro.core.pipeline.run_chunks` runs; this sweep drives all three
 across chunk size x thread count x chain shape — a pre-pass operator, a
@@ -12,6 +12,11 @@ own ``naive`` reference, and must honour ``threads`` like a single chain.
 The kernel also validates the chunk plan it is about to run — before its
 first read, whatever the lowering — and the exhaustive half of that
 check, ``verify_geometry``, is swept here over every shipped operator.
+
+Between operators the kernel hands on only what the plan asks for: a
+multi-map chain equals its members applied level by level to exactly the
+per-level intervals of ``_needed`` (batch and incremental), and recording
+probes assert that no ``apply`` ever receives fringe beyond them.
 """
 
 import numpy as np
@@ -32,8 +37,16 @@ from repro.core.operators import (
     TaperOp,
     WhitenOp,
 )
-from repro.core.optimizer import FusedOp, execute, optimize
-from repro.core.pipeline import Operator, StreamPipeline
+from repro.core.optimizer import execute, optimize
+from repro.core.pipeline import (
+    OpContext,
+    Operator,
+    StreamPipeline,
+    _clamp,
+    _levels,
+    _needed,
+    _plan_chunks,
+)
 from repro.core.stalta import StaLtaOp
 from repro.errors import ConfigError
 from repro.storage.chunks import ArraySource, WindowSource
@@ -59,7 +72,7 @@ def _decimating(base):
 
 
 def _channel_halo(base):
-    """A fusable map feeding the strided-grid, channel-halo detector."""
+    """A same-rate map feeding the strided-grid, channel-halo detector."""
     return base.then(TaperOp(0.05)).then(LocalSimilarityOp(SIMI))
 
 
@@ -286,7 +299,6 @@ SHIPPED = [
     ChannelSelectOp(2, 6),
     SubsampleOp(1),
     SubsampleOp(8),
-    FusedOp([TaperOp(0.05), FiltFiltOp(B, A), StaLtaOp(5, 20)]),
 ]
 
 
@@ -308,3 +320,212 @@ def test_every_shipped_operator_is_swept():
 def test_shipped_algebra_verifies_across_ragged_totals(op, total):
     verify_geometry(op, total)
     verify_geometry(op, total, chunk_sizes=[1, 5, 64, total - 1, total])
+
+
+# ---------------------------------------------------------------------------
+# the kernel hands each operator exactly what the next level needs
+# ---------------------------------------------------------------------------
+
+
+def _by_levels(ops, block, needs, totals, rates, channels, trim=True):
+    """The reference chain runner: each member applied on its own.  With
+    ``trim`` member ``k`` sees exactly ``needs[k]`` and hands on
+    ``needs[k + 1]``; without, every member's whole output (core plus
+    fringe) is forwarded and only the final level is cut — the hand-off
+    the kernel used to make."""
+    cur, have = block, needs[0]
+    for k, op in enumerate(ops):
+        ctx = OpContext(
+            start=have[0], stop=have[1], total=totals[k], fs=rates[k],
+            state=op.bind(channels[k], totals[k], rates[k]),
+        )
+        cur, have = op.apply(cur, ctx), _clamp(*op.out_full(*have), totals[k + 1])
+        if trim or k == len(ops) - 1:
+            ta, tb = needs[k + 1]
+            cur, have = cur[..., ta - have[0] : tb - have[0]], (ta, tb)
+    return cur
+
+
+def _batch_by_levels(ops, data, chunk, fs=100.0, trim=True):
+    totals, rates, channels = _levels(ops, data.shape[0], data.shape[1], fs)
+    pieces = [
+        _by_levels(
+            ops, data[:, needs[0][0] : needs[0][1]], needs, totals, rates,
+            channels, trim,
+        )
+        for _tgt, needs in _plan_chunks(ops, totals, chunk)
+        if needs is not None
+    ]
+    return np.concatenate(pieces, axis=-1)
+
+
+def test_batch_chain_equals_members_level_by_level():
+    data = _data(21)
+    ops = [TaperOp(0.05), FiltFiltOp(B, A), StaLtaOp(4, 16)]
+    q = Query.scan(data, fs=100.0).then(ops[0]).then(ops[1]).then(ops[2])
+    for chunk in (1500, 700, 333, 90):
+        want = _batch_by_levels(ops, data, chunk)
+        for threads in (1, 3):
+            plan = optimize(q, chunk_samples=chunk, threads=threads)
+            assert plan.branches[0].maps == ops  # run as listed, member by member
+            np.testing.assert_array_equal(execute(plan)[0].output, want)
+
+
+def test_incremental_chain_equals_members_level_by_level():
+    """The same push pattern through ``IncrementalRunner`` and through the
+    members applied one by one to the open-edge needs of every emission."""
+    data = _data(22)
+    ops = [FiltFiltOp(B, A), StaLtaOp(4, 16)]
+    for piece in (700, 211, 64):
+        runner = StreamPipeline(ops).incremental(data.shape[0], fs=100.0)
+        emitted = []
+        for lo in range(0, data.shape[1], piece):
+            seen = min(lo + piece, data.shape[1])
+            for target, block in runner.push(data[:, lo:seen]):
+                emitted.append((target, block, seen, False))
+        for target, block in runner.flush():
+            emitted.append((target, block, data.shape[1], True))
+        assert emitted[0][0][0] == 0 and emitted[-1][0][1] == data.shape[1]
+        for target, block, seen, at_edge in emitted:
+            totals, rates, channels = _levels(ops, data.shape[0], seen, 100.0)
+            needs = _needed(ops, target, totals if at_edge else None)
+            want = _by_levels(
+                ops, data[:, needs[0][0] : needs[0][1]], needs, totals, rates,
+                channels,
+            )
+            np.testing.assert_array_equal(block, want)
+
+
+class Probe(Operator):
+    """Identity that records the interval and width of every block it is
+    handed (one record per worker thread per chunk)."""
+
+    def __init__(self, name):
+        self.name = name
+        self.seen = []
+
+    def apply(self, data, ctx):
+        self.seen.append((ctx.start, ctx.stop, data.shape[-1]))
+        return data
+
+
+class Box3(Operator):
+    """A 3-tap moving sum: a halo'd map whose every output depends only on
+    its own three inputs, so block extents cannot change a bit."""
+
+    name = "box3"
+    halo = (1, 1)
+
+    def apply(self, data, ctx):
+        pad = np.pad(data, ((0, 0), (1, 1)))
+        return pad[:, :-2] + pad[:, 1:-1] + pad[:, 2:]
+
+
+def _probed_chain():
+    return [
+        FiltFiltOp(B, A),
+        Probe("after-filter"),
+        DecimateOp(3),
+        Probe("after-decimator"),
+        StaLtaOp(3, 11),
+    ]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [1500, 400, 77])
+def test_no_operator_sees_fringe_it_did_not_ask_for(chunk, threads):
+    data = _data(23)
+    ops = _probed_chain()
+    StreamPipeline(ops).run(data, chunk_samples=chunk, threads=threads, fs=100.0)
+    totals, _, _ = _levels(ops, data.shape[0], data.shape[1], 100.0)
+    plan = [n for _t, n in _plan_chunks(ops, totals, chunk) if n is not None]
+    for k in (1, 3):
+        want = [(a, b, b - a) for a, b in (needs[k] for needs in plan)]
+        assert sorted(set(ops[k].seen)) == sorted(set(want))
+        assert len(ops[k].seen) == threads * len(want)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_shared_prefix_probe_sees_the_hull_of_branch_needs(threads):
+    data = _data(24)
+    probe = Probe("shared")
+    base = Query.scan(data, fs=100.0).then(FiltFiltOp(B, A)).then(probe)
+    tails = {"trig": StaLtaOp(4, 16), "simi": LocalSimilarityOp(SIMI)}
+    execute(
+        optimize(
+            [base.then(op).with_label(label) for label, op in tails.items()],
+            chunk_samples=400,
+            threads=threads,
+        )
+    )
+    want = set()
+    plans = []
+    for op in tails.values():
+        chain = [FiltFiltOp(B, A), probe, op]
+        totals, _, _ = _levels(chain, data.shape[0], data.shape[1], 100.0)
+        plans.append(_plan_chunks(chain, totals, 400))
+    for step in zip(*plans):
+        level = [needs[1] for _t, needs in step if needs is not None]
+        a, b = min(lo for lo, _ in level), max(hi for _, hi in level)
+        want.add((a, b, b - a))
+    assert set(probe.seen) == want
+    assert len(probe.seen) == threads * len(want)
+
+
+class CountingSimilarity(LocalSimilarityOp):
+    """Records how many columns each ``apply`` computed."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.computed = []
+
+    def apply(self, data, ctx):
+        out = super().apply(data, ctx)
+        self.computed.append(out.shape[-1])
+        return out
+
+
+def test_incremental_runner_never_computes_fringe():
+    """Push/flush: the probe behind the filter sees exactly the open-edge
+    need of each emission, and the detector computes the emitted columns
+    and nothing else (the filter's settle halo is dropped, not scored)."""
+    data = _data(25, total=3000)
+    probe, simi = Probe("after-filter"), CountingSimilarity(SIMI)
+    ops = [FiltFiltOp(B, A), probe, simi]
+    runner = StreamPipeline(ops).incremental(data.shape[0], fs=100.0)
+    for lo in range(0, 3000, 500):
+        pieces = runner.push(data[:, lo : lo + 500])
+        assert len(probe.seen) == len(simi.computed) == len(pieces) <= 1
+        for (j0, j1), block in pieces:
+            a, b = _needed(ops, (j0, j1), None)[1]
+            assert probe.seen == [(a, b, b - a)]
+            assert block.shape[-1] == j1 - j0
+            assert j1 - j0 <= simi.computed[0] <= j1 - j0 + 1
+        probe.seen.clear()
+        simi.computed.clear()
+    ((j0, j1), block), = runner.flush()
+    totals, _, _ = _levels(ops, data.shape[0], 3000, 100.0)
+    a, b = _needed(ops, (j0, j1), totals)[1]
+    assert probe.seen == [(a, b, b - a)]
+    assert simi.computed == [j1 - j0] and j1 == totals[-1]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("chunk", [1500, 410, 95])
+def test_trimming_moves_no_bit_of_position_independent_chains(chunk, threads):
+    """For operators whose outputs depend only on their own input windows,
+    dropping the fringe between levels equals forwarding it and cutting
+    once at the end."""
+    data = _data(26)
+    for ops in (
+        [Box3(), Probe("p"), LocalSimilarityOp(SIMI)],
+        [SubsampleOp(2), Box3(), LocalSimilarityOp(SIMI)],
+    ):
+        step = ops[0].decimate
+        size = -(-chunk // step) * step
+        got = StreamPipeline(ops).run(
+            data, chunk_samples=size, threads=threads, fs=100.0
+        ).output
+        np.testing.assert_array_equal(
+            got, _batch_by_levels(ops, data, size, trim=False)
+        )

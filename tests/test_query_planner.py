@@ -6,7 +6,7 @@ output to its unoptimized reference execution.**  For single-output
 plans the reference is the eager legacy ``StreamPipeline`` run of the
 same operator list; for multi-output plans it is the same union-interval
 plan with the shared prefix recomputed per branch (``naive=True``),
-unfused and without pushdown.  A hypothesis sweep drives the equivalence
+without pushdown.  A hypothesis sweep drives the equivalence
 across chunk-boundary geometries for all four analysis algorithms, and
 storage-level tests assert what pushdown saves at the backend: requests
 always, bytes wherever the skipped holes exceed the coalescing gap.
@@ -33,14 +33,7 @@ from repro.core.graph import (
 from repro.core.interferometry import InterferometryConfig
 from repro.core.local_similarity import LocalSimilarityConfig, LocalSimilarityOp
 from repro.core.operators import DetrendOp, FiltFiltOp, TaperOp
-from repro.core.optimizer import (
-    FusedOp,
-    execute,
-    explain,
-    fuse_operators,
-    optimize,
-    plan_incremental,
-)
+from repro.core.optimizer import execute, explain, optimize
 from repro.core.pipeline import Operator, StreamPipeline
 from repro.core.stalta import StaLtaOp
 from repro.errors import ConfigError
@@ -233,24 +226,6 @@ class TestRewrites:
         assert plan.select is None
         names = [op.name for op in plan.branches[0].maps]
         assert names == ["sta_lta", "select[0:4]"]
-
-    def test_fusion_groups_default_algebra_runs(self):
-        b, a = _band(0.5, 10.0, 100.0)
-        ops = [DetrendOp(), TaperOp(0.05), FiltFiltOp(b, a), StaLtaOp(4, 16)]
-        fused = fuse_operators(ops)
-        # detrend needs a prepass, so the fusable run is taper+filtfilt+sta_lta
-        assert [type(o) for o in fused] == [DetrendOp, FusedOp]
-        assert fused[1].name == "fused(taper+filtfilt+sta_lta)"
-        assert fused[1].halo == (
-            sum(o.halo[0] for o in ops[1:]),
-            sum(o.halo[1] for o in ops[1:]),
-        )
-
-    def test_custom_grid_operator_never_fused(self):
-        cfg = LocalSimilarityConfig(half_window=10, half_lag=3, stride=25)
-        ops = [TaperOp(0.05), LocalSimilarityOp(cfg)]
-        fused = fuse_operators(ops)
-        assert [type(o) for o in fused] == [TaperOp, LocalSimilarityOp]
 
     def test_queries_must_share_scan(self, noise):
         q1 = Query.scan(noise).then(StaLtaOp(4, 16))
@@ -623,31 +598,3 @@ class TestTuning:
         out = execute(plan)[0]
         assert out.output.shape == noise.shape
         assert any(n.startswith("tuned:") for n in plan.notes)
-
-
-class TestIncrementalFusion:
-    def test_plan_incremental_fuses_streamable_run(self):
-        b, a = _band(0.1, 0.4, 1.0)
-        ops = plan_incremental([FiltFiltOp(b, a), StaLtaOp(4, 16)])
-        assert len(ops) == 1 and isinstance(ops[0], FusedOp)
-        assert ops[0].stream_safe
-
-    def test_fused_incremental_seam_equivalence(self, noise):
-        """Identical push pattern through fused and unfused incremental
-        runners: fusion must not move a single bit (bit-exactness only
-        holds at identical chunk geometry — FiltFilt's halo is
-        tolerance-bounded, not chunk-invariant)."""
-        b, a = _band(0.1, 0.4, 1.0)
-        ops = [FiltFiltOp(b, a), StaLtaOp(4, 16)]
-
-        def run(chain):
-            runner = StreamPipeline(chain).incremental(noise.shape[0], fs=0.0)
-            pieces = []
-            for lo in range(0, noise.shape[1], 700):
-                for (_j0, _j1), block in runner.push(noise[:, lo : lo + 700]):
-                    pieces.append(block)
-            for (_j0, _j1), block in runner.flush():
-                pieces.append(block)
-            return np.concatenate(pieces, axis=-1)
-
-        np.testing.assert_array_equal(run(plan_incremental(ops)), run(ops))
