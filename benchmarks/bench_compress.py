@@ -17,7 +17,14 @@ files:
   nor decode;
 * a **Lustre-model projection** (`repro.cluster.storage.StorageModel`)
   of per-rank I/O time raw vs compressed+decode across rank counts —
-  compression shifts the point where the file system saturates.
+  compression shifts the point where the file system saturates;
+* the **plane-encoder gate** — `transpose-zlib` deflates each byte plane
+  by the cheapest method that is not larger, where a whole-buffer
+  ``zlib.compress`` spends most of its time proving mantissa bytes are
+  noise.  On a float32 scene chunk at level 6 (a minute-file chunk) and
+  a float64 pyramid-level chunk at level 1, the codec must be no larger
+  than 1.005x that reference and no slower to encode (best of several
+  repeats), so CI fails if a later change starts deflating noise again.
 
 Results land in ``BENCH_compress.json`` at the repo root.
 
@@ -35,6 +42,7 @@ import os
 import sys
 import tempfile
 import time
+import zlib
 
 import numpy as np
 
@@ -45,6 +53,7 @@ from repro.core.framework import DASSA  # noqa: E402
 from repro.core.interferometry import InterferometryConfig  # noqa: E402
 from repro.core.local_similarity import LocalSimilarityConfig  # noqa: E402
 from repro.hdf5lite import BlockCache, CacheConfig, FilePool, resolve_codec  # noqa: E402
+from repro.serve import compute_level  # noqa: E402
 from repro.storage.dasfile import das_filename, write_das_file  # noqa: E402
 from repro.storage.metadata import DASMetadata, timestamp_add_seconds  # noqa: E402
 from repro.storage.vca import VCAHandle, create_vca  # noqa: E402
@@ -114,6 +123,91 @@ def micro(data: np.ndarray) -> dict:
             "encode_MBps": raw_nbytes / enc_s / 2**20 if enc_s > 0 else None,
             "decode_MBps": raw_nbytes / dec_s / 2**20 if dec_s > 0 else None,
         }
+    return out
+
+
+def reference_encode(arr: np.ndarray, level: int) -> bytes:
+    """Byte transpose + one whole-buffer deflate: what `transpose-zlib`
+    did before it told planes apart, and what its payloads must still
+    decode as."""
+    planes = arr.reshape(-1).view(np.uint8).reshape(-1, arr.dtype.itemsize)
+    return zlib.compress(np.ascontiguousarray(planes.T).tobytes(), level)
+
+
+def reference_decode(payload: bytes, shape: tuple, dtype: np.dtype) -> np.ndarray:
+    planes = np.frombuffer(zlib.decompress(payload), dtype=np.uint8)
+    planes = planes.reshape(dtype.itemsize, -1)
+    return np.ascontiguousarray(planes.T).reshape(-1).view(dtype).reshape(shape)
+
+
+def best_of_interleaved(fns: dict, repeats: int = 7) -> dict:
+    """Best wall time of each callable, one call of each per round, so a
+    slow spell of the machine falls on every side alike."""
+    best = dict.fromkeys(fns, float("inf"))
+    for _ in range(repeats):
+        for name, fn in fns.items():
+            t0 = time.perf_counter()
+            fn()
+            best[name] = min(best[name], time.perf_counter() - t0)
+    return best
+
+
+def plane_encoder_gate() -> dict:
+    """`transpose-zlib` against the whole-buffer reference on the two
+    chunk kinds an archive build encodes; asserts size and encode time."""
+    scene = fig1b_scene(
+        n_channels=32, fs=500.0, minutes=1, samples_per_minute=32768, seed=1
+    )
+    record = synthesize_scene(scene, 1, samples_per_minute=32768)
+    cases = {
+        "float32_scene_level6": (np.ascontiguousarray(record[:, :4096]), 6),
+        "float64_level_level1": (
+            compute_level(record.astype(np.float64), 4), 1
+        ),
+    }
+    out = {}
+    for name, (chunk, level) in cases.items():
+        codec = resolve_codec(f"transpose-zlib:{level}")
+        payload = codec.encode(chunk)
+        reference = reference_encode(chunk, level)
+        # one container: each side's decoder reads the other's payload
+        np.testing.assert_array_equal(
+            reference_decode(payload, chunk.shape, chunk.dtype), chunk
+        )
+        np.testing.assert_array_equal(
+            codec.decode(reference, chunk.shape, chunk.dtype), chunk
+        )
+        mb = chunk.nbytes / 2**20
+        row = {
+            "shape": list(chunk.shape),
+            "dtype": str(chunk.dtype),
+            "level": level,
+            "methods": sorted({m for _, _, m in codec.plan(chunk)}),
+        }
+        seconds = best_of_interleaved({
+            ("codec", "encode"): lambda: codec.encode(chunk),
+            ("reference", "encode"): lambda: reference_encode(chunk, level),
+            ("codec", "decode"): lambda: codec.decode(
+                payload, chunk.shape, chunk.dtype
+            ),
+            ("reference", "decode"): lambda: reference_decode(
+                reference, chunk.shape, chunk.dtype
+            ),
+        })
+        for label, stored in (("codec", payload), ("reference", reference)):
+            row[label] = {
+                "encoded_nbytes": len(stored),
+                "ratio": len(stored) / chunk.nbytes,
+                "encode_MBps": mb / seconds[label, "encode"],
+                "decode_MBps": mb / seconds[label, "decode"],
+            }
+        row["size_vs_reference"] = len(payload) / len(reference)
+        row["encode_time_vs_reference"] = (
+            row["reference"]["encode_MBps"] / row["codec"]["encode_MBps"]
+        )
+        assert row["size_vs_reference"] <= 1.005, (name, row)
+        assert row["encode_time_vs_reference"] <= 1.0, (name, row)
+        out[name] = row
     return out
 
 
@@ -232,6 +326,7 @@ def main() -> int:
             "raw_nbytes": int(data.nbytes),
         },
         "codecs": micro(data),
+        "plane_encoder": plane_encoder_gate(),
     }
 
     with tempfile.TemporaryDirectory(prefix="bench-compress-") as root:
@@ -279,6 +374,17 @@ def main() -> int:
             f"[bench_compress] {spec}: ratio {row['ratio']:.2f}x, "
             f"encode {row['encode_MBps']:.0f} MB/s, "
             f"decode {row['decode_MBps']:.0f} MB/s"
+        )
+    for name, row in results["plane_encoder"].items():
+        print(
+            f"[bench_compress] {name}: transpose-zlib "
+            f"{row['codec']['encode_MBps']:.0f}/{row['codec']['decode_MBps']:.0f} "
+            f"MB/s enc/dec at {row['codec']['ratio']:.4f} vs whole-buffer "
+            f"deflate {row['reference']['encode_MBps']:.0f}/"
+            f"{row['reference']['decode_MBps']:.0f} MB/s at "
+            f"{row['reference']['ratio']:.4f} "
+            f"(size {row['size_vs_reference']:.4f}x, encode time "
+            f"{row['encode_time_vs_reference']:.2f}x)"
         )
     vr = results["vca_full_read"]
     print(

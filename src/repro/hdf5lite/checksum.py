@@ -124,17 +124,29 @@ def checksum_dataset(ds: "Dataset", block_size: int = DEFAULT_CHECKSUM_BLOCK) ->
         ds._file._crc_cache.pop(ds.path, None)
         return True
     if layout == LAYOUT_CHUNKED:
-        keys, crcs = [], []
-        for key, offset in ds._meta["chunk_index"].items():
-            nbytes = _chunk_stored_nbytes(ds, key)
-            crcs.append(zlib.crc32(backend.read_at(int(offset), nbytes)) & 0xFFFFFFFF)
-            keys.append(key)
-        ds.attrs[CRC_ATTR] = crcs
-        ds.attrs[CRC_BLOCK_ATTR] = 0
-        ds.attrs[CRC_KEYS_ATTR] = keys
-        ds._file._crc_cache.pop(ds.path, None)
+        store_chunk_crcs(
+            ds,
+            {
+                key: zlib.crc32(
+                    backend.read_at(int(offset), _chunk_stored_nbytes(ds, key))
+                )
+                for key, offset in ds._meta["chunk_index"].items()
+            },
+        )
         return True
     return False  # virtual: no local bytes
+
+
+def store_chunk_crcs(ds: "Dataset", crcs: dict[str, int]) -> None:
+    """Store a chunked dataset's sidecar: ``crcs`` maps each chunk key to
+    the CRC32 of its stored (encoded, on codec datasets) bytes.  Writers
+    that hold the payloads anyway (``create_dataset``) call this with
+    CRCs taken as the bytes were appended, instead of
+    :func:`checksum_dataset`'s read-back."""
+    ds.attrs[CRC_ATTR] = list(crcs.values())
+    ds.attrs[CRC_BLOCK_ATTR] = 0
+    ds.attrs[CRC_KEYS_ATTR] = list(crcs)
+    ds._file._crc_cache.pop(ds.path, None)
 
 
 def _chunk_shape(

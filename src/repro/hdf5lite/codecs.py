@@ -18,9 +18,20 @@ attribute footer:
     input — then deflated.  Best for slowly varying integer-like data.
 ``transpose-zlib[:level]``
     Lossless.  Bitshuffle-style *byte* transpose: the i-th byte of every
-    element is grouped together before deflate, so the highly redundant
-    sign/exponent bytes of float DAS samples compress independently of
-    the noisy mantissa bytes.  The default lossless choice for floats.
+    element is grouped into one *plane*, and each plane is deflated by
+    the cheapest method that is not larger — decided per 32 KiB block of
+    a plane from a strided probe: **stored** for noise (the mantissa
+    planes of float samples deflate to 1.0002x; stored blocks cost a
+    memcpy), **Huffman-only** where a skewed histogram is all there is,
+    **RLE** where the only matches are runs (dead channels and NaN gaps
+    inside a noisy plane), and **LZ at the configured level** wherever
+    it buys bytes — the sign/exponent plane of float DAS samples, where
+    the level the caller chose is honoured in full.  The segments are
+    joined into **one ordinary zlib stream**, so the payload decodes
+    with ``zlib.decompress`` + untranspose: files written before the
+    planes were told apart read unchanged, and files written now are
+    readable by those older readers.  The default lossless choice for
+    floats.
 ``quantize:<tol>[:level]``
     Controlled loss (DASPack direction): finite values are quantized to
     a declared absolute tolerance — ``|decoded - original| <= tol`` —
@@ -83,15 +94,30 @@ def _check_level(level: int) -> int:
     return level
 
 
-def _check_decoded_size(payload_len: int, shape: Sequence[int], dtype: np.dtype) -> int:
-    n = _element_count(shape)
-    expected = n * dtype.itemsize
-    if payload_len != expected:
+def _inflate(payload: bytes, expected: int, what: str, exact: bool = True) -> bytes:
+    """Inflate a zlib stream that must hold ``expected`` bytes (at most
+    that many with ``exact=False``).
+
+    The stream is never trusted for its own size: at most ``expected + 1``
+    bytes are produced, so an over-long, truncated or trailing-garbage
+    payload (a hostile file can carry a CRC to match) raises
+    :class:`~repro.errors.FormatError` without the allocation it asks for.
+    """
+    inflater = zlib.decompressobj()
+    try:
+        raw = inflater.decompress(payload, expected + 1)
+    except zlib.error as exc:
+        raise FormatError(f"undecodable {what} chunk: {exc}") from exc
+    if not inflater.eof or inflater.unused_data:
         raise FormatError(
-            f"decoded chunk holds {payload_len} bytes, expected {expected} "
-            f"for shape {tuple(shape)} {dtype}"
+            f"{what} chunk is truncated, holds more than {expected} bytes "
+            f"or carries trailing bytes"
         )
-    return n
+    if len(raw) > expected or (exact and len(raw) != expected):
+        raise FormatError(
+            f"{what} chunk holds {len(raw)} bytes, expected {expected}"
+        )
+    return raw
 
 
 class Codec:
@@ -131,23 +157,21 @@ class DeltaZlibCodec(Codec):
         arr = np.ascontiguousarray(arr)
         utype = _UINT_FOR_ITEMSIZE.get(arr.dtype.itemsize)
         if utype is None:
-            return zlib.compress(arr.tobytes(), self.level)
+            return zlib.compress(arr.reshape(-1).view(np.uint8), self.level)
         flat = arr.reshape(-1).view(utype)
         delta = np.empty_like(flat)
         if flat.size:
             delta[0] = flat[0]
             np.subtract(flat[1:], flat[:-1], out=delta[1:])
-        return zlib.compress(delta.tobytes(), self.level)
+        return zlib.compress(delta, self.level)
 
     def decode(
         self, payload: bytes, shape: Sequence[int], dtype: object
     ) -> np.ndarray:
         dtype = np.dtype(dtype)
-        try:
-            raw = zlib.decompress(payload)
-        except zlib.error as exc:
-            raise FormatError(f"undecodable delta-zlib chunk: {exc}") from exc
-        _check_decoded_size(len(raw), shape, dtype)
+        raw = _inflate(
+            payload, _element_count(shape) * dtype.itemsize, "delta-zlib"
+        )
         utype = _UINT_FOR_ITEMSIZE.get(dtype.itemsize)
         if utype is None:
             return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
@@ -157,9 +181,53 @@ class DeltaZlibCodec(Codec):
         return flat.view(dtype).reshape(shape)
 
 
+#: Bytes of one byte plane that get one deflate method between them.
+#: Small enough that a band of dead channels is told from its noisy
+#: neighbours, large enough that the probe's fixed cost stays under a
+#: tenth of what deflating the block would.
+_BLOCK_BYTES = 32 * 1024
+#: The probe reads ``_PROBE_PIECE`` bytes out of every ``_PROBE_STRIDE``
+#: of a block: an eighth of it, and no dead run of 512 bytes or more
+#: (a time gap across the rows of a block) falls between two pieces.
+_PROBE_PIECE = 64
+_PROBE_STRIDE = 512
+
+#: How each segment method drives a raw-deflate ``compressobj``, cheapest
+#: method first: its strategy (``stored`` also pins the level to 0).
+_STRATEGY = {
+    "stored": zlib.Z_DEFAULT_STRATEGY,
+    "huffman": zlib.Z_HUFFMAN_ONLY,
+    "rle": zlib.Z_RLE,
+    "lz": zlib.Z_DEFAULT_STRATEGY,
+}
+#: CMF/FLG of a 32 KiB-window deflate stream ("default" level hint; the
+#: hint is informational and segments differ in level anyway).
+_ZLIB_HEADER = b"\x78\x9c"
+
+
+def _probe(block: np.ndarray) -> np.ndarray:
+    """The bytes a block's method is decided on: evenly strided pieces,
+    so a dead region shows in the probe in proportion to its share of
+    the block wherever it lies.  Blocks too short to stride are their
+    own probe."""
+    n_pieces = block.size // _PROBE_STRIDE
+    if n_pieces < 2:
+        return block
+    pieces = block[: n_pieces * _PROBE_STRIDE].reshape(n_pieces, _PROBE_STRIDE)
+    return np.ascontiguousarray(pieces[:, :_PROBE_PIECE])
+
+
 class TransposeZlibCodec(Codec):
     """Lossless: bitshuffle-style byte transpose (group the i-th byte of
-    every element), then deflate."""
+    every element into one plane), then deflate each plane by the
+    cheapest method that is not larger, as one zlib stream.
+
+    The payload is a plain zlib stream of the transposed bytes — what
+    ``zlib.compress`` of that buffer would also produce a valid encoding
+    of — so any inflater reads it; only the *encoder* knows that planes
+    differ.  No decision depends on anything but the chunk's bytes and
+    the level: equal chunks encode to equal payloads.
+    """
 
     def __init__(self, level: int = DEFAULT_LEVEL):
         self.level = _check_level(level)
@@ -169,24 +237,102 @@ class TransposeZlibCodec(Codec):
             else f"transpose-zlib:{self.level}"
         )
 
-    def encode(self, arr: np.ndarray) -> bytes:
+    def _deflate(self, buf: np.ndarray, method: str, last: bool = True) -> bytes:
+        """``buf`` as one raw-deflate segment, byte-aligned so the next
+        segment (a fresh compressor: Python's zlib cannot switch
+        strategy mid-stream) can follow it in the same stream."""
+        deflater = zlib.compressobj(
+            0 if method == "stored" else self.level,
+            zlib.DEFLATED,
+            -zlib.MAX_WBITS,
+            zlib.DEF_MEM_LEVEL,
+            _STRATEGY[method],
+        )
+        return deflater.compress(buf) + deflater.flush(
+            zlib.Z_FINISH if last else zlib.Z_SYNC_FLUSH
+        )
+
+    def _method(self, block: np.ndarray) -> str:
+        """The cheapest method whose output on the block's probe is not
+        larger than LZ's at the configured level.
+
+        LZ is the yardstick rather than a byte histogram because a plane
+        can be flat in histogram and still all matches (the low byte of
+        an integer ramp)."""
+        probe = _probe(block)
+        lz = len(self._deflate(probe, "lz"))
+        if probe.size <= lz:
+            return "stored"
+        for method in ("huffman", "rle"):
+            if len(self._deflate(probe, method)) <= lz:
+                return method
+        return "lz"
+
+    def _segments(self, transposed: np.ndarray, itemsize: int) -> list[list]:
+        """``[start, stop, method]`` byte runs covering ``transposed``:
+        one decision per block of each plane, neighbours that agree
+        merged (across planes too) so they share one compressor."""
+        n = transposed.size // itemsize
+        runs: list[list] = []
+        for plane_start in range(0, transposed.size, max(n, 1)):
+            plane_stop = plane_start + n
+            for start in range(plane_start, plane_stop, _BLOCK_BYTES):
+                stop = min(start + _BLOCK_BYTES, plane_stop)
+                method = self._method(transposed[start:stop])
+                if runs and runs[-1][2] == method:
+                    runs[-1][1] = stop
+                else:
+                    runs.append([start, stop, method])
+        return runs or [[0, 0, "stored"]]
+
+    @staticmethod
+    def _transpose(arr: np.ndarray) -> np.ndarray:
+        """The chunk's bytes plane-major: byte ``i`` of every element,
+        then byte ``i + 1`` of every element, as one flat buffer."""
         arr = np.ascontiguousarray(arr)
-        itemsize = arr.dtype.itemsize
-        planes = arr.reshape(-1).view(np.uint8).reshape(-1, itemsize)
-        return zlib.compress(np.ascontiguousarray(planes.T).tobytes(), self.level)
+        planes = arr.reshape(-1).view(np.uint8).reshape(-1, arr.dtype.itemsize)
+        return np.ascontiguousarray(planes.T).reshape(-1)
+
+    def plan(self, arr: np.ndarray) -> list[tuple[int, int, str]]:
+        """``(start, stop, method)`` for every segment :meth:`encode`
+        writes: byte ranges of the transposed buffer (plane ``i`` of an
+        ``n``-element chunk is ``[i * n, (i + 1) * n)``) and one of
+        ``"stored"``, ``"huffman"``, ``"rle"``, ``"lz"``.  The payload
+        does not record it; this is how tests and benchmarks see the
+        encoder's choices."""
+        arr = np.asarray(arr)
+        return [
+            tuple(run)
+            for run in self._segments(self._transpose(arr), arr.dtype.itemsize)
+        ]
+
+    def encode(self, arr: np.ndarray) -> bytes:
+        arr = np.asarray(arr)
+        transposed = self._transpose(arr)
+        segments = [
+            self._deflate(
+                transposed[start:stop], method, last=stop == transposed.size
+            )
+            for start, stop, method in self._segments(
+                transposed, arr.dtype.itemsize
+            )
+        ]
+        trailer = struct.pack(">I", zlib.adler32(transposed))
+        return b"".join([_ZLIB_HEADER, *segments, trailer])
 
     def decode(
         self, payload: bytes, shape: Sequence[int], dtype: object
     ) -> np.ndarray:
         dtype = np.dtype(dtype)
-        try:
-            raw = zlib.decompress(payload)
-        except zlib.error as exc:
-            raise FormatError(f"undecodable transpose-zlib chunk: {exc}") from exc
-        n = _check_decoded_size(len(raw), shape, dtype)
+        n = _element_count(shape)
+        raw = _inflate(payload, n * dtype.itemsize, "transpose-zlib")
         planes = np.frombuffer(raw, dtype=np.uint8).reshape(dtype.itemsize, n)
-        flat = np.ascontiguousarray(planes.T).reshape(-1).view(dtype)
-        return flat.reshape(shape)
+        # One strided pass per plane into the output beats transposing
+        # the whole (itemsize, n) matrix at once.
+        out = np.empty((n, dtype.itemsize), dtype=np.uint8)
+        for i in range(dtype.itemsize):
+            out[:, i] = planes[i]
+        return out.reshape(-1).view(dtype).reshape(shape)
 
 
 class QuantizeCodec(Codec):
@@ -229,7 +375,7 @@ class QuantizeCodec(Codec):
         values = flat.astype(np.float64, copy=False)
         finite = np.isfinite(values)
         bad_idx = np.flatnonzero(~finite).astype(np.int64)
-        bad_raw = np.ascontiguousarray(flat[bad_idx]).tobytes()
+        bad_raw = np.ascontiguousarray(flat[bad_idx]).view(np.uint8)
         with np.errstate(over="ignore"):
             scaled = np.where(finite, values, 0.0) / self._step
         if scaled.size and np.abs(scaled).max() >= 2.0**62:
@@ -242,9 +388,15 @@ class QuantizeCodec(Codec):
         if q.size:
             delta[0] = q[0]
             np.subtract(q[1:], q[:-1], out=delta[1:])
-        head = struct.pack("<Q", bad_idx.size)
-        return zlib.compress(
-            head + bad_idx.tobytes() + bad_raw + delta.tobytes(), self.level
+        deflater = zlib.compressobj(self.level)
+        return b"".join(
+            [
+                deflater.compress(struct.pack("<Q", bad_idx.size)),
+                deflater.compress(bad_idx),
+                deflater.compress(bad_raw),
+                deflater.compress(delta),
+                deflater.flush(),
+            ]
         )
 
     def decode(
@@ -255,11 +407,12 @@ class QuantizeCodec(Codec):
             raise FormatError(
                 f"quantize codec requires a float dtype, got {dtype}"
             )
-        try:
-            raw = zlib.decompress(payload)
-        except zlib.error as exc:
-            raise FormatError(f"undecodable quantize chunk: {exc}") from exc
         n = _element_count(shape)
+        # The header names how many non-finite samples follow; every
+        # sample being one is the most a well-formed chunk can hold.
+        raw = _inflate(
+            payload, 8 + n * (16 + dtype.itemsize), "quantize", exact=False
+        )
         if len(raw) < 8:
             raise FormatError("quantize chunk too short for its header")
         (n_bad,) = struct.unpack_from("<Q", raw, 0)

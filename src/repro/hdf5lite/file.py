@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -31,6 +32,11 @@ from repro.hdf5lite.cache import (
     FilePool,
     normalize_file_key,
     resolve_cache,
+)
+from repro.hdf5lite.checksum import (
+    DEFAULT_CHECKSUM_BLOCK,
+    checksum_dataset,
+    store_chunk_crcs,
 )
 from repro.hdf5lite.codecs import CODEC_ATTR, resolve_codec
 from repro.hdf5lite.dataset import (
@@ -230,6 +236,9 @@ class Group:
             resolved = resolve_codec(codec) if codec is not None else None
             index: dict[str, int] = {}
             enc_sizes: dict[str, int] = {}
+            # CRC each payload in the pass that makes it, not by reading
+            # the file back afterwards.
+            chunk_crcs: dict[str, int] = {}
             grid = [
                 (dim + c - 1) // c for dim, c in zip(arr.shape, chunks)
             ]
@@ -245,10 +254,12 @@ class Group:
                     if resolved is not None
                     else chunk_data.tobytes()
                 )
-                offset = self._file._append_data(payload)
-                index[_chunk_key(coord)] = offset
+                ckey = _chunk_key(coord)
+                index[ckey] = self._file._append_data(payload)
                 if resolved is not None:
-                    enc_sizes[_chunk_key(coord)] = len(payload)
+                    enc_sizes[ckey] = len(payload)
+                if checksum:
+                    chunk_crcs[ckey] = zlib.crc32(payload)
                 dim_idx = arr.ndim - 1
                 while dim_idx >= 0:
                     coord[dim_idx] += 1
@@ -298,12 +309,10 @@ class Group:
         self._file._mark_dirty()
         ds = self._file._dataset_for(parent._child_path(ds_name), meta)
         if meta["layout"] == LAYOUT_CHUNKED and "chunk_enc" in meta:
-            # Record the codec before checksumming: the sidecar must
-            # cover exactly the encoded bytes the index points at.
             ds.attrs[CODEC_ATTR] = resolved.spec
-        if checksum and meta["layout"] != LAYOUT_VIRTUAL:
-            from repro.hdf5lite.checksum import DEFAULT_CHECKSUM_BLOCK, checksum_dataset
-
+        if checksum and meta["layout"] == LAYOUT_CHUNKED:
+            store_chunk_crcs(ds, chunk_crcs)
+        elif checksum and meta["layout"] == LAYOUT_CONTIGUOUS:
             checksum_dataset(
                 ds,
                 block_size=(

@@ -47,6 +47,35 @@ class TestSidecarCreation:
             assert len(info.chunk_crcs) == 2 * 3
             assert np.array_equal(f.dataset("d").read(), data)
 
+    @pytest.mark.parametrize("codec", [None, "transpose-zlib", "delta-zlib:1"])
+    def test_create_time_crcs_equal_a_read_back(self, tmp_path, codec):
+        # create_dataset CRCs each payload as it appends it; the sidecar
+        # must be the one checksum_dataset derives from the file's bytes
+        data = np.random.default_rng(2).normal(size=(6, 100)).astype(np.float32)
+        data[2:4] = 0.0
+        path = str(tmp_path / "k.h5")
+        with File(path, "w") as f:
+            ds = f.create_dataset(
+                "d", data=data, chunks=(4, 40), checksum=True, codec=codec
+            )
+            at_create = dict(ds.attrs.items())
+            assert len(at_create[CRC_ATTR]) == 2 * 3
+            f.flush()
+            assert checksum_dataset(ds)
+            assert dict(ds.attrs.items()) == at_create
+            # a write into a chunk re-stores it: its CRC is refreshed to
+            # what a read-back computes, the others are untouched
+            ds[0:2, 0:10] = 5.0
+            after_write = dict(ds.attrs.items())
+            assert after_write[CRC_ATTR][0] != at_create[CRC_ATTR][0]
+            assert after_write[CRC_ATTR][1:] == at_create[CRC_ATTR][1:]
+            assert checksum_dataset(ds)
+            assert dict(ds.attrs.items()) == after_write
+        with File(path, "r") as f:
+            assert verify(f) == []
+            data[0:2, 0:10] = 5.0
+            assert np.array_equal(f.dataset("d").read(), data)
+
     def test_no_checksum_by_default(self, tmp_path):
         path = _write(tmp_path / "n.h5", np.zeros(8), checksum=False)
         with File(path, "r") as f:

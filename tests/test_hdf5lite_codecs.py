@@ -1,7 +1,20 @@
-"""Codec layer: registry, roundtrips, and integration with the file API."""
+"""Codec layer: registry, roundtrips, and integration with the file API.
+
+The ``transpose-zlib`` encoder picks a deflate method per block of each
+byte plane but writes an ordinary zlib stream; the second half of this
+file holds it to that: bit-exact round trips, both-way compatibility
+with a frozen copy of the whole-buffer encoder it replaced, determinism,
+a size guard over a corpus of chunk shapes, the method it picks on the
+planes that motivated it, and typed failure on hostile payloads.
+"""
+
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, FormatError
 from repro.hdf5lite import (
@@ -20,6 +33,8 @@ from repro.hdf5lite.codecs import (
     TransposeZlibCodec,
 )
 from repro.hdf5lite.inspect import describe, verify
+from repro.serve import compute_level
+from repro.synthetic.generator import fig1b_scene, synthesize_scene
 from repro.utils.iostats import IOStats
 
 
@@ -309,3 +324,321 @@ class TestFileIntegration:
         with File(tmpfile, "r") as f:
             problems = [p.message for p in verify(f)]
             assert any("chunk_enc" in m for m in problems)
+
+
+# ---------------------------------------------------------------------------
+# transpose-zlib: the plane-aware encoder against the one it replaced
+# ---------------------------------------------------------------------------
+
+def parent_encode(arr: np.ndarray, level: int) -> bytes:
+    """``TransposeZlibCodec.encode`` as it was before planes were told
+    apart (frozen): one ``zlib.compress`` over the transposed buffer."""
+    arr = np.ascontiguousarray(arr)
+    planes = arr.reshape(-1).view(np.uint8).reshape(-1, arr.dtype.itemsize)
+    return zlib.compress(np.ascontiguousarray(planes.T).tobytes(), level)
+
+
+def parent_decode(payload: bytes, shape, dtype) -> np.ndarray:
+    """The matching frozen decoder: unbounded inflate, one transpose."""
+    dtype = np.dtype(dtype)
+    raw = zlib.decompress(payload)
+    n = int(np.prod(shape, dtype=np.int64)) if len(shape) else 1
+    assert len(raw) == n * dtype.itemsize
+    planes = np.frombuffer(raw, dtype=np.uint8).reshape(dtype.itemsize, n)
+    return np.ascontiguousarray(planes.T).reshape(-1).view(dtype).reshape(shape)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (
+        a.dtype == b.dtype
+        and a.shape == b.shape
+        and a.reshape(-1).view(np.uint8).tobytes()
+        == b.reshape(-1).view(np.uint8).tobytes()
+    )
+
+
+CHUNK = (32, 4096)
+
+
+@pytest.fixture(scope="module")
+def corpus() -> dict[str, np.ndarray]:
+    """Chunks the encoder must never make larger than the whole-buffer
+    deflate did: the harness's scene and a pyramid level of it, pure
+    structure, pure noise, integer layouts, and dead regions in both
+    orientations — two of them an eighth of the chunk placed between
+    the start, middle and end, where a whole-plane probe would not look."""
+    rng = np.random.default_rng(18)
+    scene = fig1b_scene(
+        n_channels=32, fs=500.0, minutes=1, samples_per_minute=32768, seed=3
+    )
+    record = synthesize_scene(scene, 1, samples_per_minute=32768)
+    f32 = np.ascontiguousarray(record[:, : CHUNK[1]])
+    sine = np.tile(
+        np.sin(2 * np.pi * 7 * np.arange(CHUNK[1]) / 500.0).astype(np.float32),
+        (CHUNK[0], 1),
+    )
+    members = {
+        "scene_f32": f32,
+        "level_f64": compute_level(record.astype(np.float64), 4),
+        "white_noise": rng.normal(size=CHUNK).astype(np.float32),
+        "sine": sine,
+        "sine_plus_noise": (sine + 0.1 * rng.normal(size=CHUNK)).astype(
+            np.float32
+        ),
+        "zeros": np.zeros(CHUNK, np.float32),
+        "int16_counts": np.rint(rng.normal(size=CHUNK) * 300).astype(np.int16),
+        "int32_ramp": np.arange(CHUNK[0] * CHUNK[1], dtype=np.int32).reshape(
+            CHUNK
+        ),
+        "int32_walk": np.cumsum(
+            rng.integers(-50, 51, size=CHUNK), axis=1
+        ).astype(np.int32),
+        "tile_1000": np.resize(
+            rng.normal(size=1000).astype(np.float32), CHUNK
+        ),
+        "uint8": rng.integers(0, 256, size=CHUNK).astype(np.uint8),
+        "chunk_100": f32[:1, :100].copy(),
+    }
+
+    def gapped(rows=slice(None), cols=slice(None), fill=0.0):
+        out = f32.copy()
+        out[rows, cols] = fill
+        return out
+
+    members["half_nan_gap"] = gapped(cols=slice(2048, None), fill=np.nan)
+    members["eighth_zero_gap"] = gapped(cols=slice(1000, 1512))
+    members["dead_8_of_32"] = gapped(rows=slice(12, 20))
+    members["dead_eighth_rows_13_17"] = gapped(rows=slice(13, 17))
+    members["dead_eighth_cols_300_812"] = gapped(cols=slice(300, 812))
+    return members
+
+
+def plane_methods(codec: TransposeZlibCodec, arr: np.ndarray, plane: int) -> set:
+    """Methods :meth:`TransposeZlibCodec.plan` gives byte plane ``plane``."""
+    n = arr.size
+    lo, hi = plane * n, (plane + 1) * n
+    return {
+        method
+        for start, stop, method in codec.plan(arr)
+        if start < hi and stop > lo
+    }
+
+
+class TestTransposeRoundtrip:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dtype=st.sampled_from(["u1", "<i2", "<i4", "<f4", "<f8", "<c16"]),
+        shape=st.one_of(
+            st.just(()),
+            st.tuples(st.integers(0, 70_000)),
+            st.tuples(st.integers(0, 40), st.integers(0, 2100)),
+            st.tuples(
+                st.integers(0, 6), st.integers(0, 12), st.integers(0, 700)
+            ),
+        ),
+        level=st.sampled_from([0, 1, 6, 9]),
+        dead=st.floats(0.0, 1.0),
+        layout=st.sampled_from(["contiguous", "strided", "readonly"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bit_exact_both_ways(self, dtype, shape, level, dead, layout, seed):
+        dtype = np.dtype(dtype)
+        rng = np.random.default_rng(seed)
+        n = int(np.prod(shape, dtype=np.int64))
+        # random bit patterns (NaNs, infinities, denormals included) with
+        # a constant run over part of the chunk
+        raw = rng.integers(0, 256, size=2 * n * dtype.itemsize, dtype=np.uint8)
+        wide = raw.view(dtype)
+        wide[: int(dead * n) * 2] = wide[:1] if n else 0
+        if layout == "strided":
+            arr = wide[::2].reshape(shape)
+            assert n < 2 or not arr.flags.c_contiguous
+        else:
+            arr = wide[:n].reshape(shape).copy()
+            arr.flags.writeable = layout != "readonly"
+        codec = TransposeZlibCodec(level)
+        payload = codec.encode(arr)
+        assert payload == codec.encode(arr)  # deterministic
+        out = codec.decode(payload, arr.shape, arr.dtype)
+        assert same_bits(out, arr)
+        # a reader from before the change decodes what we write ...
+        assert same_bits(parent_decode(payload, arr.shape, arr.dtype), arr)
+        # ... and we decode what it wrote
+        old = parent_encode(arr, level)
+        assert same_bits(codec.decode(old, arr.shape, arr.dtype), arr)
+
+    @pytest.mark.parametrize("codec", LOSSLESS, ids=lambda c: c.spec)
+    def test_complex_and_rank_zero(self, codec):
+        for arr in [
+            np.array(2.5 - 1j, dtype=np.complex128),
+            (_signal(shape=(4, 50)) * (1 + 2j)).astype(np.complex128),
+            np.array(7, dtype=np.int16),
+        ]:
+            out = codec.decode(codec.encode(arr), arr.shape, arr.dtype)
+            assert same_bits(out, arr)
+
+    def test_decoded_chunk_is_writable_and_owns_its_bytes(self):
+        arr = _signal()
+        codec = TransposeZlibCodec()
+        out = codec.decode(codec.encode(arr), arr.shape, arr.dtype)
+        out[0, 0] = 1.0  # read-modify-write paths patch the decoded chunk
+        assert out.flags.c_contiguous
+
+
+class TestTransposeCompatibility:
+    @pytest.mark.parametrize("level", [1, 6])
+    def test_corpus_both_ways_and_never_larger(self, corpus, level):
+        codec = TransposeZlibCodec(level)
+        for name, arr in corpus.items():
+            new = codec.encode(arr)
+            old = parent_encode(arr, level)
+            assert new == codec.encode(arr), name
+            assert same_bits(parent_decode(new, arr.shape, arr.dtype), arr), name
+            assert same_bits(codec.decode(old, arr.shape, arr.dtype), arr), name
+            assert same_bits(codec.decode(new, arr.shape, arr.dtype), arr), name
+            # the container is plain zlib: any inflater reads it
+            assert zlib.decompress(new) == zlib.decompress(old), name
+            assert len(new) <= max(1.005 * len(old), len(old) + 64), (
+                name, len(new), len(old),
+            )
+
+    def test_spec_registry_and_level_unchanged(self):
+        assert available_codecs()[:3] == ["delta-zlib", "quantize", "transpose-zlib"]
+        assert TransposeZlibCodec().spec == "transpose-zlib"
+        assert TransposeZlibCodec().level == 6
+        assert resolve_codec("transpose-zlib:1").spec == "transpose-zlib:1"
+
+    def test_chunk_enc_is_the_payload_length(self, tmpfile, corpus):
+        data = corpus["dead_8_of_32"]
+        with File(tmpfile, "w") as f:
+            ds = f.create_dataset(
+                "d", data=data, chunks=(32, 2048), codec="transpose-zlib"
+            )
+            sizes = dict(ds._meta["chunk_enc"])
+        codec = TransposeZlibCodec()
+        assert sizes == {
+            "0,0": len(codec.encode(data[:, :2048])),
+            "0,1": len(codec.encode(data[:, 2048:])),
+        }
+
+
+class TestTransposeMethodSelection:
+    def test_noise_planes_are_stored(self, corpus):
+        for level in (1, 6):
+            codec = TransposeZlibCodec(level)
+            for plane in range(3):  # float32 mantissa bytes
+                assert plane_methods(codec, corpus["scene_f32"], plane) == {
+                    "stored"
+                }
+            for plane in range(6):  # float64 mantissa bytes
+                assert plane_methods(codec, corpus["level_f64"], plane) == {
+                    "stored"
+                }
+            assert plane_methods(codec, corpus["uint8"], 0) == {"stored"}
+
+    def test_exponent_plane_keeps_the_callers_level(self, corpus):
+        # the one plane of a float32 chunk that compresses is deflated
+        # with LZ at the level asked for: cheaper methods grow files
+        codec = TransposeZlibCodec(6)
+        arr = corpus["scene_f32"]
+        assert plane_methods(codec, arr, 3) == {"lz"}
+        exponent = zlib.decompress(codec.encode(arr))[3 * arr.size :]
+        level_6 = zlib.compressobj(6, zlib.DEFLATED, -15)
+        level_6 = len(level_6.compress(exponent) + level_6.flush())
+        # three stored planes (5 bytes of framing per 64 KiB) + that
+        assert len(codec.encode(arr)) <= 3 * arr.size + level_6 + 64
+
+    def test_skewed_noise_is_huffman_only(self, corpus):
+        # float64 level planes 6/7 at level 1: LZ finds nothing a
+        # histogram does not, and level 1's greedy matches cost bytes
+        codec = TransposeZlibCodec(1)
+        for plane in (6, 7):
+            assert plane_methods(codec, corpus["level_f64"], plane) == {
+                "huffman"
+            }
+
+    def test_histogram_flat_but_repetitive_plane_is_not_stored(self, corpus):
+        # low byte of an int32 ramp: every value equally often, all matches
+        codec = TransposeZlibCodec(6)
+        assert "stored" not in plane_methods(codec, corpus["int32_ramp"], 0)
+
+    def test_dead_band_does_not_drag_its_plane_to_lz(self, corpus):
+        # rows 12..19 of 32 dead: in a mantissa plane the bands that hold
+        # them are deflated, the noisy bands on either side stay stored
+        codec = TransposeZlibCodec(6)
+        arr = corpus["dead_8_of_32"]
+        row = arr.shape[1]
+
+        def methods(first_row, last_row):
+            return {
+                method
+                for start, stop, method in codec.plan(arr)
+                if start < last_row * row and stop > first_row * row
+            }
+
+        assert methods(0, 8) == {"stored"}
+        assert "stored" not in methods(12, 20)
+        assert methods(24, 32) == {"stored"}
+
+    def test_plan_covers_the_buffer_in_order(self, corpus):
+        codec = TransposeZlibCodec(6)
+        for arr in corpus.values():
+            plan = codec.plan(arr)
+            assert plan[0][0] == 0 and plan[-1][1] == arr.nbytes
+            assert all(a[1] == b[0] for a, b in zip(plan, plan[1:]))
+            assert all(a[2] != b[2] for a, b in zip(plan, plan[1:]))
+
+
+def deflate_bomb(nbytes: int) -> bytes:
+    """A zlib stream of ``nbytes`` zeros, built without holding them."""
+    deflater = zlib.compressobj(9)
+    block = bytes(1 << 20)
+    parts = [deflater.compress(block) for _ in range(nbytes >> 20)]
+    parts.append(deflater.flush())
+    return b"".join(parts)
+
+
+ALL_CODECS = [DeltaZlibCodec(), TransposeZlibCodec(), QuantizeCodec(1e-3)]
+
+
+class TestHostilePayloads:
+    @pytest.mark.parametrize("codec", ALL_CODECS, ids=lambda c: c.spec)
+    def test_overlong_payload_is_refused_without_inflating_it(self, codec):
+        shape, dtype = (8, 64), np.dtype(np.float32)
+        bomb = deflate_bomb(64 << 20)
+        assert len(bomb) < 100_000  # 64 MiB in a payload-sized stream
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError):
+                codec.decode(bomb, shape, dtype)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the inflate is capped by what the chunk can hold (quantize: 8 +
+        # n * (16 + itemsize)), not by what the stream claims
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("codec", ALL_CODECS, ids=lambda c: c.spec)
+    def test_truncated_and_trailing_bytes_are_format_errors(self, codec):
+        arr = _signal()
+        payload = codec.encode(arr)
+        codec.decode(payload, arr.shape, arr.dtype)
+        for bad in (
+            payload[:-1],
+            payload[: len(payload) // 2],
+            payload + b"\x00",
+            payload + payload,
+            b"",
+            b"not a zlib stream",
+        ):
+            with pytest.raises(FormatError):
+                codec.decode(bad, arr.shape, arr.dtype)
+
+    @pytest.mark.parametrize("codec", ALL_CODECS, ids=lambda c: c.spec)
+    def test_one_element_too_many_or_few(self, codec):
+        arr = _signal(shape=(4, 100))
+        payload = codec.encode(arr)
+        for shape in [(4, 99), (4, 101), (5, 100), ()]:
+            with pytest.raises(FormatError):
+                codec.decode(payload, shape, arr.dtype)

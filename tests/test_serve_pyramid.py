@@ -31,8 +31,10 @@ from repro.core.optimizer import execute, optimize
 from repro.core.graph import Query
 from repro.errors import ConfigError, ServeError
 from repro.hdf5lite import File, pyramid_levels
+from repro.hdf5lite.cli import main as das_inspect_main
 from repro.hdf5lite.inspect import describe, verify
 from repro.hdf5lite.pyramid import FACTOR_ATTR, PyramidLevel
+from repro.serve import DataServer
 from repro.serve.pyramid import (
     PyramidConfig,
     build_pyramid,
@@ -153,20 +155,46 @@ def test_nan_gap_columns_mask_preview_pixels():
 # -- end-to-end stored pyramid ----------------------------------------------
 
 def test_build_pyramid_stored_levels_bit_exact(tmp_path):
-    vca = make_vca(str(tmp_path))
-    levels = build_pyramid(vca, PyramidConfig(factor=4, min_samples=32))
-    assert [lvl.factor for lvl in levels] == [4, 16]
-    with File(vca, "r") as f:
-        raw = np.asarray(f["VCA"][:, :], dtype=np.float64)
-        for lvl in levels:
-            stored = np.asarray(f[lvl.path][:, :], dtype=np.float64)
-            # this record fits one auto-sized chunk, so the build and the
-            # whole-record reference run the identical computation
-            np.testing.assert_array_equal(
-                stored, whole_record_reference(raw, lvl.factor)
+    # the default, and the codec pyramids were built with before it:
+    # archives that carry ``delta-zlib`` levels stay readable (the codec
+    # is recorded per dataset)
+    for config, codec in [
+        (PyramidConfig(factor=4, min_samples=32), "transpose-zlib:1"),
+        (
+            PyramidConfig(factor=4, min_samples=32, codec="delta-zlib:1"),
+            "delta-zlib:1",
+        ),
+    ]:
+        root = tmp_path / codec.replace(":", "_")
+        root.mkdir()
+        vca = make_vca(str(root))
+        levels = build_pyramid(vca, config)
+        assert [lvl.factor for lvl in levels] == [4, 16]
+        with File(vca, "r") as f:
+            assert verify(f) == []
+            raw = np.asarray(f["VCA"][:, :], dtype=np.float64)
+            for lvl in levels:
+                stored = np.asarray(f[lvl.path][:, :], dtype=np.float64)
+                # this record fits one auto-sized chunk, so the build and
+                # the whole-record reference run the identical computation
+                np.testing.assert_array_equal(
+                    stored, whole_record_reference(raw, lvl.factor)
+                )
+                np.testing.assert_array_equal(
+                    stored, compute_level(raw, lvl.factor)
+                )
+                assert lvl.codec == codec
+                assert lvl.base_samples == raw.shape[1]
+        # and the server reads either: a preview at level 2's pitch is
+        # that level, pixel for pixel
+        with DataServer(vca) as server:
+            preview = server.session("viewer").preview(
+                0, raw.shape[1], raw.shape[1] // 16
             )
-            assert lvl.codec == "delta-zlib:1"
-            assert lvl.base_samples == raw.shape[1]
+            assert preview.level == 2
+            np.testing.assert_array_equal(
+                preview.data, compute_level(raw, 16)
+            )
 
 
 def archive_scan_stats(vca: str) -> dict:
@@ -239,6 +267,40 @@ def test_build_pyramid_verify_and_describe(tmp_path):
         assert "pyramid[level=1 factor=4]" in listing
         assert "pyramid[level=2 factor=16]" in listing
         assert pyramid_levels(f) == pyramid_levels(f)
+
+
+def test_das_inspect_verify_clean_on_packed_files_vca_and_levels(tmp_path, capsys):
+    # minute files, the archive over them and its levels, all through the
+    # plane-aware encoder with CRCs: ``das_inspect --verify`` is clean
+    rng = np.random.default_rng(11)
+    stamp, paths = "170620100545", []
+    for _ in range(2):
+        path = str(tmp_path / das_filename(stamp))
+        block = np.cumsum(rng.normal(size=(8, 600)), axis=1).astype(np.float32)
+        block[5:7] = 0.0  # dead channels: not every block is noise
+        write_das_file(
+            path,
+            block,
+            DASMetadata(
+                sampling_frequency=10.0,
+                spatial_resolution=2.0,
+                timestamp=stamp,
+                n_channels=8,
+            ),
+            channel_groups=False,
+            chunks=(8, 256),
+            codec="transpose-zlib",
+            checksum=True,
+        )
+        paths.append(path)
+        stamp = timestamp_add_seconds(stamp, 60)
+    vca = create_vca(str(tmp_path / "arch.h5"), paths)
+    levels = build_pyramid(vca, PyramidConfig(factor=4, min_samples=32))
+    assert {lvl.codec for lvl in levels} == {"transpose-zlib:1"}
+    assert das_inspect_main(["--verify", *paths, vca]) == 0
+    out = capsys.readouterr()
+    assert out.out.count("integrity: ok") == 3 and "PROBLEM" not in out.err
+    assert "codec=transpose-zlib:1 (lossless)" in out.out
 
 
 def test_verify_catches_tampered_factor(tmp_path):
