@@ -17,6 +17,10 @@ per-minute DAS files, and records in ``BENCH_planner.json``:
   singles combined, records a positive ``cse_hits`` count, and asserts
   the co-run wall time beats the summed single-run times (the shared
   prefix dominates the chain, so sharing it is ~2x).
+* **scan** — a full scan of a packed (chunked + zlib + CRC) VCA, a plan
+  that computes nothing.  Asserts it reaches the source as exactly one
+  read and decodes every stored chunk exactly once (read chunk by chunk,
+  the stored chunks under an executor-chunk boundary decode twice).
 * the ``explain()`` dump of the co-run plan, for the record.
 
 Usage::
@@ -44,7 +48,8 @@ from repro.core.local_similarity import LocalSimilarityConfig, LocalSimilarityOp
 from repro.core.operators import FiltFiltOp, TaperOp  # noqa: E402
 from repro.core.optimizer import execute, explain, optimize  # noqa: E402
 from repro.core.stalta import StaLtaOp  # noqa: E402
-from repro.storage.chunks import open_stream  # noqa: E402
+from repro.hdf5lite.codecs import TransposeZlibCodec  # noqa: E402
+from repro.storage.chunks import ChunkSource, open_stream  # noqa: E402
 from repro.storage.dasfile import das_filename, write_das_file  # noqa: E402
 from repro.storage.metadata import DASMetadata, timestamp_add_seconds  # noqa: E402
 from repro.storage.vca import create_vca  # noqa: E402
@@ -53,12 +58,15 @@ from repro.utils.iostats import IOStats  # noqa: E402
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 
 
-def build_vca(root: str, n_channels: int, minutes: int, spm: int, fs: float) -> str:
-    """Per-minute files (unchecksummed, so reads are not rounded up to
-    whole CRC blocks) merged into one VCA."""
+def build_vca(
+    root: str, n_channels: int, minutes: int, spm: int, fs: float, **write_kwargs
+) -> str:
+    """Per-minute files (unchecksummed by default, so reads are not rounded
+    up to whole CRC blocks) merged into one VCA."""
     rng = np.random.default_rng(3)
     stamp = "170620100545"
     paths = []
+    os.makedirs(root, exist_ok=True)
     for _ in range(minutes):
         block = rng.normal(size=(n_channels, spm)).astype(np.float32)
         path = os.path.join(root, das_filename(stamp))
@@ -72,6 +80,7 @@ def build_vca(root: str, n_channels: int, minutes: int, spm: int, fs: float) -> 
                 n_channels=n_channels,
             ),
             channel_groups=False,
+            **write_kwargs,
         )
         paths.append(path)
         stamp = timestamp_add_seconds(stamp, 60)
@@ -187,6 +196,77 @@ def bench_cse(vca: str, chunk: int, fs: float) -> tuple[dict, str]:
     }, plan_text
 
 
+class CountedSource(ChunkSource):
+    """Forwards the executor's two read calls to ``inner``, counting them."""
+
+    def __init__(self, inner: ChunkSource):
+        self._inner = inner
+        self.n_channels, self.n_samples, self.fs = (
+            inner.n_channels, inner.n_samples, inner.fs,
+        )
+        self.reads = 0
+
+    @property
+    def bytes_streamed(self) -> int:
+        return self._inner.bytes_streamed
+
+    def read_rows(self, r0, r1, t0, t1):
+        self.reads += 1
+        return self._inner.read_rows(r0, r1, t0, t1)
+
+    def read_strided(self, r0, r1, t0, t1, tstep=1):
+        self.reads += 1
+        return self._inner.read_strided(r0, r1, t0, t1, tstep)
+
+
+def bench_scan(root: str, n_channels: int, minutes: int, spm: int, fs: float,
+               chunk: int) -> dict:
+    """Full scan of a packed VCA whose stored chunks straddle the
+    executor's chunk boundaries."""
+    stored_shape = (min(n_channels, 16), 4096)
+    vca = build_vca(
+        root, n_channels, minutes, spm, fs,
+        chunks=stored_shape, codec="transpose-zlib", checksum=True,
+    )
+    stored_chunks = minutes * -(-n_channels // stored_shape[0]) * -(-spm // stored_shape[1])
+    decodes = 0
+    real_decode = TransposeZlibCodec.decode
+
+    def counting_decode(self, *args):
+        nonlocal decodes
+        decodes += 1
+        return real_decode(self, *args)
+
+    TransposeZlibCodec.decode = counting_decode
+    try:
+        with open_stream(vca) as src:
+            counted = CountedSource(src)
+            plan = optimize(Query.scan(None), chunk_samples=chunk)
+            t0 = time.perf_counter()
+            (result,) = execute(plan, source=counted)
+            seconds = time.perf_counter() - t0
+    finally:
+        TransposeZlibCodec.decode = real_decode
+    assert result.output.shape == (n_channels, minutes * spm)
+    assert counted.reads == 1, (
+        f"a plan that computes nothing must be one source read, not {counted.reads}"
+    )
+    assert decodes == stored_chunks, (
+        f"every stored chunk must decode exactly once: {decodes} decodes "
+        f"for {stored_chunks} stored chunks"
+    )
+    return {
+        "query": "scan (packed VCA, nothing to compute)",
+        "chunk_samples": chunk,
+        "stored_chunk_shape": list(stored_shape),
+        "source_reads": counted.reads,
+        "decodes": decodes,
+        "stored_chunks": stored_chunks,
+        "n_chunks": result.profile.n_chunks,
+        "seconds": round(seconds, 4),
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true", help="small CI run")
@@ -202,6 +282,9 @@ def main() -> None:
         vca = build_vca(root, n_channels, minutes, spm, fs)
         pushdown = bench_pushdown(vca, chunk, gate_wall=not args.smoke)
         cse, plan_text = bench_cse(vca, chunk, fs)
+        scan = bench_scan(
+            os.path.join(root, "packed"), n_channels, minutes, spm, fs, chunk
+        )
 
     doc = {
         "smoke": bool(args.smoke),
@@ -213,6 +296,7 @@ def main() -> None:
         },
         "pushdown": pushdown,
         "cse": cse,
+        "scan": scan,
         "explain": plan_text.splitlines(),
     }
     out_path = os.path.join(REPO_ROOT, "BENCH_planner.json")

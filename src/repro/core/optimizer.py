@@ -60,6 +60,7 @@ from repro.core.pipeline import (
     PipelineResult,
     SinkOp,
     _ceil_div,
+    computes_nothing,
     run_chunks,
 )
 from repro.errors import ConfigError
@@ -428,7 +429,14 @@ def explain(plan: PhysicalPlan) -> str:
     chunk = plan.chunk_samples if plan.chunk_samples is not None else (
         "tuned" if plan.tune and plan.cluster is not None else "auto"
     )
-    lines.append(f"chunking: {chunk} samples, threads={plan.threads}")
+    if computes_nothing(plan.prefix, plan.branches):
+        lines.append(
+            "chunking: none — nothing to compute, so one read of the whole "
+            f"record ({chunk} samples per chunk only under a FailurePolicy, "
+            "whose gaps are reported by chunk)"
+        )
+    else:
+        lines.append(f"chunking: {chunk} samples, threads={plan.threads}")
     for note in plan.notes:
         lines.append(f"note: {note}")
     return "\n".join(lines)

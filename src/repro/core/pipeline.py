@@ -305,6 +305,18 @@ class Branch:
     post: list = field(default_factory=list)
 
 
+def computes_nothing(prefix: list, branches: list[Branch]) -> bool:
+    """True for a plan that only moves samples: no shared prefix and one
+    branch with neither maps nor a sink.  :func:`run_chunks` reads such a
+    plan in one piece instead of chunk by chunk."""
+    return (
+        not prefix
+        and len(branches) == 1
+        and not branches[0].maps
+        and branches[0].sink is None
+    )
+
+
 def _levels(
     maps: list, n_channels: int, total: int, fs: float
 ) -> tuple[list[int], list[float], list[int]]:
@@ -589,6 +601,11 @@ def run_chunks(
     identical arguments — the reference that makes hoisting it bitwise
     safe by construction.
 
+    A run that computes nothing (:func:`computes_nothing`) and has no
+    failure policy is not chunked: ``chunk`` becomes the whole record, so
+    the loop below runs once and the block the source returns is the
+    result.
+
     With a :class:`~repro.faults.policy.FailurePolicy`, each chunk's
     read-plus-compute is retried on retryable faults; a chunk that stays
     broken either raises the typed error (``fail_fast``) or fills every
@@ -602,10 +619,18 @@ def run_chunks(
     if chunk < 1:
         raise ConfigError("chunk_samples must be >= 1")
     timer = timer if timer is not None else Timer()
+    if policy is None and computes_nothing(prefix, branches):
+        # Chunking bounds operator working sets.  With nothing to run the
+        # only resident array is the output, so it is read in one piece:
+        # the block the source returns is the result, whole-file rows
+        # merge into a few requests and every stored chunk is fetched,
+        # verified and decoded exactly once.  (Under a FailurePolicy the
+        # chunk is the unit a gap is reported in, so chunks stay.)
+        chunk = src.n_samples
     chunk = min(chunk, src.n_samples)
     n_chunks = _ceil_div(src.n_samples, chunk)
     streamed_before = src.bytes_streamed
-    io_before = iostats.full_snapshot() if iostats is not None else None
+    io_before = iostats.total_bytes_read() if iostats is not None else None
 
     if len(branches) == 1:
         prefix = list(prefix) + list(branches[0].maps)
@@ -744,6 +769,9 @@ def run_chunks(
                 piece = np.ascontiguousarray(out)
                 r.pieces.append(piece)
                 pieces_bytes += piece.nbytes
+                if piece is out:
+                    # kept as it is, not copied: the chunk's peak holds it
+                    chunk_peak -= piece.nbytes
         resident = chunk_peak + pieces_bytes + sum(
             r.branch.sink.resident_bytes(r.sink_state) for r in sinks
         )
@@ -778,7 +806,7 @@ def run_chunks(
         threads=min(threads, max([p_ch[-1]] + [r.ch[-1] for r in runs])),
         bytes_streamed=src.bytes_streamed - streamed_before,
         bytes_read=(
-            iostats.full_snapshot()["bytes_read"] - io_before["bytes_read"]
+            iostats.total_bytes_read() - io_before
             if io_before is not None
             else None
         ),
@@ -1140,7 +1168,7 @@ def run_materialized(
     """
     pipe = operators if isinstance(operators, StreamPipeline) else StreamPipeline(operators)
     timer = timer if timer is not None else Timer()
-    io_before = iostats.full_snapshot() if iostats is not None else None
+    io_before = iostats.total_bytes_read() if iostats is not None else None
     with timer.phase("read"):
         data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
@@ -1191,7 +1219,7 @@ def run_materialized(
         threads=1,
         bytes_streamed=data.nbytes,
         bytes_read=(
-            iostats.full_snapshot()["bytes_read"] - io_before["bytes_read"]
+            iostats.total_bytes_read() - io_before
             if io_before is not None
             else None
         ),

@@ -6,11 +6,23 @@
   contiguous buffer; reads open only the chunks a selection intersects.
 * ``virtual`` — the data live in *other* files (see
   :mod:`repro.hdf5lite.virtual`); reads are delegated to the source files.
+
+Each layout has one read implementation, and it is destination-passing:
+:meth:`Dataset.read_direct` writes the selected samples into an array the
+caller owns — any dtype (cast on assignment), any strides — and
+:meth:`Dataset.read_hyperslab` is that into a fresh array.  Contiguous
+spans land in place when the destination can take file bytes as they are
+and pass through one bounded scratch buffer otherwise; chunks are
+cast-assigned where they belong as they are verified and decoded; a
+virtual dataset hands every source its own band of the caller's buffer
+and pre-fills only when its sources do not tile it.  From the executor's
+float64 block down to the page or chunk, every sample lands once.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,7 +47,7 @@ from repro.hdf5lite.hyperslab import (
     plan_spans,
     selection_shape,
 )
-from repro.hdf5lite.virtual import VirtualSource
+from repro.hdf5lite.virtual import VirtualSource, sources_tile
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hdf5lite.cache import BlockCache
@@ -99,19 +111,22 @@ class Dataset:
         self._codec_resolved = _CODEC_UNSET
 
     # -- basic properties ----------------------------------------------------
-    @property
+    # Nothing resizes, retypes or re-sources a dataset in place, so what is
+    # parsed out of the metadata is parsed once per Dataset object (and
+    # File keeps one object per dataset).
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(self._meta["shape"])
 
     @property
     def ndim(self) -> int:
-        return len(self._meta["shape"])
+        return len(self.shape)
 
-    @property
+    @cached_property
     def size(self) -> int:
-        return int(np.prod(self._meta["shape"], dtype=np.int64))
+        return int(np.prod(self.shape, dtype=np.int64))
 
-    @property
+    @cached_property
     def dtype(self) -> np.dtype:
         return _dtype.token_dtype(self._meta["dtype"])
 
@@ -148,11 +163,17 @@ class Dataset:
             self._codec_resolved = resolve_codec(spec) if spec is not None else None
         return self._codec_resolved
 
-    @property
-    def virtual_sources(self) -> list[VirtualSource]:
+    @cached_property
+    def virtual_sources(self) -> tuple[VirtualSource, ...]:
         if self.layout != LAYOUT_VIRTUAL:
-            return []
-        return [VirtualSource.from_dict(raw) for raw in self._meta["sources"]]
+            return ()
+        return tuple(VirtualSource.from_dict(raw) for raw in self._meta["sources"])
+
+    @cached_property
+    def _sources_tile(self) -> bool:
+        """Whether the sources cover every element exactly once, so a read
+        has nothing to pre-fill."""
+        return sources_tile(self.shape, self.virtual_sources)
 
     def __repr__(self) -> str:
         return (
@@ -209,25 +230,51 @@ class Dataset:
 
     def read_hyperslab(self, hs: Hyperslab) -> np.ndarray:
         """Read a hyperslab; returns an array of shape ``hs.count``."""
+        self._require_within(hs)  # before allocating what it asks for
+        out = np.empty(hs.count, dtype=self.dtype)
+        self.read_direct(hs, out)
+        return out
+
+    def read_direct(self, hs: Hyperslab, out: np.ndarray) -> None:
+        """Read a hyperslab into the caller's array (h5py's ``read_direct``).
+
+        ``out`` must have shape ``hs.count``; it may hold any dtype the
+        dataset's values can be assigned to (they are cast on assignment,
+        as ``out[...] = values`` would) and need not be contiguous — a
+        column band of a larger array is how a virtual dataset hands each
+        source its own part of the caller's buffer.  Every layout has this
+        one read path: the selected samples are written once, where the
+        caller wants them.
+        """
+        self._require_within(hs)
+        if out.shape != hs.count:
+            raise SelectionError(
+                f"destination shape {out.shape} != selection shape {hs.count}"
+            )
+        layout = self.layout
+        if layout == LAYOUT_CONTIGUOUS:
+            self._read_contiguous(hs, out)
+        elif layout == LAYOUT_CHUNKED:
+            self._read_chunked(hs, out)
+        elif layout == LAYOUT_VIRTUAL:
+            self._read_virtual(hs, out)
+        else:
+            raise FormatError(f"unknown dataset layout {layout!r}")
+
+    def _require_within(self, hs: Hyperslab) -> None:
         if not hs.within(self.shape):
             raise SelectionError(
                 f"hyperslab {hs} outside dataset shape {self.shape}"
             )
-        layout = self.layout
-        if layout == LAYOUT_CONTIGUOUS:
-            return self._read_contiguous(hs)
-        if layout == LAYOUT_CHUNKED:
-            return self._read_chunked(hs)
-        if layout == LAYOUT_VIRTUAL:
-            return self._read_virtual(hs)
-        raise FormatError(f"unknown dataset layout {layout!r}")
 
     def _read_spans(
         self,
         hs: Hyperslab,
         shape: Sequence[int],
         fetch: Callable[[int, memoryview], None],
-    ) -> np.ndarray:
+        out: np.ndarray,
+        resident: Callable[[int], tuple[bytes, int]] | None = None,
+    ) -> None:
         """Read ``hs`` of a C-ordered byte region laid out as ``shape``.
 
         The one place a selection becomes requests: :func:`plan_spans`
@@ -235,16 +282,21 @@ class Dataset:
         dest)`` — the only thing the contiguous and raw-chunk read paths
         differ in — fills ``dest`` with the region's bytes from
         ``byte_offset`` on.  Spans arrive in ascending offset order.
+        Hole-free spans land in ``out`` itself when it can take the bytes
+        as they are; everything else passes through at most
+        ``SPAN_SCRATCH_BYTES`` of scratch and one cast-assign.
         """
         itemsize = self.itemsize
-        out = np.empty(hs.count, dtype=self.dtype)
         plan = plan_spans(
-            hs, shape, COALESCE_GAP_BYTES // itemsize, SPAN_SCRATCH_BYTES // itemsize
+            hs,
+            shape,
+            COALESCE_GAP_BYTES // itemsize,
+            SPAN_SCRATCH_BYTES // itemsize,
+            in_place=out.dtype == self.dtype and out.flags.c_contiguous,
         )
-        gather_spans(plan, out, fetch)
-        return out
+        gather_spans(plan, out, fetch, self.dtype, resident)
 
-    def _read_contiguous(self, hs: Hyperslab) -> np.ndarray:
+    def _read_contiguous(self, hs: Hyperslab, out: np.ndarray) -> None:
         base = int(self._meta["offset"])
         region = self.nbytes
         backend = self._file._backend
@@ -252,11 +304,33 @@ class Dataset:
         info = self._checksums()
         if info is not None and info.chunked:
             info = None
+        resident = None
 
         if cache is not None and cache.enabled:
+            # Pages are page_size-aligned within the dataset's own data
+            # region (byte 0 = ``base`` in the file), so a page never
+            # straddles the metadata footer or another dataset.  Offsets
+            # arrive ascending, so holding the last page makes it one
+            # cache lookup per page per read, however many spans it serves.
+            ps = cache.config.page_size
+            held: list = [-1, b""]
+
+            def page_at(page: int) -> bytes:
+                if held[0] != page:
+                    held[:] = page, self._load_page(cache, base, region, page, info)
+                return held[1]
+
+            def resident(offset: int) -> tuple[bytes, int]:
+                page = offset // ps
+                return page_at(page), page * ps
 
             def fetch(offset: int, dest: memoryview) -> None:
-                self._page_read(cache, base, region, offset, dest, info)
+                end = offset + len(dest)
+                for page in range(offset // ps, (end - 1) // ps + 1):
+                    data = page_at(page)
+                    lo = max(offset, page * ps)
+                    hi = min(end, page * ps + len(data))
+                    dest[lo - offset : hi - offset] = data[lo - page * ps : hi - page * ps]
 
         elif info is not None:
             fetch = self._verified_fetch(base, region, info)
@@ -265,7 +339,7 @@ class Dataset:
             def fetch(offset: int, dest: memoryview) -> None:
                 backend.readinto_at(base + offset, dest)
 
-        return self._read_spans(hs, self.shape, fetch)
+        self._read_spans(hs, self.shape, fetch, out, resident)
 
     def _verified_fetch(
         self, base: int, region: int, info: "ChecksumInfo"
@@ -298,50 +372,37 @@ class Dataset:
 
         return fetch
 
-    def _page_read(
+    def _load_page(
         self,
         cache: "BlockCache",
         base: int,
         region_nbytes: int,
-        rel_offset: int,
-        dest: memoryview,
-        info: "ChecksumInfo | None" = None,
-    ) -> None:
-        """Fill ``dest`` with dataset bytes ``[rel_offset, rel_offset+len)``
-        via the page cache.
+        page: int,
+        info: "ChecksumInfo | None",
+    ) -> bytes:
+        """Cache page ``page`` of the data region, loading it on a miss.
 
-        Pages are ``page_size``-aligned within the dataset's own data
-        region (byte 0 = ``base`` in the file), so a page never straddles
-        the metadata footer or another dataset.  A missing page costs one
-        backend request for the whole page; hits cost nothing.  With a
-        checksum sidecar (``info``), a missing page is assembled from
-        verified checksum blocks — cache hits are verified-at-admission,
-        so the warm path pays no CRC cost.
+        A missing page costs one backend request for the whole page; hits
+        cost nothing.  With a checksum sidecar (``info``), a missing page
+        is assembled from verified checksum blocks — cache hits are
+        verified-at-admission, so the warm path pays no CRC cost.
         """
         backend = self._file._backend
         stats = backend.iostats
-        ps = cache.config.page_size
-        nbytes = len(dest)
-        first = rel_offset // ps
-        last = (rel_offset + nbytes - 1) // ps
-        for page in range(first, last + 1):
+        key = (self._file._cache_key, "page", base, page)
+        data = cache.get(key, stats)
+        if data is None:
+            ps = cache.config.page_size
             page_off = page * ps
             page_len = min(ps, region_nbytes - page_off)
-            key = (self._file._cache_key, "page", base, page)
-            data = cache.get(key, stats)
-            if data is None:
-                if info is not None:
-                    data = self._page_from_blocks(
-                        base, region_nbytes, info, page_off, page_len
-                    )
-                else:
-                    buf = bytearray(page_len)
-                    backend.readinto_at(base + page_off, memoryview(buf))
-                    data = bytes(buf)
-                cache.put(key, data, stats)
-            lo = max(rel_offset, page_off)
-            hi = min(rel_offset + nbytes, page_off + page_len)
-            dest[lo - rel_offset : hi - rel_offset] = data[lo - page_off : hi - page_off]
+            if info is not None:
+                data = self._page_from_blocks(
+                    base, region_nbytes, info, page_off, page_len
+                )
+            else:
+                data = backend.read_at(base + page_off, page_len)
+            cache.put(key, data, stats)
+        return data
 
     def _page_from_blocks(
         self,
@@ -367,26 +428,23 @@ class Dataset:
             parts.append(data[lo - b * bs : hi - b * bs])
         return parts[0] if len(parts) == 1 else b"".join(parts)
 
-    def _read_chunked(self, hs: Hyperslab) -> np.ndarray:
+    def _touched_chunks(
+        self, hs: Hyperslab
+    ) -> Iterator[tuple[str, tuple[int, ...], tuple[slice, ...], tuple[slice, ...]]]:
+        """Every stored chunk a selection lands on, in grid order:
+        ``(key, chunk_count, local, vals)`` with ``local``/``vals`` as
+        :func:`_strided_chunk_overlap` returns them.
+
+        The walk is bounded by the selection *lattice*: the last touched
+        element along each axis sits at start + (count-1)*stride, so a
+        strided selection visits (and pays for) only the chunks its
+        lattice actually lands on.
+        """
+        if hs.size == 0:
+            return
         chunks = self.chunks
         assert chunks is not None
-        codec = self.codec
-        info = self._checksums()
-        chunk_crcs = info.chunk_crcs if info is not None and info.chunked else None
-        out = np.empty(hs.count, dtype=self.dtype)
-        if out.size == 0:
-            return out
         index: dict[str, int] = self._meta["chunk_index"]
-        itemsize = self.itemsize
-        backend = self._file._backend
-        cache = self._file._cache
-        if cache is not None and not cache.enabled:
-            cache = None
-
-        # Chunk-grid bounds of the selection *lattice*: the last touched
-        # element along each axis sits at start + (count-1)*stride, so a
-        # strided selection visits (and pays for) only the chunks its
-        # lattice actually lands on.
         lo = [s // c for s, c in zip(hs.start, chunks)]
         hi = [
             (s + (n - 1) * st) // c
@@ -401,71 +459,10 @@ class Dataset:
             )
             overlap = _strided_chunk_overlap(hs, chunk_start, chunk_count)
             if overlap is not None:
-                local, vals = overlap
                 ckey = _chunk_key(coord)
                 if ckey not in index:
                     raise FormatError(f"missing chunk {ckey} in {self.path}")
-                chunk_offset = int(index[ckey])
-                crc_expected = (
-                    chunk_crcs.get(ckey) if chunk_crcs is not None else None
-                )
-                crc_what = f"chunk {ckey}"
-                chunk_nbytes = (
-                    int(np.prod(chunk_count, dtype=np.int64)) * itemsize
-                )
-                if codec is not None:
-                    chunk_arr = self._load_codec_chunk(
-                        codec, ckey, chunk_offset, chunk_count,
-                        crc_expected, cache,
-                    )
-                    out[vals] = chunk_arr[local]
-                elif cache is not None and chunk_nbytes <= cache.config.byte_budget:
-                    # Chunk-granular caching: a miss loads the whole chunk in
-                    # one request (run-coalescing for free); later touches of
-                    # any part of the chunk are memory copies.
-                    key = (self._file._cache_key, "chunk", chunk_offset)
-                    raw = cache.get(key, backend.iostats)
-                    if raw is None:
-                        buf = bytearray(chunk_nbytes)
-                        backend.readinto_at(chunk_offset, memoryview(buf))
-                        raw = bytes(buf)
-                        if crc_expected is not None:
-                            verify_block(
-                                self._file.filename, chunk_offset, raw,
-                                crc_expected, what=crc_what,
-                            )
-                        cache.put(key, raw, backend.iostats)
-                    chunk_arr = np.frombuffer(raw, dtype=self.dtype).reshape(
-                        chunk_count
-                    )
-                    out[vals] = chunk_arr[local]
-                elif crc_expected is not None:
-                    # Verification needs the whole chunk's bytes; read it
-                    # once, verify, slice in memory.
-                    raw = backend.read_at(chunk_offset, chunk_nbytes)
-                    verify_block(
-                        self._file.filename, chunk_offset, raw,
-                        crc_expected, what=crc_what,
-                    )
-                    chunk_arr = np.frombuffer(raw, dtype=self.dtype).reshape(
-                        chunk_count
-                    )
-                    out[vals] = chunk_arr[local]
-                else:
-                    # Raw uncached chunk: fetch only the spans the lattice
-                    # lands on, not the whole chunk.
-                    local_slab = Hyperslab(
-                        start=tuple(sl.start for sl in local),
-                        count=tuple(v.stop - v.start for v in vals),
-                        stride=tuple(sl.step for sl in local),
-                    )
-                    out[vals] = self._read_spans(
-                        local_slab,
-                        chunk_count,
-                        lambda offset, dest, at=chunk_offset: backend.readinto_at(
-                            at + offset, dest
-                        ),
-                    )
+                yield ckey, chunk_count, *overlap
             # Odometer over chunk grid coordinates.
             dim_idx = len(coord) - 1
             while dim_idx >= 0:
@@ -476,7 +473,45 @@ class Dataset:
                 dim_idx -= 1
             if dim_idx < 0:
                 break
-        return out
+
+    def _read_chunked(self, hs: Hyperslab, out: np.ndarray) -> None:
+        codec = self.codec
+        info = self._checksums()
+        chunk_crcs = info.chunk_crcs if info is not None and info.chunked else None
+        index: dict[str, int] = self._meta["chunk_index"]
+        itemsize = self.itemsize
+        backend = self._file._backend
+        cache = self._file._cache
+        if cache is not None and not cache.enabled:
+            cache = None
+        for ckey, chunk_count, local, vals in self._touched_chunks(hs):
+            crc_expected = chunk_crcs.get(ckey) if chunk_crcs is not None else None
+            chunk_nbytes = int(np.prod(chunk_count, dtype=np.int64)) * itemsize
+            # Chunk-granular caching: a miss loads the whole chunk in one
+            # request; later touches of any part of it are memory copies.
+            cached = cache is not None and chunk_nbytes <= cache.config.byte_budget
+            if codec is None and crc_expected is None and not cached:
+                # Nothing needs the whole chunk's bytes: fetch only the
+                # spans the lattice lands on, straight into their place.
+                local_slab = Hyperslab(
+                    start=tuple(sl.start for sl in local),
+                    count=tuple(v.stop - v.start for v in vals),
+                    stride=tuple(sl.step for sl in local),
+                )
+                self._read_spans(
+                    local_slab,
+                    chunk_count,
+                    lambda offset, dest, at=int(index[ckey]): backend.readinto_at(
+                        at + offset, dest
+                    ),
+                    out[vals],
+                )
+            else:
+                chunk_arr = self._load_chunk(
+                    codec, ckey, chunk_count, crc_expected,
+                    cache if cached else None,
+                )
+                out[vals] = chunk_arr[local]
 
     def _encoded_nbytes(self, ckey: str) -> int:
         """On-disk payload size of one encoded chunk (``chunk_enc``)."""
@@ -487,104 +522,104 @@ class Dataset:
             )
         return int(enc[ckey])
 
-    def _load_codec_chunk(
+    def _load_chunk(
         self,
-        codec: "Codec",
+        codec: "Codec | None",
         ckey: str,
-        chunk_offset: int,
         chunk_count: tuple[int, ...],
         crc_expected: int | None,
         cache: "BlockCache | None",
     ) -> np.ndarray:
-        """One decoded chunk, via the cache when possible.
+        """One whole stored chunk as an array, via ``cache`` when given.
 
-        The cache holds *decoded* bytes under the same ``(file, "chunk",
-        offset)`` key raw chunks use, so decompression runs once per
-        cached block; the CRC covers the *encoded* payload and is checked
-        before decode, only on the miss path.
+        The cache holds *decoded* bytes under one ``(file, "chunk",
+        offset)`` key whether or not the chunk is stored encoded, so
+        decompression runs once per cached block; the CRC covers the
+        stored payload and is checked before any decode, only on the miss
+        path.
         """
         backend = self._file._backend
-        enc_nbytes = self._encoded_nbytes(ckey)
-        dec_nbytes = (
-            int(np.prod(chunk_count, dtype=np.int64)) * self.itemsize
-        )
-        if cache is not None and dec_nbytes <= cache.config.byte_budget:
-            cache_key = (self._file._cache_key, "chunk", chunk_offset)
-            raw = cache.get(cache_key, backend.iostats)
+        chunk_offset = int(self._meta["chunk_index"][ckey])
+        key = (self._file._cache_key, "chunk", chunk_offset)
+        if cache is not None:
+            raw = cache.get(key, backend.iostats)
             if raw is not None:
                 return np.frombuffer(raw, dtype=self.dtype).reshape(chunk_count)
-            payload = backend.read_at(chunk_offset, enc_nbytes)
-            if crc_expected is not None:
-                verify_block(
-                    self._file.filename, chunk_offset, payload,
-                    crc_expected, what=f"chunk {ckey}",
-                )
-            arr = np.ascontiguousarray(
-                codec.decode(payload, chunk_count, self.dtype)
-            )
-            cache.put(cache_key, arr.tobytes(), backend.iostats)
-            return arr
-        payload = backend.read_at(chunk_offset, enc_nbytes)
+        if codec is not None:
+            stored_nbytes = self._encoded_nbytes(ckey)
+        else:
+            stored_nbytes = int(np.prod(chunk_count, dtype=np.int64)) * self.itemsize
+        payload = backend.read_at(chunk_offset, stored_nbytes)
         if crc_expected is not None:
             verify_block(
                 self._file.filename, chunk_offset, payload,
                 crc_expected, what=f"chunk {ckey}",
             )
-        return codec.decode(payload, chunk_count, self.dtype)
+        if codec is not None:
+            arr = codec.decode(payload, chunk_count, self.dtype)
+        else:
+            arr = np.frombuffer(payload, dtype=self.dtype).reshape(chunk_count)
+        if cache is not None:
+            cache.put(
+                key, payload if codec is None else arr.tobytes(), backend.iostats
+            )
+        return arr
 
-    def _read_virtual(self, hs: Hyperslab) -> np.ndarray:
+    def _read_virtual(self, hs: Hyperslab, out: np.ndarray) -> None:
+        file = self._file
         fill = self._meta.get("fill", 0)
-        out = np.full(hs.count, fill, dtype=self.dtype)
-        handler = self._file.on_source_error
-        skip = self._file.skip_sources
-        unit = all(s == 1 for s in hs.stride)
+        if not self._sources_tile:
+            out[...] = fill
+        handler = file.on_source_error
+        skip = file.skip_sources
         for source in self.virtual_sources:
             ov = _strided_chunk_overlap(hs, source.dst_start, source.count)
             if ov is None:
                 continue
             local, vals = ov
+            dest = out[vals]
+            if skip and source.file in skip:
+                # Blacklisted by a previous degraded read: don't touch the
+                # source again, mask its span (nothing pre-filled it when
+                # the sources tile).
+                dest[...] = fill if file.source_fill is None else file.source_fill
+                continue
             dst_region = Hyperslab(
                 start=tuple(
                     d + sl.start for d, sl in zip(source.dst_start, local)
                 ),
-                count=tuple(v.stop - v.start for v in vals),
+                count=dest.shape,
                 stride=tuple(sl.step for sl in local),
             )
-            # Degraded-read bookkeeping stays in unit-stride *bounding*
-            # coordinates: gap spans must keep their raw meaning on the
-            # virtual axis however sparsely the failed span was sampled.
-            if unit:
-                overlap = dst_region
-            else:
-                overlap = Hyperslab(
+            src_slab = source.src_slab_for(dst_region)
+            try:
+                src_ds = file._resolve_source(source.file).dataset(source.dataset)
+                if self.dtype in (src_ds.dtype, out.dtype):
+                    # The source writes its samples where the caller wants
+                    # them: one cast at most, no intermediate.
+                    src_ds.read_direct(src_slab, dest)
+                else:
+                    # Three dtypes in play: the values still pass through
+                    # this dataset's own.
+                    dest[...] = src_ds.read_hyperslab(src_slab).astype(self.dtype)
+            except (ReproError, OSError, KeyError) as exc:
+                if handler is None:
+                    raise
+                # Degraded-read bookkeeping is in unit-stride *bounding*
+                # coordinates: gap spans must keep their raw meaning on the
+                # virtual axis however sparsely the failed span was sampled.
+                bounding = Hyperslab(
                     start=dst_region.start,
                     count=tuple(
                         (n - 1) * st + 1
                         for n, st in zip(dst_region.count, dst_region.stride)
                     ),
-                    stride=tuple(1 for _ in dst_region.start),
+                    stride=(1,) * hs.ndim,
                 )
-            if skip and source.file in skip:
-                # Blacklisted by a previous degraded read: don't touch the
-                # source again, leave its span masked.
-                if self._file.source_fill is not None:
-                    out[vals] = self._file.source_fill
-                continue
-            src_slab = source.src_slab_for(dst_region)
-            try:
-                src_file = self._file._resolve_source(source.file)
-                src_ds = src_file.dataset(source.dataset)
-                piece = src_ds.read_hyperslab(src_slab)
-            except (ReproError, OSError, KeyError) as exc:
-                if handler is None:
-                    raise
-                mask_fill = handler(source, overlap, exc)
+                mask_fill = handler(source, bounding, exc)
                 if mask_fill is None:
                     raise
-                out[vals] = mask_fill
-                continue
-            out[vals] = piece.astype(self.dtype, copy=False)
-        return out
+                dest[...] = mask_fill
 
     # -- writing ---------------------------------------------------------------
     def __setitem__(self, selection: object, values: object) -> None:
@@ -603,10 +638,7 @@ class Dataset:
                 f"writes are only supported on contiguous or chunked "
                 f"datasets, not {self.layout}"
             )
-        if not hs.within(self.shape):
-            raise SelectionError(
-                f"hyperslab {hs} outside dataset shape {self.shape}"
-            )
+        self._require_within(hs)
         values = np.ascontiguousarray(values, dtype=self.dtype)
         if values.shape != hs.count:
             raise SelectionError(
@@ -648,44 +680,14 @@ class Dataset:
         payload refreshes its sidecar CRC, so checksums always cover the
         encoded bytes actually on disk.
         """
-        if hs.size == 0:
-            return
-        chunks = self.chunks
-        assert chunks is not None
         codec = self.codec
-        index: dict[str, int] = self._meta["chunk_index"]
-        lo = [s // c for s, c in zip(hs.start, chunks)]
-        hi = [
-            (s + (n - 1) * st) // c
-            for s, n, st, c in zip(hs.start, hs.count, hs.stride, chunks)
-        ]
-        coord = list(lo)
-        while True:
-            chunk_start = tuple(ci * c for ci, c in zip(coord, chunks))
-            chunk_count = tuple(
-                min(c, dim - cs)
-                for c, cs, dim in zip(chunks, chunk_start, self.shape)
-            )
-            sel = _strided_chunk_overlap(hs, chunk_start, chunk_count)
-            if sel is not None:
-                local_sel, vals_sel = sel
-                ckey = _chunk_key(coord)
-                if ckey not in index:
-                    raise FormatError(f"missing chunk {ckey} in {self.path}")
-                chunk_arr = self._chunk_for_update(ckey, chunk_count, codec)
-                chunk_arr[local_sel] = values[vals_sel]
-                self._store_chunk(ckey, chunk_arr, codec)
-            dim_idx = len(coord) - 1
-            while dim_idx >= 0:
-                coord[dim_idx] += 1
-                if coord[dim_idx] <= hi[dim_idx]:
-                    break
-                coord[dim_idx] = lo[dim_idx]
-                dim_idx -= 1
-            if dim_idx < 0:
-                break
-        self._file._mark_dirty()
-        self._file._invalidate_cache()
+        for ckey, chunk_count, local_sel, vals_sel in self._touched_chunks(hs):
+            chunk_arr = self._chunk_for_update(ckey, chunk_count, codec)
+            chunk_arr[local_sel] = values[vals_sel]
+            self._store_chunk(ckey, chunk_arr, codec)
+        if hs.size:
+            self._file._mark_dirty()
+            self._file._invalidate_cache()
 
     def _chunk_for_update(
         self, ckey: str, chunk_count: tuple[int, ...], codec: "Codec | None"
@@ -693,31 +695,14 @@ class Dataset:
         """The chunk's current contents as a writable array (CRC-verified
         when the file verifies reads — a read-modify-write must not
         silently launder corruption into a fresh checksum)."""
-        backend = self._file._backend
-        chunk_offset = int(self._meta["chunk_index"][ckey])
         info = self._checksums()
         crc = (
             info.chunk_crcs.get(ckey)
             if info is not None and info.chunked
             else None
         )
-        if codec is not None:
-            payload = backend.read_at(chunk_offset, self._encoded_nbytes(ckey))
-            if crc is not None:
-                verify_block(
-                    self._file.filename, chunk_offset, payload, crc,
-                    what=f"chunk {ckey}",
-                )
-            arr = np.asarray(codec.decode(payload, chunk_count, self.dtype))
-            return arr if arr.flags.writeable else arr.copy()
-        nbytes = int(np.prod(chunk_count, dtype=np.int64)) * self.itemsize
-        raw = backend.read_at(chunk_offset, nbytes)
-        if crc is not None:
-            verify_block(
-                self._file.filename, chunk_offset, raw, crc,
-                what=f"chunk {ckey}",
-            )
-        return np.frombuffer(raw, dtype=self.dtype).reshape(chunk_count).copy()
+        arr = self._load_chunk(codec, ckey, chunk_count, crc, None)
+        return arr if arr.flags.writeable else arr.copy()
 
     def _store_chunk(
         self, ckey: str, chunk_arr: np.ndarray, codec: "Codec | None"

@@ -377,9 +377,13 @@ class File(Group):
         self.skip_sources: set[str] = set()
         self.source_fill: float | None = None
         self._dirty = False
-        # Parsed checksum sidecars by dataset path (Dataset objects are
-        # created per access, so the parse cache must live on the file).
+        # Parsed checksum sidecars by dataset path (writers drop an entry
+        # when they refresh its sidecar).
         self._crc_cache: dict[str, Any] = {}
+        # One Dataset object per dataset (it memoises what it parses out of
+        # the metadata), and each virtual-source path resolved once.
+        self._datasets: dict[str, Dataset] = {}
+        self._source_paths: dict[str, str] = {}
         self._source_cache: dict[str, File] = {}
         self._cache = resolve_cache(cache)
         self._pool = pool
@@ -429,7 +433,10 @@ class File(Group):
             self._cache.invalidate_file(self._cache_key)
 
     def _dataset_for(self, path: str, meta: dict[str, Any]) -> Dataset:
-        return Dataset(self, path, meta)
+        ds = self._datasets.get(path)
+        if ds is None or ds._meta is not meta:
+            ds = self._datasets[path] = Dataset(self, path, meta)
+        return ds
 
     def _resolve_source(self, source_path: str) -> "File":
         """Open (and cache) a source file referenced by a virtual dataset.
@@ -439,9 +446,12 @@ class File(Group):
         re-opened per read.  Otherwise this handle keeps its own private
         source handles, closed together with it.
         """
-        if not os.path.isabs(source_path):
-            source_path = os.path.join(os.path.dirname(self.filename), source_path)
-        source_path = os.path.normpath(source_path)
+        resolved = self._source_paths.get(source_path)
+        if resolved is None:
+            resolved = self._source_paths[source_path] = os.path.normpath(
+                os.path.join(os.path.dirname(self.filename), source_path)
+            )
+        source_path = resolved
         if self._pool is not None:
             return self._pool.acquire(source_path, iostats=self._backend.iostats)
         cached = self._source_cache.get(source_path)

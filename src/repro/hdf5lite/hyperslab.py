@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from repro.errors import SelectionError
 
@@ -29,8 +28,10 @@ from repro.errors import SelectionError
 #: is on the safe side everywhere; one value serves every caller, hence a
 #: constant, not a setting.
 COALESCE_GAP_BYTES = 4096
-#: Upper bound on the scratch buffer a hole-bridging span is fetched into
-#: before its lattice is scattered out; longer spans are split.
+#: Upper bound on the scratch buffer a span is fetched into when its bytes
+#: cannot land in the destination as they are (it bridges holes, or the
+#: destination has another dtype or is not contiguous); longer spans are
+#: split.
 SPAN_SCRATCH_BYTES = 4 << 20
 
 
@@ -282,6 +283,7 @@ def plan_spans(
     shape: Sequence[int],
     max_gap: int = 0,
     max_span: int | None = None,
+    in_place: bool = True,
 ) -> SpanPlan:
     """Plan the spans that fetch ``hs`` from a C-ordered array of ``shape``.
 
@@ -295,7 +297,9 @@ def plan_spans(
     bridges holes is fetched into scratch, so it is kept within
     ``max_span`` elements by taking fewer indices of the outermost folded
     dimension per span; hole-free spans land directly in the result and
-    are not limited.
+    are not limited — unless the caller says the result cannot take
+    source bytes as they are (``in_place=False``: another dtype, or not
+    contiguous), when every span goes through scratch and is bounded.
     """
     ndim = len(shape)
     if hs.ndim != ndim:
@@ -321,7 +325,8 @@ def plan_spans(
         if n > 1 and hole > max_gap:
             block = 1
             break
-        if max_span is not None and not full_dense and full > max_span:
+        scratched = not (full_dense and in_place)
+        if max_span is not None and scratched and full > max_span:
             block = max(1, 1 + (max_span - inner_len) // step)
             break
         block = max(n, 1)
@@ -350,45 +355,76 @@ def gather_spans(
     plan: SpanPlan,
     out: np.ndarray,
     fetch: Callable[[int, memoryview], None],
+    dtype: object = None,
+    resident: Callable[[int], tuple[bytes, int]] | None = None,
 ) -> None:
-    """Fill ``out`` — C-contiguous, shaped like the planned hyperslab's
+    """Fill ``out`` — any array shaped like the planned hyperslab's
     ``count`` — with one ``fetch`` per span.
 
     ``fetch(byte_offset, dest)`` fills the byte buffer ``dest`` with the
-    source bytes from ``byte_offset`` (the span's element offset times
-    ``out.itemsize``) on.  A hole-free span is fetched straight into its
-    place in ``out``; a span with holes goes through one reused scratch
-    buffer and its lattice is copied out through a strided view.
+    source bytes from ``byte_offset`` (the span's element offset times the
+    itemsize of ``dtype``, the source's element type; ``out.dtype`` when
+    omitted) on.  A hole-free span is fetched straight into its place in
+    ``out`` when ``out`` holds ``dtype`` and is contiguous there; any
+    other span goes through one reused scratch buffer and its lattice is
+    cast-assigned out of a strided view of it.
+
+    With ``resident`` the source is already in memory block by block
+    (cache pages): ``resident(byte_offset)`` returns the block holding that
+    byte and the block's own byte offset, and every run of indices that
+    ends inside the block is copied as one strided view of it, whatever
+    the spans were.  Only an index that straddles blocks is assembled
+    through ``fetch``.
     """
     if plan.offsets.size == 0:
         return
+    dtype = out.dtype if dtype is None else np.dtype(dtype)
     n, block = plan.counts[0], plan.block
     inner_shape = plan.counts[1:]
     inner_size = math.prod(inner_shape)
-    per_row = -(-n // block)
-    ragged = n - (per_row - 1) * block  # indices in the last span of a row
-    itemsize = out.itemsize
+    itemsize = dtype.itemsize
     strides = tuple(step * itemsize for step in plan.steps)
-    flat = out.reshape(-1)
-    dest = memoryview(flat.view(np.uint8))
-    scratch = scratch_bytes = None
-    pos = 0
-    for i, offset in enumerate((plan.offsets * itemsize).tolist()):
-        indices = ragged if (i + 1) % per_row == 0 else block
-        size = indices * inner_size
-        length = plan.span_len(indices)
-        if size == length:
-            fetch(offset, dest[pos * itemsize : (pos + size) * itemsize])
-        else:
-            if scratch is None:
-                scratch = np.empty(plan.span_len(min(block, n)), dtype=out.dtype)
-                scratch_bytes = memoryview(scratch.view(np.uint8))
-            fetch(offset, scratch_bytes[: length * itemsize])
-            shape = (indices,) + inner_shape
-            flat[pos : pos + size].reshape(shape)[...] = as_strided(
-                scratch, shape=shape, strides=strides
-            )
-        pos += size
+    inner_bytes = plan.inner_len * itemsize
+    lead_shape = out.shape[: out.ndim - len(plan.counts)]
+    row_offsets = (plan.offsets[:: -(-n // block)] * itemsize).tolist()
+    landable = out.dtype == dtype and out[(0,) * len(lead_shape)].flags.c_contiguous
+    scratch = scratch_bytes = row_bytes = None
+    for lead, row_offset in zip(np.ndindex(*lead_shape), row_offsets):
+        row = out[lead]
+        if landable:
+            row_bytes = memoryview(row.reshape(-1).view(np.uint8))
+        lo = 0
+        while lo < n:
+            offset = row_offset + lo * strides[0]
+            indices = min(block, n - lo)
+            if resident is not None:
+                data, start = resident(offset)
+                fit = min(
+                    n - lo,
+                    (start + len(data) - offset - inner_bytes) // strides[0] + 1,
+                )
+                if fit > 0:
+                    row[lo : lo + fit] = np.ndarray(
+                        (fit,) + inner_shape, dtype, buffer=data,
+                        offset=offset - start, strides=strides,
+                    )
+                    lo += fit
+                    continue
+                indices = 1
+            size = indices * inner_size
+            length = plan.span_len(indices)
+            if landable and size == length:
+                at = lo * inner_size * itemsize
+                fetch(offset, row_bytes[at : at + size * itemsize])
+            else:
+                if scratch is None:
+                    scratch = np.empty(plan.span_len(min(block, n)), dtype=dtype)
+                    scratch_bytes = memoryview(scratch.view(np.uint8))
+                fetch(offset, scratch_bytes[: length * itemsize])
+                row[lo : lo + indices] = np.ndarray(
+                    (indices,) + inner_shape, dtype, buffer=scratch, strides=strides
+                )
+            lo += indices
 
 
 def coalesce_runs(

@@ -12,6 +12,8 @@ with ``n`` sources laid end-to-end along the time axis.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -124,3 +126,30 @@ def validate_sources(
                     f"virtual source {src.file}:{src.dataset} exceeds dataset "
                     f"shape {tuple(shape)} along dimension {dim}"
                 )
+
+
+def sources_tile(shape: Sequence[int], sources: Sequence[VirtualSource]) -> bool:
+    """True when the sources' destination regions cover every element of
+    an array of ``shape`` exactly once — the case (every VCA) in which a
+    read of the virtual dataset has nothing to fill.
+
+    Counted, not searched: the regions lie inside the array, their sizes
+    add up to its size, and every corner point is a corner of an even
+    number of regions except the array's own corners, which belong to one.
+    The parity condition makes the number of regions over any element odd
+    inside the array (each region adds one to a box, and a sum of boxes is
+    fixed, mod 2, by where its corners are); with the sizes adding up, odd
+    means one.  O(sources), whatever the arrangement.
+    """
+    corners: set[tuple[int, ...]] = set()
+    volume = 0
+    for src in sources:
+        stop = tuple(d + c for d, c in zip(src.dst_start, src.count))
+        if src.ndim != len(shape) or any(e > dim for e, dim in zip(stop, shape)):
+            return False
+        volume += src.size
+        corners.symmetric_difference_update(
+            itertools.product(*zip(src.dst_start, stop))
+        )
+    own = set(itertools.product(*((0, int(dim)) for dim in shape)))
+    return volume == math.prod(shape) and corners == own

@@ -24,6 +24,8 @@ from repro.core.detection import DetectedEvent
 from repro.errors import ConfigError
 
 STATE_VERSION = 1
+#: The slope fit's carried sums, in checkpoint-payload order.
+_SUMS = ("s_t", "s_ch", "s_tch", "s_tt")
 
 
 @dataclass(frozen=True)
@@ -159,48 +161,63 @@ class EventAssembler:
             raise ConfigError(
                 f"{block.shape[1]} columns but {centers.shape} centers"
             )
-        policy = self.policy
+        n_cols = block.shape[1]
         finalized: list[SeamEvent] = []
-        for k in range(block.shape[1]):
-            j = j_lo + k
-            column = block[:, k]
-            hits = column > policy.threshold
-            hot = hits.mean() >= policy.min_fraction
-            run = self._open
-            if run is not None and (not hot or j != run["j_end"] + 1):
-                finalized.extend(self._finalize())
-                run = None
-            if not hot:
-                continue
-            t = float(centers[k]) / self.fs
-            rows = np.flatnonzero(hits)
-            channels = rows + self.channel_lo
+        if n_cols == 0:
+            return finalized
+        hits = block > self.policy.threshold
+        counts = hits.sum(axis=0)
+        hot = counts / block.shape[0] >= self.policy.min_fraction
+        run = self._open
+        if run is not None and not (hot[0] and j_lo == run["j_end"] + 1):
+            finalized.extend(self._finalize())
+        cols = np.flatnonzero(hot)
+        if cols.size == 0:
+            return finalized
+        # Per hot column, as column reductions of the one hits matrix.
+        hits = hits[:, cols]
+        n = counts[cols]
+        t = centers[cols].astype(np.float64) / self.fs
+        ch_lo = hits.argmax(axis=0) + self.channel_lo
+        ch_hi = block.shape[0] - 1 - hits[::-1].argmax(axis=0) + self.channel_lo
+        ch_sum = (
+            (np.arange(block.shape[0]) + self.channel_lo) @ hits.astype(np.int64)
+        ).astype(np.float64)
+        peak = np.where(hits, block[:, cols], -np.inf).max(axis=0)
+        terms = np.stack([t * n, ch_sum, t * ch_sum, t * t * n])
+        # Maximal runs of consecutive hot columns: run i is hot columns
+        # [first[i], first[i + 1]) of ``cols``.
+        first = np.flatnonzero(np.diff(cols, prepend=cols[0] - 2) > 1).tolist()
+        for lo, hi in zip(first, first[1:] + [cols.size]):
+            run = self._open  # only the first run can continue one
             if run is None:
                 self._open = run = {
-                    "j_start": j,
-                    "j_end": j,
-                    "t_start": t,
-                    "t_end": t,
-                    "ch_min": int(channels.min()),
-                    "ch_max": int(channels.max()),
-                    "peak": float(column[rows].max()),
+                    "j_start": j_lo + int(cols[lo]),
+                    "j_end": 0,
+                    "t_start": float(t[lo]),
+                    "t_end": 0.0,
+                    "ch_min": int(ch_lo[lo]),
+                    "ch_max": int(ch_hi[lo]),
+                    "peak": float(peak[lo]),
                     "n_cells": 0,
-                    "s_t": 0.0,
-                    "s_ch": 0.0,
-                    "s_tch": 0.0,
-                    "s_tt": 0.0,
+                    **dict.fromkeys(_SUMS, 0.0),
                 }
-            else:
-                run["j_end"] = j
-                run["t_end"] = t
-                run["ch_min"] = min(run["ch_min"], int(channels.min()))
-                run["ch_max"] = max(run["ch_max"], int(channels.max()))
-                run["peak"] = max(run["peak"], float(column[rows].max()))
-            run["n_cells"] += int(len(rows))
-            run["s_t"] += t * len(rows)
-            run["s_ch"] += float(channels.sum())
-            run["s_tch"] += t * float(channels.sum())
-            run["s_tt"] += t * t * len(rows)
+            run["j_end"] = j_lo + int(cols[hi - 1])
+            run["t_end"] = float(t[hi - 1])
+            run["ch_min"] = min(run["ch_min"], int(ch_lo[lo:hi].min()))
+            run["ch_max"] = max(run["ch_max"], int(ch_hi[lo:hi].max()))
+            run["peak"] = max(run["peak"], float(peak[lo:hi].max()))
+            run["n_cells"] += int(n[lo:hi].sum())
+            # The float sums are order-sensitive: add column by column from
+            # the carried value (accumulate is sequential), so any split of
+            # the column axis lands on the same bits as one feed.
+            carried = np.array([[run[key]] for key in _SUMS])
+            sums = np.add.accumulate(
+                np.concatenate([carried, terms[:, lo:hi]], axis=1), axis=1
+            )[:, -1]
+            run.update(zip(_SUMS, sums.tolist()))
+            if cols[hi - 1] + 1 < n_cols:
+                finalized.extend(self._finalize())
         return finalized
 
     def flush(self) -> list[SeamEvent]:

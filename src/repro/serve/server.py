@@ -295,7 +295,7 @@ class ServeSession:
         # difference against the tenant's byte bucket afterwards.  (The
         # IOStats delta attributes concurrent tenants' reads to whoever
         # reconciles first — best-effort under concurrency, exact solo.)
-        read_before = self.server.iostats.snapshot()["bytes_read"]
+        read_before = self.server.iostats.total_bytes_read()
         window = WindowSource(self.server.source, t0, t1)
         query = Query.scan(None)
         if (lo, hi) != (0, self.server.n_channels):
@@ -309,7 +309,7 @@ class ServeSession:
         (result,) = execute(plan, source=window, iostats=self.server.iostats)
         self.server.admission.reconcile(
             admission,
-            self.server.iostats.snapshot()["bytes_read"] - read_before,
+            self.server.iostats.total_bytes_read() - read_before,
         )
         self.server.admission.record_latency(
             self.tenant, time.perf_counter() - started
@@ -363,7 +363,7 @@ class ServeSession:
         if level is not None:
             j0, j1 = level_slice(level.factor, t0, t1)
             admission = self._admit((hi - lo) * (j1 - j0) * 8, wait)
-            read_before = self.server.iostats.snapshot()["bytes_read"]
+            read_before = self.server.iostats.total_bytes_read()
             block = np.asarray(
                 self.server.pyramid_data(level)[lo:hi, j0:j1], dtype=np.float64
             )
@@ -372,7 +372,7 @@ class ServeSession:
             factor = max(1, span // int(width))
             j0, j1 = level_slice(factor, t0, t1)
             admission = self._admit((hi - lo) * (j1 - j0) * 8, wait)
-            read_before = self.server.iostats.snapshot()["bytes_read"]
+            read_before = self.server.iostats.total_bytes_read()
             window = WindowSource(self.server.source, j0 * factor, t1)
             query = Query.scan(None)
             if (lo, hi) != (0, self.server.n_channels):
@@ -389,7 +389,7 @@ class ServeSession:
             block, level_no = result.output, None
         self.server.admission.reconcile(
             admission,
-            self.server.iostats.snapshot()["bytes_read"] - read_before,
+            self.server.iostats.total_bytes_read() - read_before,
         )
         self.server.admission.record_latency(
             self.tenant, time.perf_counter() - started

@@ -8,6 +8,15 @@ datasets and LAVs, and VCA files; the VCA path threads the hdf5lite
 through, so the halo (ghost-zone) re-reads that overlap-aware chunking
 issues are absorbed by the page cache instead of hitting the backend
 twice.
+
+A source has one read, ``read_strided(r0, r1, t0, t1, tstep)``;
+``read_rows`` (``tstep=1``) and ``read`` (all rows of that) are what the
+executor calls and what a wrapping source may intercept.  Views
+(:class:`SlicedSource`, :class:`WindowSource`) translate coordinates and
+compose strides; :class:`DatasetSource` allocates the float64 block the
+executor keeps and has the storage layer fill it
+(:meth:`~repro.hdf5lite.dataset.Dataset.read_direct`), so between the
+file and the operators a sample is written once.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import ConfigError, ReproError, StorageError
+from repro.hdf5lite.hyperslab import Hyperslab
 from repro.utils.iostats import IOStats
 
 
@@ -56,11 +66,13 @@ def auto_chunk_samples(
 class ChunkSource:
     """A 2-D ``(channels, time)`` series that yields time-blocks on demand.
 
-    Concrete sources implement :meth:`read_rows`; ``read`` is the common
-    all-channels case.  ``bytes_streamed`` accumulates the float64 bytes
-    handed out — the executor's denominator for read-amplification, and a
-    backend-independent counterpart to :class:`~repro.utils.iostats.IOStats`
-    byte counts.
+    Concrete sources implement one read, :meth:`read_strided`;
+    :meth:`read_rows` is its every-sample case and :meth:`read` the
+    all-channels case of that — the three calls the executor makes.
+    ``bytes_streamed`` accumulates the float64 bytes handed out — the
+    executor's denominator for read-amplification, and a
+    backend-independent counterpart to
+    :class:`~repro.utils.iostats.IOStats` byte counts.
     """
 
     n_channels: int = 0
@@ -70,30 +82,24 @@ class ChunkSource:
     def __init__(self) -> None:
         self.bytes_streamed = 0
 
-    def read_rows(self, r0: int, r1: int, t0: int, t1: int) -> np.ndarray:
+    def read_strided(
+        self, r0: int, r1: int, t0: int, t1: int, tstep: int = 1
+    ) -> np.ndarray:
+        """Rows ``[r0, r1)``, every ``tstep``-th sample of ``[t0, t1)``, as
+        a float64 block.  Sources over storage push the stride all the way
+        down: the storage layer fetches the lattice's bounding spans and
+        hands back only the lattice."""
         raise NotImplementedError
+
+    def read_rows(self, r0: int, r1: int, t0: int, t1: int) -> np.ndarray:
+        return self.read_strided(r0, r1, t0, t1, 1)
 
     def read(self, t0: int, t1: int) -> np.ndarray:
         return self.read_rows(0, self.n_channels, t0, t1)
 
-    def read_strided(
-        self, r0: int, r1: int, t0: int, t1: int, tstep: int = 1
-    ) -> np.ndarray:
-        """Rows ``[r0, r1)``, every ``tstep``-th sample of ``[t0, t1)``.
-
-        The base implementation reads the bounding block and subsamples in
-        memory; sources backed by sliceable datasets override this to push
-        the stride into the storage layer, which fetches the lattice's
-        bounding spans and hands back only the lattice.
-        """
+    def _check(self, r0: int, r1: int, t0: int, t1: int, tstep: int = 1) -> None:
         if tstep < 1:
             raise ConfigError("tstep must be >= 1")
-        if tstep == 1:
-            return self.read_rows(r0, r1, t0, t1)
-        block = self.read_rows(r0, r1, t0, t1)[:, ::tstep]
-        return np.ascontiguousarray(block)
-
-    def _check(self, r0: int, r1: int, t0: int, t1: int) -> None:
         if not (0 <= r0 <= r1 <= self.n_channels):
             raise ConfigError(
                 f"row range [{r0}, {r1}) outside {self.n_channels} channels"
@@ -125,29 +131,23 @@ class ArraySource(ChunkSource):
         self.n_channels, self.n_samples = data.shape
         self.fs = float(fs)
 
-    def read_rows(self, r0: int, r1: int, t0: int, t1: int) -> np.ndarray:
-        self._check(r0, r1, t0, t1)
-        block = np.asarray(self._data[r0:r1, t0:t1], dtype=np.float64)
-        self.bytes_streamed += block.nbytes
-        return block
-
     def read_strided(
         self, r0: int, r1: int, t0: int, t1: int, tstep: int = 1
     ) -> np.ndarray:
-        if tstep < 1:
-            raise ConfigError("tstep must be >= 1")
-        self._check(r0, r1, t0, t1)
-        block = np.ascontiguousarray(
-            np.asarray(self._data[r0:r1, t0:t1:tstep], dtype=np.float64)
-        )
+        self._check(r0, r1, t0, t1, tstep)
+        # A float64 array is handed out as views of itself: nothing to read.
+        block = np.asarray(self._data[r0:r1, t0:t1:tstep], dtype=np.float64)
+        if tstep > 1:
+            block = np.ascontiguousarray(block)
         self.bytes_streamed += block.nbytes
         return block
 
 
 class DatasetSource(ChunkSource):
-    """A chunk source over anything sliceable with ``shape`` — an hdf5lite
-    :class:`~repro.hdf5lite.dataset.Dataset`, a
-    :class:`~repro.storage.lav.LAV`, or any 2-D array-like."""
+    """A chunk source over a 2-D hdf5lite
+    :class:`~repro.hdf5lite.dataset.Dataset` or a
+    :class:`~repro.storage.lav.LAV` of one — anything with ``shape`` and
+    ``read_direct(hyperslab, out)``."""
 
     def __init__(self, dataset: object, fs: float = 0.0):
         super().__init__()
@@ -158,22 +158,17 @@ class DatasetSource(ChunkSource):
         self.n_channels, self.n_samples = int(shape[0]), int(shape[1])
         self.fs = float(fs)
 
-    def read_rows(self, r0: int, r1: int, t0: int, t1: int) -> np.ndarray:
-        self._check(r0, r1, t0, t1)
-        block = np.asarray(self._dataset[r0:r1, t0:t1], dtype=np.float64)
-        self.bytes_streamed += block.nbytes
-        return block
-
     def read_strided(
         self, r0: int, r1: int, t0: int, t1: int, tstep: int = 1
     ) -> np.ndarray:
-        if tstep < 1:
-            raise ConfigError("tstep must be >= 1")
-        self._check(r0, r1, t0, t1)
-        # The dataset slice carries the stride all the way down: hdf5lite
-        # fetches the lattice's spans (and skips missed chunks).
-        block = np.ascontiguousarray(
-            np.asarray(self._dataset[r0:r1, t0:t1:tstep], dtype=np.float64)
+        self._check(r0, r1, t0, t1, tstep)
+        # The block the caller keeps is the buffer the storage layer fills:
+        # the stride goes all the way down (hdf5lite fetches the lattice's
+        # spans and skips missed chunks) and every sample is cast to
+        # float64 as it lands, once.
+        block = np.empty((r1 - r0, -(-(t1 - t0) // tstep)), dtype=np.float64)
+        self._dataset.read_direct(
+            Hyperslab((r0, t0), block.shape, (1, tstep)), block
         )
         self.bytes_streamed += block.nbytes
         return block
@@ -283,18 +278,20 @@ class SlicedSource(ChunkSource):
         pushdown unchanged."""
         return getattr(self._inner, "path", None)
 
-    def read_rows(self, r0: int, r1: int, t0: int, t1: int) -> np.ndarray:
-        self._check(r0, r1, t0, t1)
+    def read_strided(
+        self, r0: int, r1: int, t0: int, t1: int, tstep: int = 1
+    ) -> np.ndarray:
+        self._check(r0, r1, t0, t1, tstep)
         if t1 <= t0 or r1 <= r0:
             return np.empty((r1 - r0, max(0, t1 - t0)), dtype=np.float64)
-        raw_t0 = t0 * self.step
-        raw_t1 = (t1 - 1) * self.step + 1
+        # Strides compose: every tstep-th sample of this view is every
+        # (step * tstep)-th of the inner source.
         block = self._inner.read_strided(
             r0 + self.channel_lo,
             r1 + self.channel_lo,
-            raw_t0,
-            raw_t1,
-            self.step,
+            t0 * self.step,
+            (t1 - 1) * self.step + 1,
+            self.step * tstep,
         )
         self.bytes_streamed += block.nbytes
         return block
@@ -348,16 +345,10 @@ class WindowSource(ChunkSource):
     def path(self):
         return getattr(self._inner, "path", None)
 
-    def read_rows(self, r0: int, r1: int, t0: int, t1: int) -> np.ndarray:
-        self._check(r0, r1, t0, t1)
-        block = self._inner.read_rows(r0, r1, self.t0 + t0, self.t0 + t1)
-        self.bytes_streamed += block.nbytes
-        return block
-
     def read_strided(
         self, r0: int, r1: int, t0: int, t1: int, tstep: int = 1
     ) -> np.ndarray:
-        self._check(r0, r1, t0, t1)
+        self._check(r0, r1, t0, t1, tstep)
         block = self._inner.read_strided(
             r0, r1, self.t0 + t0, self.t0 + t1, tstep
         )
@@ -408,6 +399,6 @@ def as_source(source: object, fs: float | None = None) -> ChunkSource:
     if isinstance(source, VCAHandle):
         rate = fs if fs is not None else source.metadata.sampling_frequency
         return DatasetSource(source.dataset, fs=rate)
-    if hasattr(source, "shape") and hasattr(source, "__getitem__"):
+    if hasattr(source, "shape") and hasattr(source, "read_direct"):
         return DatasetSource(source, fs=fs if fs is not None else 0.0)
     raise StorageError(f"cannot stream from {type(source).__name__}")

@@ -80,6 +80,12 @@ class LAV:
         data = self._dataset.read_hyperslab(absolute)
         return data.reshape(selection_shape(hs, squeeze))
 
+    def read_direct(self, hs: Hyperslab, out: np.ndarray) -> None:
+        """Fill ``out`` with selection ``hs`` of this view — the dataset's
+        own :meth:`~repro.hdf5lite.dataset.Dataset.read_direct` in view
+        coordinates (composing refuses a selection that escapes the view)."""
+        self._dataset.read_direct(_compose(self._slab, hs), out)
+
     def __array__(self, dtype: object = None, copy: object = None) -> np.ndarray:
         arr = self.read()
         if dtype is not None:

@@ -102,6 +102,13 @@ class IOStats:
         """Total I/O requests (reads + writes) — the IOPS-relevant count."""
         return self.reads + self.writes
 
+    def total_bytes_read(self) -> int:
+        """The ``bytes_read`` counter alone, for callers that bracket a
+        request with it (a whole snapshot per reading is the cost of a
+        small warm request's bookkeeping)."""
+        with self._lock:
+            return self.bytes_read
+
     def merge(self, other: "IOStats") -> None:
         """Add ``other``'s counters into this accumulator.
 

@@ -17,7 +17,14 @@ Between operators the kernel hands on only what the plan asks for: a
 multi-map chain equals its members applied level by level to exactly the
 per-level intervals of ``_needed`` (batch and incremental), and recording
 probes assert that no ``apply`` ever receives fringe beyond them.
+
+A plan that computes nothing is not chunked at all: one read, each stored
+chunk decoded once, the block the source returns handed back as the
+result — unless a ``FailurePolicy`` asks for per-chunk gaps.
 """
+
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,7 +56,13 @@ from repro.core.pipeline import (
 )
 from repro.core.stalta import StaLtaOp
 from repro.errors import ConfigError
-from repro.storage.chunks import ArraySource, WindowSource
+from repro.faults.policy import FailurePolicy
+from repro.hdf5lite.codecs import TransposeZlibCodec
+from repro.hdf5lite.hyperslab import SPAN_SCRATCH_BYTES
+from repro.storage.chunks import ArraySource, ChunkSource, WindowSource, open_stream
+from repro.storage.dasfile import write_das_file
+from repro.storage.metadata import DASMetadata
+from repro.storage.vca import create_vca
 
 B, A = butter(2, [0.1, 0.4], btype="band", fs=1.0)
 SIMI = LocalSimilarityConfig(half_window=8, half_lag=2, stride=20)
@@ -228,10 +241,6 @@ class RecordingSource(ArraySource):
     def __init__(self, data):
         super().__init__(data, fs=100.0)
         self.reads = 0
-
-    def read_rows(self, r0, r1, t0, t1):
-        self.reads += 1
-        return super().read_rows(r0, r1, t0, t1)
 
     def read_strided(self, r0, r1, t0, t1, tstep=1):
         self.reads += 1
@@ -529,3 +538,187 @@ def test_trimming_moves_no_bit_of_position_independent_chains(chunk, threads):
         np.testing.assert_array_equal(
             got, _batch_by_levels(ops, data, size, trim=False)
         )
+
+
+# ---------------------------------------------------------------------------
+# a plan that computes nothing is read in one piece
+# ---------------------------------------------------------------------------
+
+SCAN_CHANNELS, SCAN_FILE, SCAN_FILES = 48, 10_000, 3
+SCAN_CHUNK = 11_000  # executor chunks end inside stored chunks of files 1 and 2
+STORED_CHUNK = (16, 2048)
+
+
+@pytest.fixture(scope="module")
+def archives(tmp_path_factory):
+    """One record as a raw and as a packed (chunked + zlib + CRC) VCA."""
+    root = tmp_path_factory.mktemp("scan")
+    data = (
+        np.random.default_rng(8)
+        .normal(size=(SCAN_CHANNELS, SCAN_FILE * SCAN_FILES))
+        .astype(np.float32)
+    )
+    packed = dict(chunks=STORED_CHUNK, codec="transpose-zlib", checksum=True)
+    vcas = {}
+    for layout, kwargs in (("raw", {}), ("packed", packed)):
+        paths = []
+        for i in range(SCAN_FILES):
+            paths.append(str(root / f"{layout}_1701010000{i:02d}.h5"))
+            write_das_file(
+                paths[-1],
+                data[:, i * SCAN_FILE : (i + 1) * SCAN_FILE],
+                DASMetadata(
+                    sampling_frequency=100.0,
+                    spatial_resolution=2.0,
+                    timestamp=f"1701010000{i:02d}",
+                    n_channels=SCAN_CHANNELS,
+                ),
+                channel_groups=False,
+                **kwargs,
+            )
+        vcas[layout] = create_vca(str(root / f"{layout}.h5"), paths)
+    return vcas, data.astype(np.float64)
+
+
+class ReadLog(ChunkSource):
+    """Forwards the executor's two read calls, keeping what each returned;
+    ``broken`` is a sample whose reads fail."""
+
+    def __init__(self, inner, broken=None):
+        self._inner, self._broken = inner, broken
+        self.n_channels, self.n_samples, self.fs = (
+            inner.n_channels, inner.n_samples, inner.fs,
+        )
+        self.blocks = []
+
+    bytes_streamed = property(lambda self: self._inner.bytes_streamed)
+
+    def _keep(self, block, t0, t1):
+        if self._broken is not None and t0 <= self._broken < t1:
+            raise OSError("unreadable span")
+        self.blocks.append(block)
+        return block
+
+    def read_rows(self, r0, r1, t0, t1):
+        return self._keep(self._inner.read_rows(r0, r1, t0, t1), t0, t1)
+
+    def read_strided(self, r0, r1, t0, t1, tstep=1):
+        return self._keep(self._inner.read_strided(r0, r1, t0, t1, tstep), t0, t1)
+
+
+def _scan(rows, step):
+    query = Query.scan(None)
+    if rows is not None:
+        query = query.select_channels(*rows)
+    if step > 1:
+        query = query.decimate(step)
+    return optimize(query, chunk_samples=SCAN_CHUNK)
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    calls = []
+    real = TransposeZlibCodec.decode
+    monkeypatch.setattr(
+        TransposeZlibCodec,
+        "decode",
+        lambda self, *args: calls.append(1) or real(self, *args),
+    )
+    return calls
+
+
+@pytest.mark.parametrize("window", [None, (1500, 27_000)])
+@pytest.mark.parametrize("step", [1, 8])
+@pytest.mark.parametrize("rows", [None, (12, 24)])
+@pytest.mark.parametrize("layout", ["raw", "packed"])
+def test_compute_free_plan_is_one_read(archives, decodes, layout, rows, step, window):
+    vcas, whole = archives
+    t0, t1 = window or (0, whole.shape[1])
+    expected = whole[slice(*rows) if rows else slice(None), t0:t1:step]
+    plan = _scan(rows, step)
+    with open_stream(vcas[layout]) as src:
+        log = ReadLog(src)
+        source = WindowSource(log, t0, t1) if window else log
+        (result,) = execute(plan, source=source)
+        assert len(log.blocks) == 1
+        assert np.shares_memory(result.output, log.blocks[0])  # not a copy
+        assert result.output.dtype == np.float64 and result.output.flags.c_contiguous
+        np.testing.assert_array_equal(result.output, expected)
+        assert result.profile.n_chunks == 1
+        # the only resident array is the output
+        assert result.profile.peak_resident_bytes == result.output.nbytes
+        if layout == "packed":
+            # every stored chunk the selection lands on, once
+            row_chunks = {
+                r // STORED_CHUNK[0] for r in range(*(rows or (0, SCAN_CHANNELS)))
+            }
+            col_chunks = {
+                (t // SCAN_FILE, t % SCAN_FILE // STORED_CHUNK[1])
+                for t in range(t0, t1, step)
+            }
+            assert len(decodes) == len(row_chunks) * len(col_chunks)
+
+        # the same plan under a FailurePolicy keeps its chunks, and the
+        # eager chain (select/subsample as operators) agrees with both
+        log.blocks.clear()
+        (chunked,) = execute(plan, source=source, policy=FailurePolicy())
+        assert chunked.profile.n_chunks == len(log.blocks) > 1
+        np.testing.assert_array_equal(chunked.output, result.output)
+        (naive,) = execute(plan, source=source, naive=True)
+        np.testing.assert_array_equal(naive.output, result.output)
+
+
+def test_full_packed_scan_decodes_each_stored_chunk_once(archives, decodes):
+    vcas, whole = archives
+    stored = (
+        SCAN_FILES
+        * (SCAN_CHANNELS // STORED_CHUNK[0])
+        * -(-SCAN_FILE // STORED_CHUNK[1])
+    )
+    with open_stream(vcas["packed"]) as src:
+        (result,) = execute(_scan(None, 1), source=src)
+    assert len(decodes) == stored
+    del decodes[:]
+    with open_stream(vcas["packed"]) as src:
+        execute(_scan(None, 1), source=src, policy=FailurePolicy())
+    # chunk by chunk, the stored chunks under an executor boundary decode twice
+    assert len(decodes) > stored
+
+
+def test_failure_policy_still_reports_gaps_by_chunk(archives):
+    vcas, whole = archives
+    plan = _scan(None, 1)
+    policy = FailurePolicy(mode="continue", retries=0)
+    with open_stream(vcas["raw"]) as src:
+        (result,) = execute(plan, source=ReadLog(src, broken=12_345), policy=policy)
+    assert result.profile.n_chunks == 3
+    assert [(g.t0, g.t1) for g in result.gaps] == [(SCAN_CHUNK, 2 * SCAN_CHUNK)]
+    assert np.isnan(result.output[:, SCAN_CHUNK : 2 * SCAN_CHUNK]).all()
+    np.testing.assert_array_equal(result.output[:, :SCAN_CHUNK], whole[:, :SCAN_CHUNK])
+    np.testing.assert_array_equal(
+        result.output[:, 2 * SCAN_CHUNK :], whole[:, 2 * SCAN_CHUNK :]
+    )
+
+
+@pytest.mark.parametrize("layout", ["raw", "packed"])
+def test_full_scan_holds_the_output_and_little_else(archives, layout):
+    vcas, _whole = archives
+    plan = _scan(None, 1)
+    decoded_chunk = STORED_CHUNK[0] * STORED_CHUNK[1] * 4
+    with open_stream(vcas[layout]) as src:
+        execute(plan, source=src)  # handles open, metadata parsed
+        tracemalloc.start()
+        try:
+            (result,) = execute(plan, source=src)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= result.output.nbytes + decoded_chunk + 2 * SPAN_SCRATCH_BYTES
+
+
+def test_explain_says_when_a_plan_is_not_chunked():
+    from repro.core.optimizer import explain
+
+    assert "chunking: none" in explain(_scan((12, 24), 8))
+    busy = optimize(Query.scan(None).then(StaLtaOp(4, 16)), chunk_samples=SCAN_CHUNK)
+    assert f"chunking: {SCAN_CHUNK} samples" in explain(busy)

@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.local_similarity import (
     LocalSimilarityConfig,
@@ -364,6 +366,98 @@ class TestEventAssembly:
             EventPolicy(min_fraction=0.0)
         with pytest.raises(ConfigError):
             EventPolicy(min_columns=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_channels=st.integers(1, 9),
+        n_columns=st.integers(0, 60),
+        threshold=st.floats(-0.5, 1.2),
+        min_fraction=st.sampled_from([0.01, 0.25, 0.5, 1.0]),
+        min_columns=st.integers(1, 3),
+        channel_lo=st.integers(0, 3),
+        cuts=st.lists(st.integers(0, 60), max_size=6),
+        float_centers=st.booleans(),
+    )
+    def test_feed_equals_the_column_loop_bit_for_bit(
+        self, seed, n_channels, n_columns, threshold, min_fraction,
+        min_columns, channel_lo, cuts, float_centers,
+    ):
+        """Random maps, thresholds and splits of the column axis (empty
+        pieces and runs open across feeds included): the events — their
+        float fields too — and the carried run equal the per-column loop's
+        at every step."""
+        rng = np.random.default_rng(seed)
+        block = rng.uniform(-1.0, 1.5, size=(n_channels, n_columns))
+        # long hot stretches, so runs stay open across pieces
+        block[:, rng.random(n_columns) < 0.6] += 1.0
+        block[rng.random(block.shape) < 0.02] = np.nan
+        centers = np.arange(n_columns) * 7 + 30
+        if float_centers:
+            centers = centers + rng.random(n_columns)
+        policy = EventPolicy(
+            threshold=threshold, min_fraction=min_fraction, min_columns=min_columns
+        )
+        edges = sorted({0, n_columns, *(c for c in cuts if c <= n_columns)})
+        edges = edges[:1] + edges  # an empty first piece
+        args = (policy, 100.0, n_channels + 2 * channel_lo, channel_lo)
+        fast, slow = EventAssembler(*args), _LoopAssembler(*args)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            piece = (lo, centers[lo:hi], block[:, lo:hi])
+            assert fast.feed(*piece) == slow.feed(*piece)
+            assert fast.export_state() == slow.export_state()
+        assert fast.flush() == slow.flush()
+
+
+class _LoopAssembler(EventAssembler):
+    """The per-column definition of :meth:`EventAssembler.feed`, kept as
+    the reference the vectorised one is held to."""
+
+    def feed(self, j_lo, centers, block):
+        block = np.asarray(block, dtype=np.float64)
+        policy = self.policy
+        finalized = []
+        for k in range(block.shape[1]):
+            j = j_lo + k
+            column = block[:, k]
+            hits = column > policy.threshold
+            hot = hits.mean() >= policy.min_fraction
+            run = self._open
+            if run is not None and (not hot or j != run["j_end"] + 1):
+                finalized.extend(self._finalize())
+                run = None
+            if not hot:
+                continue
+            t = float(centers[k]) / self.fs
+            rows = np.flatnonzero(hits)
+            channels = rows + self.channel_lo
+            if run is None:
+                self._open = run = {
+                    "j_start": j,
+                    "j_end": j,
+                    "t_start": t,
+                    "t_end": t,
+                    "ch_min": int(channels.min()),
+                    "ch_max": int(channels.max()),
+                    "peak": float(column[rows].max()),
+                    "n_cells": 0,
+                    "s_t": 0.0,
+                    "s_ch": 0.0,
+                    "s_tch": 0.0,
+                    "s_tt": 0.0,
+                }
+            else:
+                run["j_end"] = j
+                run["t_end"] = t
+                run["ch_min"] = min(run["ch_min"], int(channels.min()))
+                run["ch_max"] = max(run["ch_max"], int(channels.max()))
+                run["peak"] = max(run["peak"], float(column[rows].max()))
+            run["n_cells"] += int(len(rows))
+            run["s_t"] += t * len(rows)
+            run["s_ch"] += float(channels.sum())
+            run["s_tch"] += t * float(channels.sum())
+            run["s_tt"] += t * t * len(rows)
+        return finalized
 
 
 class TestEventSink:

@@ -19,6 +19,12 @@ class TestIOStats:
         assert s.reads == 2
         assert s.bytes_read == 150
 
+    def test_total_bytes_read_is_the_snapshot_counter(self):
+        s = IOStats()
+        s.record_read(100)
+        s.record_write(7)
+        assert s.total_bytes_read() == s.snapshot()["bytes_read"] == 100
+
     def test_record_write(self):
         s = IOStats()
         s.record_write(64)
