@@ -12,9 +12,13 @@ two Fig. 9 execution policies:
   block plus the decimated accumulator resident at a time.
 
 Asserts the two outputs agree to 1e-9 and that the streamed peak
-resident bytes (the profile's per-chunk array-footprint proxy) are
-strictly below the materialized peak, then records per-stage seconds,
-bytes streamed, and the peaks in ``BENCH_pipeline.json``.
+resident bytes (the profile's footprint proxy: every chunk in flight,
+the block read ahead, outputs and sinks) are strictly below the
+materialized peak, then records per-stage seconds, bytes streamed, and
+the peaks in ``BENCH_pipeline.json``.  The streamed run is also watched
+from outside: ``workers_started`` counts every thread started while it
+ran (one pool per run: at most ``threads``) and ``reads_off_caller`` the
+source reads issued from any thread but the caller's (none).
 
 Usage::
 
@@ -28,7 +32,9 @@ import argparse
 import json
 import os
 import sys
+import threading
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -40,6 +46,7 @@ from repro.core.interferometry import (  # noqa: E402
     master_spectrum,
 )
 from repro.core.pipeline import StreamPipeline, run_materialized  # noqa: E402
+from repro.storage.chunks import ArraySource  # noqa: E402
 from repro.utils.timer import Timer  # noqa: E402
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
@@ -50,6 +57,38 @@ def build_noise(channels: int, samples: int) -> np.ndarray:
     data = rng.standard_normal((channels, samples))
     data += np.linspace(0.0, 2.0, samples)[None, :]  # make detrend earn its keep
     return data
+
+
+class ReadSpy(ArraySource):
+    """Counts the reads issued from a thread other than the one that
+    built the source (the caller of ``run``)."""
+
+    def __init__(self, data: np.ndarray, fs: float):
+        super().__init__(data, fs=fs)
+        self._caller = threading.get_ident()
+        self.off_caller = 0
+
+    def read_strided(self, r0, r1, t0, t1, tstep=1):
+        if threading.get_ident() != self._caller:
+            self.off_caller += 1
+        return super().read_strided(r0, r1, t0, t1, tstep)
+
+
+@contextmanager
+def thread_starts():
+    """Names of the threads started inside the block, whoever starts them."""
+    started: list[str] = []
+    real = threading.Thread.start
+
+    def start(thread: threading.Thread) -> None:
+        started.append(thread.name)
+        real(thread)
+
+    threading.Thread.start = start
+    try:
+        yield started
+    finally:
+        threading.Thread.start = real
 
 
 def run_comparison(
@@ -68,11 +107,13 @@ def run_comparison(
 
     chunk = max(1, samples // 8)
     str_timer = Timer()
-    t0 = time.perf_counter()
-    streamed = StreamPipeline(operators).run(
-        data, chunk_samples=chunk, threads=threads, timer=str_timer, fs=config.fs
-    )
-    str_wall = time.perf_counter() - t0
+    source = ReadSpy(data, config.fs)
+    with thread_starts() as started:
+        t0 = time.perf_counter()
+        streamed = StreamPipeline(operators).run(
+            source, chunk_samples=chunk, threads=threads, timer=str_timer
+        )
+        str_wall = time.perf_counter() - t0
 
     drift = float(np.max(np.abs(streamed.output - materialized.output)))
     assert drift < 1e-9, f"streamed output drifted from materialized by {drift}"
@@ -84,11 +125,20 @@ def run_comparison(
         f"materialized peak {materialized.profile.peak_resident_bytes}"
     )
 
+    assert len(started) <= threads, (
+        f"{len(started)} threads started for threads={threads}: {started}"
+    )
+    assert source.off_caller == 0, (
+        f"{source.off_caller} source reads issued off the calling thread"
+    )
+
     return {
         "channels": channels,
         "samples": samples,
         "threads": threads,
         "chunk_samples": chunk,
+        "workers_started": len(started),
+        "reads_off_caller": source.off_caller,
         "max_abs_output_diff": drift,
         "materialized": {
             "wall_seconds": mat_wall,
@@ -133,7 +183,8 @@ def main() -> None:
             f"  streamed    : {srt['wall_seconds']:.3f} s, "
             f"peak {srt['peak_resident_bytes'] / 1e6:.1f} MB "
             f"({entry['peak_bytes_ratio']:.2f}x of materialized), "
-            f"{srt['n_chunks']} chunks"
+            f"{srt['n_chunks']} chunks, {entry['workers_started']} workers started, "
+            f"{entry['reads_off_caller']} reads off the caller"
         )
         print(f"  max |diff|  : {entry['max_abs_output_diff']:.2e}")
         results.append(entry)

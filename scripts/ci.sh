@@ -8,7 +8,9 @@
 # that a budget-0 cache reproduces uncached behaviour byte-for-byte
 # (BENCH_cache.json).  The pipeline smoke run asserts the one chunk-loop
 # kernel matches materialized execution to 1e-9 while its peak resident
-# bytes stay strictly below (BENCH_pipeline.json).  The rt
+# bytes stay strictly below, that a run starts no more threads than
+# `threads` (one pool per run) and that no source read leaves the
+# calling thread (BENCH_pipeline.json).  The rt
 # smoke run drip-feeds a spool through the monitoring service and
 # asserts its event log is seam-equivalent to one batch run over the
 # concatenated record (BENCH_rt.json).  The faults smoke run asserts
@@ -29,7 +31,8 @@
 # polite tenant's p95 latency within the configured isolation bound
 # (BENCH_serve.json).  repro.checks rejects new lock-discipline,
 # exception-taxonomy, operator-contract, planner-geometry, public-API,
-# simmpi-protocol, resource-lifecycle, and atomic-persistence findings
+# simmpi-protocol, resource-lifecycle, atomic-persistence, and BLAS-call
+# (BLS001: no BLAS-backed product on the analysis path) findings
 # not in scripts/checks_baseline.json; the incremental smoke then
 # proves --changed-since on the unchanged tree re-analyzes zero
 # modules and replays the full run's findings byte-for-byte.

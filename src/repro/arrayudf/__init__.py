@@ -11,8 +11,9 @@ Reimplements the authors' prior system (HPDC'17) that DASSA extends:
 * :func:`~repro.arrayudf.apply_mt.apply_mt` — the multithreaded Apply of
   DASSA's Hybrid ArrayUDF Execution Engine (Algorithm 1),
 * :func:`~repro.arrayudf.fuse.map_blocks_mt` — the same static-schedule
-  threading for whole fused operator chains (the streaming executor's
-  per-chunk parallelism),
+  threading for whole fused operator chains
+  (:func:`~repro.arrayudf.fuse.partition_row_blocks` is the schedule the
+  streaming executor splits a single-chunk plan's rows by),
 * :class:`~repro.arrayudf.engine.HybridEngine` — HAEE: one rank per
   node + threads, versus :class:`~repro.arrayudf.engine.MPIEngine`:
   one rank per core (the Fig. 8 comparison).

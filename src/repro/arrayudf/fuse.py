@@ -1,15 +1,21 @@
 """Thread-parallel execution of fused operator chains over row blocks.
 
-The streaming execution core (:mod:`repro.core.pipeline`) runs a whole
-chain of DSP operators on each data chunk.  Within a chunk, DASSA's
-Hybrid ArrayUDF Execution Engine structure applies: the output rows are
-split **statically** among threads (``#pragma omp for schedule(static)``
-as in :func:`repro.arrayudf.apply_mt.apply_mt`), each thread runs the
-entire fused chain on its private row block, and the per-thread results
-are concatenated in schedule order — the same prefix-offset merge as
-Algorithm 1, with a whole vectorised pipeline in place of a per-cell
-UDF.  All threads share the one input chunk, so node-level state (e.g.
-a master spectrum) exists once per chunk rather than once per thread.
+DASSA's Hybrid ArrayUDF Execution Engine structure, with a whole
+vectorised chain in place of a per-cell UDF: the output rows are split
+**statically** among threads (``#pragma omp for schedule(static)`` as in
+:func:`repro.arrayudf.apply_mt.apply_mt`), each thread runs the entire
+fused chain on its private row block, and the per-thread results are
+concatenated in schedule order — the same prefix-offset merge as
+Algorithm 1.  All threads share the one input block, so node-level state
+(e.g. a master spectrum) exists once per block rather than once per
+thread.
+
+:func:`partition_row_blocks` is that schedule; the streaming execution
+core (:mod:`repro.core.pipeline`) uses it to split the rows of a
+*single-chunk* plan over its run's worker pool — a plan of several
+chunks parallelises over chunks instead.  :func:`map_blocks_mt` is the
+standalone form: it starts its own threads for one call and joins them
+(the benchmark harness times it as the row-split probe).
 """
 
 from __future__ import annotations

@@ -61,8 +61,8 @@ def all_analyzers() -> list[Analyzer]:
     """One instance of every registered analyzer (built-ins included)."""
     # Importing the built-in analyzer modules triggers their @register.
     from repro.checks import (  # noqa - imported for side effect
-        api, atm, ccm, contracts, locks, pln, res, taxonomy,
+        api, atm, bls, ccm, contracts, locks, pln, res, taxonomy,
     )
 
-    _ = (api, atm, ccm, contracts, locks, pln, res, taxonomy)
+    _ = (api, atm, bls, ccm, contracts, locks, pln, res, taxonomy)
     return [cls() for _, cls in sorted(_REGISTRY.items())]

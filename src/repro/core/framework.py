@@ -36,11 +36,17 @@ from repro.core.optimizer import PhysicalPlan
 from repro.core.optimizer import execute as execute_plan
 from repro.core.optimizer import explain as explain_plan
 from repro.core.optimizer import optimize
-from repro.core.pipeline import PipelineProfile, PipelineResult
+from repro.core.pipeline import PipelineProfile, PipelineResult, in_flight
 from repro.core.stalta import streamed_sta_lta
 from repro.errors import ConfigError, StorageError
 from repro.faults.policy import FailurePolicy
-from repro.storage.chunks import ChunkSource, as_source, auto_chunk_samples, open_stream
+from repro.storage.chunks import (
+    DEFAULT_CHUNK_BYTES,
+    ChunkSource,
+    as_source,
+    auto_chunk_samples,
+    open_stream,
+)
 from repro.storage.gaps import GapMap
 from repro.storage.rca import create_rca
 from repro.storage.search import DASFileInfo, das_search
@@ -51,10 +57,10 @@ from repro.storage.vca import VCAHandle, create_vca, open_vca
 class DASSAConfig:
     """Framework-level knobs.
 
-    ``chunk_samples=None`` sizes streaming chunks automatically so a raw
-    block stays under ``chunk_bytes`` (whole record if it already fits);
-    analysis never materialises more than one such block plus the
-    per-stage halos.
+    ``chunk_samples=None`` sizes streaming chunks automatically so the raw
+    blocks a run holds at once — ``threads`` in compute and one read
+    ahead — stay under ``chunk_bytes`` together (whole record if it
+    already fits); an explicit ``chunk_samples`` is used as given.
 
     ``on_error`` governs degraded source reads (forwarded to
     :func:`~repro.storage.vca.open_vca` when the facade opens a VCA path):
@@ -68,7 +74,7 @@ class DASSAConfig:
     threads: int = 4
     workdir: str | None = None
     chunk_samples: int | None = None
-    chunk_bytes: int = 64 << 20
+    chunk_bytes: int = DEFAULT_CHUNK_BYTES
     on_error: str = "raise"
     fill_value: float = float("nan")
     failure_policy: FailurePolicy | None = None
@@ -91,7 +97,7 @@ class DASSA:
         threads: int = 4,
         workdir: str | os.PathLike | None = None,
         chunk_samples: int | None = None,
-        chunk_bytes: int = 64 << 20,
+        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         on_error: str = "raise",
         fill_value: float = float("nan"),
         failure_policy: FailurePolicy | None = None,
@@ -227,10 +233,15 @@ class DASSA:
         self.last_gaps = gaps if gaps else None
 
     def _chunk_for(self, src: ChunkSource) -> int:
+        """An explicit ``chunk_samples`` as given; otherwise the length
+        whose blocks — as many as the run holds at once — fit
+        ``chunk_bytes``."""
         if self.config.chunk_samples is not None:
             return self.config.chunk_samples
         return auto_chunk_samples(
-            src.n_channels, src.n_samples, budget_bytes=self.config.chunk_bytes
+            src.n_channels,
+            src.n_samples,
+            budget_bytes=self.config.chunk_bytes // in_flight(self.config.threads),
         )
 
     # -- analysis side -------------------------------------------------------------

@@ -76,7 +76,7 @@ class DetrendOp(Operator):
     def prepass_update(self, acc: dict, chunk: np.ndarray, start: int) -> None:
         t = np.arange(start, start + chunk.shape[-1], dtype=np.float64)
         acc["sx"] += chunk.sum(axis=-1)
-        acc["stx"] += chunk @ t
+        acc["stx"] += np.einsum("ct,t->c", chunk, t)
 
     def prepass_finalize(self, acc: dict) -> dict:
         total = acc["total"]

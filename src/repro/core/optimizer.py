@@ -61,11 +61,17 @@ from repro.core.pipeline import (
     SinkOp,
     _ceil_div,
     computes_nothing,
+    in_flight,
     run_chunks,
 )
 from repro.errors import ConfigError
 from repro.faults.policy import FailurePolicy
-from repro.storage.chunks import SlicedSource, as_source, auto_chunk_samples
+from repro.storage.chunks import (
+    DEFAULT_CHUNK_BYTES,
+    SlicedSource,
+    as_source,
+    auto_chunk_samples,
+)
 from repro.utils.iostats import IOStats
 from repro.utils.timer import Timer
 
@@ -304,7 +310,12 @@ def _resolve_execution(plan: PhysicalPlan, src) -> tuple[int, int]:
                 f"(est {tuning.est_seconds:.3g}s, halo={halo})"
             )
         else:
-            chunk = auto_chunk_samples(src.n_channels, src.n_samples)
+            # the default byte budget, shared by the blocks held at once
+            chunk = auto_chunk_samples(
+                src.n_channels,
+                src.n_samples,
+                budget_bytes=DEFAULT_CHUNK_BYTES // in_flight(threads),
+            )
     chunk = int(chunk)
     if chunk < 1:
         raise ConfigError("chunk_samples must be >= 1")

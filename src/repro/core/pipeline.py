@@ -21,12 +21,17 @@ whole-array materialisation.  This module is that execution core:
   backwards and validates that plan — tiling, containment, coverage —
   before anything is read; per chunk it reads the union interval once
   from a :class:`~repro.storage.chunks.ChunkSource` (VCA/LAV/array —
-  halo re-reads hit the hdf5lite block cache), runs each chain segment
-  thread-parallel over channel blocks in the ApplyMT structure, applies
-  the per-chunk :class:`~repro.faults.policy.FailurePolicy`, and stitches
-  the ghost zones away — between operators, so no stage computes on a
-  predecessor's fringe — so streamed output is numerically equivalent to
-  whole-array output.  Everything else is a lowering onto it:
+  halo re-reads hit the hdf5lite block cache), runs the whole chain on
+  it, applies the per-chunk :class:`~repro.faults.policy.FailurePolicy`,
+  and stitches the ghost zones away — between operators, so no stage
+  computes on a predecessor's fringe — so streamed output is numerically
+  equivalent to whole-array output.  With ``threads > 1`` a run owns one
+  worker pool and the chunk is the unit of parallel work: the calling
+  thread reads chunk *k+1* while up to ``threads`` earlier chunks run
+  their chains on the pool, and chunks are settled in plan order
+  (:func:`_stream`); only a plan of a single chunk splits rows instead,
+  in the ApplyMT structure (:func:`_run_rows`).  Everything else is a
+  lowering onto it:
   :meth:`StreamPipeline.run` is the one-branch call,
   :func:`repro.core.optimizer.execute` chooses source, prefix and tails,
   and :class:`IncrementalRunner` drives the kernel's planning helpers and
@@ -45,12 +50,14 @@ peak resident array bytes — the quantity chunking is meant to bound.
 from __future__ import annotations
 
 import hashlib
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.arrayudf.fuse import map_blocks_mt
+from repro.arrayudf.fuse import partition_row_blocks
 from repro.errors import ConfigError
 from repro.faults.policy import RETRYABLE, FailurePolicy, retry_call
 from repro.storage.chunks import ChunkSource, as_source, auto_chunk_samples, iter_intervals
@@ -66,6 +73,7 @@ __all__ = [
     "PipelineResult",
     "Branch",
     "run_chunks",
+    "in_flight",
     "StreamPipeline",
     "IncrementalRunner",
     "run_materialized",
@@ -476,9 +484,10 @@ def _run_chain(
 
 
 def _run_rows(
+    pool: ThreadPoolExecutor | None,
+    workers: int,
     maps: list,
     out_rows: int,
-    threads: int,
     block: np.ndarray,
     needs: list[tuple[int, int]],
     totals: list[int],
@@ -486,30 +495,79 @@ def _run_rows(
     states: list,
     timer: Timer,
 ) -> tuple[np.ndarray, int]:
-    """:func:`_run_chain` with the chain's ``out_rows`` output rows split
-    statically among ``threads`` (the ApplyMT structure): each thread
-    runs the whole chain on the input rows its slice needs, and the
-    slices are concatenated in row order."""
-    threads = min(threads, out_rows)
-    if threads == 1 or not maps:
+    """:func:`_run_chain`, with the chain's ``out_rows`` output rows split
+    statically into ``workers`` tasks on ``pool`` when there is one (the
+    ApplyMT structure — how a one-chunk plan uses ``threads``): each task
+    runs the whole chain on the input rows its slice needs, and the slices
+    are concatenated in row order."""
+    rows = partition_row_blocks(out_rows, workers) if pool is not None and maps else ()
+    if len(rows) < 2:
         return _run_chain(maps, block, needs, totals, rates, states, 0, timer)
-    timers = [Timer() for _ in range(threads)]
-    peaks = [0] * threads
 
-    def worker(tid: int, lo: int, hi: int) -> np.ndarray:
+    def task(lo: int, hi: int) -> tuple[np.ndarray, int, Timer]:
         offs = [0] * len(maps)
         for k in range(len(maps) - 1, -1, -1):
             lo, hi = maps[k].in_rows(lo, hi)
             offs[k] = lo
-        out, peaks[tid] = _run_chain(
-            maps, block[lo:hi], needs, totals, rates, states, offs, timers[tid]
+        sub = Timer()
+        out, peak = _run_chain(
+            maps, block[lo:hi], needs, totals, rates, states, offs, sub
         )
-        return out
+        return out, peak, sub
 
-    parts = map_blocks_mt(out_rows, threads, worker)
-    for sub in timers:
+    done = [f.result() for f in [pool.submit(task, lo, hi) for lo, hi in rows]]
+    for _out, _peak, sub in done:
         timer.merge(sub)
-    return np.concatenate(parts, axis=0), max(block.nbytes, sum(peaks))
+    return (
+        np.concatenate([out for out, _peak, _sub in done], axis=0),
+        max(block.nbytes, sum(peak for _out, peak, _sub in done)),
+    )
+
+
+def _stream(
+    pool: ThreadPoolExecutor | None,
+    depth: int,
+    items: Iterable,
+    read: Callable,
+    work: Callable,
+    timer: Timer,
+) -> Iterator[tuple]:
+    """Yield ``(item, work(item, read(item), timer))`` for every item, in
+    order: the read-ahead loop of the kernel and of its pre-pass.
+
+    Without a pool that is all of it.  With one, the item is the unit of
+    parallel work: the calling thread reads item *k+1* while up to
+    ``depth`` earlier items run ``work`` on the pool (one more waits in
+    the pool's queue holding only its block, so a worker that finishes
+    never waits for the caller), and results are handed back strictly in
+    item order — sinks refuse anything else and float sums keep their
+    order.  Every ``read`` happens on the calling thread: sources count
+    bytes, hand files over and record degraded-read gaps without a lock.
+    Each task times into a :class:`Timer` of its own, merged into
+    ``timer`` as it is handed back; a task's exception is raised here, on
+    the calling thread, as the type it was raised with.  The caller owns
+    the pool and shuts it down."""
+    if pool is None:
+        for item in items:
+            yield item, work(item, read(item), timer)
+        return
+    pending: deque = deque()
+
+    def settle() -> tuple:
+        item, future, sub = pending.popleft()
+        try:
+            return item, future.result()
+        finally:
+            timer.merge(sub)
+
+    for item in items:
+        block = read(item)
+        sub = Timer()
+        pending.append((item, pool.submit(work, item, block, sub), sub))
+        if len(pending) > depth:
+            yield settle()
+    while pending:
+        yield settle()
 
 
 def _run_post(
@@ -532,23 +590,37 @@ def _prepass(
     channels: list[int],
     states: list,
     timer: Timer,
+    pool: ThreadPoolExecutor | None,
+    depth: int,
 ) -> None:
     """Fill the whole-record state of every ``needs_prepass`` operator by
-    streaming the chain below it once, chunk by chunk."""
+    streaming the chain below it once, chunk by chunk, through
+    :func:`_stream`: the level is computed per chunk (on ``pool`` when the
+    chain below has operators), ``prepass_update`` is applied on the
+    calling thread in chunk order."""
     for j, op in enumerate(maps):
         if not op.needs_prepass:
             continue
         below = maps[:j]
         acc = op.prepass_init(channels[j], totals[j])
+
+        def read(item: tuple) -> np.ndarray:
+            return src.read(*item[1][0])
+
+        def level(item: tuple, block: np.ndarray, _timer: Timer) -> np.ndarray:
+            return _run_chain(
+                below, block, item[1], totals, rates, states, 0, None
+            )[0]
+
         with timer.phase(f"{op.name}:prepass"):
-            for tgt, needs in _plan_chunks(below, totals, chunk):
-                if needs is None:
-                    continue
-                level, _ = _run_chain(
-                    below, src.read(*needs[0]), needs, totals, rates,
-                    states, 0, None,
-                )
-                op.prepass_update(acc, level, tgt[0])
+            plan = [
+                item for item in _plan_chunks(below, totals, chunk)
+                if item[1] is not None
+            ]
+            for (tgt, _needs), out in _stream(
+                pool if below else None, depth, plan, read, level, timer
+            ):
+                op.prepass_update(acc, out, tgt[0])
         states[j] = op.prepass_finalize(acc)
 
 
@@ -557,7 +629,8 @@ class _BranchRun:
     """A branch's per-run geometry and carried state.  ``tot``/``rate``/
     ``ch`` are its tail levels (level 0 is the prefix output);
     ``chain``/``chain_tot`` are the whole prefix+tail chain the chunk
-    plan (:func:`_plan_chunks`) composes through."""
+    plan (:func:`_plan_chunks`) composes through.  ``output`` is where a
+    branch without a sink lands its chunks."""
 
     branch: Branch
     maps: list
@@ -568,8 +641,29 @@ class _BranchRun:
     chain: list
     chain_tot: list[int]
     sink_state: Any = None
-    pieces: list = field(default_factory=list)
+    output: np.ndarray | None = None
     gaps: GapMap | None = None
+
+
+@dataclass
+class _Step:
+    """One source chunk of a run: the branches it feeds (``active``: run,
+    owned target, per-level needs), the per-level ``hull`` the shared
+    prefix must produce for them, and the attempts its read and chain
+    have lost to retryable faults so far (under a failure policy)."""
+
+    active: list
+    hull: list[tuple[int, int]]
+    failed: int = 0
+
+
+def in_flight(threads: int) -> int:
+    """How many chunk blocks a run with ``threads`` holds at once:
+    ``threads`` chains on the pool plus the block read ahead of them (one
+    when the run is serial).  A chunk length derived from a byte budget
+    divides the budget by this, so the budget keeps meaning resident
+    bytes."""
+    return threads + 1 if threads > 1 else 1
 
 
 def run_chunks(
@@ -593,23 +687,45 @@ def run_chunks(
     is checked on the chunking it actually runs.  Per source chunk the
     needs are unioned at the source and at the prefix/tail boundary, the
     union interval is read once, the prefix runs on it, and every branch
-    tail consumes its slice of the prefix output — each chain segment
-    row-split over ``threads``.  A lone branch's maps are the prefix (its
-    tail is empty), so a single chain may hold pre-pass operators
-    anywhere; with several branches they must sit in the shared prefix.
-    ``share_prefix=False`` recomputes the prefix per branch with
-    identical arguments — the reference that makes hoisting it bitwise
-    safe by construction.
+    tail consumes its slice of the prefix output.  A lone branch's maps
+    are the prefix (its tail is empty), so a single chain may hold
+    pre-pass operators anywhere; with several branches they must sit in
+    the shared prefix.  ``share_prefix=False`` recomputes the prefix per
+    branch with identical arguments — the reference that makes hoisting
+    it bitwise safe by construction.
+
+    **Threads.**  With ``threads > 1`` and something to compute, the call
+    owns one worker pool, shut down (remaining tasks drained) before it
+    returns or raises.  The *chunk* is the unit of parallel work
+    (:func:`_stream`): the calling thread walks the plan and reads chunk
+    *k+1* while up to ``threads`` earlier chunks each run their whole
+    prefix-plus-tails chain as one task — :func:`_run_chain` straight
+    through, so a multi-chunk run is bit-identical to ``threads=1`` by
+    construction — and chunks are settled strictly in plan order on the
+    calling thread: sinks consume, outputs land, gaps are recorded.  The
+    pre-pass rides the same loop.  A plan of one chunk has no second
+    chunk to overlap with and splits the chain's output rows over the
+    pool instead (:func:`_run_rows`).  ``profile.threads`` is the workers
+    actually used: ``min(threads, n_chunks)``, the row count for one
+    chunk, 1 when there is nothing to compute.  Up to ``threads`` chunk
+    working sets and one block read ahead are resident at once
+    (:func:`in_flight`), and ``peak_resident_bytes`` reports their sum
+    plus outputs and sinks.
 
     A run that computes nothing (:func:`computes_nothing`) and has no
     failure policy is not chunked: ``chunk`` becomes the whole record, so
     the loop below runs once and the block the source returns is the
     result.
 
-    With a :class:`~repro.faults.policy.FailurePolicy`, each chunk's
-    read-plus-compute is retried on retryable faults; a chunk that stays
-    broken either raises the typed error (``fail_fast``) or fills every
-    branch's owned span with ``policy.fill``, recorded in that branch's
+    With a :class:`~repro.faults.policy.FailurePolicy`, each chunk has
+    ``retries + 1`` attempts that its read and its chain draw on
+    together: a failed read is retried where it happens, a chain that
+    fails on a worker is re-run — read and chain, on the calling thread,
+    when its turn to settle comes — under the attempts left, which is
+    what one retried read-plus-compute call spends, so retry counts, fills
+    and gaps do not depend on ``threads``.  A chunk that stays broken
+    either raises the typed error (``fail_fast``) or fills every branch's
+    owned span with ``policy.fill``, recorded in that branch's
     :attr:`~PipelineResult.gaps` in its own output coordinates.
     """
     if src.n_samples < 1 or src.n_channels < 1:
@@ -667,115 +783,198 @@ def run_chunks(
                 gaps=GapMap() if collect_gaps else None,
             )
         )
+    steps: list[_Step] = []
+    cse_hits = 0
     with timer.phase("plan"):
         plans = [_plan_chunks(r.chain, r.chain_tot, chunk) for r in runs]
-    if n_chunks > 1:
-        # A single whole-record chunk needs no pre-pass: every operator
-        # sees ctx.whole and computes its global state in place, exactly
-        # as the materialised execution does.
-        _prepass(src, chunk, prefix, p_tot, p_rate, p_ch, p_states, timer)
-    sinks = [r for r in runs if r.branch.sink is not None]
-    for r in sinks:
-        r.sink_state = r.branch.sink.init(r.ch[-1], r.tot[-1], r.rate[-1])
-
-    src_label = getattr(src, "path", None) or "stream"
-    pieces_bytes = 0
-    peak_resident = 0
-    cse_hits = 0
-    for step in zip(*plans):
-        active = [
-            (r, tgt, needs)
-            for r, (tgt, needs) in zip(runs, step)
-            if needs is not None
-        ]
-        if not active:
-            continue
-        # What the shared prefix must produce, level by level: the hull of
-        # the active branches' needs (one branch: its needs as planned).
-        hull = active[0][2]
-        if len(active) > 1:
-            hull = [
-                (
-                    min(needs[k][0] for _, _, needs in active),
-                    max(needs[k][1] for _, _, needs in active),
-                )
-                for k in range(n_prefix + 1)
+        for step in zip(*plans):
+            active = [
+                (r, tgt, needs)
+                for r, (tgt, needs) in zip(runs, step)
+                if needs is not None
             ]
-        Ta = hull[n_prefix][0]
+            if not active:
+                continue
+            # What the shared prefix must produce, level by level: the hull
+            # of the active branches' needs (one branch: its needs as planned).
+            hull = active[0][2]
+            if len(active) > 1:
+                hull = [
+                    (
+                        min(needs[k][0] for _, _, needs in active),
+                        max(needs[k][1] for _, _, needs in active),
+                    )
+                    for k in range(n_prefix + 1)
+                ]
+            steps.append(_Step(active, hull))
+            if share_prefix:
+                cse_hits += len(active) - 1
 
-        def compute() -> tuple[list[np.ndarray], int]:
-            with timer.phase("read"):
-                block = src.read(*hull[0])
+    # Workers this run really uses (``profile.threads``).
+    if threads == 1 or not (prefix or any(tails)):
+        workers = 1
+    elif n_chunks > 1:
+        workers = min(threads, n_chunks)
+    else:
+        workers = min(threads, max([p_ch[-1]] + [r.ch[-1] for r in runs]))
 
-            def run_prefix() -> tuple[np.ndarray, int]:
-                return _run_rows(
-                    prefix, p_ch[-1], threads, block, hull,
+    def read(step: _Step) -> np.ndarray:
+        with timer.phase("read"):
+            return src.read(*step.hull[0])
+
+    def chain(
+        step: _Step, block: np.ndarray, timer: Timer
+    ) -> tuple[list[np.ndarray], int]:
+        """One chunk's compute: the prefix on the hull, then every active
+        tail on its slice of the prefix output."""
+        Ta = step.hull[n_prefix][0]
+        shared = None
+        outs, peak = [], 0
+        for r, _tgt, needs in step.active:
+            if shared is None or not share_prefix:
+                shared = _run_rows(
+                    by_rows, workers, prefix, p_ch[-1], block, step.hull,
                     p_tot, p_rate, p_states, timer,
                 )
+            pre, pre_peak = shared
+            ta, tb = needs[n_prefix]
+            seg = pre[..., ta - Ta : tb - Ta]
+            out, tail_peak = _run_rows(
+                by_rows, workers, r.maps, r.ch[-1], seg, needs[n_prefix:],
+                r.tot, r.rate, r.states, timer,
+            )
+            outs.append(out)
+            peak = max(peak, pre_peak, pre.nbytes + tail_peak - seg.nbytes)
+        return outs, peak
 
-            shared = run_prefix() if share_prefix else None
-            outs, peak = [], 0
-            for r, _tgt, needs in active:
-                pre, pre_peak = shared or run_prefix()
-                ta, tb = needs[n_prefix]
-                seg = pre[..., ta - Ta : tb - Ta]
-                out, tail_peak = _run_rows(
-                    r.maps, r.ch[-1], threads, seg, needs[n_prefix:],
-                    r.tot, r.rate, r.states, timer,
-                )
-                outs.append(out)
-                peak = max(peak, pre_peak, pre.nbytes + tail_peak - seg.nbytes)
-            return outs, peak
+    if policy is None:
+        fetch, work = read, chain
+    else:
+        # A chunk that runs out of attempts travels on as its last error.
 
-        if policy is None:
-            outs, chunk_peak = compute()
-        else:
-            try:
-                outs, chunk_peak = retry_call(
-                    compute, retries=policy.retries, backoff=policy.backoff
-                )
-            except RETRYABLE as exc:
-                if policy.fail_fast:
+        def attempt(step: _Step, fn: Callable) -> Any:
+            """``fn()`` under the attempts ``step`` has left."""
+
+            def counted() -> Any:
+                try:
+                    return fn()
+                except RETRYABLE:
+                    step.failed += 1
                     raise
+
+            return retry_call(
+                counted,
+                retries=policy.retries - step.failed,
+                backoff=policy.backoff * 2**step.failed,
+            )
+
+        def fetch(step: _Step) -> np.ndarray | BaseException:
+            try:
+                return attempt(step, lambda: read(step))
+            except RETRYABLE as exc:
+                return exc
+
+        def work(step: _Step, block: Any, timer: Timer) -> Any:
+            if isinstance(block, BaseException):
+                return block
+            try:
+                return chain(step, block, timer)
+            except RETRYABLE as exc:
+                step.failed += 1
+                return exc
+
+    src_label = getattr(src, "path", None) or "stream"
+    sinks = [r for r in runs if r.branch.sink is not None]
+    landed_bytes = 0
+    peak_resident = 0
+    pool = (
+        ThreadPoolExecutor(workers, thread_name_prefix="run-chunks")
+        if workers > 1
+        else None
+    )
+    # One pool, one way to use it: chunks when the plan has several, the
+    # rows of its one chunk otherwise.
+    by_chunk, by_rows = (pool, None) if n_chunks > 1 else (None, pool)
+    # Resident at once: the working sets of the chunks in flight (the last
+    # ``workers`` settled stand for them) plus the block read ahead.
+    recent: deque = deque(maxlen=workers)
+    ahead = 0
+    if by_chunk is not None:
+        ahead = 8 * src.n_channels * max(
+            (s.hull[0][1] - s.hull[0][0] for s in steps), default=0
+        )
+    try:
+        if n_chunks > 1:
+            # A single whole-record chunk needs no pre-pass: every operator
+            # sees ctx.whole and computes its global state in place, exactly
+            # as the materialised execution does.
+            _prepass(
+                src, chunk, prefix, p_tot, p_rate, p_ch, p_states, timer,
+                by_chunk, workers,
+            )
+        for r in sinks:
+            r.sink_state = r.branch.sink.init(r.ch[-1], r.tot[-1], r.rate[-1])
+        for step, done in _stream(by_chunk, workers, steps, fetch, work, timer):
+            if isinstance(done, BaseException) and step.failed <= policy.retries:
+                # The chain failed on its first run: the attempts left are
+                # spent here, read and chain together.
+                try:
+                    done = attempt(
+                        step, lambda: chain(step, read(step), timer)
+                    )
+                except RETRYABLE as exc:
+                    done = exc
+            if isinstance(done, BaseException):
+                if policy.fail_fast:
+                    raise done
                 # The chunk stays broken: every branch's owned output span
                 # becomes fill, reported as a gap instead of crashing.
                 outs = []
-                for r, tgt, _needs in active:
+                for r, tgt, _needs in step.active:
                     outs.append(np.full((r.ch[-1], tgt[1] - tgt[0]), policy.fill))
                     r.gaps.record(
                         src_label,
                         tgt[0],
                         tgt[1],
-                        f"{type(exc).__name__}: {exc}",
+                        f"{type(done).__name__}: {done}",
                         attempts=policy.retries + 1,
                     )
                 chunk_peak = sum(out.nbytes for out in outs)
-        if share_prefix:
-            cse_hits += len(active) - 1
-
-        for (r, tgt, _needs), out in zip(active, outs):
-            sink = r.branch.sink
-            if sink is not None:
-                ctx = OpContext(
-                    start=tgt[0],
-                    stop=tgt[1],
-                    total=r.tot[-1],
-                    fs=r.rate[-1],
-                    state=r.sink_state,
-                )
-                with timer.phase(sink.name):
-                    sink.consume(r.sink_state, out, ctx)
             else:
-                piece = np.ascontiguousarray(out)
-                r.pieces.append(piece)
-                pieces_bytes += piece.nbytes
-                if piece is out:
-                    # kept as it is, not copied: the chunk's peak holds it
-                    chunk_peak -= piece.nbytes
-        resident = chunk_peak + pieces_bytes + sum(
-            r.branch.sink.resident_bytes(r.sink_state) for r in sinks
-        )
-        peak_resident = max(peak_resident, resident)
+                outs, chunk_peak = done
+
+            for (r, tgt, _needs), out in zip(step.active, outs):
+                sink = r.branch.sink
+                if sink is not None:
+                    ctx = OpContext(
+                        start=tgt[0],
+                        stop=tgt[1],
+                        total=r.tot[-1],
+                        fs=r.rate[-1],
+                        state=r.sink_state,
+                    )
+                    with timer.phase(sink.name):
+                        sink.consume(r.sink_state, out, ctx)
+                elif len(steps) == 1:
+                    r.output = np.ascontiguousarray(out)
+                    landed_bytes += r.output.nbytes
+                    if r.output is out:
+                        # kept as it is, not copied: the chunk's peak holds it
+                        chunk_peak -= out.nbytes
+                else:
+                    # Every chunk lands once, in the branch's whole output.
+                    if r.output is None:
+                        r.output = np.empty((r.ch[-1], r.tot[-1]), dtype=out.dtype)
+                        landed_bytes += r.output.nbytes
+                    r.output[..., tgt[0] : tgt[1]] = out
+            recent.append(chunk_peak)
+            resident = sum(recent) + ahead + landed_bytes + sum(
+                r.branch.sink.resident_bytes(r.sink_state) for r in sinks
+            )
+            peak_resident = max(peak_resident, resident)
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     outputs: list = []
     for r in runs:
@@ -786,12 +985,8 @@ def run_chunks(
             output = _run_post(
                 r.branch.post, output, r.rate[-1], timer, interpreted=False
             )
-        elif r.pieces:
-            output = (
-                r.pieces[0]
-                if len(r.pieces) == 1
-                else np.concatenate(r.pieces, axis=-1)
-            )
+        elif r.output is not None:
+            output = r.output
         else:
             output = np.zeros((r.ch[-1], 0))
         outputs.append(output)
@@ -803,7 +998,7 @@ def run_chunks(
         phases=dict(timer.phases),
         n_chunks=n_chunks,
         chunk_samples=chunk,
-        threads=min(threads, max([p_ch[-1]] + [r.ch[-1] for r in runs])),
+        threads=workers,
         bytes_streamed=src.bytes_streamed - streamed_before,
         bytes_read=(
             iostats.total_bytes_read() - io_before
@@ -877,9 +1072,14 @@ class StreamPipeline:
 
         ``chunk_samples=None`` runs a single chunk covering the whole
         record (the materialising policy, with exact whole-array stage
-        behaviour); any other value bounds the resident block to roughly
-        ``channels * (chunk + halos) * 8`` bytes.  ``threads`` splits the
-        output channels into ApplyMT-style static blocks per chunk.
+        behaviour); any other value bounds a resident block to roughly
+        ``channels * (chunk + halos) * 8`` bytes.  ``threads`` is the
+        size of the run's worker pool: chunks run their chains on it
+        side by side (``threads`` of them, plus one block read ahead by
+        the calling thread, are resident at once) and are settled in
+        order, so the output is bit-identical to ``threads=1``; a
+        single-chunk run splits the output channels into ApplyMT-style
+        static row blocks over the same pool.
         ``policy`` turns a chunk that stays broken after retries into a
         typed error (``fail_fast``) or a ``policy.fill``-valued output
         span reported in the result's :attr:`~PipelineResult.gaps`

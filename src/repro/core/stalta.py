@@ -40,38 +40,40 @@ def classic_sta_lta(x: np.ndarray, nsta: int, nlta: int, axis: int = -1) -> np.n
     n = x.shape[axis]
     if n < nlta:
         raise ConfigError(f"signal of {n} samples shorter than nlta={nlta}")
-    moved = np.moveaxis(x, axis, -1)
-    idx = np.arange(n)
-    sta_lo = np.clip(idx - nsta + 1, 0, None)
-    lta_lo = np.clip(idx - nlta + 1, 0, None)
-    ratio = _windowed_ratio(moved, idx, sta_lo, lta_lo, nsta, nlta)
+    ratio = _windowed_ratio(np.moveaxis(x, axis, -1), nsta, nlta)
     ratio[..., : nlta - 1] = 0.0
     return np.moveaxis(ratio, -1, axis)
 
 
-def _windowed_ratio(data, idx, sta_lo, lta_lo, nsta, nlta):
+def _trailing_sums(cumsum: np.ndarray, w: int) -> np.ndarray:
+    """Sums over the trailing ``w``-sample window ending at each sample,
+    clipped at the block's first sample, from an inclusive cumulative sum:
+    two slice differences, no index arrays."""
+    n = cumsum.shape[-1]
+    out = np.empty_like(cumsum)
+    out[..., :w] = cumsum[..., :w]
+    if n > w:
+        np.subtract(cumsum[..., w:], cumsum[..., : n - w], out=out[..., w:])
+    return out
+
+
+def _windowed_ratio(data: np.ndarray, nsta: int, nlta: int) -> np.ndarray:
     """Trailing-window STA/LTA via cumulative sums, with NaN containment:
     NaN inputs are zeroed out of the running sums and the outputs whose
     LTA window touched one are set to NaN afterwards."""
     contaminated = np.isnan(data)
     any_bad = bool(contaminated.any())
     energy = np.where(contaminated, 0.0, data) ** 2 if any_bad else data**2
-    cumsum = np.concatenate(
-        [np.zeros(energy.shape[:-1] + (1,)), np.cumsum(energy, axis=-1)], axis=-1
-    )
-    sta = (cumsum[..., idx + 1] - cumsum[..., sta_lo]) / nsta
-    lta = (cumsum[..., idx + 1] - cumsum[..., lta_lo]) / nlta
+    cumsum = np.cumsum(energy, axis=-1, out=energy)
+    sta = _trailing_sums(cumsum, nsta)
+    sta /= nsta
+    lta = _trailing_sums(cumsum, nlta)
+    lta /= nlta
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(lta > 0, sta / np.where(lta > 0, lta, 1.0), 0.0)
     if any_bad:
-        badcum = np.concatenate(
-            [
-                np.zeros(contaminated.shape[:-1] + (1,)),
-                np.cumsum(contaminated, axis=-1),
-            ],
-            axis=-1,
-        )
-        ratio[(badcum[..., idx + 1] - badcum[..., lta_lo]) > 0] = np.nan
+        badcum = np.cumsum(contaminated, axis=-1)
+        ratio[_trailing_sums(badcum, nlta) > 0] = np.nan
     return ratio
 
 
@@ -97,15 +99,10 @@ class StaLtaOp(Operator):
     def apply(self, data: np.ndarray, ctx: OpContext) -> np.ndarray:
         if ctx.whole and data.shape[-1] >= self.nlta:
             return classic_sta_lta(data, self.nsta, self.nlta, axis=-1)
-        n = data.shape[-1]
-        idx = np.arange(n)
-        sta_lo = np.clip(idx - self.nsta + 1, 0, None)
-        lta_lo = np.clip(idx - self.nlta + 1, 0, None)
         ratio = _windowed_ratio(
-            np.asarray(data, dtype=np.float64), idx, sta_lo, lta_lo,
-            self.nsta, self.nlta,
+            np.asarray(data, dtype=np.float64), self.nsta, self.nlta
         )
-        ratio[..., ctx.start + idx < self.nlta - 1] = 0.0
+        ratio[..., : max(0, self.nlta - 1 - ctx.start)] = 0.0
         return ratio
 
 

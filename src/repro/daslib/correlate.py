@@ -78,7 +78,7 @@ def xcorr(
     cc = np.concatenate([cc[-(len(b) - 1) :], cc[: len(a)]]) if len(b) > 1 else cc[: len(a)]
     lags = np.arange(-(len(b) - 1), len(a))
     if normalize:
-        denom = np.sqrt(np.dot(a, a) * np.dot(b, b))
+        denom = np.sqrt(np.einsum("i,i->", a, a) * np.einsum("i,i->", b, b))
         if denom > _EPS:
             cc = cc / denom
     if max_lag is not None:

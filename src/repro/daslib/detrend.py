@@ -29,12 +29,13 @@ def detrend(x: np.ndarray, type: str = "linear", axis: int = -1) -> np.ndarray:
         return demean(x, axis=axis)
 
     moved = np.moveaxis(x, axis, -1)
-    t = np.arange(n, dtype=np.float64)
-    t_mean = t.mean()
-    t_centred = t - t_mean
-    denom = np.dot(t_centred, t_centred)
+    t_centred = np.arange(n, dtype=np.float64) - (n - 1) / 2.0
+    # Σ (t - t̄)² for t = 0..n-1 in closed form.
+    denom = n * (n * n - 1.0) / 12.0
     x_mean = moved.mean(axis=-1, keepdims=True)
-    # slope per series: <t - t̄, x - x̄> / <t - t̄, t - t̄>
-    slope = (moved - x_mean) @ t_centred / denom
+    # slope per series: <t - t̄, x - x̄> / <t - t̄, t - t̄>.  An einsum, not
+    # a BLAS dot: a level-1/2 call this size stalls for scheduler ticks in
+    # OpenBLAS's thread hand-off while the executor's workers hold the cores.
+    slope = np.einsum("...t,t->...", moved - x_mean, t_centred) / denom
     fitted = x_mean + slope[..., None] * t_centred
     return np.moveaxis(moved - fitted, -1, axis)

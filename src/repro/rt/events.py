@@ -180,8 +180,10 @@ class EventAssembler:
         t = centers[cols].astype(np.float64) / self.fs
         ch_lo = hits.argmax(axis=0) + self.channel_lo
         ch_hi = block.shape[0] - 1 - hits[::-1].argmax(axis=0) + self.channel_lo
-        ch_sum = (
-            (np.arange(block.shape[0]) + self.channel_lo) @ hits.astype(np.int64)
+        ch_sum = np.einsum(
+            "c,ct->t",
+            np.arange(block.shape[0]) + self.channel_lo,
+            hits.astype(np.int64),
         ).astype(np.float64)
         peak = np.where(hits, block[:, cols], -np.inf).max(axis=0)
         terms = np.stack([t * n, ch_sum, t * ch_sum, t * t * n])

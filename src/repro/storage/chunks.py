@@ -43,10 +43,14 @@ def iter_intervals(total: int, chunk: int) -> Iterator[tuple[int, int]]:
         yield lo, min(total, lo + chunk)
 
 
+#: Default byte budget of a streamed run's resident raw blocks.
+DEFAULT_CHUNK_BYTES = 64 << 20
+
+
 def auto_chunk_samples(
     n_channels: int,
     total: int | None = None,
-    budget_bytes: int = 64 << 20,
+    budget_bytes: int = DEFAULT_CHUNK_BYTES,
     itemsize: int = 8,
     floor: int = 4096,
 ) -> int:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.checks.api import PublicApiAnalyzer
 from repro.checks.baseline import Baseline, Waiver
+from repro.checks.bls import ANALYSIS_LAYERS, BlasCallAnalyzer
 from repro.checks.contracts import OperatorContractAnalyzer
 from repro.checks.locks import LockDisciplineAnalyzer
 from repro.checks.pln import PlannerGeometryAnalyzer
@@ -66,6 +67,50 @@ def test_locks_closure_does_not_inherit_with_block():
     assert any(
         f.code == "LCK001" and "closure_trap" in f.message for f in findings
     )
+
+
+# -- BLAS calls on the analysis path -----------------------------------------
+
+@pytest.mark.parametrize("layer", sorted(ANALYSIS_LAYERS))
+def test_bls_bad_findings_in_every_analysis_layer(layer):
+    project = project_for("bls_bad.py", rel=f"src/repro/{layer}/bls_bad.py")
+    findings = list(BlasCallAnalyzer().run(project))
+    assert codes(findings) == {"BLS001": 7}
+    spelled = Counter(f.message.split(" calls ")[0] for f in findings)
+    assert spelled == {
+        "the @ operator": 2, "np.dot": 1, "np.matmul": 1, "np.inner": 1,
+        "np.vdot": 1, "np.tensordot": 1,
+    }
+
+
+@pytest.mark.parametrize("rel", [
+    None,  # a fixture outside the library
+    "src/repro/hdf5lite/bls_bad.py",
+    "src/repro/simmpi/bls_bad.py",
+    "benchmarks/bls_bad.py",
+])
+def test_bls_only_looks_at_the_analysis_path(rel):
+    assert list(BlasCallAnalyzer().run(project_for("bls_bad.py", rel=rel))) == []
+
+
+def test_bls_good_is_clean():
+    project = project_for("bls_good.py", rel="src/repro/daslib/bls_good.py")
+    assert list(BlasCallAnalyzer().run(project)) == []
+
+
+def test_bls_strip_mined_gemm_is_the_only_waiver():
+    """The shipped tree's one BLAS call on the analysis path is the
+    decimator's strip-mined GEMM, waived with a reason in the baseline."""
+    root = ROOT_SRC.parent.parent
+    project = load_project(root)
+    findings = list(BlasCallAnalyzer().run(project))
+    assert {f.path for f in findings} == {"src/repro/daslib/resample.py"}
+    baseline = Baseline.load(root / "scripts" / "checks_baseline.json")
+    new, waived = baseline.split(findings)
+    assert new == [] and len(waived) == len(findings) == 1
+    assert [w.path for w in baseline.waivers if w.code == "BLS001"] == [
+        "src/repro/daslib/resample.py"
+    ]
 
 
 # -- exception taxonomy ------------------------------------------------------

@@ -24,6 +24,8 @@ result — unless a ``FailurePolicy`` asks for per-chunk gaps.
 """
 
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -407,7 +409,8 @@ def test_incremental_chain_equals_members_level_by_level():
 
 class Probe(Operator):
     """Identity that records the interval and width of every block it is
-    handed (one record per worker thread per chunk)."""
+    handed: one record per chunk of a multi-chunk plan (the chunk is the
+    parallel unit), one per row block of a one-chunk plan."""
 
     def __init__(self, name):
         self.name = name
@@ -448,10 +451,12 @@ def test_no_operator_sees_fringe_it_did_not_ask_for(chunk, threads):
     StreamPipeline(ops).run(data, chunk_samples=chunk, threads=threads, fs=100.0)
     totals, _, _ = _levels(ops, data.shape[0], data.shape[1], 100.0)
     plan = [n for _t, n in _plan_chunks(ops, totals, chunk) if n is not None]
+    # every apply gets exactly needs[k]: once per chunk, or — a one-chunk
+    # plan, whose rows are what the pool splits — once per row block
+    times = threads if len(plan) == 1 else 1
     for k in (1, 3):
         want = [(a, b, b - a) for a, b in (needs[k] for needs in plan)]
-        assert sorted(set(ops[k].seen)) == sorted(set(want))
-        assert len(ops[k].seen) == threads * len(want)
+        assert sorted(ops[k].seen) == sorted(want * times)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -477,8 +482,8 @@ def test_shared_prefix_probe_sees_the_hull_of_branch_needs(threads):
         level = [needs[1] for _t, needs in step if needs is not None]
         a, b = min(lo for lo, _ in level), max(hi for _, hi in level)
         want.add((a, b, b - a))
-    assert set(probe.seen) == want
-    assert len(probe.seen) == threads * len(want)
+    assert len(want) > 1  # a multi-chunk plan: the hull, once per chunk
+    assert sorted(probe.seen) == sorted(want)
 
 
 class CountingSimilarity(LocalSimilarityOp):
@@ -722,3 +727,347 @@ def test_explain_says_when_a_plan_is_not_chunked():
     assert "chunking: none" in explain(_scan((12, 24), 8))
     busy = optimize(Query.scan(None).then(StaLtaOp(4, 16)), chunk_samples=SCAN_CHUNK)
     assert f"chunking: {SCAN_CHUNK} samples" in explain(busy)
+
+
+# ---------------------------------------------------------------------------
+# one worker pool per run: chunks pipelined behind a read-ahead
+# ---------------------------------------------------------------------------
+
+
+def _pooled(kind, source, chunk, threads, policy=None):
+    """Four shapes of run over ``source``; returns the list of results."""
+    if kind == "prepass":  # a pre-pass whose level is computed below a filter
+        ops = [FiltFiltOp(B, A), DetrendOp(), StaLtaOp(4, 16)]
+        return [
+            StreamPipeline(ops).run(
+                source, chunk_samples=chunk, threads=threads, fs=100.0, policy=policy
+            )
+        ]
+    if kind == "sink_post":  # Alg. 3: pre-pass first, FFT sink, post operators
+        ops = interferometry_operators(ALG3)
+        return [
+            StreamPipeline(ops).run(
+                source, chunk_samples=chunk, threads=threads, fs=100.0, policy=policy
+            )
+        ]
+    base = Query.scan(None, fs=100.0).then(FiltFiltOp(B, A))
+    plan = optimize(
+        [
+            base.then(StaLtaOp(4, 16)).with_label("trig"),
+            base.then(LocalSimilarityOp(SIMI)).with_label("simi"),
+        ],
+        chunk_samples=chunk,
+        threads=threads,
+    )
+    # "two_tails" shares the prefix, "unshared" recomputes it per branch
+    return execute(plan, source=source, naive=kind == "unshared", policy=policy)
+
+
+POOLED = ["prepass", "sink_post", "two_tails", "unshared"]
+
+
+@pytest.mark.parametrize("chunk", [1500, 400, 77])
+@pytest.mark.parametrize("kind", POOLED)
+def test_any_thread_count_moves_no_bit(kind, chunk):
+    data = _data(31)
+    want = _pooled(kind, data, chunk, 1)
+    for threads in (2, 3, 5):
+        got = _pooled(kind, data, chunk, threads)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.output, w.output)
+        n_chunks = got[0].profile.n_chunks
+        assert n_chunks == -(-1500 // chunk)
+        if n_chunks > 1:  # workers really used; the row rule for one chunk
+            assert got[0].profile.threads == min(threads, n_chunks)
+
+
+def test_more_workers_than_cores_under_a_short_switch_interval():
+    """Stress: eight workers, threads switched every 10 us, for a bounded
+    number of rounds.  Outputs are allocated uninitialised and filled chunk
+    by chunk, so a chunk lost, landed twice at the wrong place or settled
+    out of order shows as a bit that differs from the serial run."""
+    data = _data(38, total=3000)
+    want = {kind: _pooled(kind, data, 77, 1) for kind in POOLED}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _round in range(3):
+            for kind in POOLED:
+                got = _pooled(kind, data, 77, 8)
+                assert got[0].profile.threads == 8
+                for g, w in zip(got, want[kind]):
+                    np.testing.assert_array_equal(g.output, w.output)
+                assert got[0].profile.phases.keys() == want[kind][0].profile.phases.keys()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class ThreadSpy(ArraySource):
+    """Records which thread issued every read, and says when a second
+    read has been asked for."""
+
+    def __init__(self, data):
+        super().__init__(data, fs=100.0)
+        self.idents = []
+        self.read_again = threading.Event()
+
+    def read_strided(self, r0, r1, t0, t1, tstep=1):
+        self.idents.append(threading.get_ident())
+        if len(self.idents) > 1:
+            self.read_again.set()
+        return super().read_strided(r0, r1, t0, t1, tstep)
+
+
+@pytest.mark.parametrize("kind", POOLED)
+def test_every_read_happens_on_the_calling_thread(kind):
+    src = ThreadSpy(_data(32))
+    results = _pooled(kind, src, 200, 3)
+    assert len(src.idents) >= results[0].profile.n_chunks == 8
+    assert set(src.idents) == {threading.get_ident()}
+
+
+class Gate(Operator):
+    """Identity that counts the chains inside it.  The first ``parties``
+    chains meet at a barrier (that many really are in flight at once),
+    and the first of all also waits until the source is read again."""
+
+    name = "gate"
+
+    def __init__(self, source, parties):
+        self.source = source
+        self.barrier = threading.Barrier(parties)
+        self.lock = threading.Lock()
+        self.entered = self.inside = self.most = 0
+        self.read_ahead = self.met = None
+
+    def apply(self, data, ctx):
+        with self.lock:
+            self.entered += 1
+            order = self.entered
+            self.inside += 1
+            self.most = max(self.most, self.inside)
+        try:
+            if order == 1:
+                self.read_ahead = self.source.read_again.wait(timeout=20)
+            if order <= self.barrier.parties:
+                try:
+                    self.barrier.wait(timeout=20)
+                    self.met = self.met is not False
+                except threading.BrokenBarrierError:
+                    self.met = False
+        finally:
+            with self.lock:
+                self.inside -= 1
+        return data
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_chunks_overlap_each_other_and_the_next_read(threads):
+    src = ThreadSpy(_data(33))
+    gate = Gate(src, threads)
+    result = StreamPipeline([gate, StaLtaOp(4, 16)]).run(
+        src, chunk_samples=150, threads=threads
+    )
+    assert result.profile.n_chunks == gate.entered == 10  # one chain per chunk
+    assert gate.read_ahead  # chunk 1 was read while chain 0 was still running
+    assert gate.met and gate.most == threads  # never more chains than threads
+    np.testing.assert_array_equal(
+        result.output,
+        StreamPipeline([StaLtaOp(4, 16)]).run(src, chunk_samples=150).output,
+    )
+
+
+class Snap(RuntimeError):
+    """What a broken operator raises (not a retryable type)."""
+
+
+class Snapping(Operator):
+    """Identity that raises on the chunk holding sample ``at``."""
+
+    name = "snapping"
+
+    def __init__(self, at):
+        self.at = at
+
+    def apply(self, data, ctx):
+        if ctx.start <= self.at < ctx.stop:
+            raise Snap(f"chunk [{ctx.start}, {ctx.stop})")
+        return data
+
+
+@pytest.mark.parametrize("chunk", [1500, 200])
+def test_no_thread_outlives_the_run_and_errors_keep_their_type(chunk):
+    data = _data(34)
+    idle = threading.active_count()
+    good = StreamPipeline([FiltFiltOp(B, A), StaLtaOp(4, 16)])
+    assert good.run(data, chunk_samples=chunk, threads=3).profile.threads == 3
+    assert threading.active_count() == idle
+    bad = StreamPipeline([FiltFiltOp(B, A), Snapping(700), StaLtaOp(4, 16)])
+    for threads in (1, 3):
+        with pytest.raises(Snap, match=r"chunk \["):
+            bad.run(data, chunk_samples=chunk, threads=threads)
+        assert threading.active_count() == idle
+
+
+class FlakySource(ArraySource):
+    """The first ``fails`` reads covering sample ``at`` raise ``OSError``."""
+
+    def __init__(self, data, at, fails):
+        super().__init__(data, fs=100.0)
+        self.at, self.fails, self.log = at, fails, []
+
+    def read_strided(self, r0, r1, t0, t1, tstep=1):
+        self.log.append((t0, t1))
+        if t0 <= self.at < t1 and self.fails > 0:
+            self.fails -= 1
+            raise OSError(f"unreadable [{t0}, {t1})")
+        return super().read_strided(r0, r1, t0, t1, tstep)
+
+
+class FlakyOp(Operator):
+    """Identity whose first ``fails`` calls on the chunk holding sample
+    ``at`` raise a retryable error."""
+
+    name = "flaky"
+
+    def __init__(self, at, fails):
+        self.at, self.fails, self.calls = at, fails, 0
+
+    def apply(self, data, ctx):
+        if ctx.start <= self.at < ctx.stop:
+            self.calls += 1
+            if self.calls <= self.fails:
+                raise OSError(f"attempt {self.calls} failed")
+        return data
+
+
+def _under_policy(kind, threads, policy, read_fails, op_fails):
+    """One faulted run; returns everything a policy can change.  Halos are
+    short, so sample 650 is read and computed on by one chunk only."""
+    src = FlakySource(_data(35), at=650, fails=read_fails)
+    flaky = FlakyOp(at=650, fails=op_fails)
+    try:
+        if kind == "chain":
+            results = [
+                StreamPipeline([flaky, StaLtaOp(4, 16)]).run(
+                    src, chunk_samples=200, threads=threads, policy=policy
+                )
+            ]
+        else:
+            base = Query.scan(None, fs=100.0).then(flaky)
+            plan = optimize(
+                [
+                    base.then(StaLtaOp(4, 16)).with_label("trig"),
+                    base.then(LocalSimilarityOp(SIMI)).with_label("simi"),
+                ],
+                chunk_samples=200,
+                threads=threads,
+            )
+            results = execute(plan, source=src, policy=policy)
+    except OSError as exc:
+        return "raised", str(exc), src.log, flaky.calls
+    gaps = [
+        [(g.t0, g.t1, g.attempts, g.reason) for g in (r.gaps or [])] for r in results
+    ]
+    return [r.output for r in results], gaps, src.log, flaky.calls
+
+
+@pytest.mark.parametrize("kind", ["chain", "two_tails"])
+@pytest.mark.parametrize(
+    "mode, retries, read_fails, op_fails",
+    [
+        ("continue", 2, 2, 0),  # the read recovers on its last attempt
+        ("continue", 1, 2, 0),  # the read never recovers: a gap
+        ("continue", 2, 0, 2),  # the chain recovers, re-run with its read
+        ("continue", 2, 1, 1),  # read and chain draw on the same attempts
+        ("continue", 2, 1, 2),  # ... and together they run out: a gap
+        ("fail_fast", 1, 0, 2),  # the chain's error, raised as it is
+        ("fail_fast", 1, 2, 0),
+    ],
+)
+def test_failure_policy_counts_reads_and_chains_like_one_thread(
+    kind, mode, retries, read_fails, op_fails
+):
+    policy = FailurePolicy(mode=mode, retries=retries, fill=-3.0)
+    want = _under_policy(kind, 1, policy, read_fails, op_fails)
+    broken = read_fails + op_fails > retries
+    assert (want[0] == "raised") == (broken and mode == "fail_fast")
+    if mode == "continue":
+        assert all(len(g) == int(broken) for g in want[1])
+    for threads in (2, 3):
+        got = _under_policy(kind, threads, policy, read_fails, op_fails)
+        reads = [sorted(got[2]), sorted(want[2])]
+        if want[0] == "raised":
+            assert got[:2] == want[:2]
+            # reading ahead of a chunk that then raises is not a retry
+            reads = [[r for r in log if r[0] <= 650 < r[1]] for log in reads]
+        else:
+            for g, w in zip(got[0], want[0]):
+                np.testing.assert_array_equal(g, w)
+            assert got[1] == want[1]
+        assert reads[0] == reads[1]  # the same reads, re-reads included
+        assert got[3] == want[3]
+
+
+def test_one_chunk_plan_splits_rows_over_the_pool():
+    """With no second chunk to overlap, ``threads`` buys a static row split
+    of the one chunk — on the run's pool, gone when the run returns."""
+
+    class Rows(Probe):
+        def apply(self, data, ctx):
+            self.seen.append((ctx.channel_lo, data.shape[0], threading.get_ident()))
+            return data
+
+    data = _data(36)
+    idle = threading.active_count()
+    for threads, blocks in ((3, [(0, 4), (4, 4), (8, 4)]), (5, [(0, 3), (3, 3), (6, 2), (8, 2), (10, 2)])):
+        rows = Rows("rows")
+        result = StreamPipeline([FiltFiltOp(B, A), rows, StaLtaOp(4, 16)]).run(
+            data, threads=threads
+        )
+        assert result.profile.n_chunks == 1 and result.profile.threads == threads
+        assert sorted(seen[:2] for seen in rows.seen) == blocks
+        assert threading.get_ident() not in {seen[2] for seen in rows.seen}
+    assert threading.active_count() == idle
+
+
+def test_branch_output_lands_once():
+    """A sinkless branch writes each settled chunk into its whole output:
+    no per-chunk piece kept, no concatenate at the end."""
+    data = np.random.default_rng(37).normal(size=(12, 60_000))
+    pipe = StreamPipeline([StaLtaOp(4, 16)])
+    want = pipe.run(data).output
+    tracemalloc.start()
+    try:
+        result = pipe.run(data, chunk_samples=3000)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = result.output
+    np.testing.assert_allclose(out, want, rtol=1e-8)  # running sums restart per chunk
+    assert out.flags.c_contiguous and out.base is None
+    assert peak < 1.5 * out.nbytes  # pieces plus their concatenation were 2x
+    assert out.nbytes < result.profile.peak_resident_bytes < 1.5 * out.nbytes
+
+
+def test_derived_chunk_length_shares_the_byte_budget():
+    """Where the chunk length comes from a byte budget, the budget covers
+    every block held at once; an explicit length is used as given."""
+    from repro.core.optimizer import _resolve_execution
+    from repro.storage.chunks import DEFAULT_CHUNK_BYTES, auto_chunk_samples
+
+    src = ArraySource(np.zeros((64, 400_000), dtype=np.float32))
+    budget = 16 << 20
+    for threads, held in ((1, 1), (2, 3), (4, 5)):
+        dassa = DASSA(threads=threads, chunk_bytes=budget)
+        assert dassa._chunk_for(src) == auto_chunk_samples(
+            64, 400_000, budget_bytes=budget // held
+        )
+        assert dassa._chunk_for(src) * 64 * 8 * held <= budget
+        plan = optimize(Query.scan(None).then(StaLtaOp(4, 16)), threads=threads)
+        assert _resolve_execution(plan, src)[0] == auto_chunk_samples(
+            64, 400_000, budget_bytes=DEFAULT_CHUNK_BYTES // held
+        )
+    assert DASSA(threads=4, chunk_samples=777)._chunk_for(src) == 777
+    plan = optimize(Query.scan(None).then(StaLtaOp(4, 16)), chunk_samples=777, threads=4)
+    assert _resolve_execution(plan, src)[0] == 777
