@@ -4,7 +4,7 @@ Two halves:
 
 * :mod:`repro.faults.inject` — a deterministic, seeded fault-injection
   harness (bit-flip, truncate, vanish, slow-read, raise-on-nth-read)
-  used by the fault-matrix tests and ``benchmarks/bench_faults.py``.
+  used by the fault-matrix tests (``tests/test_fault_matrix.py``).
 * :mod:`repro.faults.policy` — :class:`FailurePolicy` (fail-fast vs
   collect-and-continue, bounded retries, per-task timeout) and the
   shared :func:`retry_call` bounded-retry-with-backoff helper threaded

@@ -40,10 +40,10 @@ CHECKPOINT_NAME = ".das_rt_checkpoint.json"
 PREVIOUS_SUFFIX = ".prev"
 
 
-def _document_crc(document: dict) -> int:
-    """CRC32 of the canonical (sorted-key, crc-free) JSON encoding."""
+def _canonical(document: dict) -> bytes:
+    """The canonical (sorted-key, crc-free) JSON encoding the CRC covers."""
     body = {k: v for k, v in document.items() if k != "crc"}
-    return zlib.crc32(json.dumps(body, sort_keys=True).encode("utf-8"))
+    return json.dumps(body, sort_keys=True).encode("utf-8")
 
 
 class CheckpointStore:
@@ -71,12 +71,12 @@ class CheckpointStore:
         happens before the promote — a crash between the two renames
         loses only the *newest* state, never both.
         """
-        document = {"version": CHECKPOINT_VERSION}
-        document.update(payload)
-        document["crc"] = _document_crc(document)
+        # Encoded once: the canonical body the CRC covers is the body
+        # written, with the ``crc`` member appended inside its brace.
+        body = _canonical({"version": CHECKPOINT_VERSION, **payload})
         tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
+        with open(tmp, "wb") as handle:
+            handle.write(body[:-1] + b', "crc": %d}' % zlib.crc32(body))
             handle.flush()
             os.fsync(handle.fileno())
         if os.path.exists(self.path):
@@ -97,7 +97,9 @@ class CheckpointStore:
                 path, f"version {document.get('version')!r} unsupported"
             )
         # Documents written before the CRC existed load unverified.
-        if "crc" in document and document["crc"] != _document_crc(document):
+        if "crc" in document and document["crc"] != zlib.crc32(
+            _canonical(document)
+        ):
             raise CheckpointCorruptError(path, "crc mismatch")
         return document
 

@@ -79,8 +79,7 @@ def project_shard_scaling(
     event batch of ``event_bytes_per_file`` shipped to the aggregator,
     which spends ``aggregator_apply_s`` merging it.  Heartbeats add a
     fixed background load.  Calibrate ``process_s_per_file`` and
-    ``event_bytes_per_file`` from a measured single-shard run (the RT
-    benchmark does exactly that).
+    ``event_bytes_per_file`` from a measured single-shard run.
     """
     if file_interval_s <= 0 or process_s_per_file <= 0:
         raise ConfigError("file interval and per-file cost must be > 0")

@@ -342,7 +342,7 @@ class RTService:
         self.metrics.ingest_lag.record(max(self.clock() - mtime, 0.0))
         self.metrics.stage("total").record(self.metrics.clock() - t0)
         if self.config.update_catalog:
-            self._refresh_catalog()
+            self._index(path)
         if self.on_file is not None:
             # Chaos hook: fires after the file is fully consumed but
             # (possibly) before the next checkpoint — it may raise
@@ -351,12 +351,15 @@ class RTService:
             self.on_file(path)
         return True
 
-    def _refresh_catalog(self) -> None:
+    def _index(self, path: str) -> None:
+        """Put the file just ingested in the catalog.  Only the first one
+        lists the spool (``Catalog.open``); later ones are added in memory,
+        so the cost does not grow with the files already landed."""
         try:
             if self.catalog is None:
                 self.catalog = Catalog.open(self.spool)
             else:
-                self.catalog.refresh()
+                self.catalog.add(path)
                 self.catalog.save()
         except ReproError:
             self.catalog = None  # the catalog must never stall detection

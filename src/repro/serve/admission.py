@@ -14,8 +14,8 @@ separable (:mod:`repro.errors`):
 
 Isolation falls out of per-tenant buckets: a greedy tenant exhausts its
 own tokens and queues behind its own bound, while other tenants' buckets
-refill independently — the benchmark (``benchmarks/bench_serve.py``)
-asserts the resulting p95 bound.
+refill independently — ``tests/test_serve_admission.py`` holds that on an
+injected clock: the polite tenant's admission wait stays zero.
 
 Refill is lazy (computed from the clock on each call, no background
 thread) and waiting is time-based (``Condition.wait`` with the exact

@@ -54,10 +54,7 @@ class ServeConfig:
 
     ``on_error="mask"`` is the serving default: a viewer scrubbing
     through a damaged archive should see NaN spans (rendered as gaps),
-    not 500s.  ``isolation_p95_bound`` is the published multi-tenant
-    promise — with one tenant saturating its quota, another tenant's p95
-    latency stays within this multiple of its solo p95 (asserted by
-    ``benchmarks/bench_serve.py``).
+    not 500s.
     """
 
     cache_bytes: int = 64 << 20
@@ -68,7 +65,6 @@ class ServeConfig:
     default_quota: TenantQuota = field(default_factory=TenantQuota)
     quotas: dict[str, TenantQuota] = field(default_factory=dict)
     admit_timeout: float | None = None
-    isolation_p95_bound: float = 3.0
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,14 @@ directory.
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
+from operator import attrgetter
 from dataclasses import dataclass, field
 
 from repro.errors import StorageError
-from repro.storage.search import DASFileInfo, scan_directory
+from repro.storage.search import DASFileInfo, file_info, scan_directory
 
 CATALOG_NAME = ".das_catalog.json"
 CATALOG_VERSION = 1
@@ -104,7 +106,7 @@ class Catalog:
         }
         tmp = self.path + ".tmp"
         with open(tmp, "w") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))  # one C-encoder call, not dump()'s iterator
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)
@@ -154,6 +156,20 @@ class Catalog:
         self.last_mtime = self._dir_mtime()
         return changes
 
+    def add(self, path: str | os.PathLike) -> None:
+        """Index one file that has just landed without listing the
+        directory: the entry :meth:`refresh` would have made for it, at
+        the place it would have put it.  Already indexed: left alone."""
+        info = file_info(
+            os.path.join(self.directory, os.path.basename(os.fspath(path)))
+        )
+        if info is None:
+            return
+        order = attrgetter("timestamp", "path")
+        at = bisect.bisect_left(self.entries, order(info), key=order)
+        if at == len(self.entries) or self.entries[at].path != info.path:
+            self.entries.insert(at, info)
+
     # -- queries ----------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.entries)
@@ -163,8 +179,6 @@ class Catalog:
 
     def range_query(self, start: str, count: int | None = None) -> list[DASFileInfo]:
         """Type-1 query over the index (binary search on timestamps)."""
-        import bisect
-
         stamps = [entry.timestamp for entry in self.entries]
         lo = bisect.bisect_left(stamps, start)
         selected = self.entries[lo:]

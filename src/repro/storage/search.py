@@ -46,41 +46,46 @@ def timestamp_from_filename(name: str) -> str | None:
     return match.group(1) if match else None
 
 
+def file_info(
+    path: str, read_shapes: bool = False, iostats: IOStats | None = None
+) -> DASFileInfo | None:
+    """Catalog entry for one file, or ``None`` when it is not a DAS file.
+
+    With ``read_shapes`` the metadata footer is opened to record the
+    array shape (one metadata op); otherwise the file name's stamp is
+    enough — the fast path ``das_search`` takes.
+    """
+    stamp = timestamp_from_filename(path)
+    if not read_shapes and stamp is not None:
+        return DASFileInfo(path=path, timestamp=stamp)
+    try:
+        metadata, shape = read_das_metadata(path, iostats=iostats)
+    except StorageError:
+        return None
+    return DASFileInfo(
+        path=path,
+        timestamp=metadata.timestamp,
+        n_channels=shape[0],
+        n_samples=shape[1],
+    )
+
+
 def scan_directory(
     directory: str | os.PathLike,
     read_shapes: bool = False,
     iostats: IOStats | None = None,
 ) -> list[DASFileInfo]:
-    """Catalog a directory of DAS files, sorted by timestamp.
-
-    With ``read_shapes`` each file's metadata footer is opened to record
-    the array shape (one metadata op per file); otherwise only file names
-    are used — the fast path ``das_search`` takes.
-    """
+    """Catalog a directory of DAS files, sorted by timestamp
+    (one :func:`file_info` per ``.h5`` name)."""
     directory = os.fspath(directory)
     if not os.path.isdir(directory):
         raise StorageError(f"not a directory: {directory!r}")
-    infos: list[DASFileInfo] = []
-    for name in sorted(os.listdir(directory)):
-        if not name.endswith(".h5"):
-            continue
-        path = os.path.join(directory, name)
-        stamp = timestamp_from_filename(name)
-        if read_shapes or stamp is None:
-            try:
-                metadata, shape = read_das_metadata(path, iostats=iostats)
-            except StorageError:
-                continue  # not a DAS file; skip
-            infos.append(
-                DASFileInfo(
-                    path=path,
-                    timestamp=metadata.timestamp,
-                    n_channels=shape[0],
-                    n_samples=shape[1],
-                )
-            )
-        else:
-            infos.append(DASFileInfo(path=path, timestamp=stamp))
+    infos = [
+        file_info(os.path.join(directory, name), read_shapes, iostats)
+        for name in sorted(os.listdir(directory))
+        if name.endswith(".h5")
+    ]
+    infos = [info for info in infos if info is not None]
     infos.sort(key=lambda info: info.timestamp)
     return infos
 

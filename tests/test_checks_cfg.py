@@ -243,7 +243,7 @@ def write_project(tmp_path: Path, files: dict[str, str]) -> Project:
 def test_module_name_for():
     assert module_name_for("src/repro/rt/shard.py") == "repro.rt.shard"
     assert module_name_for("src/repro/rt/__init__.py") == "repro.rt"
-    assert module_name_for("benchmarks/bench_cache.py") is None
+    assert module_name_for("benchmarks/bench_ablations.py") is None
 
 
 def test_calls_resolve_through_imports(tmp_path):

@@ -213,7 +213,22 @@ class TestLosslessBitExactThroughAlgorithms:
         return {
             "raw": create_vca(str(tmp_path / "raw.h5"), raw_paths),
             "enc": create_vca(str(tmp_path / "enc.h5"), enc_paths),
+            "full": full,
         }
+
+    def test_full_vca_read_is_identical_and_moves_fewer_backend_bytes(self, pair):
+        """Same chunking on both sides, so the byte counts isolate the codec."""
+        from repro.utils.iostats import IOStats
+
+        read, moved = {}, {}
+        for name in ("raw", "enc"):
+            stats = IOStats()
+            with open_vca(pair[name], iostats=stats) as handle:
+                read[name] = handle.dataset.read()
+            moved[name] = stats.snapshot()["bytes_read"]
+        np.testing.assert_array_equal(read["enc"], read["raw"])
+        np.testing.assert_array_equal(read["raw"], pair["full"])
+        assert 0 < moved["enc"] < moved["raw"]
 
     def test_alg2_local_similarity(self, pair):
         cfg = LocalSimilarityConfig(

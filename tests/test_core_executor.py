@@ -826,6 +826,19 @@ def test_every_read_happens_on_the_calling_thread(kind):
     assert set(src.idents) == {threading.get_ident()}
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("kind", POOLED)
+def test_a_run_starts_no_more_threads_than_it_was_given(kind, threads, monkeypatch):
+    """Watched from outside the profile: one pool per run, whatever the
+    number of chunks, branches and pre-passes — never a pool per chunk."""
+    started, real_start = [], threading.Thread.start
+    monkeypatch.setattr(
+        threading.Thread, "start", lambda t: started.append(t.name) or real_start(t)
+    )
+    assert _pooled(kind, _data(33), 200, threads)[0].profile.n_chunks == 8
+    assert len(started) <= threads, started
+
+
 class Gate(Operator):
     """Identity that counts the chains inside it.  The first ``parties``
     chains meet at a barrier (that many really are in flight at once),

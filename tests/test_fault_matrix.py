@@ -227,6 +227,53 @@ class TestFaultMatrix:
             )
 
 
+@pytest.mark.parametrize("kind", ["bit-flip", "truncate", "vanish"])
+class TestMaskedDetectors:
+    """``on_error="mask"`` carries Algorithms 2 and 3 through a lost
+    file end to end, threaded and chunked."""
+
+    def test_alg2_is_bit_identical_outside_the_window_cone(self, faulted, kind):
+        from repro.core.local_similarity import LocalSimilarityConfig
+
+        cfg = LocalSimilarityConfig(half_window=10, half_lag=3, stride=10)
+        clean, centers = DASSA(threads=2).local_similarity(
+            faulted["vca"], cfg, chunk_samples=200
+        )
+        _inject(kind, faulted["paths"][VICTIM])
+        d = DASSA(threads=2, on_error="mask")
+        masked, masked_centers = d.local_similarity(
+            faulted["vca"], cfg, chunk_samples=200
+        )
+        np.testing.assert_array_equal(masked_centers, centers)
+        gaps = d.last_gaps
+        assert gaps is not None and all(V0 <= s.t0 and s.t1 <= V1 for s in gaps)
+        # windows are sample-local: a column is touched only if
+        # centre +- (half_window + half_lag) reaches a masked sample
+        lost = gaps.widened(cfg.half_window + cfg.half_lag).time_mask(
+            faulted["full"].shape[1]
+        )
+        cone = lost[np.asarray(centers, dtype=int)]
+        assert cone.any() and not cone.all()
+        np.testing.assert_array_equal(masked[:, ~cone], clean[:, ~cone])
+
+    def test_alg3_equals_fill_then_compute(self, faulted, kind):
+        """Every Alg. 3 output couples to the master channel over the whole
+        record, so no column is "outside" a gap: the masked run must equal
+        the same algorithm on an array with the identical spans filled."""
+        from repro.core.interferometry import InterferometryConfig
+
+        cfg = InterferometryConfig(fs=2.0, band=(0.05, 0.4), resample_q=2)
+        _inject(kind, faulted["paths"][VICTIM])
+        d = DASSA(threads=2, on_error="mask")
+        masked = d.interferometry(faulted["vca"], cfg, chunk_samples=200)
+        assert d.last_gaps
+        filled = faulted["full"].astype(np.float64)
+        for span in d.last_gaps:
+            filled[:, span.t0 : span.t1] = np.nan
+        reference = DASSA(threads=2).interferometry(filled, cfg, chunk_samples=200)
+        np.testing.assert_array_equal(masked, reference)
+
+
 class TestMultiBranchChunkPolicy:
     """A two-branch plan honours the per-chunk failure policy: one bad
     chunk becomes one reported gap per branch, in that branch's output

@@ -446,10 +446,28 @@ class TestVirtualCached:
         def read(cache):
             stats = IOStats()
             with VCAHandle(vca_path, iostats=stats, cache=cache) as vca:
-                vca.dataset.read()
+                np.testing.assert_array_equal(vca.dataset.read(), das_dir["full"])
             return stats.snapshot()
 
         assert read(None) == read(CacheConfig(byte_budget=0))
+
+    def test_three_passes_open_and_read_less_than_uncached(self, das_dir, tmp_path):
+        """Three passes with and without a shared pool + cache: uncached,
+        every pass re-opens and re-reads every source; cached, only the first."""
+        vca_path = create_vca(str(tmp_path / "v.h5"), das_dir["paths"])
+
+        def three_passes(pool, stats):
+            for _ in range(3):
+                with VCAHandle(vca_path, iostats=stats, pool=pool) as vca:
+                    np.testing.assert_array_equal(vca.dataset.read(), das_dir["full"])
+            return stats.snapshot()
+
+        uncached = three_passes(None, IOStats())
+        stats = IOStats()
+        with FilePool(iostats=stats, cache=BlockCache(iostats=stats)) as pool:
+            cached = three_passes(pool, stats)
+        assert cached["opens"] * 3 == uncached["opens"]  # each file once
+        assert 0 < cached["reads"] < uncached["reads"]
 
 
 class TestOpenLav:

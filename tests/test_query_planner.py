@@ -439,16 +439,20 @@ class TestPushdownBytes:
     time stride) — narrower holes are read and discarded, bytes exchanged
     for requests."""
 
-    def _backend(self, vca, query, chunk=240):
-        """``(output, stats)`` — ``stats`` the backend traffic of the
+    def _backend_all(self, vca, queries, chunk=240, naive=False):
+        """``(results, stats)`` — ``stats`` the backend traffic of the
         ``execute`` alone (source-file opens included)."""
         stats = IOStats()
         with open_stream(vca, iostats=stats) as src:
-            plan = optimize(query, chunk_samples=chunk)
+            plan = optimize(queries, chunk_samples=chunk)
             before = stats.full_snapshot()
-            out = execute(plan, source=src, iostats=stats)[0]
+            results = execute(plan, source=src, iostats=stats, naive=naive)
             after = stats.full_snapshot()
-        return out.output, {k: after[k] - before[k] for k in after}
+        return results, {k: after[k] - before[k] for k in after}
+
+    def _backend(self, vca, query, chunk=240, naive=False):
+        results, stats = self._backend_all(vca, query, chunk, naive)
+        return results[0].output, stats
 
     def _backend_bytes(self, vca, query):
         out, stats = self._backend(vca, query)
@@ -472,6 +476,33 @@ class TestPushdownBytes:
         with open_stream(vca) as src:
             ref = _legacy(q_thin, src, 240).output
         np.testing.assert_array_equal(out, ref)
+
+    def test_pushdown_costs_no_more_than_eager_reference(self, das_dir, tmp_path):
+        """Against ``naive=True`` of the same plan: same bits, no more
+        backend requests, no byte beyond the eager run's bounding blocks."""
+        vca = create_vca(str(tmp_path / "b.h5"), das_dir["paths"])
+        q = Query.scan(None).decimate(8).then(StaLtaOp(4, 16))
+        opt_out, opt = self._backend(vca, q)
+        ref_out, ref = self._backend(vca, q, naive=True)
+        np.testing.assert_array_equal(opt_out, ref_out)
+        assert 0 < opt["reads"] <= ref["reads"]
+        assert 0 < opt["bytes_read"] <= ref["bytes_read"]
+
+    def test_corun_reads_fewer_bytes_than_two_single_runs(self, das_dir, tmp_path):
+        """Two detectors behind one prefix share its reads as well as its
+        compute."""
+        vca = create_vca(str(tmp_path / "b.h5"), das_dir["paths"])
+        cfg = LocalSimilarityConfig(half_window=10, half_lag=2, stride=30)
+        b, a = _band(0.1, 0.4, 1.0)
+        base = Query.scan(None).then(TaperOp(0.05)).then(FiltFiltOp(b, a))
+        queries = [
+            base.then(StaLtaOp(4, 16)).with_label("trigger"),
+            base.then(LocalSimilarityOp(cfg)).with_label("similarity"),
+        ]
+        together, co = self._backend_all(vca, queries)
+        assert together[0].profile.cse_hits > 0
+        apart = [self._backend_all(vca, q)[1] for q in queries]
+        assert co["bytes_read"] < sum(io["bytes_read"] for io in apart)
 
     def test_decimation_reads_fewer_backend_bytes(self, tmp_path):
         """A stride whose holes (8 KiB) exceed the coalescing gap is read

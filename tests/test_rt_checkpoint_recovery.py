@@ -9,6 +9,7 @@ mode none of these tests may permit."""
 
 import json
 import os
+import zlib
 
 import pytest
 
@@ -139,6 +140,57 @@ class TestBitFlips:
             json.dump(document, handle)
         assert store.load()["sample_count"] == 600
         assert store.loaded_from == "primary"
+
+
+def _crc_rule(document):
+    """The CRC rule as the PR 20 writer and reader both spelled it."""
+    body = {k: v for k, v in document.items() if k != "crc"}
+    return zlib.crc32(json.dumps(body, sort_keys=True).encode("utf-8"))
+
+
+def _parent_save(path, payload):
+    """``CheckpointStore.save`` as of PR 20 (two encodes, ``json.dump``),
+    the format reference; generations and fsync left out."""
+    document = {"version": 1, **payload}
+    document["crc"] = _crc_rule(document)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle)
+
+
+class TestAcrossVersions:
+    """The single-encode writer changed no format: each side's reader
+    verifies what the other side's writer wrote."""
+
+    NESTED = {
+        **PAYLOAD_TWO,
+        "runner": {"seen": 1200, "buf_start": 1100, "digest": "ab" * 32},
+        "attempts": {"ü.h5": 2},
+        "expected_stamp": None,
+        "ratio": 0.1 + 0.2,
+    }
+
+    def test_parent_document_loads_and_verifies(self, store):
+        _parent_save(store.path, self.NESTED)
+        loaded = store.load()
+        assert store.last_error is None and store.loaded_from == "primary"
+        assert {k: loaded[k] for k in self.NESTED} == self.NESTED
+        # verified, not waved through: a parseable mutation fails
+        loaded["sample_count"] += 1
+        with open(store.path, "w", encoding="utf-8") as handle:
+            json.dump(loaded, handle)
+        with pytest.raises(CheckpointCorruptError, match="crc mismatch"):
+            store.load()
+
+    def test_new_document_is_the_parent_document(self, store, tmp_path):
+        store.save(self.NESTED)
+        _parent_save(str(tmp_path / "parent.json"), self.NESTED)
+        with open(store.path, encoding="utf-8") as handle:
+            document = json.load(handle)
+        with open(tmp_path / "parent.json", encoding="utf-8") as handle:
+            assert document == json.load(handle)
+        assert document["crc"] == _crc_rule(document)
+        store.save(store.load())  # a reloaded document carries "crc" in
+        assert store.load() == document and store.last_error is None
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.local_similarity import (
     LocalSimilarityConfig,
+    LocalSimilarityOp,
     local_similarity_block,
 )
 from repro.daslib import butter, filtfilt
@@ -77,13 +78,27 @@ def _event_keys(seam_events):
 
 
 class TestSeamEquivalence:
-    def test_dripped_files_match_batch_run(self, tmp_path, scene):
+    def test_dripped_files_match_batch_run(self, tmp_path, scene, monkeypatch):
+        computed = []
+        similarity_apply = LocalSimilarityOp.apply
+
+        def counting_apply(op, block, ctx):
+            out = similarity_apply(op, block, ctx)
+            computed.append(out.shape[-1])
+            return out
+
+        monkeypatch.setattr(LocalSimilarityOp, "apply", counting_apply)
         service = RTService(
             tmp_path, detector=DETECTOR, policy=POLICY, config=FAST
         )
         _drip_all(tmp_path, scene, service)
         service.flush()
         streamed = service.sink.load()
+        # No fringe compute: flushed, the service has emitted every column
+        # of the record's grid and the detector scored hardly any more (a
+        # chain handing it the filter's settle halo again reads ~1.5x).
+        emitted = len(SIM.centers(MINUTES * SPM))
+        assert emitted <= sum(computed) <= 1.05 * emitted
 
         # One batch pass over the concatenated record.
         data = synthesize_scene(
@@ -356,6 +371,39 @@ class TestServiceCatalog:
         _drip_all(tmp_path, scene, service)
         assert service.catalog is not None
         assert len(service.catalog) == MINUTES
+
+    def test_catalog_cost_does_not_grow_with_the_spool(self, tmp_path, monkeypatch):
+        """Only the first ingested file lists the directory; the rest are
+        added to the in-memory index, and the saved index is still the one
+        a from-scratch scan builds."""
+        from repro.storage import catalog as catalog_module
+        from repro.storage.catalog import Catalog
+
+        scans = []
+        real_scan = catalog_module.scan_directory
+        monkeypatch.setattr(
+            catalog_module,
+            "scan_directory",
+            lambda d, **kw: scans.append(d) or real_scan(d, **kw),
+        )
+        files, spm = 60, 200
+        tiny = fig1b_scene(
+            n_channels=8, fs=FS, minutes=files, samples_per_minute=spm, seed=7
+        )
+        service = RTService(tmp_path, detector=DETECTOR, policy=POLICY, config=FAST)
+        paths = []
+        drip = drip_feed_dataset(tmp_path, files, scene=tiny, samples_per_minute=spm)
+        for path in drip:
+            service.drain()
+            paths.append(path)
+        assert service.metrics.files_ingested == files and len(scans) == 1
+        built = Catalog.build(tmp_path).entries
+        assert Catalog.load(tmp_path).entries == service.catalog.entries == built
+        # add() on its own: any arrival order, a repeat, the same index
+        late = Catalog(directory=os.fspath(tmp_path))
+        for path in paths[::-1] + paths[:3]:
+            late.add(path)
+        assert late.entries == built
 
     def test_same_mtime_tick_file_is_seen(self, tmp_path):
         # Regression: Catalog.stale() used strict '>' so a file landing in

@@ -174,6 +174,34 @@ def test_tenants_draw_from_separate_buckets():
         ctl.admit("polite", wait=False)
 
 
+def test_greedy_tenant_at_its_quota_costs_a_polite_tenant_no_wait():
+    """The isolation promise on an injected clock: a greedy tenant
+    hammering past its quota is refused out of its own bucket, and a
+    human-paced tenant interleaved with it is admitted every time with a
+    zero wait — its whole wait distribution, not a wall-clock p95."""
+    clock = FakeClock()
+    greedy_quota = TenantQuota(requests_per_s=40.0, request_burst=4.0, max_queue=4)
+    ctl = AdmissionController(
+        default=TenantQuota(requests_per_s=500.0, request_burst=50.0),
+        quotas={"greedy": greedy_quota},
+        clock=clock,
+    )
+    for _ in range(40):
+        for _ in range(5):  # five attempts per polite request
+            try:
+                ctl.admit("greedy", wait=False)
+            except QuotaExceededError as err:
+                assert err.tenant == "greedy" and err.retry_after > 0.0
+        assert ctl.admit("polite", wait=False).waited_s == 0.0
+        clock.advance(0.002)
+    greedy, polite = ctl.metrics("greedy"), ctl.metrics("polite")
+    # the burst of 4, then 40/s over the 78 ms before the last attempt
+    assert greedy["admitted"] == 4 + 3
+    assert greedy["rejected_quota"] == 200 - greedy["admitted"]
+    assert (polite["admitted"], polite["rejected_quota"]) == (40, 0)
+    assert polite["wait"]["max_s"] == 0.0
+
+
 def test_per_tenant_quota_override():
     clock = FakeClock()
     ctl = AdmissionController(

@@ -18,11 +18,14 @@ The contract under test (``repro.serve.server``):
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.detection import DetectedEvent
+from repro.core.graph import Query
+from repro.core.optimizer import execute, optimize
 from repro.errors import QuotaExceededError, ServeError
 from repro.hdf5lite import File
 from repro.rt.events import EventSink, SeamEvent
@@ -34,10 +37,11 @@ from repro.serve import (
     build_pyramid,
     compute_level,
 )
-from repro.storage.chunks import open_stream
+from repro.storage.chunks import WindowSource, open_stream
 from repro.storage.dasfile import das_filename, write_das_file
 from repro.storage.metadata import DASMetadata, timestamp_add_seconds
 from repro.storage.vca import create_vca
+from repro.utils.iostats import IOStats
 
 N_CHANNELS = 8
 MINUTES = 3
@@ -102,6 +106,15 @@ def test_read_window_bit_exact_vs_raw_slice(archive):
             assert (result.channel_lo, result.channel_hi) == (lo, hi)
             assert result.gaps == []
             assert result.waited_s >= 0.0
+            # ... and to the planner asked directly for the same window
+            query = Query.scan(None).select_channels(lo, hi)
+            if step > 1:
+                query = query.decimate(step)
+            with open_stream(vca) as src:
+                (direct,) = execute(
+                    optimize(query), source=WindowSource(src, t0, t1)
+                )
+            np.testing.assert_array_equal(result.data, direct.output)
 
 
 def test_read_window_validates(archive):
@@ -137,6 +150,27 @@ def test_preview_pyramid_matches_raw_path_when_aligned(archive):
         np.testing.assert_array_equal(via_pyramid.data, via_raw.data)
         assert not via_pyramid.mask.any()
         assert via_pyramid.data.shape == (4, -(-n // 16))
+
+
+def test_pyramid_preview_reads_fewer_backend_bytes_than_the_raw_path(archive):
+    """Each path on a fresh server, so both byte counts are cold-cache."""
+    vca, _ = archive
+
+    def cold_preview(use_pyramid):
+        stats = IOStats()
+        with DataServer(vca, iostats=stats) as server:
+            n = server.n_samples
+            before = stats.full_snapshot()["bytes_read"]
+            preview = server.session("probe").preview(
+                0, n, n // 16, use_pyramid=use_pyramid
+            )
+            return preview, stats.full_snapshot()["bytes_read"] - before
+
+    via_pyramid, pyramid_bytes = cold_preview(True)
+    via_raw, raw_bytes = cold_preview(False)
+    assert via_pyramid.level is not None and via_raw.level is None
+    np.testing.assert_array_equal(via_pyramid.data, via_raw.data)
+    assert 0 < pyramid_bytes < raw_bytes
 
 
 def test_preview_full_width_is_the_raw_window(archive):
@@ -301,6 +335,41 @@ def test_requests_reconcile_actual_backend_bytes(archive):
         # from the dense-output estimate; the settled totals record what
         # the backend really moved.
         assert metrics["bytes_actual"] != metrics["bytes_admitted"]
+
+
+def test_concurrent_viewers_are_all_admitted_and_all_exact(archive):
+    """Four closed-loop tenants against one server with default quotas:
+    nothing is refused, and each thread gets what a lone caller gets."""
+    vca, _ = archive
+    raw = raw_record(vca)
+    n, requests, failures = raw.shape[1], 12, []
+    with DataServer(vca) as server:
+        want_zoom = server.session("reference").preview(0, n, n // 16).data
+
+        def viewer(idx):
+            session = server.session(f"viewer-{idx}")
+            try:
+                for k in range(requests):
+                    if k % 2:
+                        got = session.preview(0, n, n // 16).data
+                        np.testing.assert_array_equal(got, want_zoom)
+                    else:
+                        t0 = 37 * (idx + k)
+                        got = session.read_window(t0, t0 + 300, step=2).data
+                        np.testing.assert_array_equal(got, raw[:, t0 : t0 + 300 : 2])
+            except Exception as exc:  # surfaced below, on the main thread
+                failures.append((idx, exc))
+
+        threads = [threading.Thread(target=viewer, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads) and not failures
+        for idx in range(4):
+            metrics = server.admission.metrics(f"viewer-{idx}")
+            assert metrics["admitted"] == requests
+            assert metrics["rejected_quota"] == metrics["rejected_queue"] == 0
 
 
 def test_closed_server_rejects_sessions(archive):
