@@ -10,11 +10,8 @@ Run:  python examples/earthquake_detection.py
 
 import numpy as np
 
-from repro.core.detection import detect_events
-from repro.core.local_similarity import (
-    LocalSimilarityConfig,
-    streamed_local_similarity,
-)
+from repro import DASSA
+from repro.core.local_similarity import LocalSimilarityConfig
 from repro.synthetic import fig1b_scene, synthesize_scene
 
 FS = 50.0
@@ -47,11 +44,9 @@ def main() -> None:
     # block (plus the window/lag halo) resident at a time, threads
     # splitting the channels — never the whole array.
     print("computing local similarity (Algorithm 2, streamed) ...")
-    result, centers = streamed_local_similarity(
-        data, config, chunk_samples=SPM, threads=4, fs=FS
-    )
-    simi = result.output
-    profile = result.profile
+    dassa = DASSA(threads=4, chunk_samples=SPM)
+    simi, centers = dassa.local_similarity(data, config)
+    profile = dassa.last_profile
     print(
         f"  {profile.n_chunks} chunks of {profile.chunk_samples} samples, "
         f"peak resident {profile.peak_resident_bytes / 1e6:.1f} MB "
@@ -61,7 +56,7 @@ def main() -> None:
     print("\nlocal-similarity map (channels down, time across):")
     print(ascii_map(simi))
 
-    events = detect_events(
+    events = dassa.detect(
         simi,
         centers,
         fs=FS,

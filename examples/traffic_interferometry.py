@@ -12,10 +12,10 @@ Run:  python examples/traffic_interferometry.py
 
 import numpy as np
 
+from repro import DASSA
 from repro.core.interferometry import (
     InterferometryConfig,
     noise_correlation_functions,
-    streamed_interferometry,
 )
 
 FS = 100.0
@@ -49,11 +49,9 @@ def main() -> None:
     # Stream Algorithm 3 through the chunked executor: 30-second blocks
     # flow through detrend → taper → filtfilt → resample into the FFT
     # accumulation sink, so only the decimated record is ever resident.
-    result = streamed_interferometry(
-        data, config, chunk_samples=int(30 * FS), threads=4
-    )
-    corr = result.output
-    profile = result.profile
+    dassa = DASSA(threads=4, chunk_samples=int(30 * FS))
+    corr = dassa.interferometry(data, config)
+    profile = dassa.last_profile
     print(
         f"\nstreamed in {profile.n_chunks} chunks; peak resident "
         f"{profile.peak_resident_bytes / 1e6:.2f} MB vs "

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
-# CI entry point.  `scripts/ci.sh` runs the static checks (repro.checks against
-# scripts/checks_baseline.json, then the incremental smoke: --changed-since on
-# an unchanged tree re-analyzes nothing and replays the full run's findings
-# byte for byte), the tier-1 suite and the harness's self-tests.  It times
-# nothing: every deterministic invariant a layer claims is a tier-1 test.
+# CI entry point.  `scripts/ci.sh` runs the static checks once (repro.checks
+# against scripts/checks_baseline.json), the tier-1 suite and the harness's
+# self-tests.  It times nothing: every deterministic invariant a layer claims
+# is a tier-1 test.
 #
 # `scripts/ci.sh --bench [REFERENCE]` is the performance gate: five untraced
 # runs of each harness workload (~7 min), judged by compare.py under
@@ -45,29 +44,5 @@ EOF
 fi
 
 python -m repro.checks --baseline scripts/checks_baseline.json
-python - <<'EOF'
-import json, subprocess, sys, time
-
-def run_checks(*args):
-    started = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.checks", "--json",
-         "--baseline", "scripts/checks_baseline.json", *args],
-        capture_output=True, text=True,
-    )
-    if proc.returncode not in (0, 1):
-        sys.stderr.write(proc.stderr)
-        raise SystemExit(proc.returncode)
-    return json.loads(proc.stdout), time.perf_counter() - started
-
-full, full_s = run_checks()
-incr, incr_s = run_checks("--changed-since", "HEAD")
-state = incr["incremental"]
-assert state["modules_reanalyzed"] == [], state
-assert json.dumps(incr["findings"]) == json.dumps(full["findings"])
-print(f"checks incremental smoke: full {full_s:.2f}s -> --changed-since "
-      f"{incr_s:.2f}s, {state['modules_replayed']} modules replayed, "
-      f"findings byte-identical")
-EOF
 python -m pytest -x -q
 python -m pytest benchmarks/harness/tests -q

@@ -331,90 +331,6 @@ class BaseEngine:
         return report
 
 
-    def run_chunked(
-        self,
-        data_source: Any,
-        chunk_udf: Callable[[np.ndarray], np.ndarray],
-        halo: int = 0,
-        shared_state: Callable[[Any], Any] | None = None,
-        output_path: str | None = None,
-    ) -> EngineReport:
-        """Execute a *vectorised* UDF over per-rank blocks.
-
-        ``chunk_udf(block[, state])`` maps a rank's ``(rows, cols)`` read
-        block (core rows only are kept from its output) to an output
-        array whose first axis matches the block's core rows.  This is
-        the batch execution interface production pipelines use (the
-        authors' feature-extraction follow-up [32] calls it chunked
-        processing); the per-cell :meth:`run` interface remains the
-        literal ArrayUDF semantics.
-
-        ``shared_state(data_source)`` is computed once on rank 0 and
-        broadcast — the master-spectrum pattern of Algorithm 3.  With
-        ``output_path``, rank outputs are written as one merged array
-        (the paper's single-big-array write).
-        """
-        shape = tuple(data_source.shape)
-        if len(shape) != 2:
-            raise ConfigError(f"need a 2-D source, got shape {shape}")
-        p = self.ranks
-        engine = self
-
-        def rank_fn(comm):
-            state = None
-            if shared_state is not None:
-                state = shared_state(data_source) if comm.rank == 0 else None
-                state = comm.bcast(state, root=0)
-            part = partition_rows(shape, p, comm.rank, halo=halo)
-            block = np.asarray(data_source[part.read_row_lo : part.read_row_hi, :])
-            comm.charge_io(
-                engine.cluster.storage.sequential_read_time(
-                    part.read_nbytes(), nrequests=1, nopens=1
-                ),
-                op="read",
-                nbytes=part.read_nbytes(),
-            )
-            out = chunk_udf(block, state) if shared_state is not None else chunk_udf(block)
-            out = np.asarray(out)
-            # Trim halo rows: the UDF's output rows align with block rows.
-            if out.shape[0] == part.read_rows:
-                out = out[part.core_offset : part.core_offset + part.core_rows]
-            elif out.shape[0] != part.core_rows:
-                raise ConfigError(
-                    f"chunk UDF returned {out.shape[0]} rows for a block of "
-                    f"{part.read_rows} read / {part.core_rows} core rows"
-                )
-            comm.charge_compute(engine.compute.time(block.size, engine.threads_per_rank))
-            if output_path is not None:
-                from repro.storage.parallel_write import write_output_parallel
-
-                write_output_parallel(
-                    comm,
-                    output_path,
-                    np.atleast_2d(out),
-                    storage=engine.cluster.storage,
-                )
-            gathered = comm.gather(out, root=0)
-            if comm.rank == 0:
-                return np.concatenate(gathered, axis=0)
-            return None
-
-        spmd = run_spmd(
-            rank_fn, p, cluster=self.cluster, ranks_per_node=self.ranks_per_node
-        )
-        report = EngineReport(
-            engine=self.name,
-            nodes=self.nodes,
-            ranks_per_node=self.ranks_per_node,
-            threads_per_rank=self.threads_per_rank,
-        )
-        phases = spmd.phase_totals()
-        report.read_time = phases.get("io", 0.0)
-        report.compute_time = phases.get("compute", 0.0)
-        report.result = spmd.results[0]
-        return report
-
-
 class MPIEngine(BaseEngine):
     """Original ArrayUDF: one MPI rank per core, no threads."""
 

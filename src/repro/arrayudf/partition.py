@@ -65,10 +65,6 @@ class Partition:
     def read_shape(self) -> tuple[int, int]:
         return (self.read_rows, self.cols)
 
-    @property
-    def core_shape(self) -> tuple[int, int]:
-        return (self.core_rows, self.cols)
-
     def read_nbytes(self, itemsize: int = 4) -> int:
         return self.read_rows * self.cols * itemsize
 

@@ -134,7 +134,7 @@ class PublicApiAnalyzer(Analyzer):
 
     def run(self, project: Project) -> Iterator[Finding]:
         for mod in project.modules:
-            if mod.tree is None or not project.in_scope(mod):
+            if mod.tree is None:
                 continue
             yield from self._check_all(mod)
             if not mod.relaxed:

@@ -114,7 +114,6 @@ class _WriteSite:
 class AtomicPersistenceAnalyzer(Analyzer):
     name = "atomic-persistence"
     description = "durable writes follow tmp + fsync + os.replace"
-    version = 1
     codes = {
         "ATM001": "bare write to a durable path (no tmp staging)",
         "ATM002": "tmp-staged write published without fsync",
@@ -123,7 +122,7 @@ class AtomicPersistenceAnalyzer(Analyzer):
 
     def run(self, project: Project) -> Iterator[Finding]:
         for mod in project.modules:
-            if mod.tree is None or mod.relaxed or not project.in_scope(mod):
+            if mod.tree is None or mod.relaxed:
                 continue
             for node in ast.walk(mod.tree):
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -75,11 +75,7 @@ class BlasCallAnalyzer(Analyzer):
 
     def run(self, project: Project) -> Iterator[Finding]:
         for mod in project.modules:
-            if (
-                mod.tree is None
-                or mod.layer not in ANALYSIS_LAYERS
-                or not project.in_scope(mod)
-            ):
+            if mod.tree is None or mod.layer not in ANALYSIS_LAYERS:
                 continue
             for node in ast.walk(mod.tree):
                 spelled = _blas_product(node)

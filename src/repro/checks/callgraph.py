@@ -1,4 +1,4 @@
-"""Project call graph and module dependency graph.
+"""Project call graph.
 
 Resolution is name-based and intentionally conservative: we resolve
 calls we can attribute to a project-internal function with confidence —
@@ -13,10 +13,6 @@ calls we can attribute to a project-internal function with confidence —
 — and attribute no edge otherwise.  A missing edge makes interprocedural
 analyzers *less* sensitive (they treat the callee as opaque), never
 wrong, which is the right failure mode for CI lints.
-
-The same import scan yields the module-level dependency graph that the
-incremental engine uses: :meth:`CallGraph.dependents_closure` answers
-"which modules must be re-analyzed because this one changed".
 """
 
 from __future__ import annotations
@@ -74,15 +70,13 @@ class _ModuleSymbols:
     imported: dict[str, tuple[str, str]] = field(default_factory=dict)
     #: dotted modules star-imported (resolved via their __all__)
     star_imports: list[str] = field(default_factory=list)
-    #: dotted modules imported without an alias (dependency edges only)
-    plain_imports: list[str] = field(default_factory=list)
     #: names exported by this module's __all__ (empty when absent)
     exports: set[str] = field(default_factory=set)
 
 
 @dataclass
 class CallGraph:
-    """Functions, call edges, and module import dependencies."""
+    """Functions and call edges."""
 
     #: (rel, qualname) -> FunctionInfo
     functions: dict[tuple[str, str], FunctionInfo] = field(default_factory=dict)
@@ -90,8 +84,6 @@ class CallGraph:
     calls: dict[tuple[str, str], set[tuple[str, str]]] = field(default_factory=dict)
     #: (module rel, id(ast.Call)) -> callee key, for per-site lookup
     call_sites: dict[tuple[str, int], tuple[str, str]] = field(default_factory=dict)
-    #: module rel -> rels of project modules it imports
-    module_deps: dict[str, set[str]] = field(default_factory=dict)
 
     def resolve_site(self, rel: str, call) -> FunctionInfo | None:
         """The project function a specific call expression resolves to."""
@@ -105,32 +97,8 @@ class CallGraph:
             if key in self.functions
         ]
 
-    def callers(self, func: FunctionInfo) -> list[FunctionInfo]:
-        out = []
-        for caller_key, callee_keys in sorted(self.calls.items()):
-            if func.key in callee_keys and caller_key in self.functions:
-                out.append(self.functions[caller_key])
-        return out
-
     def functions_in(self, rel: str) -> list[FunctionInfo]:
         return [f for f in self.functions.values() if f.rel == rel]
-
-    def dependents_closure(self, rels: set[str]) -> set[str]:
-        """``rels`` plus every module that (transitively) imports one of
-        them — the re-analysis set for the incremental engine."""
-        reverse: dict[str, set[str]] = {}
-        for src, deps in self.module_deps.items():
-            for dep in deps:
-                reverse.setdefault(dep, set()).add(src)
-        closure = set(rels)
-        stack = list(rels)
-        while stack:
-            rel = stack.pop()
-            for dependent in reverse.get(rel, ()):
-                if dependent not in closure:
-                    closure.add(dependent)
-                    stack.append(dependent)
-        return closure
 
     def transitive_closure_calls(
         self, start: FunctionInfo, limit: int = 10_000
@@ -185,8 +153,6 @@ def _collect_imports(symbols: _ModuleSymbols) -> None:
                     # asname form gives a usable module alias.
                     if alias.asname:
                         symbols.module_aliases[local] = alias.name
-                    else:
-                        symbols.plain_imports.append(alias.name)
         elif isinstance(node, ast.ImportFrom):
             if node.level:
                 base = _resolve_relative(symbols, node.level, node.module)
@@ -331,7 +297,7 @@ def _resolve_remote(
 
 
 def build_callgraph(project: Project) -> CallGraph:
-    """Build functions, call edges, and module deps for the project."""
+    """Build functions and call edges for the project."""
     by_module: dict[str, _ModuleSymbols] = {}
     module_rels: dict[str, str] = {}
     for mod in project.modules:
@@ -344,21 +310,7 @@ def build_callgraph(project: Project) -> CallGraph:
             module_rels[symbols.module] = mod.rel
 
     graph = CallGraph()
-    for rel, symbols in by_module.items():
-        deps: set[str] = set()
-        for module in (
-            list(symbols.module_aliases.values())
-            + symbols.star_imports
-            + symbols.plain_imports
-        ):
-            target_rel = _nearest_module_rel(module, module_rels)
-            if target_rel and target_rel != rel:
-                deps.add(target_rel)
-        for module, _symbol in symbols.imported.values():
-            target_rel = _nearest_module_rel(module, module_rels)
-            if target_rel and target_rel != rel:
-                deps.add(target_rel)
-        graph.module_deps[rel] = deps
+    for symbols in by_module.values():
         for func in symbols.functions.values():
             graph.functions[func.key] = func
 
@@ -390,16 +342,3 @@ def own_calls(func: ast.FunctionDef | ast.AsyncFunctionDef) -> list[ast.Call]:
             out.append(node)
         stack.extend(ast.iter_child_nodes(node))
     return out
-
-
-def _nearest_module_rel(module: str, module_rels: dict[str, str]) -> str | None:
-    """Map a dotted module to a scanned file, falling back to parent
-    packages (``repro.rt.shard`` -> src/repro/rt/shard.py, else
-    src/repro/rt/__init__.py's rel if only that was scanned)."""
-    parts = module.split(".")
-    while parts:
-        rel = module_rels.get(".".join(parts))
-        if rel is not None:
-            return rel
-        parts = parts[:-1]
-    return None

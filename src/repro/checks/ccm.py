@@ -131,7 +131,6 @@ def _is_rank_test(stmt: ast.stmt) -> bool:
 class CommProtocolAnalyzer(Analyzer):
     name = "simmpi-protocol"
     description = "rank-divergent collectives, unmatched sends, recv ordering"
-    version = 1
     codes = {
         "CCM001": "collective reached by some ranks but not others",
         "CCM002": "rank-conditional send/recv with no match on the other arm",
@@ -144,8 +143,6 @@ class CommProtocolAnalyzer(Analyzer):
         transitive = self._transitive_summaries(graph, direct)
         for mod in project.modules:
             if mod.tree is None or mod.relaxed:
-                continue
-            if not project.in_scope(mod):
                 continue
             for func in graph.functions_in(mod.rel):
                 yield from self._check_function(mod, func, graph, direct, transitive)

@@ -85,12 +85,6 @@ class CFG:
     exit: int = 1
     raise_exit: int = 2
 
-    def node_for(self, stmt: ast.stmt) -> CFGNode | None:
-        for node in self.nodes.values():
-            if node.stmt is stmt:
-                return node
-        return None
-
     def preds(self) -> dict[int, list[Edge]]:
         """Reverse adjacency (computed on demand)."""
         rev: dict[int, list[Edge]] = {uid: [] for uid in self.nodes}

@@ -7,15 +7,9 @@ The baseline defaults to ``<root>/scripts/checks_baseline.json`` when
 present; ``--no-baseline`` ignores it, ``--update-baseline`` rewrites
 its ``findings`` list from the current run (waivers are preserved).
 ``--json`` emits a stable, sorted document suitable for diffing, with
-per-analyzer wall times.
-
-``--changed-since <rev>`` is the diff-aware mode: only modules whose
-content digest misses the cache (plus their reverse import closure)
-are re-analyzed; everything else replays byte-for-byte from the
-per-module result cache (``.checks_cache.json`` under the root, keyed
-on content digest + analyzer versions).  Full runs prime the same
-cache.  ``--sarif FILE`` additionally writes the *new* (post-baseline)
-findings as SARIF 2.1.0.
+per-analyzer wall times.  ``--sarif FILE`` additionally writes the *new*
+(post-baseline) findings as SARIF 2.1.0.  Every run analyzes the whole
+tree (a few seconds) and writes nothing but what it was asked to.
 """
 
 from __future__ import annotations
@@ -26,17 +20,10 @@ import sys
 from pathlib import Path
 
 from repro.checks.baseline import Baseline
-from repro.checks.cache import (
-    DEFAULT_CACHE,
-    ResultCache,
-    incremental_scope,
-    merge_incremental,
-    prime_cache,
-)
 from repro.checks.registry import all_analyzers
 from repro.checks.runner import load_project, run_analyzers
 from repro.checks.sarif import to_sarif
-from repro.errors import ConfigError, ReproError
+from repro.errors import ReproError
 
 __all__ = ["main", "build_parser"]
 
@@ -82,22 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rule catalog and exit",
     )
     parser.add_argument(
-        "--changed-since", default=None, metavar="REV",
-        help="incremental mode: re-analyze only modules whose content "
-             "changed since the cached run (REV labels that run) plus "
-             "their import dependents; replay the rest from the cache",
-    )
-    parser.add_argument(
         "--sarif", default=None, metavar="FILE",
         help="also write new (post-baseline) findings as SARIF 2.1.0",
-    )
-    parser.add_argument(
-        "--cache", default=None, metavar="FILE",
-        help=f"result cache location (default: {DEFAULT_CACHE} under --root)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="neither read nor write the result cache",
     )
     return parser
 
@@ -126,41 +99,12 @@ def main(argv: list[str] | None = None) -> int:
             baseline_path = root / DEFAULT_BASELINE
 
     only = args.only.split(",") if args.only else None
-    # The cache stores full-engine, full-tree results; a filtered run
-    # would poison it, so those runs neither read nor write it.
-    use_cache = not (args.no_cache or only or args.paths)
-    cache_path = Path(args.cache) if args.cache else root / DEFAULT_CACHE
-    if not cache_path.is_absolute():
-        cache_path = root / cache_path
-
     timings: dict[str, float] = {}
-    incremental = None
     try:
-        if args.changed_since is not None and (only or args.paths or args.no_cache):
-            raise ConfigError(
-                "--changed-since needs the full engine over the full tree "
-                "(drop --only / explicit paths / --no-cache)"
-            )
         project = load_project(root, args.paths or None)
-        if args.changed_since is not None:
-            cache = ResultCache.load(cache_path, all_analyzers())
-            scope, _changed = incremental_scope(project, cache)
-            project.scope = scope
-            fresh = run_analyzers(project, only=None, timings=timings)
-            incremental = merge_incremental(project, cache, fresh, scope)
-            findings = incremental.findings
-            cache.save()
-        else:
-            findings = run_analyzers(project, only=only, timings=timings)
-            if use_cache:
-                cache = ResultCache.load(cache_path, all_analyzers())
-                prime_cache(project, cache, findings)
-                cache.save()
+        findings = run_analyzers(project, only=only, timings=timings)
         baseline = Baseline.load(baseline_path)
-    except ConfigError as exc:
-        print(f"repro.checks: {exc}", file=sys.stderr)
-        return 2
-    except ReproError as exc:  # any other framework failure is a usage error here
+    except ReproError as exc:  # bad paths, rules or baseline: a usage error here
         print(f"repro.checks: {exc}", file=sys.stderr)
         return 2
 
@@ -190,12 +134,6 @@ def main(argv: list[str] | None = None) -> int:
             "baselined": len(baselined),
             "timings_ms": timings,
         }
-        if incremental is not None:
-            document["incremental"] = {
-                "changed_since": args.changed_since,
-                "modules_reanalyzed": incremental.reanalyzed,
-                "modules_replayed": incremental.replayed,
-            }
         print(json.dumps(document, indent=2, sort_keys=False))
     else:
         for finding in new:
@@ -204,10 +142,5 @@ def main(argv: list[str] | None = None) -> int:
             f"repro.checks: {len(new)} new finding(s), "
             f"{len(baselined)} baselined, {len(project.modules)} modules scanned"
         )
-        if incremental is not None:
-            summary += (
-                f" ({len(incremental.reanalyzed)} re-analyzed, "
-                f"{incremental.replayed} replayed from cache)"
-            )
         print(summary if new else f"{summary} — OK")
     return 1 if new else 0

@@ -174,9 +174,6 @@ class OperatorContractAnalyzer(Analyzer):
         kinds = _resolve_kinds(classes)
         for infos in classes.values():
             for info in infos:
-                # the class map is whole-program; reporting honours scope
-                if not project.in_scope(info.mod):
-                    continue
                 kind = kinds.get(id(info))
                 view = _FlatView(info, classes)
                 if kind == "operator":

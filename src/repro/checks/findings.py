@@ -67,20 +67,6 @@ class Finding:
             "fingerprint": self.fingerprint,
         }
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Finding":
-        """Inverse of :meth:`to_dict` (the result-cache round trip)."""
-        return cls(
-            code=raw["code"],
-            rule=raw["rule"],
-            path=raw["path"],
-            line=int(raw["line"]),
-            message=raw["message"],
-            hint=raw.get("hint", ""),
-            severity=raw.get("severity", "error"),
-            context=raw.get("context", ""),
-        )
-
     def format(self) -> str:
         text = f"{self.path}:{self.line}: {self.code} {self.message}"
         if self.hint:

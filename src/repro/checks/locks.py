@@ -110,7 +110,7 @@ class LockDisciplineAnalyzer(Analyzer):
 
     def run(self, project: Project) -> Iterator[Finding]:
         for mod in project.modules:
-            if mod.tree is None or not project.in_scope(mod):
+            if mod.tree is None:
                 continue
             for node in ast.walk(mod.tree):
                 if isinstance(node, ast.ClassDef):

@@ -73,9 +73,6 @@ class PlannerGeometryAnalyzer(Analyzer):
             for info in infos:
                 if kinds.get(id(info)) != "operator":
                     continue
-                # the class map is whole-program; reporting honours scope
-                if not project.in_scope(info.mod):
-                    continue
                 yield from self._check(info, _FlatView(info, classes))
 
     def _check(self, info: _ClassInfo, view: _FlatView) -> Iterator[Finding]:

@@ -29,9 +29,6 @@ class Analyzer:
     name: str = ""
     #: short human description
     description: str = ""
-    #: bump when the analyzer's logic changes — invalidates cached
-    #: per-module results (see repro.checks.cache)
-    version: int = 1
     #: code -> one-line description of the specific check
     codes: dict[str, str] = {}
 

@@ -138,7 +138,6 @@ class _NodeFacts:
 class ResourceLifecycleAnalyzer(Analyzer):
     name = "resource-lifecycle"
     description = "handles released on every path; no blocking under a lock"
-    version = 1
     codes = {
         "RES001": "resource acquired but not released on some exit path",
         "RES002": "blocking operation while holding a lock",
@@ -146,7 +145,7 @@ class ResourceLifecycleAnalyzer(Analyzer):
 
     def run(self, project: Project) -> Iterator[Finding]:
         for mod in project.modules:
-            if mod.tree is None or mod.relaxed or not project.in_scope(mod):
+            if mod.tree is None or mod.relaxed:
                 continue
             guards_by_class = self._class_guards(mod)
             for node in ast.walk(mod.tree):

@@ -94,7 +94,7 @@ def run_analyzers(
     wanted = {token.strip() for token in only} if only else None
     findings: list[Finding] = []
     for mod in project.modules:
-        if mod.parse_error is not None and project.in_scope(mod):
+        if mod.parse_error is not None:
             findings.append(Finding(
                 code="PAR001", rule="parse", path=mod.rel, line=1,
                 message=f"file does not parse: {mod.parse_error}",

@@ -239,10 +239,6 @@ class LockSanitizer:
                 del held[i]
                 return
 
-    def held_names(self) -> tuple[str, ...]:
-        """Names of locks the calling thread currently holds."""
-        return tuple(lock.name for lock in self._state.held)
-
     def holds(self, lock: object) -> bool:
         return any(h is lock for h in self._state.held)
 

@@ -57,9 +57,6 @@ class SourceModule:
     #: top-level package under src/repro ("hdf5lite", "rt", ...) or None
     layer: str | None = None
 
-    def comment(self, line: int) -> str:
-        return self.comments.get(line, "")
-
     def is_suppressed(self, line: int, code: str) -> bool:
         """True when a ``noqa`` on ``line`` silences ``code``."""
         match = _NOQA_RE.search(self.comments.get(line, ""))
@@ -143,24 +140,13 @@ def load_module(path: Path, rel: str, relaxed: bool = False) -> SourceModule:
 
 @dataclass
 class Project:
-    """Everything one check run looks at.
-
-    ``scope`` narrows *reporting*, not *parsing*: in an incremental run
-    the whole tree is still loaded (whole-program analyzers need every
-    module to resolve names and build call graphs), but only modules in
-    scope may produce findings — the rest come from the result cache.
-    ``None`` means everything is in scope (a full run).
-    """
+    """Everything one check run looks at."""
 
     root: Path
     modules: list[SourceModule]
-    scope: set[str] | None = None
 
     def module(self, rel: str) -> SourceModule | None:
         for mod in self.modules:
             if mod.rel == rel:
                 return mod
         return None
-
-    def in_scope(self, mod: SourceModule) -> bool:
-        return self.scope is None or mod.rel in self.scope

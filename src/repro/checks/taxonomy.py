@@ -87,7 +87,7 @@ class ExceptionTaxonomyAnalyzer(Analyzer):
 
     def run(self, project: Project) -> Iterator[Finding]:
         for mod in project.modules:
-            if mod.tree is None or not project.in_scope(mod):
+            if mod.tree is None:
                 continue
             yield from self._check_module(mod)
 

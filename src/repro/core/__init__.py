@@ -9,15 +9,16 @@
 * :mod:`repro.core.baseline` — the MATLAB-style serial pipeline DASSA is
   compared against in Fig. 9,
 * :mod:`repro.core.framework` — the ``DASSA`` facade: search → merge →
-  analyse in three calls (the paper's future-work "Python API"),
+  analyse in three calls (the paper's future-work "Python API"); every
+  analysis it offers is an :class:`AnalysisPlan` branch,
 * :mod:`repro.core.pipeline` / :mod:`repro.core.operators` — the
   streaming chunked execution core: overlap-aware operators, the one
   chunk-loop kernel every chain runs through, and the materialised
   (MATLAB-style) reference execution of the same graphs,
 * :mod:`repro.core.graph` / :mod:`repro.core.optimizer` — the lazy query
   planner, lowered onto that kernel,
-* :mod:`repro.core.autoselect` — node-count and chunk/thread selection
-  from the machine model.
+* :mod:`repro.core.autoselect` — node-count and engine selection from
+  the machine model (the paper's §VIII future work).
 """
 
 from repro.core.detection import DetectedEvent, detect_events
@@ -27,7 +28,6 @@ from repro.core.interferometry import (
     interferometry_block,
     interferometry_operators,
     preprocess_operators,
-    streamed_interferometry,
     traffic_noise_udf,
 )
 from repro.core.local_similarity import (
@@ -35,7 +35,6 @@ from repro.core.local_similarity import (
     LocalSimilarityOp,
     local_similarity_block,
     local_similarity_udf,
-    streamed_local_similarity,
 )
 from repro.core.operators import (
     CorrelateOp,
@@ -60,7 +59,6 @@ from repro.core.stacking import (
     linear_stack,
     phase_weighted_stack,
     stack_snr,
-    streamed_stack,
     window_ncfs,
 )
 from repro.core.stalta import (
@@ -68,7 +66,6 @@ from repro.core.stalta import (
     array_detections,
     classic_sta_lta,
     recursive_sta_lta,
-    streamed_sta_lta,
     trigger_onset,
 )
 from repro.core.graph import (
@@ -86,10 +83,8 @@ from repro.core.optimizer import (
 )
 from repro.core.autoselect import (
     PlanOption,
-    StreamTuning,
     best_plan,
     plan,
-    tune_stream,
 )
 from repro.core.velocity import VelocityFit, fit_moveout, pick_arrivals
 
@@ -100,12 +95,10 @@ __all__ = [
     "LocalSimilarityOp",
     "local_similarity_block",
     "local_similarity_udf",
-    "streamed_local_similarity",
     "InterferometryConfig",
     "interferometry_block",
     "interferometry_operators",
     "preprocess_operators",
-    "streamed_interferometry",
     "traffic_noise_udf",
     "DetectedEvent",
     "detect_events",
@@ -114,21 +107,17 @@ __all__ = [
     "phase_weighted_stack",
     "stack_snr",
     "NCFStackSink",
-    "streamed_stack",
     "classic_sta_lta",
     "recursive_sta_lta",
     "trigger_onset",
     "array_detections",
     "StaLtaOp",
-    "streamed_sta_lta",
     "VelocityFit",
     "fit_moveout",
     "pick_arrivals",
     "plan",
     "best_plan",
     "PlanOption",
-    "tune_stream",
-    "StreamTuning",
     # lazy query layer
     "Query",
     "CoordFrame",

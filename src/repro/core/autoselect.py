@@ -140,84 +140,3 @@ def best_plan(
         "no feasible configuration: every evaluated geometry fails "
         f"(first reason: {options[0].reason if options else 'none evaluated'})"
     )
-
-
-# ---------------------------------------------------------------------------
-# streaming chunk/thread tuning (used by the query optimizer)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StreamTuning:
-    """The chunk size and thread count selected for one streamed run."""
-
-    chunk_samples: int
-    threads: int
-    est_seconds: float
-    candidates: int
-
-
-def tune_stream(
-    cluster: ClusterSpec,
-    n_channels: int,
-    n_samples: int,
-    halo: tuple[int, int] = (0, 0),
-    itemsize: int = 8,
-    memory_fraction: float = 0.25,
-    work_per_byte: float = 40.0,
-) -> StreamTuning:
-    """Select ``(chunk_samples, threads)`` for a single-node streamed run.
-
-    The search space is power-of-two chunk lengths (>= 4096, capped at the
-    record) whose resident block — including the operator chain's declared
-    ``halo`` re-read on every chunk — fits ``memory_fraction`` of one
-    node's memory, crossed with thread counts up to the node's cores.
-    The cost model charges :meth:`~repro.cluster.storage.StorageModel.
-    sequential_read_time` for the total bytes moved (halos are re-read
-    once per chunk, so small chunks pay more) plus compute at
-    ``core_flops`` with the ApplyMT diminishing-returns efficiency
-    ``n / (1 + 0.05 * (n - 1))``.  Deterministic: depends only on the
-    machine model and the declared geometry, never on the data.
-    """
-    if n_channels < 1 or n_samples < 1:
-        raise ConfigError("tune_stream needs a non-empty record")
-    left, right = halo
-    if left < 0 or right < 0:
-        raise ConfigError("halo must be non-negative")
-    node = cluster.node
-    mem_budget = node.memory * memory_fraction
-    row_bytes = n_channels * itemsize
-
-    chunks = []
-    c = 4096
-    while c < n_samples:
-        chunks.append(c)
-        c *= 2
-    chunks.append(n_samples)
-    chunks = [
-        c for c in chunks if (c + left + right) * row_bytes <= mem_budget
-    ] or [max(1, int(mem_budget // row_bytes) - left - right)]
-
-    threads_grid = sorted(
-        {1, 2, 4, 8, 16, 32, node.cores} & set(range(1, node.cores + 1))
-    )
-
-    best = None
-    for chunk in chunks:
-        n_chunks = -(-n_samples // chunk)
-        read_bytes = (n_samples + (n_chunks - 1) * (left + right)) * row_bytes
-        io = cluster.storage.sequential_read_time(read_bytes, n_chunks)
-        work = n_samples * row_bytes * work_per_byte
-        for threads in threads_grid:
-            eff = threads / (1.0 + 0.05 * (threads - 1))
-            total = io + work / (cluster.core_flops * eff)
-            key = (total, chunk, threads)
-            if best is None or key < best[0]:
-                best = (key, chunk, threads, total)
-    _, chunk, threads, total = best
-    return StreamTuning(
-        chunk_samples=int(chunk),
-        threads=int(threads),
-        est_seconds=float(total),
-        candidates=len(chunks) * len(threads_grid),
-    )

@@ -31,10 +31,11 @@ import numpy as np
 from repro.core.interferometry import (
     InterferometryConfig,
     interferometry_operators,
-    master_spectrum,
+    master_bound_operators,
 )
 from repro.core.pipeline import PipelineResult, StreamPipeline, run_materialized
 from repro.errors import ConfigError
+from repro.storage.chunks import as_source
 from repro.utils.timer import Timer
 
 
@@ -100,16 +101,11 @@ def dassa_run(
         raise ConfigError("need a 2-D (channels, time) array")
     if threads < 1:
         raise ConfigError("threads must be >= 1")
+    src = as_source(data, fs=config.fs)
     # Master spectrum once (shared across threads, not duplicated).
-    mc = config.master_channel
-    mfft = master_spectrum(data[mc : mc + 1], config)
-    pipe = StreamPipeline(interferometry_operators(config, master_fft=mfft))
+    pipe = StreamPipeline(master_bound_operators(src, config))
     return pipe.run(
-        data,
-        chunk_samples=chunk_samples,
-        threads=threads,
-        timer=timer,
-        fs=config.fs,
+        src, chunk_samples=chunk_samples, threads=threads, timer=timer
     )
 
 

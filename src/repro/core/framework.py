@@ -9,58 +9,60 @@ analysis" as future work; this class is that API::
     simi, centers = dassa.local_similarity(vca)    # Algorithm 2
     events = dassa.detect(simi, centers)
     corr = dassa.interferometry(vca)               # Algorithm 3
+
+**One lowering.**  :class:`AnalysisPlan` is the only place an analysis
+becomes an operator chain.  The four eager methods
+(:meth:`DASSA.local_similarity`, :meth:`~DASSA.interferometry`,
+:meth:`~DASSA.sta_lta`, :meth:`~DASSA.stack`) are one-branch plans::
+
+    facade method -> AnalysisPlan (one branch) -> optimize -> execute
+                  -> run_chunks
+
+so an eager call and a planned one share the chain builder, the chunk
+length (:func:`repro.core.optimizer._resolve_execution`: explicit, else
+``DEFAULT_CHUNK_BYTES`` over the blocks held at once) and the bookkeeping
+(:attr:`DASSA.last_profile`, :attr:`~DASSA.last_gaps`,
+:attr:`~DASSA.last_frame`, all set by one ``_finish``).
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster.machine import ClusterSpec
-from repro.cluster.presets import laptop
 from repro.core.detection import DetectedEvent, detect_events
-from repro.core.interferometry import (
-    InterferometryConfig,
-    noise_correlation_functions,
-    streamed_interferometry,
-)
-from repro.core.local_similarity import (
-    LocalSimilarityConfig,
-    streamed_local_similarity,
-)
 from repro.core.graph import CoordFrame, Query
+from repro.core.interferometry import InterferometryConfig, master_bound_operators
+from repro.core.local_similarity import LocalSimilarityConfig, LocalSimilarityOp
 from repro.core.optimizer import PhysicalPlan
 from repro.core.optimizer import execute as execute_plan
 from repro.core.optimizer import explain as explain_plan
 from repro.core.optimizer import optimize
-from repro.core.pipeline import PipelineProfile, PipelineResult, in_flight
-from repro.core.stalta import streamed_sta_lta
+from repro.core.pipeline import PipelineProfile, PipelineResult
+from repro.core.stacking import NCFStackSink
+from repro.core.stalta import StaLtaOp
 from repro.errors import ConfigError, StorageError
 from repro.faults.policy import FailurePolicy
-from repro.storage.chunks import (
-    DEFAULT_CHUNK_BYTES,
-    ChunkSource,
-    as_source,
-    auto_chunk_samples,
-    open_stream,
-)
+from repro.storage.chunks import ChunkSource, as_source, open_stream
 from repro.storage.gaps import GapMap
 from repro.storage.rca import create_rca
 from repro.storage.search import DASFileInfo, das_search
-from repro.storage.vca import VCAHandle, create_vca, open_vca
+from repro.storage.vca import VCAHandle, create_vca
 
 
 @dataclass
 class DASSAConfig:
     """Framework-level knobs.
 
-    ``chunk_samples=None`` sizes streaming chunks automatically so the raw
-    blocks a run holds at once — ``threads`` in compute and one read
-    ahead — stay under ``chunk_bytes`` together (whole record if it
-    already fits); an explicit ``chunk_samples`` is used as given.
+    ``chunk_samples=None`` leaves the chunk length to the planner, which
+    sizes it so the raw blocks a run holds at once — ``threads`` in
+    compute and one read ahead — stay under
+    :data:`~repro.storage.chunks.DEFAULT_CHUNK_BYTES` together (whole
+    record if it already fits); an explicit ``chunk_samples`` is used as
+    given.
 
     ``on_error`` governs degraded source reads (forwarded to
     :func:`~repro.storage.vca.open_vca` when the facade opens a VCA path):
@@ -70,11 +72,9 @@ class DASSAConfig:
     streaming core (retry / fail-fast vs collect-and-continue).
     """
 
-    cluster: ClusterSpec = field(default_factory=laptop)
     threads: int = 4
     workdir: str | None = None
     chunk_samples: int | None = None
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES
     on_error: str = "raise"
     fill_value: float = float("nan")
     failure_policy: FailurePolicy | None = None
@@ -83,21 +83,20 @@ class DASSAConfig:
 class DASSA:
     """One entry point tying DASS (storage) and DASA (analysis) together.
 
-    Every analysis call streams its source through the one chunk-loop
-    kernel (:func:`~repro.core.pipeline.run_chunks`); the profile of
-    the most recent run (per-stage seconds, bytes streamed, peak
-    resident bytes) is kept in :attr:`last_profile`, and — when degraded
-    reads or a ``continue`` failure policy are active — the spans lost to
-    faults land in :attr:`last_gaps`.
+    Every analysis call is an :class:`AnalysisPlan` streamed through the
+    one chunk-loop kernel (:func:`~repro.core.pipeline.run_chunks`); the
+    profile of the most recent run (per-stage seconds, bytes streamed,
+    peak resident bytes) is kept in :attr:`last_profile`, its coordinate
+    frame in :attr:`last_frame`, and — when degraded reads or a
+    ``continue`` failure policy are active — the spans lost to faults
+    land in :attr:`last_gaps`.
     """
 
     def __init__(
         self,
-        cluster: ClusterSpec | None = None,
         threads: int = 4,
         workdir: str | os.PathLike | None = None,
         chunk_samples: int | None = None,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         on_error: str = "raise",
         fill_value: float = float("nan"),
         failure_policy: FailurePolicy | None = None,
@@ -106,27 +105,24 @@ class DASSA:
             raise ConfigError("threads must be >= 1")
         if chunk_samples is not None and chunk_samples < 1:
             raise ConfigError("chunk_samples must be >= 1")
-        if chunk_bytes < 1:
-            raise ConfigError("chunk_bytes must be >= 1")
         if on_error not in ("raise", "mask", "skip"):
             raise ConfigError(
                 f"on_error must be 'raise', 'mask', or 'skip', got {on_error!r}"
             )
         self.config = DASSAConfig(
-            cluster=cluster if cluster is not None else laptop(),
             threads=threads,
             workdir=os.fspath(workdir) if workdir is not None else None,
             chunk_samples=chunk_samples,
-            chunk_bytes=chunk_bytes,
             on_error=on_error,
             fill_value=fill_value,
             failure_policy=failure_policy,
         )
         self.last_profile: PipelineProfile | None = None
         self.last_gaps: GapMap | None = None
-        #: Coordinate frame of the most recent planned run: maps output
+        #: Coordinate frame of the most recent run: maps output
         #: rows/columns back to raw channels/samples when the optimizer
-        #: pushed a channel selection or decimation into the source.
+        #: pushed a channel selection or decimation into the source (the
+        #: identity frame after an eager call, which selects nothing).
         self.last_frame: CoordFrame | None = None
         self._tmpdir: tempfile.TemporaryDirectory | None = None
 
@@ -180,21 +176,6 @@ class DASSA:
             raise StorageError("search matched no files")
         return self.merge(hits, real=real)
 
-    @staticmethod
-    def _load(source: str | np.ndarray | VCAHandle) -> tuple[np.ndarray, float]:
-        """Materialise a source and find its sampling rate."""
-        if isinstance(source, np.ndarray):
-            return np.asarray(source, dtype=np.float64), 0.0
-        if isinstance(source, VCAHandle):
-            return np.asarray(source.dataset.read(), dtype=np.float64), (
-                source.metadata.sampling_frequency
-            )
-        with open_vca(source) as vca:
-            return (
-                np.asarray(vca.dataset.read(), dtype=np.float64),
-                vca.metadata.sampling_frequency,
-            )
-
     def _open_source(
         self, source: str | np.ndarray | VCAHandle | ChunkSource
     ) -> tuple[ChunkSource, bool]:
@@ -212,9 +193,11 @@ class DASSA:
             )
         return as_source(source), False
 
-    def _finish(self, src: ChunkSource, *results: PipelineResult) -> None:
-        """Record a run's profile (shared by every branch result) and its
-        fault report.
+    def _finish(
+        self, src: ChunkSource, frame: CoordFrame, *results: PipelineResult
+    ) -> None:
+        """Record a run's profile (shared by every branch result), its
+        coordinate frame and its fault report.
 
         ``last_gaps`` merges source-level gaps (input-sample spans a
         degraded VCA read masked) with each result's chunk-level gaps
@@ -223,6 +206,7 @@ class DASSA:
         ``None`` when the run was clean.
         """
         self.last_profile = results[0].profile
+        self.last_frame = frame
         gaps = GapMap()
         source_gaps = getattr(src, "gaps", None)
         if source_gaps:
@@ -232,22 +216,11 @@ class DASSA:
                 gaps.merge(result.gaps)
         self.last_gaps = gaps if gaps else None
 
-    def _chunk_for(self, src: ChunkSource) -> int:
-        """An explicit ``chunk_samples`` as given; otherwise the length
-        whose blocks — as many as the run holds at once — fit
-        ``chunk_bytes``."""
-        if self.config.chunk_samples is not None:
-            return self.config.chunk_samples
-        return auto_chunk_samples(
-            src.n_channels,
-            src.n_samples,
-            budget_bytes=self.config.chunk_bytes // in_flight(self.config.threads),
-        )
-
     # -- analysis side -------------------------------------------------------------
+    # Each eager analysis is a one-branch plan over the whole source.
     def local_similarity(
         self,
-        source: str | np.ndarray | VCAHandle,
+        source: str | np.ndarray | VCAHandle | ChunkSource,
         config: LocalSimilarityConfig | None = None,
         chunk_samples: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -257,23 +230,8 @@ class DASSA:
         Returns ``(similarity_map, window_centers)``; the map covers
         channels K..C-K (array edges have no ±K neighbours).
         """
-        config = config if config is not None else LocalSimilarityConfig()
-        src, owns = self._open_source(source)
-        try:
-            result, centers = streamed_local_similarity(
-                src,
-                config,
-                chunk_samples=(
-                    chunk_samples if chunk_samples is not None else self._chunk_for(src)
-                ),
-                threads=self.config.threads,
-                policy=self.config.failure_policy,
-            )
-        finally:
-            if owns:
-                src.close()
-        self._finish(src, result)
-        return result.output, centers
+        plan = self.plan(source, chunk_samples=chunk_samples)
+        return plan.local_similarity(config, label="out").run()["out"]
 
     def detect(
         self,
@@ -287,61 +245,30 @@ class DASSA:
 
     def interferometry(
         self,
-        source: str | np.ndarray | VCAHandle,
+        source: str | np.ndarray | VCAHandle | ChunkSource,
         config: InterferometryConfig | None = None,
         chunk_samples: int | None = None,
     ) -> np.ndarray:
         """Algorithm 3: per-channel correlation against the master channel,
         streamed so the raw record is never resident at once."""
-        src, owns = self._open_source(source)
-        try:
-            if config is None:
-                config = InterferometryConfig(fs=src.fs if src.fs > 0 else 500.0)
-            result = streamed_interferometry(
-                src,
-                config,
-                chunk_samples=(
-                    chunk_samples if chunk_samples is not None else self._chunk_for(src)
-                ),
-                threads=self.config.threads,
-                policy=self.config.failure_policy,
-            )
-        finally:
-            if owns:
-                src.close()
-        self._finish(src, result)
-        return result.output
+        plan = self.plan(source, chunk_samples=chunk_samples)
+        return plan.interferometry(config, label="out").run()["out"]
 
     def sta_lta(
         self,
-        source: str | np.ndarray | VCAHandle,
+        source: str | np.ndarray | VCAHandle | ChunkSource,
         nsta: int,
         nlta: int,
         chunk_samples: int | None = None,
     ) -> np.ndarray:
         """Classic STA/LTA ratios per channel, streamed with an
         ``nlta - 1``-sample lookback halo."""
-        src, owns = self._open_source(source)
-        try:
-            result = streamed_sta_lta(
-                src,
-                nsta,
-                nlta,
-                chunk_samples=(
-                    chunk_samples if chunk_samples is not None else self._chunk_for(src)
-                ),
-                threads=self.config.threads,
-                policy=self.config.failure_policy,
-            )
-        finally:
-            if owns:
-                src.close()
-        self._finish(src, result)
-        return result.output
+        plan = self.plan(source, chunk_samples=chunk_samples)
+        return plan.sta_lta(nsta, nlta, label="out").run()["out"]
 
     def stack(
         self,
-        source: str | np.ndarray | VCAHandle,
+        source: str | np.ndarray | VCAHandle | ChunkSource,
         config: InterferometryConfig | None = None,
         window_seconds: float = 60.0,
         overlap: float = 0.0,
@@ -353,42 +280,12 @@ class DASSA:
         """Windowed NCF stacking (linear or phase-weighted), streamed:
         windows are correlated and folded into the running stack as the
         record flows past, so the §IV 3-D window cube never exists."""
-        from repro.core.stacking import streamed_stack
-
-        src, owns = self._open_source(source)
-        try:
-            if config is None:
-                config = InterferometryConfig(fs=src.fs if src.fs > 0 else 500.0)
-            result = streamed_stack(
-                src,
-                config,
-                window_seconds,
-                overlap=overlap,
-                max_lag_seconds=max_lag_seconds,
-                method=method,
-                power=power,
-                chunk_samples=(
-                    chunk_samples if chunk_samples is not None else self._chunk_for(src)
-                ),
-                policy=self.config.failure_policy,
-            )
-        finally:
-            if owns:
-                src.close()
-        self._finish(src, result)
-        return result.output
-
-    def noise_correlations(
-        self,
-        source: str | np.ndarray | VCAHandle,
-        config: InterferometryConfig | None = None,
-        max_lag_seconds: float | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Time-domain noise correlation functions (virtual shot gather)."""
-        data, fs = self._load(source)
-        if config is None:
-            config = InterferometryConfig(fs=fs if fs > 0 else 500.0)
-        return noise_correlation_functions(data, config, max_lag_seconds)
+        plan = self.plan(source, chunk_samples=chunk_samples)
+        return plan.stack(
+            config, window_seconds, overlap=overlap,
+            max_lag_seconds=max_lag_seconds, method=method, power=power,
+            label="out",
+        ).run()["out"]
 
     # -- lazy planned analysis -----------------------------------------------------
     def plan(
@@ -396,7 +293,7 @@ class DASSA:
         source: str | np.ndarray | VCAHandle | ChunkSource,
         channels: tuple[int, int] | None = None,
         decimate: int = 1,
-        tune: bool = False,
+        chunk_samples: int | None = None,
     ) -> "AnalysisPlan":
         """Start a lazy analysis plan over ``source``.
 
@@ -409,12 +306,12 @@ class DASSA:
         :meth:`~AnalysisPlan.interferometry`,
         :meth:`~AnalysisPlan.sta_lta`, :meth:`~AnalysisPlan.stack`) and
         call :meth:`AnalysisPlan.run`; branches sharing the prefix
-        execute it once per chunk.  ``tune=True`` selects chunk size and
-        threads from the facade's cluster model when no explicit
-        ``chunk_samples`` is configured.
+        execute it once per chunk.  ``chunk_samples`` overrides the
+        facade's configured chunk length for this plan; with neither, the
+        planner derives one from the default byte budget.
         """
         return AnalysisPlan(
-            self, source, channels=channels, decimate=decimate, tune=tune
+            self, source, channels, decimate, chunk_samples=chunk_samples
         )
 
     def explain(self, plan: "AnalysisPlan | PhysicalPlan") -> str:
@@ -463,7 +360,7 @@ class AnalysisPlan:
         source: object,
         channels: tuple[int, int] | None = None,
         decimate: int = 1,
-        tune: bool = False,
+        chunk_samples: int | None = None,
     ):
         if decimate < 1:
             raise ConfigError("decimate must be >= 1")
@@ -475,7 +372,10 @@ class AnalysisPlan:
         self._source = source
         self._channels = channels
         self._step = int(decimate)
-        self._tune = bool(tune)
+        self._chunk = (
+            chunk_samples if chunk_samples is not None
+            else dassa.config.chunk_samples
+        )
         self._branches: list[tuple[str, str, dict]] = []
         self.plan: PhysicalPlan | None = None
 
@@ -496,11 +396,12 @@ class AnalysisPlan:
 
     def interferometry(
         self,
-        config: InterferometryConfig,
+        config: InterferometryConfig | None = None,
         label: str | None = None,
     ) -> "AnalysisPlan":
         """Algorithm 3; ``config.fs`` is the planned stream's rate and
-        ``config.master_channel`` counts from the selected range."""
+        ``config.master_channel`` counts from the selected range.  With no
+        config, the default band at the planned stream's rate."""
         return self._add("interferometry", label, {"config": config})
 
     def sta_lta(
@@ -511,8 +412,8 @@ class AnalysisPlan:
 
     def stack(
         self,
-        config: InterferometryConfig,
-        window_seconds: float,
+        config: InterferometryConfig | None = None,
+        window_seconds: float = 60.0,
         overlap: float = 0.0,
         max_lag_seconds: float | None = None,
         method: str = "linear",
@@ -535,14 +436,8 @@ class AnalysisPlan:
 
     # -- planning & execution ------------------------------------------------------
     def _build_queries(self, src: ChunkSource) -> tuple[list[Query], list]:
-        from repro.core.interferometry import (
-            interferometry_operators,
-            master_spectrum,
-        )
-        from repro.core.local_similarity import LocalSimilarityOp
-        from repro.core.stacking import NCFStackSink
-        from repro.core.stalta import StaLtaOp
-
+        """One query per branch, and per branch the raw-sample window
+        centers its output is paired with (``None``: output as is)."""
         if not self._branches:
             raise ConfigError("plan has no analysis branches")
         base = Query.scan(src)
@@ -551,56 +446,48 @@ class AnalysisPlan:
         if self._step > 1:
             base = base.decimate(self._step)
         stream_samples = -(-src.n_samples // self._step)
+        # Alg. 3 without a config: the default band at the stream's rate.
+        stream_fs = src.fs / self._step if src.fs > 0 else 500.0
 
         queries: list[Query] = []
-        posts: list = []
+        centers: list = []
         for kind, label, spec in self._branches:
+            at = None
             if kind == "local_similarity":
                 cfg = spec["config"]
                 q = base.then(LocalSimilarityOp(cfg))
-                centers = cfg.centers(stream_samples) * self._step
-                posts.append(lambda out, c=centers: (out, c))
+                at = cfg.centers(stream_samples) * self._step
             elif kind == "interferometry":
-                cfg = spec["config"]
-                mc = cfg.master_channel + (
-                    self._channels[0] if self._channels is not None else 0
-                )
-                master = src.read_strided(
-                    mc, mc + 1, 0, src.n_samples, self._step
-                )
-                mfft = master_spectrum(master, cfg)
+                cfg = spec["config"] or InterferometryConfig(fs=stream_fs)
                 q = base
-                for op in interferometry_operators(cfg, master_fft=mfft):
+                for op in master_bound_operators(
+                    src,
+                    cfg,
+                    channel_lo=self._channels[0] if self._channels else 0,
+                    step=self._step,
+                ):
                     q = q.then(op)
-                posts.append(None)
             elif kind == "sta_lta":
                 q = base.then(StaLtaOp(spec["nsta"], spec["nlta"]))
-                posts.append(None)
             else:  # stack
                 spec = dict(spec)
+                cfg = spec.pop("config") or InterferometryConfig(fs=stream_fs)
                 q = base.then(
-                    NCFStackSink(
-                        spec.pop("config"),
-                        spec.pop("window_seconds"),
-                        **spec,
-                    )
+                    NCFStackSink(cfg, spec.pop("window_seconds"), **spec)
                 )
-                posts.append(None)
             queries.append(q.with_label(label))
-        return queries, posts
+            centers.append(at)
+        return queries, centers
 
     def _optimize(self, src: ChunkSource) -> tuple[PhysicalPlan, list]:
-        queries, posts = self._build_queries(src)
-        cfg = self._dassa.config
+        queries, centers = self._build_queries(src)
         plan = optimize(
             queries,
-            chunk_samples=cfg.chunk_samples,
-            threads=cfg.threads,
-            cluster=cfg.cluster,
-            tune=self._tune,
+            chunk_samples=self._chunk,
+            threads=self._dassa.config.threads,
         )
         self.plan = plan
-        return plan, posts
+        return plan, centers
 
     def explain(self) -> str:
         """Plan (without streaming the record) and render the rewrites."""
@@ -620,7 +507,7 @@ class AnalysisPlan:
         """
         src, owns = self._dassa._open_source(self._source)
         try:
-            plan, posts = self._optimize(src)
+            plan, centers = self._optimize(src)
             results = execute_plan(
                 plan,
                 source=src,
@@ -630,11 +517,10 @@ class AnalysisPlan:
         finally:
             if owns:
                 src.close()
-        self._dassa._finish(src, *results)
-        self._dassa.last_frame = plan.frame
-        out: dict = {}
-        for (kind, label, _spec), res, post in zip(
-            self._branches, results, posts
-        ):
-            out[label] = post(res.output) if post is not None else res.output
-        return out
+        self._dassa._finish(src, plan.frame, *results)
+        return {
+            label: res.output if at is None else (res.output, at)
+            for (_kind, label, _spec), res, at in zip(
+                self._branches, results, centers
+            )
+        }

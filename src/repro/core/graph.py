@@ -73,16 +73,6 @@ class CoordFrame:
     channel_hi: int | None = None
     sample_step: int = 1
 
-    @property
-    def identity(self) -> bool:
-        return self.channel_lo == 0 and self.channel_hi is None and (
-            self.sample_step == 1
-        )
-
-    def raw_channel(self, row):
-        """Raw channel index of output row ``row`` (int or array)."""
-        return row + self.channel_lo
-
     def raw_sample(self, col):
         """Raw sample index of output sample ``col`` (int or array)."""
         return col * self.sample_step

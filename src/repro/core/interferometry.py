@@ -6,7 +6,7 @@ a *master channel* (virtual source).  Per channel:
 
     detrend → bandpass filtfilt → resample → FFT → correlate with Mfft
 
-Three entry points:
+Entry points:
 
 * :func:`traffic_noise_udf` — Algorithm 3 verbatim, as an ArrayUDF UDF
   over a whole-channel stencil,
@@ -15,7 +15,12 @@ Three entry points:
 * :func:`noise_correlation_functions` — the extended product: time-
   domain NCFs per channel (inverse FFT of the whitened cross-spectrum),
   which is what the geophysicist actually stacks into a virtual shot
-  gather.
+  gather,
+* :func:`interferometry_operators` — the same algorithm as an operator
+  chain for the streaming executor, and :func:`master_bound_operators`,
+  the one function that reads the master channel of a source and binds
+  its spectrum to that chain.  Nothing here runs a chain: an analysis
+  becomes a run in :class:`~repro.core.framework.AnalysisPlan`.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from repro.daslib import (
     whiten,
 )
 from repro.errors import ConfigError
+from repro.storage.chunks import ChunkSource
 
 
 @dataclass(frozen=True)
@@ -229,39 +235,27 @@ def interferometry_operators(
     return ops
 
 
-def streamed_interferometry(
-    source: object,
+def master_bound_operators(
+    source: ChunkSource,
     config: InterferometryConfig,
-    chunk_samples: int | None = None,
-    threads: int = 1,
-    timer: object = None,
-    iostats: object = None,
-    policy: object = None,
-):
-    """Algorithm 3 over a chunk source, never holding the raw record.
+    channel_lo: int = 0,
+    step: int = 1,
+) -> list:
+    """:func:`interferometry_operators` with ``Mfft`` bound from ``source``.
 
-    The master spectrum is computed once from the master channel (one
-    channel of full-length data — the shared node-level state), then the
-    whole chain streams through :class:`~repro.core.pipeline.StreamPipeline`.
-    Returns a :class:`~repro.core.pipeline.PipelineResult` whose output
-    matches :func:`interferometry_block` on the materialised array.
-    ``policy`` is an optional :class:`~repro.faults.policy.FailurePolicy`
-    governing per-chunk retry and gap masking.
+    The master spectrum is the shared node-level state of Algorithm 3:
+    one channel of full-length data, read and transformed once, then
+    handed to every chunk's :class:`~repro.core.operators.CorrelateOp`.
+    This is the one place that binding is written — the plan builder
+    (:class:`~repro.core.framework.AnalysisPlan`) and the Fig. 9 policy
+    run (:func:`~repro.core.baseline.dassa_run`) both call it.
+    ``channel_lo`` / ``step`` place the master in a stream the planner
+    reads through a channel selection and a subsample lattice:
+    ``config.master_channel`` counts from ``channel_lo`` and every
+    ``step``-th raw sample is kept.
     """
-    from repro.core.pipeline import StreamPipeline
-    from repro.storage.chunks import as_source
-
-    src = as_source(source, fs=config.fs)
-    mc = config.master_channel
-    master = src.read_rows(mc, mc + 1, 0, src.n_samples)
-    mfft = master_spectrum(master, config)
-    pipe = StreamPipeline(interferometry_operators(config, master_fft=mfft))
-    return pipe.run(
-        src,
-        chunk_samples=chunk_samples,
-        threads=threads,
-        timer=timer,
-        iostats=iostats,
-        fs=config.fs,
-        policy=policy,
+    mc = config.master_channel + channel_lo
+    master = source.read_strided(mc, mc + 1, 0, source.n_samples, step)
+    return interferometry_operators(
+        config, master_fft=master_spectrum(master, config)
     )

@@ -275,37 +275,3 @@ class LocalSimilarityOp(Operator):
         return similarity_at(
             data, cfg, starts, channel_range=(K, data.shape[0] - K)
         )
-
-
-def streamed_local_similarity(
-    source: object,
-    config: LocalSimilarityConfig | None = None,
-    chunk_samples: int | None = None,
-    threads: int = 1,
-    timer: object = None,
-    iostats: object = None,
-    fs: float | None = None,
-    policy: object = None,
-):
-    """Algorithm 2 over a chunk source, one overlap-padded block at a time.
-
-    Returns ``(result, centers)`` with ``result`` a
-    :class:`~repro.core.pipeline.PipelineResult` whose output matches
-    :func:`local_similarity_block` on the materialised array.
-    ``policy`` is an optional :class:`~repro.faults.policy.FailurePolicy`
-    governing per-chunk retry and gap masking.
-    """
-    from repro.core.pipeline import StreamPipeline
-    from repro.storage.chunks import as_source
-
-    config = config if config is not None else LocalSimilarityConfig()
-    src = as_source(source, fs=fs)
-    result = StreamPipeline([LocalSimilarityOp(config)]).run(
-        src,
-        chunk_samples=chunk_samples,
-        threads=threads,
-        timer=timer,
-        iostats=iostats,
-        policy=policy,
-    )
-    return result, config.centers(src.n_samples)

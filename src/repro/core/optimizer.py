@@ -1,7 +1,7 @@
 """Rule-based optimizer lowering expression graphs to physical plans.
 
 Takes one or more :class:`~repro.core.graph.Query` expressions sharing a
-scan and produces a :class:`PhysicalPlan` via three rewrites:
+scan and produces a :class:`PhysicalPlan` via two rewrites:
 
 1. **Pushdown** — a leading run of
    :class:`~repro.core.graph.ChannelSelectOp` /
@@ -14,15 +14,19 @@ scan and produces a :class:`PhysicalPlan` via three rewrites:
 2. **Common-subexpression sharing** — queries branching from the same
    node execute the shared prefix once per chunk and fan its output out
    to every branch tail.
-3. **Auto-tuning** — when no chunk size is given and a cluster model is
-   supplied, chunk/thread selection comes from
-   :func:`~repro.core.autoselect.tune_stream` over the declared halo
-   geometry.
 
 A plan does not execute itself: :func:`execute` lowers it onto the one
 chunk-loop kernel, :func:`repro.core.pipeline.run_chunks` (shared map
-prefix → branch tails), choosing only the source, the prefix and the
-tails.  This module contains no chunk loop and reads no chunk data.
+prefix → branch tails), choosing only the source, the prefix, the tails
+and the chunk length.  This module contains no chunk loop and reads no
+chunk data.
+
+**One chunk-length rule** (:func:`_resolve_execution`, the only place a
+length is derived — every facade analysis reaches it as a one-branch
+plan): an explicit ``chunk_samples`` is used as given; otherwise the
+length whose blocks, as many as the run holds at once
+(:func:`~repro.core.pipeline.in_flight`), fit
+:data:`~repro.storage.chunks.DEFAULT_CHUNK_BYTES` together.
 
 Equivalence contract (asserted by the test suite):
 
@@ -56,7 +60,6 @@ from repro.core.graph import (
 )
 from repro.core.pipeline import (
     Branch,
-    Operator,
     PipelineResult,
     SinkOp,
     _ceil_div,
@@ -111,18 +114,12 @@ class PhysicalPlan:
     branches: list[Branch]
     chunk_samples: int | None
     threads: int
-    cluster: Any = None
-    tune: bool = False
     frame: CoordFrame = field(default_factory=CoordFrame)
     notes: list[str] = field(default_factory=list)
 
     @property
     def pushed(self) -> bool:
         return self.select is not None or self.step > 1
-
-    def note(self, message: str) -> None:
-        if message not in self.notes:
-            self.notes.append(message)
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +131,6 @@ def optimize(
     queries: Query | Sequence[Query],
     chunk_samples: int | None = None,
     threads: int = 1,
-    cluster: Any = None,
-    tune: bool = False,
     pushdown: bool = True,
 ) -> PhysicalPlan:
     """Lower one or more queries sharing a scan into a physical plan."""
@@ -267,8 +262,6 @@ def optimize(
         branches=branches,
         chunk_samples=chunk_samples,
         threads=int(threads),
-        cluster=cluster,
-        tune=tune,
         frame=CoordFrame(
             channel_lo=select[0] if select is not None else 0,
             channel_hi=select[1] if select is not None else None,
@@ -283,39 +276,17 @@ def optimize(
 # ---------------------------------------------------------------------------
 
 
-def _composed_halo(maps: Sequence[Operator]) -> tuple[int, int]:
-    """Composed (left, right) input-halo of a map chain, from probing the
-    unclamped ``in_needed`` composition of one output sample."""
-    lo, hi = 0, 1
-    for op in reversed(list(maps)):
-        lo, hi = op.in_needed(lo, hi)
-    return max(0, -lo), max(0, hi - 1)
-
-
-def _resolve_execution(plan: PhysicalPlan, src) -> tuple[int, int]:
-    """The raw-level chunk size and thread count this run will use."""
+def _resolve_execution(plan: PhysicalPlan, src) -> int:
+    """The raw-level chunk length this run will use: the plan's explicit
+    length, else the default byte budget shared by the blocks held at
+    once."""
     chunk = plan.chunk_samples
-    threads = plan.threads
     if chunk is None:
-        if plan.tune and plan.cluster is not None:
-            from repro.core.autoselect import tune_stream
-
-            halo = _composed_halo(plan.chains[0].maps)
-            tuning = tune_stream(
-                plan.cluster, src.n_channels, src.n_samples, halo=halo
-            )
-            chunk, threads = tuning.chunk_samples, tuning.threads
-            plan.note(
-                f"tuned: chunk={chunk} threads={threads} "
-                f"(est {tuning.est_seconds:.3g}s, halo={halo})"
-            )
-        else:
-            # the default byte budget, shared by the blocks held at once
-            chunk = auto_chunk_samples(
-                src.n_channels,
-                src.n_samples,
-                budget_bytes=DEFAULT_CHUNK_BYTES // in_flight(threads),
-            )
+        chunk = auto_chunk_samples(
+            src.n_channels,
+            src.n_samples,
+            budget_bytes=DEFAULT_CHUNK_BYTES // in_flight(plan.threads),
+        )
     chunk = int(chunk)
     if chunk < 1:
         raise ConfigError("chunk_samples must be >= 1")
@@ -323,7 +294,7 @@ def _resolve_execution(plan: PhysicalPlan, src) -> tuple[int, int]:
         # Raw chunks must align on the subsample lattice so optimized and
         # eager runs tile identical core targets.
         chunk = _ceil_div(chunk, plan.step) * plan.step
-    return chunk, threads
+    return chunk
 
 
 def execute(
@@ -355,7 +326,7 @@ def execute(
         spec, (str, os.PathLike)
     )
     try:
-        chunk, threads = _resolve_execution(plan, src)
+        chunk = _resolve_execution(plan, src)
         if naive:
             run_src = src
             prefix = plan.chains[0].maps[: plan.shared_len]
@@ -371,8 +342,8 @@ def execute(
                 run_src = SlicedSource(src, lo, hi, plan.step)
                 chunk = max(1, chunk // plan.step)
         return run_chunks(
-            run_src, prefix, branches, chunk, threads, timer, iostats, policy,
-            share_prefix=not naive,
+            run_src, prefix, branches, chunk, plan.threads, timer, iostats,
+            policy, share_prefix=not naive,
         )
     finally:
         if close_after:
@@ -437,9 +408,7 @@ def explain(plan: PhysicalPlan) -> str:
             names.append(b.sink.name)
         names.extend(op.name for op in b.post)
         lines.append(f"branch {b.label}: " + " | ".join(names or ["<pass>"]))
-    chunk = plan.chunk_samples if plan.chunk_samples is not None else (
-        "tuned" if plan.tune and plan.cluster is not None else "auto"
-    )
+    chunk = plan.chunk_samples if plan.chunk_samples is not None else "auto"
     if computes_nothing(plan.prefix, plan.branches):
         lines.append(
             "chunking: none — nothing to compute, so one read of the whole "

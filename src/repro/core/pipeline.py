@@ -32,9 +32,13 @@ whole-array materialisation.  This module is that execution core:
   (:func:`_stream`); only a plan of a single chunk splits rows instead,
   in the ApplyMT structure (:func:`_run_rows`).  Everything else is a
   lowering onto it:
-  :meth:`StreamPipeline.run` is the one-branch call,
-  :func:`repro.core.optimizer.execute` chooses source, prefix and tails,
-  and :class:`IncrementalRunner` drives the kernel's planning helpers and
+  :func:`repro.core.optimizer.execute` chooses source, prefix, tails and
+  chunk length — the door every analysis of the ``DASSA`` facade goes
+  through, eager calls included (they are one-branch plans);
+  :meth:`StreamPipeline.run` is the bare one-branch call for a hand-built
+  chain, kept with ``chunk_samples=None`` meaning *the whole record*
+  because the tests use it as the reference the facade must equal; and
+  :class:`IncrementalRunner` drives the kernel's planning helpers and
   chain runner over an unbounded record with a carried tail buffer.
 * :func:`run_materialized` — the reference the tests compare against:
   the same operator graph executed MATLAB style, one stage at a time
@@ -60,7 +64,7 @@ import numpy as np
 from repro.arrayudf.fuse import partition_row_blocks
 from repro.errors import ConfigError
 from repro.faults.policy import RETRYABLE, FailurePolicy, retry_call
-from repro.storage.chunks import ChunkSource, as_source, auto_chunk_samples, iter_intervals
+from repro.storage.chunks import ChunkSource, as_source, iter_intervals
 from repro.storage.gaps import GapMap
 from repro.utils.iostats import IOStats
 from repro.utils.timer import Timer
@@ -77,7 +81,6 @@ __all__ = [
     "StreamPipeline",
     "IncrementalRunner",
     "run_materialized",
-    "auto_chunk_samples",
 ]
 
 
@@ -1072,7 +1075,9 @@ class StreamPipeline:
 
         ``chunk_samples=None`` runs a single chunk covering the whole
         record (the materialising policy, with exact whole-array stage
-        behaviour); any other value bounds a resident block to roughly
+        behaviour — this call is the tests' reference, so it derives no
+        length; byte-budget sizing is the planner's,
+        :func:`repro.core.optimizer._resolve_execution`); any other value bounds a resident block to roughly
         ``channels * (chunk + halos) * 8`` bytes.  ``threads`` is the
         size of the run's worker pool: chunks run their chains on it
         side by side (``threads`` of them, plus one block read ahead by
@@ -1174,10 +1179,6 @@ class IncrementalRunner:
     def emitted(self) -> int:
         """Absolute final-level outputs emitted so far."""
         return self._emitted
-
-    @property
-    def finished(self) -> bool:
-        return self._finished
 
     @property
     def pending_samples(self) -> int:

@@ -209,49 +209,6 @@ class NCFStackSink(SinkOp):
         return total
 
 
-def streamed_stack(
-    source: object,
-    config: InterferometryConfig,
-    window_seconds: float,
-    overlap: float = 0.0,
-    max_lag_seconds: float | None = None,
-    method: str = "linear",
-    power: float = 2.0,
-    chunk_samples: int | None = None,
-    timer: object = None,
-    iostats: object = None,
-    policy: object = None,
-):
-    """Windowed NCF stacking over a chunk source.
-
-    Returns a :class:`~repro.core.pipeline.PipelineResult` whose output
-    is ``(lags, stacked)``, matching :func:`window_ncfs` followed by
-    :func:`linear_stack` / :func:`phase_weighted_stack` on the
-    materialised array — without ever holding the raw record or the 3-D
-    window cube.  ``policy`` is an optional
-    :class:`~repro.faults.policy.FailurePolicy` governing per-chunk retry
-    and gap masking.
-    """
-    from repro.core.pipeline import StreamPipeline
-
-    sink = NCFStackSink(
-        config,
-        window_seconds,
-        overlap=overlap,
-        max_lag_seconds=max_lag_seconds,
-        method=method,
-        power=power,
-    )
-    return StreamPipeline([sink]).run(
-        source,
-        chunk_samples=chunk_samples,
-        timer=timer,
-        iostats=iostats,
-        fs=config.fs,
-        policy=policy,
-    )
-
-
 def stack_snr(stacked: np.ndarray, lags: np.ndarray, signal_window: tuple[float, float]) -> np.ndarray:
     """Per-channel SNR: peak |amplitude| inside ``signal_window`` (seconds)
     over RMS outside it."""

@@ -106,37 +106,6 @@ class StaLtaOp(Operator):
         return ratio
 
 
-def streamed_sta_lta(
-    source: object,
-    nsta: int,
-    nlta: int,
-    chunk_samples: int | None = None,
-    threads: int = 1,
-    timer: object = None,
-    iostats: object = None,
-    fs: float | None = None,
-    policy: object = None,
-):
-    """STA/LTA ratios over a chunk source.
-
-    Returns a :class:`~repro.core.pipeline.PipelineResult` whose output
-    matches :func:`classic_sta_lta` on the materialised array.
-    ``policy`` is an optional :class:`~repro.faults.policy.FailurePolicy`
-    governing per-chunk retry and gap masking.
-    """
-    from repro.core.pipeline import StreamPipeline
-
-    return StreamPipeline([StaLtaOp(nsta, nlta)]).run(
-        source,
-        chunk_samples=chunk_samples,
-        threads=threads,
-        timer=timer,
-        iostats=iostats,
-        fs=fs,
-        policy=policy,
-    )
-
-
 def recursive_sta_lta(x: np.ndarray, nsta: int, nlta: int) -> np.ndarray:
     """Recursive (exponential-average) STA/LTA of a 1-D signal.
 

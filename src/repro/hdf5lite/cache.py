@@ -249,10 +249,6 @@ class FilePool:
         with self._lock:
             return len(self._handles)
 
-    def open_paths(self) -> list[str]:
-        with self._lock:
-            return list(self._handles)
-
     def close_all(self) -> None:
         with self._lock:
             for handle in self._handles.values():

@@ -682,14 +682,14 @@ class Dataset:
         """
         codec = self.codec
         for ckey, chunk_count, local_sel, vals_sel in self._touched_chunks(hs):
-            chunk_arr = self._chunk_for_update(ckey, chunk_count, codec)
+            chunk_arr = self._writable_chunk(ckey, chunk_count, codec)
             chunk_arr[local_sel] = values[vals_sel]
             self._store_chunk(ckey, chunk_arr, codec)
         if hs.size:
             self._file._mark_dirty()
             self._file._invalidate_cache()
 
-    def _chunk_for_update(
+    def _writable_chunk(
         self, ckey: str, chunk_count: tuple[int, ...], codec: "Codec | None"
     ) -> np.ndarray:
         """The chunk's current contents as a writable array (CRC-verified

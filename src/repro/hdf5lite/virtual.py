@@ -60,14 +60,6 @@ class VirtualSource:
         """
         return self.size * int(itemsize)
 
-    def dst_slab(self) -> Hyperslab:
-        """The destination region as a unit-stride hyperslab."""
-        return Hyperslab(
-            start=self.dst_start,
-            count=self.count,
-            stride=tuple(1 for _ in self.count),
-        )
-
     def src_slab_for(self, dst_region: Hyperslab) -> Hyperslab:
         """Translate a destination sub-region into source coordinates.
 

@@ -22,9 +22,7 @@ long-running service:
   multi-interrogator deployment: one RTService per spool on its own
   ``simmpi`` rank, heartbeat-based failure detection with automatic
   checkpoint-resume restarts, and an idempotent merged catalog with
-  bounded-staleness reads (``watch --shards N``);
-* :mod:`repro.rt.scaling` — shard-count → throughput/p95 projection on
-  the ``cluster`` machine model (the paper's 1456-node regime).
+  bounded-staleness reads (``watch --shards N``).
 """
 
 from repro.rt.checkpoint import CheckpointStore, read_sample_range
@@ -37,7 +35,6 @@ from repro.rt.events import (
 )
 from repro.rt.ingest import PendingFile, Quarantine, SpoolWatcher, WorkQueue
 from repro.rt.metrics import LatencyStats, RTMetrics
-from repro.rt.scaling import ShardScalingPoint, project_shard_scaling
 from repro.rt.scheduler import DetectorConfig, SeamScheduler
 from repro.rt.service import RTService, ServiceConfig
 from repro.rt.shard import ShardOptions, ShardRuntime, ShardSpec, shard_main
@@ -80,6 +77,4 @@ __all__ = [
     "catalog_signature",
     "run_sharded",
     "supervisor_main",
-    "ShardScalingPoint",
-    "project_shard_scaling",
 ]

@@ -190,9 +190,6 @@ class RTService:
             self._ensure_assembler()
             self.assembler.import_state(assembler_state)
 
-    def _done_paths(self) -> list[str]:
-        return [os.path.join(self.spool, name) for name, _ in self.files_done]
-
     def _seen_paths(self) -> list[str]:
         return [os.path.join(self.spool, name) for name in self.files_seen]
 

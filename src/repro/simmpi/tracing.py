@@ -45,13 +45,6 @@ class Tracer:
         if self.enabled:
             self.events.append(TraceEvent(self.rank, op, nbytes, peer, t_start, t_end))
 
-    def by_op(self) -> dict[str, float]:
-        """Total duration per op kind."""
-        totals: dict[str, float] = {}
-        for event in self.events:
-            totals[event.op] = totals.get(event.op, 0.0) + event.duration
-        return totals
-
     def schedule(self) -> list[tuple[str, int, int]]:
         """The (op, nbytes, peer) sequence — the timing-free schedule."""
         return [(e.op, e.nbytes, e.peer) for e in self.events]

@@ -31,10 +31,6 @@ class SceneSpec:
     events: list[tuple[str, dict[str, Any]]] = field(default_factory=list)
     seed: int = 2020
 
-    def duration_samples(self, minutes: int, samples_per_minute: int | None = None) -> int:
-        spm = samples_per_minute or int(60 * self.fs)
-        return minutes * spm
-
 
 def fig1b_scene(
     n_channels: int = 256,

@@ -301,16 +301,3 @@ def test_self_method_and_nested_def_resolution(tmp_path):
     callees = {f.key[1] for f in graph.callees(outer)}
     assert "Widget.step" in callees
     assert "Widget.outer.<locals>.inner" in callees
-
-
-def test_dependents_closure_is_transitive(tmp_path):
-    project = write_project(tmp_path, {
-        "src/repro/a.py": "def base():\n    return 0\n",
-        "src/repro/b.py": "from repro.a import base\n\ndef mid():\n    return base()\n",
-        "src/repro/c.py": "from repro.b import mid\n\ndef top():\n    return mid()\n",
-        "src/repro/d.py": "def lone():\n    return 3\n",
-    })
-    graph = build_callgraph(project)
-    closure = graph.dependents_closure({"src/repro/a.py"})
-    assert closure == {"src/repro/a.py", "src/repro/b.py", "src/repro/c.py"}
-    assert graph.dependents_closure({"src/repro/d.py"}) == {"src/repro/d.py"}

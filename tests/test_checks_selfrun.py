@@ -9,26 +9,57 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 from repro.checks.baseline import Baseline
+from repro.checks.registry import all_analyzers
 from repro.checks.runner import load_project, run_analyzers
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "tests" / "fixtures" / "checks"
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, root: Path = ROOT) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     return subprocess.run(
-        [sys.executable, "-m", "repro.checks", "--root", str(ROOT), *args],
+        [sys.executable, "-m", "repro.checks", "--root", str(root), *args],
         capture_output=True, text=True, env=env, cwd=ROOT,
     )
+
+
+@pytest.fixture
+def mini_repo(tmp_path):
+    """A three-module tree whose ``a.py`` carries one ATM001 finding."""
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text(textwrap.dedent("""
+        __all__ = ["save"]
+
+        def save(path, payload):
+            with open(path, "w") as fh:
+                fh.write(payload)
+    """))
+    (pkg / "b.py").write_text(textwrap.dedent("""
+        from repro.a import save
+
+        __all__ = ["publish"]
+
+        def publish(path, payload):
+            return save(path, payload)
+    """))
+    (pkg / "c.py").write_text(textwrap.dedent("""
+        __all__ = ["standalone"]
+
+        def standalone():
+            return 42
+    """))
+    return tmp_path
 
 
 def test_repo_is_clean_modulo_baseline():
@@ -97,6 +128,37 @@ def test_cli_good_fixture_exits_zero(name):
 def test_cli_only_selects_one_family():
     proc = run_cli(str(FIXTURES / "locks_bad.py"), "--only", "exception-taxonomy")
     assert proc.returncode == 0  # no taxonomy findings in the locks fixture
+
+
+def test_only_accepts_individual_codes(mini_repo):
+    proc = run_cli("--only", "ATM001", "--json", root=mini_repo)
+    assert proc.returncode == 1
+    assert [f["code"] for f in json.loads(proc.stdout)["findings"]] == ["ATM001"]
+
+
+def test_json_reports_per_analyzer_wall_time(mini_repo):
+    proc = run_cli("--json", root=mini_repo)
+    timings = json.loads(proc.stdout)["timings_ms"]
+    assert set(timings) == {a.name for a in all_analyzers()}
+    assert all(isinstance(ms, (int, float)) and ms >= 0 for ms in timings.values())
+    # a run leaves nothing behind in the tree it analyzed
+    assert [p.name for p in mini_repo.iterdir()] == ["src"]
+
+
+def test_sarif_output_shape(mini_repo):
+    sarif_path = mini_repo / "report.sarif"
+    proc = run_cli("--sarif", str(sarif_path), "--json", root=mini_repo)
+    assert proc.returncode == 1
+    doc = json.loads(sarif_path.read_text())
+    assert doc["version"] == "2.1.0"
+    (run,) = doc["runs"]
+    rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
+    assert "ATM001" in rule_ids
+    (result,) = run["results"]
+    assert result["ruleId"] == "ATM001"
+    location = result["locations"][0]["physicalLocation"]
+    assert location["artifactLocation"]["uri"] == "src/repro/a.py"
+    assert result["partialFingerprints"]["reproChecks/v1"]
 
 
 def test_cli_unknown_rule_is_usage_error():

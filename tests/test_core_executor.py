@@ -1064,23 +1064,29 @@ def test_branch_output_lands_once():
 
 
 def test_derived_chunk_length_shares_the_byte_budget():
-    """Where the chunk length comes from a byte budget, the budget covers
-    every block held at once; an explicit length is used as given."""
-    from repro.core.optimizer import _resolve_execution
-    from repro.storage.chunks import DEFAULT_CHUNK_BYTES, auto_chunk_samples
+    """One sizer: an eager facade call and the same analysis as a plan
+    derive the same chunk length — the default byte budget over every
+    block held at once — and an explicit length is used as given.  (A
+    wide-stride Alg. 2 keeps the output of a 64 x 400 000 record small.)"""
+    from repro.storage.chunks import DEFAULT_CHUNK_BYTES
 
-    src = ArraySource(np.zeros((64, 400_000), dtype=np.float32))
-    budget = 16 << 20
-    for threads, held in ((1, 1), (2, 3), (4, 5)):
-        dassa = DASSA(threads=threads, chunk_bytes=budget)
-        assert dassa._chunk_for(src) == auto_chunk_samples(
-            64, 400_000, budget_bytes=budget // held
-        )
-        assert dassa._chunk_for(src) * 64 * 8 * held <= budget
-        plan = optimize(Query.scan(None).then(StaLtaOp(4, 16)), threads=threads)
-        assert _resolve_execution(plan, src)[0] == auto_chunk_samples(
-            64, 400_000, budget_bytes=DEFAULT_CHUNK_BYTES // held
-        )
-    assert DASSA(threads=4, chunk_samples=777)._chunk_for(src) == 777
-    plan = optimize(Query.scan(None).then(StaLtaOp(4, 16)), chunk_samples=777, threads=4)
-    assert _resolve_execution(plan, src)[0] == 777
+    data = np.zeros((64, 400_000), dtype=np.float32)
+    cfg = LocalSimilarityConfig(half_window=5, half_lag=1, stride=4000)
+    for threads, held, want in ((1, 1, 131_072), (2, 3, 43_690), (4, 5, 26_214)):
+        assert want == DEFAULT_CHUNK_BYTES // held // (64 * 8)
+        dassa = DASSA(threads=threads)
+        dassa.local_similarity(data, cfg)
+        eager = dassa.last_profile
+        dassa.plan(data).local_similarity(cfg).run()
+        planned = dassa.last_profile
+        assert eager is not planned
+        assert eager.chunk_samples == planned.chunk_samples == want
+        assert eager.n_chunks == planned.n_chunks == -(-400_000 // want)
+    short = data[:, :5000]
+    dassa = DASSA(threads=4, chunk_samples=777)
+    dassa.sta_lta(short, 5, 50)
+    assert dassa.last_profile.chunk_samples == 777
+    dassa.sta_lta(short, 5, 50, chunk_samples=999)
+    assert dassa.last_profile.chunk_samples == 999
+    dassa.plan(short, chunk_samples=555).sta_lta(5, 50).run()
+    assert dassa.last_profile.chunk_samples == 555

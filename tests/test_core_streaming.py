@@ -16,15 +16,15 @@ from repro.core.baseline import dassa_run, matlab_style_run
 from repro.core.interferometry import (
     InterferometryConfig,
     interferometry_block,
+    interferometry_operators,
     master_spectrum,
     preprocess,
     preprocess_operators,
-    streamed_interferometry,
 )
 from repro.core.local_similarity import (
     LocalSimilarityConfig,
+    LocalSimilarityOp,
     local_similarity_block,
-    streamed_local_similarity,
 )
 from repro.core.operators import DetrendOp, FFTSink, FiltFiltOp
 from repro.core.pipeline import (
@@ -34,15 +34,15 @@ from repro.core.pipeline import (
     run_materialized,
 )
 from repro.core.stacking import (
+    NCFStackSink,
     linear_stack,
     phase_weighted_stack,
-    streamed_stack,
     window_ncfs,
 )
-from repro.core.stalta import classic_sta_lta, streamed_sta_lta
+from repro.core.stalta import StaLtaOp, classic_sta_lta
 from repro.daslib import settle_length
 from repro.errors import ConfigError
-from repro.storage.chunks import ArraySource, iter_intervals
+from repro.storage.chunks import ArraySource, as_source, iter_intervals
 from repro.utils.timer import Timer
 
 
@@ -59,6 +59,16 @@ def noise():
 CFG = InterferometryConfig(fs=200.0, band=(2.0, 30.0), resample_q=3)
 
 
+def stream_interferometry(source, config, **run):
+    """Algorithm 3 as a direct kernel call: the master spectrum read and
+    bound by hand, the chain streamed by ``StreamPipeline.run``."""
+    src = as_source(source, fs=config.fs)
+    mc = config.master_channel
+    mfft = master_spectrum(src.read_rows(mc, mc + 1, 0, src.n_samples), config)
+    pipe = StreamPipeline(interferometry_operators(config, master_fft=mfft))
+    return pipe.run(src, **run)
+
+
 class TestInterferometryStreaming:
     def reference(self, noise):
         mc = CFG.master_channel
@@ -71,15 +81,15 @@ class TestInterferometryStreaming:
         # final chunk (4000 = 12*333 + 4).
         b, a = CFG.coefficients()
         assert settle_length(b, a) > 333
-        result = streamed_interferometry(noise, CFG, chunk_samples=chunk)
+        result = stream_interferometry(noise, CFG, chunk_samples=chunk)
         assert result.output == pytest.approx(self.reference(noise), abs=1e-9)
         assert result.profile.n_chunks == (
             1 if chunk is None else -(-4000 // chunk)
         )
 
     def test_threads_match_single_thread(self, noise):
-        ref = streamed_interferometry(noise, CFG, chunk_samples=700, threads=1)
-        multi = streamed_interferometry(noise, CFG, chunk_samples=700, threads=3)
+        ref = stream_interferometry(noise, CFG, chunk_samples=700, threads=1)
+        multi = stream_interferometry(noise, CFG, chunk_samples=700, threads=3)
         assert multi.output == pytest.approx(ref.output, abs=1e-12)
 
     def test_preprocess_chain_matches_whole_array(self, noise):
@@ -116,7 +126,7 @@ class TestInterferometryStreaming:
         assert seen == whole.shape[-1]
 
     def test_profile_accounts_bytes_and_phases(self, noise):
-        result = streamed_interferometry(noise, CFG, chunk_samples=800)
+        result = stream_interferometry(noise, CFG, chunk_samples=800)
         profile = result.profile
         # Halo re-reads make streamed bytes exceed the raw array.
         assert profile.bytes_streamed > noise.nbytes
@@ -158,10 +168,10 @@ class TestLocalSimilarityStreaming:
         rng = np.random.default_rng(5)
         data = rng.standard_normal((9, 500))
         ref, centers = local_similarity_block(data, SIMI_CFG)
-        result, streamed_centers = streamed_local_similarity(
-            data, SIMI_CFG, chunk_samples=chunk
+        result = StreamPipeline([LocalSimilarityOp(SIMI_CFG)]).run(
+            data, chunk_samples=chunk
         )
-        assert np.array_equal(streamed_centers, centers)
+        assert np.array_equal(SIMI_CFG.centers(data.shape[1]), centers)
         # Same kernel on the same windows: exact, not approximate.
         assert np.array_equal(result.output, ref)
 
@@ -169,8 +179,8 @@ class TestLocalSimilarityStreaming:
         rng = np.random.default_rng(6)
         data = rng.standard_normal((11, 400))
         ref, _ = local_similarity_block(data, SIMI_CFG)
-        result, _ = streamed_local_similarity(
-            data, SIMI_CFG, chunk_samples=90, threads=3
+        result = StreamPipeline([LocalSimilarityOp(SIMI_CFG)]).run(
+            data, chunk_samples=90, threads=3
         )
         assert np.array_equal(result.output, ref)
 
@@ -193,7 +203,9 @@ class TestLocalSimilarityStreaming:
         rng = np.random.default_rng(half_window * 1000 + stride)
         data = rng.standard_normal((5, 300))
         ref, _ = local_similarity_block(data, config)
-        result, _ = streamed_local_similarity(data, config, chunk_samples=chunk)
+        result = StreamPipeline([LocalSimilarityOp(config)]).run(
+            data, chunk_samples=chunk
+        )
         assert result.output.shape == ref.shape
         assert np.array_equal(result.output, ref)
 
@@ -204,7 +216,7 @@ class TestStaLtaStreaming:
         rng = np.random.default_rng(2)
         data = rng.standard_normal((5, 2000))
         ref = classic_sta_lta(data, 20, 100, axis=-1)
-        result = streamed_sta_lta(data, 20, 100, chunk_samples=chunk)
+        result = StreamPipeline([StaLtaOp(20, 100)]).run(data, chunk_samples=chunk)
         assert result.output == pytest.approx(ref, rel=1e-7, abs=1e-10)
 
     def test_chunks_shorter_than_lta_window(self):
@@ -213,7 +225,7 @@ class TestStaLtaStreaming:
         rng = np.random.default_rng(3)
         data = rng.standard_normal((3, 600))
         ref = classic_sta_lta(data, 10, 150, axis=-1)
-        result = streamed_sta_lta(data, 10, 150, chunk_samples=60)
+        result = StreamPipeline([StaLtaOp(10, 150)]).run(data, chunk_samples=60)
         assert result.output == pytest.approx(ref, rel=1e-7, abs=1e-10)
 
 
@@ -230,15 +242,10 @@ class TestStackingStreaming:
             data, STACK_CFG, window_seconds=5.0, overlap=0.5, max_lag_seconds=2.0
         )
         whole = linear_stack(cube) if method == "linear" else phase_weighted_stack(cube)
-        result = streamed_stack(
-            data,
-            STACK_CFG,
-            5.0,
-            overlap=0.5,
-            max_lag_seconds=2.0,
-            method=method,
-            chunk_samples=chunk,
+        sink = NCFStackSink(
+            STACK_CFG, 5.0, overlap=0.5, max_lag_seconds=2.0, method=method
         )
+        result = StreamPipeline([sink]).run(data, chunk_samples=chunk)
         streamed_lags, streamed = result.output
         assert streamed_lags == pytest.approx(lags)
         assert streamed == pytest.approx(whole, rel=1e-9, abs=1e-12)
@@ -249,10 +256,8 @@ class TestStackingStreaming:
         _, cube = window_ncfs(
             data, STACK_CFG, window_seconds=5.0, overlap=0.5, max_lag_seconds=2.0
         )
-        result = streamed_stack(
-            data, STACK_CFG, 5.0, overlap=0.5, max_lag_seconds=2.0,
-            chunk_samples=300,
-        )
+        sink = NCFStackSink(STACK_CFG, 5.0, overlap=0.5, max_lag_seconds=2.0)
+        result = StreamPipeline([sink]).run(data, chunk_samples=300)
         assert result.profile.peak_resident_bytes < cube.nbytes + data.nbytes
 
 
@@ -274,7 +279,7 @@ class TestStreamingFromStorage:
         iostats = IOStats()
         with open_stream(vca_path, iostats=iostats) as src:
             assert src.fs == 2.0
-            result = streamed_interferometry(
+            result = stream_interferometry(
                 src, config, chunk_samples=200, iostats=iostats
             )
         assert result.output == pytest.approx(ref, abs=1e-9)

@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import butter
 
-from repro.core.autoselect import tune_stream
 from repro.core.graph import (
     CoordFrame,
     Query,
@@ -597,35 +596,3 @@ class TestPushdownCoordinates:
         with open_stream(vca_setup["vca"], on_error="mask") as src:
             naive = execute(plan, source=src, naive=True)[0].output
         np.testing.assert_array_equal(opt, naive)
-
-
-# ---------------------------------------------------------------------------
-# auto-tuning and incremental fusion
-# ---------------------------------------------------------------------------
-
-
-class TestTuning:
-    def test_tune_stream_is_deterministic(self):
-        from repro.cluster.machine import ClusterSpec, NodeSpec
-
-        cluster = ClusterSpec(nodes=1, node=NodeSpec(cores=16))
-        a = tune_stream(cluster, 500, 10_000_000, halo=(200, 200))
-        b = tune_stream(cluster, 500, 10_000_000, halo=(200, 200))
-        assert a == b
-        assert a.chunk_samples >= 1 and a.threads >= 1
-
-    def test_memory_bound_forces_smaller_chunks(self):
-        from repro.cluster.machine import ClusterSpec, NodeSpec
-
-        small = ClusterSpec(nodes=1, node=NodeSpec(cores=8, memory=256 * 2**20))
-        t = tune_stream(small, 4000, 50_000_000)
-        assert t.chunk_samples * 4000 * 8 <= small.node.memory * 0.25
-
-    def test_tuned_plan_executes_and_notes(self, noise):
-        from repro.cluster.presets import laptop
-
-        q = Query.scan(noise).then(StaLtaOp(4, 16))
-        plan = optimize(q, cluster=laptop(), tune=True)
-        out = execute(plan)[0]
-        assert out.output.shape == noise.shape
-        assert any(n.startswith("tuned:") for n in plan.notes)

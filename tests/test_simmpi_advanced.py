@@ -1,10 +1,7 @@
-"""Tests for scatterv/gatherv, communicator split, and chunked engine runs."""
+"""Tests for scatterv/gatherv and communicator split."""
 
-import numpy as np
 import pytest
 
-from repro.arrayudf.engine import HybridEngine, MPIEngine
-from repro.cluster import laptop
 from repro.errors import MPIError
 from repro.simmpi import run_spmd
 
@@ -128,58 +125,3 @@ class TestSplit:
         result = run_spmd(fn, 8, cluster=cori_haswell(2), ranks_per_node=4)
         assert all(size == 4 and total == 4 for (_, size, total) in result.results)
         assert {node for node, _, _ in result.results} == {0, 1}
-
-
-class TestRunChunked:
-    def test_vectorised_matches_per_cell(self):
-        data = np.random.default_rng(0).normal(size=(24, 40))
-        cluster = laptop(nodes=4, cores=2)
-        engine = MPIEngine(cluster, 4, ranks_per_node=1)
-        per_cell = engine.run(data, lambda s: 2.0 * s.value()).result
-        chunked = engine.run_chunked(data, lambda block: 2.0 * block).result
-        np.testing.assert_allclose(chunked, per_cell)
-
-    def test_halo_trimming(self):
-        data = np.arange(16 * 4, dtype=np.float64).reshape(16, 4)
-        engine = HybridEngine(laptop(nodes=4, cores=2), 4, threads_per_rank=2)
-
-        def shift_sum(block):
-            padded = np.pad(block, ((1, 1), (0, 0)), mode="edge")
-            return padded[:-2] + padded[2:]
-
-        out = engine.run_chunked(data, shift_sum, halo=1).result
-        padded = np.pad(data, ((1, 1), (0, 0)), mode="edge")
-        expected = padded[:-2] + padded[2:]
-        np.testing.assert_allclose(out, expected)
-
-    def test_shared_state_broadcast(self):
-        data = np.random.default_rng(1).normal(size=(12, 30))
-        engine = MPIEngine(laptop(nodes=3, cores=2), 3, ranks_per_node=1)
-
-        def make_state(source):
-            return np.asarray(source[0:1, :]).sum()
-
-        def udf(block, state):
-            return block + state
-
-        out = engine.run_chunked(data, udf, shared_state=make_state).result
-        np.testing.assert_allclose(out, data + data[0].sum())
-
-    def test_output_written_to_disk(self, tmp_path):
-        from repro.hdf5lite import File
-
-        data = np.random.default_rng(2).normal(size=(8, 10))
-        engine = MPIEngine(laptop(nodes=2, cores=2), 2, ranks_per_node=1)
-        out_path = str(tmp_path / "out.h5")
-        result = engine.run_chunked(
-            data, lambda block: block * 3.0, output_path=out_path
-        )
-        with File(out_path, "r") as f:
-            np.testing.assert_allclose(f.dataset("Output").read(), data * 3.0)
-        np.testing.assert_allclose(result.result, data * 3.0)
-
-    def test_wrong_output_rows_rejected(self):
-        data = np.zeros((8, 10))
-        engine = MPIEngine(laptop(nodes=2, cores=2), 2, ranks_per_node=1)
-        with pytest.raises(MPIError, match="rows"):
-            engine.run_chunked(data, lambda block: block[:1])
