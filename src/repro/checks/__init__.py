@@ -12,7 +12,7 @@ this package is the correctness tooling that guards it:
   ``with self.<lock-attr>:`` block (or a method marked ``# holds-lock``);
 * :mod:`repro.checks.taxonomy` — exception taxonomy: broad/bare
   excepts, ``raise`` of builtins where a :mod:`repro.errors` type
-  exists, silently-swallowed handlers (supersedes ``faultcheck.sh``);
+  exists, silently-swallowed handlers;
 * :mod:`repro.checks.contracts` — operator contracts:
   :class:`~repro.core.pipeline.Operator` subclasses must declare
   consistent ``halo``/``decimate``/``channel_halo``/``stream_safe`` and

@@ -16,7 +16,7 @@ one) and drive three in-source conventions:
     exempt.
 ``# noqa`` / ``# noqa: CODE[,CODE...] - reason``
     suppress findings on that line; a bare ``noqa`` suppresses every
-    code.  The historical ``BLE001`` marker (from ``faultcheck.sh``) is
+    code.  The historical flake8 ``BLE001`` marker is
     accepted as an alias for the broad-except code ``TAX001``.
 """
 
@@ -36,8 +36,8 @@ HOLDS_LOCK_RE = re.compile(r"#\s*holds-lock\b")
 _NOQA_RE = re.compile(r"#\s*noqa\b(?::?\s*(?P<codes>[A-Z]{3}\d{3}(?:\s*,\s*[A-Z]{3}\d{3})*))?")
 
 #: Legacy flake8-style markers accepted as aliases for our codes, so the
-#: ``# noqa: BLE001 - reason`` boundaries blessed by faultcheck.sh keep
-#: working unchanged.
+#: ``# noqa: BLE001 - reason`` boundaries written before the ``TAX`` codes
+#: keep working unchanged.
 NOQA_ALIASES = {"BLE001": "TAX001"}
 
 

@@ -1,4 +1,4 @@
-"""Exception-taxonomy analyzer (``TAX``) — supersedes ``faultcheck.sh``.
+"""Exception-taxonomy analyzer (``TAX``).
 
 The degraded-read, retry, and quarantine paths depend on the typed
 hierarchy in :mod:`repro.errors` to tell transient faults from logic

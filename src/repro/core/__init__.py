@@ -65,7 +65,6 @@ from repro.core.stalta import (
     StaLtaOp,
     array_detections,
     classic_sta_lta,
-    recursive_sta_lta,
     trigger_onset,
 )
 from repro.core.graph import (
@@ -108,7 +107,6 @@ __all__ = [
     "stack_snr",
     "NCFStackSink",
     "classic_sta_lta",
-    "recursive_sta_lta",
     "trigger_onset",
     "array_detections",
     "StaLtaOp",

@@ -82,7 +82,7 @@ class ChannelSelectOp(Operator):
     """Keep channel rows ``[lo, hi)`` of the input stream.
 
     Pushdown-eligible: the optimizer lowers a leading selection into a
-    :class:`~repro.storage.chunks.SlicedSource` row range so unselected
+    :class:`~repro.storage.chunks.SourceView` row range so unselected
     channels are never read.  Run eagerly (unoptimized), it slices rows
     in memory — output row ``r`` is input row ``lo + r``, hence the
     ``in_rows`` override; under threading ``ctx.channel_lo`` is the

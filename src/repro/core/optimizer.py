@@ -6,7 +6,7 @@ scan and produces a :class:`PhysicalPlan` via two rewrites:
 1. **Pushdown** — a leading run of
    :class:`~repro.core.graph.ChannelSelectOp` /
    :class:`~repro.core.graph.SubsampleOp` is absorbed into a
-   :class:`~repro.storage.chunks.SlicedSource`, so a decimate-by-``q``
+   :class:`~repro.storage.chunks.SourceView`, so a decimate-by-``q``
    query issues strided backend reads (bounding spans of the lattice:
    never more requests or bytes than the block it sits in, fewer bytes
    once the holes exceed the coalescing gap) and a channel selection
@@ -71,7 +71,7 @@ from repro.errors import ConfigError
 from repro.faults.policy import FailurePolicy
 from repro.storage.chunks import (
     DEFAULT_CHUNK_BYTES,
-    SlicedSource,
+    SourceView,
     as_source,
     auto_chunk_samples,
 )
@@ -309,7 +309,7 @@ def execute(
 
     This only chooses what :func:`~repro.core.pipeline.run_chunks` runs.
     The optimized lowering hands it the pushed-down
-    :class:`~repro.storage.chunks.SlicedSource`, the shared prefix and
+    :class:`~repro.storage.chunks.SourceView`, the shared prefix and
     the branch tails.  ``naive=True`` is the equivalence reference: the
     raw source, the eager chains split at the logical shared prefix, and
     that prefix recomputed per branch (for a
@@ -339,7 +339,7 @@ def execute(
             run_src = src
             if plan.pushed:
                 lo, hi = plan.select or (0, src.n_channels)
-                run_src = SlicedSource(src, lo, hi, plan.step)
+                run_src = SourceView(src, lo, hi, step=plan.step)
                 chunk = max(1, chunk // plan.step)
         return run_chunks(
             run_src, prefix, branches, chunk, plan.threads, timer, iostats,
@@ -393,7 +393,7 @@ def explain(plan: PhysicalPlan) -> str:
         if plan.step > 1:
             parts.append(f"step={plan.step}")
         lines.append(
-            f"source: SlicedSource({', '.join(parts)}) — strided backend read"
+            f"source: SourceView({', '.join(parts)}) — strided backend read"
         )
     else:
         lines.append("source: full-resolution scan")

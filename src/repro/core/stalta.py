@@ -6,8 +6,8 @@ standard single-channel seismic detector the local-similarity method
 baseline detector and because production DAS monitoring runs it as the
 first-pass screen.
 
-Implements the classic (windowed) and recursive forms plus trigger
-on/off picking, with ObsPy-compatible semantics.
+Implements the classic (windowed) form plus trigger on/off picking, with
+ObsPy-compatible semantics.
 """
 
 from __future__ import annotations
@@ -104,116 +104,6 @@ class StaLtaOp(Operator):
         )
         ratio[..., : max(0, self.nlta - 1 - ctx.start)] = 0.0
         return ratio
-
-
-def recursive_sta_lta(x: np.ndarray, nsta: int, nlta: int) -> np.ndarray:
-    """Recursive (exponential-average) STA/LTA of a 1-D signal.
-
-    One pass, O(n), the on-line form acquisition systems run.
-    """
-    if not (0 < nsta < nlta):
-        raise ConfigError(f"need 0 < nsta ({nsta}) < nlta ({nlta})")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ConfigError("recursive STA/LTA takes a 1-D series")
-    csta = 1.0 / nsta
-    clta = 1.0 / nlta
-    sta = 0.0
-    lta = np.finfo(float).tiny
-    out = np.zeros(len(x))
-    for i, value in enumerate(x):
-        energy = value * value
-        sta = csta * energy + (1.0 - csta) * sta
-        lta = clta * energy + (1.0 - clta) * lta
-        out[i] = sta / lta
-    out[: nlta - 1] = 0.0
-    return out
-
-
-class RecursiveStaLta:
-    """Carried-state recursive STA/LTA over streamed ``(channels, time)`` blocks.
-
-    The on-line form acquisition systems run, lifted to a whole array and
-    made resumable: the exponential averages are the *entire* carried
-    state, so feeding the record in arbitrary pieces reproduces
-    :func:`recursive_sta_lta` on each channel exactly, and
-    :meth:`export_state` / :meth:`import_state` round-trip that state
-    through JSON for checkpoint/resume in the monitoring service.
-    """
-
-    STATE_VERSION = 1
-
-    def __init__(self, n_channels: int, nsta: int, nlta: int):
-        if not (0 < nsta < nlta):
-            raise ConfigError(f"need 0 < nsta ({nsta}) < nlta ({nlta})")
-        if n_channels < 1:
-            raise ConfigError("n_channels must be >= 1")
-        self.n_channels = int(n_channels)
-        self.nsta = int(nsta)
-        self.nlta = int(nlta)
-        self._sta = np.zeros(self.n_channels)
-        self._lta = np.full(self.n_channels, np.finfo(float).tiny)
-        self._seen = 0
-
-    @property
-    def seen(self) -> int:
-        """Absolute samples consumed so far."""
-        return self._seen
-
-    def process(self, block: np.ndarray) -> np.ndarray:
-        """Consume the next ``(channels, time)`` piece; returns its ratios.
-
-        Samples whose absolute index is below ``nlta - 1`` return 0 (the
-        warm-up rule), by *absolute* position across pieces.
-        """
-        block = np.asarray(block, dtype=np.float64)
-        if block.ndim != 2 or block.shape[0] != self.n_channels:
-            raise ConfigError(
-                f"need a ({self.n_channels}, n) block, got {block.shape}"
-            )
-        csta, clta = 1.0 / self.nsta, 1.0 / self.nlta
-        out = np.empty_like(block)
-        for i in range(block.shape[1]):
-            energy = block[:, i] ** 2
-            self._sta = csta * energy + (1.0 - csta) * self._sta
-            self._lta = clta * energy + (1.0 - clta) * self._lta
-            out[:, i] = self._sta / self._lta
-        warmup = self._seen + np.arange(block.shape[1]) < self.nlta - 1
-        out[:, warmup] = 0.0
-        self._seen += block.shape[1]
-        return out
-
-    def export_state(self) -> dict:
-        """JSON-safe carried state (averages + watermark)."""
-        return {
-            "version": self.STATE_VERSION,
-            "n_channels": self.n_channels,
-            "nsta": self.nsta,
-            "nlta": self.nlta,
-            "seen": self._seen,
-            "sta": self._sta.tolist(),
-            "lta": self._lta.tolist(),
-        }
-
-    def import_state(self, payload: dict) -> None:
-        """Restore carried state exported by :meth:`export_state`."""
-        if payload.get("version") != self.STATE_VERSION:
-            raise ConfigError(
-                f"STA/LTA state version {payload.get('version')!r} unsupported"
-            )
-        if (
-            int(payload["n_channels"]) != self.n_channels
-            or int(payload["nsta"]) != self.nsta
-            or int(payload["nlta"]) != self.nlta
-        ):
-            raise ConfigError("STA/LTA state geometry does not match this detector")
-        sta = np.asarray(payload["sta"], dtype=np.float64)
-        lta = np.asarray(payload["lta"], dtype=np.float64)
-        if sta.shape != (self.n_channels,) or lta.shape != (self.n_channels,):
-            raise ConfigError("STA/LTA state arrays have the wrong shape")
-        self._sta = sta
-        self._lta = lta
-        self._seen = int(payload["seen"])
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,6 @@ from repro.hdf5lite.hyperslab import (
     coalesce_runs,
     contiguous_runs,
     gather_spans,
-    intersect,
     normalize_selection,
     plan_spans,
     selection_shape,
@@ -87,7 +86,6 @@ __all__ = [
     "contiguous_runs",
     "plan_spans",
     "gather_spans",
-    "intersect",
     "PYRAMID_GROUP",
     "PyramidLevel",
     "pyramid_levels",

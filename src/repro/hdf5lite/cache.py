@@ -4,11 +4,12 @@ The paper's storage analysis (§IV, Fig. 6–7, Table 1) charges VCA reads for
 two costs a production HDF5 stack largely amortises: per-file open overhead
 and per-request IOPS pressure.  This module supplies the amortisation:
 
-* :class:`BlockCache` — a byte-budgeted LRU cache over raw file blocks.
-  Chunked datasets cache whole chunks ("chunk-granular"); contiguous
-  datasets cache fixed-size pages of their data region ("page-granular").
-  Repeated or block-local reads (the dominant DAS access pattern) then hit
-  memory instead of the backend.
+* :class:`BlockCache` — a byte-budgeted LRU cache over a dataset's stored
+  units, decoded: whole chunks of a chunked dataset, the checksum blocks
+  of a contiguous one — what is verified is what is admitted — or, when it
+  carries no sidecar, fixed-size pages of its data region.  Repeated or
+  block-local reads (the dominant DAS access pattern) then hit memory
+  instead of the backend.
 * :class:`FilePool` — an LRU pool of open read-only :class:`~repro.hdf5lite.file.File`
   handles keyed by absolute path, so VCA/LAV/parallel readers stop paying
   one open per source per read.
@@ -52,7 +53,8 @@ class CacheConfig:
 
     ``byte_budget`` — total bytes of cached blocks kept resident; 0 disables
     caching (reads behave exactly as without a cache).
-    ``page_size`` — granularity for contiguous-dataset pages.
+    ``page_size`` — granularity for contiguous datasets that carry no
+    checksum sidecar (one that does is cached by checksum block).
     """
 
     byte_budget: int = DEFAULT_BYTE_BUDGET
@@ -70,7 +72,7 @@ class CacheConfig:
 
 
 class BlockCache:
-    """Byte-budgeted LRU cache mapping ``(file_key, kind, block_id)`` → bytes.
+    """Byte-budgeted LRU cache mapping ``(file_key, unit offset, unit bytes)`` → bytes.
 
     Keys are opaque hashables built by the dataset layer; values are
     immutable ``bytes``.  A block larger than the whole budget is never

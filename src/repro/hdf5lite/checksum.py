@@ -2,20 +2,27 @@
 
 DASPack-style data-integrity verification as a first-class storage
 property: a dataset may carry a ``repro:crc32`` sidecar attribute holding
-one CRC32 per storage block — fixed-size blocks of the data region for
+one CRC32 per stored unit — fixed-size blocks of the data region for
 contiguous datasets, one per chunk for chunked datasets.  The sidecar
 lives in the ordinary attribute footer, so checksummed files remain
 readable by every pre-checksum reader (the attributes are just ignored).
 
-Verification happens where bytes enter memory: the dataset read paths
-(:mod:`repro.hdf5lite.dataset`) verify each block as it is loaded from
-the backend — on the cached paths that is the *miss* path only, so cache
-hits cost nothing extra — and raise
-:class:`~repro.errors.CorruptDataError` with the file, byte offset, and
-cause on mismatch.  ``File(..., verify_checksums=False)`` disables
-read-side verification (measurement knob); :func:`verify_dataset`
-re-checks every block explicitly for ``inspect.verify`` / ``das_inspect
---verify``.
+This module reads and writes the sidecar; which byte ranges it covers is
+the dataset's stored-unit map
+(:meth:`~repro.hdf5lite.dataset.Dataset._stored_units`), and everything
+here is a walk over it: *for each unit, CRC what the loader's fetch
+returns*.  The map is also where coverage is enforced — a sidecar that
+does not name every unit exactly once is a ``FormatError`` on the first
+verified read, never a unit read unverified.
+
+Verification happens where bytes enter memory: the dataset's unit loader
+verifies each unit as it is fetched from the backend — on the cached
+paths that is the *miss* path only, so cache hits cost nothing extra — and
+raises :class:`~repro.errors.CorruptDataError` with the file, byte offset,
+and cause on mismatch.  ``File(..., verify_checksums=False)`` reads
+without looking at the sidecar at all (measurement knob, and the way into
+a file whose sidecar is damaged); :func:`verify_dataset` re-checks every
+unit explicitly for ``inspect.verify`` / ``das_inspect --verify``.
 """
 
 from __future__ import annotations
@@ -23,8 +30,6 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from repro.errors import CorruptDataError, FormatError
 
@@ -61,19 +66,18 @@ def checksum_info(ds: "Dataset") -> ChecksumInfo | None:
     crcs = ds.attrs.get(CRC_ATTR)
     if crcs is None:
         return None
-    block = int(ds.attrs.get(CRC_BLOCK_ATTR, 0))
     keys = ds.attrs.get(CRC_KEYS_ATTR)
-    if block == 0:
-        if keys is None or len(keys) != len(crcs):
-            raise FormatError(
-                f"{ds.path}: malformed checksum sidecar (keys/crcs mismatch)"
-            )
-        return ChecksumInfo(
-            0,
-            tuple(int(c) for c in crcs),
-            {str(k): int(c) for k, c in zip(keys, crcs)},
+    try:
+        block = int(ds.attrs.get(CRC_BLOCK_ATTR, 0))
+        crcs = tuple(int(c) for c in crcs)
+        by_key = dict(zip(map(str, keys), crcs)) if block == 0 else None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{ds.path}: malformed checksum sidecar ({exc})") from exc
+    if block < 0 or (by_key is not None and not len(by_key) == len(keys) == len(crcs)):
+        raise FormatError(
+            f"{ds.path}: malformed checksum sidecar (keys/crcs mismatch)"
         )
-    return ChecksumInfo(block, tuple(int(c) for c in crcs))
+    return ChecksumInfo(block, crcs, by_key)
 
 
 def block_count(region_nbytes: int, block_size: int) -> int:
@@ -100,41 +104,28 @@ def checksum_dataset(ds: "Dataset", block_size: int = DEFAULT_CHECKSUM_BLOCK) ->
     """Compute and store the sidecar for one dataset.
 
     Contiguous datasets get one CRC per ``block_size`` bytes of their
-    data region; chunked datasets one CRC per chunk.  Virtual datasets
-    carry no local bytes — their integrity is their sources' — so they
-    are skipped (returns ``False``).
+    data region; chunked datasets one CRC per chunk (of its stored —
+    encoded, on codec datasets — bytes, so corruption is caught before any
+    decode).  Virtual datasets carry no local bytes — their integrity is
+    their sources' — so they are skipped (returns ``False``).
     """
-    from repro.hdf5lite.dataset import LAYOUT_CHUNKED, LAYOUT_CONTIGUOUS
+    from repro.hdf5lite.dataset import LAYOUT_VIRTUAL
 
     if block_size < 1:
         raise FormatError(f"block_size must be >= 1, got {block_size}")
-    layout = ds.layout
-    backend = ds._file._backend
-    if layout == LAYOUT_CONTIGUOUS:
-        base = int(ds._meta["offset"])
-        region = ds.nbytes
-        crcs = []
-        for i in range(block_count(region, block_size)):
-            off = i * block_size
-            n = min(block_size, region - off)
-            crcs.append(zlib.crc32(backend.read_at(base + off, n)) & 0xFFFFFFFF)
-        ds.attrs[CRC_ATTR] = crcs
+    if ds.layout == LAYOUT_VIRTUAL:
+        return False  # no local bytes
+    crcs = {
+        key: zlib.crc32(ds._fetch_unit(unit)) & 0xFFFFFFFF
+        for key, unit in ds._stored_units(sidecar=False, span=block_size).items()
+    }
+    if ds.chunks is not None:
+        store_chunk_crcs(ds, crcs)
+    else:
+        ds.attrs[CRC_ATTR] = list(crcs.values())
         ds.attrs[CRC_BLOCK_ATTR] = int(block_size)
         ds.attrs.pop(CRC_KEYS_ATTR, None)
-        ds._file._crc_cache.pop(ds.path, None)
-        return True
-    if layout == LAYOUT_CHUNKED:
-        store_chunk_crcs(
-            ds,
-            {
-                key: zlib.crc32(
-                    backend.read_at(int(offset), _chunk_stored_nbytes(ds, key))
-                )
-                for key, offset in ds._meta["chunk_index"].items()
-            },
-        )
-        return True
-    return False  # virtual: no local bytes
+    return True
 
 
 def store_chunk_crcs(ds: "Dataset", crcs: dict[str, int]) -> None:
@@ -146,33 +137,6 @@ def store_chunk_crcs(ds: "Dataset", crcs: dict[str, int]) -> None:
     ds.attrs[CRC_ATTR] = list(crcs.values())
     ds.attrs[CRC_BLOCK_ATTR] = 0
     ds.attrs[CRC_KEYS_ATTR] = list(crcs)
-    ds._file._crc_cache.pop(ds.path, None)
-
-
-def _chunk_shape(
-    key: str, chunks: tuple[int, ...], shape: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Actual (edge-clipped) shape of the chunk at grid coordinate ``key``."""
-    coord = [int(c) for c in key.split(",")] if key else []
-    return tuple(
-        min(c, dim - ci * c) for ci, c, dim in zip(coord, chunks, shape)
-    )
-
-
-def _chunk_stored_nbytes(ds: "Dataset", key: str) -> int:
-    """Bytes the chunk occupies *on disk* — the encoded payload size for
-    codec datasets (``chunk_enc``), else shape × itemsize.  CRCs always
-    cover the stored bytes, so corruption is caught before any decode."""
-    enc = ds._meta.get("chunk_enc")
-    if enc is not None and key in enc:
-        return int(enc[key])
-    chunks = ds.chunks
-    if chunks is None:
-        raise FormatError(f"{ds.path}: chunk {key} on a non-chunked dataset")
-    return (
-        int(np.prod(_chunk_shape(key, chunks, ds.shape), dtype=np.int64))
-        * ds.itemsize
-    )
 
 
 def update_chunk_crc(ds: "Dataset", key: str, payload: bytes) -> None:
@@ -198,7 +162,6 @@ def update_chunk_crc(ds: "Dataset", key: str, payload: bytes) -> None:
     else:
         crcs[i] = crc
     ds.attrs[CRC_ATTR] = crcs
-    ds._file._crc_cache.pop(ds.path, None)
 
 
 def add_checksums(file, block_size: int = DEFAULT_CHECKSUM_BLOCK) -> int:
@@ -224,46 +187,22 @@ def add_checksums(file, block_size: int = DEFAULT_CHECKSUM_BLOCK) -> int:
 
 
 def verify_dataset(ds: "Dataset") -> list[tuple[int, str]]:
-    """Re-check every stored block; returns ``(offset, message)`` problems
-    instead of raising (the ``inspect.verify`` contract)."""
-    info = checksum_info(ds)
-    if info is None:
-        return []
-    backend = ds._file._backend
-    problems: list[tuple[int, str]] = []
-    if info.chunked:
-        if ds.chunks is None:
-            return [(0, "checksum sidecar claims chunks on a non-chunked dataset")]
-        index = ds._meta.get("chunk_index", {})
-        for key, expected in info.chunk_crcs.items():
-            if key not in index:
-                problems.append((0, f"checksummed chunk {key} missing from index"))
-                continue
-            offset = int(index[key])
-            nbytes = _chunk_stored_nbytes(ds, key)
+    """Walk the dataset's stored-unit map: every inconsistency the map
+    finds in the dataset's extents, size maps and sidecar, and every unit
+    whose bytes do not carry their CRC, is an ``(offset, message)`` problem
+    — returned instead of raised (the ``inspect.verify`` contract)."""
+    found: list[str] = []
+    try:
+        units = ds._stored_units(sidecar=True, problems=found)
+    except FormatError as exc:
+        return [(0, str(exc))]
+    problems = [(0, message) for message in found]
+    for unit in units.values():
+        if unit.crc is not None:
             try:
-                verify_block(
-                    ds._file.filename, offset, backend.read_at(offset, nbytes),
-                    expected, what=f"chunk {key}",
-                )
+                ds._fetch_unit(unit)
             except (CorruptDataError, FormatError) as exc:
-                problems.append((offset, str(exc)))
-        return problems
-    base = int(ds._meta["offset"])
-    region = ds.nbytes
-    expected_blocks = block_count(region, info.block_size)
-    if len(info.crcs) != expected_blocks:
-        return [(base, f"checksum sidecar has {len(info.crcs)} CRCs, expected {expected_blocks}")]
-    for i, expected in enumerate(info.crcs):
-        off = i * info.block_size
-        n = min(info.block_size, region - off)
-        try:
-            verify_block(
-                ds._file.filename, base + off, backend.read_at(base + off, n),
-                expected, what=f"block {i}",
-            )
-        except (CorruptDataError, FormatError) as exc:
-            problems.append((base + off, str(exc)))
+                problems.append((unit.offset, str(exc)))
     return problems
 
 
@@ -274,15 +213,10 @@ def update_contiguous_crcs(ds: "Dataset", byte_lo: int, byte_hi: int) -> None:
     info = checksum_info(ds)
     if info is None or info.chunked:
         return
-    base = int(ds._meta["offset"])
-    region = ds.nbytes
-    backend = ds._file._backend
-    crcs = list(info.crcs)
     bs = info.block_size
+    units = ds._stored_units(sidecar=False, span=bs)
+    crcs = list(info.crcs)
     first, last = byte_lo // bs, max(byte_lo, byte_hi - 1) // bs
-    for i in range(first, min(last + 1, len(crcs))):
-        off = i * bs
-        n = min(bs, region - off)
-        crcs[i] = zlib.crc32(backend.read_at(base + off, n)) & 0xFFFFFFFF
+    for i in range(first, min(last + 1, len(crcs), len(units))):
+        crcs[i] = zlib.crc32(ds._fetch_unit(units[i])) & 0xFFFFFFFF
     ds.attrs[CRC_ATTR] = crcs
-    ds._file._crc_cache.pop(ds.path, None)

@@ -7,30 +7,41 @@
 * ``virtual`` — the data live in *other* files (see
   :mod:`repro.hdf5lite.virtual`); reads are delegated to the source files.
 
-Each layout has one read implementation, and it is destination-passing:
-:meth:`Dataset.read_direct` writes the selected samples into an array the
-caller owns — any dtype (cast on assignment), any strides — and
-:meth:`Dataset.read_hyperslab` is that into a fresh array.  Contiguous
-spans land in place when the destination can take file bytes as they are
-and pass through one bounded scratch buffer otherwise; chunks are
-cast-assigned where they belong as they are verified and decoded; a
-virtual dataset hands every source its own band of the caller's buffer
-and pre-fills only when its sources do not tile it.  From the executor's
-float64 block down to the page or chunk, every sample lands once.
+What a contiguous or chunked dataset keeps on disk is described once, by
+its **stored-unit map** (:meth:`Dataset._stored_units`): a unit is the
+byte range one backend request fetches, one sidecar CRC covers, one decode
+turns into samples and one cache entry holds — a chunk, a checksum block,
+or a cache page.  The map is where the chunk index, the ``chunk_enc`` size
+map, the codec attribute and the checksum sidecar are checked against each
+other and against the data region; reads, writes, ``checksum`` and
+``inspect`` all walk it.
+
+A read is one ordered stage list.  *Plan*: the selection becomes spans
+(:func:`~repro.hdf5lite.hyperslab.plan_spans`) or touched chunks
+(:meth:`Dataset._touched_chunks`).  *Load* each unit they land on
+(:meth:`Dataset._load_unit`): cache lookup → fetch → verify → decode →
+admit.  *Scatter*: the samples are cast-assigned into an array the caller
+owns (:meth:`Dataset.read_direct`; :meth:`Dataset.read_hyperslab` is that
+into a fresh array) — any dtype, any strides.  A virtual dataset's plan
+stage hands every source its own band of the caller's buffer and pre-fills
+only when its sources do not tile it.  From the executor's float64 block
+down to the unit, every sample lands once.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.errors import FormatError, ReproError, SelectionError
 from repro.hdf5lite import dtype as _dtype
 from repro.hdf5lite.attributes import Attributes
+from repro.hdf5lite.binary import HEADER_SIZE
 from repro.hdf5lite.checksum import (
-    ChecksumInfo,
+    block_count,
     checksum_info,
     update_chunk_crc,
     update_contiguous_crcs,
@@ -58,8 +69,43 @@ LAYOUT_CHUNKED = "chunked"
 LAYOUT_VIRTUAL = "virtual"
 
 
-def _chunk_key(coord: Sequence[int]) -> str:
-    return ",".join(str(c) for c in coord)
+class _Unit(NamedTuple):
+    """One stored unit of a dataset (see :meth:`Dataset._stored_units`)."""
+
+    key: object  # chunk key ``"i,j"``, or the block / page number
+    offset: int  # absolute file offset
+    nbytes: int  # bytes on disk
+    crc: int | None  # CRC32 the stored bytes must carry
+    shape: tuple[int, ...] | None  # what a chunk decodes to; None = region bytes
+
+
+def _chunk_grid(
+    shape: Sequence[int],
+    chunks: Sequence[int],
+    lo: Sequence[int] | None = None,
+    hi: Sequence[int] | None = None,
+) -> Iterator[tuple[str, tuple[int, ...], tuple[int, ...]]]:
+    """Walk grid coordinates ``lo..hi`` (inclusive; the whole grid by
+    default) of a chunked array in row-major order: ``(key, start, count)``
+    with ``count`` clipped at the array's edge.  The one chunk-grid
+    odometer: creation, reads, writes and the unit map all iterate it."""
+    if lo is None or hi is None:
+        lo = [0] * len(shape)
+        hi = [(dim - 1) // c for dim, c in zip(shape, chunks)]
+    coord = list(lo)
+    while True:
+        start = tuple(ci * c for ci, c in zip(coord, chunks))
+        count = tuple(min(c, dim - s) for c, s, dim in zip(chunks, start, shape))
+        yield ",".join(map(str, coord)), start, count
+        dim_idx = len(coord) - 1
+        while dim_idx >= 0:
+            coord[dim_idx] += 1
+            if coord[dim_idx] <= hi[dim_idx]:
+                break
+            coord[dim_idx] = lo[dim_idx]
+            dim_idx -= 1
+        if dim_idx < 0:
+            break
 
 
 def _strided_chunk_overlap(
@@ -86,9 +132,6 @@ def _strided_chunk_overlap(
     return tuple(local), tuple(vals)
 
 
-_CODEC_UNSET = object()
-
-
 class Dataset:
     """A dataset inside an hdf5lite file.
 
@@ -103,12 +146,20 @@ class Dataset:
         self._meta = meta
         self.attrs = Attributes(
             meta.setdefault("attrs", {}),
-            on_change=file._mark_dirty,
+            on_change=self._changed,
             writable=file.writable,
         )
         # Attributes copies the dict; rebind so mutations persist into meta.
         self._meta["attrs"] = self.attrs._data
-        self._codec_resolved = _CODEC_UNSET
+
+    def _changed(self) -> None:
+        """An attribute (the sidecar and the codec are attributes) or a
+        stored chunk changed: the file is dirty, and what was derived from
+        the old state — the one place it is invalidated — is derived again
+        on its next use."""
+        self.__dict__.pop("_units", None)
+        self.__dict__.pop("codec", None)
+        self._file._mark_dirty()
 
     # -- basic properties ----------------------------------------------------
     # Nothing resizes, retypes or re-sources a dataset in place, so what is
@@ -148,20 +199,13 @@ class Dataset:
             return None
         return tuple(self._meta["chunks"])
 
-    @property
+    @cached_property
     def codec(self) -> "Codec | None":
         """The per-chunk codec named by the ``repro:codec`` attribute, or
-        ``None`` for raw (uncompressed) storage.  Resolved once per
-        Dataset object; unknown codec names raise ``FormatError`` at
-        first data access, not at open."""
-        if self._codec_resolved is _CODEC_UNSET:
-            spec = (
-                self.attrs.get(CODEC_ATTR)
-                if self.layout == LAYOUT_CHUNKED
-                else None
-            )
-            self._codec_resolved = resolve_codec(spec) if spec is not None else None
-        return self._codec_resolved
+        ``None`` for raw (uncompressed) storage.  Unknown codec names raise
+        ``FormatError`` at first data access, not at open."""
+        spec = self.attrs.get(CODEC_ATTR) if self.layout == LAYOUT_CHUNKED else None
+        return resolve_codec(spec) if spec is not None else None
 
     @cached_property
     def virtual_sources(self) -> tuple[VirtualSource, ...]:
@@ -186,36 +230,172 @@ class Dataset:
             raise TypeError("len() of a 0-d dataset")
         return self.shape[0]
 
-    # -- checksums ---------------------------------------------------------------
-    def _checksums(self) -> "ChecksumInfo | None":
-        """The parsed checksum sidecar when read-side verification applies.
+    # -- stored units --------------------------------------------------------
+    @cached_property
+    def _units(self) -> dict[object, _Unit]:
+        """The unit map reads and writes go through: CRCs attached when the
+        file verifies reads, an unchecksummed contiguous region cut into the
+        cache's pages when there is a cache."""
+        file = self._file
+        page = file._cache.config.page_size if file._cache is not None else None
+        return self._stored_units(sidecar=file.verify_checksums, span=page)
 
-        ``None`` when the dataset carries no sidecar or the file was opened
-        with ``verify_checksums=False``.  Parsed once per Dataset object.
+    def _stored_units(
+        self, sidecar: bool, span: int | None = None, problems: list[str] | None = None
+    ) -> dict[object, _Unit]:
+        """The dataset's stored-unit map, ``key -> unit``, in file order.
+
+        One unit per chunk of a chunked dataset: ``chunk_enc`` bytes when a
+        codec is recorded, the clipped chunk shape x itemsize otherwise.  A
+        contiguous region is cut into the sidecar's checksum blocks when
+        ``sidecar`` asks for CRCs and the dataset carries them, else into
+        ``span``-byte units (cache pages; the block size a new sidecar is
+        computed at), else not at all — the empty map: nothing needs whole
+        units, and a virtual dataset stores none.
+
+        This is also the one place the storage maps are checked against
+        each other: a chunk index that is not the grid, a codec without its
+        size map (or the reverse), an extent outside the data region, a
+        sidecar that does not cover every unit exactly.  Each finding
+        raises ``FormatError`` naming the dataset — a reader never sees an
+        unverified or mis-sized unit — unless ``problems`` is given, when
+        it is appended there, the unit left out, and the walk goes on
+        (``verify_dataset``).  A sidecar or codec that does not parse
+        raises either way.
         """
-        if not self._file.verify_checksums:
-            return None
-        cache = self._file._crc_cache
-        if self.path in cache:
-            return cache[self.path]
-        info = checksum_info(self)
-        cache[self.path] = info
-        return info
 
-    def _load_block(
-        self, base: int, region_nbytes: int, info: "ChecksumInfo", block_idx: int
-    ) -> bytes:
-        """Read checksum block ``block_idx`` of the data region, verified."""
-        bs = info.block_size
-        off = block_idx * bs
-        n = min(bs, region_nbytes - off)
-        data = self._file._backend.read_at(base + off, n)
-        if block_idx < len(info.crcs):
+        def bad(message: str) -> None:
+            if problems is None:
+                raise FormatError(f"{self.path}: {message}")
+            problems.append(message)
+
+        layout, meta, end = self.layout, self._meta, self._file._data_end
+        if layout not in (LAYOUT_CONTIGUOUS, LAYOUT_CHUNKED):
+            if layout != LAYOUT_VIRTUAL:
+                bad(f"unknown layout {layout!r}")
+            return {}
+        info = checksum_info(self) if sidecar else None
+        if layout == LAYOUT_CONTIGUOUS:
+            base, region = int(meta["offset"]), self.nbytes
+            if base < HEADER_SIZE or base + region > end:
+                bad(
+                    f"extent [{base}, {base + region}) exceeds the data region "
+                    f"[{HEADER_SIZE}, {end})"
+                )
+                return {}
+            crcs = None
+            if info is not None and info.chunked:
+                bad("checksum sidecar claims chunks on a non-chunked dataset")
+            elif info is not None:
+                blocks = block_count(region, info.block_size)
+                if len(info.crcs) != blocks:
+                    bad(f"checksum sidecar has {len(info.crcs)} CRCs, expected {blocks}")
+                else:
+                    span, crcs = info.block_size, info.crcs
+            if not span:
+                return {}
+            return {
+                i: _Unit(
+                    i, base + i * span, min(span, region - i * span),
+                    None if crcs is None else crcs[i], None,
+                )
+                for i in range(block_count(region, span))
+            }
+
+        index, enc, codec = meta["chunk_index"], meta.get("chunk_enc"), self.codec
+        if (codec is None) != (enc is None):
+            bad(
+                "chunk_enc size map without a codec attribute"
+                if codec is None
+                else "codec dataset lacks a chunk_enc size map"
+            )
+            return {}
+        crcs = None
+        if info is not None and not info.chunked:
+            bad("checksum sidecar claims blocks on a chunked dataset")
+        elif info is not None:
+            crcs = info.chunk_crcs
+            if crcs.keys() != index.keys():
+                bad(
+                    f"checksum sidecar covers {len(crcs)} chunks, "
+                    f"the chunk index holds {len(index)}"
+                )
+        units: dict[object, _Unit] = {}
+        strays = len(index)
+        for key, _start, count in _chunk_grid(self.shape, self.chunks):
+            if key not in index:
+                bad(f"missing chunk {key} in the chunk index")
+                continue
+            strays -= 1
+            if codec is not None and key not in enc:
+                bad(f"chunk {key} missing from the chunk_enc size map")
+                continue
+            try:
+                offset = int(index[key])
+                nbytes = (
+                    math.prod(count) * self.itemsize if codec is None else int(enc[key])
+                )
+            except (TypeError, ValueError, OverflowError):
+                bad(f"chunk {key} has a non-integer offset or size")
+                continue
+            if offset < HEADER_SIZE or nbytes < 0 or offset + nbytes > end:
+                bad(
+                    f"chunk {key} extent [{offset}, {offset + nbytes}) exceeds "
+                    f"the data region [{HEADER_SIZE}, {end})"
+                )
+                continue
+            units[key] = _Unit(
+                key, offset, nbytes, None if crcs is None else crcs.get(key), count
+            )
+        if strays:
+            bad(f"chunk index has {strays} entries that are not on the chunk grid")
+        return units
+
+    def _fetch_unit(self, unit: _Unit) -> bytes:
+        """Fetch and verify: a unit's stored bytes in one backend request,
+        refused unless they carry the CRC the unit expects (the one place
+        bytes are verified; a unit without a CRC has nothing to check)."""
+        data = self._file._backend.read_at(unit.offset, unit.nbytes)
+        if unit.crc is not None:
             verify_block(
-                self._file.filename, base + off, data, info.crcs[block_idx],
-                what=f"block {block_idx}",
+                self._file.filename, unit.offset, data, unit.crc,
+                what=f"{'block' if unit.shape is None else 'chunk'} {unit.key}",
             )
         return data
+
+    def _load_unit(
+        self, unit: _Unit, cache: "BlockCache | None"
+    ) -> "bytes | np.ndarray":
+        """A unit's decoded bytes: cache lookup -> fetch -> verify -> decode
+        -> admit, the one loader behind every read that needs whole units.
+
+        What is verified is what is admitted: the cache holds a unit's
+        *decoded* bytes under one key, so a hit costs no CRC and no decode,
+        and the CRC — which covers the stored payload — is checked before
+        any decode, on the miss path only.  (An uncached codec unit comes
+        back as the decoded array itself, which is also a buffer.)
+        """
+        stats = self._file._backend.iostats
+        if cache is not None:
+            key = (self._file._cache_key, unit.offset, unit.nbytes)
+            data = cache.get(key, stats)
+            if data is not None:
+                return data
+        data = self._fetch_unit(unit)
+        codec = self.codec
+        if codec is not None:
+            data = codec.decode(data, unit.shape, self.dtype)
+            if cache is not None:
+                data = data.tobytes()
+        if cache is not None:
+            cache.put(key, data, stats)
+        return data
+
+    def _chunk_array(self, unit: _Unit, cache: "BlockCache | None") -> np.ndarray:
+        """One whole stored chunk as an array, via ``cache`` when given."""
+        return np.frombuffer(
+            self._load_unit(unit, cache), dtype=self.dtype
+        ).reshape(unit.shape)
 
     # -- reading ---------------------------------------------------------------
     def __getitem__(self, selection: object) -> np.ndarray:
@@ -297,142 +477,54 @@ class Dataset:
         gather_spans(plan, out, fetch, self.dtype, resident)
 
     def _read_contiguous(self, hs: Hyperslab, out: np.ndarray) -> None:
-        base = int(self._meta["offset"])
-        region = self.nbytes
-        backend = self._file._backend
-        cache = self._file._cache
-        info = self._checksums()
-        if info is not None and info.chunked:
-            info = None
-        resident = None
-
-        if cache is not None and cache.enabled:
-            # Pages are page_size-aligned within the dataset's own data
-            # region (byte 0 = ``base`` in the file), so a page never
-            # straddles the metadata footer or another dataset.  Offsets
-            # arrive ascending, so holding the last page makes it one
-            # cache lookup per page per read, however many spans it serves.
-            ps = cache.config.page_size
-            held: list = [-1, b""]
-
-            def page_at(page: int) -> bytes:
-                if held[0] != page:
-                    held[:] = page, self._load_page(cache, base, region, page, info)
-                return held[1]
-
-            def resident(offset: int) -> tuple[bytes, int]:
-                page = offset // ps
-                return page_at(page), page * ps
-
-            def fetch(offset: int, dest: memoryview) -> None:
-                end = offset + len(dest)
-                for page in range(offset // ps, (end - 1) // ps + 1):
-                    data = page_at(page)
-                    lo = max(offset, page * ps)
-                    hi = min(end, page * ps + len(data))
-                    dest[lo - offset : hi - offset] = data[lo - page * ps : hi - page * ps]
-
-        elif info is not None:
-            fetch = self._verified_fetch(base, region, info)
-        else:
+        units = self._units
+        if not units:
+            # Neither a sidecar nor a cache needs whole units: the spans
+            # the selection lands on go straight to the backend.
+            base = int(self._meta["offset"])
+            backend = self._file._backend
 
             def fetch(offset: int, dest: memoryview) -> None:
                 backend.readinto_at(base + offset, dest)
 
+            self._read_spans(hs, self.shape, fetch, out)
+            return
+        # Bytes come out of whole units — verified as a block, cached as a
+        # block.  Units are aligned within the dataset's own data region
+        # (byte 0 = the first unit's offset in the file), so none straddles
+        # the metadata footer or another dataset.  Unit 0 is full-sized
+        # unless it is the only one, so its length is the map's stride.
+        # Offsets arrive ascending, so holding the last unit makes it one
+        # load (one cache lookup) per unit per read, however many spans it
+        # serves.
+        size = units[0].nbytes
+        cache = self._file._cache
+        held: list = [-1, b""]
+
+        def unit_at(i: int) -> bytes:
+            if held[0] != i:
+                held[:] = i, self._load_unit(units[i], cache)
+            return held[1]
+
+        def resident(offset: int) -> tuple[bytes, int]:
+            i = offset // size
+            return unit_at(i), i * size
+
+        def fetch(offset: int, dest: memoryview) -> None:
+            end = offset + len(dest)
+            for i in range(offset // size, (end - 1) // size + 1):
+                data = unit_at(i)
+                lo = max(offset, i * size)
+                hi = min(end, i * size + len(data))
+                dest[lo - offset : hi - offset] = data[lo - i * size : hi - i * size]
+
         self._read_spans(hs, self.shape, fetch, out, resident)
-
-    def _verified_fetch(
-        self, base: int, region: int, info: "ChecksumInfo"
-    ) -> Callable[[int, memoryview], None]:
-        """The uncached fetch with CRC verification.
-
-        Bytes can only be verified at checksum-block granularity, so each
-        requested range is served from whole blocks, each read and
-        verified once per hyperslab read.  Ranges arrive in ascending
-        offset order; blocks behind the current one are dropped to bound
-        memory.
-        """
-        bs = info.block_size
-        blocks: dict[int, bytes] = {}
-
-        def fetch(lo: int, dest: memoryview) -> None:
-            hi = lo + len(dest)
-            first = lo // bs
-            for stale in [b for b in blocks if b < first]:
-                del blocks[stale]
-            pos = 0
-            for b in range(first, (hi - 1) // bs + 1):
-                data = blocks.get(b)
-                if data is None:
-                    data = blocks[b] = self._load_block(base, region, info, b)
-                blo = max(lo, b * bs)
-                bhi = min(hi, b * bs + len(data))
-                dest[pos : pos + (bhi - blo)] = data[blo - b * bs : bhi - b * bs]
-                pos += bhi - blo
-
-        return fetch
-
-    def _load_page(
-        self,
-        cache: "BlockCache",
-        base: int,
-        region_nbytes: int,
-        page: int,
-        info: "ChecksumInfo | None",
-    ) -> bytes:
-        """Cache page ``page`` of the data region, loading it on a miss.
-
-        A missing page costs one backend request for the whole page; hits
-        cost nothing.  With a checksum sidecar (``info``), a missing page
-        is assembled from verified checksum blocks — cache hits are
-        verified-at-admission, so the warm path pays no CRC cost.
-        """
-        backend = self._file._backend
-        stats = backend.iostats
-        key = (self._file._cache_key, "page", base, page)
-        data = cache.get(key, stats)
-        if data is None:
-            ps = cache.config.page_size
-            page_off = page * ps
-            page_len = min(ps, region_nbytes - page_off)
-            if info is not None:
-                data = self._page_from_blocks(
-                    base, region_nbytes, info, page_off, page_len
-                )
-            else:
-                data = backend.read_at(base + page_off, page_len)
-            cache.put(key, data, stats)
-        return data
-
-    def _page_from_blocks(
-        self,
-        base: int,
-        region_nbytes: int,
-        info: "ChecksumInfo",
-        page_off: int,
-        page_len: int,
-    ) -> bytes:
-        """Assemble one cache page from verified checksum blocks.
-
-        With the default configuration (page size == checksum block size,
-        both region-aligned) this is exactly one backend read plus one CRC.
-        """
-        bs = info.block_size
-        first = page_off // bs
-        last = (page_off + page_len - 1) // bs
-        parts = []
-        for b in range(first, last + 1):
-            data = self._load_block(base, region_nbytes, info, b)
-            lo = max(page_off, b * bs)
-            hi = min(page_off + page_len, b * bs + len(data))
-            parts.append(data[lo - b * bs : hi - b * bs])
-        return parts[0] if len(parts) == 1 else b"".join(parts)
 
     def _touched_chunks(
         self, hs: Hyperslab
-    ) -> Iterator[tuple[str, tuple[int, ...], tuple[slice, ...], tuple[slice, ...]]]:
+    ) -> Iterator[tuple[_Unit, tuple[slice, ...], tuple[slice, ...]]]:
         """Every stored chunk a selection lands on, in grid order:
-        ``(key, chunk_count, local, vals)`` with ``local``/``vals`` as
+        ``(unit, local, vals)`` with ``local``/``vals`` as
         :func:`_strided_chunk_overlap` returns them.
 
         The walk is bounded by the selection *lattice*: the last touched
@@ -444,53 +536,30 @@ class Dataset:
             return
         chunks = self.chunks
         assert chunks is not None
-        index: dict[str, int] = self._meta["chunk_index"]
+        units = self._units
         lo = [s // c for s, c in zip(hs.start, chunks)]
         hi = [
             (s + (n - 1) * st) // c
             for s, n, st, c in zip(hs.start, hs.count, hs.stride, chunks)
         ]
-        coord = list(lo)
-        while True:
-            chunk_start = tuple(ci * c for ci, c in zip(coord, chunks))
-            chunk_count = tuple(
-                min(c, dim - cs)
-                for c, cs, dim in zip(chunks, chunk_start, self.shape)
-            )
-            overlap = _strided_chunk_overlap(hs, chunk_start, chunk_count)
+        for key, start, count in _chunk_grid(self.shape, chunks, lo, hi):
+            overlap = _strided_chunk_overlap(hs, start, count)
             if overlap is not None:
-                ckey = _chunk_key(coord)
-                if ckey not in index:
-                    raise FormatError(f"missing chunk {ckey} in {self.path}")
-                yield ckey, chunk_count, *overlap
-            # Odometer over chunk grid coordinates.
-            dim_idx = len(coord) - 1
-            while dim_idx >= 0:
-                coord[dim_idx] += 1
-                if coord[dim_idx] <= hi[dim_idx]:
-                    break
-                coord[dim_idx] = lo[dim_idx]
-                dim_idx -= 1
-            if dim_idx < 0:
-                break
+                yield units[key], *overlap
 
     def _read_chunked(self, hs: Hyperslab, out: np.ndarray) -> None:
         codec = self.codec
-        info = self._checksums()
-        chunk_crcs = info.chunk_crcs if info is not None and info.chunked else None
-        index: dict[str, int] = self._meta["chunk_index"]
         itemsize = self.itemsize
         backend = self._file._backend
         cache = self._file._cache
-        if cache is not None and not cache.enabled:
-            cache = None
-        for ckey, chunk_count, local, vals in self._touched_chunks(hs):
-            crc_expected = chunk_crcs.get(ckey) if chunk_crcs is not None else None
-            chunk_nbytes = int(np.prod(chunk_count, dtype=np.int64)) * itemsize
+        for unit, local, vals in self._touched_chunks(hs):
             # Chunk-granular caching: a miss loads the whole chunk in one
             # request; later touches of any part of it are memory copies.
-            cached = cache is not None and chunk_nbytes <= cache.config.byte_budget
-            if codec is None and crc_expected is None and not cached:
+            cached = (
+                cache is not None
+                and math.prod(unit.shape) * itemsize <= cache.config.byte_budget
+            )
+            if codec is None and unit.crc is None and not cached:
                 # Nothing needs the whole chunk's bytes: fetch only the
                 # spans the lattice lands on, straight into their place.
                 local_slab = Hyperslab(
@@ -500,70 +569,14 @@ class Dataset:
                 )
                 self._read_spans(
                     local_slab,
-                    chunk_count,
-                    lambda offset, dest, at=int(index[ckey]): backend.readinto_at(
+                    unit.shape,
+                    lambda offset, dest, at=unit.offset: backend.readinto_at(
                         at + offset, dest
                     ),
                     out[vals],
                 )
             else:
-                chunk_arr = self._load_chunk(
-                    codec, ckey, chunk_count, crc_expected,
-                    cache if cached else None,
-                )
-                out[vals] = chunk_arr[local]
-
-    def _encoded_nbytes(self, ckey: str) -> int:
-        """On-disk payload size of one encoded chunk (``chunk_enc``)."""
-        enc = self._meta.get("chunk_enc", {})
-        if ckey not in enc:
-            raise FormatError(
-                f"missing encoded size for chunk {ckey} in {self.path}"
-            )
-        return int(enc[ckey])
-
-    def _load_chunk(
-        self,
-        codec: "Codec | None",
-        ckey: str,
-        chunk_count: tuple[int, ...],
-        crc_expected: int | None,
-        cache: "BlockCache | None",
-    ) -> np.ndarray:
-        """One whole stored chunk as an array, via ``cache`` when given.
-
-        The cache holds *decoded* bytes under one ``(file, "chunk",
-        offset)`` key whether or not the chunk is stored encoded, so
-        decompression runs once per cached block; the CRC covers the
-        stored payload and is checked before any decode, only on the miss
-        path.
-        """
-        backend = self._file._backend
-        chunk_offset = int(self._meta["chunk_index"][ckey])
-        key = (self._file._cache_key, "chunk", chunk_offset)
-        if cache is not None:
-            raw = cache.get(key, backend.iostats)
-            if raw is not None:
-                return np.frombuffer(raw, dtype=self.dtype).reshape(chunk_count)
-        if codec is not None:
-            stored_nbytes = self._encoded_nbytes(ckey)
-        else:
-            stored_nbytes = int(np.prod(chunk_count, dtype=np.int64)) * self.itemsize
-        payload = backend.read_at(chunk_offset, stored_nbytes)
-        if crc_expected is not None:
-            verify_block(
-                self._file.filename, chunk_offset, payload,
-                crc_expected, what=f"chunk {ckey}",
-            )
-        if codec is not None:
-            arr = codec.decode(payload, chunk_count, self.dtype)
-        else:
-            arr = np.frombuffer(payload, dtype=self.dtype).reshape(chunk_count)
-        if cache is not None:
-            cache.put(
-                key, payload if codec is None else arr.tobytes(), backend.iostats
-            )
-        return arr
+                out[vals] = self._chunk_array(unit, cache if cached else None)[local]
 
     def _read_virtual(self, hs: Hyperslab, out: np.ndarray) -> None:
         file = self._file
@@ -673,77 +686,47 @@ class Dataset:
     def _write_chunked(self, hs: Hyperslab, values: np.ndarray) -> None:
         """Read-modify-rewrite every chunk the selection touches.
 
-        On codec datasets the touched chunk is decoded, patched, and
-        re-encoded; a payload that grew past its old slot is appended to
-        the data region and the chunk index repointed (the old bytes are
-        dead — acceptable for an append-only format).  Each stored
+        The touched chunk is loaded (CRC-verified when the file verifies
+        reads — a read-modify-write must not silently launder corruption
+        into a fresh checksum), patched and stored again; each stored
         payload refreshes its sidecar CRC, so checksums always cover the
-        encoded bytes actually on disk.
+        bytes actually on disk.
         """
         codec = self.codec
-        for ckey, chunk_count, local_sel, vals_sel in self._touched_chunks(hs):
-            chunk_arr = self._writable_chunk(ckey, chunk_count, codec)
+        for unit, local_sel, vals_sel in self._touched_chunks(hs):
+            chunk_arr = self._chunk_array(unit, None)
+            if not chunk_arr.flags.writeable:
+                chunk_arr = chunk_arr.copy()
             chunk_arr[local_sel] = values[vals_sel]
-            self._store_chunk(ckey, chunk_arr, codec)
+            update_chunk_crc(
+                self, unit.key, self._store_chunk(unit.key, chunk_arr, codec, unit)
+            )
         if hs.size:
-            self._file._mark_dirty()
             self._file._invalidate_cache()
 
-    def _writable_chunk(
-        self, ckey: str, chunk_count: tuple[int, ...], codec: "Codec | None"
-    ) -> np.ndarray:
-        """The chunk's current contents as a writable array (CRC-verified
-        when the file verifies reads — a read-modify-write must not
-        silently launder corruption into a fresh checksum)."""
-        info = self._checksums()
-        crc = (
-            info.chunk_crcs.get(ckey)
-            if info is not None and info.chunked
-            else None
-        )
-        arr = self._load_chunk(codec, ckey, chunk_count, crc, None)
-        return arr if arr.flags.writeable else arr.copy()
-
     def _store_chunk(
-        self, ckey: str, chunk_arr: np.ndarray, codec: "Codec | None"
-    ) -> None:
-        backend = self._file._backend
-        index: dict[str, int] = self._meta["chunk_index"]
-        chunk_offset = int(index[ckey])
-        chunk_arr = np.ascontiguousarray(chunk_arr)
-        if codec is None:
-            payload = chunk_arr.tobytes()
-            backend.write_at(chunk_offset, payload)
-        else:
-            payload = codec.encode(chunk_arr)
-            if len(payload) <= self._encoded_nbytes(ckey):
-                backend.write_at(chunk_offset, payload)
-            else:
-                chunk_offset = self._file._append_data(payload)
-                index[ckey] = chunk_offset
-            self._meta["chunk_enc"][ckey] = len(payload)
-        update_chunk_crc(self, ckey, payload)
+        self, ckey: str, chunk_arr: np.ndarray, codec: "Codec | None", slot: _Unit | None
+    ) -> bytes:
+        """Encode one chunk and put it on disk; returns the stored payload
+        (what a sidecar CRC covers).  The one place a chunk is encoded:
+        creation stores every chunk of the grid through here, a hyperslab
+        write the chunks it patched.
 
-    # -- streaming ---------------------------------------------------------------
-    def iter_blocks(self, rows_per_block: int):
-        """Stream the dataset as ``(row_slice, array)`` row blocks.
-
-        Lets callers process arrays larger than memory (RCA construction,
-        whole-day scans) one bounded block at a time.
+        The payload goes into ``slot`` — the unit it replaces — when it
+        fits; a new chunk, or one that grew past its old slot, is appended
+        to the data region and the chunk index pointed at it (the old bytes
+        are dead — acceptable for an append-only format).
         """
-        if rows_per_block < 1:
-            raise SelectionError("rows_per_block must be >= 1")
-        if self.ndim == 0:
-            raise SelectionError("cannot iterate a 0-d dataset")
-        rows = self.shape[0]
-        for start in range(0, rows, rows_per_block):
-            stop = min(rows, start + rows_per_block)
-            hs = Hyperslab(
-                (start,) + (0,) * (self.ndim - 1),
-                (stop - start,) + self.shape[1:],
-                (1,) * self.ndim,
-            )
-            yield slice(start, stop), self.read_hyperslab(hs)
+        chunk_arr = np.ascontiguousarray(chunk_arr)
+        payload = chunk_arr.tobytes() if codec is None else codec.encode(chunk_arr)
+        if slot is not None and len(payload) <= slot.nbytes:
+            self._file._backend.write_at(slot.offset, payload)
+        else:
+            self._meta["chunk_index"][ckey] = self._file._append_data(payload)
+        if codec is not None:
+            self._meta["chunk_enc"][ckey] = len(payload)
+        self._changed()
+        return payload
 
     # -- conversion --------------------------------------------------------------
     def __array__(self, dtype: object = None, copy: object = None) -> np.ndarray:

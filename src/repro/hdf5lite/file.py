@@ -2,7 +2,12 @@
 
 A file holds a tree of groups; each group holds attributes, child groups,
 and datasets.  The tree is kept in memory as plain dicts (mirroring the
-JSON metadata footer) and flushed on close.
+JSON metadata footer) and flushed on close.  A file appends dataset bytes
+and records where they went; how a dataset's bytes divide into stored
+units — and so how a chunk is encoded, sized, checksummed and found again
+— is :mod:`repro.hdf5lite.dataset`'s (``create_dataset`` stores every
+chunk through ``Dataset._store_chunk``, the function a hyperslab write
+re-stores chunks with).
 
 Example::
 
@@ -44,7 +49,7 @@ from repro.hdf5lite.dataset import (
     LAYOUT_CONTIGUOUS,
     LAYOUT_VIRTUAL,
     Dataset,
-    _chunk_key,
+    _chunk_grid,
 )
 from repro.hdf5lite.virtual import VirtualSource, validate_sources
 from repro.utils.iostats import IOStats
@@ -234,51 +239,16 @@ class Group:
                     f"chunk shape {chunks} invalid for data of rank {arr.ndim}"
                 )
             resolved = resolve_codec(codec) if codec is not None else None
-            index: dict[str, int] = {}
-            enc_sizes: dict[str, int] = {}
-            # CRC each payload in the pass that makes it, not by reading
-            # the file back afterwards.
-            chunk_crcs: dict[str, int] = {}
-            grid = [
-                (dim + c - 1) // c for dim, c in zip(arr.shape, chunks)
-            ]
-            coord = [0] * arr.ndim
-            while True:
-                slicer = tuple(
-                    slice(ci * c, min((ci + 1) * c, dim))
-                    for ci, c, dim in zip(coord, chunks, arr.shape)
-                )
-                chunk_data = np.ascontiguousarray(arr[slicer])
-                payload = (
-                    resolved.encode(chunk_data)
-                    if resolved is not None
-                    else chunk_data.tobytes()
-                )
-                ckey = _chunk_key(coord)
-                index[ckey] = self._file._append_data(payload)
-                if resolved is not None:
-                    enc_sizes[ckey] = len(payload)
-                if checksum:
-                    chunk_crcs[ckey] = zlib.crc32(payload)
-                dim_idx = arr.ndim - 1
-                while dim_idx >= 0:
-                    coord[dim_idx] += 1
-                    if coord[dim_idx] < grid[dim_idx]:
-                        break
-                    coord[dim_idx] = 0
-                    dim_idx -= 1
-                if dim_idx < 0 or arr.ndim == 0:
-                    break
             meta = {
                 "shape": [int(s) for s in arr.shape],
                 "dtype": token,
                 "layout": LAYOUT_CHUNKED,
                 "chunks": list(chunks),
-                "chunk_index": index,
+                "chunk_index": {},
                 "attrs": {},
             }
             if resolved is not None:
-                meta["chunk_enc"] = enc_sizes
+                meta["chunk_enc"] = {}
         else:
             if data is not None:
                 arr = np.ascontiguousarray(data)
@@ -305,13 +275,21 @@ class Group:
                 "attrs": {},
             }
 
-        parent._node["datasets"][ds_name] = meta
-        self._file._mark_dirty()
         ds = self._file._dataset_for(parent._child_path(ds_name), meta)
-        if meta["layout"] == LAYOUT_CHUNKED and "chunk_enc" in meta:
-            ds.attrs[CODEC_ATTR] = resolved.spec
-        if checksum and meta["layout"] == LAYOUT_CHUNKED:
-            store_chunk_crcs(ds, chunk_crcs)
+        if meta["layout"] == LAYOUT_CHUNKED:
+            if resolved is not None:
+                ds.attrs[CODEC_ATTR] = resolved.spec
+            # Every chunk of the grid goes through the function a hyperslab
+            # write re-stores chunks with; CRC each payload in the pass
+            # that makes it, not by reading the file back afterwards.
+            chunk_crcs: dict[str, int] = {}
+            for ckey, start, count in _chunk_grid(arr.shape, chunks):
+                block = arr[tuple(slice(s, s + n) for s, n in zip(start, count))]
+                payload = ds._store_chunk(ckey, block, resolved, None)
+                if checksum:
+                    chunk_crcs[ckey] = zlib.crc32(payload)
+            if checksum:
+                store_chunk_crcs(ds, chunk_crcs)
         elif checksum and meta["layout"] == LAYOUT_CONTIGUOUS:
             checksum_dataset(
                 ds,
@@ -319,6 +297,8 @@ class Group:
                     checksum_block if checksum_block is not None else DEFAULT_CHECKSUM_BLOCK
                 ),
             )
+        parent._node["datasets"][ds_name] = meta
+        self._file._mark_dirty()
         return ds
 
     def __repr__(self) -> str:
@@ -377,11 +357,9 @@ class File(Group):
         self.skip_sources: set[str] = set()
         self.source_fill: float | None = None
         self._dirty = False
-        # Parsed checksum sidecars by dataset path (writers drop an entry
-        # when they refresh its sidecar).
-        self._crc_cache: dict[str, Any] = {}
         # One Dataset object per dataset (it memoises what it parses out of
-        # the metadata), and each virtual-source path resolved once.
+        # the metadata — its stored-unit map above all), and each
+        # virtual-source path resolved once.
         self._datasets: dict[str, Dataset] = {}
         self._source_paths: dict[str, str] = {}
         self._source_cache: dict[str, File] = {}

@@ -3,8 +3,8 @@
 A *hyperslab* is a regular N-dimensional selection described per dimension
 by ``(start, count, stride)`` — the same model as HDF5's hyperslab and the
 paper's Logical Array View (LAV).  This module converts numpy-style basic
-indexing into hyperslabs, computes result shapes, intersects hyperslabs
-(needed by virtual datasets / VCA), and plans how a selection is fetched:
+indexing into hyperslabs, computes result shapes, and plans how a
+selection is fetched:
 :func:`plan_spans` turns it into a few large backend requests that bridge
 small holes, :func:`contiguous_runs` / :func:`coalesce_runs` are the
 run-by-run reference the planner is tested against (and what writes use,
@@ -464,25 +464,3 @@ def coalesce_runs(
     if cur_pieces:
         spans.append((cur_off, cur_len, cur_pieces))
     return spans
-
-
-def intersect(a: Hyperslab, b: Hyperslab) -> Hyperslab | None:
-    """Intersect two unit-stride hyperslabs; ``None`` if disjoint.
-
-    Virtual-dataset mapping (and hence VCA) only needs unit strides, so
-    strided intersection is intentionally not implemented.
-    """
-    if a.ndim != b.ndim:
-        raise SelectionError("cannot intersect hyperslabs of different rank")
-    if any(s != 1 for s in a.stride) or any(s != 1 for s in b.stride):
-        raise SelectionError("intersect requires unit-stride hyperslabs")
-    start: list[int] = []
-    count: list[int] = []
-    for dim in range(a.ndim):
-        lo = max(a.start[dim], b.start[dim])
-        hi = min(a.start[dim] + a.count[dim], b.start[dim] + b.count[dim])
-        if hi <= lo:
-            return None
-        start.append(lo)
-        count.append(hi - lo)
-    return Hyperslab(tuple(start), tuple(count), tuple(1 for _ in start))

@@ -1,11 +1,14 @@
 """File inspection and integrity checking (an ``h5ls``/``h5check`` lite).
 
 ``describe`` renders a file's tree; ``verify`` walks every object and
-checks the structural invariants a reader relies on — dataset extents
-inside the data region, chunk indexes complete, virtual sources
-resolvable, checksum sidecars matching the stored bytes — returning a
-list of problems instead of raising, so operators can triage a damaged
-acquisition directory.
+checks the structural invariants a reader relies on, returning a list of
+problems instead of raising, so operators can triage a damaged
+acquisition directory.  For a dataset that stores bytes those invariants
+are its stored-unit map's (:func:`~repro.hdf5lite.checksum.verify_dataset`
+walks the map the readers use: extents inside the data region, chunk
+index complete, codec and encoded-size map agreeing, the checksum
+sidecar covering every unit and matching its bytes); for a virtual one,
+that its sources resolve; for a pyramid, that its levels agree.
 """
 
 from __future__ import annotations
@@ -14,15 +17,9 @@ import os
 from dataclasses import dataclass
 
 from repro.errors import FormatError
-from repro.hdf5lite.binary import HEADER_SIZE
-from repro.hdf5lite.checksum import _chunk_stored_nbytes, verify_dataset
+from repro.hdf5lite.checksum import verify_dataset
 from repro.hdf5lite.codecs import CODEC_ATTR, resolve_codec
-from repro.hdf5lite.dataset import (
-    LAYOUT_CHUNKED,
-    LAYOUT_CONTIGUOUS,
-    LAYOUT_VIRTUAL,
-    Dataset,
-)
+from repro.hdf5lite.dataset import LAYOUT_CHUNKED, LAYOUT_VIRTUAL, Dataset
 from repro.hdf5lite.file import File, Group
 from repro.hdf5lite.pyramid import FACTOR_ATTR, LEVEL_ATTR, is_pyramid_level, pyramid_problems
 
@@ -89,84 +86,9 @@ def describe(file: File, attrs: bool = False) -> str:
 def verify(file: File, check_sources: bool = True) -> list[Problem]:
     """Check a file's structural integrity; returns found problems."""
     problems: list[Problem] = []
-    file_size = file._backend.size()
-    data_end = file._data_end
 
     def check_dataset(ds: Dataset) -> None:
-        layout = ds.layout
-        nbytes = ds.nbytes
-        if layout == LAYOUT_CONTIGUOUS:
-            offset = int(ds._meta["offset"])
-            if offset < HEADER_SIZE:
-                problems.append(Problem(ds.path, "data overlaps the header"))
-            if offset + nbytes > data_end or offset + nbytes > file_size:
-                problems.append(
-                    Problem(
-                        ds.path,
-                        f"extent [{offset}, {offset + nbytes}) exceeds the "
-                        f"data region (ends at {min(data_end, file_size)})",
-                    )
-                )
-        elif layout == LAYOUT_CHUNKED:
-            chunks = ds.chunks
-            assert chunks is not None
-            grid = [
-                (dim + c - 1) // c for dim, c in zip(ds.shape, chunks)
-            ]
-            expected = 1
-            for g in grid:
-                expected *= g
-            index = ds._meta.get("chunk_index", {})
-            if len(index) != expected:
-                problems.append(
-                    Problem(
-                        ds.path,
-                        f"chunk index has {len(index)} entries, expected {expected}",
-                    )
-                )
-            enc_sizes = ds._meta.get("chunk_enc")
-            spec = ds.attrs.get(CODEC_ATTR)
-            if spec is not None:
-                try:
-                    resolve_codec(spec)
-                except FormatError as exc:
-                    problems.append(Problem(ds.path, f"bad codec: {exc}"))
-                if enc_sizes is None:
-                    problems.append(
-                        Problem(ds.path, "codec dataset lacks a chunk_enc size map")
-                    )
-                else:
-                    for key in index:
-                        if key not in enc_sizes:
-                            problems.append(
-                                Problem(
-                                    ds.path,
-                                    f"chunk {key} missing from the chunk_enc size map",
-                                )
-                            )
-            elif enc_sizes is not None:
-                problems.append(
-                    Problem(ds.path, "chunk_enc size map without a codec attribute")
-                )
-            for key, offset in index.items():
-                if not (HEADER_SIZE <= int(offset) < data_end):
-                    problems.append(
-                        Problem(ds.path, f"chunk {key} offset {offset} out of range")
-                    )
-                    continue
-                try:
-                    stored = _chunk_stored_nbytes(ds, key)
-                except FormatError:
-                    continue
-                if int(offset) + stored > min(data_end, file_size):
-                    problems.append(
-                        Problem(
-                            ds.path,
-                            f"chunk {key} extent [{offset}, {int(offset) + stored}) "
-                            f"exceeds the data region",
-                        )
-                    )
-        elif layout == LAYOUT_VIRTUAL:
+        if ds.layout == LAYOUT_VIRTUAL:
             for source in ds.virtual_sources:
                 if not check_sources:
                     continue
@@ -199,13 +121,8 @@ def verify(file: File, check_sources: bool = True) -> list[Problem]:
                         Problem(ds.path, f"unreadable source {source.file!r}: {exc}")
                     )
         else:
-            problems.append(Problem(ds.path, f"unknown layout {layout!r}"))
-        if layout in (LAYOUT_CONTIGUOUS, LAYOUT_CHUNKED):
-            try:
-                for _offset, message in verify_dataset(ds):
-                    problems.append(Problem(ds.path, message))
-            except FormatError as exc:
-                problems.append(Problem(ds.path, f"bad checksum sidecar: {exc}"))
+            for _offset, message in verify_dataset(ds):
+                problems.append(Problem(ds.path, message))
 
     def walk(group: Group) -> None:
         for name in group.keys():

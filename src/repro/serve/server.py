@@ -12,7 +12,7 @@ reservoir.
 
 Request lowering is the PR 7 planner end to end: a ``read_window`` becomes
 ``Query.scan → select_channels → decimate`` over a
-:class:`~repro.storage.chunks.WindowSource`, so channel selection and the
+:class:`~repro.storage.chunks.SourceView`, so channel selection and the
 sample stride are pushed into strided backend reads — the session never
 materialises more than the answer.
 """
@@ -35,7 +35,7 @@ from repro.hdf5lite.pyramid import PyramidLevel, pyramid_levels
 from repro.rt.events import EventSink, SeamEvent
 from repro.serve.admission import AdmissionController, TenantQuota
 from repro.serve.pyramid import level_slice, select_level
-from repro.storage.chunks import WindowSource, open_stream
+from repro.storage.chunks import SourceView, open_stream
 from repro.storage.gaps import GapSpan
 from repro.utils.iostats import IOStats
 
@@ -274,7 +274,7 @@ class ServeSession:
 
         Bit-exact to ``raw[lo:hi, t0:t1][:, ::step]`` — the request
         lowers through the planner onto a
-        :class:`~repro.storage.chunks.WindowSource`, so the stride
+        :class:`~repro.storage.chunks.SourceView`, so the stride
         lattice anchors at the window start and the storage layer fetches
         it as bounding spans (never more than the window's block).
         """
@@ -292,7 +292,7 @@ class ServeSession:
         # IOStats delta attributes concurrent tenants' reads to whoever
         # reconciles first — best-effort under concurrency, exact solo.)
         read_before = self.server.iostats.total_bytes_read()
-        window = WindowSource(self.server.source, t0, t1)
+        window = SourceView(self.server.source, t0=t0, t1=t1)
         query = Query.scan(None)
         if (lo, hi) != (0, self.server.n_channels):
             query = query.select_channels(lo, hi)
@@ -369,7 +369,7 @@ class ServeSession:
             j0, j1 = level_slice(factor, t0, t1)
             admission = self._admit((hi - lo) * (j1 - j0) * 8, wait)
             read_before = self.server.iostats.total_bytes_read()
-            window = WindowSource(self.server.source, j0 * factor, t1)
+            window = SourceView(self.server.source, t0=j0 * factor, t1=t1)
             query = Query.scan(None)
             if (lo, hi) != (0, self.server.n_channels):
                 query = query.select_channels(lo, hi)

@@ -176,14 +176,3 @@ class Catalog:
 
     def __iter__(self):
         return iter(self.entries)
-
-    def range_query(self, start: str, count: int | None = None) -> list[DASFileInfo]:
-        """Type-1 query over the index (binary search on timestamps)."""
-        stamps = [entry.timestamp for entry in self.entries]
-        lo = bisect.bisect_left(stamps, start)
-        selected = self.entries[lo:]
-        if count is not None:
-            if count < 0:
-                raise StorageError("count must be >= 0")
-            selected = selected[:count]
-        return selected

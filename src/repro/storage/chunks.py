@@ -11,10 +11,10 @@ twice.
 
 A source has one read, ``read_strided(r0, r1, t0, t1, tstep)``;
 ``read_rows`` (``tstep=1``) and ``read`` (all rows of that) are what the
-executor calls and what a wrapping source may intercept.  Views
-(:class:`SlicedSource`, :class:`WindowSource`) translate coordinates and
-compose strides; :class:`DatasetSource` allocates the float64 block the
-executor keeps and has the storage layer fill it
+executor calls and what a wrapping source may intercept.  The one view
+(:class:`SourceView`: channel range, time window, stride) translates
+coordinates and composes with itself; :class:`DatasetSource` allocates
+the float64 block the executor keeps and has the storage layer fill it
 (:meth:`~repro.hdf5lite.dataset.Dataset.read_direct`), so between the
 file and the operators a sample is written once.
 """
@@ -229,15 +229,20 @@ class VCASource(DatasetSource):
         self._handle.close()
 
 
-class SlicedSource(ChunkSource):
-    """A pushdown view of another source: a channel range and a time stride.
+class SourceView(ChunkSource):
+    """A view of another source: a channel range, a time window and a time
+    stride — local ``(r, t)`` is inner ``(channel_lo + r, t0 + t * step)``.
 
     This is what the query optimizer lowers ``select_channels`` /
-    ``decimate`` into: channel row ``r`` of this source is row
-    ``channel_lo + r`` of ``inner``, and time sample ``t`` is inner sample
-    ``t * step`` — the subsample lattice is anchored at inner sample 0, so
-    reading through the view is bit-identical to subsampling in memory.
-    ``bytes_streamed`` counts the bytes handed out (the reduced volume).
+    ``decimate`` into, and how the serving layer scopes a request to its
+    window *before* that lowering: the subsample lattice, which
+    :class:`~repro.core.graph.SubsampleOp` anchors at input sample 0, is
+    anchored at the view's own ``t0``, so reading through the view is
+    bit-identical to slicing and subsampling in memory.  A view of a view
+    is one view of what that one wraps, so a pushed-down request read
+    crosses one layer.  ``bytes_streamed`` counts the bytes handed out (the
+    reduced volume); ``gaps`` and ``path`` are the wrapped source's, so gap
+    and profile labels survive pushdown unchanged.
     """
 
     def __init__(
@@ -245,31 +250,36 @@ class SlicedSource(ChunkSource):
         inner: ChunkSource,
         channel_lo: int = 0,
         channel_hi: int | None = None,
+        t0: int = 0,
+        t1: int | None = None,
         step: int = 1,
-        owns_inner: bool = False,
     ):
         super().__init__()
         if channel_hi is None:
             channel_hi = inner.n_channels
+        if t1 is None:
+            t1 = inner.n_samples
         if not (0 <= channel_lo < channel_hi <= inner.n_channels):
             raise ConfigError(
                 f"channel range [{channel_lo}, {channel_hi}) outside "
                 f"{inner.n_channels} channels"
             )
+        if not (0 <= t0 < t1 <= inner.n_samples):
+            raise ConfigError(
+                f"window [{t0}, {t1}) outside {inner.n_samples} samples"
+            )
         if step < 1:
             raise ConfigError("step must be >= 1")
+        self.n_channels = int(channel_hi) - int(channel_lo)
+        self.n_samples = -(-(int(t1) - int(t0)) // int(step))
+        self.fs = inner.fs / step if inner.fs else inner.fs
+        if isinstance(inner, SourceView):
+            channel_lo += inner.channel_lo
+            t0 = inner.t0 + t0 * inner.step
+            step *= inner.step
+            inner = inner._inner
         self._inner = inner
-        self.channel_lo = int(channel_lo)
-        self.channel_hi = int(channel_hi)
-        self.step = int(step)
-        self.n_channels = self.channel_hi - self.channel_lo
-        self.n_samples = -(-inner.n_samples // self.step)
-        self.fs = inner.fs / self.step if inner.fs else inner.fs
-        self._owns = bool(owns_inner)
-
-    @property
-    def inner(self) -> ChunkSource:
-        return self._inner
+        self.channel_lo, self.t0, self.step = int(channel_lo), int(t0), int(step)
 
     @property
     def gaps(self):
@@ -278,8 +288,6 @@ class SlicedSource(ChunkSource):
 
     @property
     def path(self):
-        """The wrapped source's path, so gap/profile labels survive
-        pushdown unchanged."""
         return getattr(self._inner, "path", None)
 
     def read_strided(
@@ -293,75 +301,12 @@ class SlicedSource(ChunkSource):
         block = self._inner.read_strided(
             r0 + self.channel_lo,
             r1 + self.channel_lo,
-            t0 * self.step,
-            (t1 - 1) * self.step + 1,
+            self.t0 + t0 * self.step,
+            self.t0 + (t1 - 1) * self.step + 1,
             self.step * tstep,
         )
         self.bytes_streamed += block.nbytes
         return block
-
-    def close(self) -> None:
-        if self._owns:
-            self._inner.close()
-
-
-class WindowSource(ChunkSource):
-    """A time-window view ``[t0, t1)`` of another source.
-
-    Local sample ``t`` is inner sample ``t0 + t``; channels pass through
-    unchanged.  This is how the serving layer scopes a request to its
-    window *before* planner lowering, so ``select_channels``/``decimate``
-    pushdown — and the subsample lattice, which
-    :class:`~repro.core.graph.SubsampleOp` anchors at input sample 0 —
-    all operate in window coordinates (anchored at the window start).
-    """
-
-    def __init__(
-        self,
-        inner: ChunkSource,
-        t0: int,
-        t1: int,
-        owns_inner: bool = False,
-    ):
-        super().__init__()
-        if not (0 <= t0 < t1 <= inner.n_samples):
-            raise ConfigError(
-                f"window [{t0}, {t1}) outside {inner.n_samples} samples"
-            )
-        self._inner = inner
-        self.t0 = int(t0)
-        self.t1 = int(t1)
-        self.n_channels = inner.n_channels
-        self.n_samples = self.t1 - self.t0
-        self.fs = inner.fs
-        self._owns = bool(owns_inner)
-
-    @property
-    def inner(self) -> ChunkSource:
-        return self._inner
-
-    @property
-    def gaps(self):
-        """Degraded-read gap map of the wrapped source (raw coordinates)."""
-        return getattr(self._inner, "gaps", None)
-
-    @property
-    def path(self):
-        return getattr(self._inner, "path", None)
-
-    def read_strided(
-        self, r0: int, r1: int, t0: int, t1: int, tstep: int = 1
-    ) -> np.ndarray:
-        self._check(r0, r1, t0, t1, tstep)
-        block = self._inner.read_strided(
-            r0, r1, self.t0 + t0, self.t0 + t1, tstep
-        )
-        self.bytes_streamed += block.nbytes
-        return block
-
-    def close(self) -> None:
-        if self._owns:
-            self._inner.close()
 
 
 def open_stream(

@@ -172,12 +172,3 @@ def test_cli_list_rules():
     assert proc.returncode == 0
     for code in ("LCK001", "TAX002", "OPC007", "API003"):
         assert code in proc.stdout
-
-
-def test_faultcheck_shim_delegates():
-    proc = subprocess.run(
-        ["bash", str(ROOT / "scripts" / "faultcheck.sh")],
-        capture_output=True, text=True, cwd=ROOT,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "repro.checks" in proc.stdout

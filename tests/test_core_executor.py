@@ -61,7 +61,7 @@ from repro.errors import ConfigError
 from repro.faults.policy import FailurePolicy
 from repro.hdf5lite.codecs import TransposeZlibCodec
 from repro.hdf5lite.hyperslab import SPAN_SCRATCH_BYTES
-from repro.storage.chunks import ArraySource, ChunkSource, WindowSource, open_stream
+from repro.storage.chunks import ArraySource, ChunkSource, SourceView, open_stream
 from repro.storage.dasfile import write_das_file
 from repro.storage.metadata import DASMetadata
 from repro.storage.vca import create_vca
@@ -267,7 +267,7 @@ def _two_branch(src, bad):
 
 def _window(src, bad):
     q = Query.scan(None).decimate(2).then(bad)
-    execute(optimize(q, chunk_samples=400), source=WindowSource(src, 100, 1400))
+    execute(optimize(q, chunk_samples=400), source=SourceView(src, t0=100, t1=1400))
 
 
 @pytest.mark.parametrize("lowering", [_eager, _one_branch, _two_branch, _window])
@@ -643,7 +643,7 @@ def test_compute_free_plan_is_one_read(archives, decodes, layout, rows, step, wi
     plan = _scan(rows, step)
     with open_stream(vcas[layout]) as src:
         log = ReadLog(src)
-        source = WindowSource(log, t0, t1) if window else log
+        source = SourceView(log, t0=t0, t1=t1) if window else log
         (result,) = execute(plan, source=source)
         assert len(log.blocks) == 1
         assert np.shares_memory(result.output, log.blocks[0])  # not a copy

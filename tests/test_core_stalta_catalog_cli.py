@@ -13,7 +13,6 @@ from repro.core.stalta import (
     _windowed_ratio,
     array_detections,
     classic_sta_lta,
-    recursive_sta_lta,
     trigger_onset,
 )
 from repro.errors import ConfigError, StorageError
@@ -125,17 +124,6 @@ class TestWindowedRatioKernel:
             np.testing.assert_array_equal(op.apply(data, ctx), want)
 
 
-class TestRecursiveStaLta:
-    def test_triggers_on_onset(self):
-        x = impulsive_signal()
-        ratio = recursive_sta_lta(x, nsta=20, nlta=200)
-        assert ratio[1000:1100].max() > 3 * ratio[400:900].max()
-
-    def test_1d_only(self):
-        with pytest.raises(ConfigError):
-            recursive_sta_lta(np.zeros((2, 100)), 5, 50)
-
-
 class TestTriggerOnset:
     def test_single_trigger(self):
         ratio = np.zeros(100)
@@ -227,22 +215,6 @@ class TestCatalog:
         reopened = Catalog.open(das_dir["dir"])
         assert len(reopened) == 7
         assert reopened.entries[-1].timestamp == stamp
-
-    def test_range_query(self, das_dir):
-        catalog = Catalog.build(das_dir["dir"])
-        hits = catalog.range_query("170620100645", count=2)
-        assert [h.timestamp for h in hits] == ["170620100645", "170620100745"]
-
-    def test_range_query_matches_das_search(self, das_dir):
-        from repro.storage.search import das_search
-
-        catalog = Catalog.build(das_dir["dir"])
-        for start, count in (("170620100545", 3), ("170620100800", None)):
-            via_catalog = catalog.range_query(start, count)
-            via_search = das_search(catalog.entries, start=start, count=count)
-            assert [e.timestamp for e in via_catalog] == [
-                e.timestamp for e in via_search
-            ]
 
     def test_corrupt_catalog_rejected(self, das_dir):
         path = os.path.join(das_dir["dir"], CATALOG_NAME)

@@ -7,7 +7,6 @@ from repro.errors import SelectionError
 from repro.hdf5lite.hyperslab import (
     Hyperslab,
     contiguous_runs,
-    intersect,
     normalize_selection,
     selection_shape,
 )
@@ -161,35 +160,3 @@ class TestContiguousRuns:
         hs = Hyperslab((1, 2), (5, 3), (2, 2))
         total = sum(n for _, n in contiguous_runs(hs, (12, 10)))
         assert total == hs.size
-
-
-class TestIntersect:
-    def test_overlapping(self):
-        a = Hyperslab((0, 0), (4, 4), (1, 1))
-        b = Hyperslab((2, 2), (4, 4), (1, 1))
-        out = intersect(a, b)
-        assert out == Hyperslab((2, 2), (2, 2), (1, 1))
-
-    def test_disjoint(self):
-        a = Hyperslab((0,), (2,), (1,))
-        b = Hyperslab((5,), (2,), (1,))
-        assert intersect(a, b) is None
-
-    def test_touching_is_disjoint(self):
-        a = Hyperslab((0,), (2,), (1,))
-        b = Hyperslab((2,), (2,), (1,))
-        assert intersect(a, b) is None
-
-    def test_contained(self):
-        a = Hyperslab((0,), (10,), (1,))
-        b = Hyperslab((3,), (2,), (1,))
-        assert intersect(a, b) == b
-
-    def test_strided_rejected(self):
-        a = Hyperslab((0,), (5,), (2,))
-        with pytest.raises(SelectionError):
-            intersect(a, a)
-
-    def test_rank_mismatch_rejected(self):
-        with pytest.raises(SelectionError):
-            intersect(Hyperslab.full((3,)), Hyperslab.full((3, 3)))

@@ -6,8 +6,6 @@ Invariants:
   valid basic selection;
 * runs are disjoint, ordered, and their total length equals the selection
   size;
-* ``intersect`` is commutative and yields a region contained in both
-  operands;
 * the span planner (``plan_spans`` + ``gather_spans``) materialises the
   same values as the run-by-run reference
   (``coalesce_runs(contiguous_runs(...))``) and as numpy slicing, with
@@ -30,7 +28,6 @@ from repro.hdf5lite.hyperslab import (
     coalesce_runs,
     contiguous_runs,
     gather_spans,
-    intersect,
     normalize_selection,
     plan_spans,
     selection_shape,
@@ -59,15 +56,6 @@ def shape_and_selection(draw):
             step = draw(st.integers(1, 4))
             sel.append(slice(start, stop, step))
     return shape, tuple(sel)
-
-
-@st.composite
-def unit_slabs(draw, shape):
-    start = tuple(draw(st.integers(0, dim - 1)) for dim in shape)
-    count = tuple(
-        draw(st.integers(1, dim - s)) for s, dim in zip(start, shape)
-    )
-    return Hyperslab(start, count, tuple(1 for _ in shape))
 
 
 @settings(max_examples=150, deadline=None)
@@ -102,31 +90,6 @@ def test_runs_disjoint_ordered_and_sized(case):
         prev_end = off + n - 1
         total += n
     assert total == hs.size
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_intersect_commutative_and_contained(data):
-    shape = data.draw(shapes())
-    a = data.draw(unit_slabs(shape))
-    b = data.draw(unit_slabs(shape))
-    ab = intersect(a, b)
-    ba = intersect(b, a)
-    assert ab == ba
-    if ab is not None:
-        for dim in range(len(shape)):
-            assert ab.start[dim] >= max(a.start[dim], b.start[dim])
-            assert ab.start[dim] + ab.count[dim] <= min(
-                a.start[dim] + a.count[dim], b.start[dim] + b.count[dim]
-            )
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_intersect_with_self_is_identity(data):
-    shape = data.draw(shapes())
-    a = data.draw(unit_slabs(shape))
-    assert intersect(a, a) == a
 
 
 @settings(max_examples=100, deadline=None)

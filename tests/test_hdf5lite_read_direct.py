@@ -15,7 +15,7 @@ Invariants:
 * a virtual dataset pre-fills only when its sources do not tile it
   (``sources_tile`` against a brute-force cover count), and a skipped,
   masked or corrupt source marks its own span and nothing else;
-* warm page-cached reads look each touched page up once.
+* warm cached reads look each touched unit up once.
 """
 
 import itertools
@@ -405,10 +405,13 @@ def test_virtual_values_pass_through_the_virtual_dtype(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# page-grouped warm reads
+# unit-grouped warm reads
 # ---------------------------------------------------------------------------
 
-ROWS, COLS, PAGE = 12, 1536, 16384  # 6 KiB rows; pages wider than any bridged hole
+# 6 KiB rows.  What is verified is what is admitted: a checksummed dataset
+# caches its 4 KiB checksum blocks, whatever the cache's page size (which
+# cuts up datasets without a sidecar); no bridged hole is wider than a unit.
+ROWS, COLS, PAGE, UNIT = 12, 1536, 16384, 4096
 
 
 @st.composite
@@ -426,7 +429,7 @@ def paged(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("paged") / "p.h5")
     data = np.random.default_rng(3).normal(size=(ROWS, COLS)).astype(np.float32)
     with File(path, "w") as f:
-        f.create_dataset("d", data=data, checksum=True, checksum_block=4096)
+        f.create_dataset("d", data=data, checksum=True, checksum_block=UNIT)
     return path, data
 
 
@@ -436,7 +439,7 @@ def test_warm_reads_look_each_touched_page_up_once(paged, sel, dest):
     path, data = paged
     hs, _ = normalize_selection(sel, (ROWS, COLS))
     touched = {
-        (r * COLS + c) * 4 // PAGE
+        (r * COLS + c) * 4 // UNIT
         for r, c in itertools.product(hs.indices(0), hs.indices(1))
     }
     stats = IOStats()

@@ -1,11 +1,10 @@
-"""Top-level API surface, block iteration, and rendering utilities."""
+"""Top-level API surface and rendering utilities."""
 
 import numpy as np
 import pytest
 
 import repro
-from repro.errors import ConfigError, SelectionError
-from repro.hdf5lite import File
+from repro.errors import ConfigError
 from repro.synthetic.render import to_ascii, wiggle_summary
 
 
@@ -28,57 +27,6 @@ class TestTopLevel:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None
-
-
-class TestIterBlocks:
-    def test_blocks_cover_dataset(self, tmp_path):
-        data = np.arange(100.0).reshape(20, 5)
-        with File(str(tmp_path / "f.h5"), "w") as f:
-            f.create_dataset("d", data=data)
-        with File(str(tmp_path / "f.h5"), "r") as f:
-            ds = f.dataset("d")
-            rebuilt = np.empty_like(data)
-            sizes = []
-            for sl, block in ds.iter_blocks(7):
-                rebuilt[sl] = block
-                sizes.append(block.shape[0])
-            np.testing.assert_array_equal(rebuilt, data)
-            assert sizes == [7, 7, 6]
-
-    def test_block_larger_than_dataset(self, tmp_path):
-        data = np.ones((3, 4))
-        with File(str(tmp_path / "f.h5"), "w") as f:
-            f.create_dataset("d", data=data)
-        with File(str(tmp_path / "f.h5"), "r") as f:
-            blocks = list(f.dataset("d").iter_blocks(100))
-            assert len(blocks) == 1
-            np.testing.assert_array_equal(blocks[0][1], data)
-
-    def test_works_on_virtual(self, tmp_path):
-        from repro.hdf5lite import VirtualSource
-
-        src = str(tmp_path / "s.h5")
-        data = np.arange(24.0).reshape(6, 4)
-        with File(src, "w") as f:
-            f.create_dataset("d", data=data)
-        with File(str(tmp_path / "v.h5"), "w") as f:
-            ds = f.create_dataset(
-                "v",
-                shape=(6, 4),
-                dtype=np.float64,
-                virtual_sources=[VirtualSource(src, "/d", (0, 0), (0, 0), (6, 4))],
-            )
-        with File(str(tmp_path / "v.h5"), "r") as f:
-            rebuilt = np.concatenate(
-                [block for _, block in f.dataset("v").iter_blocks(4)]
-            )
-            np.testing.assert_array_equal(rebuilt, data)
-
-    def test_invalid(self, tmp_path):
-        with File(str(tmp_path / "f.h5"), "w") as f:
-            ds = f.create_dataset("d", data=np.zeros((4, 4)))
-            with pytest.raises(SelectionError):
-                list(ds.iter_blocks(0))
 
 
 class TestRender:

@@ -239,7 +239,7 @@ class TestRewrites:
         q2 = base.then(SubsampleOp(4)).with_label("thin")
         text = explain(optimize([q1, q2]))
         assert "== logical plan" in text and "== physical plan" in text
-        assert "SlicedSource" in text and "pushdown" in text
+        assert "SourceView" in text and "pushdown" in text
         assert "branch trig" in text and "branch thin" in text
         assert "cse:" in text
 

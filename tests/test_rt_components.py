@@ -17,10 +17,8 @@ from repro.core.local_similarity import (
 from repro.core.operators import DetrendOp, FiltFiltOp, TaperOp
 from repro.core.pipeline import StreamPipeline
 from repro.core.stalta import (
-    RecursiveStaLta,
     StaLtaOp,
     classic_sta_lta,
-    recursive_sta_lta,
 )
 from repro.daslib import butter, filtfilt
 from repro.errors import ConfigError, StorageError
@@ -140,38 +138,6 @@ class TestIncrementalRunner:
         fresh = StreamPipeline([StaLtaOp(5, 50)]).incremental(record.shape[0])
         with pytest.raises(ConfigError, match="digest"):
             fresh.import_state(state, tail)
-
-
-class TestRecursiveStaLta:
-    def test_split_matches_single_pass(self, record):
-        tracker = RecursiveStaLta(record.shape[0], 10, 100)
-        out = np.concatenate(
-            [
-                tracker.process(record[:, :700]),
-                tracker.process(record[:, 700:701]),
-                tracker.process(record[:, 701:]),
-            ],
-            axis=1,
-        )
-        expected = np.stack(
-            [recursive_sta_lta(row, 10, 100) for row in record]
-        )
-        assert np.abs(out - expected).max() == pytest.approx(0.0, abs=1e-12)
-
-    def test_state_roundtrip(self, record):
-        first = RecursiveStaLta(record.shape[0], 10, 100)
-        first.process(record[:, :1234])
-        payload = json.loads(json.dumps(first.export_state()))
-        second = RecursiveStaLta(record.shape[0], 10, 100)
-        second.import_state(payload)
-        a = first.process(record[:, 1234:])
-        b = second.process(record[:, 1234:])
-        assert np.array_equal(a, b)
-
-    def test_state_geometry_checked(self, record):
-        payload = RecursiveStaLta(4, 10, 100).export_state()
-        with pytest.raises(ConfigError):
-            RecursiveStaLta(5, 10, 100).import_state(payload)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ The contract under test (``repro.serve.server``):
 
 * ``read_window`` is bit-exact to slicing the raw record —
   ``raw[lo:hi, t0:t1][:, ::step]`` — because the request lowers through
-  the planner onto a :class:`~repro.storage.chunks.WindowSource`;
+  the planner onto a :class:`~repro.storage.chunks.SourceView`;
 * ``preview`` served from a stored pyramid level is pixel-identical to
   the raw-path computation when the pixel pitch aligns with the level's
   factor (both emit on the absolute lattice ``j * factor``);
@@ -37,7 +37,7 @@ from repro.serve import (
     build_pyramid,
     compute_level,
 )
-from repro.storage.chunks import WindowSource, open_stream
+from repro.storage.chunks import SourceView, open_stream
 from repro.storage.dasfile import das_filename, write_das_file
 from repro.storage.metadata import DASMetadata, timestamp_add_seconds
 from repro.storage.vca import create_vca
@@ -112,7 +112,7 @@ def test_read_window_bit_exact_vs_raw_slice(archive):
                 query = query.decimate(step)
             with open_stream(vca) as src:
                 (direct,) = execute(
-                    optimize(query), source=WindowSource(src, t0, t1)
+                    optimize(query), source=SourceView(src, t0=t0, t1=t1)
                 )
             np.testing.assert_array_equal(result.data, direct.output)
 
