@@ -7,9 +7,13 @@ its chunks were encoded with — files without the attribute hold raw
 chunk bytes and stay readable by every pre-codec reader unchanged.
 
 Codecs are small objects with ``encode(array) -> bytes`` and
-``decode(payload, shape, dtype) -> array``; they are looked up from a
-registry by *spec string* so the choice round-trips through the
-attribute footer:
+``decode(payload, shape, dtype, select=None, verified=False) -> array``;
+they are looked up from a registry by *spec string* so the choice
+round-trips through the attribute footer.  The selection is an input to
+the decode stage: a reader that wants channels [24, 48) of a chunk, or
+every eighth sample, says so, and pays for what that needs of the
+payload rather than for the chunk (:meth:`Codec.decode` states the
+contract once):
 
 ``delta-zlib[:level]``
     Lossless.  The chunk's raw bit patterns (viewed as unsigned
@@ -31,7 +35,10 @@ attribute footer:
     with ``zlib.decompress`` + untranspose: files written before the
     planes were told apart read unchanged, and files written now are
     readable by those older readers.  The default lossless choice for
-    floats.
+    floats.  Decoding a CRC-verified payload reads the leading stored
+    blocks where they lie (three planes of four for float32 DAS chunks
+    never pass through ``zlib``), inflates the rest only as far as the
+    selection's last row, and untransposes only the selected samples.
 ``quantize:<tol>[:level]``
     Controlled loss (DASPack direction): finite values are quantized to
     a declared absolute tolerance — ``|decoded - original| <= tol`` —
@@ -50,13 +57,15 @@ CPU for compression.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import struct
 import zlib
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigError, FormatError
+from repro.errors import ConfigError, FormatError, SelectionError
 
 __all__ = [
     "CODEC_ATTR",
@@ -120,6 +129,33 @@ def _inflate(payload: bytes, expected: int, what: str, exact: bool = True) -> by
     return raw
 
 
+def _lattice(
+    shape: Sequence[int], select: "Sequence[slice] | None"
+) -> tuple[tuple[int, ...], tuple[slice, ...], tuple[int, ...]]:
+    """A chunk's shape, the lattice ``select`` picks of it and how many
+    points that is per axis, all of rank >= 1 (a rank-0 chunk is one row)
+    and the slices spelled out: integer ``start < stop`` (``0, 0`` on an
+    axis nothing is picked from), ``step >= 1``.  ``None`` selects the
+    chunk."""
+    shape = tuple(int(dim) for dim in shape) or (1,)
+    select = tuple(select or ())
+    if len(select) > len(shape):
+        raise SelectionError(f"selection {select} has more axes than chunk {shape}")
+    select += (slice(None),) * (len(shape) - len(select))
+    picked, counts = [], []
+    for sl, dim in zip(select, shape):
+        if not isinstance(sl, slice) or (sl.step is not None and sl.step < 1):
+            raise SelectionError(
+                f"a chunk selection takes slices with positive steps, got {sl!r}"
+            )
+        points = range(*sl.indices(dim))
+        counts.append(len(points))
+        picked.append(
+            slice(points[0], points[-1] + 1, points.step) if points else slice(0, 0, 1)
+        )
+    return shape, tuple(picked), tuple(counts)
+
+
 class Codec:
     """One per-chunk encoding.
 
@@ -127,6 +163,11 @@ class Codec:
     dataset's ``repro:codec`` attribute; ``lossless`` declares whether
     ``decode(encode(a))`` is bit-identical to ``a`` (readers surface it,
     e.g. ``das_inspect``).
+
+    A codec implements ``encode`` and ``decode`` — all five parameters of
+    it: readers pass ``select`` and ``verified`` by keyword on every call.
+    One with nothing to gain from the selection implements
+    :meth:`_decode_whole` instead and inherits ``decode``.
     """
 
     spec: str = ""
@@ -136,8 +177,48 @@ class Codec:
         raise NotImplementedError
 
     def decode(
-        self, payload: bytes, shape: Sequence[int], dtype: object
+        self,
+        payload: bytes,
+        shape: Sequence[int],
+        dtype: object,
+        select: "Sequence[slice] | None" = None,
+        verified: bool = False,
     ) -> np.ndarray:
+        """The ``select`` lattice of the ``shape`` chunk ``payload`` holds:
+        ``decode(payload, shape, dtype)[select]`` as a fresh C-contiguous
+        writable array — ``select`` a tuple of positive-step slices (what
+        ``Dataset`` intersects a read with a chunk into), ``None`` for
+        the whole chunk.
+
+        What is verified is what is delivered.  ``verified=True`` says
+        every byte of ``payload`` has just passed a check at least as
+        strong as the stream's own (the reader's CRC32 sidecar covers the
+        stored bytes, the Adler-32 inside them the same bytes once
+        inflated): a decoder may then read only as far into the payload as
+        the selection's last leading-axis row needs, and looks at the
+        stream's end, trailing bytes and Adler-32 only if it inflates that
+        far.  ``verified=False`` — no sidecar, ``verify_checksums=False``,
+        any direct call — inflates the whole stream first: Adler-32, exact
+        length, nothing trailing.  Either way every structural defect met
+        is a :class:`~repro.errors.FormatError` in time and memory bounded
+        by ``shape``; no allocation is sized by a number the payload names.
+
+        This default is for codecs whose samples depend on all earlier
+        ones (sequential predictors): the chunk is decoded whole from a
+        stream checked to its end, whatever ``verified`` says, and the
+        lattice copied out of it.
+        """
+        full, lattice, counts = _lattice(shape, select)
+        whole = self._decode_whole(payload, shape, np.dtype(dtype))
+        if select is None:
+            return whole
+        return whole.reshape(full)[lattice].copy().reshape(counts[: len(shape)])
+
+    def _decode_whole(
+        self, payload: bytes, shape: Sequence[int], dtype: np.dtype
+    ) -> np.ndarray:
+        """The ``shape`` chunk, fresh and writable, from a payload inflated
+        to its end (:func:`_inflate`)."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -165,10 +246,9 @@ class DeltaZlibCodec(Codec):
             np.subtract(flat[1:], flat[:-1], out=delta[1:])
         return zlib.compress(delta, self.level)
 
-    def decode(
-        self, payload: bytes, shape: Sequence[int], dtype: object
+    def _decode_whole(
+        self, payload: bytes, shape: Sequence[int], dtype: np.dtype
     ) -> np.ndarray:
-        dtype = np.dtype(dtype)
         raw = _inflate(
             payload, _element_count(shape) * dtype.itemsize, "delta-zlib"
         )
@@ -203,6 +283,8 @@ _STRATEGY = {
 #: CMF/FLG of a 32 KiB-window deflate stream ("default" level hint; the
 #: hint is informational and segments differ in level anyway).
 _ZLIB_HEADER = b"\x78\x9c"
+#: How far back a deflate match may reach.
+_WINDOW = 32 * 1024
 
 
 def _probe(block: np.ndarray) -> np.ndarray:
@@ -321,18 +403,143 @@ class TransposeZlibCodec(Codec):
         return b"".join([_ZLIB_HEADER, *segments, trailer])
 
     def decode(
-        self, payload: bytes, shape: Sequence[int], dtype: object
+        self,
+        payload: bytes,
+        shape: Sequence[int],
+        dtype: object,
+        select: "Sequence[slice] | None" = None,
+        verified: bool = False,
     ) -> np.ndarray:
+        # The contract is Codec.decode's.  Planes make it cheap to keep:
+        # plane i needs only the bytes of the selection's leading-axis
+        # rows [r0, r1), and the stream only as far as plane -1's row r1.
         dtype = np.dtype(dtype)
-        n = _element_count(shape)
-        raw = _inflate(payload, n * dtype.itemsize, "transpose-zlib")
-        planes = np.frombuffer(raw, dtype=np.uint8).reshape(dtype.itemsize, n)
-        # One strided pass per plane into the output beats transposing
-        # the whole (itemsize, n) matrix at once.
-        out = np.empty((n, dtype.itemsize), dtype=np.uint8)
-        for i in range(dtype.itemsize):
-            out[:, i] = planes[i]
-        return out.reshape(-1).view(dtype).reshape(shape)
+        itemsize = dtype.itemsize
+        full, lattice, counts = _lattice(shape, select)
+        n = _element_count(full)
+        row = _element_count(full[1:])
+        r0, r1 = (0, 0) if 0 in counts else (lattice[0].start, lattice[0].stop)
+        if verified:
+            pieces = _verified_pieces(
+                payload, n * itemsize, (itemsize - 1) * n + r1 * row if r1 else 0
+            )
+        else:
+            raw = _inflate(payload, n * itemsize, "transpose-zlib")
+            pieces = [np.frombuffer(raw, dtype=np.uint8)]
+        starts = list(itertools.accumulate((p.size for p in pieces), initial=0))
+        # One strided pass per plane into the output beats transposing a
+        # (itemsize, n) matrix at once; each pass reads the lattice only.
+        out = np.empty(counts + (itemsize,), dtype=np.uint8)
+        within = (slice(lattice[0].start - r0, r1 - r0, lattice[0].step),) + lattice[1:]
+        for i in range(itemsize if out.size else 0):
+            plane = _gather(pieces, starts, i * n + r0 * row, i * n + r1 * row)
+            out[..., i] = plane.reshape((r1 - r0,) + full[1:])[within]
+        return out.reshape(-1).view(dtype).reshape(counts[: len(shape)])
+
+
+def _stored_prefix(
+    read: Callable[[int, int], bytes], size: int, limit: int
+) -> tuple[list[tuple[int, int]], int, int, bool]:
+    """Walk the stored blocks a ``size``-byte zlib stream starts with,
+    looking only at headers (``read(at, count)`` is ``count`` bytes of the
+    stream from ``at``): ``(extents, total, position, final)`` — where each
+    block's data lies as ``(offset, length)``, their summed length (at
+    most ``limit``), where in the stream the walk stopped, and whether it
+    stopped on the stream's final block.  Stored blocks end on byte
+    boundaries, so the position is one a raw inflater can carry on from.
+    Nothing is inflated."""
+
+    def bad(why: str) -> FormatError:
+        return FormatError(f"undecodable transpose-zlib chunk: {why}")
+
+    if size < 2:
+        raise bad("shorter than a zlib header")
+    cmf, flg = read(0, 2)
+    if cmf & 0x0F != 8 or cmf >> 4 > 7 or (cmf << 8 | flg) % 31 or flg & 0x20:
+        raise bad("not a deflate stream a reader can start (header check, preset dictionary)")
+    extents: list[tuple[int, int]] = []
+    at, total, final = 2, 0, False
+    while not final:
+        if at >= size:
+            raise bad("truncated before its final block")
+        head = read(at, min(5, size - at))
+        if head[0] >> 1 & 3:
+            break  # a compressed block (or the reserved type): zlib's from here
+        if len(head) < 5:
+            raise bad("truncated inside a stored block header")
+        final = bool(head[0] & 1)
+        length, inverse = struct.unpack_from("<HH", head, 1)
+        at += 5
+        if length ^ inverse != 0xFFFF:
+            raise bad("stored block length does not match its complement")
+        if at + length > size:
+            raise bad("stored block runs past the payload")
+        total += length
+        if total > limit:
+            raise bad(f"holds more than {limit} bytes")
+        if length:
+            extents.append((at, length))
+        at += length
+    return extents, total, at, final
+
+
+def _verified_pieces(payload: bytes, limit: int, needed: int) -> list[np.ndarray]:
+    """At least the first ``needed`` bytes of the ``limit`` a verified
+    transpose-zlib payload inflates to, as consecutive pieces: its stored
+    prefix in place, then as much of the rest as ``needed`` reaches into,
+    raw-inflated from where the prefix stopped."""
+    extents, total, at, final = _stored_prefix(
+        lambda at, count: payload[at : at + count], len(payload), limit
+    )
+    pieces = [np.frombuffer(payload, np.uint8, length, at) for at, length in extents]
+    if final and (total != limit or len(payload) - at != 4):
+        raise FormatError(
+            f"transpose-zlib chunk ends after {total} bytes, expected {limit}, "
+            f"or carries trailing bytes"
+        )
+    if needed <= total:
+        return pieces
+    # Matches in the rest may reach back into the stored blocks (any
+    # single-compressor stream; this encoder's segments never look back):
+    # the last window of them is the inflater's preset dictionary.
+    window, have = [], 0
+    for view in reversed(pieces):
+        window.append(view)
+        have += view.size
+        if have >= _WINDOW:
+            break
+    inflater = zlib.decompressobj(-zlib.MAX_WBITS, zdict=b"".join(reversed(window)))
+    to_end = needed == limit
+    want = needed - total
+    try:
+        # One spare byte past a stream read to its end shows an over-long one.
+        raw = inflater.decompress(memoryview(payload)[at:], want + to_end)
+    except zlib.error as exc:
+        raise FormatError(f"undecodable transpose-zlib chunk: {exc}") from exc
+    if len(raw) != want or (
+        to_end and (not inflater.eof or len(inflater.unused_data) != 4)
+    ):
+        raise FormatError(
+            f"transpose-zlib chunk is truncated, holds more than {limit} bytes "
+            f"or carries trailing bytes"
+        )
+    pieces.append(np.frombuffer(raw, dtype=np.uint8))
+    return pieces
+
+
+def _gather(pieces: list[np.ndarray], starts: list[int], lo: int, hi: int) -> np.ndarray:
+    """Bytes ``[lo, hi)`` of the concatenation of ``pieces`` (piece ``k``
+    begins at ``starts[k]``): a view when one piece holds them all."""
+    k = bisect.bisect_right(starts, lo) - 1
+    if hi <= starts[k + 1]:
+        return pieces[k][lo - starts[k] : hi - starts[k]]
+    out = np.empty(hi - lo, dtype=np.uint8)
+    at = lo
+    while at < hi:
+        stop = min(hi, starts[k + 1])
+        out[at - lo : stop - lo] = pieces[k][at - starts[k] : stop - starts[k]]
+        at, k = stop, k + 1
+    return out
 
 
 class QuantizeCodec(Codec):
@@ -399,10 +606,9 @@ class QuantizeCodec(Codec):
             ]
         )
 
-    def decode(
-        self, payload: bytes, shape: Sequence[int], dtype: object
+    def _decode_whole(
+        self, payload: bytes, shape: Sequence[int], dtype: np.dtype
     ) -> np.ndarray:
-        dtype = np.dtype(dtype)
         if dtype.kind != "f":
             raise FormatError(
                 f"quantize codec requires a float dtype, got {dtype}"
@@ -418,7 +624,7 @@ class QuantizeCodec(Codec):
         (n_bad,) = struct.unpack_from("<Q", raw, 0)
         offset = 8
         expected = offset + n_bad * (8 + dtype.itemsize) + n * 8
-        if len(raw) != expected:
+        if len(raw) != expected:  # also any ``n_bad > n``: the inflate is capped
             raise FormatError(
                 f"quantize chunk holds {len(raw)} bytes, expected {expected}"
             )
@@ -430,6 +636,8 @@ class QuantizeCodec(Codec):
         q = np.cumsum(delta, dtype=np.int64)
         out = (q * self._step).astype(dtype)
         if n_bad:
+            if bad_idx.min() < 0 or bad_idx.max() >= n:
+                raise FormatError("quantize chunk lists a sample outside the chunk")
             out[bad_idx] = bad_raw
         return out.reshape(shape)
 
@@ -448,6 +656,10 @@ def register_codec(name: str, factory: Callable[[list[str]], Codec]) -> None:
     following the name in a spec string.  Registration is global — a
     custom codec registered before files are opened makes their
     ``repro:codec`` attribute resolvable.
+
+    Readers call ``decode(payload, shape, dtype, select=...,
+    verified=...)``: a registered codec takes all five parameters
+    (:meth:`Codec.decode`), itself or through the :class:`Codec` default.
     """
     if not name or ":" in name:
         raise ConfigError(f"codec name must be non-empty and ':'-free, got {name!r}")

@@ -19,8 +19,10 @@ other and against the data region; reads, writes, ``checksum`` and
 A read is one ordered stage list.  *Plan*: the selection becomes spans
 (:func:`~repro.hdf5lite.hyperslab.plan_spans`) or touched chunks
 (:meth:`Dataset._touched_chunks`).  *Load* each unit they land on
-(:meth:`Dataset._load_unit`): cache lookup → fetch → verify → decode →
-admit.  *Scatter*: the samples are cast-assigned into an array the caller
+(:meth:`Dataset._load_unit`): cache lookup → fetch → verify →
+decode(select) → admit — a codec chunk is decoded whole when a cache will
+hold it, and otherwise only as far as the selection reaches into it.
+*Scatter*: the samples are cast-assigned into an array the caller
 owns (:meth:`Dataset.read_direct`; :meth:`Dataset.read_hyperslab` is that
 into a fresh array) — any dtype, any strides.  A virtual dataset's plan
 stage hands every source its own band of the caller's buffer and pre-fills
@@ -364,38 +366,53 @@ class Dataset:
         return data
 
     def _load_unit(
-        self, unit: _Unit, cache: "BlockCache | None"
+        self,
+        unit: _Unit,
+        cache: "BlockCache | None",
+        select: "tuple[slice, ...] | None" = None,
     ) -> "bytes | np.ndarray":
-        """A unit's decoded bytes: cache lookup -> fetch -> verify -> decode
+        """A unit's decoded bytes — or, given ``select``, that lattice of a
+        chunk as an array: cache lookup -> fetch -> verify -> decode(select)
         -> admit, the one loader behind every read that needs whole units.
 
         What is verified is what is admitted: the cache holds a unit's
         *decoded* bytes under one key, so a hit costs no CRC and no decode,
         and the CRC — which covers the stored payload — is checked before
-        any decode, on the miss path only.  (An uncached codec unit comes
-        back as the decoded array itself, which is also a buffer.)
+        any decode, on the miss path only.
+
+        A cache is what selects whole-chunk decode: what it admits has to
+        serve any later selection, so the chunk is decoded whole once and
+        every touch slices the entry.  Without one nothing outlives the
+        read, so the selection goes down to the codec, which reads only as
+        far into the payload as the selection needs — allowed to skip the
+        stream's own end-to-end check exactly when the CRC in
+        :meth:`_fetch_unit` has just covered every byte of it
+        (:meth:`Codec.decode <repro.hdf5lite.codecs.Codec.decode>`).
         """
         stats = self._file._backend.iostats
+        data = None
         if cache is not None:
             key = (self._file._cache_key, unit.offset, unit.nbytes)
             data = cache.get(key, stats)
-            if data is not None:
-                return data
-        data = self._fetch_unit(unit)
-        codec = self.codec
-        if codec is not None:
-            data = codec.decode(data, unit.shape, self.dtype)
-            if cache is not None:
+        if data is None:
+            data = self._fetch_unit(unit)
+            codec = self.codec
+            if codec is not None:
+                data = codec.decode(
+                    data,
+                    unit.shape,
+                    self.dtype,
+                    select=select if cache is None else None,
+                    verified=unit.crc is not None,
+                )
+                if cache is None:
+                    return data
                 data = data.tobytes()
-        if cache is not None:
-            cache.put(key, data, stats)
-        return data
-
-    def _chunk_array(self, unit: _Unit, cache: "BlockCache | None") -> np.ndarray:
-        """One whole stored chunk as an array, via ``cache`` when given."""
-        return np.frombuffer(
-            self._load_unit(unit, cache), dtype=self.dtype
-        ).reshape(unit.shape)
+            if cache is not None:
+                cache.put(key, data, stats)
+        if select is None:
+            return data
+        return np.frombuffer(data, dtype=self.dtype).reshape(unit.shape)[select]
 
     # -- reading ---------------------------------------------------------------
     def __getitem__(self, selection: object) -> np.ndarray:
@@ -555,6 +572,8 @@ class Dataset:
         for unit, local, vals in self._touched_chunks(hs):
             # Chunk-granular caching: a miss loads the whole chunk in one
             # request; later touches of any part of it are memory copies.
+            # A chunk the cache cannot hold is loaded as if there were none:
+            # its spans if raw, else its ``local`` lattice from the loader.
             cached = (
                 cache is not None
                 and math.prod(unit.shape) * itemsize <= cache.config.byte_budget
@@ -576,7 +595,7 @@ class Dataset:
                     out[vals],
                 )
             else:
-                out[vals] = self._chunk_array(unit, cache if cached else None)[local]
+                out[vals] = self._load_unit(unit, cache if cached else None, local)
 
     def _read_virtual(self, hs: Hyperslab, out: np.ndarray) -> None:
         file = self._file
@@ -694,7 +713,7 @@ class Dataset:
         """
         codec = self.codec
         for unit, local_sel, vals_sel in self._touched_chunks(hs):
-            chunk_arr = self._chunk_array(unit, None)
+            chunk_arr = self._load_unit(unit, None, (slice(None),) * self.ndim)
             if not chunk_arr.flags.writeable:
                 chunk_arr = chunk_arr.copy()
             chunk_arr[local_sel] = values[vals_sel]

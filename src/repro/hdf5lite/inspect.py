@@ -13,12 +13,18 @@ that its sources resolve; for a pyramid, that its levels agree.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 from repro.errors import FormatError
 from repro.hdf5lite.checksum import verify_dataset
-from repro.hdf5lite.codecs import CODEC_ATTR, resolve_codec
+from repro.hdf5lite.codecs import (
+    CODEC_ATTR,
+    TransposeZlibCodec,
+    _stored_prefix,
+    resolve_codec,
+)
 from repro.hdf5lite.dataset import LAYOUT_CHUNKED, LAYOUT_VIRTUAL, Dataset
 from repro.hdf5lite.file import File, Group
 from repro.hdf5lite.pyramid import FACTOR_ATTR, LEVEL_ATTR, is_pyramid_level, pyramid_problems
@@ -33,6 +39,28 @@ class Problem:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.path}: {self.message}"
+
+
+def _stored_in_place(ds: Dataset) -> str:
+    """The share of a ``transpose-zlib`` dataset's decoded bytes that a
+    verified read takes from the stored payloads as they lie: the walk the
+    decoder itself starts with, run over the file — a few bytes of header
+    per stored block are read, no payload is fetched, nothing is inflated.
+    It is why a block read of one archive costs half that of another.
+    ``?`` when the storage maps or a stream do not hold up (``verify``
+    says how)."""
+    read_at = ds._file._backend.read_at
+    stored = 0
+    try:
+        for unit in ds._stored_units(sidecar=False).values():
+            stored += _stored_prefix(
+                lambda at, count: read_at(unit.offset + at, count),
+                unit.nbytes,
+                math.prod(unit.shape) * ds.dtype.itemsize,
+            )[1]
+    except (FormatError, OSError):
+        return "?"
+    return f"{stored / ds.nbytes:.2f}" if ds.nbytes else "0.00"
 
 
 def describe(file: File, attrs: bool = False) -> str:
@@ -60,14 +88,16 @@ def describe(file: File, attrs: bool = False) -> str:
                     spec = child.attrs.get(CODEC_ATTR)
                     if spec is not None:
                         try:
-                            kind = (
-                                "lossless"
-                                if resolve_codec(spec).lossless
-                                else "lossy"
-                            )
-                            extra += f" codec={spec} ({kind})"
+                            codec = resolve_codec(spec)
                         except FormatError:
                             extra += f" codec={spec} (unresolvable)"
+                        else:
+                            kind = "lossless" if codec.lossless else "lossy"
+                            extra += f" codec={spec} ({kind})"
+                            if isinstance(codec, TransposeZlibCodec):
+                                extra += (
+                                    f" stored-in-place={_stored_in_place(child)}"
+                                )
                 elif child.layout == LAYOUT_VIRTUAL:
                     extra += f" sources={len(child.virtual_sources)}"
                 lines.append(

@@ -27,6 +27,8 @@ import os
 import sys
 import threading
 import tracemalloc
+import zlib
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -59,6 +61,7 @@ from repro.core.pipeline import (
 from repro.core.stalta import StaLtaOp
 from repro.errors import ConfigError
 from repro.faults.policy import FailurePolicy
+from repro.hdf5lite import BlockCache, CacheConfig, codecs
 from repro.hdf5lite.codecs import TransposeZlibCodec
 from repro.hdf5lite.hyperslab import SPAN_SCRATCH_BYTES
 from repro.storage.chunks import ArraySource, ChunkSource, SourceView, open_stream
@@ -620,16 +623,78 @@ def _scan(rows, step):
     return optimize(query, chunk_samples=SCAN_CHUNK)
 
 
+class Decode(NamedTuple):
+    """One ``TransposeZlibCodec.decode`` call, as the ``decodes`` spy saw it."""
+
+    payload: bytes
+    shape: tuple
+    select: object
+    verified: bool
+    inflated: int  # bytes zlib produced for it
+    returned: int  # elements it handed back
+
+
 @pytest.fixture
 def decodes(monkeypatch):
-    calls = []
+    """Every ``TransposeZlibCodec.decode`` call of the test, with what it
+    cost: the codec module's ``zlib`` is swapped for a pass-through whose
+    inflaters add up what they produce."""
+    calls, produced = [], [0]
+
+    class Inflater:
+        def __init__(self, inner):
+            self._inner = inner
+
+        def decompress(self, *args):
+            raw = self._inner.decompress(*args)
+            produced[0] += len(raw)
+            return raw
+
+        def __getattr__(self, name):
+            return getattr(self._inner, name)
+
+    class Zlib:
+        def __getattr__(self, name):
+            return getattr(zlib, name)
+
+        def decompressobj(self, *args, **kwargs):
+            return Inflater(zlib.decompressobj(*args, **kwargs))
+
     real = TransposeZlibCodec.decode
-    monkeypatch.setattr(
-        TransposeZlibCodec,
-        "decode",
-        lambda self, *args: calls.append(1) or real(self, *args),
-    )
+
+    def decode(self, payload, shape, dtype, **kwargs):
+        before = produced[0]
+        out = real(self, payload, shape, dtype, **kwargs)
+        calls.append(
+            Decode(
+                payload, tuple(shape), kwargs.get("select"),
+                kwargs.get("verified", False), produced[0] - before, out.size,
+            )
+        )
+        return out
+
+    monkeypatch.setattr(codecs, "zlib", Zlib())
+    monkeypatch.setattr(TransposeZlibCodec, "decode", decode)
     return calls
+
+
+def _assert_each_decode_cost_its_selection(decodes):
+    """Per touched chunk, exactly what the encoder's own ``plan()``
+    predicts: zlib produced the bytes between the stored prefix and the
+    last plane's last selected row, and ``decode`` returned the lattice."""
+    for call in decodes:
+        planes = np.frombuffer(zlib.decompress(call.payload), np.uint8).reshape(4, -1)
+        chunk = np.ascontiguousarray(planes.T).view(np.float32).reshape(call.shape)
+        first = TransposeZlibCodec().plan(chunk)[0]
+        prefix = first[1] if first[2] == "stored" else 0
+        assert 0 < prefix < chunk.nbytes  # mantissa planes stored, the last not
+        assert call.verified  # the archive carries CRCs
+        rows, cols = call.select
+        last_needed = 3 * chunk.size + rows.stop * call.shape[1]
+        assert call.inflated == max(0, last_needed - prefix)
+        assert call.returned == len(range(*rows.indices(call.shape[0]))) * len(
+            range(*cols.indices(call.shape[1]))
+        )
 
 
 @pytest.mark.parametrize("window", [None, (1500, 27_000)])
@@ -662,6 +727,15 @@ def test_compute_free_plan_is_one_read(archives, decodes, layout, rows, step, wi
                 for t in range(t0, t1, step)
             }
             assert len(decodes) == len(row_chunks) * len(col_chunks)
+            # ... and each for what the selection needs of it: rows (12, 24)
+            # inflate the last plane of chunk row 0 whole and half of chunk
+            # row 1's, step 8 returns an eighth, a full scan inflates only
+            # what is not stored
+            _assert_each_decode_cost_its_selection(decodes)
+            assert sum(call.returned for call in decodes) == expected.size
+            if rows:
+                picked = {(call.select[0].start, call.select[0].stop) for call in decodes}
+                assert picked == {(12, 16), (0, 8)}
 
         # the same plan under a FailurePolicy keeps its chunks, and the
         # eager chain (select/subsample as operators) agrees with both
@@ -683,11 +757,31 @@ def test_full_packed_scan_decodes_each_stored_chunk_once(archives, decodes):
     with open_stream(vcas["packed"]) as src:
         (result,) = execute(_scan(None, 1), source=src)
     assert len(decodes) == stored
+    returned = sum(call.returned for call in decodes)
+    assert returned == result.output.size
     del decodes[:]
     with open_stream(vcas["packed"]) as src:
         execute(_scan(None, 1), source=src, policy=FailurePolicy())
-    # chunk by chunk, the stored chunks under an executor boundary decode twice
+    # chunk by chunk, the stored chunks under an executor boundary decode
+    # twice — each time only the columns on its side of it: nothing is
+    # decoded and dropped
     assert len(decodes) > stored
+    assert sum(call.returned for call in decodes) == returned
+
+
+def test_a_cache_that_holds_the_chunk_decodes_it_whole_once(archives, decodes):
+    vcas, whole = archives
+    cache = BlockCache(CacheConfig())
+    with open_stream(vcas["packed"], cache=cache) as src:
+        first = src.read_strided(12, 24, 0, SCAN_FILE, 8)
+        touched = 2 * -(-SCAN_FILE // STORED_CHUNK[1])
+        assert [call.select for call in decodes] == [None] * touched
+        assert all(call.returned == np.prod(call.shape) for call in decodes)
+        # any later selection of those chunks slices the entries
+        again = src.read_strided(0, 32, 100, SCAN_FILE - 100, 1)
+        assert len(decodes) == touched
+    np.testing.assert_array_equal(first, whole[12:24, 0:SCAN_FILE:8])
+    np.testing.assert_array_equal(again, whole[0:32, 100 : SCAN_FILE - 100])
 
 
 def test_failure_policy_still_reports_gaps_by_chunk(archives):

@@ -8,15 +8,16 @@ a size guard over a corpus of chunk shapes, the method it picks on the
 planes that motivated it, and typed failure on hostile payloads.
 """
 
+import time
 import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigError, FormatError
+from repro.errors import ConfigError, FormatError, SelectionError
 from repro.hdf5lite import (
     BlockCache,
     CacheConfig,
@@ -78,20 +79,38 @@ class TestRegistry:
         with pytest.raises(ConfigError):
             QuantizeCodec(0.0)
 
-    def test_register_custom_codec(self):
+    def test_register_custom_codec(self, tmpfile):
         class Raw(Codec):
             spec = "unit-raw"
 
             def encode(self, arr):
                 return np.ascontiguousarray(arr).tobytes()
 
-            def decode(self, payload, shape, dtype):
-                return np.frombuffer(payload, dtype=dtype).reshape(shape)
+            def decode(self, payload, shape, dtype, select=None, verified=False):
+                seen.append((select, verified))
+                whole = np.frombuffer(payload, dtype=dtype).reshape(shape)
+                return whole.copy() if select is None else whole[tuple(select)].copy()
 
+        seen = []
         register_codec("unit-raw", lambda params: Raw())
         assert resolve_codec("unit-raw").spec == "unit-raw"
         with pytest.raises(ConfigError):
             register_codec("bad:name", lambda params: Raw())
+        # the extension contract, exercised: readers and read-modify-write
+        # hand every codec the selection and whether a CRC has passed
+        data = _signal()
+        with File(tmpfile, "w") as f:
+            ds = f.create_dataset(
+                "d", data=data, chunks=(8, 128), codec="unit-raw", checksum=True
+            )
+            ds[3:5, 100:200] = 0.0
+            data[3:5, 100:200] = 0.0
+        with File(tmpfile, "r") as f:
+            np.testing.assert_array_equal(f["d"][2:12, 5:290:3], data[2:12, 5:290:3])
+            assert seen[-1] == ((slice(0, 4, 1), slice(1, 32, 3)), True)
+        with File(tmpfile, "r", cache=CacheConfig()) as f:
+            np.testing.assert_array_equal(f["d"][:], data)
+            assert seen[-1] == (None, True)
 
     def test_codec_instance_passthrough(self):
         c = DeltaZlibCodec()
@@ -315,6 +334,35 @@ class TestFileIntegration:
             text = describe(f)
             assert "codec=quantize:0.001" in text and "(lossy)" in text
             assert verify(f) == []
+
+    def test_describe_says_how_much_reads_in_place(self, tmpfile, monkeypatch):
+        noise = np.random.default_rng(2).normal(size=(16, 4096)).astype(np.float32)
+        ramp = np.arange(16 * 4096, dtype=np.int32).reshape(16, 4096)
+        with File(tmpfile, "w") as f:
+            kwargs = dict(chunks=(8, 4096), codec="transpose-zlib", checksum=True)
+            f.create_dataset("noise", data=noise, **kwargs)
+            f.create_dataset("ramp", data=ramp, **kwargs)
+            # a single-stream payload from before planes were told apart
+            monkeypatch.setattr(
+                TransposeZlibCodec, "encode", lambda self, arr: parent_encode(arr, 6)
+            )
+            f.create_dataset("old", data=ramp, **kwargs)
+            monkeypatch.undo()
+            f.create_dataset("delta", data=ramp, chunks=(8, 4096), codec="delta-zlib")
+        stats = IOStats()
+        with File(tmpfile, "r", iostats=stats) as f:
+            before = stats.bytes_read
+            lines = {line.split()[0]: line for line in describe(f).splitlines()[1:]}
+            # block headers only: listing a file does not read its payloads
+            assert stats.bytes_read - before < 1024 < noise.nbytes // 100
+            assert verify(f) == []
+        assert "codec=transpose-zlib (lossless) stored-in-place=0.75" in lines["noise"]
+        assert "stored-in-place=0.00" in lines["ramp"]
+        assert "stored-in-place=0.00" in lines["old"]
+        # a sequential predictor has nothing to read in place: no payload
+        # is fetched to say so
+        assert "codec=delta-zlib (lossless)" in lines["delta"]
+        assert "stored-in-place" not in lines["delta"]
 
     def test_verify_flags_missing_enc_sizes(self, tmpfile):
         data = _signal()
@@ -642,3 +690,325 @@ class TestHostilePayloads:
         for shape in [(4, 99), (4, 101), (5, 100), ()]:
             with pytest.raises(FormatError):
                 codec.decode(payload, shape, arr.dtype)
+
+
+# ---------------------------------------------------------------------------
+# the selection is an input to decode
+# ---------------------------------------------------------------------------
+
+SELECT_CODECS = ["transpose-zlib", "transpose-zlib:1", "delta-zlib", "quantize:1e-3"]
+
+
+def _content(kind: str, shape, dtype: np.dtype, seed: int) -> np.ndarray:
+    """A chunk whose stored prefix is whole or absent (``noise`` by byte
+    order and dtype), empty (``constant``, ``ramp``), or followed by a
+    compressed and then another stored segment (``dead band``)."""
+    n = int(np.prod(shape, dtype=np.int64))
+    if kind == "constant":
+        values = np.full(n, 3.0)
+    elif kind == "ramp":
+        values = np.arange(n, dtype=np.float64)
+    else:
+        values = np.random.default_rng(seed).normal(size=n) * 300
+        if kind == "dead band":
+            values.reshape(shape or (1,))[shape[0] // 4 : shape[0] // 2 + 1] = 0.0
+    if dtype.kind in "iu":
+        values = values.astype(np.int64)
+    with np.errstate(over="ignore"):
+        return values.astype(dtype).reshape(shape)
+
+
+@st.composite
+def chunk_and_select(draw):
+    shape = draw(
+        st.one_of(
+            st.sampled_from([(1,), (0,), (3, 0, 5), (1, 1, 1), (48, 4096), (200_000,)]),
+            st.tuples(st.integers(1, 3000)),
+            st.tuples(st.integers(1, 40), st.integers(1, 600)),
+            st.tuples(st.integers(1, 6), st.integers(1, 12), st.integers(1, 300)),
+        )
+    )
+    select = []
+    for dim in shape:
+        if draw(st.booleans()):
+            select.append(slice(None))
+            continue
+        start = draw(st.integers(0, dim))
+        stop = draw(st.integers(start, dim))
+        select.append(slice(start, stop, draw(st.sampled_from([1, 2, 3, 8, 1000]))))
+    return shape, tuple(select)
+
+
+class TestSelectionIsADecodeInput:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        spec=st.sampled_from(SELECT_CODECS),
+        dtype=st.sampled_from(["<f4", "<f8", ">f4", "<i2", "u1", "<c8"]),
+        chunk=chunk_and_select(),
+        kind=st.sampled_from(["noise", "constant", "ramp", "dead band"]),
+        verified=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_decode_of_a_selection_is_the_selection_of_the_decode(
+        self, spec, dtype, chunk, kind, verified, seed
+    ):
+        dtype = np.dtype(dtype)
+        if spec.startswith("quantize"):
+            assume(dtype.kind == "f")
+        shape, select = chunk
+        codec = resolve_codec(spec)
+        payload = codec.encode(_content(kind, shape, dtype, seed))
+        whole = codec.decode(payload, shape, dtype)
+        got = codec.decode(payload, shape, dtype, select=select, verified=verified)
+        assert same_bits(got, whole[select])
+        assert got.flags.c_contiguous and got.flags.writeable
+        # never a view of the payload (stored planes are read in place)
+        assert not np.shares_memory(got, np.frombuffer(payload, np.uint8))
+        got[...] = 0  # ... nor of anything read-only
+        everything = codec.decode(payload, shape, dtype, verified=verified)
+        assert same_bits(everything, whole) and everything.flags.writeable
+
+    def test_the_corpus_has_every_prefix_shape(self, corpus):
+        # what the generated test relies on: the walker meets an empty
+        # prefix, a whole one, and one that stops at a compressed segment
+        # with stored ones behind it
+        codec = TransposeZlibCodec()
+
+        def prefix(arr):
+            return sum(length for _at, length in stored_blocks(codec.encode(arr)))
+
+        assert prefix(corpus["int32_ramp"]) == 0
+        assert prefix(corpus["uint8"]) == corpus["uint8"].nbytes
+        assert prefix(corpus["scene_f32"]) == 3 * corpus["scene_f32"].size
+        dead = _content("dead band", (48, 4096), np.dtype("<f4"), 1)
+        methods = [method for _start, _stop, method in codec.plan(dead)]
+        assert methods[0] == "stored" and "stored" in methods[2:]
+        assert 0 < prefix(dead) < dead.size
+
+    @pytest.mark.parametrize("codec", ALL_CODECS, ids=lambda c: c.spec)
+    def test_selections_that_are_not_lattices_are_refused(self, codec):
+        arr = _signal()
+        payload = codec.encode(arr)
+        for select in [
+            (slice(None, None, -1),),
+            (slice(0, 4), slice(0, 4), slice(0, 4)),
+            (3, slice(None)),
+        ]:
+            with pytest.raises(SelectionError):
+                codec.decode(payload, arr.shape, arr.dtype, select=select)
+
+    @pytest.mark.parametrize("verified", [False, True])
+    def test_pre_plane_payloads_decode_under_any_select(self, verified):
+        # A single-compressor stream, as files held before planes were told
+        # apart.  One opens with a compressed block (empty prefix); the
+        # other is noise planes followed by a plane that repeats them, so
+        # its compressed blocks reach back into its stored ones.
+        rng = np.random.default_rng(24)
+        n = 100_000
+        planes = rng.integers(0, 256, size=(4, n), dtype=np.uint8)
+        planes[3] = np.resize(planes[2, -3000:], n)
+        looks_back = np.ascontiguousarray(planes.T).view("<f4").reshape(100, 1000)
+        smooth = np.arange(n, dtype=np.int32).reshape(100, 1000)
+        codec = TransposeZlibCodec()
+        for arr, stored in ((smooth, False), (looks_back, True)):
+            payload = parent_encode(arr, 6)
+            assert bool(stored_blocks(payload)) == stored
+            for select in [
+                None,
+                (slice(24, 48), slice(None)),
+                (slice(None), slice(0, 1000, 8)),
+                (slice(90, 100, 3), slice(5, 900, 7)),
+                (slice(0, 1), slice(0, 1)),
+            ]:
+                got = codec.decode(
+                    payload, arr.shape, arr.dtype, select=select, verified=verified
+                )
+                assert same_bits(got, arr if select is None else arr[select])
+        # the premise: carried on from where the stored blocks end, an
+        # inflater that was not handed them cannot resolve those matches
+        at, length = stored_blocks(payload)[-1]
+        at += 5 + length
+        with pytest.raises(zlib.error, match="distance too far back"):
+            zlib.decompressobj(-zlib.MAX_WBITS).decompress(payload[at:])
+
+
+def stored_blocks(payload: bytes) -> list[tuple[int, int]]:
+    """``(header offset, LEN)`` of the stored blocks a zlib stream opens
+    with — the test's own walk, independent of the decoder's."""
+    blocks, at = [], 2
+    while at < len(payload) and not payload[at] >> 1 & 3:
+        length = int.from_bytes(payload[at + 1 : at + 3], "little")
+        blocks.append((at, length))
+        at += 5 + length
+    return blocks
+
+
+def _all_stored(data: bytes, final: bool = True) -> bytes:
+    """``data`` as a zlib stream of stored blocks only."""
+    deflater = zlib.compressobj(0, zlib.DEFLATED, -zlib.MAX_WBITS)
+    body = deflater.compress(data) + deflater.flush(
+        zlib.Z_FINISH if final else zlib.Z_SYNC_FLUSH
+    )
+    return b"\x78\x9c" + body + zlib.adler32(data).to_bytes(4, "big")
+
+
+TODAYS_MESSAGES = (
+    "undecodable transpose-zlib chunk|transpose-zlib chunk is truncated, holds "
+    "more than|transpose-zlib chunk holds"
+)
+
+
+class TestHostilePayloadsOnTheWalker:
+    """``verified=True`` trusts the payload's *bytes*, never its structure:
+    an attacker can make a CRC match."""
+
+    SHAPE, DTYPE = (16, 8192), np.dtype("<f4")
+    ROWS = (slice(4, 8), slice(None))
+
+    @pytest.fixture(scope="class")
+    def payload(self):
+        arr = np.random.default_rng(7).normal(size=self.SHAPE).astype(self.DTYPE)
+        payload = TransposeZlibCodec().encode(arr)
+        blocks = stored_blocks(payload)
+        assert sum(length for _at, length in blocks) == 3 * arr.size
+        assert len(blocks) >= 6
+        return payload
+
+    def refused(self, bad: bytes, select=None, shape=None):
+        """``bad`` is a FormatError either way, in bounded time and —
+        verified — within selection + needed tail + 64 KiB."""
+        shape = shape or self.SHAPE
+        codec = TransposeZlibCodec()
+        with pytest.raises(FormatError, match=TODAYS_MESSAGES):
+            codec.decode(bad, shape, self.DTYPE, select=select)
+        n = int(np.prod(shape))
+        rows = shape[0] if select is None else select[0].stop
+        selected = n * 4 if select is None else (rows - select[0].start) * shape[1] * 4
+        # what the selection needs past the stored blocks ``bad`` opens with
+        prefix = sum(length for _at, length in stored_blocks(bad))
+        tail = max(0, 3 * n + rows * shape[1] - prefix)
+        tracemalloc.start()
+        began = time.perf_counter()
+        try:
+            with pytest.raises(FormatError):
+                codec.decode(bad, shape, self.DTYPE, select=select, verified=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - began < 1.0
+        assert peak <= selected + tail + (64 << 10)
+
+    def test_truncation_around_every_stored_block_boundary(self, payload):
+        for at, length in stored_blocks(payload):
+            for cut in (at - 1, at, at + 1, at + 5, at + 5 + length - 1):
+                self.refused(payload[:cut])
+                # the planes before the cut would serve these rows; the
+                # stream is still one that never reaches its final block
+                self.refused(payload[:cut], self.ROWS)
+
+    def test_broken_stored_block_headers(self, payload):
+        blocks = stored_blocks(payload)
+        for at, _length in (blocks[0], blocks[2], blocks[-1]):
+            for offset, xor in [(3, 0x01), (1, 0x80), (0, 0x06), (0, 0x01)]:
+                # NLEN bit, LEN bit, reserved BTYPE = 3, BFINAL before the end
+                bad = bytearray(payload)
+                bad[at + offset] ^= xor
+                self.refused(bytes(bad))
+        bad = bytearray(payload)
+        bad[blocks[0][0]] ^= 0x06
+        self.refused(bytes(bad), self.ROWS)
+
+    def test_stored_block_running_past_the_payload(self, payload):
+        at, length = stored_blocks(payload)[1]
+        self.refused(payload[: at + 5 + length // 2])
+        self.refused(b"\x78\x9c\x00\xff\xff\x00\x00" + bytes(100))
+
+    def test_stored_total_exceeding_the_chunk(self, payload):
+        rows, cols = self.SHAPE
+        self.refused(payload, shape=(rows // 4, cols))  # 3 planes > 1 chunk
+        data = bytes(rows * cols * 4 + 1)
+        self.refused(_all_stored(data))
+        self.refused(_all_stored(data[:-2]))  # ... and BFINAL a byte short
+
+    def test_bad_stream_headers(self, payload):
+        for header in [
+            b"\x79\x9c",  # CM = 9
+            b"\x78\x9d",  # FCHECK
+            b"\x88\x1c",  # CINFO = 8, check bits right
+            b"\x78\xbb",  # FDICT, check bits right
+        ]:
+            self.refused(header + payload[2:])
+        assert int.from_bytes(b"\x88\x1c", "big") % 31 == 0
+        assert int.from_bytes(b"\x78\xbb", "big") % 31 == 0
+        self.refused(payload[:2])
+        self.refused(payload[:1])
+        self.refused(b"")
+
+    def test_tail_corrupt_or_ending_early(self, payload):
+        at, length = stored_blocks(payload)[-1]
+        tail = at + 5 + length
+        assert len(payload) - tail > 1000
+        for cut in (tail + 1, tail + 500, len(payload) - 5, len(payload) - 1):
+            self.refused(payload[:cut])
+        self.refused(payload + b"\x00")
+        bad = bytearray(payload)
+        bad[tail] ^= 0x06  # the compressed block's type, to the reserved one
+        self.refused(bytes(bad))
+        self.refused(bytes(bad), self.ROWS)
+        # rows whose planes end before the damage still decode: the reader
+        # goes only as far as the selection needs
+        early = (slice(0, 2), slice(None))
+        bad = payload[: len(payload) - 200]
+        got = TransposeZlibCodec().decode(
+            bad, self.SHAPE, self.DTYPE, select=early, verified=True
+        )
+        whole = TransposeZlibCodec().decode(payload, self.SHAPE, self.DTYPE)
+        assert same_bits(got, whole[early])
+
+    def test_whole_stored_payloads_end_where_they_should(self):
+        arr = np.random.default_rng(3).integers(0, 256, size=(40, 5000)).astype(np.uint8)
+        payload = TransposeZlibCodec().encode(arr)
+        assert stored_blocks(payload)[-1][0] + 5 + stored_blocks(payload)[-1][1] == (
+            len(payload) - 4
+        )
+        codec = TransposeZlibCodec()
+        got = codec.decode(payload, arr.shape, arr.dtype, verified=True)
+        assert same_bits(got, arr)
+        for bad in (payload[:-1], payload + b"\x00", payload[:-4]):
+            with pytest.raises(FormatError):
+                codec.decode(bad, arr.shape, arr.dtype, verified=True)
+
+    @pytest.mark.parametrize(
+        "codec", [DeltaZlibCodec(), QuantizeCodec(1e-3)], ids=lambda c: c.spec
+    )
+    def test_sequential_codecs_check_the_whole_stream_whatever_is_selected(self, codec):
+        # every sample depends on all earlier ones and no workload measures
+        # an early stop: verified or not, the stream is inflated to its end
+        # (Adler-32, exact length, nothing trailing) and the lattice copied
+        arr = _signal(shape=(64, 1000))
+        payload = codec.encode(arr)
+        rows = (slice(8, 16, 3), slice(1, 900, 7))
+        bomb = deflate_bomb(64 << 20)
+        for verified in (False, True):
+            for bad in (payload[: len(payload) // 2], payload[:-1], payload + b"\x00"):
+                with pytest.raises(FormatError):
+                    codec.decode(bad, arr.shape, arr.dtype, select=rows, verified=verified)
+            tracemalloc.start()
+            try:
+                with pytest.raises(FormatError):
+                    codec.decode(
+                        bomb, (64, 16), np.float32, select=rows, verified=verified
+                    )
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+    def test_quantize_refuses_a_sample_index_outside_the_chunk(self):
+        codec = QuantizeCodec(1e-3)
+        arr = np.array([[1.0, np.nan, 2.0, 3.0]], dtype=np.float32)
+        raw = bytearray(zlib.decompress(codec.encode(arr)))
+        for index in (4, -1, 2**62):
+            raw[8:16] = np.int64(index).tobytes()
+            with pytest.raises(FormatError, match="outside the chunk"):
+                codec.decode(zlib.compress(bytes(raw)), arr.shape, arr.dtype)

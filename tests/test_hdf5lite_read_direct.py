@@ -15,20 +15,28 @@ Invariants:
 * a virtual dataset pre-fills only when its sources do not tile it
   (``sources_tile`` against a brute-force cover count), and a skipped,
   masked or corrupt source marks its own span and nothing else;
-* warm cached reads look each touched unit up once.
+* warm cached reads look each touched unit up once;
+* a codec chunk read hands its selection to the decoder — with or without
+  a sidecar, verified or not, cached, uncached or under a cache too small
+  for the chunk — and equals numpy while issuing exactly the requests the
+  whole-chunk loader it replaced did; one flipped stored byte is refused
+  under any selection.
 """
 
 import itertools
 import os
+import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CorruptDataError, SelectionError
+from repro.errors import CorruptDataError, FormatError, SelectionError
 from repro.hdf5lite import CacheConfig, File, VirtualSource
 from repro.hdf5lite.codecs import TransposeZlibCodec
+from repro.hdf5lite.dataset import Dataset
 from repro.hdf5lite.hyperslab import (
     Hyperslab,
     gather_spans,
@@ -365,7 +373,7 @@ def test_flipped_byte_is_refused_before_decode_and_stays_in_its_span(
     monkeypatch.setattr(
         TransposeZlibCodec,
         "decode",
-        lambda self, *args: decodes.append(1) or real(self, *args),
+        lambda self, *args, **kwargs: decodes.append(1) or real(self, *args, **kwargs),
     )
     with File(path, "r") as f:
         ds = f.dataset("v")
@@ -455,3 +463,164 @@ def test_warm_reads_look_each_touched_page_up_once(paged, sel, dest):
     np.testing.assert_array_equal(out, data[sel])
     assert spent["cache_misses"] == spent["reads"] == 0
     assert 1 <= spent["cache_hits"] <= len(touched)
+
+
+# ---------------------------------------------------------------------------
+# codec chunks: the selection reaches the decoder, the requests stay put
+# ---------------------------------------------------------------------------
+
+PACKED_SHAPE, PACKED_CHUNKS = (6, 20, 300), (4, 8, 128)
+PACKED_FILES = {
+    "crc": {"checksum": True},
+    "plain": {},
+}
+PACKED_OPENS = {
+    "crc": ("crc", {}),
+    "plain": ("plain", {}),
+    "crc-unverified": ("crc", {"verify_checksums": False}),
+}
+PACKED_CACHES = {
+    "none": None,
+    "default": CacheConfig(),
+    "too-small": CacheConfig(byte_budget=64),
+}
+
+
+def parent_load_unit(self, unit, cache, select=None):
+    """``Dataset._load_unit`` as it was before the selection reached the
+    decoder (frozen): decode the chunk whole, admit it, slice."""
+    stats = self._file._backend.iostats
+    data = None
+    if cache is not None:
+        key = (self._file._cache_key, unit.offset, unit.nbytes)
+        data = cache.get(key, stats)
+    if data is None:
+        data = self._fetch_unit(unit)
+        if self.codec is not None:
+            data = self.codec.decode(data, unit.shape, self.dtype).tobytes()
+        if cache is not None:
+            cache.put(key, data, stats)
+    if select is None:
+        return data
+    return np.frombuffer(data, dtype=self.dtype).reshape(unit.shape)[select]
+
+
+@pytest.fixture(scope="module")
+def packed(tmp_path_factory):
+    root = tmp_path_factory.mktemp("packed")
+    data = np.random.default_rng(9).normal(size=PACKED_SHAPE).astype(np.float32)
+    data[:, 7:11] = 0.0  # a dead band inside the stored planes
+    for name, kwargs in PACKED_FILES.items():
+        with File(str(root / f"{name}.h5"), "w") as f:
+            f.create_dataset(
+                "d", data=data, chunks=PACKED_CHUNKS, codec="transpose-zlib", **kwargs
+            )
+    return root, data
+
+
+def _band_destination(kind, count):
+    """float32/float64, contiguous or a column band of a wider array."""
+    dtype = np.float64 if "64" in kind else np.float32
+    if kind.startswith("band"):
+        big = np.full(count[:-1] + (count[-1] + 30,), -7, dtype=dtype)
+        return big[..., 10 : 10 + count[-1]]
+    return np.full(count, -7, dtype=dtype)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sel=selections(PACKED_SHAPE),
+    how=st.sampled_from(sorted(PACKED_OPENS)),
+    cache=st.sampled_from(sorted(PACKED_CACHES)),
+    dest=st.sampled_from(["float32", "float64", "band32", "band64"]),
+)
+def test_codec_reads_equal_numpy_and_move_no_request(packed, sel, how, cache, dest):
+    root, data = packed
+    name, kwargs = PACKED_OPENS[how]
+    hs, _ = normalize_selection(sel, PACKED_SHAPE)
+
+    def run():
+        stats = IOStats()
+        config = PACKED_CACHES[cache]
+        with File(
+            str(root / f"{name}.h5"), "r", iostats=stats, cache=config, **kwargs
+        ) as f:
+            ds = f.dataset("d")
+            snapshots = []
+            for _temperature in ("cold", "warm"):
+                out = _band_destination(dest, hs.count)
+                ds.read_direct(hs, out)
+                np.testing.assert_array_equal(out, data[sel])
+                snapshots.append(stats.full_snapshot())
+        return snapshots
+
+    with mock.patch.object(Dataset, "_load_unit", parent_load_unit):
+        before = run()
+    assert run() == before
+
+
+@pytest.mark.parametrize("checksum", [True, False])
+def test_one_flipped_stored_byte_is_refused_under_any_selection(tmp_path, checksum):
+    """Integrity is not traded for the partial decode: with a sidecar the
+    CRC refuses the payload before any decode; without one the payload is
+    inflated whole and its Adler-32 refuses it — wherever the byte sits
+    (stored plane, compressed plane, block header, trailer) and however
+    little of the chunk the selection wants."""
+    path = str(tmp_path / "f.h5")
+    data = np.random.default_rng(4).normal(size=(8, 5000)).astype(np.float32)
+    with File(path, "w") as f:
+        ds = f.create_dataset(
+            "d", data=data, chunks=(8, 5000), codec="transpose-zlib", checksum=checksum
+        )
+        offset, nbytes = int(ds._meta["chunk_index"]["0,0"]), ds._meta["chunk_enc"]["0,0"]
+    selections_ = [
+        (slice(None), slice(None)),
+        (slice(2, 4), slice(None)),
+        (slice(None), slice(0, 5000, 8)),
+        (slice(0, 1), slice(0, 1)),
+    ]
+    decodes = []
+    real = TransposeZlibCodec.decode
+
+    def spy(self, *args, **kwargs):
+        decodes.append(kwargs)
+        return real(self, *args, **kwargs)
+
+    rng = np.random.default_rng(0)
+    victims = [0, 1, 2, 3, 7, nbytes - 1, nbytes - 5, *rng.integers(8, nbytes - 5, 24)]
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        payload = fh.read(nbytes)
+    benign = 0
+    with mock.patch.object(TransposeZlibCodec, "decode", spy):
+        for victim in map(int, victims):
+            flipped = bytearray(payload)
+            flipped[victim] ^= 0x10
+            try:
+                # padding bits of a block header belong to no check of the
+                # stream's own: the bytes it inflates to are the same
+                harmless = zlib.decompress(flipped) == zlib.decompress(payload)
+            except zlib.error:
+                harmless = False
+            benign += harmless
+            with open(path, "r+b") as fh:
+                fh.seek(offset + victim)
+                fh.write(flipped[victim : victim + 1])
+            with File(path, "r") as f:
+                for sel in selections_:
+                    if harmless and not checksum:
+                        np.testing.assert_array_equal(f.dataset("d")[sel], data[sel])
+                        continue
+                    with pytest.raises(CorruptDataError if checksum else FormatError):
+                        f.dataset("d")[sel]
+            with open(path, "r+b") as fh:
+                fh.seek(offset + victim)
+                fh.write(payload[victim : victim + 1])
+        assert benign <= 2
+        if checksum:
+            assert decodes == []  # refused by verify_block, before any decode
+        else:
+            assert decodes and not any(call["verified"] for call in decodes)
+        with File(path, "r") as f:
+            np.testing.assert_array_equal(f.dataset("d")[2:4, ::8], data[2:4, ::8])
+    assert decodes[-1]["verified"] is checksum
