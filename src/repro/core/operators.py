@@ -40,6 +40,7 @@ from repro.daslib import (
     tukey_slice,
     whiten,
 )
+from repro.daslib.filtfilt import _backward, _forward, _odd_ext
 from repro.errors import ConfigError
 
 __all__ = [
@@ -140,6 +141,12 @@ class FiltFiltOp(Operator):
     side so the retained core matches whole-array ``filtfilt`` to the
     settle tolerance.  At the true record edges the clamped read
     reproduces the whole-array odd-reflection padding exactly.
+
+    The forward pass is causal, so over an unbounded record it needs no
+    left halo once its state is carried: :meth:`forward_half` and
+    :meth:`backward_half` are :meth:`apply` split in two, and
+    :class:`~repro.core.pipeline.IncrementalRunner` runs the first once
+    per sample and only the second per emission (DESIGN §8).
     """
 
     name = "filtfilt"
@@ -149,6 +156,46 @@ class FiltFiltOp(Operator):
         self.a = np.atleast_1d(np.asarray(a, dtype=np.float64))
         settle = settle_length(self.b, self.a, tol=tol)
         self.halo = (settle, settle)
+        #: ``filtfilt``'s odd-extension length at each record edge.
+        self.padlen = 3 * max(len(self.a), len(self.b))
+
+    def forward_half(
+        self, x: np.ndarray, zi: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The forward pass over the ``(channels, n)`` piece ``x`` of a
+        record, continued from state ``zi``; returns ``(y, zf)``, ``y``
+        over ``x``'s samples.  ``zi=None`` means ``x`` opens the record
+        (``n > padlen``): the pass starts as ``filtfilt``'s does, over the
+        odd extension of its first ``padlen + 1`` samples.  Pieces chained
+        through ``zf`` equal one pass over their concatenation bit for
+        bit."""
+        if zi is not None:
+            return _forward(self.b, self.a, x, zi)
+        p = self.padlen
+        left = _odd_ext(x[:, : p + 1], p)[:, :p]
+        y, zf = _forward(self.b, self.a, np.concatenate([left, x], axis=1))
+        return y[:, p:], zf
+
+    def backward_half(
+        self,
+        y: np.ndarray,
+        end: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """The backward pass over forward output ``y``, returned over its
+        samples.  It starts in steady state at ``y``'s last sample, so
+        sample ``i`` is within the settle tolerance once ``len(y) - i``
+        reaches the halo.  ``end=(tail, zf)`` says ``y`` ends the record:
+        the forward pass is first continued from ``zf`` over the odd
+        extension of ``tail`` (the record's last ``padlen + 1`` raw
+        samples), so the backward pass starts at the true end, as
+        ``filtfilt``'s does, and every sample is exact."""
+        if end is None:
+            return _backward(self.b, self.a, y)
+        tail, zf = end
+        p = self.padlen
+        ext, _ = _forward(self.b, self.a, _odd_ext(tail, p)[:, -p:], zf)
+        full = _backward(self.b, self.a, np.concatenate([y, ext], axis=1))
+        return full[:, : y.shape[1]]
 
     def apply(self, data: np.ndarray, ctx: OpContext) -> np.ndarray:
         if ctx.interpreted:

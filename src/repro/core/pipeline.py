@@ -53,9 +53,11 @@ peak resident array bytes — the quantity chunking is meant to bound.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
@@ -1109,6 +1111,28 @@ class StreamPipeline:
         return IncrementalRunner(self, n_channels, fs=fs)
 
 
+def _pack_state(state: np.ndarray) -> str:
+    """A filter state's float64 bytes (little-endian, C order) as base64:
+    bit-exact, and one short string for the checkpoint's JSON encoder
+    instead of a float repr per value."""
+    return base64.b64encode(
+        np.ascontiguousarray(state, dtype="<f8").tobytes()
+    ).decode("ascii")
+
+
+def _unpack_state(text: str, n_channels: int) -> np.ndarray:
+    """:func:`_pack_state` inverted to ``(n_state, n_channels)``."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"forward state is not base64 text: {exc}") from exc
+    if not raw or len(raw) % (8 * n_channels):
+        raise ConfigError(
+            f"forward state of {len(raw)} bytes does not fit {n_channels} channels"
+        )
+    return np.frombuffer(raw, dtype="<f8").reshape(-1, n_channels).astype(np.float64)
+
+
 def _tail_digest(tail: np.ndarray) -> str:
     """SHA-256 of a ``(channels, n)`` float64 tail's C-order bytes, fed
     row by row so a sliced view is hashed without a contiguous copy."""
@@ -1127,8 +1151,8 @@ class IncrementalRunner:
     ends until the acquisition stops.  This runner carries the chain's
     state across pieces:
 
-    * a **tail buffer** of raw input samples — exactly the left context
-      (filter settle, window lookback) the next emission still needs;
+    * a **tail buffer** of raw input samples — the left context (filter
+      settle, window lookback) the next emission still needs;
     * **watermarks** ``seen`` (absolute input samples appended) and
       ``emitted`` (absolute final-level outputs produced).
 
@@ -1141,13 +1165,29 @@ class IncrementalRunner:
     becomes a true record edge (clamped exactly as batch execution
     clamps it) and the deferred tail is emitted.
 
+    **A leading zero-phase filter is carried, not re-run.**  When the
+    chain's first stage offers ``forward_half`` / ``backward_half`` (a
+    :class:`~repro.core.operators.FiltFiltOp`), its causal forward pass
+    runs once per sample, continued across pushes from its carried
+    state, and the runner keeps the forward-filtered samples the next
+    emission needs instead of the raw left halo that re-filtering them
+    would take.  Each emission runs only the backward pass, from its
+    need's right edge plus the settle length, so interior emissions are
+    within the settle tolerance of whole-record ``filtfilt`` (only the
+    backward pass settles) and the one :meth:`flush` makes — the forward
+    pass continued over the odd extension, the backward pass started at
+    the true end — equals it bit for bit.  The raw tail is then what a
+    checkpoint needs: the samples from the forward state's position on,
+    plus the ``padlen + 1`` the closing odd extension reflects.
+
     :meth:`export_state` / :meth:`import_state` round-trip the carried
-    state through JSON for checkpoint/resume: counters travel verbatim
-    while the tail samples — re-readable from the durable acquisition
-    files — are persisted as a SHA-256 digest and verified on import.
+    state through JSON for checkpoint/resume: counters and the forward
+    state at ``buf_start`` travel verbatim while the tail samples —
+    re-readable from the durable acquisition files — are persisted as a
+    SHA-256 digest and verified on import.
     """
 
-    STATE_VERSION = 1
+    STATE_VERSION = 2
 
     def __init__(self, pipeline: StreamPipeline, n_channels: int, fs: float = 0.0):
         if pipeline.sink is not None or pipeline.post:
@@ -1163,11 +1203,24 @@ class IncrementalRunner:
         self._pipe = pipeline
         self.n_channels = int(n_channels)
         self.fs = float(fs)
+        head = pipeline.maps[0] if pipeline.maps else None
+        #: The leading stage when its forward pass is carried (see above).
+        self._head = (
+            head
+            if callable(getattr(head, "forward_half", None))
+            and callable(getattr(head, "backward_half", None))
+            else None
+        )
         self._buf = np.zeros((self.n_channels, 0))
         self._buf_start = 0
         self._seen = 0
         self._emitted = 0
         self._finished = False
+        # Carried head only: forward-filtered samples over [buf_start, the
+        # last mark), and the forward state at each piece cut from
+        # buf_start on; ``None`` marks where the record opens.
+        self._fwd = np.zeros((self.n_channels, 0))
+        self._marks: list[tuple[int, np.ndarray | None]] = [(0, None)]
 
     # -- watermarks ---------------------------------------------------------
     @property
@@ -1182,27 +1235,40 @@ class IncrementalRunner:
 
     @property
     def pending_samples(self) -> int:
-        """Buffered raw samples awaiting their right halo."""
+        """Buffered raw samples (the tail a checkpoint digests)."""
         return self._seen - self._buf_start
 
     # -- planning -----------------------------------------------------------
-    def _open_needs(self, cap: int) -> list[tuple[int, int]] | None:
+    def _open_needs(
+        self, start: int, seen: int, cap: int
+    ) -> list[tuple[int, int]] | None:
         """Per-level needs (right edge open) of the longest target
-        ``[emitted, hi)``, ``hi <= cap``, whose whole unclamped input
-        context is already buffered; ``None`` while no output is ready.
-        One bisection finds the watermark and the plan the emission runs
-        on together."""
-        maps, start = self._pipe.maps, self._emitted
+        ``[start, hi)``, ``hi <= cap``, whose whole unclamped input
+        context lies within the first ``seen`` samples; ``None`` while no
+        output is ready.  One bisection finds the watermark and the plan
+        the emission runs on together."""
+        maps = self._pipe.maps
         best = None
         lo, hi = start, cap
         while lo < hi:
             mid = (lo + hi + 1) // 2
             needs = _needed(maps, (start, mid), None)
-            if needs[0][1] <= self._seen:
+            if needs[0][1] <= seen:
                 lo, best = mid, needs
             else:
                 hi = mid - 1
         return best
+
+    def _keep(self, emitted: int, seen: int, level: int) -> int:
+        """Where the carried samples at ``level`` must start once
+        ``emitted`` outputs are out: the next target's composed left
+        context there, clamped to ``[0, seen]``.  A carried head also
+        keeps the ``padlen + 1`` raw samples its closing odd extension
+        reflects."""
+        keep = _needed(self._pipe.maps, (emitted, emitted + 1), None)[level][0]
+        if level:
+            keep = min(keep, seen - self._head.padlen - 1)
+        return min(max(keep, 0), seen)
 
     # -- execution ----------------------------------------------------------
     def push(
@@ -1250,14 +1316,18 @@ class IncrementalRunner:
         )
         if not at_edge:
             # No more outputs can be ready than a record ending here holds.
-            needs = self._open_needs(totals[-1])
+            needs = self._open_needs(self._emitted, self._seen, totals[-1])
         elif totals[-1] > self._emitted:
             needs = _needed(maps, (self._emitted, totals[-1]), totals)
         else:
             needs = None
+        skip = 0 if self._head is None else 1
+        if skip:
+            upto = needs[-1][1] if needs is not None else self._emitted
+            self._forward(self._keep(upto, self._seen, 1), timer)
         pieces: list[tuple[tuple[int, int], np.ndarray]] = []
         if needs is not None:
-            a, b = needs[0]
+            a, b = needs[skip]
             if a < self._buf_start:
                 raise ConfigError(
                     f"carried buffer starts at {self._buf_start} but the next "
@@ -1267,35 +1337,95 @@ class IncrementalRunner:
                 op.bind(channels[k], totals[k], rates[k])
                 for k, op in enumerate(maps)
             ]
-            block = self._buf[:, a - self._buf_start : b - self._buf_start]
+            if skip:
+                block = self._backward(needs, at_edge, timer)
+            else:
+                block = self._buf[:, a - self._buf_start : b - self._buf_start]
             out, _ = _run_chain(
-                maps, block, needs, totals, rates, states, 0, timer
+                maps[skip:], block, needs[skip:], totals[skip:], rates[skip:],
+                states[skip:], 0, timer,
             )
             pieces.append((needs[-1], np.ascontiguousarray(out)))
             self._emitted = needs[-1][1]
         self._trim()
         return pieces
 
+    def _phase(self, timer: Timer | None):
+        return timer.phase(self._head.name) if timer is not None else nullcontext()
+
+    def _forward(self, split: int, timer: Timer | None) -> None:
+        """Carry the head's forward pass over the samples pushed since it
+        last ran, cut at ``split`` — the next trim point — so the state
+        there is known.  A record opens once it holds ``padlen + 1``
+        samples; one that ends shorter fails at the closing odd extension
+        (:meth:`_backward`), as batch ``filtfilt`` refuses it."""
+        lo, state = self._marks[-1]
+        padlen = self._head.padlen
+        opens = state is None
+        if lo == self._seen or (opens and self._seen - lo <= padlen):
+            return
+        cuts = [lo, self._seen]
+        if lo < split < self._seen and not (opens and split - lo <= padlen):
+            cuts.insert(1, split)
+        pieces = [self._fwd]
+        with self._phase(timer):
+            for c0, c1 in zip(cuts, cuts[1:]):
+                x = self._buf[:, c0 - self._buf_start : c1 - self._buf_start]
+                y, state = self._head.forward_half(x, state)
+                pieces.append(y)
+                self._marks.append((c1, state))
+        self._fwd = np.concatenate(pieces, axis=1)
+
+    def _backward(
+        self, needs: list[tuple[int, int]], at_edge: bool, timer: Timer | None
+    ) -> np.ndarray:
+        """The head's output over ``needs[1]``: its backward pass over the
+        carried forward samples, from ``needs[0]``'s right edge (the need
+        plus the settle length) or, at the record's edge, from the true
+        end past the closing odd extension."""
+        a, b = needs[1]
+        lo = a - self._buf_start
+        with self._phase(timer):
+            if at_edge:
+                tail = self._buf[:, -(self._head.padlen + 1) :]
+                out = self._head.backward_half(
+                    self._fwd[:, lo:], end=(tail, self._marks[-1][1])
+                )
+            else:
+                hi = needs[0][1] - self._buf_start
+                out = self._head.backward_half(self._fwd[:, lo:hi])
+        return out[:, : b - a]
+
     def _trim(self) -> None:
         """Drop buffered samples no emission can need again: everything
-        left of the next target's composed left context.  The tail stays
-        a view; the next :meth:`push` copies it once, with the new piece."""
-        target = (self._emitted, self._emitted + 1)
-        keep = _needed(self._pipe.maps, target, None)[0][0]
-        keep = min(max(keep, 0), self._seen)
+        left of the next target's composed left context — for a carried
+        head, left of the last forward state at or before it.  The tail
+        stays a view; the next :meth:`push` copies it once, with the new
+        piece."""
+        if self._head is None:
+            keep = self._keep(self._emitted, self._seen, 0)
+        else:
+            keep = self._keep(self._emitted, self._seen, 1)
+            # marks ascend: drop all but the last one at or before ``keep``
+            del self._marks[: sum(pos <= keep for pos, _ in self._marks[1:])]
+            keep = self._marks[0][0]
+            self._fwd = self._fwd[:, keep - self._buf_start :]
         if keep > self._buf_start:
             self._buf = self._buf[:, keep - self._buf_start :]
             self._buf_start = keep
 
     # -- carried-state export/import ---------------------------------------
     def export_state(self) -> dict:
-        """JSON-safe carried state: watermarks plus a digest of the tail.
+        """JSON-safe carried state: watermarks, the head's forward state
+        at ``buf_start`` (``None`` without a carried head, or where the
+        record opens) and a digest of the raw tail.
 
         The tail samples themselves are *not* serialised — they are
         re-readable from the durable acquisition files covering
         ``[buf_start, seen)`` — only their SHA-256, which
         :meth:`import_state` verifies after the caller re-reads them.
         """
+        state = self._marks[0][1] if self._head is not None else None
         return {
             "version": self.STATE_VERSION,
             "operators": self._pipe.names,
@@ -1306,7 +1436,41 @@ class IncrementalRunner:
             "buf_start": self._buf_start,
             "tail_samples": self.pending_samples,
             "tail_sha256": _tail_digest(self._buf),
+            "forward_state": None if state is None else _pack_state(state),
         }
+
+    def _check_watermarks(
+        self, seen: int, emitted: int, buf_start: int, version: int
+    ) -> None:
+        """Refuse counters :meth:`export_state` could not have written: a
+        push leaves ``emitted`` at what ``seen`` samples make ready and a
+        flush at the record's total, and the tail starts where the trim
+        put it — trusting anything else would silently drop or never
+        produce output."""
+        if not 0 <= buf_start <= seen:
+            raise ConfigError(
+                f"checkpoint tail [{buf_start}, {seen}) is not a sample range"
+            )
+        total = _levels(self._pipe.maps, self.n_channels, seen, self.fs)[0][-1]
+        needs = self._open_needs(0, seen, total)
+        ready = needs[-1][1] if needs is not None else 0
+        if emitted not in (ready, total):
+            raise ConfigError(
+                f"checkpoint says {emitted} outputs were emitted, but "
+                f"{seen} samples make {ready} ready ({total} once flushed)"
+            )
+        if self._head is None or version < 2:
+            # The raw-halo trim point, at the chain's input.
+            if buf_start != self._keep(emitted, seen, 0):
+                raise ConfigError(
+                    f"checkpoint tail starts at {buf_start}, not where "
+                    f"{emitted} emitted outputs put it"
+                )
+        elif buf_start > self._keep(emitted, seen, 1):
+            raise ConfigError(
+                f"checkpoint tail starts at {buf_start}, after the samples "
+                f"the next emission needs"
+            )
 
     def import_state(self, payload: dict, tail: np.ndarray) -> None:
         """Restore carried state exported by :meth:`export_state`.
@@ -1314,11 +1478,16 @@ class IncrementalRunner:
         ``tail`` is the raw input block covering ``[buf_start, seen)``,
         re-read from storage by the caller; it is digest-verified so a
         checkpoint can never silently resume against different samples.
+        A carried head re-runs its forward pass over the tail from the
+        recorded state, so the resumed runner is bit-identical to one
+        that never stopped.  A version-1 payload (raw halo, no forward
+        state) still resumes: its longer tail re-primes the forward pass
+        from an odd-extended start, which settles within the halo before
+        the first sample the next emission needs.
         """
-        if payload.get("version") != self.STATE_VERSION:
-            raise ConfigError(
-                f"carried-state version {payload.get('version')!r} unsupported"
-            )
+        version = payload.get("version")
+        if version not in (1, self.STATE_VERSION):
+            raise ConfigError(f"carried-state version {version!r} unsupported")
         if payload.get("operators") != self._pipe.names:
             raise ConfigError(
                 f"checkpoint was taken by chain {payload.get('operators')}, "
@@ -1331,7 +1500,9 @@ class IncrementalRunner:
             )
         tail = np.ascontiguousarray(np.asarray(tail, dtype=np.float64))
         seen = int(payload["seen"])
+        emitted = int(payload["emitted"])
         buf_start = int(payload["buf_start"])
+        self._check_watermarks(seen, emitted, buf_start, version)
         expect = (self.n_channels, seen - buf_start)
         if tail.ndim != 2 or tail.shape != expect:
             raise ConfigError(f"tail shape {tail.shape} != expected {expect}")
@@ -1340,11 +1511,26 @@ class IncrementalRunner:
                 "carried-state digest mismatch: the re-read tail differs "
                 "from the checkpointed samples"
             )
+        state = payload.get("forward_state") if version > 1 else None
+        if state is not None:
+            if self._head is None:
+                raise ConfigError("forward state for a chain without a carried head")
+            state = _unpack_state(state, self.n_channels)
+        elif self._head is not None and version > 1 and buf_start:
+            raise ConfigError(
+                f"checkpoint tail starts at {buf_start} without the forward "
+                "state there"
+            )
         self._buf = tail
         self._buf_start = buf_start
         self._seen = seen
-        self._emitted = int(payload["emitted"])
+        self._emitted = emitted
         self._finished = False
+        if self._head is not None:
+            self._fwd = np.zeros((self.n_channels, 0))
+            self._marks = [(buf_start, state)]
+            self._forward(self._keep(emitted, seen, 1), None)
+            self._trim()
 
 
 def run_materialized(

@@ -3,6 +3,12 @@
 Forward-backward application of an IIR filter with odd-reflection edge
 padding and steady-state initial conditions — the standard transient
 suppression recipe (Gustafsson-style padding as in MATLAB/scipy).
+
+``filtfilt`` is the composition of two halves, :func:`_forward` and
+:func:`_backward`, so a streaming caller can run the forward half once
+per sample and carry its state across pieces (the incremental runner
+does, through :class:`~repro.core.operators.FiltFiltOp`); the halves make
+exactly the ``lfilter`` calls ``filtfilt`` makes, in the same order.
 """
 
 from __future__ import annotations
@@ -87,15 +93,47 @@ def filtfilt(
 
     ext = _odd_ext(x, padlen, axis=axis) if padlen > 0 else x
     moved = np.moveaxis(ext, axis, -1)
-    zi = lfilter_zi(b, a)
-    zi_shape = (len(zi),) + moved.shape[:-1]
-    zi_full = np.broadcast_to(zi.reshape((len(zi),) + (1,) * (moved.ndim - 1)), zi_shape)
-
-    x0 = moved[..., 0]
-    y, _ = lfilter(b, a, moved, axis=-1, zi=zi_full * x0, engine=engine)
-    y0 = y[..., -1]
-    y, _ = lfilter(b, a, y[..., ::-1], axis=-1, zi=zi_full * y0, engine=engine)
-    y = y[..., ::-1]
+    y, _ = _forward(b, a, moved, engine=engine)
+    y = _backward(b, a, y, engine=engine)
     if padlen > 0:
         y = y[..., padlen:-padlen]
     return np.moveaxis(y, -1, axis)
+
+
+def _steady_state(b: np.ndarray, a: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """The filter state of a step of height ``x0`` held forever (state
+    axis first, then ``x0``'s shape): the start that keeps a filter run
+    from an edge free of its switch-on transient."""
+    zi = lfilter_zi(b, a)
+    return zi.reshape((len(zi),) + (1,) * np.ndim(x0)) * x0
+
+
+def _forward(
+    b: np.ndarray,
+    a: np.ndarray,
+    x: np.ndarray,
+    zi: np.ndarray | None = None,
+    engine: str = "auto",
+) -> tuple[np.ndarray, np.ndarray]:
+    """``filtfilt``'s forward half over time-last ``x``: continued from
+    state ``zi``, or started in steady state at ``x[..., 0]`` when ``zi``
+    is None.  Returns ``(y, zf)``; cutting ``x`` anywhere and passing
+    ``zf`` on reproduces one call bit for bit."""
+    if zi is None:
+        zi = _steady_state(b, a, x[..., 0])
+    return lfilter(b, a, x, axis=-1, zi=zi, engine=engine)
+
+
+def _backward(
+    b: np.ndarray, a: np.ndarray, y: np.ndarray, engine: str = "auto"
+) -> np.ndarray:
+    """``filtfilt``'s backward half over time-last forward output ``y``:
+    started in steady state at its last sample, run back to its first,
+    returned in forward order.  Sample ``i`` is exact when ``y`` ends at
+    the record's (odd-extended) end, and otherwise within the settle
+    tolerance once ``len(y) - i`` reaches :func:`settle_length`."""
+    out, _ = lfilter(
+        b, a, y[..., ::-1], axis=-1, zi=_steady_state(b, a, y[..., -1]),
+        engine=engine,
+    )
+    return out[..., ::-1]

@@ -7,8 +7,10 @@ straddle file boundaries, so processing each file independently drops
 or distorts detections at every seam.  :class:`SeamScheduler` wraps the
 :class:`~repro.core.pipeline.IncrementalRunner` — every pushed file is
 just the next piece of an unbounded record, carried state threads the
-halo from one file into the next, and the emitted output tiles exactly
-what one batch run over the concatenated record would produce.
+halo from one file into the next (the bandpass's forward pass runs once
+per sample, continued from its carried IIR state; only its backward pass
+re-settles per file), and the emitted output tiles exactly what one
+batch run over the concatenated record would produce.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.local_similarity import LocalSimilarityConfig, LocalSimilarityOp
+from repro.core.operators import FiltFiltOp
 from repro.core.pipeline import Operator, StreamPipeline
 from repro.core.stalta import StaLtaOp
 from repro.daslib import butter
@@ -60,7 +63,7 @@ class DetectorConfig:
             if fs <= 0:
                 raise ConfigError("a bandpass detector needs fs > 0")
             b, a = butter(self.filter_order, self.band, "bandpass", fs=fs)
-            ops.append(FiltFiltBand(b, a))
+            ops.append(FiltFiltOp(b, a))
         if self.detector == "local_similarity":
             ops.append(LocalSimilarityOp(self.similarity))
         else:
@@ -81,14 +84,6 @@ class DetectorConfig:
         if self.detector == "local_similarity":
             return self.similarity.channel_offset
         return 0
-
-
-def FiltFiltBand(b, a):
-    """The streaming zero-phase bandpass stage (import kept local so a
-    band of ``None`` never touches the filter design path)."""
-    from repro.core.operators import FiltFiltOp
-
-    return FiltFiltOp(b, a)
 
 
 class SeamScheduler:

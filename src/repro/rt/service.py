@@ -12,9 +12,11 @@ reason, and the service moves on to the next file.
 A checkpoint is taken after every ``checkpoint_every`` processed files
 (and on :meth:`close`); constructing the service over a spool with a
 checkpoint resumes from it — the carried tail is re-read from the
-processed files and digest-verified, the event sink dedups anything
-that was finalised between the checkpoint and the kill, so the resumed
-log equals an uninterrupted run's.
+processed files and digest-verified, the bandpass's forward pass re-runs
+over it from the state the checkpoint recorded (so resumed detector
+output is bit-identical), and the event sink dedups anything that was
+finalised between the checkpoint and the kill, so the resumed log
+equals an uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -169,6 +171,12 @@ class RTService:
         if runner_state is not None:
             lo = int(runner_state["buf_start"])
             hi = int(runner_state["seen"])
+            if not 0 <= lo <= hi:
+                # Counters no runner exports: tampering, not loss — refuse
+                # before the range read could turn it into a degraded resume.
+                raise ConfigError(
+                    f"checkpointed runner tail [{lo}, {hi}) is not a sample range"
+                )
             try:
                 tail = read_sample_range(
                     [(path, n) for path, n in self._file_spans()], lo, hi

@@ -59,6 +59,8 @@ from repro.core.pipeline import (
     _plan_chunks,
 )
 from repro.core.stalta import StaLtaOp
+from repro.daslib import filtfilt
+from repro.daslib.filtfilt import _backward, _forward, _odd_ext
 from repro.errors import ConfigError
 from repro.faults.policy import FailurePolicy
 from repro.hdf5lite import BlockCache, CacheConfig, codecs
@@ -385,9 +387,24 @@ def test_batch_chain_equals_members_level_by_level():
             np.testing.assert_array_equal(execute(plan)[0].output, want)
 
 
+def _carried_filtfilt(data, seen, needs, at_edge):
+    """What a carried leading ``FiltFiltOp`` hands on over ``needs[1]``:
+    the forward half run once over the record so far, the backward half
+    from ``needs[0]``'s right edge — or, at the record's edge, whole-record
+    ``filtfilt``."""
+    (a, b), record = needs[1], data[:, :seen]
+    if at_edge:
+        return filtfilt(B, A, record)[:, a:b]
+    padlen = FiltFiltOp(B, A).padlen
+    forward = _forward(B, A, _odd_ext(record, padlen))[0][:, padlen:]
+    return _backward(B, A, forward[:, a : needs[0][1]])[:, : b - a]
+
+
 def test_incremental_chain_equals_members_level_by_level():
     """The same push pattern through ``IncrementalRunner`` and through the
-    members applied one by one to the open-edge needs of every emission."""
+    members applied one by one to the open-edge needs of every emission —
+    the leading filter as its two halves (:func:`_carried_filtfilt`),
+    every member after it on exactly its planned interval."""
     data = _data(22)
     ops = [FiltFiltOp(B, A), StaLtaOp(4, 16)]
     for piece in (700, 211, 64):
@@ -404,8 +421,8 @@ def test_incremental_chain_equals_members_level_by_level():
             totals, rates, channels = _levels(ops, data.shape[0], seen, 100.0)
             needs = _needed(ops, target, totals if at_edge else None)
             want = _by_levels(
-                ops, data[:, needs[0][0] : needs[0][1]], needs, totals, rates,
-                channels,
+                ops[1:], _carried_filtfilt(data, seen, needs, at_edge),
+                needs[1:], totals[1:], rates[1:], channels[1:],
             )
             np.testing.assert_array_equal(block, want)
 

@@ -14,7 +14,7 @@ import zlib
 import pytest
 
 from repro.core.local_similarity import LocalSimilarityConfig
-from repro.errors import CheckpointCorruptError
+from repro.errors import CheckpointCorruptError, ConfigError
 from repro.faults.chaos import flip_text_byte, tear_file
 from repro.rt import (
     CheckpointStore,
@@ -287,3 +287,27 @@ class TestServiceRecovery:
         got = {(r, e.j_start, e.j_end)
                for r, e in resumed.sink.load_records()}
         assert got == expected
+
+    @pytest.mark.parametrize(
+        "change", [{"buf_start": 10**6}, {"emitted": 10**6}, {"seen": -1}]
+    )
+    def test_verified_checkpoint_with_impossible_counters_is_refused(
+        self, tmp_path, change
+    ):
+        """A CRC-valid document whose runner counters no export writes
+        (a hand edit, a writer bug): resuming would drop output or never
+        emit again, so it raises — like a tampered tail, unlike a lost
+        one, which degrades."""
+        spool = _spool(tmp_path)
+        service = RTService(spool, detector=DETECTOR, policy=POLICY,
+                            config=CFG)
+        service.tick()
+        service.tick()
+        store = service.checkpoints
+        del service
+        document = store.load()
+        document["runner"].update(change)
+        store.save({k: v for k, v in document.items()
+                    if k not in ("version", "crc")})
+        with pytest.raises(ConfigError):
+            RTService(spool, detector=DETECTOR, policy=POLICY, config=CFG)

@@ -1,12 +1,15 @@
 """Unit tests for the rt building blocks: incremental execution, ingest,
 event assembly, checkpoints, metrics."""
 
+import base64
+import importlib
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.local_similarity import (
@@ -15,7 +18,7 @@ from repro.core.local_similarity import (
     local_similarity_block,
 )
 from repro.core.operators import DetrendOp, FiltFiltOp, TaperOp
-from repro.core.pipeline import StreamPipeline
+from repro.core.pipeline import StreamPipeline, _levels, _needed, _run_chain
 from repro.core.stalta import (
     StaLtaOp,
     classic_sta_lta,
@@ -52,6 +55,38 @@ class FakeClock:
 
     def advance(self, dt):
         self.now += dt
+
+
+CARRIED_BA = butter(4, (2.0, 40.0), "bandpass", fs=200.0)
+CARRIED_SIMILARITY = LocalSimilarityConfig(
+    half_window=25, channel_offset=1, half_lag=5, stride=10
+)
+#: What the raw-halo runner (checkpoint format 1) exported for the
+#: ``record`` fixture through ``_carried_runner`` after pushes of 1 300
+#: and 1 400 samples; its tail holds a settle length more than format 2's.
+V1_PAYLOAD = {
+    "version": 1,
+    "operators": ["filtfilt", "local_similarity"],
+    "n_channels": 9,
+    "fs": 200.0,
+    "seen": 2700,
+    "emitted": 162,
+    "buf_start": 597,
+    "tail_samples": 2103,
+    "tail_sha256": (
+        "ae7204995e5a53fcf5d682ef5cf88d2327232a53facd22ce172d91b0a746977a"
+    ),
+}
+
+
+def _carried_runner(record):
+    return StreamPipeline(
+        [FiltFiltOp(*CARRIED_BA), LocalSimilarityOp(CARRIED_SIMILARITY)]
+    ).incremental(record.shape[0], fs=200.0)
+
+
+def _joined(pieces):
+    return np.concatenate([block for _, block in pieces], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -102,32 +137,61 @@ class TestIncrementalRunner:
                 StreamPipeline([op]).incremental(4)
 
     def test_export_import_resumes_identically(self, record):
-        fs = 200.0
-        b, a = butter(4, (2.0, 40.0), "bandpass", fs=fs)
-        cfg = LocalSimilarityConfig(
-            half_window=25, channel_offset=1, half_lag=5, stride=10
+        """Resume re-runs the carried forward pass over the re-read tail
+        from the state recorded at ``buf_start``: bit-identical to the
+        same pushes made without stopping — before the filter's first
+        ``padlen`` samples, inside its first settle length, mid-record
+        and one sample short of the end."""
+        for cut in (10, 150, 1700, 2999):
+            straight = _carried_runner(record)
+            expected = straight.push(record[:, :cut])
+            expected += straight.push(record[:, cut:]) + straight.flush()
+
+            first = _carried_runner(record)
+            out = first.push(record[:, :cut])
+            state = json.loads(json.dumps(first.export_state()))  # wire format
+            tail = record[:, state["buf_start"] : state["seen"]]
+            second = _carried_runner(record)
+            second.import_state(state, tail)
+            assert second.export_state() == state
+            out += second.push(record[:, cut:]) + second.flush()
+            assert [iv for iv, _ in out] == [iv for iv, _ in expected]
+            np.testing.assert_array_equal(_joined(out), _joined(expected))
+
+    def test_checkpoint_carries_the_forward_state_not_the_raw_halo(self, record):
+        runner = _carried_runner(record)
+        runner.push(record[:, :1300])
+        runner.push(record[:, 1300:2700])
+        state = runner.export_state()
+        settle = FiltFiltOp(*CARRIED_BA).halo[0]
+        assert state["version"] == 2 and state["emitted"] == 162
+        # format 1 carried 2 103 raw samples: a settle length, the
+        # detector's lookback, and the settle length re-filtering it took
+        assert state["tail_samples"] == V1_PAYLOAD["tail_samples"] - settle
+        # the order-4 bandpass's 8 IIR states per channel, as float64 bytes
+        packed = base64.b64decode(state["forward_state"])
+        assert len(packed) == 8 * record.shape[0] * 8
+
+    def test_version_1_payload_resumes_within_settle_tolerance(self, record):
+        """A checkpoint written before the forward state was carried: its
+        raw tail starts a settle length early, and re-priming the forward
+        pass there settles before the first sample the next emission
+        reads."""
+        straight = _carried_runner(record)
+        expected = straight.push(record[:, :1300])
+        expected += straight.push(record[:, 1300:2700])
+        head = len(expected)
+        expected += straight.push(record[:, 2700:]) + straight.flush()
+
+        resumed = _carried_runner(record)
+        tail = record[:, V1_PAYLOAD["buf_start"] : V1_PAYLOAD["seen"]]
+        resumed.import_state(dict(V1_PAYLOAD), tail)
+        assert resumed.export_state()["version"] == 2
+        out = resumed.push(record[:, 2700:]) + resumed.flush()
+        assert [iv for iv, _ in out] == [iv for iv, _ in expected[head:]]
+        np.testing.assert_allclose(
+            _joined(out), _joined(expected[head:]), rtol=0, atol=1e-8
         )
-
-        def build():
-            return StreamPipeline(
-                [FiltFiltOp(b, a), LocalSimilarityOp(cfg)]
-            ).incremental(record.shape[0], fs=fs)
-
-        straight = build()
-        pieces = straight.push(record)
-        pieces += straight.flush()
-        expected = np.concatenate([blk for _, blk in pieces], axis=1)
-
-        first = build()
-        out = first.push(record[:, :1700])
-        state = json.loads(json.dumps(first.export_state()))  # wire format
-        tail = record[:, state["buf_start"] : state["seen"]]
-        second = build()
-        second.import_state(state, tail)
-        out += second.push(record[:, 1700:])
-        out += second.flush()
-        resumed = np.concatenate([blk for _, blk in out], axis=1)
-        assert np.abs(resumed - expected).max() == pytest.approx(0.0, abs=1e-8)
 
     def test_import_rejects_tampered_tail(self, record):
         runner = StreamPipeline([StaLtaOp(5, 50)]).incremental(record.shape[0])
@@ -138,6 +202,211 @@ class TestIncrementalRunner:
         fresh = StreamPipeline([StaLtaOp(5, 50)]).incremental(record.shape[0])
         with pytest.raises(ConfigError, match="digest"):
             fresh.import_state(state, tail)
+
+    def test_import_rejects_tampered_tail_behind_a_carried_filter(self, record):
+        runner = _carried_runner(record)
+        runner.push(record[:, :2200])
+        state = runner.export_state()
+        tail = record[:, state["buf_start"] : state["seen"]].copy()
+        tail[3, -1] += 1e-9
+        with pytest.raises(ConfigError, match="digest"):
+            _carried_runner(record).import_state(state, tail)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"emitted": 1500},
+            {"emitted": 10**9},
+            {"emitted": 999},
+            {"emitted": -1},
+            {"buf_start": 900},
+            {"buf_start": 1000},
+            {"seen": 1200},
+            {"seen": 900},
+        ],
+    )
+    def test_import_refuses_watermarks_export_could_not_write(
+        self, record, change
+    ):
+        """``emitted`` 1 500 after 1 000 samples would resume at 1 500 and
+        never produce columns 1 000-1 500; 10**9 would never emit again."""
+        runner = StreamPipeline([StaLtaOp(5, 50)]).incremental(record.shape[0])
+        runner.push(record[:, :1000])
+        state = runner.export_state()
+        assert (state["emitted"], state["buf_start"]) == (1000, 951)
+        tail = record[:, state["buf_start"] : state["seen"]]
+        fresh = StreamPipeline([StaLtaOp(5, 50)]).incremental(record.shape[0])
+        with pytest.raises(ConfigError):
+            fresh.import_state({**state, **change}, tail)
+
+    def test_import_refuses_a_carried_state_export_could_not_write(
+        self, record
+    ):
+        runner = _carried_runner(record)
+        runner.push(record[:, :2200])
+        state = runner.export_state()
+        late = state["buf_start"] + 400
+        with pytest.raises(ConfigError, match="needs"):
+            _carried_runner(record).import_state(
+                {**state, "buf_start": late}, record[:, late : state["seen"]]
+            )
+        tail = record[:, state["buf_start"] : state["seen"]]
+        short = state["forward_state"][:-8]
+        for forward_state in (None, "not base64!", [[0.0]], short):
+            with pytest.raises(ConfigError, match="forward state"):
+                _carried_runner(record).import_state(
+                    {**state, "forward_state": forward_state}, tail
+                )
+
+    def test_records_around_padlen_end_as_batch_filtfilt_ends_them(self, record):
+        ops = [FiltFiltOp(*CARRIED_BA), StaLtaOp(2, 5)]
+        padlen = ops[0].padlen
+        for n in (padlen, padlen + 1):
+            runner = StreamPipeline(ops).incremental(record.shape[0], fs=200.0)
+            runner.push(record[:, : n // 2])
+            runner.push(record[:, n // 2 : n])
+            if n <= padlen:
+                with pytest.raises(ValueError):
+                    runner.flush()
+                continue
+            ((j0, j1), block), = runner.flush()
+            whole = StreamPipeline(ops).run(record[:, :n], fs=200.0).output
+            assert (j0, j1) == (0, n)
+            np.testing.assert_array_equal(block, whole)
+
+    def test_a_flushed_state_round_trips(self, record):
+        runner = StreamPipeline([StaLtaOp(5, 50)]).incremental(record.shape[0])
+        runner.push(record[:, :1000])
+        runner.flush()
+        state = runner.export_state()
+        fresh = StreamPipeline([StaLtaOp(5, 50)]).incremental(record.shape[0])
+        fresh.import_state(state, record[:, state["buf_start"] : state["seen"]])
+        assert fresh.export_state() == state
+
+
+GEN_FS = 100.0
+GEN_SAMPLES = 1800
+#: Settle lengths 552 and 236 samples at 100 Hz, order 4 (padlen 27).
+GEN_BANDS = ((2.0, 20.0), (5.0, 30.0))
+GEN_PADLEN = 27
+GEN_PIECE = st.one_of(
+    st.just(1),
+    st.integers(2, GEN_PADLEN),
+    st.integers(GEN_PADLEN + 1, 400),
+    st.integers(600, GEN_SAMPLES),
+)
+
+
+def _gen_chain(detector, band):
+    return DetectorConfig(
+        detector=detector,
+        band=band,
+        similarity=LocalSimilarityConfig(
+            half_window=10, channel_offset=1, half_lag=3, stride=10
+        ),
+        nsta=10,
+        nlta=60,
+    ).operators(GEN_FS)
+
+
+def _gen_record():
+    return np.random.default_rng(25).standard_normal((5, GEN_SAMPLES))
+
+
+class _CountingLfilter:
+    """Wraps ``repro.daslib.filtfilt``'s ``lfilter`` and records the
+    samples each call filters, in call order."""
+
+    def __init__(self):
+        self.module = importlib.import_module("repro.daslib.filtfilt")
+        self.real = self.module.lfilter
+        self.calls: list[int] = []
+
+    def __call__(self, b, a, x, *args, **kwargs):
+        self.calls.append(np.shape(x)[-1])
+        return self.real(b, a, x, *args, **kwargs)
+
+    def take(self) -> list[int]:
+        calls, self.calls = self.calls, []
+        return calls
+
+
+class TestCarriedForwardPass:
+    """Generated cut lists through the detector chains the service runs.
+
+    Every cut pattern — 1-sample pieces, a first piece shorter than the
+    filter's ``padlen``, pieces longer than its settle length, the record
+    in one piece — must tile the output axis, stay within the settle
+    tolerance of whole-record ``filtfilt`` → detector, and end in a
+    ``flush`` emission that is *exactly* the detector on whole-record
+    ``filtfilt``.  The filter does each sample's forward work once: per
+    push, the piece (plus ``padlen`` where the record opens); per
+    emission, the backward pass over its need plus one settle length.
+    """
+
+    @pytest.mark.parametrize("band", GEN_BANDS)
+    @pytest.mark.parametrize("detector", ["local_similarity", "sta_lta"])
+    @settings(max_examples=6, deadline=None)
+    @given(pieces=st.lists(GEN_PIECE, max_size=10))
+    @example(pieces=[])  # the record in one piece
+    @example(pieces=[400] + [1] * 40)  # 1-sample pieces around the seam
+    @example(pieces=[5, 1, 1, 700])  # first pieces shorter than padlen
+    @example(pieces=[700, 700])  # pieces longer than the settle length
+    def test_cut_lists_match_the_whole_record(self, detector, band, pieces):
+        ops = _gen_chain(detector, band)
+        head, tail = ops[0], ops[1:]
+        settle = head.halo[1]
+        assert head.padlen == GEN_PADLEN
+        record = _gen_record()
+        filtered = filtfilt(head.b, head.a, record)
+        whole = StreamPipeline(ops).run(record, fs=GEN_FS).output
+
+        cuts = sorted({min(c, GEN_SAMPLES) for c in np.cumsum([0] + pieces)})
+        cuts = [c for c in cuts if c < GEN_SAMPLES] + [GEN_SAMPLES]
+        runner = StreamPipeline(ops).incremental(record.shape[0], fs=GEN_FS)
+        counter = _CountingLfilter()
+        emitted = []
+        opened = False
+        with mock.patch.object(counter.module, "lfilter", counter):
+            for lo, hi in zip(cuts, cuts[1:]):
+                out = runner.push(record[:, lo:hi])
+                calls = counter.take()
+                backward = []
+                for (j0, j1), _block in out:
+                    a, b = _needed(ops, (j0, j1), None)[1]
+                    backward.append(b + settle - a)
+                forward = calls[: len(calls) - len(backward)]
+                assert calls[len(forward) :] == backward
+                if opened:
+                    assert sum(forward) == hi - lo
+                elif hi > GEN_PADLEN:
+                    assert sum(forward) == hi + GEN_PADLEN
+                    opened = True
+                else:
+                    assert forward == []
+                emitted += out
+            ((j0, j1), last), = runner.flush()
+            totals, rates, _ = _levels(ops, record.shape[0], GEN_SAMPLES, GEN_FS)
+            a, b = _needed(ops, (j0, j1), totals)[1]
+            assert counter.take() == [GEN_PADLEN, GEN_SAMPLES + GEN_PADLEN - a]
+
+        intervals = [iv for iv, _ in emitted] + [(j0, j1)]
+        assert intervals[0][0] == 0 and j1 == whole.shape[1]
+        assert all(p[1] == c[0] for p, c in zip(intervals, intervals[1:]))
+        streamed = np.concatenate([blk for _, blk in emitted] + [last], axis=1)
+        np.testing.assert_allclose(streamed, whole, rtol=0, atol=1e-8)
+
+        # The flush emission: the detector on whole-record filtfilt, exactly.
+        needs = _needed(ops, (j0, j1), totals)
+        want, _ = _run_chain(
+            tail, filtered[:, a:b], needs[1:], totals[1:], rates[1:],
+            [None] * len(tail), 0, None,
+        )
+        np.testing.assert_array_equal(last, want)
+        if detector == "local_similarity":
+            # position-independent windows: also the batch run's columns
+            np.testing.assert_array_equal(last, whole[:, j0:j1])
+
 
 
 # ---------------------------------------------------------------------------
