@@ -32,7 +32,9 @@ down to the unit, every sample lands once.
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_right
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
 
@@ -220,6 +222,18 @@ class Dataset:
         """Whether the sources cover every element exactly once, so a read
         has nothing to pre-fill."""
         return sources_tile(self.shape, self.virtual_sources)
+
+    @cached_property
+    def _source_index(self) -> tuple[list[int], list[int], list[int]]:
+        """The virtual sources ordered by their start on the last axis:
+        ``(starts, reach, order)`` — sorted starts, the running maximum of
+        the ends in that order, and each position's declaration index.  A
+        read bisects both lists to the sources that can touch it."""
+        sources = self.virtual_sources
+        order = sorted(range(len(sources)), key=lambda i: sources[i].dst_start[-1])
+        starts = [sources[i].dst_start[-1] for i in order]
+        ends = [start + sources[i].count[-1] for start, i in zip(starts, order)]
+        return starts, list(itertools.accumulate(ends, max)), order
 
     def __repr__(self) -> str:
         return (
@@ -604,7 +618,17 @@ class Dataset:
             out[...] = fill
         handler = file.on_source_error
         skip = file.skip_sources
-        for source in self.virtual_sources:
+        # Only sources starting at or before the lattice's last index on the
+        # last axis, and past a reach beyond its first, can overlap it; they
+        # are visited in declaration order, so where sources overlap the
+        # later one still wins.
+        first = hs.start[-1]
+        last = first + (hs.count[-1] - 1) * hs.stride[-1]
+        starts, reach, order = self._source_index
+        candidates = order[bisect_right(reach, first) : bisect_right(starts, last)]
+        sources = self.virtual_sources
+        for k in sorted(candidates):
+            source = sources[k]
             ov = _strided_chunk_overlap(hs, source.dst_start, source.count)
             if ov is None:
                 continue

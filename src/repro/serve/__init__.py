@@ -6,7 +6,8 @@ zoomed-out previews, and event feeds off one VCA archive — the
 "watch seismic like a movie" story.
 
 * :mod:`repro.serve.server` — :class:`DataServer` /
-  :class:`ServeSession`: requests lower through the query planner onto
+  :class:`ServeSession`: a window is one view read, a preview a pyramid
+  slice (or the planner's ``DecimateOp`` over the raw window), all on
   pooled, block-cached, degraded-read-safe strided backend reads.
 * :mod:`repro.serve.pyramid` — precomputed decimation pyramids (built
   with the core ``DecimateOp``, stored as codec+CRC hdf5lite datasets)

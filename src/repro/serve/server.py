@@ -10,11 +10,12 @@ Tenants get :class:`ServeSession` handles; every call admits *before* any
 backend byte moves and records its end-to-end latency into the tenant's
 reservoir.
 
-Request lowering is the PR 7 planner end to end: a ``read_window`` becomes
-``Query.scan → select_channels → decimate`` over a
-:class:`~repro.storage.chunks.SourceView`, so channel selection and the
-sample stride are pushed into strided backend reads — the session never
-materialises more than the answer.
+A ``read_window`` is a storage read, not a plan: its channel range, time
+window and sample stride are one :class:`~repro.storage.chunks.SourceView`
+of the archive source, read once, so selection and stride are pushed into
+strided backend reads and the session never materialises more than the
+answer.  Only what computes goes through the planner — a preview that no
+stored pyramid level serves streams ``DecimateOp`` over the raw window.
 """
 
 from __future__ import annotations
@@ -54,7 +55,9 @@ class ServeConfig:
 
     ``on_error="mask"`` is the serving default: a viewer scrubbing
     through a damaged archive should see NaN spans (rendered as gaps),
-    not 500s.
+    not 500s.  ``chunk_samples`` sizes only the raw-window preview
+    fallback, the one request that streams through the planner; windows
+    are single reads and pyramid previews single slices.
     """
 
     cache_bytes: int = 64 << 20
@@ -115,8 +118,8 @@ class DataServer:
 
     Safe for concurrent sessions: backend reads serialize on the
     per-file I/O lock under the pool, the block cache and admission
-    controller carry their own locks, and the per-request planner state
-    is session-local.
+    controller carry their own locks, and per-request state — a window's
+    view, a raw preview's plan — is built and dropped by the request.
     """
 
     def __init__(
@@ -272,11 +275,12 @@ class ServeSession:
     ) -> WindowResult:
         """Rows ``[lo, hi)``, every ``step``-th raw sample of ``[t0, t1)``.
 
-        Bit-exact to ``raw[lo:hi, t0:t1][:, ::step]`` — the request
-        lowers through the planner onto a
-        :class:`~repro.storage.chunks.SourceView`, so the stride
-        lattice anchors at the window start and the storage layer fetches
-        it as bounding spans (never more than the window's block).
+        Bit-exact to ``raw[lo:hi, t0:t1][:, ::step]`` — the request is one
+        read of a :class:`~repro.storage.chunks.SourceView` of the archive,
+        so the stride lattice anchors at the window start and the storage
+        layer fetches it as bounding spans (never more than the window's
+        block).  Nothing is computed, so no plan is built: this is the read
+        the planner's compute-free path makes for the same query.
         """
         t0, t1 = self._window(t0, t1)
         lo, hi = self._channels(channels)
@@ -292,17 +296,10 @@ class ServeSession:
         # IOStats delta attributes concurrent tenants' reads to whoever
         # reconciles first — best-effort under concurrency, exact solo.)
         read_before = self.server.iostats.total_bytes_read()
-        window = SourceView(self.server.source, t0=t0, t1=t1)
-        query = Query.scan(None)
-        if (lo, hi) != (0, self.server.n_channels):
-            query = query.select_channels(lo, hi)
-        if step > 1:
-            query = query.decimate(step)
-        plan = optimize(
-            query,
-            chunk_samples=self.server.config.chunk_samples,
+        view = SourceView(
+            self.server.source, channel_lo=lo, channel_hi=hi, t0=t0, t1=t1, step=step
         )
-        (result,) = execute(plan, source=window, iostats=self.server.iostats)
+        data = view.read(0, view.n_samples)
         self.server.admission.reconcile(
             admission,
             self.server.iostats.total_bytes_read() - read_before,
@@ -311,7 +308,7 @@ class ServeSession:
             self.tenant, time.perf_counter() - started
         )
         return WindowResult(
-            data=result.output,
+            data=data,
             t0=t0,
             t1=t1,
             step=step,
@@ -408,16 +405,21 @@ class ServeSession:
         """Catalog events overlapping raw window ``[t0, t1)`` (event
         times are seconds; the archive's rate converts)."""
         t0, t1 = self._window(t0, t1)
+        started = time.perf_counter()
         self._admit(0, wait)
         fs = self.server.fs
         if not fs:
             raise ServeError("archive has no sampling rate; cannot map times")
         t0_s, t1_s = t0 / fs, t1 / fs
-        return [
+        hits = [
             ev
             for ev in self.server.load_events()
             if ev.event.t_start < t1_s and ev.event.t_end >= t0_s
         ]
+        self.server.admission.record_latency(
+            self.tenant, time.perf_counter() - started
+        )
+        return hits
 
     def metrics(self) -> dict:
         """This tenant's admission/latency counters and reservoirs."""

@@ -15,6 +15,10 @@ Invariants:
 * a virtual dataset pre-fills only when its sources do not tile it
   (``sources_tile`` against a brute-force cover count), and a skipped,
   masked or corrupt source marks its own span and nothing else;
+* a virtual read intersects only the sources its time range can reach
+  (bisected, at most one more than it touches among 1 440), and equals
+  the full scan of every source in declaration order — values, fills and
+  masked spans — on tiled, channel-grouped and overlapping layouts;
 * warm cached reads look each touched unit up once;
 * a codec chunk read hands its selection to the decoder — with or without
   a sidecar, verified or not, cached, uncached or under a cache too small
@@ -35,6 +39,7 @@ from hypothesis import strategies as st
 
 from repro.errors import CorruptDataError, FormatError, SelectionError
 from repro.hdf5lite import CacheConfig, File, VirtualSource
+from repro.hdf5lite import dataset as dataset_module
 from repro.hdf5lite.codecs import TransposeZlibCodec
 from repro.hdf5lite.dataset import Dataset
 from repro.hdf5lite.hyperslab import (
@@ -410,6 +415,149 @@ def test_virtual_values_pass_through_the_virtual_dtype(tmp_path):
         f.dataset("v").read_direct(Hyperslab.full((3, 8)), out)
     np.testing.assert_array_equal(out, data.astype(np.float32).astype(np.float64))
     assert not np.array_equal(out, data)
+
+
+def test_a_virtual_read_intersects_only_the_sources_it_can_reach(
+    tmp_path, monkeypatch
+):
+    """A day of minute files, by count: a window read bisects to the
+    sources its time range reaches instead of intersecting all 1 440."""
+    n_sources, width = 1440, 8
+    data = np.random.default_rng(4).normal(size=(3, n_sources * width))
+    data = data.astype(np.float32)
+    with File(str(tmp_path / "day.h5"), "w") as f:
+        f.create_dataset("d", data=data)
+    with File(str(tmp_path / "v.h5"), "w") as f:
+        f.create_dataset(
+            "v",
+            shape=data.shape,
+            dtype=np.float32,
+            virtual_sources=[
+                VirtualSource("day.h5", "/d", (0, k * width), (0, k * width), (3, width))
+                for k in range(n_sources)
+            ],
+        )
+    tests = []
+    real = dataset_module._strided_chunk_overlap
+    monkeypatch.setattr(
+        dataset_module,
+        "_strided_chunk_overlap",
+        lambda *args: tests.append(1) or real(*args),
+    )
+    with File(str(tmp_path / "v.h5"), "r") as f:
+        ds = f.dataset("v")
+        for sel in (
+            np.s_[:, 0:1],
+            np.s_[:, 4003:4053],
+            np.s_[1:2, 9000:9600:7],
+            np.s_[:, -3:],
+            np.s_[0:2, 5:6000:8],
+        ):
+            hs, _ = normalize_selection(sel, ds.shape)
+            tests.clear()
+            np.testing.assert_array_equal(ds.read_hyperslab(hs), data[sel])
+            # strides <= width: the lattice lands on every source it spans
+            lattice = hs.start[1] + np.arange(hs.count[1]) * hs.stride[1]
+            touched = len(np.unique(lattice // width))
+            assert len(tests) <= touched + 1
+
+
+@pytest.fixture(scope="module")
+def pieces(tmp_path_factory):
+    """Two 8 x 200 float32 files that virtual sources take their regions
+    from; a third name, ``gone.h5``, never exists."""
+    root = tmp_path_factory.mktemp("pieces")
+    rng = np.random.default_rng(13)
+    held = {}
+    for name in ("a.h5", "b.h5"):
+        held[name] = rng.normal(size=(8, 200)).astype(np.float32)
+        with File(str(root / name), "w") as f:
+            f.create_dataset("d", data=held[name])
+    return root, held
+
+
+@st.composite
+def layouts(draw):
+    """A virtual dataset's shape and sources, in a drawn declaration order:
+    tiled along time (a VCA), tiled as channel groups x time pieces, or
+    loose boxes that may overlap and leave holes."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 60)))
+
+    def pieces_of(n, most):
+        cuts = draw(st.lists(st.integers(1, n - 1), max_size=most, unique=True)) if n > 1 else []
+        edges = [0, *sorted(cuts), n]
+        return list(zip(edges, edges[1:]))
+
+    kind = draw(st.sampled_from(["time", "grouped", "loose"]))
+    if kind == "loose":
+        boxes = []
+        for _ in range(draw(st.integers(1, 8))):
+            lo = tuple(draw(st.integers(0, dim - 1)) for dim in shape)
+            hi = tuple(draw(st.integers(a + 1, dim)) for a, dim in zip(lo, shape))
+            boxes.append(((lo[0], hi[0]), (lo[1], hi[1])))
+    else:
+        rows = pieces_of(shape[0], 3) if kind == "grouped" else [(0, shape[0])]
+        boxes = [(r, t) for r in rows for t in pieces_of(shape[1], 10)]
+    sources = []
+    for (r0, r1), (t0, t1) in draw(st.permutations(boxes)):
+        count = (r1 - r0, t1 - t0)
+        sources.append(
+            VirtualSource(
+                draw(st.sampled_from(["a.h5", "a.h5", "b.h5", "gone.h5"])),
+                "/d",
+                (draw(st.integers(0, 8 - count[0])), draw(st.integers(0, 200 - count[1]))),
+                (r0, t0),
+                count,
+            )
+        )
+    return shape, sources
+
+
+@settings(max_examples=150, deadline=None)
+@given(layout=layouts(), data=st.data())
+def test_indexed_virtual_read_is_the_full_scan(pieces, layout, data):
+    root, held = pieces
+    shape, sources = layout
+    sel = data.draw(selections(shape))
+    hs, _ = normalize_selection(sel, shape)
+    skip = data.draw(st.sets(st.sampled_from(["a.h5", "b.h5", "gone.h5"]), max_size=1))
+    path = str(root / "v.h5")
+    with File(path, "w") as f:
+        f.create_dataset(
+            "v", shape=shape, dtype=np.float32, fill=3, virtual_sources=sources
+        )
+
+    def read(full_scan):
+        masked = []
+        with File(path, "r") as f:
+            f.skip_sources.update(skip)
+            f.on_source_error = (
+                lambda source, overlap, exc: masked.append((source, overlap)) or -1.0
+            )
+            ds = f.dataset("v")
+            if full_scan:  # every source is a candidate, in declaration order
+                n = len(sources)
+                ds.__dict__["_source_index"] = ([0] * n, [float("inf")] * n, list(range(n)))
+            out = np.full(hs.count, -7.0)
+            ds.read_direct(hs, out)
+        return out, masked
+
+    out, masked = read(full_scan=False)
+    scan_out, scan_masked = read(full_scan=True)
+    np.testing.assert_array_equal(out, scan_out)
+    assert masked == scan_masked
+    # ... and both are the sources painted in declaration order
+    painted = np.full(shape, 3.0)
+    for source in sources:
+        (r0, t0), (rc, tc), (s0, u0) = source.dst_start, source.count, source.src_start
+        if source.file in skip:
+            value = 3.0  # no source_fill: the dataset's fill
+        elif source.file == "gone.h5":
+            value = -1.0  # what the handler masks with
+        else:
+            value = held[source.file][s0 : s0 + rc, u0 : u0 + tc]
+        painted[r0 : r0 + rc, t0 : t0 + tc] = value
+    np.testing.assert_array_equal(out, painted[sel])
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 The contract under test (``repro.serve.server``):
 
 * ``read_window`` is bit-exact to slicing the raw record —
-  ``raw[lo:hi, t0:t1][:, ::step]`` — because the request lowers through
-  the planner onto a :class:`~repro.storage.chunks.SourceView`;
+  ``raw[lo:hi, t0:t1][:, ::step]`` — and, data and gaps, to the planner
+  asked for the same window, on clean and degraded archives alike: it is
+  one read of a :class:`~repro.storage.chunks.SourceView`, and never
+  enters the chunk loop;
 * ``preview`` served from a stored pyramid level is pixel-identical to
   the raw-path computation when the pixel pitch aligns with the level's
   factor (both emit on the absolute lattice ``j * factor``);
@@ -12,7 +14,7 @@ The contract under test (``repro.serve.server``):
   clipped :class:`~repro.storage.gaps.GapSpan` rows in the result, and
   masked preview pixels;
 * every request admits first — quota rejections are the typed taxonomy
-  errors and land in the tenant's metrics.
+  errors and land in the tenant's metrics — and records its latency.
 """
 
 from __future__ import annotations
@@ -22,11 +24,15 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repro.core import optimizer, pipeline
 from repro.core.detection import DetectedEvent
 from repro.core.graph import Query
 from repro.core.optimizer import execute, optimize
 from repro.errors import QuotaExceededError, ServeError
+from repro.faults.inject import FaultInjector
 from repro.hdf5lite import File
 from repro.rt.events import EventSink, SeamEvent
 from repro.serve import (
@@ -49,11 +55,11 @@ SPM = 600  # samples per minute-file
 FS = 10.0
 
 
-def make_vca(root: str, seed: int = 7):
+def make_vca(root: str, seed: int = 7, minutes: int = MINUTES, checksum: bool = False):
     rng = np.random.default_rng(seed)
     stamp = "170620100545"
     paths = []
-    for _ in range(MINUTES):
+    for _ in range(minutes):
         block = rng.normal(size=(N_CHANNELS, SPM)).astype(np.float32)
         path = os.path.join(root, das_filename(stamp))
         write_das_file(
@@ -66,6 +72,7 @@ def make_vca(root: str, seed: int = 7):
                 n_channels=N_CHANNELS,
             ),
             channel_groups=False,
+            checksum=checksum,
         )
         paths.append(path)
         stamp = timestamp_add_seconds(stamp, 60)
@@ -131,6 +138,86 @@ def test_read_window_validates(archive):
             session.read_window(0, 10, channels=(5, 3))
         with pytest.raises(ServeError):
             session.read_window(0, 10, step=0)
+
+
+SEAM_MINUTES = 4
+LOST = (SPM, 3 * SPM)  # minute 1 removed, minute 2 corrupted
+
+
+@pytest.fixture(scope="module")
+def seam_archives(tmp_path_factory):
+    """The same four checksummed minutes twice: as written, and with minute
+    1 removed and one bit of minute 2 flipped.  Returns both VCAs and the
+    clean record."""
+    clean, _ = make_vca(
+        str(tmp_path_factory.mktemp("clean")), minutes=SEAM_MINUTES, checksum=True
+    )
+    degraded, paths = make_vca(
+        str(tmp_path_factory.mktemp("degraded")), minutes=SEAM_MINUTES, checksum=True
+    )
+    injector = FaultInjector(seed=3)
+    injector.vanish(paths[1])
+    injector.bit_flip(paths[2])
+    return {"clean": clean, "degraded": degraded}, raw_record(clean)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_read_window_is_the_planner_route_across_seams(seam_archives, data):
+    archives, raw = seam_archives
+    n = raw.shape[1]
+
+    def near_a_seam():
+        at = data.draw(st.integers(0, SEAM_MINUTES)) * SPM
+        return min(max(at + data.draw(st.integers(-20, 20)), 0), n)
+
+    t0, t1 = near_a_seam(), near_a_seam()
+    assume(t0 < t1)
+    lo = data.draw(st.integers(0, N_CHANNELS - 1))
+    hi = data.draw(st.integers(lo + 1, N_CHANNELS))
+    step = data.draw(st.integers(1, 16))
+    kind = data.draw(st.sampled_from(sorted(archives)))
+    vca = archives[kind]
+    with DataServer(vca) as server:
+        got = server.session("viewer").read_window(t0, t1, channels=(lo, hi), step=step)
+    query = Query.scan(None).select_channels(lo, hi)
+    if step > 1:
+        query = query.decimate(step)
+    with open_stream(vca, on_error="mask") as src:
+        (direct,) = execute(optimize(query), source=SourceView(src, t0=t0, t1=t1))
+        direct_gaps = [(g.source, g.t0, g.t1, g.reason) for g in src.gaps]
+    np.testing.assert_array_equal(got.data, direct.output)
+    assert [(g.source, g.t0, g.t1, g.reason) for g in got.gaps] == direct_gaps
+
+    want = raw[lo:hi, t0:t1][:, ::step].copy()
+    lattice = np.arange(t0, t1, step)
+    lost = (lattice >= LOST[0]) & (lattice < LOST[1])
+    if kind == "clean":
+        assert got.gaps == []
+    else:
+        want[:, lost] = np.nan
+        assert all(LOST[0] <= g.t0 < g.t1 <= LOST[1] for g in got.gaps)
+        covered = [any(g.t0 <= t < g.t1 for g in got.gaps) for t in lattice]
+        np.testing.assert_array_equal(covered, lost)
+    np.testing.assert_array_equal(got.data, want)
+
+
+def test_read_window_never_enters_the_chunk_loop(archive, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("entered run_chunks")
+
+    monkeypatch.setattr(pipeline, "run_chunks", refuse)
+    monkeypatch.setattr(optimizer, "run_chunks", refuse)
+    vca, _ = archive
+    raw = raw_record(vca)
+    with DataServer(vca) as server:
+        session = server.session("viewer")
+        got = session.read_window(37, 1788, channels=(1, 7), step=7)
+        np.testing.assert_array_equal(got.data, raw[1:7, 37:1788:7])
+        # the patch bites: a preview no stored level serves computes, and
+        # goes through the chunk loop
+        with pytest.raises(AssertionError, match="run_chunks"):
+            session.preview(0, 1800, width=64, use_pyramid=False)
 
 
 # -- previews ----------------------------------------------------------------
@@ -315,6 +402,20 @@ def test_quota_rejection_is_typed_and_counted(archive):
 
         # the other tenant's bucket is untouched
         server.session("tenant-b").read_window(0, 100, wait=False)
+
+
+def test_every_request_kind_records_its_latency(archive, tmp_path):
+    vca, _ = archive
+    log = tmp_path / "events.jsonl"
+    EventSink(str(log)).emit([_event(1, 5.0, 8.0)])
+    with DataServer(vca, events_path=str(log)) as server:
+        session = server.session("viewer")
+        session.read_window(0, 100)
+        session.preview(0, 1800, width=64)
+        assert len(session.events(0, 1800)) == 1
+        metrics = session.metrics()
+    assert metrics["admitted"] == 3
+    assert metrics["latency"]["count"] == 3
 
 
 def test_requests_reconcile_actual_backend_bytes(archive):
