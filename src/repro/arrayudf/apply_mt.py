@@ -20,7 +20,6 @@ than once per core — the memory fix of Fig. 8.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Callable
 
 import numpy as np
@@ -28,7 +27,6 @@ import numpy as np
 from repro.arrayudf.apply import cell_grid
 from repro.arrayudf.stencil import Stencil
 from repro.errors import UDFError
-from repro.faults.policy import RETRYABLE, FailurePolicy, TaskFailure, retry_call
 
 
 def static_schedule(n_items: int, n_threads: int, thread: int) -> tuple[int, int]:
@@ -51,25 +49,12 @@ def apply_mt(
     col_stride: int = 1,
     boundary: str = "error",
     dtype: object = np.float64,
-    policy: FailurePolicy | None = None,
-    failures: list[TaskFailure] | None = None,
 ) -> np.ndarray:
     """Multithreaded Apply (Algorithm 1).  Same contract as
     :func:`repro.arrayudf.apply.apply`, computed by ``threads`` worker
     threads with per-thread result vectors merged via prefix offsets.
-
-    With a :class:`~repro.faults.policy.FailurePolicy`, execution switches
-    from the paper's static schedule to a fault-tolerant task queue:
-    cells are grouped into contiguous tasks pulled by workers, a failing
-    task is retried (``policy.retries``, exponential ``policy.backoff``),
-    tasks running longer than ``policy.timeout`` get a speculative second
-    copy on an idle worker (writes land in disjoint output ranges, so
-    re-execution is idempotent), and a task that stays broken either
-    raises a :class:`~repro.errors.UDFError` (``fail_fast``) or fills its
-    cells with ``policy.fill`` and appends a
-    :class:`~repro.faults.policy.TaskFailure` to ``failures``
-    (``continue``).  Without a policy, behaviour is byte-identical to the
-    original static schedule."""
+    A failing UDF raises :class:`~repro.errors.UDFError` chained to the
+    first worker's exception."""
     block = np.asarray(block)
     row_cells, col_cells = cell_grid(
         block.shape, core_rows, core_cols, row_stride, col_stride
@@ -79,11 +64,6 @@ def apply_mt(
     if threads < 1:
         raise UDFError("threads must be >= 1")
     threads = min(threads, max(1, n_cells))
-    if policy is not None:
-        return _apply_mt_ft(
-            block, udf, threads, row_cells, col_cells, boundary, dtype,
-            policy, failures,
-        )
 
     # Shared result vector R and per-thread private vectors Rp.
     result = np.empty(n_cells, dtype=dtype)
@@ -136,212 +116,3 @@ def apply_mt(
         raise UDFError(f"UDF failed in ApplyMT: {type(first).__name__}: {first}") from first
     return result.reshape(n_rows, n_cols)
 
-
-class _TaskBoard:
-    """Shared scheduler state for the fault-tolerant path.
-
-    One lock covers the whole board: task statuses, straggler bookkeeping,
-    and the error list move together (a speculative copy decision reads
-    status + started + speculated in one breath), so finer locks would buy
-    nothing and invite inversions.  Result writes happen under the same
-    lock so "never demote a finished copy" and the published cells can
-    never disagree.
-    """
-
-    def __init__(self, n_tasks: int):
-        self._lock = threading.Lock()
-        self.status = ["pending"] * n_tasks  # guarded-by: _lock
-        self.started = [0.0] * n_tasks  # guarded-by: _lock
-        self.speculated = [False] * n_tasks  # guarded-by: _lock
-        self.errors: list[tuple] = []  # guarded-by: _lock
-        self.stop = threading.Event()
-
-    def claim(self, timeout: float | None) -> tuple[int | None, bool]:
-        """Claim a pending task, or a straggler eligible for a speculative
-        copy; ``(None, False)`` when neither exists right now."""
-        now = time.monotonic()
-        with self._lock:
-            for tid, st in enumerate(self.status):
-                if st == "pending":
-                    self.status[tid] = "running"
-                    self.started[tid] = now
-                    return tid, False
-            if timeout is not None:
-                for tid, st in enumerate(self.status):
-                    if (
-                        st == "running"
-                        and not self.speculated[tid]
-                        and now - self.started[tid] > timeout
-                    ):
-                        self.speculated[tid] = True
-                        return tid, True
-        return None, False
-
-    def any_running(self) -> bool:
-        with self._lock:
-            return any(st == "running" for st in self.status)
-
-    def finish(self, tid: int, result: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
-        """A successful copy: publish the output and mark the task done."""
-        with self._lock:
-            result[lo:hi] = out
-            self.status[tid] = "done"
-
-    def fail(
-        self,
-        tid: int,
-        attempts: int,
-        exc: BaseException,
-        fail_fast: bool,
-        result: np.ndarray,
-        lo: int,
-        hi: int,
-        salvaged: np.ndarray | None,
-        bad: list[int] | None,
-    ) -> None:
-        """A failed copy: record the error, or the salvage outcome."""
-        with self._lock:
-            if self.status[tid] == "done":  # never demote a finished copy
-                return
-            if fail_fast:
-                self.status[tid] = "failed"
-                self.errors.append((tid, attempts, exc, []))
-                self.stop.set()
-            else:
-                result[lo:hi] = salvaged
-                if bad:
-                    self.status[tid] = "failed"
-                    self.errors.append((tid, attempts, exc, bad))
-                else:  # every cell recovered on the isolation pass
-                    self.status[tid] = "done"
-
-    def final_failures(self) -> list[tuple]:
-        """Failures not rescued by a later successful copy."""
-        with self._lock:
-            return [e for e in self.errors if self.status[e[0]] != "done"]
-
-
-def _apply_mt_ft(
-    block: np.ndarray,
-    udf: Callable[[Stencil], float],
-    threads: int,
-    row_cells,
-    col_cells,
-    boundary: str,
-    dtype: object,
-    policy: FailurePolicy,
-    failures: list[TaskFailure] | None,
-) -> np.ndarray:
-    """Fault-tolerant ApplyMT: task queue + retry + speculative stragglers.
-
-    Cells are linearised and split into ``~4x threads`` contiguous tasks;
-    each task's output range in the shared result is disjoint, so running
-    a task twice (retry or speculative straggler copy) writes the same
-    values — the MapReduce idempotence argument.
-    """
-    n_rows, n_cols = len(row_cells), len(col_cells)
-    n_cells = n_rows * n_cols
-    result = np.empty(n_cells, dtype=dtype)
-    n_tasks = min(max(1, n_cells), threads * 4)
-    bounds = [static_schedule(n_cells, n_tasks, t) for t in range(n_tasks)]
-    board = _TaskBoard(n_tasks)
-
-    def run_task(tid: int) -> np.ndarray:
-        lo, hi = bounds[tid]
-        out = np.empty(hi - lo, dtype=dtype)
-        for i, flat in enumerate(range(lo, hi)):
-            row = row_cells[flat // n_cols]
-            col = col_cells[flat % n_cols]
-            out[i] = udf(Stencil(block, row, col, boundary=boundary))
-        return out
-
-    def attempt(tid: int) -> tuple[np.ndarray | None, int, BaseException | None]:
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                return run_task(tid), attempts, None
-            except RETRYABLE as exc:
-                if attempts > policy.retries:
-                    return None, attempts, exc
-                if policy.backoff > 0:
-                    time.sleep(policy.backoff * (2 ** (attempts - 1)))
-            except Exception as exc:  # noqa: BLE001 - a deterministic UDF bug; retrying cannot help
-                return None, attempts, exc
-
-    def salvage(tid: int) -> tuple[np.ndarray, list[int]]:
-        """Continue-mode cell isolation: re-run a failed task cell by
-        cell so only the cells that actually fail become fill values."""
-        lo, hi = bounds[tid]
-        out = np.empty(hi - lo, dtype=dtype)
-        bad: list[int] = []
-        for i, flat in enumerate(range(lo, hi)):
-            row = row_cells[flat // n_cols]
-            col = col_cells[flat % n_cols]
-            try:
-                out[i] = retry_call(
-                    lambda: udf(Stencil(block, row, col, boundary=boundary)),
-                    retries=policy.retries,
-                    backoff=policy.backoff,
-                )
-            except Exception:  # noqa: BLE001 - the cell stays lost; fill and report it
-                out[i] = policy.fill
-                bad.append(flat)
-        return out, bad
-
-    def worker() -> None:
-        while not board.stop.is_set():
-            tid, _speculative = board.claim(policy.timeout)
-            if tid is None:
-                if not board.any_running():
-                    return
-                # Wait for in-flight tasks: either they finish, or (with a
-                # timeout) they become eligible for a speculative copy.
-                time.sleep(
-                    0.001 if policy.timeout is None else min(0.01, policy.timeout / 10)
-                )
-                continue
-            out, attempts, exc = attempt(tid)
-            lo, hi = bounds[tid]
-            if out is not None:
-                board.finish(tid, result, lo, hi, out)
-                continue
-            salvaged, bad = None, None
-            if not policy.fail_fast:
-                salvaged, bad = salvage(tid)
-            board.fail(
-                tid, attempts, exc, policy.fail_fast, result, lo, hi, salvaged, bad
-            )
-
-    n_workers = min(threads, n_tasks)
-    if n_workers == 1:
-        worker()
-    else:
-        pool = [
-            threading.Thread(target=worker, name=f"applymt-ft-{h}")
-            for h in range(n_workers)
-        ]
-        for t in pool:
-            t.start()
-        for t in pool:
-            t.join()
-
-    final = board.final_failures()
-    if final and policy.fail_fast:
-        tid, attempts, exc, _bad = final[0]
-        lo, hi = bounds[tid]
-        raise UDFError(
-            f"ApplyMT task {tid} (cells [{lo}, {hi})) failed after "
-            f"{attempts} attempts: {type(exc).__name__}: {exc}"
-        ) from exc
-    if failures is not None:
-        for tid, attempts, exc, bad in final:
-            lo, hi = bounds[tid]
-            failures.append(
-                TaskFailure(
-                    unit=f"cells[{lo}:{hi}) ({len(bad)} lost)",
-                    attempts=attempts,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-    return result.reshape(n_rows, n_cols)

@@ -1,7 +1,7 @@
 """repro.checks — static analysis and runtime sanitizers for the repro tree.
 
-Four PRs in, the codebase is a genuinely concurrent system: ``apply_mt``
-runs a retrying task-queue scheduler over threads, ``hdf5lite.cache``
+The codebase is a genuinely concurrent system: ``apply_mt`` and
+``run_chunks`` run UDFs and chains on worker threads, ``hdf5lite.cache``
 shares a ``BlockCache``/``FilePool`` across readers, ``rt.ingest`` feeds
 a bounded ``WorkQueue``, and ``simmpi`` ranks are threads.  The paper's
 scaling claim (§IV-B) rests on that machinery staying thread-safe, so

@@ -66,8 +66,8 @@ class DASSAConfig:
 
     ``on_error`` governs degraded source reads (forwarded to
     :func:`~repro.storage.vca.open_vca` when the facade opens a VCA path):
-    ``"raise"`` propagates typed storage errors, ``"mask"``/``"skip"``
-    fill unreadable spans with ``fill_value`` and report them.
+    ``"raise"`` propagates typed storage errors, ``"mask"`` fills
+    unreadable spans with ``fill_value`` and reports them.
     ``failure_policy`` governs per-chunk execution faults in the
     streaming core (retry / fail-fast vs collect-and-continue).
     """
@@ -105,9 +105,9 @@ class DASSA:
             raise ConfigError("threads must be >= 1")
         if chunk_samples is not None and chunk_samples < 1:
             raise ConfigError("chunk_samples must be >= 1")
-        if on_error not in ("raise", "mask", "skip"):
+        if on_error not in ("raise", "mask"):
             raise ConfigError(
-                f"on_error must be 'raise', 'mask', or 'skip', got {on_error!r}"
+                f"on_error must be 'raise' or 'mask', got {on_error!r}"
             )
         self.config = DASSAConfig(
             threads=threads,

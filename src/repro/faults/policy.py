@@ -1,15 +1,15 @@
-"""Runtime failure policy shared by the batch execution layers.
+"""Runtime failure policy of the streaming executor.
 
-A :class:`FailurePolicy` says what an executor does when a unit of work
-(an ApplyMT task, a streamed pipeline chunk, a parallel-read source)
-fails: how many times to retry (with what backoff), how long a task may
-run before a straggler copy is speculatively re-dispatched, and whether
-a persistent failure kills the run (``fail_fast``) or yields a
-fill-valued gap that is *reported* alongside the result (``continue``).
+A :class:`FailurePolicy` says what :func:`~repro.core.pipeline.run_chunks`
+(behind ``DASSA(failure_policy=)``) does when a chunk's read or chain
+fails: how many times to retry (with what backoff), and whether a
+persistent failure kills the run (``fail_fast``) or yields a fill-valued
+gap that is *reported* alongside the result (``continue``).  The RT
+shard supervisor reads its ``retries``/``backoff`` for service rebuilds.
 
 :func:`retry_call` is the one bounded-retry-with-backoff loop used by
 every layer, so retry semantics (which exceptions are retryable, how
-backoff grows) are identical from ``parallel_read`` up to ``apply_mt``.
+backoff grows) are identical from ``parallel_read`` up to ``run_chunks``.
 """
 
 from __future__ import annotations
@@ -40,15 +40,12 @@ class FailurePolicy:
     ``retries`` — re-executions after the first failure (0 = one shot).
     ``backoff`` — seconds slept before retry *k* is ``backoff * 2**k``
     (0 disables sleeping; tests use 0).
-    ``timeout`` — seconds a task may run before an idle worker
-    speculatively re-dispatches it (``None`` disables straggler copies).
     ``fill`` — the value written into outputs lost to a failed unit.
     """
 
     mode: str = FAIL_FAST
     retries: int = 1
     backoff: float = 0.0
-    timeout: float | None = None
     fill: float = float("nan")
 
     def __post_init__(self) -> None:
@@ -58,24 +55,10 @@ class FailurePolicy:
             raise ConfigError("retries must be >= 0")
         if self.backoff < 0:
             raise ConfigError("backoff must be >= 0")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ConfigError("timeout must be > 0 (or None)")
 
     @property
     def fail_fast(self) -> bool:
         return self.mode == FAIL_FAST
-
-
-@dataclass(frozen=True)
-class TaskFailure:
-    """One unit of work given up on under a ``continue`` policy."""
-
-    unit: str
-    attempts: int
-    error: str
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.unit}: {self.error} (after {self.attempts} attempts)"
 
 
 def retry_call(

@@ -617,7 +617,6 @@ class Dataset:
         if not self._sources_tile:
             out[...] = fill
         handler = file.on_source_error
-        skip = file.skip_sources
         # Only sources starting at or before the lattice's last index on the
         # last axis, and past a reach beyond its first, can overlap it; they
         # are visited in declaration order, so where sources overlap the
@@ -634,12 +633,6 @@ class Dataset:
                 continue
             local, vals = ov
             dest = out[vals]
-            if skip and source.file in skip:
-                # Blacklisted by a previous degraded read: don't touch the
-                # source again, mask its span (nothing pre-filled it when
-                # the sources tile).
-                dest[...] = fill if file.source_fill is None else file.source_fill
-                continue
             dst_region = Hyperslab(
                 start=tuple(
                     d + sl.start for d, sl in zip(source.dst_start, local)

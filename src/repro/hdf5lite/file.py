@@ -348,14 +348,9 @@ class File(Group):
         #: Degraded-read hook for virtual datasets: ``handler(source,
         #: overlap, exc) -> fill | None`` — return a fill value to mask the
         #: failed source's span, or ``None`` to re-raise.  Installed by
-        #: ``storage.open_vca(on_error="mask"/"skip")``; ``None`` (default)
-        #: keeps reads fail-fast.
+        #: ``storage.open_vca(on_error="mask")``; ``None`` (default) keeps
+        #: reads fail-fast.
         self.on_source_error = None
-        #: Source paths (as written in the virtual layout) to skip without
-        #: attempting a read; their spans are filled with ``source_fill``
-        #: (or the dataset fill when ``None``).
-        self.skip_sources: set[str] = set()
-        self.source_fill: float | None = None
         self._dirty = False
         # One Dataset object per dataset (it memoises what it parses out of
         # the metadata — its stored-unit map above all), and each

@@ -3,10 +3,12 @@
 A checkpoint is one JSON document: the list of fully-processed files
 (with their sample counts), the seam scheduler's carried state (tail
 digest + watermarks — the raw tail samples are *not* serialised, they
-are re-read from the durable acquisition files on resume), the open
-event run, and the queue position.  Writes go through a temp file and
-``os.replace`` so a kill mid-write leaves the previous checkpoint
-intact, never a torn one.
+are re-read from the durable acquisition files on resume by
+:func:`read_sample_range`), the open event run, and the queue position.
+A tail that cannot be re-read raises; the service then resumes without
+its carried state and reports why (``RTService.resume_error``).  Writes
+go through a temp file and ``os.replace`` so a kill mid-write leaves the
+previous checkpoint intact, never a torn one.
 
 Two defences make a *corrupted* checkpoint recoverable rather than
 fatal:
@@ -33,11 +35,12 @@ import numpy as np
 from repro.errors import CheckpointCorruptError, ReproError, StorageError
 from repro.faults.policy import retry_call
 from repro.storage.dasfile import DASFile
-from repro.storage.gaps import GapMap
 
 CHECKPOINT_VERSION = 1
 CHECKPOINT_NAME = ".das_rt_checkpoint.json"
 PREVIOUS_SUFFIX = ".prev"
+#: Re-reads of a checkpoint-tail file after its first failed read.
+_TAIL_READ_RETRIES = 1
 
 
 def _canonical(document: dict) -> bytes:
@@ -146,16 +149,7 @@ class CheckpointStore:
                 os.remove(path)
 
 
-def read_sample_range(
-    files: list[tuple[str, int]],
-    lo: int,
-    hi: int,
-    on_error: str = "raise",
-    fill_value: float = float("nan"),
-    gaps: GapMap | None = None,
-    retries: int = 1,
-    backoff: float = 0.0,
-) -> np.ndarray:
+def read_sample_range(files: list[tuple[str, int]], lo: int, hi: int) -> np.ndarray:
     """Re-read raw samples ``[lo, hi)`` of the concatenated record.
 
     ``files`` lists ``(path, n_samples)`` in record order — the
@@ -163,73 +157,41 @@ def read_sample_range(
     file is read (partial reads through :class:`DASFile`), which is how a
     resume rebuilds the carried tail without re-reading whole files.
 
-    Each file read is retried up to ``retries`` times (exponential
-    ``backoff``) — the same degraded-read semantics as the parallel VCA
-    readers.  With ``on_error="mask"``, a file that stays unreadable
-    (corrupted, truncated, vanished) contributes a ``fill_value`` span
-    recorded in ``gaps`` instead of killing the whole range read; with
-    the default ``"raise"`` the typed error propagates.  At least one
-    file must be readable in mask mode — the channel count comes from a
-    real block.
+    Each file read is retried once, so a transient fault is absorbed; a
+    file that stays unreadable raises its error, and the caller decides
+    what a lost tail costs.
     """
     if lo < 0 or hi < lo:
         raise StorageError(f"bad sample range [{lo}, {hi})")
-    if on_error not in ("raise", "mask"):
-        raise StorageError(f"on_error must be 'raise' or 'mask', got {on_error!r}")
-    # (absolute_lo, width, array-or-None, path, reason)
-    pieces: list[tuple[int, int, np.ndarray | None, str, str | None]] = []
+    blocks: list[np.ndarray] = []
     offset = 0
     for path, n_samples in files:
-        n_samples = int(n_samples)
-        file_lo, file_hi = offset, offset + n_samples
-        offset = file_hi
-        if file_hi <= lo or file_lo >= hi:
+        file_lo, offset = offset, offset + int(n_samples)
+        if offset <= lo or file_lo >= hi:
             continue
         a = max(lo, file_lo) - file_lo
-        b = min(hi, file_hi) - file_lo
+        b = min(hi, offset) - file_lo
 
         def read_slice() -> np.ndarray:
             with DASFile(path) as handle:
                 return np.asarray(handle.data[:, a:b], dtype=np.float64)
 
-        try:
-            block = retry_call(
+        blocks.append(
+            retry_call(
                 read_slice,
-                retries=retries,
-                backoff=backoff,
+                retries=_TAIL_READ_RETRIES,
                 retry_on=(ReproError, OSError, KeyError),
             )
-            pieces.append((file_lo + a, b - a, block, path, None))
-        except (ReproError, OSError, KeyError) as exc:
-            if on_error == "raise":
-                raise
-            reason = f"{type(exc).__name__}: {exc}"
-            pieces.append((file_lo + a, b - a, None, path, reason))
+        )
     if offset < hi:
         raise StorageError(
             f"checkpointed files cover {offset} samples but the carried "
             f"tail needs [{lo}, {hi})"
         )
-    real = [block for _, _, block, _, _ in pieces if block is not None]
-    if not real:
-        if any(block is None for _, _, block, _, _ in pieces):
-            raise StorageError(
-                f"every file covering [{lo}, {hi}) is unreadable; cannot "
-                "even determine the channel count"
-            )
-        n_channels = 0
-        if files:
-            with DASFile(files[0][0]) as handle:
-                n_channels = handle.data.shape[0]
-        return np.zeros((n_channels, 0))
-    n_channels = real[0].shape[0]
-    out: list[np.ndarray] = []
-    for abs_lo, width, block, path, reason in pieces:
-        if block is None:
-            block = np.full((n_channels, width), fill_value)
-            if gaps is not None:
-                gaps.record(
-                    path, abs_lo, abs_lo + width, reason, attempts=retries + 1
-                )
-        out.append(block)
-    return np.concatenate(out, axis=1)
+    if blocks:
+        return np.concatenate(blocks, axis=1)
+    n_channels = 0
+    if files:
+        with DASFile(files[0][0]) as handle:
+            n_channels = handle.data.shape[0]
+    return np.zeros((n_channels, 0))

@@ -59,6 +59,9 @@ __all__ = [
     "level_slice",
 ]
 
+#: Stored chunk length of every pyramid level.
+_LEVEL_CHUNK_SAMPLES = 8192
+
 
 @dataclass(frozen=True)
 class PyramidConfig:
@@ -66,10 +69,10 @@ class PyramidConfig:
 
     ``factor`` is the per-level decimation (level ``k`` holds the record
     at ``1/factor**k`` rate); levels stop at ``max_levels`` or when the
-    next level would fall below ``min_samples``.  ``codec`` /
-    ``checksum`` are stored per level exactly like any other hdf5lite
-    dataset; ``chunk_samples`` is the stored chunk length.  The build
-    itself streams with the planner's auto-sized chunk.
+    next level would fall below ``min_samples``.  ``codec`` is stored
+    per level exactly like any other hdf5lite dataset, in CRC'd chunks of
+    8 192 samples.  The build itself streams with the planner's auto-sized
+    chunk.
 
     The default codec is ``transpose-zlib:1``: of a float64 level's
     eight byte planes six are mantissa noise, which it stores, and the
@@ -84,8 +87,6 @@ class PyramidConfig:
     max_levels: int = 8
     min_samples: int = 64
     codec: str | None = "transpose-zlib:1"
-    checksum: bool = True
-    chunk_samples: int = 8192
 
     def __post_init__(self) -> None:
         if self.factor < 2:
@@ -94,8 +95,6 @@ class PyramidConfig:
             raise ConfigError("max_levels must be >= 1")
         if self.min_samples < 1:
             raise ConfigError("min_samples must be >= 1")
-        if self.chunk_samples < 1:
-            raise ConfigError("chunk_samples must be >= 1")
 
 
 def compute_level(
@@ -172,8 +171,8 @@ def build_pyramid(
             ds = f.create_dataset(
                 f"{PYRAMID_GROUP}/level{k}",
                 data=out,
-                chunks=(out.shape[0], min(config.chunk_samples, out.shape[1])),
-                checksum=config.checksum,
+                chunks=(out.shape[0], min(_LEVEL_CHUNK_SAMPLES, out.shape[1])),
+                checksum=True,
                 codec=config.codec,
             )
             ds.attrs[LEVEL_ATTR] = int(k)

@@ -55,16 +55,15 @@ class ServeConfig:
 
     ``on_error="mask"`` is the serving default: a viewer scrubbing
     through a damaged archive should see NaN spans (rendered as gaps),
-    not 500s.  ``chunk_samples`` sizes only the raw-window preview
-    fallback, the one request that streams through the planner; windows
-    are single reads and pyramid previews single slices.
+    not 500s.  Windows are single reads and pyramid previews single
+    slices; the raw-window preview fallback, the one request that streams
+    through the planner, takes the planner's auto-sized chunk.
     """
 
     cache_bytes: int = 64 << 20
     pool_handles: int = 64
     on_error: str = "mask"
     fill_value: float = float("nan")
-    chunk_samples: int | None = None
     default_quota: TenantQuota = field(default_factory=TenantQuota)
     quotas: dict[str, TenantQuota] = field(default_factory=dict)
     admit_timeout: float | None = None
@@ -372,12 +371,8 @@ class ServeSession:
                 query = query.select_channels(lo, hi)
             if factor > 1:
                 query = query.then(DecimateOp(factor))
-            plan = optimize(
-                query,
-                chunk_samples=self.server.config.chunk_samples,
-            )
             (result,) = execute(
-                plan, source=window, iostats=self.server.iostats
+                optimize(query), source=window, iostats=self.server.iostats
             )
             block, level_no = result.output, None
         self.server.admission.reconcile(

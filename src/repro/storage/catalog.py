@@ -120,17 +120,25 @@ class Catalog:
             return 0.0
 
     def stale(self) -> bool:
-        """True if the directory may have changed since the index was
-        written.
+        """True if the directory's ``.h5`` files differ from the index.
 
-        ``>=`` rather than ``>``: directory mtimes have finite
-        resolution, so a file created in the *same* tick the index was
-        written leaves ``_dir_mtime() == last_mtime`` — strict comparison
-        would skip the rescan and the file would stay invisible until an
-        unrelated change bumped the mtime.  Equality therefore counts as
-        possibly-stale; the rescan is cheap and idempotent.
+        The mtime only rules a change out: ``>=`` rather than ``>``,
+        because directory mtimes have finite resolution and a file
+        created in the *same* tick the index was taken leaves
+        ``_dir_mtime() == last_mtime``.  It cannot rule one in, since
+        :meth:`save` writes the sidecar into the directory it indexes and
+        so moves the mtime past ``last_mtime`` itself.  The directory's
+        ``.h5`` names decide instead (one listing, no file opened), so an
+        unchanged, indexed directory is not rescanned.  An ``.h5`` file
+        that is not a DAS file is never indexed and keeps it stale.
         """
-        return self._dir_mtime() >= self.last_mtime
+        if self._dir_mtime() < self.last_mtime:
+            return False
+        try:
+            names = {n for n in os.listdir(self.directory) if n.endswith(".h5")}
+        except OSError:
+            return True
+        return names != {os.path.basename(entry.path) for entry in self.entries}
 
     def refresh(self) -> int:
         """Re-scan the directory, keeping known entries; returns the number

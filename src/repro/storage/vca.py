@@ -153,8 +153,6 @@ class VCAHandle:
     * ``"mask"`` — the failed source's span is filled with ``fill_value``
       and recorded in :attr:`gaps`; the source is retried on later reads
       (transient faults may clear).
-    * ``"skip"`` — like ``"mask"``, but the source is additionally
-      blacklisted: later reads fill its span without touching the file.
 
     :attr:`gaps` is a :class:`repro.storage.gaps.GapMap` of masked spans
     in absolute VCA sample coordinates — callers that accept a degraded
@@ -170,15 +168,14 @@ class VCAHandle:
         on_error: str = "raise",
         fill_value: float = float("nan"),
     ):
-        if on_error not in ("raise", "mask", "skip"):
+        if on_error not in ("raise", "mask"):
             raise StorageError(
-                f"on_error must be 'raise', 'mask' or 'skip', got {on_error!r}"
+                f"on_error must be 'raise' or 'mask', got {on_error!r}"
             )
         self.path = os.fspath(path)
         self.on_error = on_error
         self.fill_value = fill_value
         self.gaps = GapMap()
-        self._skipped: set[str] = set()
         self._installed = False
         if pool is not None:
             self._file = pool.acquire(self.path, iostats=iostats)
@@ -198,14 +195,13 @@ class VCAHandle:
         except (StorageError, KeyError):
             self.close()
             raise StorageError(f"{self.path!r} is not a VCA file") from None
-        if on_error != "raise":
+        if on_error == "mask":
             self._file.on_source_error = self._handle_source_error
-            self._file.source_fill = fill_value
             self._installed = True
 
     def _handle_source_error(self, source, overlap, exc) -> float:
-        """Degraded-read hook: record the loss, optionally blacklist the
-        source, and return the fill value that masks its span."""
+        """Degraded-read hook: record the loss and return the fill value
+        that masks its span."""
         self.gaps.add(
             GapSpan(
                 source=source.file,
@@ -214,9 +210,6 @@ class VCAHandle:
                 reason=f"{type(exc).__name__}: {exc}",
             )
         )
-        if self.on_error == "skip":
-            self._file.skip_sources.add(source.file)
-            self._skipped.add(source.file)
         return self.fill_value
 
     @property
@@ -249,16 +242,11 @@ class VCAHandle:
     def close(self) -> None:
         """Close the handle (a pooled file stays open, owned by the pool).
 
-        Degraded-read state installed on the underlying file (the error
-        handler and any blacklisted sources) is removed so a pooled handle
-        returns to fail-fast for its next user.
+        The degraded-read handler installed on the underlying file is
+        removed so a pooled handle returns to fail-fast for its next user.
         """
         if self._installed:
             self._file.on_source_error = None
-            self._file.source_fill = None
-            for src in self._skipped:
-                self._file.skip_sources.discard(src)
-            self._skipped.clear()
             self._installed = False
         if self._owns_file:
             self._file.close()
@@ -280,7 +268,7 @@ def open_vca(
 ) -> VCAHandle:
     """Open a VCA file.
 
-    ``on_error="mask"``/``"skip"`` turn unreadable sources into
+    ``on_error="mask"`` turns unreadable sources into
     fill-valued spans recorded on the handle's :attr:`~VCAHandle.gaps`
     instead of raising (see :class:`VCAHandle`).
     """

@@ -16,8 +16,9 @@ facade) must either
 ``slow-read`` is the benign row of the matrix: it must not fail, not
 mask, and not report gaps on any path.
 
-Also covers the degraded checkpoint-tail reader (`read_sample_range`)
-and bounded-retry absorption of transient read faults.
+Also covers the checkpoint-tail reader (`read_sample_range`), a pooled
+VCA handle's return to fail-fast, the degraded-read modes that do not
+exist, and bounded-retry absorption of transient read faults.
 """
 
 import os
@@ -27,12 +28,14 @@ import pytest
 
 from repro.core.framework import DASSA
 from repro.errors import (
+    ConfigError,
     CorruptDataError,
     MPIError,
     ReproError,
     StorageError,
 )
 from repro.faults.inject import FaultInjector, clear_read_faults, install_read_fault
+from repro.hdf5lite import FilePool
 from repro.rt.checkpoint import read_sample_range
 from repro.simmpi import run_spmd
 from repro.storage.dasfile import das_filename, write_das_file
@@ -394,22 +397,11 @@ class TestTransientFaultsRetried:
 
 
 class TestReadSampleRangeDegraded:
-    """The checkpoint-tail reader survives a corrupted/lost tail file."""
+    """The checkpoint-tail reader absorbs a transient fault and raises on
+    a lost tail file (the RT service turns that into ``resume_error``)."""
 
     def _files(self, das_dir):
         return [(p, 120) for p in das_dir["paths"]]
-
-    def test_mask_fills_lost_file(self, das_dir):
-        files = self._files(das_dir)
-        os.remove(das_dir["paths"][3])  # samples [360, 480)
-        gm = GapMap()
-        out = read_sample_range(files, 300, 500, on_error="mask", gaps=gm)
-        full = das_dir["full"]
-        assert out.shape == (16, 200)
-        np.testing.assert_array_equal(out[:, :60], full[:, 300:360])
-        assert np.isnan(out[:, 60:180]).all()
-        np.testing.assert_array_equal(out[:, 180:], full[:, 480:500])
-        assert [(s.t0, s.t1) for s in gm] == [(360, 480)]
 
     def test_raise_mode_propagates(self, das_dir):
         files = self._files(das_dir)
@@ -420,13 +412,31 @@ class TestReadSampleRangeDegraded:
     def test_all_files_lost_is_an_error(self, das_dir):
         files = self._files(das_dir)
         os.remove(das_dir["paths"][3])
-        with pytest.raises(StorageError, match="unreadable"):
-            read_sample_range(files, 400, 450, on_error="mask")
+        with pytest.raises(FileNotFoundError):
+            read_sample_range(files, 400, 450)
 
     def test_transient_fault_retried(self, das_dir):
         files = self._files(das_dir)
         install_read_fault(das_dir["paths"][2], "raise-on-nth-read", fail_reads=1)
-        gm = GapMap()
-        out = read_sample_range(files, 250, 350, on_error="mask", gaps=gm, retries=2)
+        out = read_sample_range(files, 250, 350)
         np.testing.assert_array_equal(out, das_dir["full"][:, 250:350])
-        assert len(gm) == 0
+
+
+def test_a_pooled_handle_fails_fast_again_after_a_masked_one_closes(faulted):
+    os.remove(faulted["paths"][VICTIM])
+    with FilePool() as pool:
+        with open_vca(faulted["vca"], pool=pool, on_error="mask") as masked:
+            out = masked.dataset[:, :]
+            assert [(s.t0, s.t1) for s in masked.gaps] == [(V0, V1)]
+        assert np.isnan(out[:, V0:V1]).all()
+        with open_vca(faulted["vca"], pool=pool) as plain:
+            assert plain._file is masked._file  # the pool's one handle
+            with pytest.raises(FileNotFoundError):
+                plain.dataset[:, :]
+
+
+def test_a_degraded_read_has_one_mode(faulted):
+    with pytest.raises(StorageError, match="'raise' or 'mask'"):
+        open_vca(faulted["vca"], on_error="skip")
+    with pytest.raises(ConfigError, match="'raise' or 'mask'"):
+        DASSA(on_error="skip")

@@ -1,6 +1,6 @@
 """Tests for the fault-injection harness (`repro.faults.inject`), the
-shared failure policy (`repro.faults.policy`), and the fault-tolerant
-ApplyMT scheduler."""
+shared failure policy (`repro.faults.policy`), and ApplyMT's fail-fast
+handling of a failing UDF."""
 
 import threading
 import time
@@ -17,7 +17,7 @@ from repro.faults.inject import (
     install_read_fault,
     read_faults,
 )
-from repro.faults.policy import CONTINUE, FailurePolicy, TaskFailure, retry_call
+from repro.faults.policy import CONTINUE, FailurePolicy, retry_call
 from repro.hdf5lite import File
 
 
@@ -182,8 +182,6 @@ class TestFailurePolicy:
             FailurePolicy(mode="explode")
         with pytest.raises(ConfigError):
             FailurePolicy(retries=-1)
-        with pytest.raises(ConfigError):
-            FailurePolicy(timeout=0)
         assert FailurePolicy().fail_fast
         assert not FailurePolicy(mode=CONTINUE).fail_fast
 
@@ -193,34 +191,12 @@ def _mean(s):
 
 
 class TestApplyMTFaultTolerance:
+    """ApplyMT is the paper's static schedule and nothing else: a failing
+    UDF stops the apply with a typed error, once, on any thread."""
+
     @pytest.fixture
     def block(self):
         return np.random.default_rng(0).normal(size=(8, 32))
-
-    def test_policy_matches_static_schedule(self, block):
-        a = apply_mt(block, _mean, threads=4, boundary="clamp")
-        b = apply_mt(block, _mean, threads=4, boundary="clamp", policy=FailurePolicy())
-        assert np.array_equal(a, b)
-
-    def test_transient_fault_absorbed_by_retry(self, block):
-        ref = apply_mt(block, _mean, threads=4, boundary="clamp")
-        seen = {}
-        lock = threading.Lock()
-
-        def flaky(s):
-            key = (s.row, s.col)
-            with lock:
-                n = seen.get(key, 0)
-                seen[key] = n + 1
-            if key == (3, 5) and n == 0:
-                raise OSError("transient")
-            return _mean(s)
-
-        out = apply_mt(
-            block, flaky, threads=4, boundary="clamp",
-            policy=FailurePolicy(retries=2),
-        )
-        assert np.allclose(out, ref)
 
     def test_fail_fast_raises_typed_error(self, block):
         def broken(s):
@@ -228,47 +204,9 @@ class TestApplyMTFaultTolerance:
                 raise OSError("dead sector")
             return _mean(s)
 
-        with pytest.raises(UDFError, match="failed after"):
-            apply_mt(
-                block, broken, threads=4, boundary="clamp",
-                policy=FailurePolicy(retries=1),
-            )
-
-    def test_continue_isolates_failing_cells(self, block):
-        ref = apply_mt(block, _mean, threads=4, boundary="clamp")
-
-        def broken(s):
-            if s.row == 3:
-                raise OSError("dead sector")
-            return _mean(s)
-
-        failures: list[TaskFailure] = []
-        out = apply_mt(
-            block, broken, threads=4, boundary="clamp",
-            policy=FailurePolicy(mode=CONTINUE, retries=1),
-            failures=failures,
-        )
-        assert np.isnan(out[3]).all()
-        keep = [r for r in range(8) if r != 3]
-        assert np.array_equal(out[keep], ref[keep])
-        assert failures
-        assert all("OSError" in f.error for f in failures)
-
-    def test_straggler_speculation_completes(self, block):
-        ref = apply_mt(block, _mean, threads=4, boundary="clamp")
-        stalled = threading.Event()
-
-        def slow(s):
-            if (s.row, s.col) == (0, 0) and not stalled.is_set():
-                stalled.set()
-                time.sleep(0.2)
-            return _mean(s)
-
-        out = apply_mt(
-            block, slow, threads=4, boundary="clamp",
-            policy=FailurePolicy(timeout=0.05),
-        )
-        assert np.allclose(out, ref)
+        with pytest.raises(UDFError, match="UDF failed in ApplyMT") as err:
+            apply_mt(block, broken, threads=4, boundary="clamp")
+        assert isinstance(err.value.__cause__, OSError)
 
     def test_non_retryable_udf_bug_not_retried(self, block):
         count = {"n": 0}
@@ -281,15 +219,14 @@ class TestApplyMTFaultTolerance:
                 raise ValueError("logic bug")
             return _mean(s)
 
-        failures: list[TaskFailure] = []
-        out = apply_mt(
-            block, bug, threads=1, boundary="clamp",
-            policy=FailurePolicy(mode=CONTINUE, retries=3),
-            failures=failures,
-        )
-        assert np.isnan(out[2, 2])
-        flat = np.delete(out.ravel(), 2 * 32 + 2)
-        assert not np.isnan(flat).any()
-        # One task attempt + one cell-isolation attempt; retries skipped.
-        assert count["n"] == 2
-        assert failures and "ValueError" in failures[0].error
+        with pytest.raises(UDFError, match="ValueError"):
+            apply_mt(block, bug, threads=1, boundary="clamp")
+        assert count["n"] == 1
+
+    def test_removed_fault_options_fail_loudly(self, block):
+        with pytest.raises(TypeError):
+            apply_mt(block, _mean, threads=4, boundary="clamp", policy=FailurePolicy())
+        with pytest.raises(TypeError):
+            apply_mt(block, _mean, threads=4, boundary="clamp", failures=[])
+        with pytest.raises(TypeError):
+            FailurePolicy(timeout=0.05)

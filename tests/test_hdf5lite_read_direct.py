@@ -13,8 +13,8 @@ Invariants:
   source bytes in place, and ``gather_spans`` fills any destination the
   same, fetched span by span or copied out of resident blocks;
 * a virtual dataset pre-fills only when its sources do not tile it
-  (``sources_tile`` against a brute-force cover count), and a skipped,
-  masked or corrupt source marks its own span and nothing else;
+  (``sources_tile`` against a brute-force cover count), and a masked or
+  corrupt source marks its own span and nothing else;
 * a virtual read intersects only the sources its time range can reach
   (bisected, at most one more than it touches among 1 440), and equals
   the full scan of every source in declaration order — values, fills and
@@ -316,7 +316,7 @@ def test_fill_pass_runs_only_when_sources_do_not_tile(minutes):
     np.testing.assert_array_equal(out, expected)
 
 
-def test_masked_and_skipped_sources_mark_their_own_span(minutes):
+def test_masked_sources_mark_their_own_span(minutes):
     root, blocks = minutes
     path = _virtual(
         root, "v.h5", (4, 150), [(0, (0, 0)), (1, (0, 50)), (2, (0, 100))], fill=5
@@ -346,19 +346,6 @@ def test_masked_and_skipped_sources_mark_their_own_span(minutes):
         assert seen == [
             ("m1.h5", Hyperslab((1, 52), (3, 43), (1, 1)), FileNotFoundError)
         ]
-
-        # blacklisted: never touched again; with no source_fill the span
-        # reads as the dataset's own fill although nothing pre-filled it
-        f.skip_sources.add("m1.h5")
-        out = np.full(hs.count, -7.0)
-        ds.read_direct(hs, out)
-        expected[:, lost] = 5.0
-        np.testing.assert_array_equal(out, expected)
-        f.source_fill = np.nan
-        np.testing.assert_array_equal(
-            np.isnan(ds.read_hyperslab(hs)), expected == 5.0
-        )
-        assert len(seen) == 1
 
 
 def test_flipped_byte_is_refused_before_decode_and_stays_in_its_span(
@@ -520,7 +507,6 @@ def test_indexed_virtual_read_is_the_full_scan(pieces, layout, data):
     shape, sources = layout
     sel = data.draw(selections(shape))
     hs, _ = normalize_selection(sel, shape)
-    skip = data.draw(st.sets(st.sampled_from(["a.h5", "b.h5", "gone.h5"]), max_size=1))
     path = str(root / "v.h5")
     with File(path, "w") as f:
         f.create_dataset(
@@ -530,7 +516,6 @@ def test_indexed_virtual_read_is_the_full_scan(pieces, layout, data):
     def read(full_scan):
         masked = []
         with File(path, "r") as f:
-            f.skip_sources.update(skip)
             f.on_source_error = (
                 lambda source, overlap, exc: masked.append((source, overlap)) or -1.0
             )
@@ -550,9 +535,7 @@ def test_indexed_virtual_read_is_the_full_scan(pieces, layout, data):
     painted = np.full(shape, 3.0)
     for source in sources:
         (r0, t0), (rc, tc), (s0, u0) = source.dst_start, source.count, source.src_start
-        if source.file in skip:
-            value = 3.0  # no source_fill: the dataset's fill
-        elif source.file == "gone.h5":
+        if source.file == "gone.h5":
             value = -1.0  # what the handler masks with
         else:
             value = held[source.file][s0 : s0 + rc, u0 : u0 + tc]

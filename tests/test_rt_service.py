@@ -444,6 +444,45 @@ class TestServiceCatalog:
         reopened = Catalog.open(tmp_path)
         assert len(reopened) == 3
 
+    def test_reopening_an_unchanged_directory_neither_scans_nor_writes(
+        self, tmp_path, monkeypatch
+    ):
+        """Saving the sidecar moves the directory's mtime past the one the
+        index recorded; that alone must not make the next open rescan."""
+        from repro.storage import catalog as catalog_module
+        from repro.storage.catalog import CATALOG_NAME, Catalog
+
+        for stamp in ("170620100545", "170620100645", "170620100745"):
+            write_das_file(
+                os.path.join(tmp_path, f"westSac_{stamp}.h5"),
+                np.zeros((4, 10), dtype=np.float32),
+                DASMetadata(
+                    sampling_frequency=FS,
+                    spatial_resolution=2.0,
+                    timestamp=stamp,
+                    n_channels=4,
+                ),
+            )
+        scans, saves = [], []
+        real_scan, real_save = catalog_module.scan_directory, Catalog.save
+        monkeypatch.setattr(
+            catalog_module,
+            "scan_directory",
+            lambda d, **kw: scans.append(d) or real_scan(d, **kw),
+        )
+        monkeypatch.setattr(
+            Catalog, "save", lambda self: saves.append(1) or real_save(self)
+        )
+        first = Catalog.open(tmp_path)
+        sidecar = os.stat(os.path.join(tmp_path, CATALOG_NAME)).st_mtime_ns
+        reopened = [Catalog.open(tmp_path) for _ in range(2)]
+        assert (len(scans), len(saves)) == (1, 1)
+        assert os.stat(os.path.join(tmp_path, CATALOG_NAME)).st_mtime_ns == sidecar
+        assert all(c.entries == first.entries for c in reopened)
+        # a removed file is still noticed
+        os.remove(first.entries[0].path)
+        assert len(Catalog.open(tmp_path)) == 2 and len(scans) == 2
+
     def test_refresh_dedups_paths(self, tmp_path):
         from repro.storage.catalog import Catalog
         from repro.storage.search import DASFileInfo
