@@ -131,7 +131,6 @@ def optimize(
     queries: Query | Sequence[Query],
     chunk_samples: int | None = None,
     threads: int = 1,
-    pushdown: bool = True,
 ) -> PhysicalPlan:
     """Lower one or more queries sharing a scan into a physical plan."""
     if isinstance(queries, Query):
@@ -193,20 +192,19 @@ def optimize(
     select: tuple[int, int] | None = None
     step = 1
     n_push = 0
-    if pushdown:
-        for op in chains[0].maps[:shared_len]:
-            if isinstance(op, ChannelSelectOp):
-                base = 0 if select is None else select[0]
-                width = None if select is None else select[1] - select[0]
-                if width is not None and op.hi > width:
-                    break  # invalid composition; let the eager run raise
-                select = (base + op.lo, base + op.hi)
-                n_push += 1
-            elif isinstance(op, SubsampleOp):
-                step *= op.step
-                n_push += 1
-            else:
-                break
+    for op in chains[0].maps[:shared_len]:
+        if isinstance(op, ChannelSelectOp):
+            base = 0 if select is None else select[0]
+            width = None if select is None else select[1] - select[0]
+            if width is not None and op.hi > width:
+                break  # invalid composition; let the eager run raise
+            select = (base + op.lo, base + op.hi)
+            n_push += 1
+        elif isinstance(op, SubsampleOp):
+            step *= op.step
+            n_push += 1
+        else:
+            break
     if n_push:
         lo, hi = select if select is not None else (0, -1)
         what = []

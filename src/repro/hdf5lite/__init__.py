@@ -44,8 +44,6 @@ from repro.hdf5lite.dataset import Dataset
 from repro.hdf5lite.file import File, Group
 from repro.hdf5lite.hyperslab import (
     Hyperslab,
-    coalesce_runs,
-    contiguous_runs,
     gather_spans,
     normalize_selection,
     plan_spans,
@@ -82,8 +80,6 @@ __all__ = [
     "resolve_codec",
     "normalize_selection",
     "selection_shape",
-    "coalesce_runs",
-    "contiguous_runs",
     "plan_spans",
     "gather_spans",
     "PYRAMID_GROUP",

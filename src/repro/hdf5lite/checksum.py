@@ -9,10 +9,14 @@ readable by every pre-checksum reader (the attributes are just ignored).
 
 This module reads and writes the sidecar; which byte ranges it covers is
 the dataset's stored-unit map
-(:meth:`~repro.hdf5lite.dataset.Dataset._stored_units`), and everything
-here is a walk over it: *for each unit, CRC what the loader's fetch
-returns*.  The map is also where coverage is enforced — a sidecar that
-does not name every unit exactly once is a ``FormatError`` on the first
+(:meth:`~repro.hdf5lite.dataset.Dataset._stored_units`), and the sidecar
+is ``{unit key: CRC32}`` over it.  One function writes it
+(:func:`_store_crcs`): creation passes the CRCs of the bytes it is
+appending, a hyperslab write those of the units it rewrote (merged into
+an existing sidecar, never starting one), and :func:`checksum_dataset` —
+the retrofit behind :func:`add_checksums` — those of the units it reads
+back.  The map is also where coverage is enforced — a sidecar that does
+not name every unit exactly once is a ``FormatError`` on the first
 verified read, never a unit read unverified.
 
 Verification happens where bytes enter memory: the dataset's unit loader
@@ -101,7 +105,8 @@ def verify_block(
 
 
 def checksum_dataset(ds: "Dataset", block_size: int = DEFAULT_CHECKSUM_BLOCK) -> bool:
-    """Compute and store the sidecar for one dataset.
+    """Compute and store the sidecar for one dataset — the retrofit
+    behind :func:`add_checksums`, reading the stored units back.
 
     Contiguous datasets get one CRC per ``block_size`` bytes of their
     data region; chunked datasets one CRC per chunk (of its stored —
@@ -116,52 +121,44 @@ def checksum_dataset(ds: "Dataset", block_size: int = DEFAULT_CHECKSUM_BLOCK) ->
     if ds.layout == LAYOUT_VIRTUAL:
         return False  # no local bytes
     crcs = {
-        key: zlib.crc32(ds._fetch_unit(unit)) & 0xFFFFFFFF
+        key: zlib.crc32(ds._fetch_unit(unit))
         for key, unit in ds._stored_units(sidecar=False, span=block_size).items()
     }
-    if ds.chunks is not None:
-        store_chunk_crcs(ds, crcs)
-    else:
-        ds.attrs[CRC_ATTR] = list(crcs.values())
-        ds.attrs[CRC_BLOCK_ATTR] = int(block_size)
-        ds.attrs.pop(CRC_KEYS_ATTR, None)
+    _store_crcs(ds, crcs, 0 if ds.chunks is not None else block_size)
     return True
 
 
-def store_chunk_crcs(ds: "Dataset", crcs: dict[str, int]) -> None:
-    """Store a chunked dataset's sidecar: ``crcs`` maps each chunk key to
-    the CRC32 of its stored (encoded, on codec datasets) bytes.  Writers
-    that hold the payloads anyway (``create_dataset``) call this with
-    CRCs taken as the bytes were appended, instead of
-    :func:`checksum_dataset`'s read-back."""
+def _store_crcs(
+    ds: "Dataset", crcs: dict[object, int], block_size: int | None = None
+) -> None:
+    """Write ``crcs`` — ``{unit key: CRC32 of its stored bytes}`` — into
+    the sidecar: the one place the ``repro:crc32*`` attributes are set.
+
+    Given ``block_size`` the sidecar is created (or replaced) with exactly
+    these units: ``0`` for one CRC per chunk, by chunk key, else one per
+    ``block_size``-byte block, by block number.  Without it the CRCs are
+    merged into the sidecar the dataset carries, and a dataset without
+    one is left without (a hyperslab write keeps a sidecar true, it never
+    starts one).  A chunk the sidecar lacks — re-stored by a write that
+    did not verify — is appended, so it is covered again.
+    """
+    if block_size is None:
+        info = checksum_info(ds)
+        if info is None:
+            return
+        if info.chunked:
+            crcs = {**info.chunk_crcs, **crcs}
+            if len(crcs) > len(info.crcs):
+                ds.attrs[CRC_KEYS_ATTR] = list(crcs)
+        else:
+            crcs = {i: crcs.get(i, old) for i, old in enumerate(info.crcs)}
     ds.attrs[CRC_ATTR] = list(crcs.values())
-    ds.attrs[CRC_BLOCK_ATTR] = 0
-    ds.attrs[CRC_KEYS_ATTR] = list(crcs)
-
-
-def update_chunk_crc(ds: "Dataset", key: str, payload: bytes) -> None:
-    """Refresh one chunk's sidecar CRC after a hyperslab write re-stored
-    its bytes (``payload`` is exactly what went to disk — encoded bytes on
-    codec datasets).  Like :func:`update_contiguous_crcs`, writers keep
-    the sidecar true even when read-side verification is off."""
-    crcs_attr = ds.attrs.get(CRC_ATTR)
-    keys_attr = ds.attrs.get(CRC_KEYS_ATTR)
-    if crcs_attr is None or keys_attr is None:
-        return
-    if int(ds.attrs.get(CRC_BLOCK_ATTR, 0)) != 0:
-        return
-    keys = [str(k) for k in keys_attr]
-    crcs = [int(c) for c in crcs_attr]
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    try:
-        i = keys.index(key)
-    except ValueError:
-        keys.append(key)
-        crcs.append(crc)
-        ds.attrs[CRC_KEYS_ATTR] = keys
-    else:
-        crcs[i] = crc
-    ds.attrs[CRC_ATTR] = crcs
+    if block_size is not None:
+        ds.attrs[CRC_BLOCK_ATTR] = int(block_size)
+        if block_size:
+            ds.attrs.pop(CRC_KEYS_ATTR, None)
+        else:
+            ds.attrs[CRC_KEYS_ATTR] = list(crcs)
 
 
 def add_checksums(file, block_size: int = DEFAULT_CHECKSUM_BLOCK) -> int:
@@ -204,19 +201,3 @@ def verify_dataset(ds: "Dataset") -> list[tuple[int, str]]:
             except (CorruptDataError, FormatError) as exc:
                 problems.append((unit.offset, str(exc)))
     return problems
-
-
-def update_contiguous_crcs(ds: "Dataset", byte_lo: int, byte_hi: int) -> None:
-    """Recompute the CRCs of the blocks overlapping dataset-relative byte
-    range ``[byte_lo, byte_hi)`` after a hyperslab write, keeping the
-    sidecar true to the new bytes."""
-    info = checksum_info(ds)
-    if info is None or info.chunked:
-        return
-    bs = info.block_size
-    units = ds._stored_units(sidecar=False, span=bs)
-    crcs = list(info.crcs)
-    first, last = byte_lo // bs, max(byte_lo, byte_hi - 1) // bs
-    for i in range(first, min(last + 1, len(crcs), len(units))):
-        crcs[i] = zlib.crc32(ds._fetch_unit(units[i])) & 0xFFFFFFFF
-    ds.attrs[CRC_ATTR] = crcs

@@ -27,13 +27,16 @@ owns (:meth:`Dataset.read_direct`; :meth:`Dataset.read_hyperslab` is that
 into a fresh array) — any dtype, any strides.  A virtual dataset's plan
 stage hands every source its own band of the caller's buffer and pre-fills
 only when its sources do not tile it.  From the executor's float64 block
-down to the unit, every sample lands once.
+down to the unit, every sample lands once.  A write plans with the same
+planner at ``max_gap=0`` (or re-stores the touched chunks) and hands the
+CRCs of what it rewrote to the one sidecar writer.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import zlib
 from bisect import bisect_right
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
@@ -45,10 +48,9 @@ from repro.hdf5lite import dtype as _dtype
 from repro.hdf5lite.attributes import Attributes
 from repro.hdf5lite.binary import HEADER_SIZE
 from repro.hdf5lite.checksum import (
+    _store_crcs,
     block_count,
     checksum_info,
-    update_chunk_crc,
-    update_contiguous_crcs,
     verify_block,
 )
 from repro.hdf5lite.codecs import CODEC_ATTR, Codec, resolve_codec
@@ -56,7 +58,6 @@ from repro.hdf5lite.hyperslab import (
     COALESCE_GAP_BYTES,
     SPAN_SCRATCH_BYTES,
     Hyperslab,
-    contiguous_runs,
     gather_spans,
     normalize_selection,
     plan_spans,
@@ -694,51 +695,53 @@ class Dataset:
                 f"value shape {values.shape} != selection shape {hs.count}"
             )
         if self.layout == LAYOUT_CHUNKED:
-            self._write_chunked(hs, values)
-            return
-        base = int(self._meta["offset"])
-        itemsize = self.itemsize
-        flat = values.reshape(-1).view(np.uint8)
-        view = memoryview(flat).cast("B")
-        cursor = 0
-        backend = self._file._backend
-        byte_lo, byte_hi = None, 0
-        for elem_offset, elem_count in contiguous_runs(hs, self.shape):
-            nbytes = elem_count * itemsize
-            backend.write_at(
-                base + elem_offset * itemsize,
-                view[cursor : cursor + nbytes],
-            )
-            cursor += nbytes
-            run_lo = elem_offset * itemsize
-            byte_lo = run_lo if byte_lo is None else min(byte_lo, run_lo)
-            byte_hi = max(byte_hi, run_lo + nbytes)
+            crcs = self._write_chunked(hs, values)
+        else:
+            crcs = self._write_contiguous(hs, values)
         self._file._invalidate_cache()
-        if byte_lo is not None:
-            # Keep any checksum sidecar true to the new bytes (writers
-            # update it even when read-side verification is off).
-            update_contiguous_crcs(self, byte_lo, byte_hi)
+        if crcs:  # keep a sidecar true, even unverified; never start one
+            _store_crcs(self, crcs)
 
-    def _write_chunked(self, hs: Hyperslab, values: np.ndarray) -> None:
-        """Read-modify-rewrite every chunk the selection touches.
+    def _write_contiguous(self, hs: Hyperslab, values: np.ndarray) -> dict[int, int]:
+        """Write ``values`` over the read planner's spans at ``max_gap=0`` (a
+        write cannot bridge a hole without reading it): each span is
+        hole-free and all have one length, so span ``i`` takes the ``i``-th
+        run of the C-ordered values.  Returns the CRCs of the sidecar
+        blocks from the first span's start to the last span's end."""
+        plan = plan_spans(hs, self.shape, 0)
+        span = plan.span_len(plan.block) * self.itemsize
+        offsets = (plan.offsets * self.itemsize).tolist()
+        base, write_at = int(self._meta["offset"]), self._file._backend.write_at
+        data = memoryview(values.reshape(-1).view(np.uint8))
+        for i, offset in enumerate(offsets):
+            write_at(base + offset, data[i * span : (i + 1) * span])
+        info = checksum_info(self)
+        if not offsets or info is None or info.chunked:
+            return {}
+        size = info.block_size
+        units = self._stored_units(sidecar=False, span=size)
+        return {
+            i: zlib.crc32(self._fetch_unit(units[i]))
+            for i in range(offsets[0] // size, (offsets[-1] + span - 1) // size + 1)
+        }
 
-        The touched chunk is loaded (CRC-verified when the file verifies
-        reads — a read-modify-write must not silently launder corruption
-        into a fresh checksum), patched and stored again; each stored
-        payload refreshes its sidecar CRC, so checksums always cover the
-        bytes actually on disk.
-        """
+    def _write_chunked(self, hs: Hyperslab, values: np.ndarray) -> dict[str, int]:
+        """Read-modify-rewrite every chunk the selection touches; returns
+        the CRC of each payload stored, so checksums cover the bytes on
+        disk.  The touched chunk is loaded CRC-verified when the file
+        verifies reads: a read-modify-write must not launder corruption
+        into a fresh checksum."""
         codec = self.codec
+        crcs = {}
         for unit, local_sel, vals_sel in self._touched_chunks(hs):
             chunk_arr = self._load_unit(unit, None, (slice(None),) * self.ndim)
             if not chunk_arr.flags.writeable:
                 chunk_arr = chunk_arr.copy()
             chunk_arr[local_sel] = values[vals_sel]
-            update_chunk_crc(
-                self, unit.key, self._store_chunk(unit.key, chunk_arr, codec, unit)
+            crcs[unit.key] = zlib.crc32(
+                self._store_chunk(unit.key, chunk_arr, codec, unit)
             )
-        if hs.size:
-            self._file._invalidate_cache()
+        return crcs
 
     def _store_chunk(
         self, ckey: str, chunk_arr: np.ndarray, codec: "Codec | None", slot: _Unit | None

@@ -38,11 +38,7 @@ from repro.hdf5lite.cache import (
     normalize_file_key,
     resolve_cache,
 )
-from repro.hdf5lite.checksum import (
-    DEFAULT_CHECKSUM_BLOCK,
-    checksum_dataset,
-    store_chunk_crcs,
-)
+from repro.hdf5lite.checksum import DEFAULT_CHECKSUM_BLOCK, _store_crcs
 from repro.hdf5lite.codecs import CODEC_ATTR, resolve_codec
 from repro.hdf5lite.dataset import (
     LAYOUT_CHUNKED,
@@ -185,7 +181,8 @@ class Group:
         * otherwise → contiguous (``data`` or ``shape``+``dtype``).
 
         ``checksum=True`` stores a per-block CRC32 sidecar (see
-        :mod:`repro.hdf5lite.checksum`) verified on every subsequent read;
+        :mod:`repro.hdf5lite.checksum`) verified on every subsequent read,
+        taken from the bytes as they are appended — nothing is read back;
         ``checksum_block`` overrides the contiguous block size.  Virtual
         datasets hold no local bytes, so the flag is a no-op for them.
 
@@ -258,15 +255,20 @@ class Group:
                     raise FormatError(
                         f"shape {tuple(shape)} contradicts data shape {arr.shape}"
                     )
-                offset = self._file._append_data(arr.tobytes())
+                raw = arr.tobytes()
                 final_shape = arr.shape
             else:
                 if shape is None:
                     raise FormatError("need data or shape to create a dataset")
                 token = _dtype.dtype_token(dtype if dtype is not None else np.float32)
                 nbytes = int(np.prod(shape, dtype=np.int64)) * _dtype.itemsize(token)
-                offset = self._file._append_data(bytes(nbytes))
+                raw = bytes(nbytes)
                 final_shape = tuple(int(s) for s in shape)
+            if checksum_block is None:
+                checksum_block = DEFAULT_CHECKSUM_BLOCK
+            if checksum and checksum_block < 1:
+                raise FormatError(f"block_size must be >= 1, got {checksum_block}")
+            offset = self._file._append_data(raw)
             meta = {
                 "shape": [int(s) for s in final_shape],
                 "dtype": token,
@@ -289,14 +291,16 @@ class Group:
                 if checksum:
                     chunk_crcs[ckey] = zlib.crc32(payload)
             if checksum:
-                store_chunk_crcs(ds, chunk_crcs)
+                _store_crcs(ds, chunk_crcs, 0)
         elif checksum and meta["layout"] == LAYOUT_CONTIGUOUS:
-            checksum_dataset(
-                ds,
-                block_size=(
-                    checksum_block if checksum_block is not None else DEFAULT_CHECKSUM_BLOCK
-                ),
-            )
+            # The same for the contiguous region: its blocks' CRCs are
+            # taken from the bytes just appended.
+            view = memoryview(raw)
+            crcs = {
+                i: zlib.crc32(view[at : at + checksum_block])
+                for i, at in enumerate(range(0, len(view), checksum_block))
+            }
+            _store_crcs(ds, crcs, checksum_block)
         parent._node["datasets"][ds_name] = meta
         self._file._mark_dirty()
         return ds

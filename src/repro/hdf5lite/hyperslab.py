@@ -3,19 +3,19 @@
 A *hyperslab* is a regular N-dimensional selection described per dimension
 by ``(start, count, stride)`` — the same model as HDF5's hyperslab and the
 paper's Logical Array View (LAV).  This module converts numpy-style basic
-indexing into hyperslabs, computes result shapes, and plans how a
-selection is fetched:
-:func:`plan_spans` turns it into a few large backend requests that bridge
-small holes, :func:`contiguous_runs` / :func:`coalesce_runs` are the
-run-by-run reference the planner is tested against (and what writes use,
-which cannot bridge holes).
+indexing into hyperslabs, computes result shapes, and plans the backend
+requests a selection becomes.  :func:`plan_spans` is the only planner,
+for reads and writes alike: a read bridges holes of up to ``max_gap``
+elements with a few large requests (:func:`gather_spans` scatters them),
+a write — which cannot bridge a hole without reading it first — plans at
+``max_gap=0``, one gap-free request per span, all of one length.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -179,80 +179,6 @@ def selection_shape(hs: Hyperslab, squeeze: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(c for dim, c in enumerate(hs.count) if dim not in squeeze)
 
 
-def contiguous_runs(
-    hs: Hyperslab, shape: Sequence[int]
-) -> Iterator[tuple[int, int]]:
-    """Linearise a hyperslab over a C-ordered array into contiguous runs.
-
-    Yields ``(element_offset, element_count)`` pairs covering the selection
-    in row-major order of the *result* array.  Adjacent runs are coalesced,
-    so a full-array selection yields a single run.  Each run corresponds to
-    one seek + one read against the file — the quantity the paper's I/O
-    analysis counts.
-    """
-    ndim = len(shape)
-    if hs.ndim != ndim:
-        raise SelectionError("hyperslab rank does not match array rank")
-    if not hs.within(shape):
-        raise SelectionError(
-            f"hyperslab {hs} does not fit within array shape {tuple(shape)}"
-        )
-    if hs.size == 0:
-        return
-
-    # Row-major strides in elements.
-    elem_strides = [1] * ndim
-    for dim in range(ndim - 2, -1, -1):
-        elem_strides[dim] = elem_strides[dim + 1] * shape[dim + 1]
-
-    # The innermost selected run: if the last dim has stride 1, a run of
-    # hs.count[-1] elements; otherwise single elements.
-    if hs.stride[-1] == 1:
-        inner_len = hs.count[-1]
-        inner_positions = [hs.start[-1]]
-    else:
-        inner_len = 1
-        inner_positions = list(hs.indices(ndim - 1))
-
-    # Iterate the outer dims in row-major order.
-    outer_dims = list(range(ndim - 1))
-    pending_offset = -1
-    pending_len = 0
-
-    def emit_runs() -> Iterator[tuple[int, int]]:
-        nonlocal pending_offset, pending_len
-        counters = [0] * len(outer_dims)
-        while True:
-            base = 0
-            for dim, ctr in zip(outer_dims, counters):
-                base += (hs.start[dim] + ctr * hs.stride[dim]) * elem_strides[dim]
-            for pos in inner_positions:
-                offset = base + pos
-                if pending_len and offset == pending_offset + pending_len:
-                    pending_len += inner_len
-                else:
-                    if pending_len:
-                        yield (pending_offset, pending_len)
-                    pending_offset = offset
-                    pending_len = inner_len
-            # Odometer increment over outer dims (row-major: last spins fastest).
-            if not outer_dims:
-                break
-            dim_idx = len(outer_dims) - 1
-            while dim_idx >= 0:
-                counters[dim_idx] += 1
-                if counters[dim_idx] < hs.count[outer_dims[dim_idx]]:
-                    break
-                counters[dim_idx] = 0
-                dim_idx -= 1
-            if dim_idx < 0:
-                break
-        if pending_len:
-            yield (pending_offset, pending_len)
-
-    yield from emit_runs()
-
-
 @dataclass(frozen=True)
 class SpanPlan:
     """How a hyperslab over a C-ordered array is fetched, one request per span.
@@ -292,8 +218,8 @@ def plan_spans(
     is at most ``max_gap`` elements — so a stride-8 row is one bounding
     span, adjacent rows merge when the row gap also fits, and a full
     selection is a single span — and stops at the first hole that is
-    wider: from there on every index is its own request, the
-    seek-per-run behaviour of :func:`contiguous_runs`.  A span that
+    wider: from there on every index is its own request, one seek per
+    run.  A span that
     bridges holes is fetched into scratch, so it is kept within
     ``max_span`` elements by taking fewer indices of the outermost folded
     dimension per span; hole-free spans land directly in the result and
@@ -425,42 +351,3 @@ def gather_spans(
                     (indices,) + inner_shape, dtype, buffer=scratch, strides=strides
                 )
             lo += indices
-
-
-def coalesce_runs(
-    runs: Sequence[tuple[int, int]] | Iterator[tuple[int, int]],
-    max_gap: int = 0,
-) -> list[tuple[int, int, list[tuple[int, int]]]]:
-    """Merge element runs separated by at most ``max_gap`` elements.
-
-    ``runs`` are ``(element_offset, element_count)`` pairs as produced by
-    :func:`contiguous_runs` (file order within each row-major sweep).  Runs
-    whose inter-run gap is ``<= max_gap`` are merged into one *span* — a
-    single backend request that reads the gap bytes too and discards them;
-    this trades a little bandwidth for far fewer IOPS, which is exactly the
-    exchange the paper's storage model says wins on a disk file system.
-
-    Returns ``[(span_offset, span_count, pieces), ...]`` where ``pieces``
-    are the original runs covered by the span.  Runs that move backwards
-    (or overlap a prior span) start a new span, so the result is always a
-    valid request sequence regardless of input order.
-    """
-    if max_gap < 0:
-        raise SelectionError(f"max_gap must be >= 0, got {max_gap}")
-    spans: list[tuple[int, int, list[tuple[int, int]]]] = []
-    cur_off = -1
-    cur_len = 0
-    cur_pieces: list[tuple[int, int]] = []
-    for offset, count in runs:
-        if count <= 0:
-            continue
-        if cur_pieces and cur_off + cur_len <= offset <= cur_off + cur_len + max_gap:
-            cur_len = offset + count - cur_off
-            cur_pieces.append((offset, count))
-        else:
-            if cur_pieces:
-                spans.append((cur_off, cur_len, cur_pieces))
-            cur_off, cur_len, cur_pieces = offset, count, [(offset, count)]
-    if cur_pieces:
-        spans.append((cur_off, cur_len, cur_pieces))
-    return spans

@@ -88,26 +88,31 @@ def is_pyramid_level(ds: Dataset) -> bool:
 
 
 def _level_of(ds: Dataset) -> PyramidLevel:
+    """A level's parsed attributes; unparseable ones are a ``FormatError``."""
     spec = ds.attrs.get(CODEC_ATTR)
-    return PyramidLevel(
-        level=int(ds.attrs[LEVEL_ATTR]),
-        factor=int(ds.attrs[FACTOR_ATTR]),
-        path=ds.path,
-        shape=tuple(int(s) for s in ds.shape),
-        dtype=str(ds.dtype),
-        codec=str(spec) if spec is not None else None,
-        base_samples=int(ds.attrs.get(BASE_SAMPLES_ATTR, 0)),
-        base_dataset=ds.attrs.get(BASE_DATASET_ATTR),
-        fs=float(ds.attrs.get(FS_ATTR, 0.0)),
-    )
+    try:
+        return PyramidLevel(
+            level=int(ds.attrs[LEVEL_ATTR]),
+            factor=int(ds.attrs[FACTOR_ATTR]),
+            path=ds.path,
+            shape=tuple(int(s) for s in ds.shape),
+            dtype=str(ds.dtype),
+            codec=str(spec) if spec is not None else None,
+            base_samples=int(ds.attrs.get(BASE_SAMPLES_ATTR, 0)),
+            base_dataset=ds.attrs.get(BASE_DATASET_ATTR),
+            fs=float(ds.attrs.get(FS_ATTR, 0.0)),
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{ds.path}: malformed pyramid attribute ({exc})") from exc
 
 
 def pyramid_levels(file) -> list[PyramidLevel]:
     """The pyramid levels a file carries, sorted by level (``[]`` if none).
 
     ``file`` is an open :class:`repro.hdf5lite.File`.  Raises
-    :class:`~repro.errors.FormatError` when two datasets claim the same
-    level — readers select by level, so duplicates are unserveable.
+    :class:`~repro.errors.FormatError` when a level attribute does not
+    parse, or when two datasets claim the same level — readers select by
+    level, so duplicates are unserveable.
     """
     if PYRAMID_GROUP not in file:
         return []
@@ -171,7 +176,11 @@ def pyramid_problems(file) -> list[tuple[str, str]]:
                 (ds.path, f"pyramid level must be 2-D, got shape {ds.shape}")
             )
             continue
-        lvl = _level_of(ds)
+        try:
+            lvl = _level_of(ds)
+        except FormatError as exc:
+            problems.append((ds.path, str(exc)))
+            continue
         if lvl.level < 1:
             problems.append((ds.path, f"bad pyramid level {lvl.level} (must be >= 1)"))
             continue

@@ -4,7 +4,8 @@ A checkpoint is one JSON document: the list of fully-processed files
 (with their sample counts), the seam scheduler's carried state (tail
 digest + watermarks — the raw tail samples are *not* serialised, they
 are re-read from the durable acquisition files on resume by
-:func:`read_sample_range`), the open event run, and the queue position.
+:func:`read_sample_range`), the open event run and the retry counts (the
+work queue is not saved: a resume rescans the spool).
 A tail that cannot be re-read raises; the service then resumes without
 its carried state and reports why (``RTService.resume_error``).  Writes
 go through a temp file and ``os.replace`` so a kill mid-write leaves the

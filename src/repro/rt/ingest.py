@@ -155,7 +155,7 @@ class WorkQueue:
             return self._items.popleft() if self._items else None
 
     def items(self) -> list[str]:
-        """Snapshot of queued paths (for checkpoints and status)."""
+        """Snapshot of queued paths."""
         with self._lock:
             return list(self._items)
 

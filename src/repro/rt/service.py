@@ -454,7 +454,6 @@ class RTService:
                 else None
             ),
             "attempts": dict(self._attempts),
-            "queue": [os.path.basename(p) for p in self.queue.items()],
             "events_logged": self.sink.count,
         }
         self.checkpoints.save(payload)

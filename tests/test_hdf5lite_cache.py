@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FormatError
-from repro.hdf5lite import (
-    BlockCache,
-    CacheConfig,
-    File,
-    FilePool,
-    coalesce_runs,
-)
+from repro.hdf5lite import BlockCache, CacheConfig, File, FilePool
 from repro.hdf5lite.cache import resolve_cache
 from repro.storage.vca import VCAHandle, create_vca
 from repro.utils.iostats import IOStats
@@ -99,34 +93,6 @@ class TestBlockCache:
         assert snap["cache_misses"] == 1
         assert snap["cache_hits"] == 1
         assert snap["cache_evictions"] == 1
-
-
-class TestCoalesceRuns:
-    def test_adjacent_runs_merge(self):
-        spans = coalesce_runs([(0, 4), (4, 4)], max_gap=0)
-        assert spans == [(0, 8, [(0, 4), (4, 4)])]
-
-    def test_gap_within_threshold_merges(self):
-        spans = coalesce_runs([(0, 4), (6, 4)], max_gap=2)
-        assert spans == [(0, 10, [(0, 4), (6, 4)])]
-
-    def test_gap_beyond_threshold_splits(self):
-        spans = coalesce_runs([(0, 4), (7, 4)], max_gap=2)
-        assert [s[:2] for s in spans] == [(0, 4), (7, 4)]
-
-    def test_backwards_run_starts_new_span(self):
-        spans = coalesce_runs([(10, 4), (0, 4)], max_gap=100)
-        assert [s[:2] for s in spans] == [(10, 4), (0, 4)]
-
-    def test_empty_and_zero_runs(self):
-        assert coalesce_runs([], max_gap=4) == []
-        assert coalesce_runs([(0, 0), (5, 3)], max_gap=0) == [(5, 3, [(5, 3)])]
-
-    def test_negative_gap_rejected(self):
-        from repro.errors import SelectionError
-
-        with pytest.raises(SelectionError):
-            coalesce_runs([(0, 1)], max_gap=-1)
 
 
 # ---------------------------------------------------------------------------

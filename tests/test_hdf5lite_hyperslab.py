@@ -6,16 +6,24 @@ import pytest
 from repro.errors import SelectionError
 from repro.hdf5lite.hyperslab import (
     Hyperslab,
-    contiguous_runs,
     normalize_selection,
+    plan_spans,
     selection_shape,
 )
 
 
+def write_spans(hs, shape):
+    """The requests a hyperslab write makes: the planner's spans at
+    ``max_gap=0``, as ``(element_offset, element_count)``."""
+    plan = plan_spans(hs, shape, 0)
+    length = plan.span_len(plan.block)
+    return [(off, length) for off in plan.offsets.tolist()]
+
+
 def runs_to_array(shape, hs, source):
-    """Materialise a hyperslab via contiguous_runs against a flat array."""
+    """Materialise a hyperslab via its write spans against a flat array."""
     flat = source.reshape(-1)
-    parts = [flat[off : off + n] for off, n in contiguous_runs(hs, shape)]
+    parts = [flat[off : off + n] for off, n in write_spans(hs, shape)]
     return np.concatenate(parts).reshape(hs.count) if parts else np.empty(hs.count)
 
 
@@ -121,34 +129,36 @@ class TestNormalizeSelection:
 
 
 class TestContiguousRuns:
+    """``plan_spans(hs, shape, 0)``: the gap-free runs a write issues."""
+
     def test_full_array_single_run(self):
         hs = Hyperslab.full((8, 8))
-        runs = list(contiguous_runs(hs, (8, 8)))
+        runs = write_spans(hs, (8, 8))
         assert runs == [(0, 64)]
 
     def test_row_subset_coalesces_adjacent_rows(self):
         # Selecting full-width rows 2..4 of an 8-col array is one run.
         hs = Hyperslab((2, 0), (3, 8), (1, 1))
-        runs = list(contiguous_runs(hs, (8, 8)))
+        runs = write_spans(hs, (8, 8))
         assert runs == [(16, 24)]
 
     def test_column_subset_one_run_per_row(self):
         hs = Hyperslab((0, 2), (4, 3), (1, 1))
-        runs = list(contiguous_runs(hs, (4, 8)))
+        runs = write_spans(hs, (4, 8))
         assert runs == [(2, 3), (10, 3), (18, 3), (26, 3)]
 
     def test_strided_inner_dim_per_element(self):
         hs = Hyperslab((0,), (3,), (4,))
-        runs = list(contiguous_runs(hs, (12,)))
+        runs = write_spans(hs, (12,))
         assert runs == [(0, 1), (4, 1), (8, 1)]
 
     def test_empty_selection(self):
         hs = Hyperslab((0,), (0,), (1,))
-        assert list(contiguous_runs(hs, (5,))) == []
+        assert write_spans(hs, (5,)) == []
 
     def test_out_of_bounds_rejected(self):
         with pytest.raises(SelectionError):
-            list(contiguous_runs(Hyperslab((0,), (6,), (1,)), (5,)))
+            write_spans(Hyperslab((0,), (6,), (1,)), (5,))
 
     def test_3d_selection(self):
         arr = np.arange(3 * 4 * 5).reshape(3, 4, 5)
@@ -158,5 +168,5 @@ class TestContiguousRuns:
 
     def test_runs_cover_selection_size(self):
         hs = Hyperslab((1, 2), (5, 3), (2, 2))
-        total = sum(n for _, n in contiguous_runs(hs, (12, 10)))
+        total = sum(n for _, n in write_spans(hs, (12, 10)))
         assert total == hs.size

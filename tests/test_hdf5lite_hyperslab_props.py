@@ -2,15 +2,16 @@
 
 Invariants:
 
-* ``contiguous_runs`` materialisation equals numpy fancy slicing for every
+* the runs a write issues — ``plan_spans(hs, shape, 0)``, one gap-free
+  span per planned offset — materialise what numpy slicing does for every
   valid basic selection;
-* runs are disjoint, ordered, and their total length equals the selection
-  size;
-* the span planner (``plan_spans`` + ``gather_spans``) materialises the
-  same values as the run-by-run reference
-  (``coalesce_runs(contiguous_runs(...))``) and as numpy slicing, with
-  requests that stay in bounds, ascend, bridge no hole wider than the gap
-  and never outnumber the selection's innermost-dimension runs;
+* those runs are disjoint, ordered, and their total length equals the
+  selection size;
+* the span planner (``plan_spans`` + ``gather_spans``) materialises what
+  numpy slicing does at every gap, with requests that stay in bounds,
+  ascend, bridge no hole wider than the gap, and number between the
+  selection's runs once holes up to the gap are bridged (computed with
+  numpy) and its innermost-dimension runs;
 * every dataset read path — uncached, cached, CRC-verified, raw chunked —
   returns the same bytes for strided 2-D selections, and the verified
   path still refuses a flipped bit.
@@ -25,8 +26,6 @@ from repro.errors import CorruptDataError
 from repro.hdf5lite import CacheConfig, File
 from repro.hdf5lite.hyperslab import (
     Hyperslab,
-    coalesce_runs,
-    contiguous_runs,
     gather_spans,
     normalize_selection,
     plan_spans,
@@ -58,6 +57,19 @@ def shape_and_selection(draw):
     return shape, tuple(sel)
 
 
+def write_runs(hs, shape):
+    """``(element_offset, element_count)`` of each request a write makes."""
+    plan = plan_spans(hs, shape, 0)
+    length = plan.span_len(plan.block)
+    return [(off, length) for off in plan.offsets.tolist()]
+
+
+def selected_offsets(hs, shape):
+    """The C-order offsets of the selected elements, ascending."""
+    grid = np.ix_(*(np.asarray(hs.indices(d)) for d in range(hs.ndim)))
+    return np.ravel_multi_index(np.broadcast_arrays(*grid), shape).reshape(-1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(shape_and_selection())
 def test_runs_match_numpy(case):
@@ -65,7 +77,7 @@ def test_runs_match_numpy(case):
     arr = np.arange(int(np.prod(shape))).reshape(shape)
     hs, squeeze = normalize_selection(sel, shape)
     flat = arr.reshape(-1)
-    parts = [flat[off : off + n] for off, n in contiguous_runs(hs, shape)]
+    parts = [flat[off : off + n] for off, n in write_runs(hs, shape)]
     got = (
         np.concatenate(parts) if parts else np.empty(0, dtype=arr.dtype)
     ).reshape(selection_shape(hs, squeeze))
@@ -77,7 +89,7 @@ def test_runs_match_numpy(case):
 def test_runs_disjoint_ordered_and_sized(case):
     shape, sel = case
     hs, _ = normalize_selection(sel, shape)
-    runs = list(contiguous_runs(hs, shape))
+    runs = write_runs(hs, shape)
     total = 0
     prev_end = -1
     seen = set()
@@ -96,12 +108,12 @@ def test_runs_disjoint_ordered_and_sized(case):
 @given(st.data())
 def test_full_selection_is_single_run(data):
     shape = data.draw(shapes())
-    runs = list(contiguous_runs(Hyperslab.full(shape), shape))
+    runs = write_runs(Hyperslab.full(shape), shape)
     assert runs == [(0, int(np.prod(shape)))]
 
 
 # ---------------------------------------------------------------------------
-# the span planner against its run-by-run reference
+# the span planner against numpy
 # ---------------------------------------------------------------------------
 
 
@@ -130,34 +142,27 @@ def test_planned_spans_match_runs_and_numpy(case, max_gap, max_span):
     out = np.full(hs.count, -1, dtype=np.int32)
     gather_spans(plan, out, fetch)
 
-    runs = list(contiguous_runs(hs, shape))
-    spans = coalesce_runs(runs, max_gap)
-    reference = [
-        flat[off : off + n] for _, _, pieces in spans for off, n in pieces
-    ]
-    reference = (
-        np.concatenate(reference) if reference else np.empty(0, dtype=np.int32)
-    )
-    np.testing.assert_array_equal(out.reshape(-1), reference)
     np.testing.assert_array_equal(
         out.reshape(selection_shape(hs, squeeze)), arr[sel]
     )
 
-    # requests: ascending and disjoint, between the reference's optimum
-    # (greedy coalescing is minimal) and one per innermost-dimension run
-    # (the reference also merges a row's last element with the next row's
-    # first when they happen to be adjacent; the planner does not)
+    # requests: ascending and disjoint, between the optimum — the selected
+    # offsets split wherever the hole between neighbours exceeds the gap
+    # (the optimum may also merge a row's last element with the next row's
+    # first when they happen to be adjacent; the planner does not) — and
+    # one per innermost-dimension run
     assert all(
         a_off + a_n <= b_off
         for (a_off, a_n), (b_off, _) in zip(requests, requests[1:])
     )
+    offsets = selected_offsets(hs, shape) if hs.size else np.empty(0, np.int64)
+    optimum = int(np.count_nonzero(np.diff(offsets) > max_gap + 1)) + bool(hs.size)
     inner_run = hs.count[-1] if hs.stride[-1] == 1 else 1
-    assert len(spans) <= len(requests) <= hs.size // max(inner_run, 1)
+    assert optimum <= len(requests) <= hs.size // max(inner_run, 1)
     # every request starts and ends on a selected element, bridges no hole
     # wider than the gap, and one that bridges any fits the scratch bound
     selected = np.zeros(flat.size + 1, dtype=bool)
-    for off, n in runs:
-        selected[off : off + n] = True
+    selected[offsets] = True
     for off, n in requests:
         inside = selected[off : off + n]
         assert inside[0] and inside[-1]

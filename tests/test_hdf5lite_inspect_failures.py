@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FormatError
-from repro.hdf5lite import File, VirtualSource
+from repro.hdf5lite import File, VirtualSource, pyramid_levels, pyramid_problems
 from repro.hdf5lite.binary import HEADER_SIZE, Header
 from repro.hdf5lite.inspect import describe, verify
 
@@ -179,3 +179,46 @@ class TestCorruption:
         open(path, "wb").close()
         with pytest.raises(FormatError):
             File(path, "r")
+
+
+class TestMalformedPyramid:
+    """A pyramid attribute that does not parse is a typed, reported
+    problem: ``verify`` and ``pyramid_problems`` list it, ``pyramid_levels``
+    (what ``DataServer`` opens an archive through) raises ``FormatError``
+    naming the dataset — never a bare ``ValueError``."""
+
+    @pytest.mark.parametrize(
+        "attr, value",
+        [
+            ("repro:pyramid factor", "four"),
+            ("repro:pyramid level", "one"),
+            ("repro:pyramid base samples", [1, 2]),
+            ("repro:pyramid fs", "fast"),
+        ],
+    )
+    def test_unparseable_attribute_is_reported_not_raised(self, tmp_path, attr, value):
+        path = str(tmp_path / "p.h5")
+        with File(path, "w") as f:
+            f.create_dataset("DataCT", data=np.zeros((2, 16), dtype=np.float32))
+            level = f.create_dataset(
+                "pyramid/level1", data=np.zeros((2, 4)), chunks=(2, 4)
+            )
+            level.attrs.update_many(
+                {
+                    "repro:pyramid level": 1,
+                    "repro:pyramid factor": 4,
+                    "repro:pyramid base samples": 16,
+                    "repro:pyramid of": "/DataCT",
+                    "repro:pyramid fs": 1.0,
+                }
+            )
+            level.attrs[attr] = value
+        with File(path, "r") as f:
+            problems = verify(f)
+            assert [p.path for p in problems] == ["/pyramid/level1"]
+            assert "malformed pyramid attribute" in problems[0].message
+            assert pyramid_problems(f) == [
+                (problems[0].path, problems[0].message)
+            ]
+            with pytest.raises(FormatError, match="/pyramid/level1"):
+                pyramid_levels(f)

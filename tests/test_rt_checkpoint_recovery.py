@@ -311,3 +311,31 @@ class TestServiceRecovery:
                     if k not in ("version", "crc")})
         with pytest.raises(ConfigError):
             RTService(spool, detector=DETECTOR, policy=POLICY, config=CFG)
+
+    def test_a_checkpoint_still_carrying_a_queue_field_resumes_unchanged(
+        self, tmp_path
+    ):
+        """Checkpoints no longer record the work queue (resume never read
+        it); one written when they did still resumes to the same events."""
+        spool = _spool(tmp_path)
+        expected = _reference_keys(spool)
+        service = RTService(spool, detector=DETECTOR, policy=POLICY,
+                            config=CFG)
+        service.tick()
+        store = service.checkpoints
+        del service
+        document = store.load()
+        assert "queue" not in document
+        document["queue"] = sorted(
+            name for name in os.listdir(spool) if name.endswith(".h5")
+        )
+        store.save({k: v for k, v in document.items()
+                    if k not in ("version", "crc")})
+        resumed = RTService(spool, detector=DETECTOR, policy=POLICY,
+                            config=CFG)
+        assert resumed.checkpoint_fallback is None
+        resumed.drain()
+        resumed.flush()
+        got = {(r, e.j_start, e.j_end)
+               for r, e in resumed.sink.load_records()}
+        assert got == expected
