@@ -50,7 +50,7 @@ from repro.storage.chunks import ChunkSource, as_source, open_stream
 from repro.storage.gaps import GapMap
 from repro.storage.rca import create_rca
 from repro.storage.search import DASFileInfo, das_search
-from repro.storage.vca import VCAHandle, create_vca
+from repro.storage.vca import create_vca
 
 
 @dataclass
@@ -177,7 +177,7 @@ class DASSA:
         return self.merge(hits, real=real)
 
     def _open_source(
-        self, source: str | np.ndarray | VCAHandle | ChunkSource
+        self, source: str | np.ndarray | ChunkSource
     ) -> tuple[ChunkSource, bool]:
         """Coerce to a chunk source; second element says we opened (and
         must close) a file handle.  Paths we open ourselves inherit the
@@ -220,7 +220,7 @@ class DASSA:
     # Each eager analysis is a one-branch plan over the whole source.
     def local_similarity(
         self,
-        source: str | np.ndarray | VCAHandle | ChunkSource,
+        source: str | np.ndarray | ChunkSource,
         config: LocalSimilarityConfig | None = None,
         chunk_samples: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -245,7 +245,7 @@ class DASSA:
 
     def interferometry(
         self,
-        source: str | np.ndarray | VCAHandle | ChunkSource,
+        source: str | np.ndarray | ChunkSource,
         config: InterferometryConfig | None = None,
         chunk_samples: int | None = None,
     ) -> np.ndarray:
@@ -256,7 +256,7 @@ class DASSA:
 
     def sta_lta(
         self,
-        source: str | np.ndarray | VCAHandle | ChunkSource,
+        source: str | np.ndarray | ChunkSource,
         nsta: int,
         nlta: int,
         chunk_samples: int | None = None,
@@ -268,7 +268,7 @@ class DASSA:
 
     def stack(
         self,
-        source: str | np.ndarray | VCAHandle | ChunkSource,
+        source: str | np.ndarray | ChunkSource,
         config: InterferometryConfig | None = None,
         window_seconds: float = 60.0,
         overlap: float = 0.0,
@@ -290,7 +290,7 @@ class DASSA:
     # -- lazy planned analysis -----------------------------------------------------
     def plan(
         self,
-        source: str | np.ndarray | VCAHandle | ChunkSource,
+        source: str | np.ndarray | ChunkSource,
         channels: tuple[int, int] | None = None,
         decimate: int = 1,
         chunk_samples: int | None = None,

@@ -293,7 +293,7 @@ class PipelineResult:
     used a ``continue`` :class:`~repro.faults.policy.FailurePolicy`) lists
     final-level output spans filled because their chunk stayed broken
     after retries — coordinates are *output* samples, unlike the
-    input-sample gaps a degraded :class:`~repro.storage.chunks.VCASource`
+    input-sample gaps a degraded :class:`~repro.storage.vca.VCAHandle`
     reports."""
 
     output: Any

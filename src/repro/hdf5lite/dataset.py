@@ -145,6 +145,12 @@ class Dataset:
     hyperslab writes (``ds[2:5] = values``).
     """
 
+    #: Degraded-read hook of a virtual dataset: ``handler(source, overlap,
+    #: exc) -> fill | None`` — a fill value masks the failed source's span,
+    #: ``None`` re-raises; no handler (the default) is fail-fast.  A masking
+    #: reader sets it on a Dataset object of its own (``storage.open_vca``).
+    on_source_error = None
+
     def __init__(self, file: "File", path: str, meta: dict[str, Any]):
         self._file = file
         self.path = path
@@ -617,7 +623,7 @@ class Dataset:
         fill = self._meta.get("fill", 0)
         if not self._sources_tile:
             out[...] = fill
-        handler = file.on_source_error
+        handler = self.on_source_error
         # Only sources starting at or before the lattice's last index on the
         # last axis, and past a reach beyond its first, can overlap it; they
         # are visited in declaration order, so where sources overlap the

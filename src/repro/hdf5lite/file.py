@@ -314,6 +314,10 @@ class File(Group):
 
     Modes: ``"r"`` read-only, ``"r+"`` read-write existing, ``"w"``
     create/truncate, ``"a"`` read-write, creating if missing.
+
+    A :class:`FilePool` hands one ``File`` to every reader of a path, so a
+    file holds no per-reader state (a degraded-read mode is set on a
+    reader's own ``Dataset`` object: ``Dataset.on_source_error``).
     """
 
     def __init__(
@@ -349,12 +353,6 @@ class File(Group):
         self.mode = mode
         self.writable = mode != "r"
         self.verify_checksums = bool(verify_checksums)
-        #: Degraded-read hook for virtual datasets: ``handler(source,
-        #: overlap, exc) -> fill | None`` — return a fill value to mask the
-        #: failed source's span, or ``None`` to re-raise.  Installed by
-        #: ``storage.open_vca(on_error="mask")``; ``None`` (default) keeps
-        #: reads fail-fast.
-        self.on_source_error = None
         self._dirty = False
         # One Dataset object per dataset (it memoises what it parses out of
         # the metadata — its stored-unit map above all), and each

@@ -7,10 +7,10 @@ long-running service:
 
 * :mod:`repro.rt.ingest` — spool-directory watcher (complete-file
   heuristics), bounded work queue with backpressure, quarantine;
-* :mod:`repro.rt.scheduler` — drives the operator-graph
-  :class:`~repro.core.pipeline.StreamPipeline` *across file boundaries*
-  via its incremental runner, so detections at file seams equal a batch
-  run over the concatenated record;
+* :mod:`repro.rt.scheduler` — :class:`DetectorConfig`, the detector
+  chain the service runs *across file boundaries* through the operator
+  graph's :class:`~repro.core.pipeline.IncrementalRunner`, so detections
+  at file seams equal a batch run over the concatenated record;
 * :mod:`repro.rt.events` — streaming event assembly and a JSONL sink
   with seam-dedup;
 * :mod:`repro.rt.checkpoint` — atomic JSON checkpoints for
@@ -35,7 +35,7 @@ from repro.rt.events import (
 )
 from repro.rt.ingest import PendingFile, Quarantine, SpoolWatcher, WorkQueue
 from repro.rt.metrics import LatencyStats, RTMetrics
-from repro.rt.scheduler import DetectorConfig, SeamScheduler
+from repro.rt.scheduler import DetectorConfig
 from repro.rt.service import RTService, ServiceConfig
 from repro.rt.shard import ShardOptions, ShardRuntime, ShardSpec, shard_main
 from repro.rt.supervisor import (
@@ -63,7 +63,6 @@ __all__ = [
     "LatencyStats",
     "RTMetrics",
     "DetectorConfig",
-    "SeamScheduler",
     "RTService",
     "ServiceConfig",
     "ShardOptions",

@@ -1,7 +1,7 @@
 """Crash-consistent JSON checkpoints for kill-and-resume.
 
 A checkpoint is one JSON document: the list of fully-processed files
-(with their sample counts), the seam scheduler's carried state (tail
+(with their sample counts), the incremental runner's carried state (tail
 digest + watermarks — the raw tail samples are *not* serialised, they
 are re-read from the durable acquisition files on resume by
 :func:`read_sample_range`), the open event run and the retry counts (the

@@ -7,7 +7,7 @@ with column-coverage triggering: a detector column is *hot* when at
 least ``min_fraction`` of channels exceed ``threshold``, and a maximal
 run of consecutive hot columns is one event.  The open run is the only
 carried state, so the assembly is exactly streamable: feeding the map
-column-interval by column-interval (as the seam scheduler emits it)
+column-interval by column-interval (as the incremental runner emits it)
 yields the identical event list to one pass over the whole map
 (:func:`map_events`), including events straddling file seams.
 """
@@ -115,8 +115,8 @@ class EventAssembler:
     """Streaming run-length event assembly with exact batch equivalence.
 
     :meth:`feed` consumes one emitted ``((j_lo, j_hi), block)`` interval
-    at a time (intervals must tile the column axis, which the seam
-    scheduler guarantees); a run of hot columns still open at the end of
+    at a time (intervals must tile the column axis, which the incremental
+    runner guarantees); a run of hot columns still open at the end of
     an interval is carried — with its slope-fit sums — into the next, so
     an event straddling a file seam is assembled once, not split or
     dropped.  The carried run round-trips through JSON for

@@ -117,10 +117,10 @@ class SpoolWatcher:
 class WorkQueue:
     """Bounded FIFO of file paths with backpressure accounting.
 
-    :meth:`offer` refuses items beyond ``capacity`` instead of growing
-    without bound — the caller keeps refused paths in its overflow list
-    and re-offers next tick, so a slow pipeline throttles ingest rather
-    than exhausting memory.
+    :meth:`offer` refuses items beyond ``capacity``; the caller keeps
+    refused paths in its overflow list (which is not bounded) and
+    re-offers them next tick.  What the capacity bounds is the files one
+    tick processes, not the paths held in memory.
 
     Thread-safe: the watch loop enqueues from its tick thread while a
     status endpoint (or a detached drain) may inspect depth concurrently.

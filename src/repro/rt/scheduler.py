@@ -1,16 +1,18 @@
-"""Cross-file detection scheduling: the seam-state protocol.
+"""Cross-file detection: what the service computes, and the seam-state
+protocol it is computed under.
 
 The batch pipelines treat one acquisition file as one record.  A
 monitoring service must treat the *stream of files* as one record: the
 filtfilt settle halo and the similarity/STA-LTA lookback windows
 straddle file boundaries, so processing each file independently drops
-or distorts detections at every seam.  :class:`SeamScheduler` wraps the
-:class:`~repro.core.pipeline.IncrementalRunner` — every pushed file is
-just the next piece of an unbounded record, carried state threads the
-halo from one file into the next (the bandpass's forward pass runs once
-per sample, continued from its carried IIR state; only its backward pass
-re-settles per file), and the emitted output tiles exactly what one
-batch run over the concatenated record would produce.
+or distorts detections at every seam.  :class:`DetectorConfig` names the
+map chain; :class:`~repro.rt.service.RTService` runs it through one
+:class:`~repro.core.pipeline.IncrementalRunner` per record — every pushed
+file is just the next piece of an unbounded record, carried state
+threads the halo from one file into the next (the bandpass's forward
+pass runs once per sample, continued from its carried IIR state; only
+its backward pass re-settles per file), and the emitted output tiles
+exactly what one batch run over the concatenated record would produce.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from repro.core.local_similarity import LocalSimilarityConfig, LocalSimilarityOp
 from repro.core.operators import FiltFiltOp
-from repro.core.pipeline import Operator, StreamPipeline
+from repro.core.pipeline import Operator
 from repro.core.stalta import StaLtaOp
 from repro.daslib import butter
 from repro.errors import ConfigError
@@ -84,93 +86,3 @@ class DetectorConfig:
         if self.detector == "local_similarity":
             return self.similarity.channel_offset
         return 0
-
-
-class SeamScheduler:
-    """Feeds acquisition files through one incremental runner, carrying
-    filter/window state across file boundaries.
-
-    The runner is built lazily from the first file's geometry
-    (``n_channels``, ``fs``); later files must match or the caller
-    quarantines them.  :meth:`export_state` / :meth:`import_state`
-    round-trip the carried state for checkpoint/resume.
-    """
-
-    def __init__(self, config: DetectorConfig | None = None):
-        self.config = config if config is not None else DetectorConfig()
-        self._runner = None
-        self.fs: float | None = None
-        self.n_channels: int | None = None
-
-    @property
-    def started(self) -> bool:
-        return self._runner is not None
-
-    @property
-    def seen(self) -> int:
-        return self._runner.seen if self._runner is not None else 0
-
-    @property
-    def emitted(self) -> int:
-        return self._runner.emitted if self._runner is not None else 0
-
-    @property
-    def pending_samples(self) -> int:
-        return self._runner.pending_samples if self._runner is not None else 0
-
-    def _build(self, n_channels: int, fs: float):
-        pipe = StreamPipeline(self.config.operators(fs))
-        return pipe.incremental(n_channels, fs=fs)
-
-    def _ensure(self, n_channels: int, fs: float) -> None:
-        if self._runner is None:
-            self._runner = self._build(n_channels, fs)
-            self.n_channels = int(n_channels)
-            self.fs = float(fs)
-            return
-        if int(n_channels) != self.n_channels or float(fs) != self.fs:
-            raise ConfigError(
-                f"file geometry ({n_channels} ch @ {fs} Hz) does not match "
-                f"the running record ({self.n_channels} ch @ {self.fs} Hz)"
-            )
-
-    def process(
-        self, data: np.ndarray, fs: float, timer=None
-    ) -> list[tuple[tuple[int, int], np.ndarray]]:
-        """Push the next file's samples; returns the newly emittable
-        ``((j_lo, j_hi), block)`` detector-output intervals."""
-        data = np.asarray(data)
-        if data.ndim != 2:
-            raise ConfigError("need a 2-D (channels, samples) array")
-        self._ensure(data.shape[0], fs)
-        return self._runner.push(data, timer=timer)
-
-    def flush(self, timer=None) -> list[tuple[tuple[int, int], np.ndarray]]:
-        """End the current record (acquisition gap or shutdown): clamp the
-        right edge like batch execution and emit the deferred tail."""
-        if self._runner is None:
-            return []
-        return self._runner.flush(timer=timer)
-
-    def reset(self) -> None:
-        """Forget the current record; the next file starts a new one."""
-        self._runner = None
-        self.fs = None
-        self.n_channels = None
-
-    # -- checkpoint/resume --------------------------------------------------
-    def export_state(self) -> dict | None:
-        """Carried state of the live record, or ``None`` between records."""
-        if self._runner is None:
-            return None
-        return self._runner.export_state()
-
-    def import_state(self, payload: dict, tail: np.ndarray) -> None:
-        """Rebuild the runner from a checkpoint plus the re-read tail."""
-        n_channels = int(payload["n_channels"])
-        fs = float(payload["fs"])
-        runner = self._build(n_channels, fs)
-        runner.import_state(payload, tail)
-        self._runner = runner
-        self.n_channels = n_channels
-        self.fs = fs

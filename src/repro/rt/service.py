@@ -1,22 +1,23 @@
-"""The monitoring service: watcher → queue → seam scheduler → event log.
+"""The monitoring service: watcher → queue → incremental runner → event log.
 
 One :meth:`RTService.tick` is one poll of the spool plus processing of
 everything queued: each complete file is read, pushed through the
-incremental detector chain (carried state threading the halo across the
-file seam), the emitted columns are assembled into events, and new
-events are appended to the JSONL log and the storage catalog is
-refreshed.  Failures never stop the loop — a file that cannot be read
-is retried a bounded number of times and then quarantined with its
-reason, and the service moves on to the next file.
+detector chain's :class:`~repro.core.pipeline.IncrementalRunner`
+(carried state threading the halo across the file seam), the emitted
+columns are assembled into events, and new events are appended to the
+JSONL log and the storage catalog is refreshed.  Failures never stop
+the loop — a file that cannot be read is retried a bounded number of
+times and then quarantined with its reason, and the service moves on to
+the next file.
 
-A checkpoint is taken after every ``checkpoint_every`` processed files
-(and on :meth:`close`); constructing the service over a spool with a
-checkpoint resumes from it — the carried tail is re-read from the
-processed files and digest-verified, the bandpass's forward pass re-runs
-over it from the state the checkpoint recorded (so resumed detector
-output is bit-identical), and the event sink dedups anything that was
-finalised between the checkpoint and the kill, so the resumed log
-equals an uninterrupted run's.
+A checkpoint is taken after every ``checkpoint_every`` processed files,
+counted file by file inside a tick (and on :meth:`close`); constructing
+the service over a spool with a checkpoint resumes from it — the carried
+tail is re-read from the processed files and digest-verified, the
+bandpass's forward pass re-runs over it from the state the checkpoint
+recorded (so resumed detector output is bit-identical), and the event
+sink dedups anything that was finalised between the checkpoint and the
+kill, so the resumed log equals an uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ import os
 import time
 from dataclasses import dataclass
 
+from repro.core.pipeline import IncrementalRunner, StreamPipeline
 from repro.errors import CheckpointCorruptError, ConfigError, ReproError
 from repro.rt.checkpoint import CHECKPOINT_NAME, CheckpointStore, read_sample_range
 from repro.rt.events import EventAssembler, EventPolicy, EventSink
 from repro.rt.ingest import Quarantine, SpoolWatcher, WorkQueue
 from repro.rt.metrics import RTMetrics
-from repro.rt.scheduler import DetectorConfig, SeamScheduler
+from repro.rt.scheduler import DetectorConfig
 from repro.storage.catalog import Catalog
 from repro.storage.dasfile import read_das_file
 from repro.storage.metadata import parse_timestamp, timestamp_add_seconds
@@ -101,7 +103,9 @@ class RTService:
         )
         self.queue = WorkQueue(self.config.queue_capacity)
         self.quarantine = Quarantine(self.spool, state_dir=self.state_dir)
-        self.scheduler = SeamScheduler(self.detector)
+        # The live record's carried state, built from its first file's
+        # geometry; ``None`` between records.
+        self.runner: IncrementalRunner | None = None
         self.sink = EventSink(
             events_path
             if events_path is not None
@@ -186,13 +190,15 @@ class RTService:
                 # whose samples changed still fails the digest check in
                 # import_state below — tampering raises, loss degrades.
                 self.resume_error = f"{type(exc).__name__}: {exc}"
-                self.scheduler.reset()
+                self.runner = None
                 self.assembler = None
                 self.files_done = []
                 self._record = ""
                 self._expected_stamp = None
                 return
-            self.scheduler.import_state(runner_state, tail)
+            self._runner_for(
+                int(runner_state["n_channels"]), float(runner_state["fs"])
+            ).import_state(runner_state, tail)
         assembler_state = payload.get("assembler")
         if assembler_state is not None:
             self._ensure_assembler()
@@ -206,16 +212,30 @@ class RTService:
             (os.path.join(self.spool, name), n) for name, n in self.files_done
         ]
 
+    def _runner_for(self, n_channels: int, fs: float) -> IncrementalRunner:
+        """The live record's runner: built from the first file's geometry,
+        which every later file of the record must match."""
+        if self.runner is None:
+            self.runner = StreamPipeline(self.detector.operators(fs)).incremental(
+                n_channels, fs=fs
+            )
+        elif n_channels != self.runner.n_channels or fs != self.runner.fs:
+            raise ConfigError(
+                f"file geometry ({n_channels} ch @ {fs} Hz) does not match the "
+                f"running record ({self.runner.n_channels} ch @ {self.runner.fs} Hz)"
+            )
+        return self.runner
+
     # -- event assembly -----------------------------------------------------
     def _ensure_assembler(self) -> None:
         if self.assembler is not None:
             return
-        if self.scheduler.fs is None:
-            raise ConfigError("assembler needs the scheduler's geometry first")
+        if self.runner is None:
+            raise ConfigError("assembler needs the runner's geometry first")
         self.assembler = EventAssembler(
             self.policy,
-            self.scheduler.fs,
-            self.scheduler.n_channels,
+            self.runner.fs,
+            self.runner.n_channels,
             channel_lo=self.detector.channel_lo,
         )
 
@@ -242,8 +262,8 @@ class RTService:
         """Flush the live record (gap or shutdown): clamp the right edge,
         emit the deferred tail, close the open event run."""
         written = []
-        if self.scheduler.started:
-            written.extend(self._assemble(self.scheduler.flush()))
+        if self.runner is not None:
+            written.extend(self._assemble(self.runner.flush()))
             if self.assembler is not None:
                 tail_events = self.assembler.flush()
                 emitted = self.sink.emit(tail_events, record=self._record)
@@ -253,7 +273,7 @@ class RTService:
                         self.on_event(seam_event)
                 written.extend(emitted)
             self.metrics.records_finished += 1
-        self.scheduler.reset()
+        self.runner = None
         self.assembler = None
         self.files_done = []
         self._record = ""
@@ -319,7 +339,11 @@ class RTService:
 
         try:
             pipe_t0 = self.metrics.clock()
-            pieces = self.scheduler.process(data, meta.sampling_frequency)
+            if data.ndim != 2:
+                raise ConfigError("need a 2-D (channels, samples) array")
+            pieces = self._runner_for(
+                data.shape[0], float(meta.sampling_frequency)
+            ).push(data)
             self.metrics.stage("pipeline").record(
                 self.metrics.clock() - pipe_t0
             )
@@ -385,19 +409,17 @@ class RTService:
                 self._overflow.append(path)
         self.metrics.backlog = len(self._overflow)
         processed = 0
-        while True:
-            path = self.queue.pop()
-            if path is None:
-                break
-            if self._process(path):
-                processed += 1
+        while (path := self.queue.pop()) is not None:
+            if not self._process(path):
+                continue
+            processed += 1
+            self._since_checkpoint += 1
+            if (
+                self.config.checkpoint_every
+                and self._since_checkpoint >= self.config.checkpoint_every
+            ):
+                self.save_checkpoint()
         self.metrics.queue_depth = len(self.queue)
-        self._since_checkpoint += processed
-        if (
-            self.config.checkpoint_every
-            and self._since_checkpoint >= self.config.checkpoint_every
-        ):
-            self.save_checkpoint()
         return processed
 
     def drain(self, max_ticks: int = 1000) -> int:
@@ -447,7 +469,9 @@ class RTService:
             "files_seen": sorted(self.files_seen),
             "record": self._record,
             "expected_stamp": self._expected_stamp,
-            "runner": self.scheduler.export_state(),
+            "runner": (
+                self.runner.export_state() if self.runner is not None else None
+            ),
             "assembler": (
                 self.assembler.export_state()
                 if self.assembler is not None

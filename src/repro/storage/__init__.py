@@ -24,7 +24,6 @@ from repro.storage.chunks import (
     ArraySource,
     ChunkSource,
     DatasetSource,
-    VCASource,
     as_source,
     auto_chunk_samples,
     iter_intervals,
@@ -72,7 +71,6 @@ __all__ = [
     "ChunkSource",
     "ArraySource",
     "DatasetSource",
-    "VCASource",
     "open_stream",
     "as_source",
     "iter_intervals",

@@ -2,8 +2,10 @@
 
 The streaming execution core (:mod:`repro.core.pipeline`) never holds a
 whole recording: it pulls ``(channels, time)`` blocks on demand through a
-:class:`ChunkSource`.  Sources exist for in-memory arrays, open hdf5lite
-datasets and LAVs, and VCA files; the VCA path threads the hdf5lite
+:class:`ChunkSource`.  Sources exist for in-memory arrays and open hdf5lite
+datasets and LAVs; an open VCA
+(:class:`~repro.storage.vca.VCAHandle`, what :func:`open_stream` returns)
+is itself a :class:`DatasetSource` and threads the hdf5lite
 :class:`~repro.hdf5lite.cache.BlockCache` / :class:`~repro.hdf5lite.cache.FilePool`
 through, so the halo (ghost-zone) re-reads that overlap-aware chunking
 issues are absorbed by the page cache instead of hitting the backend
@@ -22,13 +24,16 @@ file and the operators a sample is written once.
 from __future__ import annotations
 
 import os
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from repro.errors import ConfigError, ReproError, StorageError
+from repro.errors import ConfigError, StorageError
 from repro.hdf5lite.hyperslab import Hyperslab
 from repro.utils.iostats import IOStats
+
+if TYPE_CHECKING:
+    from repro.storage.vca import VCAHandle
 
 
 def iter_intervals(total: int, chunk: int) -> Iterator[tuple[int, int]]:
@@ -178,57 +183,6 @@ class DatasetSource(ChunkSource):
         return block
 
 
-class VCASource(DatasetSource):
-    """A chunk source that owns an open VCA handle.
-
-    ``pool`` / ``cache`` are the PR-1 read-side knobs: with a pool the VCA
-    and its per-minute sources stay open across chunks, and with a cache
-    the overlap (halo) samples that adjacent chunks both need are served
-    from memory the second time.
-
-    ``on_error`` / ``fill_value`` are the degraded-read knobs forwarded to
-    :func:`~repro.storage.vca.open_vca`; when masking, the handle's
-    :class:`~repro.storage.gaps.GapMap` is exposed as :attr:`gaps`.
-    """
-
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        iostats: IOStats | None = None,
-        pool: object = None,
-        cache: object = None,
-        on_error: str = "raise",
-        fill_value: float = float("nan"),
-    ):
-        from repro.storage.vca import open_vca
-
-        self._handle = open_vca(
-            path,
-            iostats=iostats,
-            pool=pool,
-            cache=cache,
-            on_error=on_error,
-            fill_value=fill_value,
-        )
-        try:
-            super().__init__(
-                self._handle.dataset, fs=self._handle.metadata.sampling_frequency
-            )
-        except (ReproError, OSError):
-            self._handle.close()
-            raise
-        self.path = os.fspath(path)
-        self.metadata = self._handle.metadata
-
-    @property
-    def gaps(self):
-        """Masked spans accumulated by the degraded-read handle."""
-        return self._handle.gaps
-
-    def close(self) -> None:
-        self._handle.close()
-
-
 class SourceView(ChunkSource):
     """A view of another source: a channel range, a time window and a time
     stride — local ``(r, t)`` is inner ``(channel_lo + r, t0 + t * step)``.
@@ -316,26 +270,23 @@ def open_stream(
     cache: object = None,
     on_error: str = "raise",
     fill_value: float = float("nan"),
-) -> VCASource:
-    """Open a VCA file as a streaming chunk source (context manager)."""
-    return VCASource(
-        path,
-        iostats=iostats,
-        pool=pool,
-        cache=cache,
-        on_error=on_error,
-        fill_value=fill_value,
-    )
+) -> "VCAHandle":
+    """Open a VCA file as a streaming chunk source (context manager):
+    :func:`~repro.storage.vca.open_vca` by another name."""
+    from repro.storage.vca import open_vca
+
+    return open_vca(path, iostats, pool, cache, on_error, fill_value)
 
 
 def as_source(source: object, fs: float | None = None) -> ChunkSource:
     """Coerce ``source`` into a :class:`ChunkSource`.
 
-    Accepts an existing source (returned as-is), a numpy array, an open
-    :class:`~repro.storage.vca.VCAHandle`, a :class:`~repro.storage.lav.LAV`,
-    an hdf5lite dataset, or a VCA file path (which opens a handle the
-    caller must ``close``).  ``fs`` overrides/supplies the sampling rate
-    for sources that do not carry one.
+    Accepts an existing source (returned as-is — an open
+    :class:`~repro.storage.vca.VCAHandle` is one), a numpy array, a
+    :class:`~repro.storage.lav.LAV`, an hdf5lite dataset, or a VCA file
+    path (which opens a handle the caller must ``close``).  ``fs``
+    supplies the sampling rate of an array, LAV or dataset, which carry
+    none.
     """
     if isinstance(source, ChunkSource):
         return source
@@ -343,11 +294,6 @@ def as_source(source: object, fs: float | None = None) -> ChunkSource:
         return ArraySource(source, fs=fs if fs is not None else 0.0)
     if isinstance(source, (str, os.PathLike)):
         return open_stream(source)
-    from repro.storage.vca import VCAHandle
-
-    if isinstance(source, VCAHandle):
-        rate = fs if fs is not None else source.metadata.sampling_frequency
-        return DatasetSource(source.dataset, fs=rate)
     if hasattr(source, "shape") and hasattr(source, "read_direct"):
         return DatasetSource(source, fs=fs if fs is not None else 0.0)
     raise StorageError(f"cannot stream from {type(source).__name__}")

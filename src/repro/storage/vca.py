@@ -9,13 +9,15 @@ construction speedup over RCA reported in Fig. 6.
 
 from __future__ import annotations
 
+import copy
 import os
 from typing import Sequence
 
 import numpy as np
 
-from repro.errors import StorageError
+from repro.errors import ConfigError, StorageError
 from repro.hdf5lite import File, FilePool, VirtualSource
+from repro.storage.chunks import DatasetSource
 from repro.storage.dasfile import DATASET_NAME, read_das_metadata
 from repro.storage.gaps import GapMap, GapSpan
 from repro.storage.metadata import DASMetadata
@@ -136,8 +138,9 @@ def create_vca(
     return out_path
 
 
-class VCAHandle:
-    """An open VCA with its merged metadata.
+class VCAHandle(DatasetSource):
+    """An open VCA — merged metadata, sources, gaps — and the chunk source
+    the executor reads (``fs`` is the VCA's sampling frequency).
 
     ``pool`` — an optional :class:`repro.hdf5lite.FilePool`.  When given,
     both the VCA file itself and its per-minute source files are acquired
@@ -153,6 +156,10 @@ class VCAHandle:
     * ``"mask"`` — the failed source's span is filled with ``fill_value``
       and recorded in :attr:`gaps`; the source is retried on later reads
       (transient faults may clear).
+
+    The mode is this handle's alone: it reads through a ``Dataset``
+    object of its own and sets the hook only there, never on the file a
+    pool shares with other readers.
 
     :attr:`gaps` is a :class:`repro.storage.gaps.GapMap` of masked spans
     in absolute VCA sample coordinates — callers that accept a degraded
@@ -173,10 +180,8 @@ class VCAHandle:
                 f"on_error must be 'raise' or 'mask', got {on_error!r}"
             )
         self.path = os.fspath(path)
-        self.on_error = on_error
         self.fill_value = fill_value
         self.gaps = GapMap()
-        self._installed = False
         if pool is not None:
             self._file = pool.acquire(self.path, iostats=iostats)
             self._owns_file = False
@@ -191,13 +196,16 @@ class VCAHandle:
                     if not k.startswith("VCA ")
                 }
             )
-            self.dataset = self._file.dataset(VCA_DATASET)
-        except (StorageError, KeyError):
+            super().__init__(
+                copy.copy(self._file.dataset(VCA_DATASET)),
+                fs=self.metadata.sampling_frequency,
+            )
+        except (StorageError, ConfigError, KeyError):
             self.close()
             raise StorageError(f"{self.path!r} is not a VCA file") from None
-        if on_error == "mask":
-            self._file.on_source_error = self._handle_source_error
-            self._installed = True
+        self._dataset.on_source_error = (
+            self._handle_source_error if on_error == "mask" else None
+        )
 
     def _handle_source_error(self, source, overlap, exc) -> float:
         """Degraded-read hook: record the loss and return the fill value
@@ -211,6 +219,11 @@ class VCAHandle:
             )
         )
         return self.fill_value
+
+    @property
+    def dataset(self):
+        """The VCA dataset as this handle reads it (its own object)."""
+        return self._dataset
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -240,22 +253,9 @@ class VCAHandle:
         return out
 
     def close(self) -> None:
-        """Close the handle (a pooled file stays open, owned by the pool).
-
-        The degraded-read handler installed on the underlying file is
-        removed so a pooled handle returns to fail-fast for its next user.
-        """
-        if self._installed:
-            self._file.on_source_error = None
-            self._installed = False
+        """Close the handle (a pooled file stays open, owned by the pool)."""
         if self._owns_file:
             self._file.close()
-
-    def __enter__(self) -> "VCAHandle":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
 
 def open_vca(
@@ -266,17 +266,11 @@ def open_vca(
     on_error: str = "raise",
     fill_value: float = float("nan"),
 ) -> VCAHandle:
-    """Open a VCA file.
+    """Open a VCA file (a :class:`~repro.storage.chunks.ChunkSource`;
+    close it, or use it as a context manager).
 
     ``on_error="mask"`` turns unreadable sources into
     fill-valued spans recorded on the handle's :attr:`~VCAHandle.gaps`
     instead of raising (see :class:`VCAHandle`).
     """
-    return VCAHandle(
-        path,
-        iostats=iostats,
-        pool=pool,
-        cache=cache,
-        on_error=on_error,
-        fill_value=fill_value,
-    )
+    return VCAHandle(path, iostats, pool, cache, on_error, fill_value)

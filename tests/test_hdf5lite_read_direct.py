@@ -335,7 +335,7 @@ def test_masked_sources_mark_their_own_span(minutes):
         with pytest.raises(FileNotFoundError):
             ds.read_direct(hs, np.empty(hs.count))
 
-        f.on_source_error = handler
+        ds.on_source_error = handler
         out = np.full(hs.count, -7.0)
         ds.read_direct(hs, out)
         expected = whole[1:4, 3:150:7].astype(np.float64)
@@ -377,7 +377,7 @@ def test_flipped_byte_is_refused_before_decode_and_stays_in_its_span(
         np.testing.assert_array_equal(out[:, :50], blocks[0])
         assert (out[:, 50:] == -7.0).all()
 
-        f.on_source_error = lambda source, overlap, exc: np.nan
+        ds.on_source_error = lambda source, overlap, exc: np.nan
         out = np.full((4, 150), -7.0)
         ds.read_direct(Hyperslab.full((4, 150)), out)
         assert decodes == []
@@ -516,10 +516,10 @@ def test_indexed_virtual_read_is_the_full_scan(pieces, layout, data):
     def read(full_scan):
         masked = []
         with File(path, "r") as f:
-            f.on_source_error = (
+            ds = f.dataset("v")
+            ds.on_source_error = (
                 lambda source, overlap, exc: masked.append((source, overlap)) or -1.0
             )
-            ds = f.dataset("v")
             if full_scan:  # every source is a candidate, in declaration order
                 n = len(sources)
                 ds.__dict__["_source_index"] = ([0] * n, [float("inf")] * n, list(range(n)))

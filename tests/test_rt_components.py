@@ -35,7 +35,7 @@ from repro.rt.events import (
 )
 from repro.rt.ingest import Quarantine, SpoolWatcher, WorkQueue
 from repro.rt.metrics import LatencyStats, RTMetrics
-from repro.rt.scheduler import DetectorConfig, SeamScheduler
+from repro.rt.scheduler import DetectorConfig
 from repro.storage.dasfile import write_das_file
 from repro.storage.metadata import DASMetadata
 
@@ -760,12 +760,6 @@ class TestSchedulerConfig:
     def test_rejects_unknown_detector(self):
         with pytest.raises(ConfigError):
             DetectorConfig(detector="template_matching")
-
-    def test_geometry_mismatch_raises(self, record):
-        scheduler = SeamScheduler(DetectorConfig(band=None))
-        scheduler.process(record, fs=200.0)
-        with pytest.raises(ConfigError, match="does not match"):
-            scheduler.process(record[:5], fs=200.0)
 
     def test_centers_map_columns_to_samples(self):
         cfg = DetectorConfig(

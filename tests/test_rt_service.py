@@ -14,6 +14,7 @@ from repro.core.local_similarity import (
 )
 from repro.daslib import butter, filtfilt
 from repro.rt import (
+    CheckpointStore,
     DetectorConfig,
     EventPolicy,
     RTService,
@@ -21,8 +22,9 @@ from repro.rt import (
     map_events,
 )
 from repro.rt.cli import main as rt_main
-from repro.storage.dasfile import write_das_file
-from repro.storage.metadata import DASMetadata
+from repro.hdf5lite import File
+from repro.storage.dasfile import DATASET_NAME, write_das_file
+from repro.storage.metadata import DASMetadata, timestamp_add_seconds
 from repro.synthetic.generator import (
     drip_feed_dataset,
     fig1b_scene,
@@ -566,3 +568,80 @@ class TestCli:
         assert os.path.exists(
             os.path.join(tmp_path, ".das_rt_checkpoint.json")
         )
+
+
+def test_a_file_that_is_not_2d_leaves_the_record_to_the_next_file(tmp_path):
+    """A malformed file is quarantined before it can set the record's
+    geometry, so the good file after it is ingested, not refused."""
+    meta = DASMetadata(
+        sampling_frequency=FS, spatial_resolution=2.0,
+        timestamp="170620100545", n_channels=8,
+    )
+    with File(os.path.join(tmp_path, "westSac_170620100545.h5"), "w") as f:
+        f.attrs.update_many(meta.to_attrs())
+        f.create_dataset(DATASET_NAME, data=np.zeros(400, dtype=np.float32))
+    good = DASMetadata(
+        sampling_frequency=FS, spatial_resolution=2.0,
+        timestamp="170620100553", n_channels=8,
+    )
+    write_das_file(
+        os.path.join(tmp_path, "westSac_170620100553.h5"),
+        np.ones((8, 400), dtype=np.float32),
+        good,
+    )
+    service = RTService(
+        tmp_path,
+        detector=DetectorConfig(band=None, similarity=SIM),
+        policy=POLICY,
+        config=FAST,
+    )
+    service.drain()
+    assert "2-D" in service.quarantine.reasons["westSac_170620100545.h5"]
+    assert service.metrics.files_ingested == 1
+    assert service.runner.n_channels == 8
+
+
+class TestCheckpointCadence:
+    """``checkpoint_every`` counts processed files, also when one tick
+    drains several."""
+
+    @pytest.mark.parametrize("every, expected", [(1, [1, 2, 3, 4, 5]), (2, [2, 4])])
+    def test_one_drain_checkpoints_after_every_nth_file(
+        self, tmp_path, monkeypatch, every, expected
+    ):
+        stamp = "170620100545"
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            meta = DASMetadata(
+                sampling_frequency=FS,
+                spatial_resolution=2.0,
+                timestamp=stamp,
+                n_channels=8,
+            )
+            write_das_file(
+                os.path.join(tmp_path, f"westSac_{stamp}.h5"),
+                rng.standard_normal((8, 400)).astype(np.float32),
+                meta,
+            )
+            stamp = timestamp_add_seconds(stamp, 400 / FS)
+        saves = []
+        real_save = CheckpointStore.save
+        monkeypatch.setattr(
+            CheckpointStore,
+            "save",
+            lambda store, payload: saves.append(len(payload["files_done"]))
+            or real_save(store, payload),
+        )
+        service = RTService(
+            tmp_path,
+            detector=DetectorConfig(band=None, similarity=SIM),
+            policy=POLICY,
+            config=ServiceConfig(
+                poll_interval=0.0,
+                settle_seconds=0.0,
+                stable_polls=1,
+                checkpoint_every=every,
+            ),
+        )
+        assert service.drain() == 5
+        assert saves == expected
