@@ -168,6 +168,10 @@ class Codec:
     it: readers pass ``select`` and ``verified`` by keyword on every call.
     One with nothing to gain from the selection implements
     :meth:`_decode_whole` instead and inherits ``decode``.
+
+    ``encode`` is called from several threads at once — a dataset's
+    chunks are encoded concurrently — so it must keep no per-call state
+    on the instance: everything one call needs lives in its locals.
     """
 
     spec: str = ""
@@ -660,6 +664,8 @@ def register_codec(name: str, factory: Callable[[list[str]], Codec]) -> None:
     Readers call ``decode(payload, shape, dtype, select=...,
     verified=...)``: a registered codec takes all five parameters
     (:meth:`Codec.decode`), itself or through the :class:`Codec` default.
+    Writers call ``encode`` from several threads at once, so it must keep
+    no per-call state on the instance (:class:`Codec`).
     """
     if not name or ":" in name:
         raise ConfigError(f"codec name must be non-empty and ':'-free, got {name!r}")

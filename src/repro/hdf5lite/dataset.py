@@ -34,12 +34,15 @@ CRCs of what it rewrote to the one sidecar writer.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
 import zlib
 from bisect import bisect_right
+from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -82,6 +85,14 @@ class _Unit(NamedTuple):
     nbytes: int  # bytes on disk
     crc: int | None  # CRC32 the stored bytes must carry
     shape: tuple[int, ...] | None  # what a chunk decodes to; None = region bytes
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (``taskset -c 0`` makes it 1), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _chunk_grid(
@@ -695,7 +706,7 @@ class Dataset:
                 f"datasets, not {self.layout}"
             )
         self._require_within(hs)
-        values = np.ascontiguousarray(values, dtype=self.dtype)
+        values = np.asarray(values, dtype=self.dtype, order="C")
         if values.shape != hs.count:
             raise SelectionError(
                 f"value shape {values.shape} != selection shape {hs.count}"
@@ -737,41 +748,81 @@ class Dataset:
         disk.  The touched chunk is loaded CRC-verified when the file
         verifies reads: a read-modify-write must not launder corruption
         into a fresh checksum."""
-        codec = self.codec
-        crcs = {}
-        for unit, local_sel, vals_sel in self._touched_chunks(hs):
-            chunk_arr = self._load_unit(unit, None, (slice(None),) * self.ndim)
-            if not chunk_arr.flags.writeable:
-                chunk_arr = chunk_arr.copy()
-            chunk_arr[local_sel] = values[vals_sel]
-            crcs[unit.key] = zlib.crc32(
-                self._store_chunk(unit.key, chunk_arr, codec, unit)
-            )
-        return crcs
 
-    def _store_chunk(
-        self, ckey: str, chunk_arr: np.ndarray, codec: "Codec | None", slot: _Unit | None
-    ) -> bytes:
-        """Encode one chunk and put it on disk; returns the stored payload
+        def patched() -> Iterator[tuple[str, np.ndarray, _Unit]]:
+            for unit, local_sel, vals_sel in self._touched_chunks(hs):
+                # (a 0-d chunk loads as a numpy scalar)
+                chunk_arr = np.asarray(
+                    self._load_unit(unit, None, (slice(None),) * self.ndim)
+                )
+                if not chunk_arr.flags.writeable:
+                    chunk_arr = chunk_arr.copy()
+                chunk_arr[local_sel] = values[vals_sel]
+                yield unit.key, chunk_arr, unit
+
+        return self._store_chunks(patched(), self.codec)
+
+    def _store_chunks(
+        self,
+        items: Iterable[tuple[str, np.ndarray, _Unit | None]],
+        codec: "Codec | None",
+    ) -> dict[str, int]:
+        """Encode chunks and put them on disk, in the order ``items`` lists
+        them; returns ``{key: crc32(payload)}`` for the stored payloads
         (what a sidecar CRC covers).  The one place a chunk is encoded:
         creation stores every chunk of the grid through here, a hyperslab
-        write the chunks it patched.
+        write the chunks it patched.  An item is ``(key, block, slot)``.
 
         The payload goes into ``slot`` — the unit it replaces — when it
         fits; a new chunk, or one that grew past its old slot, is appended
         to the data region and the chunk index pointed at it (the old bytes
         are dead — acceptable for an append-only format).
+
+        With two chunks or more and more than one CPU, the encodes overlap
+        (``zlib`` releases the GIL): the calling thread encodes the first
+        chunk of each group of ``workers + 1`` while a pool of ``workers``,
+        one per other CPU, encodes the rest.  Each task copies its block
+        and takes its payload's CRC.  The pool is this call's own, shut
+        down before it returns or raises.  Every write stays on the calling
+        thread, in item order, so the file's bytes are what a serial loop
+        writes, and the first chunk in that order that fails to encode
+        raises its own exception (payloads already appended are dead
+        bytes).  At most ``workers + 1`` chunks are encoded or waiting to
+        be stored at once: ``items`` is drawn no further ahead.
         """
-        chunk_arr = np.ascontiguousarray(chunk_arr)
-        payload = chunk_arr.tobytes() if codec is None else codec.encode(chunk_arr)
-        if slot is not None and len(payload) <= slot.nbytes:
-            self._file._backend.write_at(slot.offset, payload)
-        else:
-            self._meta["chunk_index"][ckey] = self._file._append_data(payload)
-        if codec is not None:
-            self._meta["chunk_enc"][ckey] = len(payload)
-        self._changed()
-        return payload
+
+        def encode(block: np.ndarray) -> tuple[bytes, int]:
+            block = np.asarray(block, order="C")
+            payload = block.tobytes() if codec is None else codec.encode(block)
+            return payload, zlib.crc32(payload)
+
+        crcs: dict[str, int] = {}
+
+        def store(ckey: str, slot: _Unit | None, payload: bytes, crc: int) -> None:
+            if slot is not None and len(payload) <= slot.nbytes:
+                self._file._backend.write_at(slot.offset, payload)
+            else:
+                self._meta["chunk_index"][ckey] = self._file._append_data(payload)
+            if codec is not None:
+                self._meta["chunk_enc"][ckey] = len(payload)
+            crcs[ckey] = crc
+            self._changed()
+
+        items = iter(items)
+        head = list(itertools.islice(items, 2))
+        workers = _cpus() - 1 if len(head) > 1 else 0
+        items = itertools.chain(head, items)
+        pool = (
+            ThreadPoolExecutor(workers, thread_name_prefix="encode") if workers else None
+        )
+        with pool or contextlib.nullcontext():
+            while group := list(itertools.islice(items, workers + 1)):
+                (ckey, block, slot), rest = group[0], group[1:]
+                futures = [pool.submit(encode, b) for _key, b, _slot in rest]
+                store(ckey, slot, *encode(block))
+                for (ckey, _block, slot), future in zip(rest, futures):
+                    store(ckey, slot, *future.result())
+        return crcs
 
     # -- conversion --------------------------------------------------------------
     def __array__(self, dtype: object = None, copy: object = None) -> np.ndarray:

@@ -5,8 +5,8 @@ and datasets.  The tree is kept in memory as plain dicts (mirroring the
 JSON metadata footer) and flushed on close.  A file appends dataset bytes
 and records where they went; how a dataset's bytes divide into stored
 units — and so how a chunk is encoded, sized, checksummed and found again
-— is :mod:`repro.hdf5lite.dataset`'s (``create_dataset`` stores every
-chunk through ``Dataset._store_chunk``, the function a hyperslab write
+— is :mod:`repro.hdf5lite.dataset`'s (``create_dataset`` stores the chunk
+grid through ``Dataset._store_chunks``, the function a hyperslab write
 re-stores chunks with).
 
 Example::
@@ -195,6 +195,13 @@ class Group:
         assumes fixed-size elements); combined with ``checksum=True`` the
         CRCs cover the *encoded* bytes — corruption is caught before any
         decode.
+
+        A chunked dataset's chunks are encoded concurrently when there are
+        two or more and more than one CPU (``Dataset._store_chunks``), and
+        written in grid order, so the file's bytes do not depend on it.  A
+        chunk that fails to encode raises its own exception and the
+        dataset is not created; the payloads already appended stay behind
+        as dead bytes.
         """
         if not self._file.writable:
             raise FormatError("file is not writable")
@@ -227,7 +234,7 @@ class Group:
         elif chunks is not None:
             if data is None:
                 raise FormatError("chunked datasets require data at creation")
-            arr = np.ascontiguousarray(data)
+            arr = np.asarray(data, order="C")
             token = _dtype.dtype_token(dtype if dtype is not None else arr.dtype)
             arr = arr.astype(_dtype.token_dtype(token), copy=False)
             chunks = tuple(int(c) for c in chunks)
@@ -248,7 +255,7 @@ class Group:
                 meta["chunk_enc"] = {}
         else:
             if data is not None:
-                arr = np.ascontiguousarray(data)
+                arr = np.asarray(data, order="C")
                 token = _dtype.dtype_token(dtype if dtype is not None else arr.dtype)
                 arr = arr.astype(_dtype.token_dtype(token), copy=False)
                 if shape is not None and tuple(shape) != arr.shape:
@@ -282,14 +289,14 @@ class Group:
             if resolved is not None:
                 ds.attrs[CODEC_ATTR] = resolved.spec
             # Every chunk of the grid goes through the function a hyperslab
-            # write re-stores chunks with; CRC each payload in the pass
-            # that makes it, not by reading the file back afterwards.
-            chunk_crcs: dict[str, int] = {}
-            for ckey, start, count in _chunk_grid(arr.shape, chunks):
-                block = arr[tuple(slice(s, s + n) for s, n in zip(start, count))]
-                payload = ds._store_chunk(ckey, block, resolved, None)
-                if checksum:
-                    chunk_crcs[ckey] = zlib.crc32(payload)
+            # write re-stores chunks with; each payload's CRC is taken in
+            # the task that makes it, not by reading the file back.
+            def grid() -> Iterator[tuple[str, np.ndarray, None]]:
+                for ckey, start, count in _chunk_grid(arr.shape, chunks):
+                    block = arr[tuple(slice(s, s + n) for s, n in zip(start, count))]
+                    yield ckey, block, None
+
+            chunk_crcs = ds._store_chunks(grid(), resolved)
             if checksum:
                 _store_crcs(ds, chunk_crcs, 0)
         elif checksum and meta["layout"] == LAYOUT_CONTIGUOUS:

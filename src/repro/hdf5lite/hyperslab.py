@@ -230,6 +230,8 @@ def plan_spans(
     ndim = len(shape)
     if hs.ndim != ndim:
         raise SelectionError("hyperslab rank does not match array rank")
+    if ndim == 0:  # a scalar is planned as the one element of a (1,) array
+        return plan_spans(Hyperslab((0,), (1,), (1,)), (1,), max_gap, max_span, in_place)
     if not hs.within(shape):
         raise SelectionError(
             f"hyperslab {hs} does not fit within array shape {tuple(shape)}"
@@ -304,6 +306,8 @@ def gather_spans(
     """
     if plan.offsets.size == 0:
         return
+    if out.ndim == 0:  # planned as a (1,) array
+        out = out.reshape(1)
     dtype = out.dtype if dtype is None else np.dtype(dtype)
     n, block = plan.counts[0], plan.block
     inner_shape = plan.counts[1:]

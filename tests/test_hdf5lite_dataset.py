@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import FormatError, SelectionError
 from repro.hdf5lite import CacheConfig, File, Hyperslab, VirtualSource
+from repro.hdf5lite.inspect import verify
 from repro.utils.iostats import IOStats
 
 
@@ -223,6 +224,45 @@ class TestChunked:
             f.create_dataset("d", data=data, chunks=(7,))
         with File(tmpfile, "r") as f:
             np.testing.assert_array_equal(f.dataset("d")[13:64], data[13:64])
+
+
+class TestScalar:
+    """A 0-d dataset keeps shape ``()`` and reads and writes like numpy's."""
+
+    @pytest.mark.parametrize("checksum", [False, True])
+    @pytest.mark.parametrize(
+        "chunks, codec",
+        [(None, None), ((), None), ((), "transpose-zlib"), ((), "delta-zlib")],
+        ids=["contiguous", "chunked", "transpose-zlib", "delta-zlib"],
+    )
+    def test_roundtrip(self, tmpfile, checksum, chunks, codec):
+        with File(tmpfile, "w") as f:
+            ds = f.create_dataset(
+                "s", data=np.float64(2.5), chunks=chunks, codec=codec, checksum=checksum
+            )
+            assert ds.shape == ()
+            assert ds[()] == 2.5
+            ds[()] = 3.0
+            assert ds.read().shape == ()
+            assert ds.read() == 3.0
+        with File(tmpfile, "r") as f:
+            ds = f.dataset("s")
+            assert ds.shape == ()
+            assert ds[...] == 3.0
+            assert verify(f) == []
+
+    @pytest.mark.parametrize("checksum", [False, True])
+    def test_created_by_shape(self, tmpfile, checksum):
+        with File(tmpfile, "w") as f:
+            ds = f.create_dataset("s", shape=(), dtype=np.int32, checksum=checksum)
+            assert ds.read() == 0
+            ds[...] = 7
+        with File(tmpfile, "r") as f:
+            value = f.dataset("s")[()]
+            assert value.shape == () and value.dtype == np.int32 and value == 7
+            assert verify(f) == []
+        with pytest.raises(TypeError):
+            len(File(tmpfile, "r").dataset("s"))
 
 
 class TestVirtual:
