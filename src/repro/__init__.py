@@ -7,8 +7,9 @@ system described in the paper:
 * :mod:`repro.hdf5lite` — hierarchical array file format (HDF5 substitute)
 * :mod:`repro.simmpi` — simulated MPI runtime with virtual clocks
 * :mod:`repro.cluster` — machine model (Cori-like nodes, network, Lustre)
-* :mod:`repro.storage` — DASS storage engine (das_search, VCA/RCA/LAV,
-  collective-per-file and communication-avoiding parallel readers)
+* :mod:`repro.storage` — DASS storage engine (das_search, VCA/RCA, the
+  LAV as ``SourceView``, collective-per-file and communication-avoiding
+  parallel readers)
 * :mod:`repro.daslib` — DasLib DSP library (Table II of the paper)
 * :mod:`repro.arrayudf` — ArrayUDF with Stencil/Apply and the hybrid
   ApplyMT engine (HAEE, Algorithm 1)

@@ -273,7 +273,9 @@ class BaseEngine:
         """Execute ``udf`` over a 2-D array source with this geometry.
 
         ``data_source`` is a numpy array, an hdf5lite :class:`Dataset`,
-        or anything with ``shape`` + ``__getitem__`` (VCA dataset, LAV).
+        or anything with ``shape`` + ``__getitem__`` (an open VCA's
+        ``dataset``; a :class:`~repro.storage.chunks.SourceView` streams
+        through :mod:`repro.core.pipeline` instead).
         Each rank reads its row block (+halo), runs ApplyMT with this
         engine's thread count, and rank 0 assembles the stacked output
         into ``report.result``.

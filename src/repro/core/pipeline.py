@@ -20,8 +20,8 @@ whole-array materialisation.  This module is that execution core:
   per branch by composing ``out_core`` forwards and ``in_needed``
   backwards and validates that plan — tiling, containment, coverage —
   before anything is read; per chunk it reads the union interval once
-  from a :class:`~repro.storage.chunks.ChunkSource` (VCA/LAV/array —
-  halo re-reads hit the hdf5lite block cache), runs the whole chain on
+  from a :class:`~repro.storage.chunks.ChunkSource` (VCA, ``SourceView``,
+  array — halo re-reads hit the hdf5lite block cache), runs the whole chain on
   it, applies the per-chunk :class:`~repro.faults.policy.FailurePolicy`,
   and stitches the ghost zones away — between operators, so no stage
   computes on a predecessor's fringe — so streamed output is numerically

@@ -35,7 +35,7 @@ class FormatError(ReproError):
 
 
 class SelectionError(ReproError):
-    """Raised for invalid hyperslab / LAV selections."""
+    """Raised for invalid hyperslab selections."""
 
 
 class StorageError(ReproError):

@@ -11,8 +11,8 @@ and per-request IOPS pressure.  This module supplies the amortisation:
   block-local reads (the dominant DAS access pattern) then hit memory
   instead of the backend.
 * :class:`FilePool` — an LRU pool of open read-only :class:`~repro.hdf5lite.file.File`
-  handles keyed by absolute path, so VCA/LAV/parallel readers stop paying
-  one open per source per read.
+  handles keyed by absolute path, so VCA handles and parallel readers stop
+  paying one open per source per read.
 
 Both layers are thread-safe (simmpi ranks are threads) and both report
 into :class:`repro.utils.iostats.IOStats` (``cache_hits``/``cache_misses``/

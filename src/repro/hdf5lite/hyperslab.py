@@ -1,8 +1,9 @@
 """Hyperslab selection algebra.
 
 A *hyperslab* is a regular N-dimensional selection described per dimension
-by ``(start, count, stride)`` — the same model as HDF5's hyperslab and the
-paper's Logical Array View (LAV).  This module converts numpy-style basic
+by ``(start, count, stride)`` — the same model as HDF5's hyperslab; the
+paper's Logical Array View (LAV) is :class:`repro.storage.chunks.SourceView`,
+which lowers to one.  This module converts numpy-style basic
 indexing into hyperslabs, computes result shapes, and plans the backend
 requests a selection becomes.  :func:`plan_spans` is the only planner,
 for reads and writes alike: a read bridges holes of up to ``max_gap``

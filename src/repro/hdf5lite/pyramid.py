@@ -11,8 +11,9 @@ NaN exactly when a base sample within ``10 * factor**k`` of that centre
 is non-finite (a masked gap).
 
 This module defines the on-disk *convention* only — the attribute names
-a reader keys on, discovery (:func:`pyramid_levels`), and structural
-validation (:func:`pyramid_problems`, folded into
+a reader keys on and one walk over the group that both discovers the
+levels (:func:`pyramid_levels`, which refuses a pyramid with any problem)
+and validates them (:func:`pyramid_problems`, folded into
 :func:`repro.hdf5lite.inspect.verify`).  *Building* pyramids needs the
 DSP operators and therefore lives up the stack in
 :mod:`repro.serve.pyramid` (one pass over the base record for all
@@ -103,38 +104,21 @@ def _level_of(ds: Dataset) -> PyramidLevel:
             fs=float(ds.attrs.get(FS_ATTR, 0.0)),
         )
     except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{ds.path}: malformed pyramid attribute ({exc})") from exc
+        raise FormatError(f"malformed pyramid attribute ({exc})") from exc
 
 
 def pyramid_levels(file) -> list[PyramidLevel]:
     """The pyramid levels a file carries, sorted by level (``[]`` if none).
 
-    ``file`` is an open :class:`repro.hdf5lite.File`.  Raises
-    :class:`~repro.errors.FormatError` when a level attribute does not
-    parse, or when two datasets claim the same level — readers select by
-    level, so duplicates are unserveable.
+    ``file`` is an open :class:`repro.hdf5lite.File`.  A pyramid with any
+    problem :func:`pyramid_problems` reports is unserveable: this raises
+    :class:`~repro.errors.FormatError` naming the first one, so a reader
+    refuses exactly what :func:`repro.hdf5lite.inspect.verify` rejects.
     """
-    if PYRAMID_GROUP not in file:
-        return []
-    group = file[PYRAMID_GROUP]
-    if isinstance(group, Dataset):
-        raise FormatError(f"{PYRAMID_GROUP!r} is a dataset, expected a group")
-    levels: list[PyramidLevel] = []
-    for name in group.datasets():
-        ds = group[name]
-        if not is_pyramid_level(ds):
-            continue
-        if len(ds.shape) != 2:
-            raise FormatError(
-                f"pyramid level {ds.path} is {len(ds.shape)}-D, expected 2-D"
-            )
-        levels.append(_level_of(ds))
-    levels.sort(key=lambda lvl: lvl.level)
-    for a, b in zip(levels, levels[1:]):
-        if a.level == b.level:
-            raise FormatError(
-                f"duplicate pyramid level {a.level}: {a.path} and {b.path}"
-            )
+    levels, problems = _walk(file)
+    if problems:
+        path, message = problems[0]
+        raise FormatError(f"{path}: {message}")
     return levels
 
 
@@ -149,6 +133,7 @@ def pyramid_problems(file) -> list[tuple[str, str]]:
       base factor — ``factor == base_factor ** level``;
     * level length is exactly ``ceil(base_samples / factor)`` (the
       :class:`~repro.core.operators.DecimateOp` output-length law);
+    * no two datasets claim the same level (readers select by level);
     * all levels agree on channel count, base length, and base dataset;
     * the named base dataset exists and matches ``base_samples``.
 
@@ -156,12 +141,18 @@ def pyramid_problems(file) -> list[tuple[str, str]]:
     ordinary per-dataset machinery of :func:`repro.hdf5lite.inspect.verify`
     — pyramid levels are plain chunked datasets and get it for free.
     """
+    return _walk(file)[1]
+
+
+def _walk(file) -> tuple[list[PyramidLevel], list[tuple[str, str]]]:
+    """One pass over ``pyramid/``: the levels that parsed, sorted by
+    level, and the problems found (see :func:`pyramid_problems`)."""
     problems: list[tuple[str, str]] = []
     if PYRAMID_GROUP not in file:
-        return problems
+        return [], problems
     group = file[PYRAMID_GROUP]
     if isinstance(group, Dataset):
-        return [(group.path, "pyramid is a dataset, expected a group")]
+        return [], [(group.path, "pyramid is a dataset, expected a group")]
     base_factor = group.attrs.get(BASE_FACTOR_ATTR)
     levels: list[PyramidLevel] = []
     for name in group.datasets():
@@ -254,4 +245,5 @@ def pyramid_problems(file) -> list[tuple[str, str]]:
                     f"level has {lvl.n_channels} channels, base has {base.shape[0]}",
                 )
             )
-    return problems
+    levels.sort(key=lambda lvl: lvl.level)
+    return levels, problems

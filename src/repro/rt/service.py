@@ -250,6 +250,11 @@ class RTService:
             centers = self.detector.centers(j_lo, j_hi)
             events.extend(self.assembler.feed(j_lo, centers, block))
             self.metrics.columns_out += j_hi - j_lo
+        return self._emit(events)
+
+    def _emit(self, events) -> list:
+        """Write events to the sink, count them and hand each written one
+        to ``on_event``; returns what the sink wrote."""
         written = self.sink.emit(events, record=self._record)
         self.metrics.events_emitted += len(written)
         if self.on_event is not None:
@@ -265,13 +270,7 @@ class RTService:
         if self.runner is not None:
             written.extend(self._assemble(self.runner.flush()))
             if self.assembler is not None:
-                tail_events = self.assembler.flush()
-                emitted = self.sink.emit(tail_events, record=self._record)
-                self.metrics.events_emitted += len(emitted)
-                if self.on_event is not None:
-                    for seam_event in emitted:
-                        self.on_event(seam_event)
-                written.extend(emitted)
+                written.extend(self._emit(self.assembler.flush()))
             self.metrics.records_finished += 1
         self.runner = None
         self.assembler = None

@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.graph import Query
 from repro.core.operators import DecimateOp
 from repro.core.optimizer import execute, optimize
-from repro.errors import ConfigError, ServeError
+from repro.errors import ConfigError, FormatError, ServeError
 from repro.hdf5lite.cache import BlockCache, CacheConfig, FilePool
 from repro.hdf5lite.pyramid import PyramidLevel, pyramid_levels
 from repro.rt.events import EventSink, SeamEvent
@@ -145,9 +145,13 @@ class DataServer:
             on_error=self.config.on_error,
             fill_value=self.config.fill_value,
         )
-        self.levels: list[PyramidLevel] = pyramid_levels(
-            self.pool.acquire(self.archive)
-        )
+        try:
+            self.levels: list[PyramidLevel] = pyramid_levels(
+                self.pool.acquire(self.archive)
+            )
+        except FormatError:
+            self.close()
+            raise
         self.admission = AdmissionController(
             default=self.config.default_quota, quotas=self.config.quotas
         )
@@ -333,7 +337,7 @@ class ServeSession:
         pitch and slices it — O(output pixels) backend bytes — falling
         back to streaming :class:`~repro.core.operators.DecimateOp` over
         the raw window when no stored level fits (or
-        ``use_pyramid=False``, the benchmark's raw-cost reference).
+        ``use_pyramid=False``, which tests use to compare the two paths).
         Both paths emit pixels on the absolute lattice ``j * factor``
         (the raw window is snapped to the next lattice point), so a
         whole-record preview at a stored level's factor is *identical*

@@ -10,14 +10,15 @@ Components:
   regex queries over a directory of DAS files (§IV-A),
 * :mod:`repro.storage.vca` / :mod:`repro.storage.rca` — virtually /
   really concatenated arrays,
-* :mod:`repro.storage.lav` — logical array views (channel/time subsets),
 * :mod:`repro.storage.parallel_read` — the "collective-per-file" and
   "communication-avoiding" parallel readers (§IV-B, Fig. 5) plus direct
   RCA reads,
 * :mod:`repro.storage.model` — closed-form/DES evaluation of the same
   read schedules for rank counts too large to thread,
 * :mod:`repro.storage.chunks` — streaming chunk sources feeding the
-  analysis executor time-blocks out of VCA/LAV/arrays.
+  analysis executor time-blocks out of VCAs, datasets and arrays, and
+  :class:`~repro.storage.chunks.SourceView`, the paper's logical array
+  view (LAV: a channel range, time window and stride of a source).
 """
 
 from repro.storage.chunks import (
@@ -31,7 +32,6 @@ from repro.storage.chunks import (
 )
 from repro.storage.dasfile import DASFile, read_das_file, write_das_file
 from repro.storage.gaps import GapMap, GapSpan
-from repro.storage.lav import LAV, open_lav
 from repro.storage.metadata import (
     DASMetadata,
     format_timestamp,
@@ -63,8 +63,6 @@ __all__ = [
     "create_rca",
     "GapMap",
     "GapSpan",
-    "LAV",
-    "open_lav",
     "read_vca_collective_per_file",
     "read_vca_communication_avoiding",
     "read_rca_direct",

@@ -1,9 +1,9 @@
-"""Chunk sources — streaming time-blocks out of VCA/LAV/arrays.
+"""Chunk sources — streaming time-blocks out of VCAs, datasets and arrays.
 
 The streaming execution core (:mod:`repro.core.pipeline`) never holds a
 whole recording: it pulls ``(channels, time)`` blocks on demand through a
 :class:`ChunkSource`.  Sources exist for in-memory arrays and open hdf5lite
-datasets and LAVs; an open VCA
+datasets; an open VCA
 (:class:`~repro.storage.vca.VCAHandle`, what :func:`open_stream` returns)
 is itself a :class:`DatasetSource` and threads the hdf5lite
 :class:`~repro.hdf5lite.cache.BlockCache` / :class:`~repro.hdf5lite.cache.FilePool`
@@ -14,8 +14,8 @@ twice.
 A source has one read, ``read_strided(r0, r1, t0, t1, tstep)``;
 ``read_rows`` (``tstep=1``) and ``read`` (all rows of that) are what the
 executor calls and what a wrapping source may intercept.  The one view
-(:class:`SourceView`: channel range, time window, stride) translates
-coordinates and composes with itself; :class:`DatasetSource` allocates
+(:class:`SourceView`, the paper's logical array view: channel range, time
+window, stride) translates coordinates and composes with itself; :class:`DatasetSource` allocates
 the float64 block the executor keeps and has the storage layer fill it
 (:meth:`~repro.hdf5lite.dataset.Dataset.read_direct`), so between the
 file and the operators a sample is written once.
@@ -154,9 +154,8 @@ class ArraySource(ChunkSource):
 
 class DatasetSource(ChunkSource):
     """A chunk source over a 2-D hdf5lite
-    :class:`~repro.hdf5lite.dataset.Dataset` or a
-    :class:`~repro.storage.lav.LAV` of one — anything with ``shape`` and
-    ``read_direct(hyperslab, out)``."""
+    :class:`~repro.hdf5lite.dataset.Dataset` — anything with ``shape``
+    and ``read_direct(hyperslab, out)``."""
 
     def __init__(self, dataset: object, fs: float = 0.0):
         super().__init__()
@@ -187,7 +186,9 @@ class SourceView(ChunkSource):
     """A view of another source: a channel range, a time window and a time
     stride — local ``(r, t)`` is inner ``(channel_lo + r, t0 + t * step)``.
 
-    This is what the query optimizer lowers ``select_channels`` /
+    This is the paper's Logical Array View (LAV, §IV, Fig. 3): "run the
+    analysis on a subset of interested channels" without reading the
+    rest.  It is what the query optimizer lowers ``select_channels`` /
     ``decimate`` into, and how the serving layer scopes a request to its
     window *before* that lowering: the subsample lattice, which
     :class:`~repro.core.graph.SubsampleOp` anchors at input sample 0, is
@@ -282,11 +283,10 @@ def as_source(source: object, fs: float | None = None) -> ChunkSource:
     """Coerce ``source`` into a :class:`ChunkSource`.
 
     Accepts an existing source (returned as-is — an open
-    :class:`~repro.storage.vca.VCAHandle` is one), a numpy array, a
-    :class:`~repro.storage.lav.LAV`, an hdf5lite dataset, or a VCA file
-    path (which opens a handle the caller must ``close``).  ``fs``
-    supplies the sampling rate of an array, LAV or dataset, which carry
-    none.
+    :class:`~repro.storage.vca.VCAHandle` or a :class:`SourceView` is
+    one), a numpy array, an hdf5lite dataset, or a VCA file path (which
+    opens a handle the caller must ``close``).  ``fs`` supplies the
+    sampling rate of an array or dataset, which carry none.
     """
     if isinstance(source, ChunkSource):
         return source

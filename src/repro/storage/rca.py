@@ -14,11 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import StorageError
 from repro.hdf5lite import File, Hyperslab
-from repro.storage.dasfile import DATASET_NAME, read_das_metadata
-from repro.storage.metadata import DASMetadata
+from repro.storage.dasfile import DATASET_NAME
 from repro.storage.search import DASFileInfo
+from repro.storage.vca import _source_inventory
 from repro.utils.iostats import IOStats
 
 RCA_DATASET = "RCA"
@@ -34,31 +33,14 @@ def create_rca(
 
     Streams one source file at a time (the construction never holds more
     than one minute of data), writing each block into its time slot of
-    the preallocated output dataset.
+    the preallocated output dataset.  Sources are checked as
+    :func:`~repro.storage.vca.create_vca` checks them: 2-D, one channel
+    count, one sampling frequency.
     """
-    if not files:
-        raise StorageError("cannot build an RCA from zero files")
+    paths, metas, shapes, merged = _source_inventory(files, iostats)
     out_path = os.fspath(out_path)
-    paths = [f.path if isinstance(f, DASFileInfo) else os.fspath(f) for f in files]
-
-    metas: list[DASMetadata] = []
-    shapes: list[tuple[int, ...]] = []
-    for path in paths:
-        metadata, shape = read_das_metadata(path, iostats=iostats)
-        metas.append(metadata)
-        shapes.append(shape)
-    n_channels = shapes[0][0]
-    if any(shape[0] != n_channels for shape in shapes):
-        raise StorageError("all sources must share the channel count")
+    n_channels = merged.n_channels
     total_samples = sum(shape[1] for shape in shapes)
-
-    merged = DASMetadata(
-        sampling_frequency=metas[0].sampling_frequency,
-        spatial_resolution=metas[0].spatial_resolution,
-        timestamp=metas[0].timestamp,
-        n_channels=n_channels,
-        extras=dict(metas[0].extras),
-    )
     with File(out_path, "w", iostats=iostats) as out:
         out.attrs.update_many(merged.to_attrs())
         out.attrs["RCA source count"] = len(paths)

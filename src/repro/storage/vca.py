@@ -21,36 +21,29 @@ from repro.storage.chunks import DatasetSource
 from repro.storage.dasfile import DATASET_NAME, read_das_metadata
 from repro.storage.gaps import GapMap, GapSpan
 from repro.storage.metadata import DASMetadata
-from repro.storage.search import DASFileInfo
+from repro.storage.search import DASFileInfo, timestamp_from_filename
 from repro.utils.iostats import IOStats
 
 VCA_DATASET = "VCA"
 
 
-def create_vca(
-    out_path: str | os.PathLike,
+def _source_inventory(
     files: Sequence[DASFileInfo | str],
-    dataset: str = DATASET_NAME,
-    dtype: object = np.float32,
-    relative_paths: bool = True,
-    assume_uniform: bool = False,
     iostats: IOStats | None = None,
-) -> str:
-    """Build a VCA file from per-minute DAS files (time-axis concatenation).
+    assume_uniform: bool = False,
+) -> tuple[list[str], list[DASMetadata], list[tuple[int, ...]], DASMetadata]:
+    """The per-minute sources a concatenation (VCA or RCA) merges: their
+    paths, footer metadata and shapes, and the merged metadata the output
+    carries.
 
-    Only metadata is touched — no array data moves.  By default every
-    source's metadata footer is read and validated; with
-    ``assume_uniform`` only the *first* file's footer is opened and the
-    rest are assumed to share its shape/rate (timestamps then come from
-    file names).  The uniform path is what makes VCA construction an
-    O(files) in-memory operation — the paper's 0.01 s / ~70 000x-faster-
-    than-RCA result (Fig. 6); shape mismatches surface at read time.
+    Refuses, as :class:`~repro.errors.StorageError`, zero files, a source
+    that is not 2-D, and one whose channel count or sampling frequency
+    differs from the first file's.  With ``assume_uniform`` only the first
+    footer is read and the rest are taken to match it (see
+    :func:`create_vca`).
     """
     if not files:
-        raise StorageError("cannot build a VCA from zero files")
-    out_path = os.fspath(out_path)
-    out_dir = os.path.dirname(os.path.abspath(out_path))
-
+        raise StorageError("cannot concatenate zero files")
     paths = [f.path if isinstance(f, DASFileInfo) else os.fspath(f) for f in files]
     metas: list[DASMetadata] = []
     shapes: list[tuple[int, ...]] = []
@@ -60,8 +53,6 @@ def create_vca(
             raise StorageError(
                 f"{paths[0]}: expected a 2-D DAS array, got {first_shape}"
             )
-        from repro.storage.search import timestamp_from_filename
-
         for index, entry in enumerate(files):
             if isinstance(entry, DASFileInfo):
                 stamp = entry.timestamp
@@ -96,6 +87,38 @@ def create_vca(
             raise StorageError(
                 f"{path}: sampling frequency {metadata.sampling_frequency} != {fs}"
             )
+    merged = DASMetadata(
+        sampling_frequency=fs,
+        spatial_resolution=metas[0].spatial_resolution,
+        timestamp=metas[0].timestamp,
+        n_channels=n_channels,
+        extras=dict(metas[0].extras),
+    )
+    return paths, metas, shapes, merged
+
+
+def create_vca(
+    out_path: str | os.PathLike,
+    files: Sequence[DASFileInfo | str],
+    dataset: str = DATASET_NAME,
+    dtype: object = np.float32,
+    relative_paths: bool = True,
+    assume_uniform: bool = False,
+    iostats: IOStats | None = None,
+) -> str:
+    """Build a VCA file from per-minute DAS files (time-axis concatenation).
+
+    Only metadata is touched — no array data moves.  By default every
+    source's metadata footer is read and validated; with
+    ``assume_uniform`` only the *first* file's footer is opened and the
+    rest are assumed to share its shape/rate (timestamps then come from
+    file names).  The uniform path is what makes VCA construction an
+    O(files) in-memory operation — the paper's 0.01 s / ~70 000x-faster-
+    than-RCA result (Fig. 6); shape mismatches surface at read time.
+    """
+    paths, metas, shapes, merged = _source_inventory(files, iostats, assume_uniform)
+    out_path = os.fspath(out_path)
+    out_dir = os.path.dirname(os.path.abspath(out_path))
 
     total_samples = sum(shape[1] for shape in shapes)
     sources: list[VirtualSource] = []
@@ -117,20 +140,13 @@ def create_vca(
         )
         offset += shape[1]
 
-    merged = DASMetadata(
-        sampling_frequency=fs,
-        spatial_resolution=metas[0].spatial_resolution,
-        timestamp=metas[0].timestamp,
-        n_channels=n_channels,
-        extras=dict(metas[0].extras),
-    )
     with File(out_path, "w", iostats=iostats) as f:
         f.attrs.update_many(merged.to_attrs())
         f.attrs["VCA source count"] = len(paths)
         f.attrs["VCA source timestamps"] = [m.timestamp for m in metas]
         ds = f.create_dataset(
             VCA_DATASET,
-            shape=(n_channels, total_samples),
+            shape=(merged.n_channels, total_samples),
             dtype=dtype,
             virtual_sources=sources,
         )

@@ -6,8 +6,8 @@ payloads, so a bit flipped on disk raises
 block cache admits *decoded* chunks, so corruption checks and
 decompression both happen once per cached block; and the lossless codec
 path is bit-exact end-to-end through every reader — collective,
-communication-avoiding, LAV, and the streamed DASSA facade — as well as
-Algorithms 2 and 3 (streamed and materialized).
+communication-avoiding, an LAV view (``SourceView``), and the streamed
+DASSA facade — as well as Algorithms 2 and 3 (streamed and materialized).
 """
 
 import numpy as np
@@ -22,9 +22,9 @@ from repro.hdf5lite import File
 from repro.hdf5lite.codecs import TransposeZlibCodec
 from repro.hdf5lite.inspect import verify
 from repro.simmpi import run_spmd
+from repro.storage.chunks import SourceView
 from repro.storage.dasfile import das_filename, write_das_file
 from repro.storage.gaps import GapMap
-from repro.storage.lav import LAV
 from repro.storage.metadata import DASMetadata, timestamp_add_seconds
 from repro.storage.parallel_read import (
     read_vca_collective_per_file,
@@ -106,7 +106,7 @@ class TestBitFlipFailsFastOnEveryPath:
         self._flip(compressed)
         with open_vca(compressed["vca"]) as handle:
             with pytest.raises(CorruptDataError):
-                LAV(handle.dataset).read()
+                SourceView(handle).read(0, handle.n_samples)
 
     def test_streamed_dassa(self, compressed):
         self._flip(compressed)

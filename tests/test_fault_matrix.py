@@ -3,8 +3,8 @@ path.
 
 For each fault in {bit-flip, truncate, vanish, slow-read} injected into
 one VCA source file, every read path (collective-per-file, the
-communication-avoiding reader, an LAV view, and the streamed DASSA
-facade) must either
+communication-avoiding reader, an LAV view — a ``SourceView`` — and the
+streamed DASSA facade) must either
 
 * **mask**: complete with the victim's span fill-valued, reported in a
   :class:`~repro.storage.gaps.GapMap`, and be bit-identical to the clean
@@ -38,9 +38,9 @@ from repro.faults.inject import FaultInjector, clear_read_faults, install_read_f
 from repro.hdf5lite import FilePool
 from repro.rt.checkpoint import read_sample_range
 from repro.simmpi import run_spmd
+from repro.storage.chunks import SourceView
 from repro.storage.dasfile import das_filename, write_das_file
 from repro.storage.gaps import GapMap
-from repro.storage.lav import LAV
 from repro.storage.metadata import DASMetadata, timestamp_add_seconds
 from repro.storage.parallel_read import (
     read_vca_collective_per_file,
@@ -183,7 +183,8 @@ class TestFaultMatrix:
     def test_lav_view(self, faulted, kind):
         _inject(kind, faulted["paths"][VICTIM])
         with open_vca(faulted["vca"], on_error="mask") as handle:
-            out = LAV(handle.dataset, channels=slice(2, 10)).read()
+            view = SourceView(handle, channel_lo=2, channel_hi=10)
+            out = view.read(0, view.n_samples)
             spans = sorted((s.t0, s.t1) for s in handle.gaps)
         _check_masked(out, faulted["full"][2:10], kind)
         assert spans == ([] if kind == "slow-read" else [(V0, V1)])
@@ -191,12 +192,12 @@ class TestFaultMatrix:
         if kind == "slow-read":
             with open_vca(faulted["vca"]) as handle:
                 np.testing.assert_array_equal(
-                    LAV(handle.dataset).read(), faulted["full"]
+                    SourceView(handle).read(0, handle.n_samples), faulted["full"]
                 )
         else:
             with open_vca(faulted["vca"]) as handle:
                 with pytest.raises(EXPECT[kind]):
-                    LAV(handle.dataset).read()
+                    SourceView(handle).read(0, handle.n_samples)
 
     def test_streamed_dassa(self, faulted, kind):
         nsta, nlta = 4, 16

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import FormatError
 from repro.hdf5lite import BlockCache, CacheConfig, File, FilePool
 from repro.hdf5lite.cache import resolve_cache
+from repro.storage.chunks import SourceView, open_stream
 from repro.storage.vca import VCAHandle, create_vca
 from repro.utils.iostats import IOStats
 
@@ -437,16 +438,22 @@ class TestVirtualCached:
 
 
 class TestOpenLav:
-    def test_open_lav_through_pool(self, das_dir, tmp_path):
-        from repro.storage.lav import open_lav
-
+    def test_view_through_pool(self, das_dir, tmp_path):
+        """A logical array view (``SourceView``) over a VCA opened through
+        a pool; a second one over the same file opens nothing."""
         vca_path = create_vca(str(tmp_path / "v.h5"), das_dir["paths"])
         stats = IOStats()
         with FilePool(iostats=stats, cache=BlockCache(iostats=stats)) as pool:
-            view = open_lav(pool, vca_path, "VCA", channels=slice(2, 10))
-            np.testing.assert_array_equal(view.read(), das_dir["full"][2:10])
+            with open_stream(vca_path, pool=pool) as handle:
+                view = SourceView(handle, channel_lo=2, channel_hi=10)
+                np.testing.assert_array_equal(
+                    view.read(0, view.n_samples), das_dir["full"][2:10]
+                )
             opens = stats.opens
             # A second view over the same file: no new open.
-            view2 = open_lav(pool, vca_path, "VCA", times=slice(0, 50))
-            np.testing.assert_array_equal(view2.read(), das_dir["full"][:, :50])
+            with open_stream(vca_path, pool=pool) as handle:
+                view2 = SourceView(handle, t1=50)
+                np.testing.assert_array_equal(
+                    view2.read(0, view2.n_samples), das_dir["full"][:, :50]
+                )
             assert stats.opens == opens

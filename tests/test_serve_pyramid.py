@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from repro.core.operators import DecimateOp
 from repro.core.optimizer import execute, optimize
 from repro.core.graph import Query
-from repro.errors import ConfigError, ServeError
+from repro.errors import ConfigError, FormatError, ServeError
 from repro.hdf5lite import File, pyramid_levels
 from repro.hdf5lite.cli import main as das_inspect_main
 from repro.hdf5lite.inspect import describe, verify
@@ -312,6 +312,22 @@ def test_verify_catches_tampered_factor(tmp_path):
         messages = [p.message for p in verify(f)]
     assert any("base factor" in m for m in messages)
     assert any("level length" in m for m in messages)
+
+
+def test_server_refuses_what_verify_rejects(tmp_path):
+    """``pyramid_levels`` is the one walk ``verify`` and ``DataServer``
+    share: a level whose factor lies is refused at open, typed, naming
+    the first problem ``verify`` lists — never served as pixels that are
+    not ``compute_level(raw, factor)``."""
+    vca = make_vca(str(tmp_path))
+    build_pyramid(vca, PyramidConfig(factor=4, min_samples=32))
+    with File(vca, "r+") as f:
+        f["pyramid/level1"].attrs[FACTOR_ATTR] = 8
+    with File(vca, "r") as f:
+        first = verify(f)[0]
+    with pytest.raises(FormatError, match="base factor") as err:
+        DataServer(vca)
+    assert str(err.value) == f"{first.path}: {first.message}"
 
 
 def test_build_twice_rejected(tmp_path):

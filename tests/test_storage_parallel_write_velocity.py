@@ -1,83 +1,14 @@
-"""Tests for parallel output writing, velocity fitting, and the
-das_inspect CLI."""
+"""Tests for velocity fitting and the das_inspect CLI."""
 
 import numpy as np
 import pytest
 
-from repro.cluster import cori_haswell
 from repro.core.interferometry import InterferometryConfig
 from repro.core.stacking import linear_stack, window_ncfs
 from repro.core.velocity import VelocityFit, fit_moveout, pick_arrivals
-from repro.errors import ConfigError, MPIError
+from repro.errors import ConfigError
 from repro.hdf5lite import File
 from repro.hdf5lite.cli import main as das_inspect_main
-from repro.simmpi import run_spmd
-from repro.storage.parallel_write import write_output_parallel
-
-
-class TestParallelWrite:
-    def test_blocks_merged_in_rank_order(self, tmp_path):
-        path = str(tmp_path / "out.h5")
-        cluster = cori_haswell(4)
-
-        def fn(comm):
-            block = np.full((2, 5), float(comm.rank))
-            return write_output_parallel(comm, path, block, cluster.storage)
-
-        result = run_spmd(fn, 4, cluster=cluster, ranks_per_node=1)
-        assert result.results == [(0, 2), (2, 4), (4, 6), (6, 8)]
-        with File(path, "r") as f:
-            out = f.dataset("Output").read()
-        expected = np.repeat(np.arange(4.0), 2)[:, None] * np.ones(5)
-        np.testing.assert_allclose(out, expected)
-
-    def test_uneven_blocks(self, tmp_path):
-        path = str(tmp_path / "out.h5")
-
-        def fn(comm):
-            rows = comm.rank + 1
-            block = np.full((rows, 3), float(comm.rank))
-            return write_output_parallel(comm, path, block)
-
-        result = run_spmd(fn, 3)
-        assert result.results == [(0, 1), (1, 3), (3, 6)]
-        with File(path, "r") as f:
-            assert f.dataset("Output").shape == (6, 3)
-
-    def test_attrs_written(self, tmp_path):
-        path = str(tmp_path / "out.h5")
-
-        def fn(comm):
-            return write_output_parallel(
-                comm, path, np.zeros((1, 2)), attrs={"analysis": "local-similarity"}
-            )
-
-        run_spmd(fn, 2)
-        with File(path, "r") as f:
-            assert f.attrs["analysis"] == "local-similarity"
-
-    def test_column_mismatch_rejected(self, tmp_path):
-        path = str(tmp_path / "out.h5")
-
-        def fn(comm):
-            block = np.zeros((1, 2 + comm.rank))
-            write_output_parallel(comm, path, block)
-
-        with pytest.raises(MPIError, match="column"):
-            run_spmd(fn, 2)
-
-    def test_write_time_charged(self, tmp_path):
-        path = str(tmp_path / "out.h5")
-        cluster = cori_haswell(2)
-
-        def fn(comm):
-            write_output_parallel(
-                comm, path, np.zeros((4, 1000), dtype=np.float64), cluster.storage
-            )
-            return [op for op, _, _ in comm.tracer.schedule() if op == "write"]
-
-        result = run_spmd(fn, 2, cluster=cluster, ranks_per_node=1)
-        assert all(len(w) == 1 for w in result.results)
 
 
 class TestVelocity:

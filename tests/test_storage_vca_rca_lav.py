@@ -5,9 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from repro.errors import SelectionError, StorageError
+from repro.errors import ConfigError, StorageError
 from repro.hdf5lite import File
-from repro.storage.lav import LAV
+from repro.storage.chunks import SourceView, as_source
 from repro.storage.rca import RCA_DATASET, create_rca
 from repro.storage.search import scan_directory
 from repro.storage.vca import create_vca, open_vca
@@ -168,6 +168,22 @@ class TestRCA:
         with pytest.raises(StorageError):
             create_rca(str(tmp_path / "r.h5"), [])
 
+    def test_fs_mismatch_rejected(self, das_dir, tmp_path):
+        """Mixed sampling rates are refused as ``create_vca`` refuses them,
+        before any output is written."""
+        from repro.storage.dasfile import write_das_file
+        from repro.storage.metadata import DASMetadata
+
+        odd = str(tmp_path / "odd.h5")
+        write_das_file(
+            odd, np.zeros((16, 120), dtype=np.float32),
+            DASMetadata(sampling_frequency=4.0, timestamp="170620103000", n_channels=16),
+        )
+        rca_path = str(tmp_path / "r.h5")
+        with pytest.raises(StorageError, match="sampling frequency"):
+            create_rca(rca_path, das_dir["paths"][:1] + [odd])
+        assert not os.path.exists(rca_path)
+
     def test_metadata_preserved(self, das_dir, tmp_path):
         rca_path = str(tmp_path / "r.h5")
         create_rca(rca_path, das_dir["paths"])
@@ -177,65 +193,57 @@ class TestRCA:
 
 
 class TestLAV:
+    """The paper's logical array view is :class:`SourceView` over an open
+    VCA; a plain slice of the VCA dataset is the channel-strided read."""
+
     @pytest.fixture
-    def dataset(self, das_dir, tmp_path):
+    def handle(self, das_dir, tmp_path):
         vca_path = str(tmp_path / "v.h5")
         create_vca(vca_path, das_dir["paths"])
-        vca = open_vca(vca_path)
-        yield vca.dataset, das_dir["full"]
-        vca.close()
+        with open_vca(vca_path) as vca:
+            yield vca, das_dir["full"]
 
-    def test_channel_subset(self, dataset):
-        ds, full = dataset
-        view = LAV(ds, channels=slice(4, 10))
-        assert view.shape == (6, 720)
-        np.testing.assert_array_equal(view.read(), full[4:10])
+    def test_channel_subset(self, handle):
+        vca, full = handle
+        view = SourceView(vca, channel_lo=4, channel_hi=10)
+        assert (view.n_channels, view.n_samples) == (6, 720)
+        np.testing.assert_array_equal(view.read(0, view.n_samples), full[4:10])
 
-    def test_time_subset(self, dataset):
-        ds, full = dataset
-        view = LAV(ds, times=slice(100, 300))
-        np.testing.assert_array_equal(view.read(), full[:, 100:300])
+    def test_time_subset(self, handle):
+        vca, full = handle
+        view = SourceView(vca, t0=100, t1=300)
+        np.testing.assert_array_equal(view.read(0, 200), full[:, 100:300])
 
-    def test_composed_views(self, dataset):
-        ds, full = dataset
-        view = LAV(ds, channels=slice(2, 14)).select(channels=slice(1, 5))
-        np.testing.assert_array_equal(view.read(), full[3:7])
+    def test_composed_views(self, handle):
+        vca, full = handle
+        view = SourceView(SourceView(vca, channel_lo=2, channel_hi=14), 1, 5)
+        assert view.channel_lo == 3  # one view of the handle, not two layers
+        np.testing.assert_array_equal(view.read(0, view.n_samples), full[3:7])
 
-    def test_strided_view(self, dataset):
-        ds, full = dataset
-        view = LAV(ds, channels=slice(0, 16, 4))
-        np.testing.assert_array_equal(view.read(), full[::4])
+    def test_strided_view(self, handle):
+        vca, full = handle
+        np.testing.assert_array_equal(vca.dataset[::4], full[::4])
 
-    def test_getitem_on_view(self, dataset):
-        ds, full = dataset
-        view = LAV(ds, channels=slice(4, 12), times=slice(60, 660))
-        np.testing.assert_array_equal(view[2:4, 10:20], full[6:8, 70:80])
-        np.testing.assert_array_equal(view[0], full[4, 60:660])
+    def test_channel_and_time_ranges(self, handle):
+        vca, full = handle
+        view = SourceView(vca, channel_lo=4, channel_hi=12, t0=10, t1=100, step=3)
+        assert (view.channel_lo, view.n_channels) == (4, 8)
+        assert (view.t0, view.step, view.n_samples) == (10, 3, 30)
+        assert view.fs == vca.fs / 3
+        np.testing.assert_array_equal(
+            view.read(0, view.n_samples), full[4:12, 10:100:3]
+        )
 
-    def test_channel_and_time_ranges(self, dataset):
-        ds, _ = dataset
-        view = LAV(ds, channels=slice(4, 12, 2), times=slice(0, 100))
-        assert list(view.channel_range) == [4, 6, 8, 10]
-        assert view.time_range == range(0, 100)
-
-    def test_numpy_protocol(self, dataset):
-        ds, full = dataset
-        arr = np.asarray(LAV(ds, channels=slice(0, 2)))
-        np.testing.assert_array_equal(arr, full[:2])
-
-    def test_scalar_bounds_rejected(self, dataset):
-        ds, _ = dataset
-        with pytest.raises(SelectionError):
-            LAV(ds, channels=3)
-
-    def test_escaping_selection_rejected(self, dataset):
-        ds, _ = dataset
-        view = LAV(ds, channels=slice(0, 4))
-        with pytest.raises(SelectionError):
-            view[10, :]
+    def test_escaping_selection_rejected(self, handle):
+        vca, _ = handle
+        view = SourceView(vca, channel_lo=0, channel_hi=4)
+        with pytest.raises(ConfigError):
+            view.read_rows(10, 11, 0, 1)
+        with pytest.raises(ConfigError):
+            SourceView(vca, channel_lo=0, channel_hi=20)
 
     def test_non_2d_rejected(self, tmp_path):
         with File(str(tmp_path / "x.h5"), "w") as f:
             ds = f.create_dataset("d", data=np.zeros(5))
-            with pytest.raises(SelectionError):
-                LAV(ds)
+            with pytest.raises(ConfigError):
+                as_source(ds)
