@@ -8,30 +8,15 @@ then computes the local-similarity map and picks events.
 Run:  python examples/earthquake_detection.py
 """
 
-import numpy as np
-
 from repro import DASSA
 from repro.core.local_similarity import LocalSimilarityConfig
 from repro.synthetic import fig1b_scene, synthesize_scene
+from repro.synthetic.render import to_ascii
 
 FS = 50.0
 CHANNELS = 96
 MINUTES = 6
 SPM = int(60 * FS)  # samples per "minute" file
-
-
-def ascii_map(simi: np.ndarray, rows: int = 20, cols: int = 64) -> str:
-    """A terminal rendering of the similarity map (Fig. 10 in ASCII)."""
-    shades = " .:-=+*#%@"
-    r_idx = np.linspace(0, simi.shape[0] - 1, rows).astype(int)
-    c_idx = np.linspace(0, simi.shape[1] - 1, cols).astype(int)
-    small = simi[np.ix_(r_idx, c_idx)]
-    lo, hi = small.min(), small.max()
-    scaled = (small - lo) / (hi - lo + 1e-12)
-    lines = []
-    for row in scaled:
-        lines.append("".join(shades[int(v * (len(shades) - 1))] for v in row))
-    return "\n".join(lines)
 
 
 def main() -> None:
@@ -54,7 +39,7 @@ def main() -> None:
     )
 
     print("\nlocal-similarity map (channels down, time across):")
-    print(ascii_map(simi))
+    print(to_ascii(simi, rows=20, cols=64))
 
     events = dassa.detect(
         simi,

@@ -23,7 +23,6 @@ from repro.arrayudf.apply import apply
 from repro.arrayudf.apply_mt import apply_mt
 from repro.arrayudf.engine import EngineReport, HybridEngine, MPIEngine
 from repro.arrayudf.fuse import map_blocks_mt, partition_row_blocks
-from repro.arrayudf.ghost import exchange_halos
 from repro.arrayudf.partition import Partition, partition_1d, partition_rows
 from repro.arrayudf.stencil import Stencil
 
@@ -36,7 +35,6 @@ __all__ = [
     "apply_mt",
     "map_blocks_mt",
     "partition_row_blocks",
-    "exchange_halos",
     "MPIEngine",
     "HybridEngine",
     "EngineReport",

@@ -268,7 +268,6 @@ class BaseEngine:
         row_stride: int = 1,
         col_stride: int = 1,
         boundary: str = "error",
-        assemble: bool = True,
     ) -> EngineReport:
         """Execute ``udf`` over a 2-D array source with this geometry.
 
@@ -307,12 +306,10 @@ class BaseEngine:
                 boundary=boundary,
             )
             comm.charge_compute(engine.compute.time(block.size, threads))
-            if assemble:
-                gathered = comm.gather(out, root=0)
-                if comm.rank == 0:
-                    return np.concatenate(gathered, axis=0)
-                return None
-            return out
+            gathered = comm.gather(out, root=0)
+            if comm.rank == 0:
+                return np.concatenate(gathered, axis=0)
+            return None
 
         spmd = run_spmd(
             rank_fn,
@@ -329,7 +326,7 @@ class BaseEngine:
         phases = spmd.phase_totals()
         report.read_time = phases.get("io", 0.0)
         report.compute_time = phases.get("compute", 0.0)
-        report.result = spmd.results[0] if assemble else spmd.results
+        report.result = spmd.results[0]
         return report
 
 

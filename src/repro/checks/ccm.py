@@ -27,9 +27,9 @@ function that does.
 ``CCM003``
     a blocking receive on a rank-*unconditional* path with a send
     reachable after it: every rank blocks receiving before any rank
-    sends.  Receives inside rank-divergent arms are exempt — the
-    parity-ordered halo exchange (``arrayudf/ghost.py``) is the
-    blessed fix, not a bug.
+    sends.  Receives inside rank-divergent arms are exempt — a
+    parity-ordered exchange (even ranks send first, odd ranks receive
+    first) is the blessed fix, not a bug.
 
 Detection is name-based (method-call names on any receiver), so the
 analyzer needs no import of simmpi itself and works on fixtures; the
@@ -357,6 +357,5 @@ class CommProtocolAnalyzer(Analyzer):
                 f"path with a send after it — every rank waits to receive "
                 f"before any rank sends",
                 hint="use comm.sendrecv, send first on half the ranks "
-                     "(rank-parity ordering, see arrayudf/ghost.py), or a "
-                     "non-blocking recv",
+                     "(rank-parity ordering), or a non-blocking recv",
             )

@@ -113,15 +113,13 @@ def describe(file: File, attrs: bool = False) -> str:
     return "\n".join(lines)
 
 
-def verify(file: File, check_sources: bool = True) -> list[Problem]:
+def verify(file: File) -> list[Problem]:
     """Check a file's structural integrity; returns found problems."""
     problems: list[Problem] = []
 
     def check_dataset(ds: Dataset) -> None:
         if ds.layout == LAYOUT_VIRTUAL:
             for source in ds.virtual_sources:
-                if not check_sources:
-                    continue
                 path = source.file
                 if not os.path.isabs(path):
                     path = os.path.join(os.path.dirname(file.filename), path)

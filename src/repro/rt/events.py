@@ -129,7 +129,6 @@ class EventAssembler:
         fs: float,
         n_channels: int,
         channel_lo: int = 0,
-        label_start: int = 1,
     ):
         if fs <= 0:
             raise ConfigError("event assembly needs fs > 0")
@@ -139,7 +138,7 @@ class EventAssembler:
         self.fs = float(fs)
         self.n_channels = int(n_channels)
         self.channel_lo = int(channel_lo)
-        self._next_label = int(label_start)
+        self._next_label = 1
         self._open: dict | None = None
 
     def feed(

@@ -39,6 +39,10 @@ from repro.storage.metadata import parse_timestamp, timestamp_add_seconds
 
 EVENTS_NAME = "events.jsonl"
 
+#: A file whose stamp is further than this from where the record's last
+#: file ended starts a new record (an acquisition gap).
+_STAMP_TOLERANCE_S = 1.0
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -50,7 +54,6 @@ class ServiceConfig:
     queue_capacity: int = 64
     max_retries: int = 3
     checkpoint_every: int = 1  # processed files between checkpoints; 0 = off
-    stamp_tolerance_seconds: float = 1.0
     update_catalog: bool = True
 
     def __post_init__(self) -> None:
@@ -60,8 +63,6 @@ class ServiceConfig:
             raise ConfigError("max_retries must be >= 1")
         if self.checkpoint_every < 0:
             raise ConfigError("checkpoint_every must be >= 0")
-        if self.stamp_tolerance_seconds < 0:
-            raise ConfigError("stamp_tolerance_seconds must be >= 0")
 
 
 class RTService:
@@ -332,7 +333,7 @@ class RTService:
                 )
             except ReproError:
                 gap = None
-            if gap is not None and gap > self.config.stamp_tolerance_seconds:
+            if gap is not None and gap > _STAMP_TOLERANCE_S:
                 # Acquisition gap: the record ended; start a new one.
                 self._finalize_record()
 

@@ -309,7 +309,6 @@ class SupervisorConfig:
     max_restarts: int = 3
     poll_sleep: float = 0.002
     wall_timeout: float = 600.0
-    staleness_bound_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_restarts < 0:
@@ -425,11 +424,7 @@ def supervisor_main(
     # stopped beat, and fabric posts are seq-ordered per mailbox, so
     # one more drain after the last stopped beat sees everything.
     drain()
-    rows = aggregator.read(
-        now=clock(),
-        max_staleness_s=config.staleness_bound_s,
-        exempt=[sid for sid in shard_ids if status[sid]["stopped"]],
-    )
+    rows = aggregator.read()
     health = _health_payload(monitor, status, recovery_s, clock())
     if health_path is not None:
         _write_health(health_path, health)

@@ -250,7 +250,7 @@ class SourceView(ChunkSource):
     ) -> np.ndarray:
         self._check(r0, r1, t0, t1, tstep)
         if t1 <= t0 or r1 <= r0:
-            return np.empty((r1 - r0, max(0, t1 - t0)), dtype=np.float64)
+            return np.empty((r1 - r0, -(-(t1 - t0) // tstep)), dtype=np.float64)
         # Strides compose: every tstep-th sample of this view is every
         # (step * tstep)-th of the inner source.
         block = self._inner.read_strided(
@@ -268,7 +268,6 @@ def open_stream(
     path: str | os.PathLike,
     iostats: IOStats | None = None,
     pool: object = None,
-    cache: object = None,
     on_error: str = "raise",
     fill_value: float = float("nan"),
 ) -> "VCAHandle":
@@ -276,7 +275,7 @@ def open_stream(
     :func:`~repro.storage.vca.open_vca` by another name."""
     from repro.storage.vca import open_vca
 
-    return open_vca(path, iostats, pool, cache, on_error, fill_value)
+    return open_vca(path, iostats, pool, on_error, fill_value)
 
 
 def as_source(source: object, fs: float | None = None) -> ChunkSource:

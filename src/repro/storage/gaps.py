@@ -1,9 +1,8 @@
 """Gap accounting for degraded reads.
 
 When a reader masks an unreadable source instead of failing (``open_vca(...,
-on_error="mask")``, the parallel readers' retry-then-mask path, the streamed
-pipelines' ``continue`` policy), the lost region must be *reported*, not
-silently filled.  A :class:`GapMap` is that report: a set of
+on_error="mask")``, the streamed pipelines' ``continue`` policy), the lost
+region must be *reported*, not silently filled.  A :class:`GapMap` is that report: a set of
 :class:`GapSpan` records in absolute destination sample coordinates (the
 VCA's time axis), carrying which source was lost, why, and after how many
 attempts.

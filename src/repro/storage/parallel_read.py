@@ -24,6 +24,10 @@ pool (typically carrying a shared block cache), source files are opened
 once and reused across sources, ranks, and repeated reads instead of
 being re-opened per access; without one, every access opens its own
 handle, which is the uncached behaviour the paper's Fig. 7 charges for.
+
+The readers compare request patterns, not fault handling: a source read
+that fails is retried once, then its typed error propagates.  Reads that
+must survive a lost source go through ``open_vca(..., on_error="mask")``.
 """
 
 from __future__ import annotations
@@ -35,10 +39,13 @@ from repro.errors import ReproError, StorageError
 from repro.faults.policy import retry_call
 from repro.hdf5lite import File, FilePool
 from repro.simmpi.communicator import Communicator
-from repro.storage.gaps import GapMap
 from repro.storage.rca import RCA_DATASET
 from repro.storage.vca import VCAHandle
 from repro.utils.iostats import IOStats
+
+#: Re-reads of a source whose whole-file read failed, before its typed
+#: error propagates (a device that fails one read and recovers is absorbed).
+_SOURCE_READ_RETRIES = 1
 
 
 def channel_block(n_channels: int, size: int, rank: int) -> tuple[int, int]:
@@ -57,47 +64,18 @@ def _read_source_whole(
     pool: FilePool | None,
     iostats: IOStats | None,
 ) -> np.ndarray:
-    """Read one source dataset whole, via the pool when available."""
-    if pool is not None:
-        return pool.acquire(path, iostats=iostats).dataset(dataset).read()
-    with File(path, "r", iostats=iostats) as f:
-        return f.dataset(dataset).read()
+    """Read one source dataset whole, via the pool when available.  A
+    failed read is retried once; then its typed error propagates."""
 
+    def read() -> np.ndarray:
+        if pool is not None:
+            return pool.acquire(path, iostats=iostats).dataset(dataset).read()
+        with File(path, "r", iostats=iostats) as f:
+            return f.dataset(dataset).read()
 
-def _read_source_resilient(
-    path: str,
-    source,
-    pool: FilePool | None,
-    iostats: IOStats | None,
-    on_error: str,
-    retries: int,
-    backoff: float,
-    fill_value: float,
-) -> tuple[np.ndarray, str | None]:
-    """Read one source whole with bounded retry; on persistent failure in
-    mask mode, return a fill-valued block plus the failure reason.
-
-    Returns ``(block, reason)`` — ``reason`` is ``None`` on success.
-    Transient faults (a device that fails the first read and then
-    recovers) are absorbed by the retries; everything else either raises
-    (``on_error="raise"``) or becomes a reported gap.
-    """
-    try:
-        block = retry_call(
-            lambda: _read_source_whole(path, source.dataset, pool, iostats),
-            retries=retries,
-            backoff=backoff,
-            retry_on=(ReproError, OSError, KeyError),
-        )
-        return block, None
-    except (ReproError, OSError, KeyError) as exc:
-        if on_error == "raise":
-            raise
-        reason = f"{type(exc).__name__}: {exc}"
-        return (
-            np.full(tuple(source.count), fill_value, dtype=np.float32),
-            reason,
-        )
+    return retry_call(
+        read, retries=_SOURCE_READ_RETRIES, retry_on=(ReproError, OSError, KeyError)
+    )
 
 
 def _charge_scheduled_io(
@@ -131,45 +109,26 @@ def read_vca_collective_per_file(
     storage: StorageModel | None = None,
     pool: FilePool | None = None,
     iostats: IOStats | None = None,
-    on_error: str = "raise",
-    retries: int = 1,
-    backoff: float = 0.0,
-    fill_value: float = float("nan"),
-    gaps: GapMap | None = None,
 ) -> np.ndarray:
     """Fig. 5a: per-file aggregator read + broadcast to all ranks.
 
     Returns this rank's channel-block array, shaped
     ``(channels_of_this_rank, total_samples)``; virtual time is charged
     on ``comm``'s clock rather than returned.
-
-    Source reads retry up to ``retries`` times with exponential
-    ``backoff``.  With ``on_error="mask"``, a source that stays
-    unreadable becomes a ``fill_value`` span recorded in ``gaps`` (every
-    rank records it — the aggregator broadcasts the failure along with
-    the fill block); with the default ``"raise"`` the typed error
-    propagates after the retries.
     """
-    if on_error not in ("raise", "mask"):
-        raise StorageError(f"on_error must be 'raise' or 'mask', got {on_error!r}")
     with VCAHandle(vca_path, iostats=iostats, pool=pool) as vca:
         n_channels, total_samples = vca.shape
         sources = vca.sources
         paths = vca.source_paths()
     lo, hi = channel_block(n_channels, comm.size, comm.rank)
     out = np.empty((hi - lo, total_samples), dtype=np.float32)
-    degraded = on_error != "raise"
 
     for index, (source, path) in enumerate(zip(sources, paths)):
         aggregator = index % comm.size
         if comm.rank == aggregator:
-            block, reason = _read_source_resilient(
-                path, source, pool, iostats, on_error, retries, backoff, fill_value
-            )
+            block = _read_source_whole(path, source.dataset, pool, iostats)
             # One whole-file read by the aggregator, charged at the bytes
-            # actually read (the source's own dtype, not assumed float32);
-            # a masked failure read nothing, so nothing is charged.
-            file_bytes = block.nbytes if reason is None else 0
+            # actually read (the source's own dtype, not assumed float32).
             _charge_scheduled_io(
                 comm,
                 storage,
@@ -177,30 +136,18 @@ def read_vca_collective_per_file(
                     IORequest(
                         rank=comm.rank,
                         file_id=index,
-                        nbytes=file_bytes,
+                        nbytes=block.nbytes,
                         start=comm.clock.now,
                         is_open=True,
                     )
-                ]
-                if reason is None
-                else [],
-                file_bytes,
+                ],
+                block.nbytes,
             )
         else:
-            block, reason = None, None
+            block = None
             _charge_scheduled_io(comm, storage, [], 0)
-        # The "merge-read-broadcast" step: everyone gets the whole file
-        # (and, when degraded, whether it is real data or fill).
-        if degraded:
-            block, reason = comm.bcast((block, reason), root=aggregator)
-            if reason is not None and gaps is not None:
-                g0 = source.dst_start[1]
-                gaps.record(
-                    source.file, g0, g0 + source.count[1], reason,
-                    attempts=retries + 1,
-                )
-        else:
-            block = comm.bcast(block, root=aggregator)
+        # The "merge-read-broadcast" step: everyone gets the whole file.
+        block = comm.bcast(block, root=aggregator)
         t0 = source.dst_start[1]
         out[:, t0 : t0 + source.count[1]] = block[lo:hi, :]
     return out
@@ -212,48 +159,29 @@ def read_vca_communication_avoiding(
     storage: StorageModel | None = None,
     pool: FilePool | None = None,
     iostats: IOStats | None = None,
-    on_error: str = "raise",
-    retries: int = 1,
-    backoff: float = 0.0,
-    fill_value: float = float("nan"),
-    gaps: GapMap | None = None,
 ) -> np.ndarray:
     """Fig. 5b: each rank reads whole files, one all-to-all exchange.
 
     Returns this rank's channel-block array, shaped
     ``(channels_of_this_rank, total_samples)``; virtual time is charged
     on ``comm``'s clock rather than returned.
-
-    Degraded-read semantics match
-    :func:`read_vca_collective_per_file`: bounded retry with backoff,
-    then — under ``on_error="mask"`` — a fill-valued span recorded in
-    ``gaps`` on every rank (owning ranks allgather their failures after
-    the read phase so the report is global).
     """
-    if on_error not in ("raise", "mask"):
-        raise StorageError(f"on_error must be 'raise' or 'mask', got {on_error!r}")
     with VCAHandle(vca_path, iostats=iostats, pool=pool) as vca:
         n_channels, total_samples = vca.shape
         sources = vca.sources
         paths = vca.source_paths()
     lo, hi = channel_block(n_channels, comm.size, comm.rank)
     out = np.empty((hi - lo, total_samples), dtype=np.float32)
-    degraded = on_error != "raise"
 
     # Round-robin file ownership; every rank reads its own files whole,
     # all ranks in parallel.
     my_files = list(range(comm.rank, len(sources), comm.size))
     blocks: dict[int, np.ndarray] = {}
     requests: list[IORequest] = []
-    local_failures: list[tuple[int, str]] = []
     for index in my_files:
-        source, path = sources[index], paths[index]
-        blocks[index], reason = _read_source_resilient(
-            path, source, pool, iostats, on_error, retries, backoff, fill_value
+        blocks[index] = _read_source_whole(
+            paths[index], sources[index].dataset, pool, iostats
         )
-        if reason is not None:
-            local_failures.append((index, reason))
-            continue  # nothing was read; charge nothing
         requests.append(
             IORequest(
                 rank=comm.rank,
@@ -266,19 +194,6 @@ def read_vca_communication_avoiding(
     _charge_scheduled_io(
         comm, storage, requests, sum(r.nbytes for r in requests)
     )
-    if degraded:
-        # Failures are known only to the owning rank; one allgather makes
-        # the gap report identical everywhere.
-        for rank_failures in comm.allgather(local_failures):
-            for index, reason in rank_failures:
-                if gaps is None:
-                    continue
-                src = sources[index]
-                g0 = src.dst_start[1]
-                gaps.record(
-                    src.file, g0, g0 + src.count[1], reason,
-                    attempts=retries + 1,
-                )
 
     # One all-to-all: rank -> dest gets (file index, dest's channel rows).
     sendbuf: list[list[tuple[int, np.ndarray]]] = []

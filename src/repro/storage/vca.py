@@ -102,7 +102,6 @@ def create_vca(
     files: Sequence[DASFileInfo | str],
     dataset: str = DATASET_NAME,
     dtype: object = np.float32,
-    relative_paths: bool = True,
     assume_uniform: bool = False,
     iostats: IOStats | None = None,
 ) -> str:
@@ -124,14 +123,9 @@ def create_vca(
     sources: list[VirtualSource] = []
     offset = 0
     for path, shape in zip(paths, shapes):
-        ref = (
-            os.path.relpath(os.path.abspath(path), out_dir)
-            if relative_paths
-            else os.path.abspath(path)
-        )
         sources.append(
             VirtualSource(
-                file=ref,
+                file=os.path.relpath(os.path.abspath(path), out_dir),
                 dataset="/" + DATASET_NAME if dataset == DATASET_NAME else dataset,
                 src_start=(0, 0),
                 dst_start=(0, offset),
@@ -161,9 +155,8 @@ class VCAHandle(DatasetSource):
     ``pool`` — an optional :class:`repro.hdf5lite.FilePool`.  When given,
     both the VCA file itself and its per-minute source files are acquired
     from (and owned by) the pool, so repeated opens of the same VCA and
-    repeated reads across handles stop re-opening files.  ``cache`` — an
-    optional block cache (or config) for the non-pooled path; the pool
-    carries its own shared cache.
+    repeated reads across handles stop re-opening files; a pool built
+    with ``cache=`` is how a VCA read gets a shared block cache.
 
     ``on_error`` selects degraded-read behaviour when a source file is
     unreadable (vanished, truncated, corrupt):
@@ -187,7 +180,6 @@ class VCAHandle(DatasetSource):
         path: str | os.PathLike,
         iostats: IOStats | None = None,
         pool: "FilePool | None" = None,
-        cache: object = None,
         on_error: str = "raise",
         fill_value: float = float("nan"),
     ):
@@ -202,7 +194,7 @@ class VCAHandle(DatasetSource):
             self._file = pool.acquire(self.path, iostats=iostats)
             self._owns_file = False
         else:
-            self._file = File(self.path, "r", iostats=iostats, cache=cache)
+            self._file = File(self.path, "r", iostats=iostats)
             self._owns_file = True
         try:
             self.metadata = DASMetadata.from_attrs(
@@ -278,7 +270,6 @@ def open_vca(
     path: str | os.PathLike,
     iostats: IOStats | None = None,
     pool: "FilePool | None" = None,
-    cache: object = None,
     on_error: str = "raise",
     fill_value: float = float("nan"),
 ) -> VCAHandle:
@@ -289,4 +280,4 @@ def open_vca(
     fill-valued spans recorded on the handle's :attr:`~VCAHandle.gaps`
     instead of raising (see :class:`VCAHandle`).
     """
-    return VCAHandle(path, iostats, pool, cache, on_error, fill_value)
+    return VCAHandle(path, iostats, pool, on_error, fill_value)

@@ -24,7 +24,6 @@ from repro.hdf5lite.inspect import verify
 from repro.simmpi import run_spmd
 from repro.storage.chunks import SourceView
 from repro.storage.dasfile import das_filename, write_das_file
-from repro.storage.gaps import GapMap
 from repro.storage.metadata import DASMetadata, timestamp_add_seconds
 from repro.storage.parallel_read import (
     read_vca_collective_per_file,
@@ -118,15 +117,9 @@ class TestBitFlipFailsFastOnEveryPath:
     def test_masked_mode_reports_gap_and_stays_bit_exact(self, compressed):
         self._flip(compressed)
 
-        def masked(comm):
-            gm = GapMap()
-            block = read_vca_collective_per_file(
-                comm, compressed["vca"], on_error="mask", gaps=gm
-            )
-            return block, sorted((s.t0, s.t1) for s in gm)
-
-        result = run_spmd(masked, 3)
-        out = np.concatenate([b for b, _ in result.results], axis=0)
+        with open_vca(compressed["vca"], on_error="mask") as handle:
+            out = handle.read(0, handle.n_samples)
+            spans = sorted((s.t0, s.t1) for s in handle.gaps)
         mask = np.zeros(compressed["full"].shape[1], dtype=bool)
         mask[V0:V1] = True
         # Lossless codec: the surviving samples are *bit-identical*.
@@ -134,7 +127,7 @@ class TestBitFlipFailsFastOnEveryPath:
             out[:, ~mask], compressed["full"][:, ~mask]
         )
         assert np.isnan(out[:, mask]).all()
-        assert all(spans == [(V0, V1)] for _, spans in result.results)
+        assert spans == [(V0, V1)]
 
 
 class TestCorruptPayloadNeverReachesDecode:

@@ -63,7 +63,7 @@ from repro.daslib import filtfilt
 from repro.daslib.filtfilt import _backward, _forward, _odd_ext
 from repro.errors import ConfigError
 from repro.faults.policy import FailurePolicy
-from repro.hdf5lite import BlockCache, CacheConfig, codecs
+from repro.hdf5lite import BlockCache, CacheConfig, FilePool, codecs
 from repro.hdf5lite.codecs import TransposeZlibCodec
 from repro.hdf5lite.hyperslab import SPAN_SCRATCH_BYTES
 from repro.storage.chunks import ArraySource, ChunkSource, SourceView, open_stream
@@ -789,7 +789,7 @@ def test_full_packed_scan_decodes_each_stored_chunk_once(archives, decodes):
 def test_a_cache_that_holds_the_chunk_decodes_it_whole_once(archives, decodes):
     vcas, whole = archives
     cache = BlockCache(CacheConfig())
-    with open_stream(vcas["packed"], cache=cache) as src:
+    with FilePool(cache=cache) as pool, open_stream(vcas["packed"], pool=pool) as src:
         first = src.read_strided(12, 24, 0, SCAN_FILE, 8)
         touched = 2 * -(-SCAN_FILE // STORED_CHUNK[1])
         assert [call.select for call in decodes] == [None] * touched

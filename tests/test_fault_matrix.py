@@ -4,14 +4,18 @@ path.
 For each fault in {bit-flip, truncate, vanish, slow-read} injected into
 one VCA source file, every read path (collective-per-file, the
 communication-avoiding reader, an LAV view — a ``SourceView`` — and the
-streamed DASSA facade) must either
+streamed DASSA facade) must
+
+* **fail fast** (the default): propagate a *typed* error —
+  ``CorruptDataError`` for a checksum mismatch, ``FileNotFoundError``
+  for a vanished file, a storage/OS error for truncation;
+
+and the paths that offer a degraded mode (the LAV view over
+``open_vca(..., on_error="mask")`` and the facade) must also
 
 * **mask**: complete with the victim's span fill-valued, reported in a
   :class:`~repro.storage.gaps.GapMap`, and be bit-identical to the clean
-  data outside the masked (halo-widened, for streamed operators) spans;
-* **fail fast** (the default): propagate a *typed* error —
-  ``CorruptDataError`` for a checksum mismatch, ``FileNotFoundError``
-  for a vanished file, a storage/OS error for truncation.
+  data outside the masked (halo-widened, for streamed operators) spans.
 
 ``slow-read`` is the benign row of the matrix: it must not fail, not
 mask, and not report gaps on any path.
@@ -40,7 +44,6 @@ from repro.rt.checkpoint import read_sample_range
 from repro.simmpi import run_spmd
 from repro.storage.chunks import SourceView
 from repro.storage.dasfile import das_filename, write_das_file
-from repro.storage.gaps import GapMap
 from repro.storage.metadata import DASMetadata, timestamp_add_seconds
 from repro.storage.parallel_read import (
     read_vca_collective_per_file,
@@ -126,21 +129,6 @@ class TestFaultMatrix:
     def test_collective_per_file(self, faulted, kind):
         _inject(kind, faulted["paths"][VICTIM])
 
-        def masked(comm):
-            gm = GapMap()
-            block = read_vca_collective_per_file(
-                comm, faulted["vca"], on_error="mask", gaps=gm
-            )
-            return block, sorted((s.t0, s.t1) for s in gm)
-
-        result = run_spmd(masked, 3)
-        out = np.concatenate([b for b, _ in result.results], axis=0)
-        _check_masked(out, faulted["full"], kind)
-        # Every rank agrees on the gap report (the aggregator broadcasts
-        # the failure along with the fill block).
-        expected = [] if kind == "slow-read" else [(V0, V1)]
-        assert all(spans == expected for _, spans in result.results)
-
         def failfast(comm):
             return read_vca_collective_per_file(comm, faulted["vca"])
 
@@ -154,20 +142,6 @@ class TestFaultMatrix:
 
     def test_communication_avoiding(self, faulted, kind):
         _inject(kind, faulted["paths"][VICTIM])
-
-        def masked(comm):
-            gm = GapMap()
-            block = read_vca_communication_avoiding(
-                comm, faulted["vca"], on_error="mask", gaps=gm
-            )
-            return block, sorted((s.t0, s.t1) for s in gm)
-
-        result = run_spmd(masked, 4)
-        out = np.concatenate([b for b, _ in result.results], axis=0)
-        _check_masked(out, faulted["full"], kind)
-        # Owning ranks allgather failures: the report is global.
-        expected = [] if kind == "slow-read" else [(V0, V1)]
-        assert all(spans == expected for _, spans in result.results)
 
         def failfast(comm):
             return read_vca_communication_avoiding(comm, faulted["vca"])
@@ -368,33 +342,21 @@ class TestTransientFaultsRetried:
         install_read_fault(faulted["paths"][VICTIM], "raise-on-nth-read", fail_reads=1)
 
         def fn(comm):
-            gm = GapMap()
-            block = read_vca_collective_per_file(
-                comm, faulted["vca"], on_error="mask", retries=2, gaps=gm
-            )
-            return block, len(gm)
+            return read_vca_collective_per_file(comm, faulted["vca"])
 
         result = run_spmd(fn, 2)
-        out = np.concatenate([b for b, _ in result.results], axis=0)
+        out = np.concatenate(result.results, axis=0)
         np.testing.assert_array_equal(out, faulted["full"])
-        assert all(n == 0 for _, n in result.results)
 
-    def test_exhausted_retries_then_mask(self, faulted):
-        install_read_fault(
-            faulted["paths"][VICTIM], "raise-on-nth-read", fail_reads=99
-        )
+    def test_communication_avoiding_reader_retries(self, faulted):
+        install_read_fault(faulted["paths"][VICTIM], "raise-on-nth-read", fail_reads=1)
 
         def fn(comm):
-            gm = GapMap()
-            read_vca_collective_per_file(
-                comm, faulted["vca"], on_error="mask", retries=1, gaps=gm
-            )
-            return [(s.t0, s.t1, s.attempts) for s in gm]
+            return read_vca_communication_avoiding(comm, faulted["vca"])
 
-        result = run_spmd(fn, 1)
-        (spans,) = result.results
-        assert [(t0, t1) for t0, t1, _ in spans] == [(V0, V1)]
-        assert all(attempts >= 2 for _, _, attempts in spans)
+        result = run_spmd(fn, 4)
+        out = np.concatenate(result.results, axis=0)
+        np.testing.assert_array_equal(out, faulted["full"])
 
 
 class TestReadSampleRangeDegraded:

@@ -8,7 +8,7 @@ from repro.errors import FormatError
 from repro.hdf5lite import BlockCache, CacheConfig, File, FilePool
 from repro.hdf5lite.cache import resolve_cache
 from repro.storage.chunks import SourceView, open_stream
-from repro.storage.vca import VCAHandle, create_vca
+from repro.storage.vca import VCA_DATASET, VCAHandle, create_vca
 from repro.utils.iostats import IOStats
 
 
@@ -392,10 +392,12 @@ class TestVirtualCached:
         """Cache propagates from the VCA file to its private source handles."""
         vca_path = create_vca(str(tmp_path / "v.h5"), das_dir["paths"])
         stats = IOStats()
-        with VCAHandle(vca_path, iostats=stats, cache=CacheConfig()) as vca:
-            vca.dataset.read()
+        with File(vca_path, "r", iostats=stats, cache=CacheConfig()) as f:
+            f.dataset(VCA_DATASET).read()
             reads_after_first = stats.reads
-            np.testing.assert_array_equal(vca.dataset.read(), das_dir["full"])
+            np.testing.assert_array_equal(
+                f.dataset(VCA_DATASET).read(), das_dir["full"]
+            )
             assert stats.reads == reads_after_first
 
     def test_partial_vca_read_correct(self, das_dir, tmp_path):
@@ -412,8 +414,10 @@ class TestVirtualCached:
 
         def read(cache):
             stats = IOStats()
-            with VCAHandle(vca_path, iostats=stats, cache=cache) as vca:
-                np.testing.assert_array_equal(vca.dataset.read(), das_dir["full"])
+            with File(vca_path, "r", iostats=stats, cache=cache) as f:
+                np.testing.assert_array_equal(
+                    f.dataset(VCA_DATASET).read(), das_dir["full"]
+                )
             return stats.snapshot()
 
         assert read(None) == read(CacheConfig(byte_budget=0))

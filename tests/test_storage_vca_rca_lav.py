@@ -233,6 +233,11 @@ class TestLAV:
         np.testing.assert_array_equal(
             view.read(0, view.n_samples), full[4:12, 10:100:3]
         )
+        # An empty row range keeps the strided width every source returns.
+        assert view.read_strided(1, 1, 0, 10, 2).shape == (0, 5)
+        assert vca.read_strided(1, 1, 0, 10, 2).shape == (0, 5)
+        inner = as_source(np.zeros((4, 10)))
+        assert SourceView(inner).read_strided(1, 1, 0, 10, 2).shape == (0, 5)
 
     def test_escaping_selection_rejected(self, handle):
         vca, _ = handle
