@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # CI entry point.  `scripts/ci.sh` runs the static checks once (repro.checks
-# against scripts/checks_baseline.json), the tier-1 suite and the harness's
-# self-tests.  It times nothing: every deterministic invariant a layer claims
-# is a tier-1 test.
+# against scripts/checks_baseline.json), the tier-1 suite, the paper-figure
+# tests and the harness's self-tests.  The figure tests rewrite
+# benchmarks/results/*.txt; every table must come out byte-identical except
+# fig6_search_merge.txt and fig9_matlab.txt, the two with wall-clock rows.
+# It gates no timing: every deterministic invariant a layer claims is a test.
 #
 # `scripts/ci.sh --bench [REFERENCE]` is the performance gate: five untraced
 # runs of each harness workload (~7 min), judged by compare.py under
@@ -45,4 +47,8 @@ fi
 
 python -m repro.checks --baseline scripts/checks_baseline.json
 python -m pytest -x -q
+python -m pytest benchmarks/ --ignore=benchmarks/harness --benchmark-disable -q
+git diff --exit-code -- 'benchmarks/results/*.txt' \
+    ':!benchmarks/results/fig6_search_merge.txt' \
+    ':!benchmarks/results/fig9_matlab.txt'
 python -m pytest benchmarks/harness/tests -q

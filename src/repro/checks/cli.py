@@ -7,9 +7,8 @@ The baseline defaults to ``<root>/scripts/checks_baseline.json`` when
 present; ``--no-baseline`` ignores it, ``--update-baseline`` rewrites
 its ``findings`` list from the current run (waivers are preserved).
 ``--json`` emits a stable, sorted document suitable for diffing, with
-per-analyzer wall times.  ``--sarif FILE`` additionally writes the *new*
-(post-baseline) findings as SARIF 2.1.0.  Every run analyzes the whole
-tree (a few seconds) and writes nothing but what it was asked to.
+per-analyzer wall times.  Every run analyzes the whole tree (a few
+seconds) and writes nothing but what it was asked to.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from pathlib import Path
 from repro.checks.baseline import Baseline
 from repro.checks.registry import all_analyzers
 from repro.checks.runner import load_project, run_analyzers
-from repro.checks.sarif import to_sarif
 from repro.errors import ReproError
 
 __all__ = ["main", "build_parser"]
@@ -67,10 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalog and exit",
-    )
-    parser.add_argument(
-        "--sarif", default=None, metavar="FILE",
-        help="also write new (post-baseline) findings as SARIF 2.1.0",
     )
     return parser
 
@@ -118,13 +112,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     new, baselined = baseline.split(findings)
-
-    if args.sarif:
-        sarif_path = Path(args.sarif)
-        sarif_doc = to_sarif(new, all_analyzers())
-        sarif_path.write_text(
-            json.dumps(sarif_doc, indent=2) + "\n", encoding="utf-8"
-        )  # noqa: ATM001 - report artifact, regenerated every run
 
     if args.as_json:
         document = {

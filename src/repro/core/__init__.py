@@ -46,12 +46,13 @@ from repro.core.operators import (
     WhitenOp,
 )
 from repro.core.pipeline import (
+    Branch,
     OpContext,
     Operator,
     PipelineProfile,
     PipelineResult,
     SinkOp,
-    StreamPipeline,
+    run_chunks,
     run_materialized,
 )
 from repro.core.stacking import (
@@ -130,7 +131,8 @@ __all__ = [
     "OpContext",
     "Operator",
     "SinkOp",
-    "StreamPipeline",
+    "Branch",
+    "run_chunks",
     "run_materialized",
     "PipelineProfile",
     "PipelineResult",

@@ -15,8 +15,8 @@ Both entry points here execute the *same* operator graph
 two Fig. 9 policies: ``matlab_style_pipeline`` via
 :func:`~repro.core.pipeline.run_materialized` (stage at a time,
 interpreted channel loops, whole-array intermediates) and
-``dassa_pipeline`` via :class:`~repro.core.pipeline.StreamPipeline`
-(fused chain, thread-parallel channel blocks, shared master spectrum).
+``dassa_pipeline`` via :func:`~repro.core.pipeline.run_chunks` (fused
+chain, thread-parallel channel blocks, shared master spectrum).
 ``Fig9Model`` is the corresponding analytic (Amdahl +
 interpreter-overhead) model used to project the paper-scale 16x.
 """
@@ -33,7 +33,7 @@ from repro.core.interferometry import (
     interferometry_operators,
     master_bound_operators,
 )
-from repro.core.pipeline import PipelineResult, StreamPipeline, run_materialized
+from repro.core.pipeline import Branch, PipelineResult, run_chunks, run_materialized
 from repro.errors import ConfigError
 from repro.storage.chunks import as_source
 from repro.utils.timer import Timer
@@ -103,10 +103,9 @@ def dassa_run(
         raise ConfigError("threads must be >= 1")
     src = as_source(data, fs=config.fs)
     # Master spectrum once (shared across threads, not duplicated).
-    pipe = StreamPipeline(master_bound_operators(src, config))
-    return pipe.run(
-        src, chunk_samples=chunk_samples, threads=threads, timer=timer
-    )
+    ops = master_bound_operators(src, config)
+    chunk = src.n_samples if chunk_samples is None else chunk_samples
+    return run_chunks(src, [], [Branch.of(ops)], chunk, threads, timer)[0]
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,13 @@
 """Lazy expression graphs over streaming pipelines.
 
-The eager :class:`~repro.core.pipeline.StreamPipeline` executes operators
+An eager :func:`~repro.core.pipeline.run_chunks` call executes operators
 in declaration order, so a channel selection or a decimation written
 *after* the scan still pays for full-resolution reads.  This module is
 the declarative layer above it: a :class:`Query` builds a small
 expression graph (source, map, sink, post nodes) and nothing executes
 until :mod:`repro.core.optimizer` lowers the graph into a physical plan
-— pushing selection/decimation into the storage source, fusing adjacent
-halo-compatible maps, and sharing common prefixes between queries that
-branch from the same node.
+— pushing selection/decimation into the storage source and sharing
+common prefixes between queries that branch from the same node.
 
 Two structural operators are defined here because the optimizer's
 pushdown rule targets them:
@@ -212,7 +211,8 @@ class Query:
 
     def then(self, op: object, label: str | None = None) -> "Query":
         """Append an operator; sinks end the map section, operators after
-        a sink become post stages (mirroring ``StreamPipeline``)."""
+        a sink become post stages (as :meth:`~repro.core.pipeline.Branch.of`
+        splits them)."""
         if isinstance(op, SinkOp):
             if self._has_sink():
                 raise ConfigError("query already has a sink")

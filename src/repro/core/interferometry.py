@@ -200,7 +200,7 @@ def preprocess_operators(config: InterferometryConfig) -> list:
     """The :func:`preprocess` chain as streaming operators
     (detrend → taper → filtfilt → resample), each with its overlap
     contract, runnable chunk-at-a-time by
-    :class:`~repro.core.pipeline.StreamPipeline`."""
+    :func:`~repro.core.pipeline.run_chunks`."""
     from repro.core.operators import DecimateOp, DetrendOp, FiltFiltOp, TaperOp
 
     b, a = config.coefficients()
@@ -220,8 +220,8 @@ def interferometry_operators(
 
     The same graph serves both Fig. 9 execution styles:
     :func:`~repro.core.pipeline.run_materialized` runs it MATLAB-style,
-    :class:`~repro.core.pipeline.StreamPipeline` streams it in
-    overlap-aware chunks.
+    :func:`~repro.core.pipeline.run_chunks` streams it in overlap-aware
+    chunks.
     """
     from repro.core.operators import CorrelateOp, FFTSink, WhitenOp
 

@@ -34,8 +34,8 @@ Equivalence contract (asserted by the test suite):
   source, the eager chains split at the logical shared prefix, and the
   prefix recomputed per branch with identical arguments — so hoisting
   it (the CSE rewrite) is bitwise safe by construction.  For a
-  **single-output** plan that is exactly the eager
-  :class:`~repro.core.pipeline.StreamPipeline` run of the operator list;
+  **single-output** plan that is exactly the eager one-branch
+  ``run_chunks(src, [], [Branch.of(q.operators())], chunk)`` call;
 * the optimized lowering (pushdown + shared prefix) is
   *bit-identical* to that reference, single- or multi-output.  Co-run
   branches are *not* claimed bit-identical to independent single runs:
@@ -61,7 +61,6 @@ from repro.core.graph import (
 from repro.core.pipeline import (
     Branch,
     PipelineResult,
-    SinkOp,
     _ceil_div,
     computes_nothing,
     in_flight,
@@ -154,22 +153,10 @@ def optimize(
             raise ConfigError(
                 "all queries in one plan must branch from the same scan"
             )
-        maps: list = []
-        map_ids: list[int] = []
-        sink: SinkOp | None = None
-        post: list = []
-        for n in nodes[1:]:
-            if n.kind == "map":
-                maps.append(n.op)
-                map_ids.append(n.id)
-            elif n.kind == "sink":
-                sink = n.op
-            else:
-                post.append(n.op)
-        chains.append(
-            Branch(label=q.label or f"q{i}", maps=maps, sink=sink, post=post)
-        )
-        id_lists.append(map_ids)
+        chain = Branch.of(q.operators(), q.label or f"q{i}")
+        chains.append(chain)
+        # Maps lead the chain, so their nodes are the first after the scan.
+        id_lists.append([n.id for n in nodes[1 : 1 + len(chain.maps)]])
     labels = [c.label for c in chains]
     if len(set(labels)) != len(labels):
         for i, c in enumerate(chains):
@@ -311,7 +298,7 @@ def execute(
     the branch tails.  ``naive=True`` is the equivalence reference: the
     raw source, the eager chains split at the logical shared prefix, and
     that prefix recomputed per branch (for a
-    single query: exactly the eager ``StreamPipeline`` run).  ``source``
+    single query: exactly the eager one-branch ``run_chunks`` call).  ``source``
     overrides the plan's scan payload (e.g. an already-open source).
     Either way the kernel validates the operators' interval algebra on the
     chunking it is about to run, before its first read.

@@ -34,12 +34,13 @@ whole-array materialisation.  This module is that execution core:
   lowering onto it:
   :func:`repro.core.optimizer.execute` chooses source, prefix, tails and
   chunk length — the door every analysis of the ``DASSA`` facade goes
-  through, eager calls included (they are one-branch plans);
-  :meth:`StreamPipeline.run` is the bare one-branch call for a hand-built
-  chain, kept with ``chunk_samples=None`` meaning *the whole record*
-  because the tests use it as the reference the facade must equal; and
+  through, eager calls included (they are one-branch plans); a
+  hand-built chain is ``run_chunks(src, [], [Branch.of(ops)], chunk)``,
+  the reference the tests hold the facade to; and
   :class:`IncrementalRunner` drives the kernel's planning helpers and
   chain runner over an unbounded record with a carried tail buffer.
+  :meth:`Branch.of` is the one place an operator list is split into
+  maps, sink and post stages.
 * :func:`run_materialized` — the reference the tests compare against:
   the same operator graph executed MATLAB style, one stage at a time
   over the whole array, optionally with interpreted per-channel loops.
@@ -66,7 +67,7 @@ import numpy as np
 from repro.arrayudf.fuse import partition_row_blocks
 from repro.errors import ConfigError
 from repro.faults.policy import RETRYABLE, FailurePolicy, retry_call
-from repro.storage.chunks import ChunkSource, as_source, iter_intervals
+from repro.storage.chunks import ChunkSource, iter_intervals
 from repro.storage.gaps import GapMap
 from repro.utils.iostats import IOStats
 from repro.utils.timer import Timer
@@ -80,7 +81,6 @@ __all__ = [
     "Branch",
     "run_chunks",
     "in_flight",
-    "StreamPipeline",
     "IncrementalRunner",
     "run_materialized",
 ]
@@ -316,6 +316,28 @@ class Branch:
     maps: list
     sink: SinkOp | None = None
     post: list = field(default_factory=list)
+
+    @classmethod
+    def of(cls, operators: Iterable, label: str = "") -> "Branch":
+        """Split an operator list at its optional :class:`SinkOp`: maps
+        before it, post stages after.  Refuses a second sink, anything
+        that is not an operator, and duplicate names (profile phases are
+        keyed by ``op.name``).  An empty list is a pure read."""
+        branch = cls(label, [])
+        names: set[str] = set()
+        for op in operators:
+            if isinstance(op, SinkOp):
+                if branch.sink is not None:
+                    raise ConfigError("a chain can hold at most one sink")
+                branch.sink = op
+            elif isinstance(op, Operator):
+                (branch.maps if branch.sink is None else branch.post).append(op)
+            else:
+                raise ConfigError(f"not an operator: {op!r}")
+            if op.name in names:
+                raise ConfigError(f"duplicate operator name {op.name!r}")
+            names.add(op.name)
+        return branch
 
 
 def computes_nothing(prefix: list, branches: list[Branch]) -> bool:
@@ -597,12 +619,14 @@ def _prepass(
     timer: Timer,
     pool: ThreadPoolExecutor | None,
     depth: int,
+    policy: FailurePolicy | None,
 ) -> None:
     """Fill the whole-record state of every ``needs_prepass`` operator by
     streaming the chain below it once, chunk by chunk, through
     :func:`_stream`: the level is computed per chunk (on ``pool`` when the
     chain below has operators), ``prepass_update`` is applied on the
-    calling thread in chunk order."""
+    calling thread in chunk order.  Each read gets ``policy``'s retries."""
+    retries, backoff = (policy.retries, policy.backoff) if policy else (0, 0.0)
     for j, op in enumerate(maps):
         if not op.needs_prepass:
             continue
@@ -610,7 +634,7 @@ def _prepass(
         acc = op.prepass_init(channels[j], totals[j])
 
         def read(item: tuple) -> np.ndarray:
-            return src.read(*item[1][0])
+            return retry_call(lambda: src.read(*item[1][0]), retries, backoff)
 
         def level(item: tuple, block: np.ndarray, _timer: Timer) -> np.ndarray:
             return _run_chain(
@@ -731,7 +755,10 @@ def run_chunks(
     and gaps do not depend on ``threads``.  A chunk that stays broken
     either raises the typed error (``fail_fast``) or fills every branch's
     owned span with ``policy.fill``, recorded in that branch's
-    :attr:`~PipelineResult.gaps` in its own output coordinates.
+    :attr:`~PipelineResult.gaps` in its own output coordinates.  Each
+    pre-pass read gets the same ``retries``; one still broken after them
+    raises the typed error in both modes, because whole-record state
+    cannot be reported as a gap.
     """
     if src.n_samples < 1 or src.n_channels < 1:
         raise ConfigError("cannot stream an empty source")
@@ -915,7 +942,7 @@ def run_chunks(
             # as the materialised execution does.
             _prepass(
                 src, chunk, prefix, p_tot, p_rate, p_ch, p_states, timer,
-                by_chunk, workers,
+                by_chunk, workers, policy,
             )
         for r in sinks:
             r.sink_state = r.branch.sink.init(r.ch[-1], r.tot[-1], r.rate[-1])
@@ -1020,97 +1047,6 @@ def run_chunks(
     ]
 
 
-class StreamPipeline:
-    """An operator chain executed chunk-at-a-time with ghost-zone stitching.
-
-    ``operators`` is a sequence of :class:`Operator` with at most one
-    :class:`SinkOp`; operators after the sink run once on its finalised
-    output (e.g. correlate after an FFT accumulator).
-    """
-
-    def __init__(self, operators: list):
-        if not operators:
-            raise ConfigError("empty pipeline")
-        self.maps: list[Operator] = []
-        self.sink: SinkOp | None = None
-        self.post: list[Operator] = []
-        for op in operators:
-            if isinstance(op, SinkOp):
-                if self.sink is not None:
-                    raise ConfigError("a pipeline can hold at most one sink")
-                self.sink = op
-            elif isinstance(op, Operator):
-                if self.sink is None:
-                    self.maps.append(op)
-                else:
-                    self.post.append(op)
-            else:
-                raise ConfigError(f"not an operator: {op!r}")
-        names = [op.name for op in self.operators]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate operator names in {names}")
-
-    @property
-    def operators(self) -> list:
-        ops: list = list(self.maps)
-        if self.sink is not None:
-            ops.append(self.sink)
-        ops.extend(self.post)
-        return ops
-
-    @property
-    def names(self) -> list[str]:
-        return [op.name for op in self.operators]
-
-    def run(
-        self,
-        source: object,
-        chunk_samples: int | None = None,
-        threads: int = 1,
-        timer: Timer | None = None,
-        iostats: IOStats | None = None,
-        fs: float | None = None,
-        policy: FailurePolicy | None = None,
-    ) -> PipelineResult:
-        """Stream ``source`` through the chain: the one-branch call of
-        :func:`run_chunks`.
-
-        ``chunk_samples=None`` runs a single chunk covering the whole
-        record (the materialising policy, with exact whole-array stage
-        behaviour — this call is the tests' reference, so it derives no
-        length; byte-budget sizing is the planner's,
-        :func:`repro.core.optimizer._resolve_execution`); any other value bounds a resident block to roughly
-        ``channels * (chunk + halos) * 8`` bytes.  ``threads`` is the
-        size of the run's worker pool: chunks run their chains on it
-        side by side (``threads`` of them, plus one block read ahead by
-        the calling thread, are resident at once) and are settled in
-        order, so the output is bit-identical to ``threads=1``; a
-        single-chunk run splits the output channels into ApplyMT-style
-        static row blocks over the same pool.
-        ``policy`` turns a chunk that stays broken after retries into a
-        typed error (``fail_fast``) or a ``policy.fill``-valued output
-        span reported in the result's :attr:`~PipelineResult.gaps`
-        (``continue``).
-        """
-        src = as_source(source, fs=fs)
-        chunk = src.n_samples if chunk_samples is None else int(chunk_samples)
-        branch = Branch("", self.maps, self.sink, self.post)
-        return run_chunks(
-            src, [], [branch], chunk, threads, timer, iostats, policy
-        )[0]
-
-    def incremental(self, n_channels: int, fs: float = 0.0) -> "IncrementalRunner":
-        """Carried-state execution over an *unbounded* record.
-
-        Returns an :class:`IncrementalRunner` that accepts the record in
-        arbitrary pieces (acquisition files as they arrive) and emits
-        final-level outputs as soon as their full input halo is buffered,
-        so outputs across piece boundaries equal one batch run over the
-        concatenated record.  Map-only, stream-safe chains only.
-        """
-        return IncrementalRunner(self, n_channels, fs=fs)
-
-
 def _pack_state(state: np.ndarray) -> str:
     """A filter state's float64 bytes (little-endian, C order) as base64:
     bit-exact, and one short string for the checkpoint's JSON encoder
@@ -1145,8 +1081,8 @@ def _tail_digest(tail: np.ndarray) -> str:
 class IncrementalRunner:
     """Drives a map-only operator chain across record-piece boundaries.
 
-    The batch :class:`StreamPipeline` knows the record's total length up
-    front and clamps every halo read at both edges.  A monitoring service
+    A batch :func:`run_chunks` knows the record's total length up front
+    and clamps every halo read at both edges.  A monitoring service
     does not: the record grows one acquisition file at a time and never
     ends until the acquisition stops.  This runner carries the chain's
     state across pieces:
@@ -1189,10 +1125,11 @@ class IncrementalRunner:
 
     STATE_VERSION = 2
 
-    def __init__(self, pipeline: StreamPipeline, n_channels: int, fs: float = 0.0):
-        if pipeline.sink is not None or pipeline.post:
+    def __init__(self, operators: list, n_channels: int, fs: float = 0.0):
+        branch = Branch.of(operators)
+        if branch.sink is not None:
             raise ConfigError("incremental execution supports map-only pipelines")
-        for op in pipeline.maps:
+        for op in branch.maps:
             if op.needs_prepass or not op.stream_safe:
                 raise ConfigError(
                     f"operator {op.name!r} is not stream-safe: it depends on "
@@ -1200,10 +1137,10 @@ class IncrementalRunner:
                 )
         if n_channels < 1:
             raise ConfigError("n_channels must be >= 1")
-        self._pipe = pipeline
+        self._maps = branch.maps
         self.n_channels = int(n_channels)
         self.fs = float(fs)
-        head = pipeline.maps[0] if pipeline.maps else None
+        head = branch.maps[0] if branch.maps else None
         #: The leading stage when its forward pass is carried (see above).
         self._head = (
             head
@@ -1247,7 +1184,7 @@ class IncrementalRunner:
         context lies within the first ``seen`` samples; ``None`` while no
         output is ready.  One bisection finds the watermark and the plan
         the emission runs on together."""
-        maps = self._pipe.maps
+        maps = self._maps
         best = None
         lo, hi = start, cap
         while lo < hi:
@@ -1265,7 +1202,7 @@ class IncrementalRunner:
         context there, clamped to ``[0, seen]``.  A carried head also
         keeps the ``padlen + 1`` raw samples its closing odd extension
         reflects."""
-        keep = _needed(self._pipe.maps, (emitted, emitted + 1), None)[level][0]
+        keep = _needed(self._maps, (emitted, emitted + 1), None)[level][0]
         if level:
             keep = min(keep, seen - self._head.padlen - 1)
         return min(max(keep, 0), seen)
@@ -1310,7 +1247,7 @@ class IncrementalRunner:
     def _emit(
         self, at_edge: bool, timer: Timer | None
     ) -> list[tuple[tuple[int, int], np.ndarray]]:
-        maps = self._pipe.maps
+        maps = self._maps
         totals, rates, channels = _levels(
             maps, self.n_channels, self._seen, self.fs
         )
@@ -1428,7 +1365,7 @@ class IncrementalRunner:
         state = self._marks[0][1] if self._head is not None else None
         return {
             "version": self.STATE_VERSION,
-            "operators": self._pipe.names,
+            "operators": [op.name for op in self._maps],
             "n_channels": self.n_channels,
             "fs": self.fs,
             "seen": self._seen,
@@ -1451,7 +1388,7 @@ class IncrementalRunner:
             raise ConfigError(
                 f"checkpoint tail [{buf_start}, {seen}) is not a sample range"
             )
-        total = _levels(self._pipe.maps, self.n_channels, seen, self.fs)[0][-1]
+        total = _levels(self._maps, self.n_channels, seen, self.fs)[0][-1]
         needs = self._open_needs(0, seen, total)
         ready = needs[-1][1] if needs is not None else 0
         if emitted not in (ready, total):
@@ -1488,10 +1425,11 @@ class IncrementalRunner:
         version = payload.get("version")
         if version not in (1, self.STATE_VERSION):
             raise ConfigError(f"carried-state version {version!r} unsupported")
-        if payload.get("operators") != self._pipe.names:
+        names = [op.name for op in self._maps]
+        if payload.get("operators") != names:
             raise ConfigError(
                 f"checkpoint was taken by chain {payload.get('operators')}, "
-                f"this runner is {self._pipe.names}"
+                f"this runner is {names}"
             )
         if int(payload["n_channels"]) != self.n_channels:
             raise ConfigError(
@@ -1553,7 +1491,7 @@ def run_materialized(
     phase for phase; the profile's peak resident bytes reflect the
     whole-array intermediates — the Fig. 9 memory story.
     """
-    pipe = operators if isinstance(operators, StreamPipeline) else StreamPipeline(operators)
+    chain = Branch.of(operators)
     timer = timer if timer is not None else Timer()
     io_before = iostats.total_bytes_read() if iostats is not None else None
     with timer.phase("read"):
@@ -1564,7 +1502,7 @@ def run_materialized(
     total = data.shape[1]
     rate = fs
     peak = data.nbytes
-    for op in pipe.maps:
+    for op in chain.maps:
         if op.needs_prepass:
             with timer.phase(f"{op.name}:prepass"):
                 acc = op.prepass_init(cur.shape[0], total)
@@ -1587,18 +1525,18 @@ def run_materialized(
         total = op.out_total(total)
         rate = op.out_fs(rate)
     output: Any = cur
-    if pipe.sink is not None:
-        state = pipe.sink.init(cur.shape[0], total, rate)
+    if chain.sink is not None:
+        state = chain.sink.init(cur.shape[0], total, rate)
         ctx = OpContext(
             start=0, stop=total, total=total, fs=rate, state=state,
             interpreted=interpreted,
         )
-        with timer.phase(pipe.sink.name):
-            pipe.sink.consume(state, cur, ctx)
-            output = pipe.sink.finalize(state)
+        with timer.phase(chain.sink.name):
+            chain.sink.consume(state, cur, ctx)
+            output = chain.sink.finalize(state)
         if isinstance(output, np.ndarray):
             peak = max(peak, cur.nbytes + output.nbytes)
-    output = _run_post(pipe.post, output, rate, timer, interpreted)
+    output = _run_post(chain.post, output, rate, timer, interpreted)
     profile = PipelineProfile(
         phases=dict(timer.phases),
         n_chunks=1,

@@ -26,7 +26,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from repro.core.pipeline import IncrementalRunner, StreamPipeline
+from repro.core.pipeline import IncrementalRunner
 from repro.errors import CheckpointCorruptError, ConfigError, ReproError
 from repro.rt.checkpoint import CHECKPOINT_NAME, CheckpointStore, read_sample_range
 from repro.rt.events import EventAssembler, EventPolicy, EventSink
@@ -217,8 +217,8 @@ class RTService:
         """The live record's runner: built from the first file's geometry,
         which every later file of the record must match."""
         if self.runner is None:
-            self.runner = StreamPipeline(self.detector.operators(fs)).incremental(
-                n_channels, fs=fs
+            self.runner = IncrementalRunner(
+                self.detector.operators(fs), n_channels, fs=fs
             )
         elif n_channels != self.runner.n_channels or fs != self.runner.fs:
             raise ConfigError(

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.pipeline import Branch, run_chunks
+from repro.storage.chunks import as_source
 from repro.storage.dasfile import das_filename, write_das_file
 from repro.storage.metadata import DASMetadata, timestamp_add_seconds
 
@@ -59,3 +61,11 @@ def lock_sanitizer():
         yield sanitizer
     finally:
         sanitizer.uninstall()
+
+
+def run_chain(ops, source, chunk_samples=None, threads=1, fs=None, **kwargs):
+    """The one-branch kernel call of an operator list; ``chunk_samples=None``
+    runs one whole-record chunk."""
+    src = as_source(source, fs=fs)
+    chunk = src.n_samples if chunk_samples is None else chunk_samples
+    return run_chunks(src, [], [Branch.of(ops)], chunk, threads, **kwargs)[0]

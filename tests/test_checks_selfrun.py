@@ -145,22 +145,6 @@ def test_json_reports_per_analyzer_wall_time(mini_repo):
     assert [p.name for p in mini_repo.iterdir()] == ["src"]
 
 
-def test_sarif_output_shape(mini_repo):
-    sarif_path = mini_repo / "report.sarif"
-    proc = run_cli("--sarif", str(sarif_path), "--json", root=mini_repo)
-    assert proc.returncode == 1
-    doc = json.loads(sarif_path.read_text())
-    assert doc["version"] == "2.1.0"
-    (run,) = doc["runs"]
-    rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert "ATM001" in rule_ids
-    (result,) = run["results"]
-    assert result["ruleId"] == "ATM001"
-    location = result["locations"][0]["physicalLocation"]
-    assert location["artifactLocation"]["uri"] == "src/repro/a.py"
-    assert result["partialFingerprints"]["reproChecks/v1"]
-
-
 def test_cli_unknown_rule_is_usage_error():
     proc = run_cli("--only", "NOPE001")
     assert proc.returncode == 2

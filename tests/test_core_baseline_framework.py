@@ -10,6 +10,7 @@ from repro.core.interferometry import InterferometryConfig, interferometry_block
 from repro.core.local_similarity import LocalSimilarityConfig
 from repro.errors import ConfigError, StorageError
 from repro.utils.timer import Timer
+from tests.conftest import run_chain
 
 
 @pytest.fixture
@@ -212,11 +213,7 @@ def _facade(dassa, kind, source, chunk=None):
 
 def _kernel(kind, src, chunk, threads, policy=None):
     """The same analysis as the kernel's one-branch call."""
-    from repro.core.pipeline import StreamPipeline
-
-    result = StreamPipeline(_chain(kind, src)).run(
-        src, chunk_samples=chunk, threads=threads, policy=policy
-    )
+    result = run_chain(_chain(kind, src), src, chunk, threads, policy=policy)
     if kind == "local_similarity":
         return result, (result.output, SIM.centers(src.n_samples))
     if kind == "stack":

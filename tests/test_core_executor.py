@@ -1,8 +1,8 @@
 """The one chunk-loop kernel and its lowerings agree bit for bit.
 
-``StreamPipeline.run`` (the one-branch call), ``execute(optimize(q))``
-(pushdown + shared prefix) and ``execute(..., naive=True)`` (the
-eager reference) are three ways of choosing what
+The one-branch call ``run_chunks(src, [], [Branch.of(ops)], chunk)``,
+``execute(optimize(q))`` (pushdown + shared prefix) and
+``execute(..., naive=True)`` (the eager reference) are three ways of choosing what
 :func:`repro.core.pipeline.run_chunks` runs; this sweep drives all three
 across chunk size x thread count x chain shape — a pre-pass operator, a
 decimating operator, a channel-halo operator, a sink with post stages —
@@ -50,9 +50,9 @@ from repro.core.operators import (
 )
 from repro.core.optimizer import execute, optimize
 from repro.core.pipeline import (
+    IncrementalRunner,
     OpContext,
     Operator,
-    StreamPipeline,
     _clamp,
     _levels,
     _needed,
@@ -70,6 +70,7 @@ from repro.storage.chunks import ArraySource, ChunkSource, SourceView, open_stre
 from repro.storage.dasfile import write_das_file
 from repro.storage.metadata import DASMetadata
 from repro.storage.vca import create_vca
+from tests.conftest import run_chain
 
 B, A = butter(2, [0.1, 0.4], btype="band", fs=1.0)
 SIMI = LocalSimilarityConfig(half_window=8, half_lag=2, stride=20)
@@ -132,8 +133,8 @@ def test_three_lowerings_agree(kind, chunk, threads):
     plan = optimize(q, chunk_samples=chunk, threads=threads)
     opt = execute(plan)[0]
     naive = execute(plan, naive=True)[0]
-    eager = StreamPipeline(q.operators()).run(
-        data, chunk_samples=chunk, threads=threads, fs=100.0
+    eager = run_chain(
+        q.operators(), data, chunk_samples=chunk, threads=threads, fs=100.0
     )
     np.testing.assert_array_equal(opt.output, naive.output)
     np.testing.assert_array_equal(naive.output, eager.output)
@@ -255,7 +256,7 @@ class RecordingSource(ArraySource):
 
 
 def _eager(src, bad):
-    StreamPipeline([FiltFiltOp(B, A), bad]).run(src, chunk_samples=400)
+    run_chain([FiltFiltOp(B, A), bad], src, chunk_samples=400)
 
 
 def _one_branch(src, bad):
@@ -293,12 +294,12 @@ def test_single_chunk_run_still_checks_coverage():
     sample shows as the owned interval falling short of the total."""
     src = RecordingSource(_data(3))
     with pytest.raises(ConfigError, match=r"'untiled': out_core covers \[0, 1499\)"):
-        StreamPipeline([Untiled()]).run(src)
+        run_chain([Untiled()], src)
     assert src.reads == 0
 
 
 def test_planning_is_a_profile_phase():
-    result = StreamPipeline([StaLtaOp(4, 16)]).run(_data(3), chunk_samples=400)
+    result = run_chain([StaLtaOp(4, 16)], _data(3), chunk_samples=400)
     assert result.profile.phases["plan"] > 0
 
 
@@ -408,7 +409,7 @@ def test_incremental_chain_equals_members_level_by_level():
     data = _data(22)
     ops = [FiltFiltOp(B, A), StaLtaOp(4, 16)]
     for piece in (700, 211, 64):
-        runner = StreamPipeline(ops).incremental(data.shape[0], fs=100.0)
+        runner = IncrementalRunner(ops, data.shape[0], fs=100.0)
         emitted = []
         for lo in range(0, data.shape[1], piece):
             seen = min(lo + piece, data.shape[1])
@@ -468,7 +469,7 @@ def _probed_chain():
 def test_no_operator_sees_fringe_it_did_not_ask_for(chunk, threads):
     data = _data(23)
     ops = _probed_chain()
-    StreamPipeline(ops).run(data, chunk_samples=chunk, threads=threads, fs=100.0)
+    run_chain(ops, data, chunk_samples=chunk, threads=threads, fs=100.0)
     totals, _, _ = _levels(ops, data.shape[0], data.shape[1], 100.0)
     plan = [n for _t, n in _plan_chunks(ops, totals, chunk) if n is not None]
     # every apply gets exactly needs[k]: once per chunk, or — a one-chunk
@@ -526,7 +527,7 @@ def test_incremental_runner_never_computes_fringe():
     data = _data(25, total=3000)
     probe, simi = Probe("after-filter"), CountingSimilarity(SIMI)
     ops = [FiltFiltOp(B, A), probe, simi]
-    runner = StreamPipeline(ops).incremental(data.shape[0], fs=100.0)
+    runner = IncrementalRunner(ops, data.shape[0], fs=100.0)
     for lo in range(0, 3000, 500):
         pieces = runner.push(data[:, lo : lo + 500])
         assert len(probe.seen) == len(simi.computed) == len(pieces) <= 1
@@ -557,8 +558,8 @@ def test_trimming_moves_no_bit_of_position_independent_chains(chunk, threads):
     ):
         step = ops[0].decimate
         size = -(-chunk // step) * step
-        got = StreamPipeline(ops).run(
-            data, chunk_samples=size, threads=threads, fs=100.0
+        got = run_chain(
+            ops, data, chunk_samples=size, threads=threads, fs=100.0
         ).output
         np.testing.assert_array_equal(
             got, _batch_by_levels(ops, data, size, trim=False)
@@ -850,15 +851,15 @@ def _pooled(kind, source, chunk, threads, policy=None):
     if kind == "prepass":  # a pre-pass whose level is computed below a filter
         ops = [FiltFiltOp(B, A), DetrendOp(), StaLtaOp(4, 16)]
         return [
-            StreamPipeline(ops).run(
-                source, chunk_samples=chunk, threads=threads, fs=100.0, policy=policy
+            run_chain(
+                ops, source, chunk, threads, fs=100.0, policy=policy
             )
         ]
     if kind == "sink_post":  # Alg. 3: pre-pass first, FFT sink, post operators
         ops = interferometry_operators(ALG3)
         return [
-            StreamPipeline(ops).run(
-                source, chunk_samples=chunk, threads=threads, fs=100.0, policy=policy
+            run_chain(
+                ops, source, chunk, threads, fs=100.0, policy=policy
             )
         ]
     base = Query.scan(None, fs=100.0).then(FiltFiltOp(B, A))
@@ -989,15 +990,15 @@ class Gate(Operator):
 def test_chunks_overlap_each_other_and_the_next_read(threads):
     src = ThreadSpy(_data(33))
     gate = Gate(src, threads)
-    result = StreamPipeline([gate, StaLtaOp(4, 16)]).run(
-        src, chunk_samples=150, threads=threads
+    result = run_chain(
+        [gate, StaLtaOp(4, 16)], src, chunk_samples=150, threads=threads
     )
     assert result.profile.n_chunks == gate.entered == 10  # one chain per chunk
     assert gate.read_ahead  # chunk 1 was read while chain 0 was still running
     assert gate.met and gate.most == threads  # never more chains than threads
     np.testing.assert_array_equal(
         result.output,
-        StreamPipeline([StaLtaOp(4, 16)]).run(src, chunk_samples=150).output,
+        run_chain([StaLtaOp(4, 16)], src, chunk_samples=150).output,
     )
 
 
@@ -1023,13 +1024,13 @@ class Snapping(Operator):
 def test_no_thread_outlives_the_run_and_errors_keep_their_type(chunk):
     data = _data(34)
     idle = threading.active_count()
-    good = StreamPipeline([FiltFiltOp(B, A), StaLtaOp(4, 16)])
-    assert good.run(data, chunk_samples=chunk, threads=3).profile.threads == 3
+    good = [FiltFiltOp(B, A), StaLtaOp(4, 16)]
+    assert run_chain(good, data, chunk, threads=3).profile.threads == 3
     assert threading.active_count() == idle
-    bad = StreamPipeline([FiltFiltOp(B, A), Snapping(700), StaLtaOp(4, 16)])
+    bad = [FiltFiltOp(B, A), Snapping(700), StaLtaOp(4, 16)]
     for threads in (1, 3):
         with pytest.raises(Snap, match=r"chunk \["):
-            bad.run(data, chunk_samples=chunk, threads=threads)
+            run_chain(bad, data, chunk, threads)
         assert threading.active_count() == idle
 
 
@@ -1073,8 +1074,8 @@ def _under_policy(kind, threads, policy, read_fails, op_fails):
     try:
         if kind == "chain":
             results = [
-                StreamPipeline([flaky, StaLtaOp(4, 16)]).run(
-                    src, chunk_samples=200, threads=threads, policy=policy
+                run_chain(
+                    [flaky, StaLtaOp(4, 16)], src, 200, threads, policy=policy
                 )
             ]
         else:
@@ -1133,6 +1134,27 @@ def test_failure_policy_counts_reads_and_chains_like_one_thread(
         assert got[3] == want[3]
 
 
+PREPASS_CHAIN = [DetrendOp(), StaLtaOp(4, 16)]
+
+
+def test_pre_pass_reads_are_retried():
+    """The first read covering sample 0 is the detrend pre-pass's."""
+    data = _data(38, total=1200)[:4]
+    src = FlakySource(data, at=0, fails=2)
+    got = run_chain(PREPASS_CHAIN, src, 400, policy=FailurePolicy(retries=2))
+    want = run_chain(PREPASS_CHAIN, data, 400, fs=100.0)
+    np.testing.assert_array_equal(got.output, want.output)
+
+
+@pytest.mark.parametrize("mode", ["fail_fast", "continue"])
+def test_a_pre_pass_read_broken_past_its_retries_raises(mode):
+    """Whole-record state cannot be reported as a gap."""
+    src = FlakySource(_data(38, total=1200)[:4], at=0, fails=3)
+    policy = FailurePolicy(mode=mode, retries=2)
+    with pytest.raises(OSError, match="unreadable"):
+        run_chain(PREPASS_CHAIN, src, 400, policy=policy)
+
+
 def test_one_chunk_plan_splits_rows_over_the_pool():
     """With no second chunk to overlap, ``threads`` buys a static row split
     of the one chunk — on the run's pool, gone when the run returns."""
@@ -1146,8 +1168,8 @@ def test_one_chunk_plan_splits_rows_over_the_pool():
     idle = threading.active_count()
     for threads, blocks in ((3, [(0, 4), (4, 4), (8, 4)]), (5, [(0, 3), (3, 3), (6, 2), (8, 2), (10, 2)])):
         rows = Rows("rows")
-        result = StreamPipeline([FiltFiltOp(B, A), rows, StaLtaOp(4, 16)]).run(
-            data, threads=threads
+        result = run_chain(
+            [FiltFiltOp(B, A), rows, StaLtaOp(4, 16)], data, threads=threads
         )
         assert result.profile.n_chunks == 1 and result.profile.threads == threads
         assert sorted(seen[:2] for seen in rows.seen) == blocks
@@ -1159,11 +1181,11 @@ def test_branch_output_lands_once():
     """A sinkless branch writes each settled chunk into its whole output:
     no per-chunk piece kept, no concatenate at the end."""
     data = np.random.default_rng(37).normal(size=(12, 60_000))
-    pipe = StreamPipeline([StaLtaOp(4, 16)])
-    want = pipe.run(data).output
+    ops = [StaLtaOp(4, 16)]
+    want = run_chain(ops, data).output
     tracemalloc.start()
     try:
-        result = pipe.run(data, chunk_samples=3000)
+        result = run_chain(ops, data, chunk_samples=3000)
         _now, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

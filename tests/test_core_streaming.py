@@ -7,12 +7,15 @@ filtfilt halo and a ragged final chunk), thread counts, and both
 Algorithm 2 and Algorithm 3 graphs.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.baseline import dassa_run, matlab_style_run
+from repro.core.graph import Query
 from repro.core.interferometry import (
     InterferometryConfig,
     interferometry_block,
@@ -27,10 +30,12 @@ from repro.core.local_similarity import (
     local_similarity_block,
 )
 from repro.core.operators import DetrendOp, FFTSink, FiltFiltOp
+from repro.core.optimizer import optimize
 from repro.core.pipeline import (
+    Branch,
+    IncrementalRunner,
     OpContext,
     SinkOp,
-    StreamPipeline,
     run_materialized,
 )
 from repro.core.stacking import (
@@ -44,6 +49,7 @@ from repro.daslib import settle_length
 from repro.errors import ConfigError
 from repro.storage.chunks import ArraySource, as_source, iter_intervals
 from repro.utils.timer import Timer
+from tests.conftest import run_chain
 
 
 @pytest.fixture(scope="module")
@@ -58,15 +64,29 @@ def noise():
 
 CFG = InterferometryConfig(fs=200.0, band=(2.0, 30.0), resample_q=3)
 
+# Every door an operator list enters through, and what each must refuse.
+CHAIN_ENTRIES = {
+    "Branch.of": Branch.of,
+    "IncrementalRunner": lambda ops: IncrementalRunner(ops, 4),
+    "run_materialized": lambda ops: run_materialized(ops, np.zeros((4, 64))),
+    "optimize": lambda ops: optimize(
+        functools.reduce(Query.then, ops, Query.scan(np.zeros((4, 64))))
+    ),
+}
+BAD_CHAINS = {
+    "second_sink": ([FFTSink(), FFTSink()], "at most one sink"),
+    "non_operator": ([StaLtaOp(4, 16), "taper"], "not an operator"),
+    "duplicate_names": ([StaLtaOp(4, 16), StaLtaOp(8, 32)], "duplicate operator name"),
+}
+
 
 def stream_interferometry(source, config, **run):
     """Algorithm 3 as a direct kernel call: the master spectrum read and
-    bound by hand, the chain streamed by ``StreamPipeline.run``."""
+    bound by hand, the chain streamed by the kernel's one-branch call."""
     src = as_source(source, fs=config.fs)
     mc = config.master_channel
     mfft = master_spectrum(src.read_rows(mc, mc + 1, 0, src.n_samples), config)
-    pipe = StreamPipeline(interferometry_operators(config, master_fft=mfft))
-    return pipe.run(src, **run)
+    return run_chain(interferometry_operators(config, master_fft=mfft), src, **run)
 
 
 class TestInterferometryStreaming:
@@ -94,8 +114,9 @@ class TestInterferometryStreaming:
 
     def test_preprocess_chain_matches_whole_array(self, noise):
         whole = preprocess(noise, CFG)
-        pipe = StreamPipeline(preprocess_operators(CFG))
-        result = pipe.run(noise, chunk_samples=257, fs=CFG.fs)
+        result = run_chain(
+            preprocess_operators(CFG), noise, chunk_samples=257, fs=CFG.fs
+        )
         assert result.output.shape == whole.shape
         assert result.output == pytest.approx(whole, abs=1e-9)
 
@@ -116,9 +137,9 @@ class TestInterferometryStreaming:
                 return state
 
         whole = preprocess(noise, CFG)
-        pipe = StreamPipeline(preprocess_operators(CFG) + [Recorder()])
+        ops = preprocess_operators(CFG) + [Recorder()]
         seen = 0
-        result = pipe.run(noise, chunk_samples=900, fs=CFG.fs)
+        result = run_chain(ops, noise, chunk_samples=900, fs=CFG.fs)
         for (lo, hi), block in result.output:
             assert lo == seen
             assert block == pytest.approx(whole[:, lo:hi], abs=1e-9)
@@ -168,8 +189,8 @@ class TestLocalSimilarityStreaming:
         rng = np.random.default_rng(5)
         data = rng.standard_normal((9, 500))
         ref, centers = local_similarity_block(data, SIMI_CFG)
-        result = StreamPipeline([LocalSimilarityOp(SIMI_CFG)]).run(
-            data, chunk_samples=chunk
+        result = run_chain(
+            [LocalSimilarityOp(SIMI_CFG)], data, chunk_samples=chunk
         )
         assert np.array_equal(SIMI_CFG.centers(data.shape[1]), centers)
         # Same kernel on the same windows: exact, not approximate.
@@ -179,8 +200,8 @@ class TestLocalSimilarityStreaming:
         rng = np.random.default_rng(6)
         data = rng.standard_normal((11, 400))
         ref, _ = local_similarity_block(data, SIMI_CFG)
-        result = StreamPipeline([LocalSimilarityOp(SIMI_CFG)]).run(
-            data, chunk_samples=90, threads=3
+        result = run_chain(
+            [LocalSimilarityOp(SIMI_CFG)], data, chunk_samples=90, threads=3
         )
         assert np.array_equal(result.output, ref)
 
@@ -203,8 +224,8 @@ class TestLocalSimilarityStreaming:
         rng = np.random.default_rng(half_window * 1000 + stride)
         data = rng.standard_normal((5, 300))
         ref, _ = local_similarity_block(data, config)
-        result = StreamPipeline([LocalSimilarityOp(config)]).run(
-            data, chunk_samples=chunk
+        result = run_chain(
+            [LocalSimilarityOp(config)], data, chunk_samples=chunk
         )
         assert result.output.shape == ref.shape
         assert np.array_equal(result.output, ref)
@@ -216,7 +237,7 @@ class TestStaLtaStreaming:
         rng = np.random.default_rng(2)
         data = rng.standard_normal((5, 2000))
         ref = classic_sta_lta(data, 20, 100, axis=-1)
-        result = StreamPipeline([StaLtaOp(20, 100)]).run(data, chunk_samples=chunk)
+        result = run_chain([StaLtaOp(20, 100)], data, chunk_samples=chunk)
         assert result.output == pytest.approx(ref, rel=1e-7, abs=1e-10)
 
     def test_chunks_shorter_than_lta_window(self):
@@ -225,7 +246,7 @@ class TestStaLtaStreaming:
         rng = np.random.default_rng(3)
         data = rng.standard_normal((3, 600))
         ref = classic_sta_lta(data, 10, 150, axis=-1)
-        result = StreamPipeline([StaLtaOp(10, 150)]).run(data, chunk_samples=60)
+        result = run_chain([StaLtaOp(10, 150)], data, chunk_samples=60)
         assert result.output == pytest.approx(ref, rel=1e-7, abs=1e-10)
 
 
@@ -245,7 +266,7 @@ class TestStackingStreaming:
         sink = NCFStackSink(
             STACK_CFG, 5.0, overlap=0.5, max_lag_seconds=2.0, method=method
         )
-        result = StreamPipeline([sink]).run(data, chunk_samples=chunk)
+        result = run_chain([sink], data, chunk_samples=chunk)
         streamed_lags, streamed = result.output
         assert streamed_lags == pytest.approx(lags)
         assert streamed == pytest.approx(whole, rel=1e-9, abs=1e-12)
@@ -257,7 +278,7 @@ class TestStackingStreaming:
             data, STACK_CFG, window_seconds=5.0, overlap=0.5, max_lag_seconds=2.0
         )
         sink = NCFStackSink(STACK_CFG, 5.0, overlap=0.5, max_lag_seconds=2.0)
-        result = StreamPipeline([sink]).run(data, chunk_samples=300)
+        result = run_chain([sink], data, chunk_samples=300)
         assert result.profile.peak_resident_bytes < cube.nbytes + data.nbytes
 
 
@@ -313,13 +334,23 @@ class TestRunnerContracts:
                 state, np.zeros((2, 40)), OpContext(start=60, stop=100, total=100)
             )
 
-    def test_at_most_one_sink(self):
-        with pytest.raises(ConfigError):
-            StreamPipeline([FFTSink(), FFTSink()])
+    def test_an_empty_chain_is_a_pure_read(self, noise):
+        np.testing.assert_array_equal(run_chain([], noise, 700).output, noise)
 
-    def test_empty_pipeline_rejected(self):
-        with pytest.raises(ConfigError):
-            StreamPipeline([])
+    @pytest.mark.parametrize(
+        "entry, bad",
+        [
+            (entry, bad)
+            for entry in CHAIN_ENTRIES
+            for bad in BAD_CHAINS
+            # Query.then already refuses a second sink and a non-operator
+            if entry != "optimize" or bad == "duplicate_names"
+        ],
+    )
+    def test_every_entry_refuses_what_the_split_refuses(self, entry, bad):
+        ops, message = BAD_CHAINS[bad]
+        with pytest.raises(ConfigError, match=message):
+            CHAIN_ENTRIES[entry](ops)
 
     def test_run_materialized_phases_match_streamed(self, noise):
         timer = Timer()
@@ -330,5 +361,5 @@ class TestRunnerContracts:
     def test_bytes_streamed_counts_halo_rereads(self, noise):
         src = ArraySource(noise, fs=CFG.fs)
         b, a = CFG.coefficients()
-        StreamPipeline([FiltFiltOp(b, a)]).run(src, chunk_samples=400)
+        run_chain([FiltFiltOp(b, a)], src, chunk_samples=400)
         assert src.bytes_streamed > noise.nbytes

@@ -3,7 +3,7 @@ bit-exactness contract.
 
 The contract under test: **every optimized plan produces byte-identical
 output to its unoptimized reference execution.**  For single-output
-plans the reference is the eager legacy ``StreamPipeline`` run of the
+plans the reference is the eager one-branch ``run_chunks`` call over the
 same operator list; for multi-output plans it is the same union-interval
 plan with the shared prefix recomputed per branch (``naive=True``),
 without pushdown.  A hypothesis sweep drives the equivalence
@@ -33,7 +33,7 @@ from repro.core.interferometry import InterferometryConfig
 from repro.core.local_similarity import LocalSimilarityConfig, LocalSimilarityOp
 from repro.core.operators import DetrendOp, FiltFiltOp, TaperOp
 from repro.core.optimizer import execute, explain, optimize
-from repro.core.pipeline import Operator, StreamPipeline
+from repro.core.pipeline import Operator
 from repro.core.stalta import StaLtaOp
 from repro.errors import ConfigError
 from repro.faults.inject import FaultInjector, clear_read_faults
@@ -42,6 +42,7 @@ from repro.storage.dasfile import das_filename, write_das_file
 from repro.storage.metadata import DASMetadata, timestamp_add_seconds
 from repro.storage.vca import create_vca
 from repro.utils.iostats import IOStats
+from tests.conftest import run_chain
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +92,8 @@ def _round_chunk(chunk, step):
 
 
 def _legacy(q, source, chunk, fs=None, threads=1):
-    return StreamPipeline(q.operators()).run(
-        source, chunk_samples=chunk, fs=fs, threads=threads
+    return run_chain(
+        q.operators(), source, chunk_samples=chunk, fs=fs, threads=threads
     )
 
 
@@ -133,10 +134,9 @@ class TestQueryGraph:
         """ctx.start-anchored offsets keep the kept lattice {0, q, 2q, …}
         regardless of chunking — the property the pushdown relies on."""
         data = np.arange(100, dtype=np.float64)[None, :]
-        op = SubsampleOp(7)
-        sp = StreamPipeline([op])
+        ops = [SubsampleOp(7)]
         for chunk in (100, 31, 14, 7, 5):
-            out = sp.run(data, chunk_samples=chunk).output
+            out = run_chain(ops, data, chunk_samples=chunk).output
             np.testing.assert_array_equal(out, data[:, ::7])
 
 

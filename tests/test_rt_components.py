@@ -18,7 +18,7 @@ from repro.core.local_similarity import (
     local_similarity_block,
 )
 from repro.core.operators import DetrendOp, FiltFiltOp, TaperOp
-from repro.core.pipeline import StreamPipeline, _levels, _needed, _run_chain
+from repro.core.pipeline import IncrementalRunner, _levels, _needed, _run_chain
 from repro.core.stalta import (
     StaLtaOp,
     classic_sta_lta,
@@ -38,6 +38,7 @@ from repro.rt.metrics import LatencyStats, RTMetrics
 from repro.rt.scheduler import DetectorConfig
 from repro.storage.dasfile import write_das_file
 from repro.storage.metadata import DASMetadata
+from tests.conftest import run_chain
 
 
 @pytest.fixture
@@ -80,9 +81,11 @@ V1_PAYLOAD = {
 
 
 def _carried_runner(record):
-    return StreamPipeline(
-        [FiltFiltOp(*CARRIED_BA), LocalSimilarityOp(CARRIED_SIMILARITY)]
-    ).incremental(record.shape[0], fs=200.0)
+    return IncrementalRunner(
+        [FiltFiltOp(*CARRIED_BA), LocalSimilarityOp(CARRIED_SIMILARITY)],
+        record.shape[0],
+        fs=200.0,
+    )
 
 
 def _joined(pieces):
@@ -101,9 +104,9 @@ class TestIncrementalRunner:
         )
         expected, _ = local_similarity_block(filtfilt(b, a, record), cfg)
 
-        runner = StreamPipeline(
-            [FiltFiltOp(b, a), LocalSimilarityOp(cfg)]
-        ).incremental(record.shape[0], fs=fs)
+        runner = IncrementalRunner(
+            [FiltFiltOp(b, a), LocalSimilarityOp(cfg)], record.shape[0], fs=fs
+        )
         pieces = []
         cuts = [0, 171, 172, 900, 1750, 2501, 3000]
         for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -120,9 +123,7 @@ class TestIncrementalRunner:
         assert np.abs(streamed - expected).max() == pytest.approx(0.0, abs=1e-8)
 
     def test_stalta_chain_matches_batch(self, record):
-        runner = StreamPipeline([StaLtaOp(20, 200)]).incremental(
-            record.shape[0]
-        )
+        runner = IncrementalRunner([StaLtaOp(20, 200)], record.shape[0])
         pieces = runner.push(record[:, :500])
         pieces += runner.push(record[:, 500:2200])
         pieces += runner.push(record[:, 2200:])
@@ -134,7 +135,7 @@ class TestIncrementalRunner:
     def test_rejects_whole_record_operators(self):
         for op in (DetrendOp(), TaperOp(0.05)):
             with pytest.raises(ConfigError):
-                StreamPipeline([op]).incremental(4)
+                IncrementalRunner([op], 4)
 
     def test_export_import_resumes_identically(self, record):
         """Resume re-runs the carried forward pass over the re-read tail
@@ -194,12 +195,12 @@ class TestIncrementalRunner:
         )
 
     def test_import_rejects_tampered_tail(self, record):
-        runner = StreamPipeline([StaLtaOp(5, 50)]).incremental(record.shape[0])
+        runner = IncrementalRunner([StaLtaOp(5, 50)], record.shape[0])
         runner.push(record[:, :1000])
         state = runner.export_state()
         tail = record[:, state["buf_start"] : state["seen"]].copy()
         tail[0, 0] += 1.0
-        fresh = StreamPipeline([StaLtaOp(5, 50)]).incremental(record.shape[0])
+        fresh = IncrementalRunner([StaLtaOp(5, 50)], record.shape[0])
         with pytest.raises(ConfigError, match="digest"):
             fresh.import_state(state, tail)
 
@@ -230,12 +231,12 @@ class TestIncrementalRunner:
     ):
         """``emitted`` 1 500 after 1 000 samples would resume at 1 500 and
         never produce columns 1 000-1 500; 10**9 would never emit again."""
-        runner = StreamPipeline([StaLtaOp(5, 50)]).incremental(record.shape[0])
+        runner = IncrementalRunner([StaLtaOp(5, 50)], record.shape[0])
         runner.push(record[:, :1000])
         state = runner.export_state()
         assert (state["emitted"], state["buf_start"]) == (1000, 951)
         tail = record[:, state["buf_start"] : state["seen"]]
-        fresh = StreamPipeline([StaLtaOp(5, 50)]).incremental(record.shape[0])
+        fresh = IncrementalRunner([StaLtaOp(5, 50)], record.shape[0])
         with pytest.raises(ConfigError):
             fresh.import_state({**state, **change}, tail)
 
@@ -262,7 +263,7 @@ class TestIncrementalRunner:
         ops = [FiltFiltOp(*CARRIED_BA), StaLtaOp(2, 5)]
         padlen = ops[0].padlen
         for n in (padlen, padlen + 1):
-            runner = StreamPipeline(ops).incremental(record.shape[0], fs=200.0)
+            runner = IncrementalRunner(ops, record.shape[0], fs=200.0)
             runner.push(record[:, : n // 2])
             runner.push(record[:, n // 2 : n])
             if n <= padlen:
@@ -270,16 +271,16 @@ class TestIncrementalRunner:
                     runner.flush()
                 continue
             ((j0, j1), block), = runner.flush()
-            whole = StreamPipeline(ops).run(record[:, :n], fs=200.0).output
+            whole = run_chain(ops, record[:, :n], fs=200.0).output
             assert (j0, j1) == (0, n)
             np.testing.assert_array_equal(block, whole)
 
     def test_a_flushed_state_round_trips(self, record):
-        runner = StreamPipeline([StaLtaOp(5, 50)]).incremental(record.shape[0])
+        runner = IncrementalRunner([StaLtaOp(5, 50)], record.shape[0])
         runner.push(record[:, :1000])
         runner.flush()
         state = runner.export_state()
-        fresh = StreamPipeline([StaLtaOp(5, 50)]).incremental(record.shape[0])
+        fresh = IncrementalRunner([StaLtaOp(5, 50)], record.shape[0])
         fresh.import_state(state, record[:, state["buf_start"] : state["seen"]])
         assert fresh.export_state() == state
 
@@ -359,11 +360,11 @@ class TestCarriedForwardPass:
         assert head.padlen == GEN_PADLEN
         record = _gen_record()
         filtered = filtfilt(head.b, head.a, record)
-        whole = StreamPipeline(ops).run(record, fs=GEN_FS).output
+        whole = run_chain(ops, record, fs=GEN_FS).output
 
         cuts = sorted({min(c, GEN_SAMPLES) for c in np.cumsum([0] + pieces)})
         cuts = [c for c in cuts if c < GEN_SAMPLES] + [GEN_SAMPLES]
-        runner = StreamPipeline(ops).incremental(record.shape[0], fs=GEN_FS)
+        runner = IncrementalRunner(ops, record.shape[0], fs=GEN_FS)
         counter = _CountingLfilter()
         emitted = []
         opened = False
