@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point.  `scripts/ci.sh` runs the static checks once (repro.checks
-# against scripts/checks_baseline.json), the tier-1 suite, the paper-figure
-# tests and the harness's self-tests.  The figure tests rewrite
+# against scripts/checks_baseline.json), the tier-1 suite, the hdf5lite codec
+# suites under `taskset -c 0`, the paper-figure tests and the harness's
+# self-tests.  The figure tests rewrite
 # benchmarks/results/*.txt; every table must come out byte-identical except
 # fig6_search_merge.txt and fig9_matlab.txt, the two with wall-clock rows.
 # It gates no timing: every deterministic invariant a layer claims is a test.
@@ -47,6 +48,11 @@ fi
 
 python -m repro.checks --baseline scripts/checks_baseline.json
 python -m pytest -x -q
+# The codec suites again on a one-CPU affinity mask: the encode and decode
+# pools' no-thread path, on a real mask rather than a patched CPU count.
+taskset -c 0 python -m pytest -q tests/test_hdf5lite_read_direct.py \
+    tests/test_hdf5lite_chunk_store.py tests/test_hdf5lite_codecs.py \
+    tests/test_codec_composition.py
 python -m pytest benchmarks/ --ignore=benchmarks/harness --benchmark-disable -q
 git diff --exit-code -- 'benchmarks/results/*.txt' \
     ':!benchmarks/results/fig6_search_merge.txt' \

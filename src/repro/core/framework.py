@@ -45,7 +45,7 @@ from repro.core.pipeline import PipelineProfile, PipelineResult
 from repro.core.stacking import NCFStackSink
 from repro.core.stalta import StaLtaOp
 from repro.errors import ConfigError, StorageError
-from repro.faults.policy import FailurePolicy
+from repro.faults.policy import FailurePolicy, retry_call
 from repro.storage.chunks import ChunkSource, as_source, open_stream
 from repro.storage.gaps import GapMap
 from repro.storage.rca import create_rca
@@ -401,7 +401,12 @@ class AnalysisPlan:
     ) -> "AnalysisPlan":
         """Algorithm 3; ``config.fs`` is the planned stream's rate and
         ``config.master_channel`` counts from the selected range.  With no
-        config, the default band at the planned stream's rate."""
+        config, the default band at the planned stream's rate.
+
+        The master row is read when the plan is built, before any chunk,
+        with the facade's ``failure_policy`` retries; a read still broken
+        after them raises its error under either policy mode — every
+        chunk's output needs the master, so there is no gap to report."""
         return self._add("interferometry", label, {"config": config})
 
     def sta_lta(
@@ -449,6 +454,8 @@ class AnalysisPlan:
         # Alg. 3 without a config: the default band at the stream's rate.
         stream_fs = src.fs / self._step if src.fs > 0 else 500.0
 
+        policy = self._dassa.config.failure_policy
+        retries, backoff = (policy.retries, policy.backoff) if policy else (0, 0.0)
         queries: list[Query] = []
         centers: list = []
         for kind, label, spec in self._branches:
@@ -460,11 +467,15 @@ class AnalysisPlan:
             elif kind == "interferometry":
                 cfg = spec["config"] or InterferometryConfig(fs=stream_fs)
                 q = base
-                for op in master_bound_operators(
-                    src,
-                    cfg,
-                    channel_lo=self._channels[0] if self._channels else 0,
-                    step=self._step,
+                for op in retry_call(
+                    lambda: master_bound_operators(
+                        src,
+                        cfg,
+                        channel_lo=self._channels[0] if self._channels else 0,
+                        step=self._step,
+                    ),
+                    retries,
+                    backoff,
                 ):
                     q = q.then(op)
             elif kind == "sta_lta":

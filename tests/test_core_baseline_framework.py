@@ -341,3 +341,49 @@ class TestFacadeIsTheKernelsOneBranchCall:
         assert result.gaps is None
         assert [s[:2] for s in masked] == [(240, 360)]
         assert _spans(dassa.last_gaps) == masked
+
+
+class TestAlg3MasterRead:
+    """Alg. 3 reads its one-row master while the plan is built, before the
+    chunk loop: that read gets the facade's ``FailurePolicy`` retries like
+    every chunk read, and a read still broken after them raises in both
+    modes."""
+
+    @staticmethod
+    def _source(fails):
+        from repro.storage.chunks import ArraySource
+
+        class FlakyMaster(ArraySource):
+            def read_strided(self, r0, r1, t0, t1, tstep=1):
+                if r1 - r0 == 1 and self.fails > 0:
+                    self.fails -= 1
+                    raise OSError("master row unreadable")
+                return super().read_strided(r0, r1, t0, t1, tstep)
+
+        src = FlakyMaster(np.random.default_rng(5).normal(size=(6, 4000)), fs=100.0)
+        src.fails = fails
+        return src
+
+    @pytest.mark.parametrize("mode", ["fail_fast", "continue"])
+    def test_a_flaky_master_read_is_retried(self, config, mode):
+        from repro.faults.policy import FailurePolicy
+
+        want = DASSA(threads=1, chunk_samples=1000).interferometry(
+            self._source(0), config=config
+        )
+        policy = FailurePolicy(mode=mode, retries=2)
+        dassa = DASSA(threads=1, chunk_samples=1000, failure_policy=policy)
+        got = dassa.interferometry(self._source(2), config=config)
+        np.testing.assert_array_equal(got, want)
+        assert dassa.last_gaps is None or not _spans(dassa.last_gaps)
+
+    @pytest.mark.parametrize("mode", ["fail_fast", "continue"])
+    def test_a_broken_master_read_raises_in_both_modes(self, config, mode):
+        from repro.faults.policy import FailurePolicy
+
+        policy = FailurePolicy(mode=mode, retries=2)
+        dassa = DASSA(threads=1, chunk_samples=1000, failure_policy=policy)
+        src = self._source(3)
+        with pytest.raises(OSError, match="master row unreadable"):
+            dassa.interferometry(src, config=config)
+        assert src.fails == 0  # one read and two retries

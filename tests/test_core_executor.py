@@ -656,8 +656,9 @@ class Decode(NamedTuple):
 def decodes(monkeypatch):
     """Every ``TransposeZlibCodec.decode`` call of the test, with what it
     cost: the codec module's ``zlib`` is swapped for a pass-through whose
-    inflaters add up what they produce."""
-    calls, produced = [], [0]
+    inflaters add up what they produce, per thread (a read decodes its
+    chunks on several)."""
+    calls, produced = [], threading.local()
 
     class Inflater:
         def __init__(self, inner):
@@ -665,7 +666,7 @@ def decodes(monkeypatch):
 
         def decompress(self, *args):
             raw = self._inner.decompress(*args)
-            produced[0] += len(raw)
+            produced.n = getattr(produced, "n", 0) + len(raw)
             return raw
 
         def __getattr__(self, name):
@@ -681,12 +682,13 @@ def decodes(monkeypatch):
     real = TransposeZlibCodec.decode
 
     def decode(self, payload, shape, dtype, **kwargs):
-        before = produced[0]
+        before = getattr(produced, "n", 0)
         out = real(self, payload, shape, dtype, **kwargs)
         calls.append(
             Decode(
                 payload, tuple(shape), kwargs.get("select"),
-                kwargs.get("verified", False), produced[0] - before, out.size,
+                kwargs.get("verified", False),
+                getattr(produced, "n", 0) - before, out.size,
             )
         )
         return out

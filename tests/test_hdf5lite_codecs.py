@@ -37,6 +37,7 @@ from repro.hdf5lite.inspect import describe, verify
 from repro.serve import compute_level
 from repro.synthetic.generator import fig1b_scene, synthesize_scene
 from repro.utils.iostats import IOStats
+from tests.reference.hdf5lite import parent_decode, parent_encode
 
 
 @pytest.fixture
@@ -377,24 +378,6 @@ class TestFileIntegration:
 # ---------------------------------------------------------------------------
 # transpose-zlib: the plane-aware encoder against the one it replaced
 # ---------------------------------------------------------------------------
-
-def parent_encode(arr: np.ndarray, level: int) -> bytes:
-    """``TransposeZlibCodec.encode`` as it was before planes were told
-    apart (frozen): one ``zlib.compress`` over the transposed buffer."""
-    arr = np.ascontiguousarray(arr)
-    planes = arr.reshape(-1).view(np.uint8).reshape(-1, arr.dtype.itemsize)
-    return zlib.compress(np.ascontiguousarray(planes.T).tobytes(), level)
-
-
-def parent_decode(payload: bytes, shape, dtype) -> np.ndarray:
-    """The matching frozen decoder: unbounded inflate, one transpose."""
-    dtype = np.dtype(dtype)
-    raw = zlib.decompress(payload)
-    n = int(np.prod(shape, dtype=np.int64)) if len(shape) else 1
-    assert len(raw) == n * dtype.itemsize
-    planes = np.frombuffer(raw, dtype=np.uint8).reshape(dtype.itemsize, n)
-    return np.ascontiguousarray(planes.T).reshape(-1).view(dtype).reshape(shape)
-
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
