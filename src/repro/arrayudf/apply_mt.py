@@ -25,18 +25,9 @@ from typing import Callable
 import numpy as np
 
 from repro.arrayudf.apply import cell_grid
+from repro.arrayudf.partition import partition_1d
 from repro.arrayudf.stencil import Stencil
 from repro.errors import UDFError
-
-
-def static_schedule(n_items: int, n_threads: int, thread: int) -> tuple[int, int]:
-    """OpenMP ``schedule(static)`` chunking of ``range(n_items)``."""
-    if n_threads < 1 or not (0 <= thread < n_threads):
-        raise UDFError(f"bad schedule: thread={thread} of {n_threads}")
-    base, extra = divmod(n_items, n_threads)
-    lo = thread * base + min(thread, extra)
-    hi = lo + base + (1 if thread < extra else 0)
-    return lo, hi
 
 
 def apply_mt(
@@ -75,7 +66,7 @@ def apply_mt(
 
     def worker(thread_id: int) -> None:
         try:
-            lo, hi = static_schedule(n_cells, threads, thread_id)
+            lo, hi = partition_1d(n_cells, threads, thread_id)
             rp = partials[thread_id]
             for flat in range(lo, hi):
                 row = row_cells[flat // n_cols]

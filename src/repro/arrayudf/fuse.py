@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Sequence
 
-from repro.arrayudf.apply_mt import static_schedule
+from repro.arrayudf.partition import partition_1d
 from repro.errors import UDFError
 
 
@@ -55,7 +55,7 @@ def map_blocks_mt(
 
     def run(thread_id: int) -> None:
         try:
-            lo, hi = static_schedule(n_rows, threads, thread_id)
+            lo, hi = partition_1d(n_rows, threads, thread_id)
             if hi > lo:
                 results[thread_id] = worker(thread_id, lo, hi)
                 taken[thread_id] = True
@@ -84,7 +84,7 @@ def partition_row_blocks(n_rows: int, threads: int) -> Sequence[tuple[int, int]]
     threads = min(max(1, threads), max(1, n_rows))
     out = []
     for h in range(threads):
-        lo, hi = static_schedule(n_rows, threads, h)
+        lo, hi = partition_1d(n_rows, threads, h)
         if hi > lo:
             out.append((lo, hi))
     return out

@@ -16,7 +16,10 @@ from repro.errors import UDFError
 
 
 def partition_1d(n: int, size: int, rank: int) -> tuple[int, int]:
-    """Even contiguous split of ``range(n)``: returns ``(lo, hi)``."""
+    """Even contiguous split of ``range(n)``: returns ``(lo, hi)``.
+
+    Ranks take it over channel rows, and threads over cells or row
+    blocks as OpenMP's ``schedule(static)``."""
     if size < 1 or not (0 <= rank < size):
         raise UDFError(f"bad partition: rank={rank} size={size}")
     base, extra = divmod(n, size)

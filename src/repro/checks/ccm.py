@@ -291,8 +291,9 @@ class CommProtocolAnalyzer(Analyzer):
                     f"{func.qualname}: one arm of a rank branch sends but "
                     f"the other arm never receives — the message is "
                     f"unmatched",
-                    hint="receive on the peer ranks' path, or make the "
-                         "exchange symmetric (comm.sendrecv)",
+                    hint="receive on the peer ranks' path, or order a "
+                         "symmetric exchange by rank parity (even ranks "
+                         "send then recv, odd ranks recv then send)",
                 )
                 return
             if arm.blocking_recvs and not any(o.sends for o in others):
@@ -356,6 +357,6 @@ class CommProtocolAnalyzer(Analyzer):
                 f"{func.qualname}: blocking recv on a rank-unconditional "
                 f"path with a send after it — every rank waits to receive "
                 f"before any rank sends",
-                hint="use comm.sendrecv, send first on half the ranks "
-                     "(rank-parity ordering), or a non-blocking recv",
+                hint="send first on half the ranks (rank-parity "
+                     "ordering), or poll with comm.fabric.match_nowait",
             )

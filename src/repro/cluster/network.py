@@ -67,17 +67,10 @@ class NetworkModel:
             return 0.0
         return rounds * self.latency + nbytes / self.bandwidth
 
-    def reduce_time(self, nbytes: int, p: int) -> float:
-        """Tree reduction has the same round structure as a broadcast."""
-        return self.bcast_time(nbytes, p)
-
     def allreduce_time(self, nbytes: int, p: int) -> float:
-        """Reduce + broadcast (the classic non-rabenseifner bound)."""
-        return self.reduce_time(nbytes, p) + self.bcast_time(nbytes, p)
-
-    def barrier_time(self, p: int) -> float:
-        """Dissemination barrier: ceil(log2 p) latency-only rounds."""
-        return self._rounds(p) * self.latency
+        """Tree reduce + broadcast (the classic non-rabenseifner bound):
+        a reduction has a broadcast's round structure, so twice it."""
+        return 2 * self.bcast_time(nbytes, p)
 
     def gather_time(self, nbytes_per_rank: int, p: int) -> float:
         """Binomial gather: the root receives (p-1) contributions; the
@@ -87,10 +80,6 @@ class NetworkModel:
         rounds = self._rounds(p)
         total_bytes = nbytes_per_rank * (p - 1)
         return rounds * self.latency + total_bytes / self.bandwidth
-
-    def scatter_time(self, nbytes_per_rank: int, p: int) -> float:
-        """Scatter mirrors gather."""
-        return self.gather_time(nbytes_per_rank, p)
 
     def allgather_time(self, nbytes_per_rank: int, p: int) -> float:
         """Ring allgather: (p-1) steps of one rank-block each."""

@@ -2,18 +2,17 @@
 
 Runs P ranks as threads inside one process (SPMD), with:
 
-* real message passing (mailboxes with ``(source, tag)`` matching),
-* the collective set DASSA needs (barrier, bcast, scatter/gather,
-  allgather, alltoall(v), reduce/allreduce),
+* real message passing (mailboxes with ``(source, tag)`` matching) for
+  blocking ``send`` / ``recv``,
+* the collectives DASSA runs: ``bcast`` (collective-per-file reads),
+  ``alltoall`` (communication-avoiding reads), ``allgather``, ``gather``
+  (HAEE's rank blocks to rank 0) and a summing ``allreduce``,
 * a **virtual clock per rank** advanced by the cluster's network cost
   model, so a run reports the simulated communication time the paper's
   experiments measure, while the data movement itself is executed for
   real and verified by tests,
 * per-op tracing (used to check the discrete-event evaluation of the
   same algorithms at scales too large to thread).
-
-The API mirrors mpi4py's: lowercase methods move Python objects,
-uppercase methods move numpy buffers.
 
 Example::
 
@@ -28,20 +27,13 @@ Example::
 
 from repro.simmpi.communicator import ANY_SOURCE, ANY_TAG, Communicator
 from repro.simmpi.executor import SPMDResult, run_spmd
-from repro.simmpi.reduce_ops import MAX, MIN, PROD, SUM
-from repro.simmpi.request import Request
 from repro.simmpi.tracing import TraceEvent
 
 __all__ = [
     "Communicator",
-    "Request",
     "run_spmd",
     "SPMDResult",
     "TraceEvent",
     "ANY_SOURCE",
     "ANY_TAG",
-    "SUM",
-    "MAX",
-    "MIN",
-    "PROD",
 ]

@@ -13,6 +13,8 @@ them — the same discipline MPI codes apply to shared windows.
 
 from __future__ import annotations
 
+import functools
+import operator
 import pickle
 from typing import Any, Sequence
 
@@ -22,7 +24,6 @@ from repro.cluster.machine import ClusterSpec
 from repro.cluster.network import NetworkModel
 from repro.errors import MPIError
 from repro.simmpi.fabric import ANY_SOURCE, ANY_TAG, Fabric, Message
-from repro.simmpi.reduce_ops import SUM, ReduceOp
 from repro.simmpi.tracing import Tracer
 from repro.utils.timer import VirtualTimer
 
@@ -132,63 +133,6 @@ class Communicator:
         self.tracer.record("recv", msg.nbytes, msg.source, t_start, self.clock.now)
         return msg.payload
 
-    def Send(self, array: np.ndarray, dest: int, tag: int = 0) -> None:
-        """Buffer send (numpy array, exact wire size)."""
-        self.send(np.ascontiguousarray(array), dest, tag)
-
-    def Recv(self, buffer: np.ndarray, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> None:
-        """Buffer receive into a preallocated array."""
-        payload = self.recv(source, tag)
-        incoming = np.asarray(payload)
-        if incoming.size != buffer.size:
-            raise MPIError(
-                f"Recv buffer size {buffer.size} != message size {incoming.size}"
-            )
-        buffer.reshape(-1)[:] = incoming.reshape(-1)
-
-    def sendrecv(self, obj: Any, dest: int, source: int, tag: int = 0) -> Any:
-        """Combined send+recv (safe ordering handled by the fabric)."""
-        self.send(obj, dest, tag)
-        return self.recv(source, tag)
-
-    # -- nonblocking -----------------------------------------------------------------
-    def isend(self, obj: Any, dest: int, tag: int = 0):
-        """Nonblocking send: injects the message immediately (charging only
-        the injection latency); the transfer overlaps with later work and
-        ``request.wait()`` synchronises to its completion."""
-        from repro.simmpi.request import Request
-
-        if dest == self.rank:
-            raise MPIError("isend to self would deadlock; use a local variable")
-        nbytes = payload_nbytes(obj)
-        t_start = self.clock.now
-        same = self.same_node(dest)
-        transfer_done = t_start + self._network.p2p_time(nbytes, same)
-        # Injection overhead only; the wire time overlaps with compute.
-        self.clock.advance(
-            self._network.intra_latency if same else self._network.latency,
-            phase="comm",
-        )
-        self._fabric.post(
-            dest,
-            Message(
-                source=self.rank,
-                tag=tag,
-                payload=obj,
-                nbytes=nbytes,
-                send_time=transfer_done,
-            ),
-        )
-        self.tracer.record("isend", nbytes, dest, t_start, self.clock.now)
-        return Request(self, "isend", complete_time=transfer_done)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Nonblocking receive: returns a request; ``wait()`` blocks for
-        and returns the payload, ``test()`` polls."""
-        from repro.simmpi.request import Request
-
-        return Request(self, "irecv", source=source, tag=tag)
-
     # -- collectives ---------------------------------------------------------------
     def _collective(self, op: str, contribution: Any, cost: float, nbytes: int, peer: int = -1) -> list[Any]:
         t_entry = self.clock.now
@@ -197,9 +141,6 @@ class Communicator:
         self.clock.advance(cost, phase="comm")
         self.tracer.record(op, nbytes, peer, t_entry, self.clock.now)
         return contributions
-
-    def barrier(self) -> None:
-        self._collective("barrier", None, self._network.barrier_time(self.size), 0)
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root``; every rank returns it."""
@@ -214,25 +155,6 @@ class Communicator:
         self.clock.advance(self._network.bcast_time(nbytes, self.size), phase="comm")
         self.tracer.record("bcast", nbytes, root, t_start, self.clock.now)
         return payload
-
-    def scatter(self, seq: Sequence[Any] | None, root: int = 0) -> Any:
-        self._check_root(root)
-        if self.rank == root:
-            seq = list(seq) if seq is not None else []
-            if len(seq) != self.size:
-                raise MPIError(
-                    f"scatter needs exactly {self.size} items, got {len(seq)}"
-                )
-        contributions, t_start = self._fabric.exchange(
-            self.rank, seq if self.rank == root else None, self.clock.now
-        )
-        items = contributions[root]
-        mine = items[self.rank]
-        per_rank = max(payload_nbytes(item) for item in items)
-        self.clock.synchronize(t_start)
-        self.clock.advance(self._network.scatter_time(per_rank, self.size), phase="comm")
-        self.tracer.record("scatter", per_rank, root, t_start, self.clock.now)
-        return mine
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         self._check_root(root)
@@ -267,111 +189,14 @@ class Communicator:
         )
         return [contributions[src][self.rank] for src in range(self.size)]
 
-    def scatterv(self, seq: Sequence[Any] | None, counts: Sequence[int], root: int = 0) -> list[Any]:
-        """Scatter a flat sequence in uneven contiguous pieces.
-
-        ``counts[r]`` items go to rank ``r`` (mpi4py's ``Scatterv`` for
-        object lists).  Every rank must pass the same ``counts``.
-        """
-        self._check_root(root)
-        counts = list(counts)
-        if len(counts) != self.size or any(c < 0 for c in counts):
-            raise MPIError(f"scatterv needs {self.size} non-negative counts")
-        if self.rank == root:
-            seq = list(seq) if seq is not None else []
-            if len(seq) != sum(counts):
-                raise MPIError(
-                    f"scatterv data length {len(seq)} != sum(counts) {sum(counts)}"
-                )
-        contributions, t_start = self._fabric.exchange(
-            self.rank, seq if self.rank == root else None, self.clock.now
-        )
-        items = contributions[root]
-        offset = sum(counts[: self.rank])
-        mine = items[offset : offset + counts[self.rank]]
-        per_rank = max(
-            (payload_nbytes(item) for item in items), default=0
-        ) * max(counts)
-        self.clock.synchronize(t_start)
-        self.clock.advance(self._network.scatter_time(per_rank, self.size), phase="comm")
-        self.tracer.record("scatterv", per_rank, root, t_start, self.clock.now)
-        return list(mine)
-
-    def gatherv(self, items: Sequence[Any], root: int = 0) -> list[Any] | None:
-        """Gather variable-length sequences; root receives them
-        concatenated in rank order."""
-        self._check_root(root)
-        items = list(items)
-        nbytes = sum(payload_nbytes(item) for item in items)
-        contributions = self._collective(
-            "gatherv", items, self._network.gather_time(nbytes, self.size), nbytes, root
-        )
-        if self.rank != root:
-            return None
-        flat: list[Any] = []
-        for rank_items in contributions:
-            flat.extend(rank_items)
-        return flat
-
-    def split(self, color: int, key: int | None = None) -> "Communicator":
-        """Partition the communicator by ``color`` (MPI_Comm_split).
-
-        Ranks sharing a color get a fresh communicator ordered by
-        ``(key, old rank)``.  The hybrid engine uses this for per-node
-        sub-communicators.
-        """
-        if color < 0:
-            raise MPIError("color must be >= 0 (MPI_UNDEFINED unsupported)")
-        key = key if key is not None else self.rank
-        membership, t_start = self._fabric.exchange(
-            self.rank, (color, key, self.rank), self.clock.now
-        )
-        self.clock.synchronize(t_start)
-        self.clock.advance(self._network.barrier_time(self.size), phase="comm")
-        members = sorted(
-            (k, old) for (c, k, old) in membership if c == color
-        )
-        new_size = len(members)
-        new_rank = members.index((key, self.rank))
-        # One shared fabric per (split generation, color): rank 0 of the
-        # whole communicator allocates a registry and broadcasts it.
-        registry = self._fabric.exchange(
-            self.rank,
-            {color: Fabric(new_size)} if new_rank == 0 else None,
-            self.clock.now,
-        )[0]
-        fabric = None
-        for contribution in registry:
-            if contribution and color in contribution:
-                fabric = contribution[color]
-                break
-        assert fabric is not None
-        return Communicator(
-            new_rank,
-            new_size,
-            fabric,
-            clock=self.clock,
-            network=self._network,
-            cluster=self._cluster,
-            ranks_per_node=self._ranks_per_node,
-            tracer=self.tracer,
-            recv_timeout=self._recv_timeout,
-        )
-
-    def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0) -> Any:
-        self._check_root(root)
-        nbytes = payload_nbytes(value)
-        contributions = self._collective(
-            "reduce", value, self._network.reduce_time(nbytes, self.size), nbytes, root
-        )
-        return op.reduce_all(contributions) if self.rank == root else None
-
-    def allreduce(self, value: Any, op: ReduceOp = SUM) -> Any:
+    def allreduce(self, value: Any) -> Any:
+        """Elementwise sum of every rank's ``value`` (numbers or arrays),
+        folded in rank order; every rank returns it."""
         nbytes = payload_nbytes(value)
         contributions = self._collective(
             "allreduce", value, self._network.allreduce_time(nbytes, self.size), nbytes
         )
-        return op.reduce_all(contributions)
+        return functools.reduce(operator.add, contributions)
 
     # -- misc -----------------------------------------------------------------------
     def charge_io(self, seconds: float, op: str = "read", nbytes: int = 0) -> None:

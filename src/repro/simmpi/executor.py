@@ -4,7 +4,7 @@
 :class:`~repro.simmpi.communicator.Communicator`, collects per-rank
 return values, and converts any rank failure into a single raised
 exception (aborting the fabric first so no other rank deadlocks in a
-blocked receive or barrier).
+blocked receive or collective).
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ failure wakes every blocked rank instead of deadlocking the run.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import MPIError
@@ -98,55 +99,52 @@ class Fabric:
             self._mailboxes[dest].append(message)
             self._lock.notify_all()
 
+    def _take(self, dest: int, source: int, tag: int) -> Message | None:
+        """Pop the matching message with the lowest fabric sequence
+        number, or return None (caller holds the lock)."""
+        self._check_abort()
+        if dest in self._failed:
+            raise MPIError(f"rank {dest} is failed (dead-rank simulation)")
+        box = self._mailboxes[dest]
+        best_idx = -1
+        for idx, msg in enumerate(box):
+            if (source == ANY_SOURCE or msg.source == source) and (
+                tag == ANY_TAG or msg.tag == tag
+            ):
+                if best_idx < 0 or msg.seq < box[best_idx].seq:
+                    best_idx = idx
+        return box.pop(best_idx) if best_idx >= 0 else None
+
     def match(self, dest: int, source: int, tag: int, timeout: float = 60.0) -> Message:
         """Block until a message matching ``(source, tag)`` arrives.
 
         ``ANY_SOURCE`` / ``ANY_TAG`` wildcard; among matches, the lowest
         fabric sequence number wins (deterministic, FIFO per pair).
+        ``timeout`` bounds the whole wait, however much other traffic
+        wakes the fabric meanwhile; ``None`` or a negative value waits
+        without limit.
         """
-        deadline = None if timeout is None else (threading.TIMEOUT_MAX if timeout < 0 else timeout)
+        deadline = (
+            None if timeout is None or timeout < 0
+            else time.monotonic() + timeout
+        )
         with self._lock:
-            while True:
-                self._check_abort()
-                if dest in self._failed:
-                    raise MPIError(f"rank {dest} is failed (dead-rank simulation)")
-                box = self._mailboxes[dest]
-                best_idx = -1
-                for idx, msg in enumerate(box):
-                    if (source == ANY_SOURCE or msg.source == source) and (
-                        tag == ANY_TAG or msg.tag == tag
-                    ):
-                        if best_idx < 0 or msg.seq < box[best_idx].seq:
-                            best_idx = idx
-                if best_idx >= 0:
-                    return box.pop(best_idx)
-                if not self._lock.wait(timeout=deadline):
+            while (msg := self._take(dest, source, tag)) is None:
+                remaining = (
+                    None if deadline is None
+                    else max(0.0, deadline - time.monotonic())
+                )
+                if not self._lock.wait(timeout=remaining):
                     raise MPIError(
                         f"recv timeout on rank {dest} waiting for "
                         f"(source={source}, tag={tag})"
                     )
-
-    def pending(self, dest: int) -> int:
-        with self._lock:
-            return len(self._mailboxes[dest])
+            return msg
 
     def match_nowait(self, dest: int, source: int, tag: int) -> Message | None:
         """Non-blocking match: pop a matching message or return None."""
         with self._lock:
-            self._check_abort()
-            if dest in self._failed:
-                raise MPIError(f"rank {dest} is failed (dead-rank simulation)")
-            box = self._mailboxes[dest]
-            best_idx = -1
-            for idx, msg in enumerate(box):
-                if (source == ANY_SOURCE or msg.source == source) and (
-                    tag == ANY_TAG or msg.tag == tag
-                ):
-                    if best_idx < 0 or msg.seq < box[best_idx].seq:
-                        best_idx = idx
-            if best_idx < 0:
-                return None
-            return box.pop(best_idx)
+            return self._take(dest, source, tag)
 
     # -- collective rendezvous ------------------------------------------------
     def exchange(self, rank: int, contribution: Any, entry_time: float) -> tuple[list[Any], float]:

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.arrayudf import apply, apply_mt, partition_rows
-from repro.arrayudf.apply_mt import static_schedule
+from repro.arrayudf import apply, apply_mt, partition_1d, partition_rows
 
 
 @st.composite
@@ -63,7 +62,7 @@ def test_apply_mt_equals_apply(block, threads, udf_name, data):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 500), st.integers(1, 32))
 def test_static_schedule_partitions(n_items, n_threads):
-    chunks = [static_schedule(n_items, n_threads, h) for h in range(n_threads)]
+    chunks = [partition_1d(n_items, n_threads, h) for h in range(n_threads)]
     assert chunks[0][0] == 0
     assert chunks[-1][1] == n_items
     for (a, b), (c, d) in zip(chunks, chunks[1:]):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.arrayudf import Stencil, apply, apply_mt, partition_1d, partition_rows
-from repro.arrayudf.apply_mt import static_schedule
 from repro.errors import UDFError
 
 
@@ -149,18 +148,20 @@ class TestApply:
 
 
 class TestStaticSchedule:
+    """``partition_1d`` as the threads' OpenMP ``schedule(static)``."""
+
     def test_covers_all_items(self):
-        chunks = [static_schedule(100, 7, h) for h in range(7)]
+        chunks = [partition_1d(100, 7, h) for h in range(7)]
         assert chunks[0][0] == 0 and chunks[-1][1] == 100
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
 
     def test_balanced(self):
-        sizes = [hi - lo for lo, hi in (static_schedule(100, 7, h) for h in range(7))]
+        sizes = [hi - lo for lo, hi in (partition_1d(100, 7, h) for h in range(7))]
         assert max(sizes) - min(sizes) <= 1
 
     def test_invalid(self):
         with pytest.raises(UDFError):
-            static_schedule(10, 0, 0)
+            partition_1d(10, 4, 4)  # thread index past the last thread
 
 
 class TestApplyMT:

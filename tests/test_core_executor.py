@@ -51,9 +51,7 @@ from repro.core.operators import (
 from repro.core.optimizer import execute, optimize
 from repro.core.pipeline import (
     IncrementalRunner,
-    OpContext,
     Operator,
-    _clamp,
     _levels,
     _needed,
     _plan_chunks,
@@ -69,6 +67,7 @@ from repro.hdf5lite.hyperslab import SPAN_SCRATCH_BYTES
 from repro.storage.chunks import ArraySource, ChunkSource, SourceView, open_stream
 from repro.storage.dasfile import write_das_file
 from repro.storage.metadata import DASMetadata
+from tests.reference.core import by_levels
 from repro.storage.vca import create_vca
 from tests.conftest import run_chain
 
@@ -344,29 +343,10 @@ def test_shipped_algebra_verifies_across_ragged_totals(op, total):
 # ---------------------------------------------------------------------------
 
 
-def _by_levels(ops, block, needs, totals, rates, channels, trim=True):
-    """The reference chain runner: each member applied on its own.  With
-    ``trim`` member ``k`` sees exactly ``needs[k]`` and hands on
-    ``needs[k + 1]``; without, every member's whole output (core plus
-    fringe) is forwarded and only the final level is cut — the hand-off
-    the kernel used to make."""
-    cur, have = block, needs[0]
-    for k, op in enumerate(ops):
-        ctx = OpContext(
-            start=have[0], stop=have[1], total=totals[k], fs=rates[k],
-            state=op.bind(channels[k], totals[k], rates[k]),
-        )
-        cur, have = op.apply(cur, ctx), _clamp(*op.out_full(*have), totals[k + 1])
-        if trim or k == len(ops) - 1:
-            ta, tb = needs[k + 1]
-            cur, have = cur[..., ta - have[0] : tb - have[0]], (ta, tb)
-    return cur
-
-
 def _batch_by_levels(ops, data, chunk, fs=100.0, trim=True):
     totals, rates, channels = _levels(ops, data.shape[0], data.shape[1], fs)
     pieces = [
-        _by_levels(
+        by_levels(
             ops, data[:, needs[0][0] : needs[0][1]], needs, totals, rates,
             channels, trim,
         )
@@ -421,7 +401,7 @@ def test_incremental_chain_equals_members_level_by_level():
         for target, block, seen, at_edge in emitted:
             totals, rates, channels = _levels(ops, data.shape[0], seen, 100.0)
             needs = _needed(ops, target, totals if at_edge else None)
-            want = _by_levels(
+            want = by_levels(
                 ops[1:], _carried_filtfilt(data, seen, needs, at_edge),
                 needs[1:], totals[1:], rates[1:], channels[1:],
             )

@@ -17,6 +17,7 @@ from repro.core.stalta import (
 )
 from repro.errors import ConfigError, StorageError
 from repro.storage.catalog import CATALOG_NAME, Catalog
+from tests.reference.core import gathered_ratio
 
 
 def impulsive_signal(n=2000, onset=1000, fs=100.0, seed=0):
@@ -65,35 +66,6 @@ class TestClassicStaLta:
             classic_sta_lta(np.zeros(10), nsta=2, nlta=50)
 
 
-def _gathered_ratio(data, nsta, nlta):
-    """The windowed ratio as it was first written — a zero-prefixed
-    cumulative sum gathered at per-sample window-edge index arrays — kept
-    as the cell-for-cell reference of the slice-difference kernel."""
-    idx = np.arange(data.shape[-1])
-    sta_lo = np.clip(idx - nsta + 1, 0, None)
-    lta_lo = np.clip(idx - nlta + 1, 0, None)
-    contaminated = np.isnan(data)
-    any_bad = bool(contaminated.any())
-    energy = np.where(contaminated, 0.0, data) ** 2 if any_bad else data**2
-    cumsum = np.concatenate(
-        [np.zeros(energy.shape[:-1] + (1,)), np.cumsum(energy, axis=-1)], axis=-1
-    )
-    sta = (cumsum[..., idx + 1] - cumsum[..., sta_lo]) / nsta
-    lta = (cumsum[..., idx + 1] - cumsum[..., lta_lo]) / nlta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(lta > 0, sta / np.where(lta > 0, lta, 1.0), 0.0)
-    if any_bad:
-        badcum = np.concatenate(
-            [
-                np.zeros(contaminated.shape[:-1] + (1,)),
-                np.cumsum(contaminated, axis=-1),
-            ],
-            axis=-1,
-        )
-        ratio[(badcum[..., idx + 1] - badcum[..., lta_lo]) > 0] = np.nan
-    return ratio
-
-
 class TestWindowedRatioKernel:
     """Slice differences in place of index gathers: the same cells, bit
     for bit, NaN containment included, on blocks of any length."""
@@ -109,7 +81,7 @@ class TestWindowedRatioKernel:
             data[0, ..., -2:] = np.nan
         before = data.copy()
         got = _windowed_ratio(data, nsta, nlta)
-        want = _gathered_ratio(data, nsta, nlta)
+        want = gathered_ratio(data, nsta, nlta)
         np.testing.assert_array_equal(got, want)  # NaN cells compare equal
         assert np.isnan(got).any() == masked
         np.testing.assert_array_equal(data, before)  # the input is not scratch
@@ -119,7 +91,7 @@ class TestWindowedRatioKernel:
         op = StaLtaOp(4, 16)
         for start in (0, 9, 15, 400):
             ctx = OpContext(start=start, stop=start + 64, total=10_000)
-            want = _gathered_ratio(data, 4, 16)
+            want = gathered_ratio(data, 4, 16)
             want[..., start + np.arange(64) < 15] = 0.0
             np.testing.assert_array_equal(op.apply(data, ctx), want)
 

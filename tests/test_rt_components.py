@@ -39,6 +39,7 @@ from repro.rt.scheduler import DetectorConfig
 from repro.storage.dasfile import write_das_file
 from repro.storage.metadata import DASMetadata
 from tests.conftest import run_chain
+from tests.reference.rt import LoopAssembler
 
 
 @pytest.fixture
@@ -637,63 +638,12 @@ class TestEventAssembly:
         edges = sorted({0, n_columns, *(c for c in cuts if c <= n_columns)})
         edges = edges[:1] + edges  # an empty first piece
         args = (policy, 100.0, n_channels + 2 * channel_lo, channel_lo)
-        fast, slow = EventAssembler(*args), _LoopAssembler(*args)
+        fast, slow = EventAssembler(*args), LoopAssembler(*args)
         for lo, hi in zip(edges[:-1], edges[1:]):
             piece = (lo, centers[lo:hi], block[:, lo:hi])
             assert fast.feed(*piece) == slow.feed(*piece)
             assert fast.export_state() == slow.export_state()
         assert fast.flush() == slow.flush()
-
-
-class _LoopAssembler(EventAssembler):
-    """The per-column definition of :meth:`EventAssembler.feed`, kept as
-    the reference the vectorised one is held to."""
-
-    def feed(self, j_lo, centers, block):
-        block = np.asarray(block, dtype=np.float64)
-        policy = self.policy
-        finalized = []
-        for k in range(block.shape[1]):
-            j = j_lo + k
-            column = block[:, k]
-            hits = column > policy.threshold
-            hot = hits.mean() >= policy.min_fraction
-            run = self._open
-            if run is not None and (not hot or j != run["j_end"] + 1):
-                finalized.extend(self._finalize())
-                run = None
-            if not hot:
-                continue
-            t = float(centers[k]) / self.fs
-            rows = np.flatnonzero(hits)
-            channels = rows + self.channel_lo
-            if run is None:
-                self._open = run = {
-                    "j_start": j,
-                    "j_end": j,
-                    "t_start": t,
-                    "t_end": t,
-                    "ch_min": int(channels.min()),
-                    "ch_max": int(channels.max()),
-                    "peak": float(column[rows].max()),
-                    "n_cells": 0,
-                    "s_t": 0.0,
-                    "s_ch": 0.0,
-                    "s_tch": 0.0,
-                    "s_tt": 0.0,
-                }
-            else:
-                run["j_end"] = j
-                run["t_end"] = t
-                run["ch_min"] = min(run["ch_min"], int(channels.min()))
-                run["ch_max"] = max(run["ch_max"], int(channels.max()))
-                run["peak"] = max(run["peak"], float(column[rows].max()))
-            run["n_cells"] += int(len(rows))
-            run["s_t"] += t * len(rows)
-            run["s_ch"] += float(channels.sum())
-            run["s_tch"] += t * float(channels.sum())
-            run["s_tt"] += t * t * len(rows)
-        return finalized
 
 
 class TestEventSink:

@@ -1,5 +1,7 @@
 """Tests for simmpi point-to-point messaging and the fabric."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -72,25 +74,12 @@ class TestPointToPoint:
     def test_numpy_send_recv(self):
         def fn(comm):
             if comm.rank == 0:
-                comm.Send(np.arange(100, dtype=np.float64), dest=1)
+                comm.send(np.arange(100, dtype=np.float64), dest=1)
                 return None
-            buf = np.empty(100, dtype=np.float64)
-            comm.Recv(buf, source=0)
-            return buf
+            return comm.recv(source=0)
 
         result = run_spmd(fn, 2)
         np.testing.assert_array_equal(result.results[1], np.arange(100.0))
-
-    def test_recv_buffer_size_mismatch(self):
-        def fn(comm):
-            if comm.rank == 0:
-                comm.Send(np.arange(10.0), dest=1)
-            else:
-                buf = np.empty(5)
-                comm.Recv(buf, source=0)
-
-        with pytest.raises(MPIError):
-            run_spmd(fn, 2)
 
     def test_ring(self):
         def fn(comm):
@@ -115,15 +104,6 @@ class TestPointToPoint:
         with pytest.raises(MPIError):
             run_spmd(fn, 2)
 
-    def test_sendrecv_shift(self):
-        def fn(comm):
-            right = (comm.rank + 1) % comm.size
-            left = (comm.rank - 1) % comm.size
-            return comm.sendrecv(comm.rank, dest=right, source=left)
-
-        result = run_spmd(fn, 4)
-        assert result.results == [3, 0, 1, 2]
-
     def test_happens_before_clock(self):
         """A receiver's clock never shows the message arriving before the
         sender finished sending it."""
@@ -138,6 +118,26 @@ class TestPointToPoint:
         result = run_spmd(fn, 2)
         send_done, recv_done = result.results
         assert recv_done >= send_done
+
+    def test_recv_timeout_is_not_reset_by_other_traffic(self):
+        """The timeout bounds the whole wait even while messages between
+        other ranks keep waking the fabric."""
+
+        def fn(comm):
+            if comm.rank == 0:
+                t0 = time.monotonic()
+                with pytest.raises(MPIError, match="timeout"):
+                    comm.recv(source=1, tag=99)
+                return time.monotonic() - t0
+            if comm.rank == 2:
+                t_end = time.monotonic() + 2.0
+                while time.monotonic() < t_end:
+                    comm.send(None, dest=1)
+                    time.sleep(0.02)
+            return None
+
+        waited = run_spmd(fn, 3, recv_timeout=0.2).results[0]
+        assert 0.2 <= waited < 1.0
 
     def test_trace_records_ops(self):
         def fn(comm):
@@ -164,7 +164,7 @@ class TestExecutor:
         def fn(comm):
             if comm.rank == 2:
                 raise ValueError("bad rank")
-            comm.barrier()
+            comm.allgather(None)
 
         with pytest.raises(MPIError, match="rank 2.*ValueError"):
             run_spmd(fn, 4)
@@ -191,7 +191,7 @@ class TestExecutor:
 
     def test_makespan_positive_after_comm(self):
         def fn(comm):
-            comm.barrier()
+            comm.allgather(None)
 
         result = run_spmd(fn, 4)
         assert result.makespan > 0.0
@@ -204,3 +204,19 @@ class TestExecutor:
 
         result = run_spmd(fn, 8, cluster=cori_haswell(4), ranks_per_node=2)
         assert result.results == [0, 0, 1, 1, 2, 2, 3, 3]
+
+    def test_ranks_group_by_node(self):
+        """Four ranks per node on two nodes: the ranks ``same_node``
+        accepts are exactly those ``allgather`` reports on the caller's
+        node."""
+        from repro.cluster import cori_haswell
+
+        def fn(comm):
+            nodes = comm.allgather(comm.node)
+            mates = [r for r in range(comm.size) if comm.same_node(r)]
+            return nodes, mates
+
+        result = run_spmd(fn, 8, cluster=cori_haswell(2), ranks_per_node=4)
+        for rank, (nodes, mates) in enumerate(result.results):
+            assert nodes == [0, 0, 0, 0, 1, 1, 1, 1]
+            assert mates == [r for r in range(8) if nodes[r] == nodes[rank]]
