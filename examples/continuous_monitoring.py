@@ -8,7 +8,8 @@ detected once complete, pushed through the incremental detector chain
 with carried state threading the filter/window halo across file seams,
 and events land in ``events.jsonl`` as they are finalised.  At the end
 the streamed event log is checked against one batch run over the
-concatenated record: identical.
+concatenated record: identical.  The spool is a temporary directory,
+removed when the example exits.
 
 Run:  python examples/continuous_monitoring.py
 """
@@ -37,7 +38,7 @@ MINUTES = 6
 SPM = 600  # 12 s per "minute" file keeps the demo quick
 
 
-def main() -> None:
+def monitor(spool: str) -> None:
     scene = fig1b_scene(
         n_channels=CHANNELS, fs=FS, minutes=MINUTES, samples_per_minute=SPM
     )
@@ -50,7 +51,6 @@ def main() -> None:
         poll_interval=0.0, settle_seconds=0.0, stable_polls=1
     )
 
-    spool = tempfile.mkdtemp(prefix="das-spool-")
     print(f"spool: {spool}")
 
     def announce(seam_event):
@@ -98,6 +98,11 @@ def main() -> None:
         f"\nbatch run over the concatenated record: {len(batch)} events — "
         "identical to the streamed log (seam equivalence holds)"
     )
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="das-spool-") as spool:
+        monitor(spool)
 
 
 if __name__ == "__main__":

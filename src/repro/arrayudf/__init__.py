@@ -16,7 +16,10 @@ Reimplements the authors' prior system (HPDC'17) that DASSA extends:
   streaming executor splits a single-chunk plan's rows by),
 * :class:`~repro.arrayudf.engine.HybridEngine` — HAEE: one rank per
   node + threads, versus :class:`~repro.arrayudf.engine.MPIEngine`:
-  one rank per core (the Fig. 8 comparison).
+  one rank per core (the Fig. 8 comparison).  In estimate mode both
+  turn samples into seconds through a fixed
+  :class:`~repro.arrayudf.engine.ComputeModel`; the machine-speed probe
+  that normalises measured timings is ``benchmarks/harness/calib.py``.
 """
 
 from repro.arrayudf.apply import apply

@@ -64,10 +64,6 @@ class Partition:
         """Row index of the first core row inside the read block."""
         return self.core_row_lo - self.read_row_lo
 
-    @property
-    def read_shape(self) -> tuple[int, int]:
-        return (self.read_rows, self.cols)
-
     def read_nbytes(self, itemsize: int = 4) -> int:
         return self.read_rows * self.cols * itemsize
 

@@ -15,14 +15,26 @@ this package is the correctness tooling that guards it:
   exists, silently-swallowed handlers;
 * :mod:`repro.checks.contracts` — operator contracts:
   :class:`~repro.core.pipeline.Operator` subclasses must declare
-  consistent ``halo``/``decimate``/``channel_halo``/``stream_safe`` and
-  override the right hooks;
+  consistent ``halo``/``decimate``/``channel_halo``/``stream_safe``,
+  override the right hooks, and give the planner an interval algebra
+  that composes (the ``PLN`` codes);
 * :mod:`repro.checks.api` — public API: ``__all__`` completeness and
   cross-layer import direction (``hdf5lite`` must never import ``rt``);
+* :mod:`repro.checks.ccm` — simmpi protocol: rank-divergent
+  collectives, unmatched sends and receives, recv-before-send;
+* :mod:`repro.checks.res` — resource lifecycle: handles released on
+  every exit path, no blocking call while a lock is held;
+* :mod:`repro.checks.atm` — atomic persistence: durable writes go
+  through a synced temporary file and ``os.replace``;
+* :mod:`repro.checks.bls` — BLAS calls: no BLAS-backed product on the
+  executor's worker threads;
 * :mod:`repro.checks.runtime` — an instrumented ``Lock``/``RLock``
   sanitizer for tests: lock-order-inversion detection and guarded
   attribute access without the lock held (zero overhead when not
   installed — production code uses plain ``threading`` locks).
+
+The eight analyzers form one fixed table
+(:func:`~repro.checks.registry.all_analyzers`).
 
 Run ``python -m repro.checks`` from the repository root; see
 ``--help`` for ``--json`` / ``--baseline`` / ``--update-baseline`` /
@@ -32,7 +44,7 @@ Run ``python -m repro.checks`` from the repository root; see
 
 from repro.checks.baseline import Baseline, Waiver
 from repro.checks.findings import Finding
-from repro.checks.registry import Analyzer, all_analyzers, register
+from repro.checks.registry import Analyzer, all_analyzers
 from repro.checks.runner import load_project, run_analyzers
 from repro.checks.runtime import LockSanitizer, SanitizerViolation
 from repro.checks.source import Project, SourceModule
@@ -48,6 +60,5 @@ __all__ = [
     "Waiver",
     "all_analyzers",
     "load_project",
-    "register",
     "run_analyzers",
 ]

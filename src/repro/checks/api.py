@@ -26,7 +26,7 @@ import ast
 from typing import Iterator
 
 from repro.checks.findings import Finding
-from repro.checks.registry import Analyzer, register
+from repro.checks.registry import Analyzer
 from repro.checks.source import Project, SourceModule
 
 __all__ = ["PublicApiAnalyzer", "LAYER_RANKS"]
@@ -122,7 +122,6 @@ def _imported_repro_packages(tree: ast.Module) -> Iterator[tuple[str, int]]:
                     yield alias.name, node.lineno
 
 
-@register
 class PublicApiAnalyzer(Analyzer):
     name = "public-api"
     description = "__all__ completeness and cross-layer import direction"

@@ -40,7 +40,7 @@ from typing import Iterator
 
 from repro.checks.cfg import CFG, build_cfg, node_calls
 from repro.checks.findings import Finding
-from repro.checks.registry import Analyzer, register
+from repro.checks.registry import Analyzer
 from repro.checks.source import Project, SourceModule
 
 __all__ = ["AtomicPersistenceAnalyzer", "TMPISH_RE"]
@@ -110,7 +110,6 @@ class _WriteSite:
         self.uid = uid
 
 
-@register
 class AtomicPersistenceAnalyzer(Analyzer):
     name = "atomic-persistence"
     description = "durable writes follow tmp + fsync + os.replace"

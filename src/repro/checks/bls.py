@@ -28,7 +28,7 @@ import ast
 from typing import Iterator
 
 from repro.checks.findings import Finding
-from repro.checks.registry import Analyzer, register
+from repro.checks.registry import Analyzer
 from repro.checks.source import Project
 
 __all__ = ["BlasCallAnalyzer", "ANALYSIS_LAYERS", "BLAS_FUNCTIONS"]
@@ -63,7 +63,6 @@ def _blas_product(node: ast.AST) -> str | None:
     return None
 
 
-@register
 class BlasCallAnalyzer(Analyzer):
     name = "blas-call"
     description = "no BLAS-backed product on the analysis path"

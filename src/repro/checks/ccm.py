@@ -1,7 +1,7 @@
 """simmpi protocol analyzer (``CCM``): rank-divergent communication.
 
 The bug class: SPMD code where different ranks take different paths
-through communication calls.  A collective (``barrier``, ``allgather``,
+through communication calls.  A collective (``bcast``, ``allgather``,
 ...) must be entered by *every* rank of the communicator; a blocking
 ``send`` needs a matching ``recv`` on the peer's path; two ranks that
 both block in ``recv`` before either sends deadlock.  DASSA's Alg 2/3
@@ -45,23 +45,19 @@ from typing import Iterator
 from repro.checks.callgraph import CallGraph, FunctionInfo, build_callgraph
 from repro.checks.cfg import CFG, build_cfg, node_calls, node_exprs
 from repro.checks.findings import Finding
-from repro.checks.registry import Analyzer, register
+from repro.checks.registry import Analyzer
 from repro.checks.source import Project, SourceModule
 
 __all__ = ["CommProtocolAnalyzer", "COLLECTIVES", "SEND_OPS", "BLOCKING_RECV_OPS"]
 
-#: Communicator methods every rank must enter together.  ``split`` is
-#: deliberately absent: the name collides with ``str.split`` everywhere.
-COLLECTIVES = frozenset({
-    "barrier", "bcast", "scatter", "gather", "allgather", "alltoall",
-    "scatterv", "gatherv", "reduce", "allreduce",
-})
+#: Communicator methods every rank must enter together.
+COLLECTIVES = frozenset({"bcast", "gather", "allgather", "alltoall", "allreduce"})
 #: Message-producing calls (fabric ``post`` included).
-SEND_OPS = frozenset({"send", "Send", "isend", "post"})
+SEND_OPS = frozenset({"send", "post"})
 #: Message-consuming calls, blocking or not.
-RECV_OPS = frozenset({"recv", "Recv", "irecv", "sendrecv", "match", "match_nowait"})
+RECV_OPS = frozenset({"recv", "match", "match_nowait"})
 #: The subset that blocks the caller until a message arrives.
-BLOCKING_RECV_OPS = frozenset({"recv", "Recv", "match", "sendrecv"})
+BLOCKING_RECV_OPS = frozenset({"recv", "match"})
 
 _FLOW = frozenset({"normal", "back"})
 
@@ -95,7 +91,7 @@ class _Summary:
     def note(self, op: str) -> None:
         if op in COLLECTIVES:
             self.collectives.add(op)
-        if op in SEND_OPS or op == "sendrecv":
+        if op in SEND_OPS:
             self.sends = True
         if op in RECV_OPS:
             self.recvs = True
@@ -127,7 +123,6 @@ def _is_rank_test(stmt: ast.stmt) -> bool:
     return False
 
 
-@register
 class CommProtocolAnalyzer(Analyzer):
     name = "simmpi-protocol"
     description = "rank-divergent collectives, unmatched sends, recv ordering"
@@ -322,7 +317,7 @@ class CommProtocolAnalyzer(Analyzer):
             blocking_call = None
             for call in node_calls(node.stmt):
                 op = _op_name(call)
-                if op in BLOCKING_RECV_OPS and op != "sendrecv":
+                if op in BLOCKING_RECV_OPS:
                     blocking_call = call
                     break
                 callee = graph.resolve_site(mod.rel, call)

@@ -1,4 +1,4 @@
-"""Operator-contract analyzer (``OPC``).
+"""Operator-contract analyzer (``OPC`` and ``PLN``).
 
 The streaming executor trusts each :class:`~repro.core.pipeline.Operator`
 subclass's declared geometry (``halo``/``decimate``/``channel_halo``)
@@ -33,6 +33,38 @@ Checks:
     (class-level literals and literal ``self.X = ...`` in ``__init__``).
 ``OPC007`` — a ``SinkOp`` subclass missing any of
     ``init``/``consume``/``finalize``.
+
+The ``PLN`` codes check the planner geometry of the same operator
+classes in the same walk.  The query planner
+(:mod:`repro.core.optimizer`) composes each operator's declared interval
+algebra — ``out_total`` / ``out_core`` / ``out_full`` / ``in_needed`` —
+to decide what to read, what each operator is handed, and what each
+chunk owns.  A declaration that is internally inconsistent produces
+plans that read too little or trim the wrong samples.  The kernel
+refuses such a plan before its first read, but only on the one chunking
+a run uses (:func:`repro.core.pipeline.run_chunks`), and
+:func:`repro.core.graph.verify_geometry` — the exhaustive sweep the test
+suite runs over every shipped operator — only on the operators it is
+handed.  These checks are the static half of that pair: they flag
+declaration *shapes* that cannot be consistent, at review time.
+
+``PLN001`` — the time-grid trio ``out_core`` / ``out_full`` /
+    ``in_needed`` is partially overridden: the three methods define one
+    output grid, so overriding a strict subset mixes a custom grid with
+    the affine default and the composed plan cannot tile.  Override all
+    three (plus ``out_total``) or none.
+``PLN002`` — ``out_total`` and ``out_core`` disagree about who defines
+    the output grid: a custom output length without a custom ownership
+    mapping (or the converse) leaves the planner pairing a bespoke grid
+    with the default affine one.
+``PLN003`` — a literal ``decimate`` != 1 combined with a time-grid
+    override: the default algebra already derives the grid from
+    ``decimate``; declaring both leaves the defaults that still read it
+    (``out_fs``) and the override disagreeing about the sample lattice.
+``PLN004`` — a literal non-zero ``halo`` combined with an ``in_needed``
+    override: ``in_needed`` *is* the halo declaration, so the literal is
+    either redundant or (if they differ) a second, contradicting
+    declaration nothing reads.
 """
 
 from __future__ import annotations
@@ -41,7 +73,7 @@ import ast
 from typing import Iterator
 
 from repro.checks.findings import Finding
-from repro.checks.registry import Analyzer, register
+from repro.checks.registry import Analyzer
 from repro.checks.source import Project, SourceModule
 
 __all__ = ["OperatorContractAnalyzer"]
@@ -49,6 +81,8 @@ __all__ = ["OperatorContractAnalyzer"]
 _GEOMETRY_ATTRS = ("halo", "decimate", "channel_halo", "stream_safe")
 _PREPASS_HOOKS = ("prepass_init", "prepass_update", "prepass_finalize")
 _SINK_HOOKS = ("init", "consume", "finalize")
+_LITERAL_ATTRS = ("halo", "decimate", "channel_halo")
+_GRID_TRIO = ("out_core", "out_full", "in_needed")
 
 
 def _base_names(cls: ast.ClassDef) -> list[str]:
@@ -117,6 +151,23 @@ class _ClassInfo:
                         out[t.attr] = (value, node.lineno)
         return out
 
+    def literal_contract(self) -> dict[str, tuple[object, int]]:
+        """``halo``/``decimate``/``channel_halo`` declared on the class or
+        as a literal in ``__init__`` (which wins), with their lines."""
+        out = {
+            attr: (self.class_attrs[attr], self.class_attr_lines[attr])
+            for attr in _LITERAL_ATTRS
+            if attr in self.class_attrs
+        }
+        for attr, pair in self.init_literal_attrs().items():
+            if attr in _LITERAL_ATTRS:
+                out[attr] = pair
+        return out
+
+    def method_line(self, name: str) -> int:
+        fn = self.methods.get(name)
+        return fn.lineno if fn is not None else self.node.lineno
+
 
 def _resolve_kinds(classes: dict[str, list[_ClassInfo]]) -> dict[int, str]:
     """Map id(_ClassInfo) -> "operator" | "sink" by walking base-name
@@ -149,7 +200,6 @@ def _resolve_kinds(classes: dict[str, list[_ClassInfo]]) -> dict[int, str]:
     return kinds
 
 
-@register
 class OperatorContractAnalyzer(Analyzer):
     name = "operator-contract"
     description = "Operator/SinkOp subclasses declare a consistent contract"
@@ -161,6 +211,10 @@ class OperatorContractAnalyzer(Analyzer):
         "OPC005": "Operator subclass declares sink-side hooks",
         "OPC006": "malformed literal contract value",
         "OPC007": "SinkOp subclass missing init/consume/finalize",
+        "PLN001": "partial override of the out_core/out_full/in_needed trio",
+        "PLN002": "out_total and out_core disagree about the output grid",
+        "PLN003": "literal decimate != 1 alongside a time-grid override",
+        "PLN004": "literal non-zero halo alongside an in_needed override",
     }
 
     def run(self, project: Project) -> Iterator[Finding]:
@@ -236,21 +290,15 @@ class OperatorContractAnalyzer(Analyzer):
                     f"{hook!r} (did you mean to subclass SinkOp?)",
                 )
 
-        yield from self._check_literals(info)
+        literals = info.literal_contract()
+        yield from self._check_literals(info, literals)
+        yield from self._check_geometry(info, view, literals)
 
-    def _check_literals(self, info: _ClassInfo) -> Iterator[Finding]:
+    def _check_literals(
+        self, info: _ClassInfo, literals: dict[str, tuple[object, int]]
+    ) -> Iterator[Finding]:
         mod, cls = info.mod, info.node
-        values: dict[str, tuple[object, int]] = {}
-        for attr in ("halo", "decimate", "channel_halo"):
-            if attr in info.class_attrs:
-                values[attr] = (
-                    info.class_attrs[attr], info.class_attr_lines[attr]
-                )
-        for attr, pair in info.init_literal_attrs().items():
-            if attr in ("halo", "decimate", "channel_halo"):
-                values[attr] = pair
-
-        for attr, (value, line) in sorted(values.items()):
+        for attr, (value, line) in sorted(literals.items()):
             if value is _NOT_LITERAL:
                 continue
             bad: str | None = None
@@ -269,6 +317,80 @@ class OperatorContractAnalyzer(Analyzer):
                     bad = f"channel_halo must be an int >= 0, got {value!r}"
             if bad is not None and not mod.is_suppressed(line, "OPC006"):
                 yield self.finding("OPC006", mod, line, f"{cls.name}: {bad}")
+
+    def _check_geometry(
+        self, info: _ClassInfo, view: "_FlatView",
+        literals: dict[str, tuple[object, int]],
+    ) -> Iterator[Finding]:
+        mod, cls = info.mod, info.node
+        # _FlatView excludes the Operator root, so "has_method" means the
+        # class (or a concrete ancestor) overrides the default algebra.
+        trio = [m for m in _GRID_TRIO if view.has_method(m)]
+        has_total = view.has_method("out_total")
+
+        if trio and len(trio) < len(_GRID_TRIO):
+            missing = [m for m in _GRID_TRIO if m not in trio]
+            line = info.method_line(trio[0])
+            if not mod.is_suppressed(line, "PLN001"):
+                yield self.finding(
+                    "PLN001", mod, line,
+                    f"{cls.name} overrides {', '.join(trio)} but not "
+                    f"{', '.join(missing)} — the trio defines one output "
+                    f"grid and must move together",
+                    hint="override out_core, out_full, and in_needed "
+                         "(and out_total) together, or none of them",
+                )
+
+        full_trio = len(trio) == len(_GRID_TRIO)
+        # Only when the trio itself is coherent (all or none) — a partial
+        # trio is already PLN001 and would double-report here.
+        if (not trio or full_trio) and has_total != full_trio and (
+            trio or has_total
+        ):
+            which = "out_total" if has_total else "out_core/out_full/in_needed"
+            other = "out_core/out_full/in_needed" if has_total else "out_total"
+            line = info.method_line("out_total" if has_total else trio[0])
+            if not mod.is_suppressed(line, "PLN002"):
+                yield self.finding(
+                    "PLN002", mod, line,
+                    f"{cls.name} overrides {which} but not {other}: a "
+                    f"custom output grid needs both its length and its "
+                    f"ownership mapping",
+                )
+
+        if trio and "decimate" in literals:
+            value, line = literals["decimate"]
+            if (
+                isinstance(value, int)
+                and value != 1
+                and not mod.is_suppressed(line, "PLN003")
+            ):
+                yield self.finding(
+                    "PLN003", mod, line,
+                    f"{cls.name} declares decimate = {value} and also "
+                    f"overrides {', '.join(trio)}: the default algebra "
+                    f"derives the grid from decimate, so the two "
+                    f"declarations will disagree",
+                    hint="keep decimate = 1 when the interval methods "
+                         "define the grid",
+                )
+        if view.has_method("in_needed") and "halo" in literals:
+            value, line = literals["halo"]
+            nonzero = (
+                isinstance(value, tuple)
+                and len(value) == 2
+                and any(isinstance(v, int) and v != 0 for v in value)
+            )
+            if nonzero and not mod.is_suppressed(line, "PLN004"):
+                yield self.finding(
+                    "PLN004", mod, line,
+                    f"{cls.name} declares halo = {value} and also "
+                    f"overrides in_needed — in_needed is the halo "
+                    f"declaration, so the literal is redundant or "
+                    f"contradicts it",
+                    hint="fold the halo into in_needed and declare "
+                         "halo = (0, 0), or drop the override",
+                )
 
     # -- sink side ----------------------------------------------------------
     def _check_sink(self, info: _ClassInfo, view: "_FlatView") -> Iterator[Finding]:

@@ -28,7 +28,7 @@ import ast
 from typing import Iterator
 
 from repro.checks.findings import Finding
-from repro.checks.registry import Analyzer, register
+from repro.checks.registry import Analyzer
 from repro.checks.source import Project, SourceModule
 
 __all__ = ["LockDisciplineAnalyzer", "MUTATING_METHODS"]
@@ -99,7 +99,6 @@ def _collect_guards(
     return guards, assigned
 
 
-@register
 class LockDisciplineAnalyzer(Analyzer):
     name = "lock-discipline"
     description = "guarded attributes only mutate under their lock"

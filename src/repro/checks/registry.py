@@ -1,12 +1,9 @@
-"""Plugin-style analyzer registry.
+"""The analyzer base class and the fixed table of analyzers.
 
 An analyzer subclasses :class:`Analyzer`, declares a ``name`` (its rule
 family), a ``codes`` table, and implements :meth:`Analyzer.run` over a
-:class:`~repro.checks.source.Project`.  Decorating it with
-:func:`register` makes it discoverable; :func:`all_analyzers` imports
-the built-in analyzer modules (each registers itself on import) and
-returns one instance of everything registered — external code can
-register more before calling the runner.
+:class:`~repro.checks.source.Project`.  :func:`all_analyzers` returns one
+instance of each built-in analyzer, in name order.
 """
 
 from __future__ import annotations
@@ -17,9 +14,7 @@ from repro.checks.findings import Finding
 from repro.checks.source import Project
 from repro.errors import ConfigError
 
-__all__ = ["Analyzer", "register", "all_analyzers"]
-
-_REGISTRY: dict[str, type["Analyzer"]] = {}
+__all__ = ["Analyzer", "all_analyzers"]
 
 
 class Analyzer:
@@ -46,20 +41,25 @@ class Analyzer:
         )
 
 
-def register(cls: type[Analyzer]) -> type[Analyzer]:
-    """Class decorator adding an analyzer to the registry."""
-    if not cls.name:
-        raise ConfigError(f"analyzer {cls.__name__} must set a name")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
 def all_analyzers() -> list[Analyzer]:
-    """One instance of every registered analyzer (built-ins included)."""
-    # Importing the built-in analyzer modules triggers their @register.
-    from repro.checks import (  # noqa - imported for side effect
-        api, atm, bls, ccm, contracts, locks, pln, res, taxonomy,
-    )
+    """One instance of every analyzer, in name order."""
+    # Imported here: each analyzer module imports Analyzer from this one.
+    from repro.checks.api import PublicApiAnalyzer
+    from repro.checks.atm import AtomicPersistenceAnalyzer
+    from repro.checks.bls import BlasCallAnalyzer
+    from repro.checks.ccm import CommProtocolAnalyzer
+    from repro.checks.contracts import OperatorContractAnalyzer
+    from repro.checks.locks import LockDisciplineAnalyzer
+    from repro.checks.res import ResourceLifecycleAnalyzer
+    from repro.checks.taxonomy import ExceptionTaxonomyAnalyzer
 
-    _ = (api, atm, bls, ccm, contracts, locks, pln, res, taxonomy)
-    return [cls() for _, cls in sorted(_REGISTRY.items())]
+    return [cls() for cls in (
+        AtomicPersistenceAnalyzer,    # atomic-persistence
+        BlasCallAnalyzer,             # blas-call
+        ExceptionTaxonomyAnalyzer,    # exception-taxonomy
+        LockDisciplineAnalyzer,       # lock-discipline
+        OperatorContractAnalyzer,     # operator-contract
+        PublicApiAnalyzer,            # public-api
+        ResourceLifecycleAnalyzer,    # resource-lifecycle
+        CommProtocolAnalyzer,         # simmpi-protocol
+    )]

@@ -22,9 +22,8 @@ context manager *is* the discipline.
 lock-ish: ``lock``/``mutex``/``cond``/``sem``, or a lock named by the
 class's ``# guarded-by:`` annotations; ``# holds-lock`` methods count
 as holding the class guard), a call that can block indefinitely —
-``open``, ``time.sleep``, ``os.fsync``, ``.recv``/``.Recv``/
-``.sendrecv``, fabric ``.match``/``.exchange``, thread ``.join``,
-``.wait`` — stalls every other thread contending for that lock.  The
+``open``, ``time.sleep``, ``os.fsync``, ``.recv``, fabric
+``.match``/``.exchange``, thread ``.join``, ``.wait`` — stalls every other thread contending for that lock.  The
 one blessed exception: ``.wait()`` *on the held lock itself* — that is
 ``Condition.wait``, which releases the lock while sleeping.  As in
 :mod:`repro.checks.locks`, nested ``def``/``lambda`` bodies do not
@@ -41,7 +40,7 @@ from repro.checks.cfg import CFGNode, build_cfg, node_exprs
 from repro.checks.dataflow import solve_forward
 from repro.checks.findings import Finding
 from repro.checks.locks import _collect_guards
-from repro.checks.registry import Analyzer, register
+from repro.checks.registry import Analyzer
 from repro.checks.source import Project, SourceModule
 
 __all__ = ["ResourceLifecycleAnalyzer", "BLOCKING_CALLS", "LOCKISH_RE"]
@@ -56,8 +55,7 @@ _RELEASE_METHODS = frozenset({"close", "release", "shutdown", "unlink"})
 
 #: Method names that can block the calling thread indefinitely.
 BLOCKING_CALLS = frozenset({
-    "recv", "Recv", "sendrecv", "match", "exchange", "join", "wait",
-    "sleep", "fsync",
+    "recv", "match", "exchange", "join", "wait", "sleep", "fsync",
 })
 #: Plain-name calls that block (builtins / star-imported).
 _BLOCKING_NAMES = frozenset({"open", "sleep"})
@@ -134,7 +132,6 @@ class _NodeFacts:
                                 self.escapes.add(sub.id)
 
 
-@register
 class ResourceLifecycleAnalyzer(Analyzer):
     name = "resource-lifecycle"
     description = "handles released on every path; no blocking under a lock"

@@ -30,7 +30,7 @@ import ast
 from typing import Iterator
 
 from repro.checks.findings import Finding
-from repro.checks.registry import Analyzer, register
+from repro.checks.registry import Analyzer
 from repro.checks.source import Project, SourceModule
 
 __all__ = ["ExceptionTaxonomyAnalyzer", "BUILTIN_RAISE_HINTS"]
@@ -75,7 +75,6 @@ def _is_silent(handler: ast.ExceptHandler) -> bool:
     )
 
 
-@register
 class ExceptionTaxonomyAnalyzer(Analyzer):
     name = "exception-taxonomy"
     description = "typed repro.errors taxonomy instead of broad/builtin exceptions"

@@ -48,14 +48,6 @@ class ClusterSpec:
         if self.core_flops <= 0:
             raise ConfigError("core_flops must be positive")
 
-    @property
-    def total_cores(self) -> int:
-        return self.nodes * self.node.cores
-
-    @property
-    def total_memory(self) -> int:
-        return self.nodes * self.node.memory
-
     def node_of_rank(self, rank: int, ranks_per_node: int) -> int:
         """Block mapping of MPI ranks onto nodes."""
         if ranks_per_node < 1:

@@ -47,11 +47,6 @@ class MemoryTracker:
         per_label = self._labels.setdefault(node, {})
         per_label[label] = per_label.get(label, 0) + nbytes
 
-    def allocate_all(self, nbytes_per_node: int, label: str = "anon") -> None:
-        """Charge the same allocation on every node (SPMD allocations)."""
-        for node in range(self.nodes):
-            self.allocate(node, nbytes_per_node, label)
-
     def free(self, node: int, nbytes: int, label: str = "anon") -> None:
         current = self.used(node)
         if nbytes > current:

@@ -93,11 +93,6 @@ class StorageModel:
     def aggregate_bandwidth(self) -> float:
         return self.ost_count * self.ost_bandwidth
 
-    @property
-    def iops(self) -> float:
-        """Aggregate requests/second the system can absorb."""
-        return self.ost_count / self.per_request_overhead
-
     def ost_for(self, file_id: int) -> int:
         return file_id % self.ost_count
 

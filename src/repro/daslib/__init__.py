@@ -15,9 +15,9 @@ Paper name                             Here
 ``Das_fft(X)`` / ``Das_ifft(X)``       :func:`fft` / :func:`ifft`
 =====================================  =========================================
 
-plus the supporting kit the two case-study pipelines need (windows,
-tapering, spectral whitening, cross-correlation, decimation, moving
-statistics).  All functions are pure (no hidden state) and thread-safe,
+plus the supporting kit the two case-study pipelines and the NCF stack
+need (windows, tapering, spectral whitening, cross-correlation,
+decimation, moving statistics, the analytic signal).  All functions are pure (no hidden state) and thread-safe,
 which is what lets the hybrid engine run them concurrently from OpenMP-
 style threads (paper §V-A).
 
@@ -36,11 +36,11 @@ from repro.daslib.api import (
     Das_interp1,
     Das_resample,
 )
-from repro.daslib.analytic import envelope, hilbert, instantaneous_phase
+from repro.daslib.analytic import envelope, hilbert
 from repro.daslib.butterworth import butter
-from repro.daslib.correlate import abscorr, xcorr, xcorr_freq
+from repro.daslib.correlate import abscorr, xcorr
 from repro.daslib.detrend import demean, detrend
-from repro.daslib.fft import fft, fftfreq, ifft, irfft, next_fast_len, rfft, rfftfreq
+from repro.daslib.fft import fft, ifft, irfft, next_fast_len, rfft
 from repro.daslib.filtfilt import filtfilt, settle_length
 from repro.daslib.interp import interp1
 from repro.daslib.lfilter import lfilter, lfilter_zi
@@ -54,7 +54,6 @@ from repro.daslib.resample import (
     resample_halo,
     upfirdn,
 )
-from repro.daslib.spectrogram import band_power, spectrogram, stft
 from repro.daslib.whiten import whiten
 from repro.daslib.window import get_window, taper, tukey_slice
 
@@ -71,7 +70,6 @@ __all__ = [
     # pythonic API
     "abscorr",
     "xcorr",
-    "xcorr_freq",
     "detrend",
     "demean",
     "butter",
@@ -91,8 +89,6 @@ __all__ = [
     "ifft",
     "rfft",
     "irfft",
-    "fftfreq",
-    "rfftfreq",
     "next_fast_len",
     "get_window",
     "taper",
@@ -102,8 +98,4 @@ __all__ = [
     "sliding_windows",
     "hilbert",
     "envelope",
-    "instantaneous_phase",
-    "stft",
-    "spectrogram",
-    "band_power",
 ]

@@ -39,8 +39,3 @@ def hilbert(x: np.ndarray, axis: int = -1) -> np.ndarray:
 def envelope(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Instantaneous amplitude ``|hilbert(x)|``."""
     return np.abs(hilbert(x, axis=axis))
-
-
-def instantaneous_phase(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Instantaneous phase ``angle(hilbert(x))`` in radians."""
-    return np.angle(hilbert(x, axis=axis))

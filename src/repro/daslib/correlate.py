@@ -87,11 +87,3 @@ def xcorr(
         keep = (lags >= -max_lag) & (lags <= max_lag)
         lags, cc = lags[keep], cc[keep]
     return lags, cc
-
-
-def xcorr_freq(
-    spec_a: np.ndarray, spec_b: np.ndarray, axis: int = -1
-) -> np.ndarray:
-    """Frequency-domain cross-spectrum ``A * conj(B)`` (noise
-    interferometry's correlation step, applied to whitened spectra)."""
-    return np.asarray(spec_a) * np.conj(np.asarray(spec_b))

@@ -52,13 +52,3 @@ def rfft(x: np.ndarray, n: int | None = None, axis: int = -1) -> np.ndarray:
 def irfft(x: np.ndarray, n: int | None = None, axis: int = -1) -> np.ndarray:
     """Inverse of :func:`rfft`."""
     return np.fft.irfft(np.asarray(x), n=n, axis=axis)
-
-
-def fftfreq(n: int, d: float = 1.0) -> np.ndarray:
-    """Frequency bins of an ``n``-point FFT with sample spacing ``d``."""
-    return np.fft.fftfreq(n, d=d)
-
-
-def rfftfreq(n: int, d: float = 1.0) -> np.ndarray:
-    """Frequency bins of an ``n``-point real FFT."""
-    return np.fft.rfftfreq(n, d=d)

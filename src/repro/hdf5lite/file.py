@@ -150,15 +150,6 @@ class Group:
         self._file._mark_dirty()
         return Group(self._file, walked, node)
 
-    def require_group(self, path: str) -> "Group":
-        try:
-            existing = self[path]
-        except KeyError:
-            return self.create_group(path)
-        if not isinstance(existing, Group):
-            raise FormatError(f"{path!r} exists and is not a group")
-        return existing
-
     def create_dataset(
         self,
         name: str,

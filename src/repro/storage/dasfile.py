@@ -143,16 +143,6 @@ class DASFile:
     def n_samples(self) -> int:
         return self.data.shape[1]
 
-    def channel_metadata(self, channel: int) -> dict:
-        """Per-channel KV metadata (1-based channel index, as in Fig. 4)."""
-        try:
-            group = self._file[f"{CHANNEL_GROUP}/{channel}"]
-        except KeyError:
-            raise StorageError(
-                f"no per-channel metadata for channel {channel} in {self.path}"
-            ) from None
-        return dict(group.attrs)
-
     def close(self) -> None:
         self._file.close()
 

@@ -7,6 +7,7 @@ ordering are driven by these stamps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import Any
@@ -53,10 +54,10 @@ class DASMetadata:
     extras: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.sampling_frequency <= 0:
-            raise StorageError("sampling frequency must be positive")
-        if self.spatial_resolution <= 0:
-            raise StorageError("spatial resolution must be positive")
+        if not (self.sampling_frequency > 0 and math.isfinite(self.sampling_frequency)):
+            raise StorageError("sampling frequency must be finite and positive")
+        if not (self.spatial_resolution > 0 and math.isfinite(self.spatial_resolution)):
+            raise StorageError("spatial resolution must be finite and positive")
         parse_timestamp(self.timestamp)  # validates
         if self.n_channels < 0:
             raise StorageError("channel count must be non-negative")
@@ -64,10 +65,6 @@ class DASMetadata:
     @property
     def start_time(self) -> datetime:
         return parse_timestamp(self.timestamp)
-
-    def duration_seconds(self, n_samples: int) -> float:
-        """Recording length for a given per-channel sample count."""
-        return n_samples / self.sampling_frequency
 
     def to_attrs(self) -> dict[str, Any]:
         """The attribute dict written at a DAS file's root."""
@@ -87,10 +84,16 @@ class DASMetadata:
         missing = known - set(attrs)
         if missing:
             raise StorageError(f"not a DAS file: missing metadata keys {sorted(missing)}")
+        try:
+            fs = float(attrs[KEY_SAMPLING])
+            dx = float(attrs[KEY_SPATIAL])
+            n_channels = int(attrs[KEY_NOBJECTS])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise StorageError(f"not a DAS file: bad metadata value ({exc})") from exc
         return cls(
-            sampling_frequency=float(attrs[KEY_SAMPLING]),
-            spatial_resolution=float(attrs[KEY_SPATIAL]),
+            sampling_frequency=fs,
+            spatial_resolution=dx,
             timestamp=str(attrs[KEY_TIMESTAMP]),
-            n_channels=int(attrs[KEY_NOBJECTS]),
+            n_channels=n_channels,
             extras={k: v for k, v in attrs.items() if k not in known},
         )

@@ -245,10 +245,6 @@ class VCAHandle(DatasetSource):
     def sources(self):
         return self.dataset.virtual_sources
 
-    @property
-    def source_timestamps(self) -> list[str]:
-        return list(self._file.attrs.get("VCA source timestamps", []))
-
     def source_paths(self) -> list[str]:
         """Absolute paths of the backing per-minute files."""
         base = os.path.dirname(os.path.abspath(self.path))

@@ -1,15 +1,15 @@
 """Checks fixture: simmpi protocol violations.
 
-Expected: two CCM001 (a barrier only rank 0 enters; a reduce reached
-only by rank 0 through a helper — the interprocedural case), one
+Expected: two CCM001 (an allgather only rank 0 enters; an allreduce
+reached only by rank 0 through a helper — the interprocedural case), one
 CCM002 (a send whose peer arm never receives), and one CCM003 (every
 rank blocks in recv before any rank sends).
 """
 
 
-def lopsided_barrier(comm, rank):
+def lopsided_allgather(comm, rank):
     if rank == 0:
-        comm.barrier()  # only rank 0 enters the collective
+        comm.allgather(None)  # only rank 0 enters the collective
     else:
         prepare(comm)
 
@@ -18,15 +18,15 @@ def prepare(comm):
     return comm.size
 
 
-def reduce_through_helper(comm, rank):
+def allreduce_through_helper(comm, rank):
     if rank == 0:
-        collect(comm)  # reaches comm.reduce one call deep
+        collect(comm)  # reaches comm.allreduce one call deep
     else:
         idle()
 
 
 def collect(comm):
-    return comm.reduce(0, op="sum")
+    return comm.allreduce(0)
 
 
 def idle():

@@ -2,9 +2,12 @@
 
 Twins of ``ccm_bad.py``: collectives entered by both arms (the
 aggregator pattern), sends matched by the peer arm's recv (directly
-and through helpers), the parity-ordered halo exchange, and an
-error-guard arm that only raises.  Expected: no CCM findings.
+and through helpers), the parity-ordered halo exchange, an
+error-guard arm that only raises, and a numpy reduction only rank 0
+runs (``np.add.reduce`` is not a collective).  Expected: no CCM findings.
 """
+
+import numpy as np
 
 
 def aggregator_pattern(comm, rank):
@@ -57,3 +60,11 @@ def guarded_self_send(comm, rank, dest):
     if dest == rank:
         raise ValueError("cannot send to self")  # error guard, not a role split
     comm.send(b"payload", dest=dest, tag=1)
+
+
+def root_only_numpy_reduce(comm, x):
+    total = None
+    if comm.rank == 0:
+        total = np.add.reduce(x)  # a ufunc method, not comm.reduce
+    comm.allgather(None)
+    return total

@@ -1,4 +1,5 @@
-"""Seeded findings for the planner-geometry (PLN) analyzer.
+"""Seeded findings for the planner-geometry (PLN) codes of the
+operator-contract analyzer.
 
 Expected: PLN001 x1 (PartialTrioOp), PLN002 x2 (TotalOnlyOp,
 TrioWithoutTotalOp), PLN003 x1 (DecimatedCustomGridOp), PLN004 x1

@@ -1,4 +1,5 @@
-"""Clean fixtures for the planner-geometry (PLN) analyzer."""
+"""Clean fixtures for the planner-geometry (PLN) codes of the
+operator-contract analyzer."""
 
 
 class Operator:  # stand-in root; the analyzer resolves by name

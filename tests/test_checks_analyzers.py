@@ -17,7 +17,6 @@ from repro.checks.baseline import Baseline, Waiver
 from repro.checks.bls import ANALYSIS_LAYERS, BlasCallAnalyzer
 from repro.checks.contracts import OperatorContractAnalyzer
 from repro.checks.locks import LockDisciplineAnalyzer
-from repro.checks.pln import PlannerGeometryAnalyzer
 from repro.checks.runner import load_project, run_analyzers
 from repro.checks.source import Project, load_module
 from repro.checks.taxonomy import ExceptionTaxonomyAnalyzer
@@ -189,20 +188,19 @@ def test_contracts_inherited_hooks_count():
     assert not any("DerivedSink" in f.message for f in findings)
 
 
-# -- planner geometry --------------------------------------------------------
+# -- planner geometry (the PLN codes of operator-contract) -------------------
+
+def pln_findings(fixture: str) -> list:
+    findings = OperatorContractAnalyzer().run(project_for(fixture))
+    return [f for f in findings if f.code.startswith("PLN")]
+
 
 def test_pln_good_is_clean():
-    findings = list(
-        PlannerGeometryAnalyzer().run(project_for("pln_good.py"))
-    )
-    assert findings == []
+    assert pln_findings("pln_good.py") == []
 
 
 def test_pln_bad_findings():
-    findings = list(
-        PlannerGeometryAnalyzer().run(project_for("pln_bad.py"))
-    )
-    assert codes(findings) == {
+    assert codes(pln_findings("pln_bad.py")) == {
         "PLN001": 1,
         "PLN002": 2,
         "PLN003": 1,
@@ -213,20 +211,14 @@ def test_pln_bad_findings():
 def test_pln_partial_trio_not_double_reported():
     """A partial trio is PLN001 only — PLN002 must not re-flag the same
     incoherence."""
-    findings = list(
-        PlannerGeometryAnalyzer().run(project_for("pln_bad.py"))
-    )
-    partial = [f for f in findings if "PartialTrioOp" in f.message]
+    partial = [f for f in pln_findings("pln_bad.py") if "PartialTrioOp" in f.message]
     assert [f.code for f in partial] == ["PLN001"]
 
 
 def test_pln_inherited_grid_not_reflagged():
     """DerivedGridOp (pln_good) inherits the complete custom grid and
     must not be flagged."""
-    findings = list(
-        PlannerGeometryAnalyzer().run(project_for("pln_good.py"))
-    )
-    assert not any("DerivedGridOp" in f.message for f in findings)
+    assert not any("DerivedGridOp" in f.message for f in pln_findings("pln_good.py"))
 
 
 def test_pln_real_operator_stack_is_clean():

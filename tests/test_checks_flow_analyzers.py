@@ -36,11 +36,11 @@ def test_ccm_bad_findings():
 
 
 def test_ccm_collective_found_interprocedurally():
-    """reduce_through_helper never names a collective itself — the
-    reduce sits one call deep, behind ``collect``."""
+    """allreduce_through_helper never names a collective itself — the
+    allreduce sits one call deep, behind ``collect``."""
     findings = list(CommProtocolAnalyzer().run(project_for("ccm_bad.py")))
     assert any(
-        f.code == "CCM001" and "reduce_through_helper" in f.message
+        f.code == "CCM001" and "allreduce_through_helper" in f.message
         for f in findings
     )
 

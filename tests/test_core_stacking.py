@@ -11,7 +11,7 @@ from repro.core.stacking import (
     stack_snr,
     window_ncfs,
 )
-from repro.daslib import envelope, hilbert, instantaneous_phase
+from repro.daslib import envelope, hilbert
 from repro.errors import ConfigError
 
 
@@ -36,7 +36,7 @@ class TestHilbert:
     def test_instantaneous_phase_of_tone(self):
         t = np.arange(1000) / 1000.0
         x = np.cos(2 * np.pi * 50 * t)
-        phase = instantaneous_phase(x)
+        phase = np.angle(hilbert(x))
         freq = np.diff(np.unwrap(phase)) * 1000 / (2 * np.pi)
         np.testing.assert_allclose(freq[50:-50], 50.0, atol=0.5)
 

@@ -14,7 +14,6 @@ from repro.daslib import (
     Das_resample,
     abscorr,
     xcorr,
-    xcorr_freq,
 )
 
 
@@ -128,12 +127,6 @@ class TestXcorr:
             xcorr(np.zeros((2, 2)), np.zeros(4))
         with pytest.raises(ValueError):
             xcorr(np.zeros(4), np.zeros(4), max_lag=-1)
-
-    def test_xcorr_freq_is_cross_spectrum(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=32) + 1j * rng.normal(size=32)
-        b = rng.normal(size=32) + 1j * rng.normal(size=32)
-        np.testing.assert_allclose(xcorr_freq(a, b), a * np.conj(b))
 
 
 class TestMatlabStyleAPI:

@@ -54,6 +54,12 @@ class TestExamples:
         assert "OUT OF MEMORY" in out.upper() or "out of memory" in out
         assert "1456" in out
 
+    def test_continuous_monitoring(self):
+        out = run_example("continuous_monitoring.py")
+        assert "identical to the streamed log" in out
+        spool = out.splitlines()[0].removeprefix("spool: ")
+        assert not os.path.exists(spool)
+
     def test_velocity_profiling(self):
         out = run_example("velocity_profiling.py")
         assert "m/s" in out

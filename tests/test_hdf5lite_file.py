@@ -119,18 +119,6 @@ class TestGroups:
             assert "a/b/c" in f
             assert f["a/b"].groups() == ["c"]
 
-    def test_require_group_idempotent(self, tmpfile):
-        with File(tmpfile, "w") as f:
-            g1 = f.require_group("x")
-            g2 = f.require_group("x")
-            assert g1.path == g2.path
-
-    def test_require_group_on_dataset_fails(self, tmpfile):
-        with File(tmpfile, "w") as f:
-            f.create_dataset("d", data=np.zeros(2))
-            with pytest.raises(FormatError):
-                f.require_group("d")
-
     def test_getitem_missing_raises_keyerror(self, tmpfile):
         with File(tmpfile, "w") as f:
             with pytest.raises(KeyError):

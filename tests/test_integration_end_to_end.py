@@ -147,5 +147,4 @@ class TestSearchMergeReadPipeline:
         with open_vca(vca_path) as vca:
             assert vca.metadata.sampling_frequency == FS
             assert vca.metadata.n_channels == CHANNELS
-            assert len(vca.source_timestamps) == 2
             assert vca.shape == (CHANNELS, 2 * SPM)

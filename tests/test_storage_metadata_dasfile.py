@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import StorageError
+from repro.hdf5lite import File
 from repro.storage.dasfile import (
     DASFile,
     das_filename,
@@ -17,6 +18,7 @@ from repro.storage.metadata import (
     parse_timestamp,
     timestamp_add_seconds,
 )
+from repro.storage.search import das_search, scan_directory
 
 
 class TestTimestamps:
@@ -64,10 +66,6 @@ class TestDASMetadata:
         with pytest.raises(StorageError, match="not a DAS file"):
             DASMetadata.from_attrs({"SamplingFrequency(HZ)": 500})
 
-    def test_duration(self):
-        meta = DASMetadata(sampling_frequency=500.0)
-        assert meta.duration_seconds(30000) == pytest.approx(60.0)
-
     def test_invalid_values(self):
         with pytest.raises(StorageError):
             DASMetadata(sampling_frequency=0)
@@ -77,6 +75,34 @@ class TestDASMetadata:
             DASMetadata(timestamp="nope")
         with pytest.raises(StorageError):
             DASMetadata(n_channels=-1)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(StorageError):
+                DASMetadata(sampling_frequency=value)
+            with pytest.raises(StorageError):
+                DASMetadata(spatial_resolution=value)
+
+    @pytest.mark.parametrize("key, value", [
+        ("Number of objects", float("nan")),
+        ("Number of objects", "many"),
+        ("SamplingFrequency(HZ)", float("inf")),
+        ("SpatialResolution(m)", None),
+    ])
+    def test_malformed_attrs_rejected(self, key, value):
+        attrs = DASMetadata().to_attrs()
+        attrs[key] = value
+        with pytest.raises(StorageError):
+            DASMetadata.from_attrs(attrs)
+
+    def test_search_skips_a_malformed_file(self, tmp_path):
+        """One file with a NaN channel count is not a DAS file: a search
+        and a shape scan return the good one instead of aborting."""
+        for name in ("good.h5", "bad.h5"):
+            write_das_file(str(tmp_path / name), np.zeros((2, 10)), DASMetadata())
+        with File(str(tmp_path / "bad.h5"), "a") as f:
+            f.attrs["Number of objects"] = float("nan")
+        good = [str(tmp_path / "good.h5")]
+        assert [i.path for i in das_search(tmp_path, pattern=".*")] == good
+        assert [i.path for i in scan_directory(tmp_path, read_shapes=True)] == good
 
 
 class TestDASFileIO:
@@ -105,17 +131,14 @@ class TestDASFileIO:
         data = np.zeros((3, 10), dtype=np.float32)
         path = str(tmp_path / "f.h5")
         write_das_file(path, data, DASMetadata(n_channels=3), channel_groups=True)
-        with DASFile(path) as das:
-            info = das.channel_metadata(2)
+        with File(path, "r") as f:
+            info = f["Measurement/2"].attrs
             assert info["Array dimension"] == 1
             assert info["Number of raw data values"] == 10
-
-    def test_channel_metadata_missing(self, tmp_path):
-        path = str(tmp_path / "f.h5")
-        write_das_file(path, np.zeros((3, 10)), DASMetadata(n_channels=3), channel_groups=False)
-        with DASFile(path) as das:
-            with pytest.raises(StorageError):
-                das.channel_metadata(1)
+            assert "Measurement" in f
+        write_das_file(path, data, DASMetadata(n_channels=3), channel_groups=False)
+        with File(path, "r") as f:
+            assert "Measurement" not in f
 
     def test_partial_read_via_handle(self, tmp_path):
         data = np.arange(200, dtype=np.float32).reshape(10, 20)

@@ -28,7 +28,8 @@ class TestVCA:
             assert vca.shape == (16, 720)
             assert vca.metadata.sampling_frequency == 2.0
             assert vca.metadata.timestamp == das_dir["stamps"][0]
-            assert vca.source_timestamps == das_dir["stamps"]
+        with File(vca_path, "r") as f:
+            assert f.attrs["VCA source timestamps"] == das_dir["stamps"]
 
     def test_construction_reads_no_array_data(self, das_dir, tmp_path):
         stats = IOStats()
@@ -87,7 +88,8 @@ class TestVCA:
         assert stats.opens == 2  # first source + the output file
         with open_vca(vca_path) as vca:
             np.testing.assert_array_equal(vca.dataset.read(), das_dir["full"])
-            assert vca.source_timestamps == das_dir["stamps"]
+        with File(vca_path, "r") as f:
+            assert f.attrs["VCA source timestamps"] == das_dir["stamps"]
 
     def test_catalog_entries_accepted(self, das_dir, tmp_path):
         catalog = scan_directory(das_dir["dir"])
