@@ -25,7 +25,8 @@ this package is the correctness tooling that guards it:
 * :mod:`repro.checks.res` — resource lifecycle: handles released on
   every exit path, no blocking call while a lock is held;
 * :mod:`repro.checks.atm` — atomic persistence: durable writes go
-  through a synced temporary file and ``os.replace``;
+  through a synced temporary file and ``os.replace``, as
+  ``repro.utils.durable.publish`` does;
 * :mod:`repro.checks.bls` — BLAS calls: no BLAS-backed product on the
   executor's worker threads;
 * :mod:`repro.checks.runtime` — an instrumented ``Lock``/``RLock``

@@ -2,15 +2,18 @@
 
 Durable state in this repo — checkpoints, supervisor health files,
 catalogs, quarantine manifests — must survive a kill at any instruction.
-The blessed discipline is the one ``rt/checkpoint.py`` exemplifies:
+The blessed discipline is the one ``repro.utils.durable.publish``
+implements — and every sidecar in the package is written through it:
 write to a ``*.tmp`` sibling, ``flush()`` + ``os.fsync()`` the handle,
 then publish with ``os.replace()`` (atomic on POSIX).  Anything less has
 a window where a crash leaves a torn or empty file where good state used
 to be.
 
-The analyzer looks at every *text-mode* ``open`` in strict (non-relaxed)
-modules — bulk array data goes through the checksummed hdf5lite writer
-layer and is out of scope; durable state here is JSON/JSONL text:
+The analyzer looks at every ``open`` for writing or appending in strict
+(non-relaxed) modules.  A binary write straight onto its path is bulk
+array data, which goes through the checksummed hdf5lite writer layer,
+so ATM001 is for text-mode opens only; a tmp-staged or appending open
+is durable state in either mode:
 
 ``ATM001``
     a bare ``open(path, "w")`` (or ``Path.write_text``) straight onto
@@ -29,7 +32,8 @@ layer and is out of scope; durable state here is JSON/JSONL text:
 
 Reachability is CFG-based within the writing function (normal + back
 edges from the ``open`` site), so the discipline must be visible where
-the write happens — matching how ``CheckpointStore.save`` reads.
+the write happens — as it is in ``repro.utils.durable.publish`` and
+``append_lines``.
 """
 
 from __future__ import annotations
@@ -138,7 +142,7 @@ class AtomicPersistenceAnalyzer(Analyzer):
                 continue
             for call in node_calls(node.stmt):
                 mode = _open_mode(call)
-                if mode is not None and ("w" in mode or "a" in mode) and "b" not in mode:
+                if mode is not None and ("w" in mode or "a" in mode):
                     sites.append(_WriteSite(
                         call, mode, bool(TMPISH_RE.search(_path_text(call))),
                         node.uid,
@@ -169,8 +173,8 @@ class AtomicPersistenceAnalyzer(Analyzer):
                 f"{func.name}: write_text publishes directly onto the "
                 f"final path — a crash mid-write tears the file after the "
                 f"old copy is gone",
-                hint="write a .tmp sibling, fsync, then os.replace "
-                     "(see rt/checkpoint.py CheckpointStore.save)",
+                hint="publish through repro.utils.durable.publish (a "
+                     ".tmp sibling, fsync, then os.replace)",
             )
 
         for site in sites:
@@ -194,15 +198,15 @@ class AtomicPersistenceAnalyzer(Analyzer):
                 continue
             staged = site.tmpish or has_replace
             if not staged:
-                if mod.node_suppressed(site.call, "ATM001"):
+                if "b" in site.mode or mod.node_suppressed(site.call, "ATM001"):
                     continue
                 yield self.finding(
                     "ATM001", mod, site.call.lineno,
                     f"{func.name}: bare open(..., \"w\") onto the final "
                     f"path — a crash mid-write destroys the previous good "
                     f"copy and leaves a torn file",
-                    hint="write a .tmp sibling, fsync, then os.replace "
-                         "(see rt/checkpoint.py CheckpointStore.save)",
+                    hint="publish through repro.utils.durable.publish (a "
+                         ".tmp sibling, fsync, then os.replace)",
                 )
                 continue
             if not (has_fsync and has_replace):
@@ -215,6 +219,6 @@ class AtomicPersistenceAnalyzer(Analyzer):
                     f"os.replace is atomic for the name, not the bytes; "
                     f"without fsync the new name can point at unwritten "
                     f"data after power loss",
-                    hint="handle.flush(); os.fsync(handle.fileno()); "
-                         "os.replace(tmp, path)",
+                    hint="publish through repro.utils.durable.publish, "
+                         "which fsyncs the tmp sibling before os.replace",
                 )

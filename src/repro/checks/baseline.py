@@ -22,7 +22,6 @@ and never touches the waivers.
 from __future__ import annotations
 
 import json
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
@@ -30,6 +29,7 @@ from pathlib import Path
 
 from repro.checks.findings import Finding
 from repro.errors import ConfigError
+from repro.utils.durable import publish
 
 __all__ = ["Baseline", "Waiver", "UNREVIEWED"]
 
@@ -131,10 +131,4 @@ class Baseline:
 
     def save(self, path: str | Path, findings: list[Finding]) -> None:
         doc = self.updated_document(findings)
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(doc, indent=2, sort_keys=False) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        publish(path, (json.dumps(doc, indent=2) + "\n").encode())

@@ -8,8 +8,8 @@ are re-read from the durable acquisition files on resume by
 work queue is not saved: a resume rescans the spool).
 A tail that cannot be re-read raises; the service then resumes without
 its carried state and reports why (``RTService.resume_error``).  Writes
-go through a temp file and ``os.replace`` so a kill mid-write leaves the
-previous checkpoint intact, never a torn one.
+go through :func:`repro.utils.durable.publish`, so a kill mid-write
+leaves the previous checkpoint intact, never a torn one.
 
 Two defences make a *corrupted* checkpoint recoverable rather than
 fatal:
@@ -36,6 +36,7 @@ import numpy as np
 from repro.errors import CheckpointCorruptError, ReproError, StorageError
 from repro.faults.policy import retry_call
 from repro.storage.dasfile import DASFile
+from repro.utils.durable import publish
 
 CHECKPOINT_VERSION = 1
 CHECKPOINT_NAME = ".das_rt_checkpoint.json"
@@ -63,29 +64,18 @@ class CheckpointStore:
         #: ``"primary"``, ``"previous"``, or ``None``.
         self.loaded_from: str | None = None
 
-    def exists(self) -> bool:
-        return os.path.exists(self.path)
-
     def save(self, payload: dict) -> None:
         """Atomically persist ``payload`` (version + CRC stamped here),
-        demoting the current checkpoint to the ``.prev`` generation.
-
-        A kill at any point leaves at least one verifiable generation on
-        disk: the temp file is fsynced before any rename, and the demote
-        happens before the promote — a crash between the two renames
-        loses only the *newest* state, never both.
-        """
+        demoting the current checkpoint to the ``.prev`` generation, so a
+        kill at any point leaves at least one verifiable generation."""
         # Encoded once: the canonical body the CRC covers is the body
         # written, with the ``crc`` member appended inside its brace.
         body = _canonical({"version": CHECKPOINT_VERSION, **payload})
-        tmp = self.path + ".tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(body[:-1] + b', "crc": %d}' % zlib.crc32(body))
-            handle.flush()
-            os.fsync(handle.fileno())
-        if os.path.exists(self.path):
-            os.replace(self.path, self.previous_path)
-        os.replace(tmp, self.path)
+        publish(
+            self.path,
+            body[:-1] + b', "crc": %d}' % zlib.crc32(body),
+            previous=self.previous_path,
+        )
 
     def _read_document(self, path: str) -> dict:
         """Parse + verify one generation; raises the typed error."""

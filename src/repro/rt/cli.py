@@ -20,7 +20,7 @@ import sys
 
 from repro.core.local_similarity import LocalSimilarityConfig
 from repro.errors import ConfigError, ReproError
-from repro.rt.events import EventPolicy, EventSink
+from repro.rt.events import EventPolicy, read_event_log
 from repro.rt.ingest import Quarantine
 from repro.rt.scheduler import DETECTORS, DetectorConfig
 from repro.rt.service import EVENTS_NAME, RTService, ServiceConfig
@@ -275,13 +275,12 @@ def cmd_status(args: argparse.Namespace) -> int:
         if args.events is not None
         else os.path.join(args.spool, EVENTS_NAME)
     )
-    sink = EventSink(events_path)
-    events = sink.load()
+    records, _ = read_event_log(events_path)
     quarantine = Quarantine(args.spool)
     report = {
         "spool": args.spool,
-        "events": len(events),
-        "kinds": sorted({e.event.kind for e in events}),
+        "events": len(records),
+        "kinds": sorted({e.event.kind for _, e in records}),
         "quarantined": sorted(quarantine.reasons),
     }
     health_path = os.path.join(args.spool, HEALTH_NAME)

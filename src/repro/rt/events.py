@@ -14,7 +14,6 @@ yields the identical event list to one pass over the whole map
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from repro.core.detection import DetectedEvent
 from repro.errors import ConfigError
+from repro.utils.durable import append_lines, read_lines
 
 STATE_VERSION = 1
 #: The slope fit's carried sums, in checkpoint-payload order.
@@ -306,6 +306,18 @@ def map_events(
     return events
 
 
+def read_event_log(path: str, start: int = 0) -> tuple[list[tuple[str, SeamEvent]], int]:
+    """The log's complete rows from byte ``start`` as ``(record, event)``
+    pairs (the record is part of the cross-shard idempotency key), and
+    the byte offset past the last one.  A row that does not parse as an
+    event is a :class:`~repro.errors.CorruptDataError` at its offset."""
+    return read_lines(path, start, _record_event)
+
+
+def _record_event(row: dict) -> tuple[str, SeamEvent]:
+    return str(row.get("record", "")), SeamEvent.from_json(row)
+
+
 class EventSink:
     """Append-only JSONL event log with resume dedup.
 
@@ -313,66 +325,31 @@ class EventSink:
     fields plus ``record``, ``j_start``, ``j_end``).  On open, existing
     ``(record, j_start, j_end)`` keys are loaded so a resumed service
     that re-finalises an already-logged event skips it instead of
-    doubling it.
+    doubling it.  :attr:`end` is the byte length of the log's complete
+    rows (a torn last row is not counted, and the next :meth:`emit`
+    cuts it).
     """
 
     def __init__(self, path: str):
         self.path = os.fspath(path)
-        self._keys: set[tuple[str, int, int]] = set()
-        self.count = 0
-        if os.path.exists(self.path):
-            with open(self.path, encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    entry = json.loads(line)
-                    self._keys.add(
-                        (
-                            str(entry.get("record", "")),
-                            int(entry["j_start"]),
-                            int(entry["j_end"]),
-                        )
-                    )
-                    self.count += 1
+        rows, self.end = read_event_log(self.path)
+        self._keys = {(record, e.j_start, e.j_end) for record, e in rows}
+        self.count = len(rows)
 
     def emit(self, events: list[SeamEvent], record: str = "") -> list[SeamEvent]:
         """Append the not-yet-logged events; returns what was written."""
         written: list[SeamEvent] = []
-        if not events:
-            return written
-        with open(self.path, "a", encoding="utf-8") as handle:
-            for seam_event in events:
-                key = (str(record), seam_event.j_start, seam_event.j_end)
-                if key in self._keys:
-                    continue
-                payload = seam_event.to_json()
-                payload["record"] = str(record)
-                handle.write(json.dumps(payload) + "\n")
+        for seam_event in events:
+            key = (str(record), seam_event.j_start, seam_event.j_end)
+            if key not in self._keys:
                 self._keys.add(key)
-                self.count += 1
                 written.append(seam_event)
-            handle.flush()
-            os.fsync(handle.fileno())
+        if written:
+            rows = [{**e.to_json(), "record": str(record)} for e in written]
+            self.end = append_lines(self.path, rows)
+            self.count += len(rows)
         return written
 
     def load(self) -> list[SeamEvent]:
         """Read the full log back as :class:`SeamEvent` rows."""
-        return [event for _, event in self.load_records()]
-
-    def load_records(self) -> list[tuple[str, SeamEvent]]:
-        """Read the full log back as ``(record, event)`` rows — the
-        record is part of the cross-shard idempotency key, so a shard
-        replaying its log to the aggregator must keep it."""
-        rows: list[tuple[str, SeamEvent]] = []
-        if not os.path.exists(self.path):
-            return rows
-        with open(self.path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    entry = json.loads(line)
-                    rows.append(
-                        (str(entry.get("record", "")), SeamEvent.from_json(entry))
-                    )
-        return rows
+        return [event for _, event in read_event_log(self.path)[0]]

@@ -11,7 +11,6 @@ crashes on one truncated file misses every event after it.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -19,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
+from repro.utils.durable import append_lines, read_lines
 
 QUARANTINE_NAME = ".das_quarantine.jsonl"
 
@@ -160,6 +160,10 @@ class WorkQueue:
             return list(self._items)
 
 
+def _quarantine_row(row: dict) -> tuple[str, str, dict | None]:
+    return row["name"], row.get("reason", ""), row.get("error")
+
+
 class Quarantine:
     """Append-only record of files the service gave up on.
 
@@ -185,15 +189,10 @@ class Quarantine:
         self._lock = threading.Lock()
         self.reasons: dict[str, str] = {}  # guarded-by: _lock
         self.errors: dict[str, dict | None] = {}  # guarded-by: _lock
-        if os.path.exists(self.path):
-            with open(self.path, encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    entry = json.loads(line)
-                    self.reasons[entry["name"]] = entry.get("reason", "")
-                    self.errors[entry["name"]] = entry.get("error")
+        rows, _ = read_lines(self.path, parse=_quarantine_row)
+        for name, reason, error in rows:
+            self.reasons[name] = reason
+            self.errors[name] = error
 
     def __len__(self) -> int:
         with self._lock:
@@ -246,7 +245,4 @@ class Quarantine:
         # log keyed by name (load() just replays it into the maps), so
         # row order across threads doesn't matter — but holding the lock
         # across file I/O would stall every reader behind the disk.
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        append_lines(self.path, [entry])

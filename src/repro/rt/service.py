@@ -54,7 +54,6 @@ class ServiceConfig:
     queue_capacity: int = 64
     max_retries: int = 3
     checkpoint_every: int = 1  # processed files between checkpoints; 0 = off
-    update_catalog: bool = True
 
     def __post_init__(self) -> None:
         if self.poll_interval < 0:
@@ -370,8 +369,7 @@ class RTService:
         self.metrics.samples_in += int(n_samples)
         self.metrics.ingest_lag.record(max(self.clock() - mtime, 0.0))
         self.metrics.stage("total").record(self.metrics.clock() - t0)
-        if self.config.update_catalog:
-            self._index(path)
+        self._index(path)
         if self.on_file is not None:
             # Chaos hook: fires after the file is fully consumed but
             # (possibly) before the next checkpoint — it may raise

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigError, DegradedReadError, InjectedFaultError
 from repro.faults.chaos import ChaosAction, restore_dir, tear_file, vanish_dir
 from repro.faults.policy import FailurePolicy, retry_call
-from repro.rt.events import EventPolicy
+from repro.rt.events import EventPolicy, read_event_log
 from repro.rt.scheduler import DetectorConfig
 from repro.rt.service import RTService, ServiceConfig
 
@@ -163,7 +163,7 @@ class ShardRuntime:
         self.incarnation = 0
         self.restarts = 0
         self.service: RTService | None = None
-        self._sent_rows = 0
+        self._sent_end = 0  # byte offset past the last forwarded log row
         self._checkpoint_path = ""
         self._stopped = False
         self.checkpoint_fallbacks: list[str] = []
@@ -225,7 +225,7 @@ class ShardRuntime:
         # Idempotent re-ingestion: everything in the local log is
         # (re)offered to the aggregator; it dedups on the event key, so
         # rows that made it across before the crash are absorbed.
-        self._sent_rows = 0
+        self._sent_end = 0
 
     def _crash(self) -> None:
         """Drop the service exactly as a SIGKILL would: no flush, no
@@ -238,10 +238,9 @@ class ShardRuntime:
     # -- messaging ------------------------------------------------------------
     def _forward_events(self) -> None:
         service = self.service
-        if service is None or service.sink.count <= self._sent_rows:
+        if service is None or service.sink.end <= self._sent_end:
             return
-        rows = service.sink.load_records()[self._sent_rows:]
-        self._sent_rows += len(rows)
+        rows, self._sent_end = read_event_log(service.sink.path, self._sent_end)
         self.comm.send(
             {
                 "shard": self.spec.shard_id,

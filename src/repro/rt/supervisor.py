@@ -29,7 +29,6 @@ supervisor's result.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -47,6 +46,7 @@ from repro.rt.shard import (
 )
 from repro.simmpi.executor import run_spmd
 from repro.simmpi.fabric import ANY_SOURCE
+from repro.utils.durable import publish
 
 __all__ = [
     "ALIVE",
@@ -317,15 +317,6 @@ class SupervisorConfig:
             raise ConfigError("wall_timeout must be > 0")
 
 
-def _write_health(path: str, payload: dict) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
 def supervisor_main(
     comm,
     specs: list[ShardSpec],
@@ -416,9 +407,9 @@ def supervisor_main(
                 comm.send({"cmd": "stop"}, dest=rank_of[sid], tag=TAG_COMMAND)
             stop_sent = True
         if health_path is not None:
-            _write_health(health_path, _health_payload(
+            publish(health_path, json.dumps(_health_payload(
                 monitor, status, recovery_s, clock()
-            ))
+            ), indent=2).encode())
         time.sleep(config.poll_sleep)
     # Final drain: every shard posted its tail events *before* its
     # stopped beat, and fabric posts are seq-ordered per mailbox, so
@@ -427,7 +418,7 @@ def supervisor_main(
     rows = aggregator.read()
     health = _health_payload(monitor, status, recovery_s, clock())
     if health_path is not None:
-        _write_health(health_path, health)
+        publish(health_path, json.dumps(health, indent=2).encode())
     return {
         "rows": rows,
         "signature": catalog_signature(rows),

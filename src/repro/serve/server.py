@@ -33,7 +33,7 @@ from repro.core.optimizer import execute, optimize
 from repro.errors import ConfigError, FormatError, ServeError
 from repro.hdf5lite.cache import BlockCache, CacheConfig, FilePool
 from repro.hdf5lite.pyramid import PyramidLevel, pyramid_levels
-from repro.rt.events import EventSink, SeamEvent
+from repro.rt.events import SeamEvent, read_event_log
 from repro.serve.admission import AdmissionController, TenantQuota
 from repro.serve.pyramid import level_slice, select_level
 from repro.storage.chunks import SourceView, open_stream
@@ -215,7 +215,8 @@ class DataServer:
         signature = (stat.st_mtime, stat.st_size)
         with self._events_lock:
             if self._events_sig != signature:
-                self._events = EventSink(self._events_path).load()
+                records, _ = read_event_log(self._events_path)
+                self._events = [event for _, event in records]
                 self._events_sig = signature
             return list(self._events)
 

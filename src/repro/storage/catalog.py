@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import StorageError
 from repro.storage.search import DASFileInfo, file_info, scan_directory
+from repro.utils.durable import publish
 
 CATALOG_NAME = ".das_catalog.json"
 CATALOG_VERSION = 1
@@ -51,28 +52,27 @@ class Catalog:
         directory = os.fspath(directory)
         path = os.path.join(directory, CATALOG_NAME)
         try:
-            with open(path) as fh:
+            with open(path, "rb") as fh:
                 raw = json.load(fh)
+            if raw["version"] == CATALOG_VERSION:
+                entries = []
+                for entry in raw["entries"]:
+                    name, timestamp = entry["name"], entry["timestamp"]
+                    if not (isinstance(name, str) and isinstance(timestamp, str)):
+                        raise StorageError(f"corrupt catalog {path!r}: entry {entry!r}")
+                    entries.append(DASFileInfo(
+                        path=os.path.join(directory, name),
+                        timestamp=timestamp,
+                        n_channels=entry.get("n_channels", 0),
+                        n_samples=entry.get("n_samples", 0),
+                    ))
+                last_mtime = float(raw.get("last_mtime", 0.0))
+                return cls(directory=directory, entries=entries, last_mtime=last_mtime)
         except FileNotFoundError:
             raise StorageError(f"no catalog at {path!r}; build one first") from None
-        except json.JSONDecodeError as exc:
-            raise StorageError(f"corrupt catalog {path!r}: {exc}") from exc
-        if raw.get("version") != CATALOG_VERSION:
-            raise StorageError(
-                f"catalog version {raw.get('version')} unsupported"
-            )
-        entries = [
-            DASFileInfo(
-                path=os.path.join(directory, entry["name"]),
-                timestamp=entry["timestamp"],
-                n_channels=entry.get("n_channels", 0),
-                n_samples=entry.get("n_samples", 0),
-            )
-            for entry in raw["entries"]
-        ]
-        return cls(
-            directory=directory, entries=entries, last_mtime=raw.get("last_mtime", 0.0)
-        )
+        except (ValueError, LookupError, TypeError) as exc:
+            raise StorageError(f"corrupt catalog {path!r}: {exc!r}") from exc
+        raise StorageError(f"catalog version {raw['version']!r} unsupported")
 
     @classmethod
     def open(cls, directory: str | os.PathLike) -> "Catalog":
@@ -90,7 +90,7 @@ class Catalog:
         return catalog
 
     # -- persistence --------------------------------------------------------------
-    def save(self) -> str:
+    def save(self) -> None:
         payload = {
             "version": CATALOG_VERSION,
             "last_mtime": self.last_mtime,
@@ -104,13 +104,8 @@ class Catalog:
                 for entry in self.entries
             ],
         }
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(json.dumps(payload))  # one C-encoder call, not dump()'s iterator
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        return self.path
+        # one C-encoder call, not dump()'s iterator
+        publish(self.path, json.dumps(payload).encode())
 
     # -- freshness ------------------------------------------------------------------
     def _dir_mtime(self) -> float:

@@ -1,9 +1,10 @@
 """Checks fixture: atomic-persistence violations.
 
 Expected: two ATM001 (bare open-for-write onto the final path;
-``write_text`` straight to the destination), one ATM002 (tmp-staged
-write published by ``os.replace`` without fsync), and one ATM003
-(append to a durable log with no flush + fsync).
+``write_text`` straight to the destination), two ATM002 (a tmp-staged
+text and a tmp-staged binary write published by ``os.replace`` without
+fsync), and two ATM003 (a text and a binary append to a durable log
+with no flush + fsync).
 """
 
 import json
@@ -29,3 +30,17 @@ def save_unsynced(path, payload):
 def append_row(path, row):
     with open(path, "a") as fh:
         fh.write(row + "\n")
+
+
+def publish_unsynced(path, data):
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+    os.replace(tmp, path)  # flushed to the page cache, not to disk
+
+
+def append_bytes(path, data):
+    with open(path, "ab") as fh:
+        fh.write(data)
+        fh.flush()

@@ -1,9 +1,9 @@
 """Checks fixture: atomic-persistence — the blessed discipline.
 
 Twins of ``atm_bad.py``: the full tmp + flush + fsync + ``os.replace``
-sequence, a durable append that flushes and fsyncs, a binary bulk
-write (out of scope), a read-only open, and an annotated throwaway
-report.  Expected: no ATM findings.
+sequence in text and in binary mode, durable text and binary appends
+that flush and fsync, a binary bulk write (out of scope), a read-only
+open, and an annotated throwaway report.  Expected: no ATM findings.
 """
 
 import json
@@ -22,6 +22,22 @@ def save_atomic(path, payload):
 def append_durable(path, row):
     with open(path, "a") as fh:
         fh.write(row + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
+def publish_bytes(path, data):
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
+def append_bytes_durable(path, data):
+    with open(path, "a+b") as fh:
+        fh.write(data)
         fh.flush()
         os.fsync(fh.fileno())
 

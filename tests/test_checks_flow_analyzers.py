@@ -103,7 +103,7 @@ def test_atm_good_is_clean():
 
 def test_atm_bad_findings():
     findings = list(AtomicPersistenceAnalyzer().run(project_for("atm_bad.py")))
-    assert codes(findings) == {"ATM001": 2, "ATM002": 1, "ATM003": 1}
+    assert codes(findings) == {"ATM001": 2, "ATM002": 2, "ATM003": 2}
 
 
 def test_atm_noqa_suppresses_write(tmp_path):

@@ -24,6 +24,7 @@ from repro.rt import (
     ServiceConfig,
 )
 from repro.rt.checkpoint import PREVIOUS_SUFFIX
+from repro.rt.events import read_event_log
 from repro.synthetic.generator import drip_feed_dataset, fig1b_scene
 
 PAYLOAD_ONE = {"files_done": [["a.h5", 600]], "sample_count": 600}
@@ -209,7 +210,6 @@ POLICY = EventPolicy(threshold=0.4, min_fraction=0.25)
 CFG = ServiceConfig(
     poll_interval=0.0, settle_seconds=0.0, stable_polls=1,
     checkpoint_every=1, max_retries=2, queue_capacity=1,
-    update_catalog=False,
 )
 
 
@@ -240,7 +240,8 @@ def _reference_keys(spool):
                     config=CFG)
     ref.drain()
     ref.flush()
-    return {(r, e.j_start, e.j_end) for r, e in ref.sink.load_records()}
+    rows, _ = read_event_log(ref.sink.path)
+    return {(r, e.j_start, e.j_end) for r, e in rows}
 
 
 class TestServiceRecovery:
@@ -262,7 +263,7 @@ class TestServiceRecovery:
         resumed.drain()
         resumed.flush()
         got = {(r, e.j_start, e.j_end)
-               for r, e in resumed.sink.load_records()}
+               for r, e in read_event_log(resumed.sink.path)[0]}
         assert got == expected
 
     def test_total_corruption_starts_fresh_with_typed_reason(self, tmp_path):
@@ -285,7 +286,7 @@ class TestServiceRecovery:
         resumed.drain()
         resumed.flush()
         got = {(r, e.j_start, e.j_end)
-               for r, e in resumed.sink.load_records()}
+               for r, e in read_event_log(resumed.sink.path)[0]}
         assert got == expected
 
     @pytest.mark.parametrize(
@@ -337,5 +338,5 @@ class TestServiceRecovery:
         resumed.drain()
         resumed.flush()
         got = {(r, e.j_start, e.j_end)
-               for r, e in resumed.sink.load_records()}
+               for r, e in read_event_log(resumed.sink.path)[0]}
         assert got == expected

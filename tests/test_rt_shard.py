@@ -32,6 +32,7 @@ from repro.rt import (
     catalog_signature,
     run_sharded,
 )
+from repro.rt.events import read_event_log
 from repro.simmpi.fabric import Fabric, Message
 from repro.synthetic.generator import drip_feed_dataset, fig1b_scene
 
@@ -55,7 +56,6 @@ SHARD_CONFIG = ServiceConfig(
     checkpoint_every=1,
     max_retries=2,
     queue_capacity=1,
-    update_catalog=False,
 )
 HB = HeartbeatConfig(
     interval=0.01, suspect_after=0.1, dead_after=0.3, restart_grace=10.0
@@ -275,7 +275,7 @@ def _reference_signature(specs, refs):
         )
         service.drain()
         service.flush()
-        for record, event in service.sink.load_records():
+        for record, event in read_event_log(service.sink.path)[0]:
             rows.append(
                 (spec.shard_id, record, event.rebased(spec.channel_base))
             )
