@@ -2,10 +2,11 @@
 
 The codebase is a genuinely concurrent system: ``apply_mt`` and
 ``run_chunks`` run UDFs and chains on worker threads, ``hdf5lite.cache``
-shares a ``BlockCache``/``FilePool`` across readers, ``rt.ingest`` feeds
-a bounded ``WorkQueue``, and ``simmpi`` ranks are threads.  The paper's
-scaling claim (§IV-B) rests on that machinery staying thread-safe, so
-this package is the correctness tooling that guards it:
+shares a ``BlockCache``/``FilePool`` across readers, ``rt.ingest``'s
+``Quarantine`` guards its maps with a lock, and ``simmpi`` ranks are
+threads.  The paper's scaling claim (§IV-B) rests on that machinery
+staying thread-safe, so this package is the correctness tooling that
+guards it:
 
 * :mod:`repro.checks.locks` — lock discipline: attributes annotated
   ``# guarded-by: <lock-attr>`` may only be mutated inside a

@@ -1,7 +1,7 @@
 """Atomic-persistence analyzer (``ATM``).
 
 Durable state in this repo — checkpoints, supervisor health files,
-catalogs, quarantine manifests — must survive a kill at any instruction.
+event logs, quarantine manifests — must survive a kill at any instruction.
 The blessed discipline is the one ``repro.utils.durable.publish``
 implements — and every sidecar in the package is written through it:
 write to a ``*.tmp`` sibling, ``flush()`` + ``os.fsync()`` the handle,

@@ -6,7 +6,7 @@ acquisition.  This package turns the repo's streaming kernels into a
 long-running service:
 
 * :mod:`repro.rt.ingest` — spool-directory watcher (complete-file
-  heuristics), bounded work queue with backpressure, quarantine;
+  heuristics) and quarantine;
 * :mod:`repro.rt.scheduler` — :class:`DetectorConfig`, the detector
   chain the service runs *across file boundaries* through the operator
   graph's :class:`~repro.core.pipeline.IncrementalRunner`, so detections
@@ -15,7 +15,7 @@ long-running service:
   with seam-dedup;
 * :mod:`repro.rt.checkpoint` — atomic JSON checkpoints for
   kill-and-resume with no missed or duplicated events;
-* :mod:`repro.rt.metrics` — per-stage latency, queue depth, ingest lag;
+* :mod:`repro.rt.metrics` — per-stage latency, backlog, ingest lag;
 * :mod:`repro.rt.service` / :mod:`repro.rt.cli` — the service loop and
   ``python -m repro.rt watch <spool>``;
 * :mod:`repro.rt.shard` / :mod:`repro.rt.supervisor` — the sharded
@@ -33,7 +33,7 @@ from repro.rt.events import (
     SeamEvent,
     map_events,
 )
-from repro.rt.ingest import PendingFile, Quarantine, SpoolWatcher, WorkQueue
+from repro.rt.ingest import PendingFile, Quarantine, SpoolWatcher
 from repro.rt.metrics import LatencyStats, RTMetrics
 from repro.rt.scheduler import DetectorConfig
 from repro.rt.service import RTService, ServiceConfig
@@ -59,7 +59,6 @@ __all__ = [
     "PendingFile",
     "Quarantine",
     "SpoolWatcher",
-    "WorkQueue",
     "LatencyStats",
     "RTMetrics",
     "DetectorConfig",

@@ -5,7 +5,7 @@ A checkpoint is one JSON document: the list of fully-processed files
 digest + watermarks — the raw tail samples are *not* serialised, they
 are re-read from the durable acquisition files on resume by
 :func:`read_sample_range`), the open event run and the retry counts (the
-work queue is not saved: a resume rescans the spool).
+backlog is not saved: a resume rescans the spool).
 A tail that cannot be re-read raises; the service then resumes without
 its carried state and reports why (``RTService.resume_error``).  Writes
 go through :func:`repro.utils.durable.publish`, so a kill mid-write

@@ -21,7 +21,7 @@ import sys
 from repro.core.local_similarity import LocalSimilarityConfig
 from repro.errors import ConfigError, ReproError
 from repro.rt.events import EventPolicy, read_event_log
-from repro.rt.ingest import Quarantine
+from repro.rt.ingest import Quarantine, is_acquisition_file
 from repro.rt.scheduler import DETECTORS, DetectorConfig
 from repro.rt.service import EVENTS_NAME, RTService, ServiceConfig
 from repro.rt.shard import ShardOptions, ShardSpec
@@ -189,9 +189,7 @@ def cmd_watch_sharded(args: argparse.Namespace) -> int:
         spool = os.path.join(args.spool, f"shard-{shard}")
         if not os.path.isdir(spool):
             raise ConfigError(f"shard spool missing: {spool}")
-        expected = len(
-            [n for n in os.listdir(spool) if n.endswith((".h5", ".hdf5"))]
-        )
+        expected = sum(map(is_acquisition_file, os.listdir(spool)))
         specs.append(
             ShardSpec(
                 shard_id=shard,

@@ -15,7 +15,7 @@ yields the identical event list to one pass over the whole map
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -97,16 +97,10 @@ class SeamEvent:
         the merged catalog."""
         if not channel_offset:
             return self
-        moved = DetectedEvent(
-            label=self.event.label,
-            kind=self.event.kind,
+        moved = replace(
+            self.event,
             channel_lo=self.event.channel_lo + int(channel_offset),
             channel_hi=self.event.channel_hi + int(channel_offset),
-            t_start=self.event.t_start,
-            t_end=self.event.t_end,
-            peak_similarity=self.event.peak_similarity,
-            n_cells=self.event.n_cells,
-            speed_channels_per_s=self.event.speed_channels_per_s,
         )
         return SeamEvent(moved, self.j_start, self.j_end)
 

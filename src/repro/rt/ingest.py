@@ -1,4 +1,4 @@
-"""Spool-directory ingest: complete-file detection, work queue, quarantine.
+"""Spool-directory ingest: complete-file detection and quarantine.
 
 An acquisition system writes per-minute files *in place*, so a file
 that merely exists in the spool is not necessarily finished.  The
@@ -14,13 +14,18 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.utils.durable import append_lines, read_lines
 
 QUARANTINE_NAME = ".das_quarantine.jsonl"
+
+
+def is_acquisition_file(name: str) -> bool:
+    """Whether a spool entry's name is an acquisition file the service
+    ingests: ``*.h5``, and not a dot-file (a writer's temporary)."""
+    return name.endswith(".h5") and not name.startswith(".")
 
 
 @dataclass
@@ -48,7 +53,6 @@ class SpoolWatcher:
         directory: str,
         settle_seconds: float = 1.0,
         stable_polls: int = 2,
-        suffix: str = ".h5",
         clock=time.time,
     ):
         if stable_polls < 1:
@@ -58,7 +62,6 @@ class SpoolWatcher:
         self.directory = os.fspath(directory)
         self.settle_seconds = float(settle_seconds)
         self.stable_polls = int(stable_polls)
-        self.suffix = suffix
         self.clock = clock
         self._pending: dict[str, PendingFile] = {}
         self._announced: set[str] = set()
@@ -83,7 +86,7 @@ class SpoolWatcher:
         ready: list[str] = []
         seen_paths: set[str] = set()
         for name in names:
-            if not name.endswith(self.suffix) or name.startswith("."):
+            if not is_acquisition_file(name):
                 continue
             path = os.path.join(self.directory, name)
             if path in self._announced:
@@ -112,52 +115,6 @@ class SpoolWatcher:
             self._announced.add(path)
             self._pending.pop(path, None)
         return ready
-
-
-class WorkQueue:
-    """Bounded FIFO of file paths with backpressure accounting.
-
-    :meth:`offer` refuses items beyond ``capacity``; the caller keeps
-    refused paths in its overflow list (which is not bounded) and
-    re-offers them next tick.  What the capacity bounds is the files one
-    tick processes, not the paths held in memory.
-
-    Thread-safe: the watch loop enqueues from its tick thread while a
-    status endpoint (or a detached drain) may inspect depth concurrently.
-    """
-
-    def __init__(self, capacity: int = 64):
-        if capacity < 1:
-            raise ConfigError("queue capacity must be >= 1")
-        self.capacity = int(capacity)
-        self._lock = threading.Lock()
-        self._items: deque[str] = deque()  # guarded-by: _lock
-        self.rejected = 0  # guarded-by: _lock
-        self.peak_depth = 0  # guarded-by: _lock
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._items)
-
-    def offer(self, item: str) -> bool:
-        """Enqueue; returns ``False`` (and counts the rejection) when full."""
-        with self._lock:
-            if len(self._items) >= self.capacity:
-                self.rejected += 1
-                return False
-            self._items.append(item)
-            self.peak_depth = max(self.peak_depth, len(self._items))
-            return True
-
-    def pop(self) -> str | None:
-        """Dequeue the oldest item, or ``None`` when empty."""
-        with self._lock:
-            return self._items.popleft() if self._items else None
-
-    def items(self) -> list[str]:
-        """Snapshot of queued paths."""
-        with self._lock:
-            return list(self._items)
 
 
 def _quarantine_row(row: dict) -> tuple[str, str, dict | None]:

@@ -84,7 +84,6 @@ class RTMetrics:
         self.records_finished = 0
         self.samples_in = 0
         self.columns_out = 0
-        self.queue_depth = 0
         self.backlog = 0
         self.stages: dict[str, LatencyStats] = {}
         self.ingest_lag = LatencyStats()
@@ -116,7 +115,6 @@ class RTMetrics:
             "records_finished": self.records_finished,
             "samples_in": self.samples_in,
             "columns_out": self.columns_out,
-            "queue_depth": self.queue_depth,
             "backlog": self.backlog,
             "files_per_second": self.files_per_second,
             "ingest_lag": self.ingest_lag.snapshot(),
@@ -131,7 +129,6 @@ class RTMetrics:
             f"{'files ingested':<18}{self.files_ingested}",
             f"{'quarantined':<18}{self.files_quarantined}",
             f"{'events emitted':<18}{self.events_emitted}",
-            f"{'queue depth':<18}{self.queue_depth}",
             f"{'files/sec':<18}{self.files_per_second:.2f}",
         ]
         lag = self.ingest_lag.snapshot()

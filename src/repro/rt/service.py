@@ -1,14 +1,14 @@
-"""The monitoring service: watcher → queue → incremental runner → event log.
+"""The monitoring service: watcher → backlog → incremental runner → event log.
 
 One :meth:`RTService.tick` is one poll of the spool plus processing of
-everything queued: each complete file is read, pushed through the
-detector chain's :class:`~repro.core.pipeline.IncrementalRunner`
-(carried state threading the halo across the file seam), the emitted
-columns are assembled into events, and new events are appended to the
-JSONL log and the storage catalog is refreshed.  Failures never stop
-the loop — a file that cannot be read is retried a bounded number of
-times and then quarantined with its reason, and the service moves on to
-the next file.
+up to ``queue_capacity`` files from the front of the backlog: each
+complete file is read, pushed through the detector chain's
+:class:`~repro.core.pipeline.IncrementalRunner` (carried state threading
+the halo across the file seam), the emitted columns are assembled into
+events, and new events are appended to the JSONL log.  Failures never
+stop the loop — a file that cannot be read goes to the back of the
+backlog for a bounded number of retries and is then quarantined with its
+reason, and the service moves on to the next file.
 
 A checkpoint is taken after every ``checkpoint_every`` processed files,
 counted file by file inside a tick (and on :meth:`close`); constructing
@@ -24,16 +24,16 @@ from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from dataclasses import dataclass
 
 from repro.core.pipeline import IncrementalRunner
 from repro.errors import CheckpointCorruptError, ConfigError, ReproError
 from repro.rt.checkpoint import CHECKPOINT_NAME, CheckpointStore, read_sample_range
 from repro.rt.events import EventAssembler, EventPolicy, EventSink
-from repro.rt.ingest import Quarantine, SpoolWatcher, WorkQueue
+from repro.rt.ingest import Quarantine, SpoolWatcher
 from repro.rt.metrics import RTMetrics
 from repro.rt.scheduler import DetectorConfig
-from repro.storage.catalog import Catalog
 from repro.storage.dasfile import read_das_file
 from repro.storage.metadata import parse_timestamp, timestamp_add_seconds
 
@@ -51,13 +51,15 @@ class ServiceConfig:
     poll_interval: float = 1.0
     settle_seconds: float = 1.0
     stable_polls: int = 2
-    queue_capacity: int = 64
+    queue_capacity: int = 64  # files one tick processes
     max_retries: int = 3
     checkpoint_every: int = 1  # processed files between checkpoints; 0 = off
 
     def __post_init__(self) -> None:
         if self.poll_interval < 0:
             raise ConfigError("poll_interval must be >= 0")
+        if self.queue_capacity < 1:
+            raise ConfigError("queue capacity must be >= 1")
         if self.max_retries < 1:
             raise ConfigError("max_retries must be >= 1")
         if self.checkpoint_every < 0:
@@ -74,7 +76,6 @@ class RTService:
         policy: EventPolicy | None = None,
         config: ServiceConfig | None = None,
         events_path: str | None = None,
-        checkpoint_path: str | None = None,
         clock=time.time,
         on_event=None,
         state_dir: str | None = None,
@@ -101,7 +102,6 @@ class RTService:
             stable_polls=self.config.stable_polls,
             clock=clock,
         )
-        self.queue = WorkQueue(self.config.queue_capacity)
         self.quarantine = Quarantine(self.spool, state_dir=self.state_dir)
         # The live record's carried state, built from its first file's
         # geometry; ``None`` between records.
@@ -112,21 +112,20 @@ class RTService:
             else os.path.join(self.state_dir, EVENTS_NAME)
         )
         self.checkpoints = CheckpointStore(
-            checkpoint_path
-            if checkpoint_path is not None
-            else os.path.join(self.state_dir, CHECKPOINT_NAME)
+            os.path.join(self.state_dir, CHECKPOINT_NAME)
         )
         self.assembler: EventAssembler | None = None
         self.files_done: list[tuple[str, int]] = []
         self.files_seen: set[str] = set()
         self._attempts: dict[str, int] = {}
-        self._overflow: list[str] = []
+        # Announced paths not yet processed, in announcement order;
+        # retries rejoin at the back.
+        self.backlog: deque[str] = deque()
         self._record: str = ""  # base timestamp naming the current record
         self._expected_stamp: str | None = None
         self._since_checkpoint = 0
         self.resume_error: str | None = None
         self.checkpoint_fallback: str | None = None
-        self.catalog: Catalog | None = None
         self.watcher.mark_known(self.quarantine.paths())
         try:
             payload = self.checkpoints.load()
@@ -300,7 +299,7 @@ class RTService:
             self.metrics.files_quarantined += 1
             self._attempts.pop(path, None)
         else:
-            self._overflow.append(path)  # retry on a later tick
+            self.backlog.append(path)  # retry on a later tick
             self.metrics.files_requeued += 1
 
     def _process(self, path: str) -> bool:
@@ -369,7 +368,6 @@ class RTService:
         self.metrics.samples_in += int(n_samples)
         self.metrics.ingest_lag.record(max(self.clock() - mtime, 0.0))
         self.metrics.stage("total").record(self.metrics.clock() - t0)
-        self._index(path)
         if self.on_file is not None:
             # Chaos hook: fires after the file is fully consumed but
             # (possibly) before the next checkpoint — it may raise
@@ -378,37 +376,21 @@ class RTService:
             self.on_file(path)
         return True
 
-    def _index(self, path: str) -> None:
-        """Put the file just ingested in the catalog.  Only the first one
-        lists the spool (``Catalog.open``); later ones are added in memory,
-        so the cost does not grow with the files already landed."""
-        try:
-            if self.catalog is None:
-                self.catalog = Catalog.open(self.spool)
-            else:
-                self.catalog.add(path)
-                self.catalog.save()
-        except ReproError:
-            self.catalog = None  # the catalog must never stall detection
-
     # -- the loop -----------------------------------------------------------
     def tick(self) -> int:
-        """One poll + drain of the queue; returns files fully processed."""
+        """One poll, then up to ``queue_capacity`` files from the front of
+        the backlog; returns files fully processed."""
         self.metrics.ticks += 1
-        incoming = self._overflow
-        self._overflow = []
-        incoming.extend(
-            path
-            for path in self.watcher.scan()
-            if path not in self.quarantine
+        self.backlog.extend(
+            path for path in self.watcher.scan() if path not in self.quarantine
         )
-        for path in incoming:
-            if not self.queue.offer(path):
-                self._overflow.append(path)
-        self.metrics.backlog = len(self._overflow)
+        # Counted before processing: a retry rejoins the back of the
+        # backlog and waits for a later tick.
+        taken = min(self.config.queue_capacity, len(self.backlog))
+        self.metrics.backlog = len(self.backlog) - taken
         processed = 0
-        while (path := self.queue.pop()) is not None:
-            if not self._process(path):
+        for _ in range(taken):
+            if not self._process(self.backlog.popleft()):
                 continue
             processed += 1
             self._since_checkpoint += 1
@@ -417,7 +399,6 @@ class RTService:
                 and self._since_checkpoint >= self.config.checkpoint_every
             ):
                 self.save_checkpoint()
-        self.metrics.queue_depth = len(self.queue)
         return processed
 
     def drain(self, max_ticks: int = 1000) -> int:
@@ -433,13 +414,8 @@ class RTService:
                 for path in self.watcher.scan()
                 if path not in self.quarantine
             ]
-            self._overflow.extend(fresh)
-            if (
-                not fresh
-                and not self._overflow
-                and not len(self.queue)
-                and not self.watcher.pending
-            ):
+            self.backlog.extend(fresh)
+            if not fresh and not self.backlog and not self.watcher.pending:
                 break
         return total
 
@@ -476,7 +452,6 @@ class RTService:
                 else None
             ),
             "attempts": dict(self._attempts),
-            "events_logged": self.sink.count,
         }
         self.checkpoints.save(payload)
         self._since_checkpoint = 0

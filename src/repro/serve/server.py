@@ -202,8 +202,7 @@ class DataServer:
 
         Freshness is keyed on ``(mtime, size)``, not mtime alone: mtimes
         have finite granularity, so two appends inside one tick leave the
-        mtime unchanged — the same staleness race the storage catalog's
-        ``>=`` fix closed.  An append always grows the JSONL, so the size
+        mtime unchanged.  An append always grows the JSONL, so the size
         breaks the tie.
         """
         if self._events_path is None:

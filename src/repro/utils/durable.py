@@ -1,6 +1,6 @@
 """Durable state: the one atomic publisher and the one JSONL log format.
 
-Sidecars (checkpoints, catalogs, health files, checks baselines) are
+Sidecars (checkpoints, health files, checks baselines) are
 published whole by :func:`publish`; the event and quarantine logs are
 one JSON object per line, written by :func:`append_lines` and read by
 :func:`read_lines`.  This is the only module that calls ``os.fsync``.

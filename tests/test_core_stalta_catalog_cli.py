@@ -1,6 +1,4 @@
-"""Tests for STA/LTA detection, the persistent catalog, and das_analyze."""
-
-import os
+"""Tests for STA/LTA detection and das_analyze."""
 
 import numpy as np
 import pytest
@@ -15,8 +13,7 @@ from repro.core.stalta import (
     classic_sta_lta,
     trigger_onset,
 )
-from repro.errors import ConfigError, StorageError
-from repro.storage.catalog import CATALOG_NAME, Catalog
+from repro.errors import ConfigError
 from tests.reference.core import gathered_ratio
 
 
@@ -151,49 +148,6 @@ class TestArrayDetections:
             array_detections(np.zeros((2, 500)), 5, 50, min_fraction=0.0)
         with pytest.raises(ConfigError):
             array_detections(np.zeros(500), 5, 50)
-
-
-class TestCatalog:
-    def test_build_save_load_roundtrip(self, das_dir):
-        catalog = Catalog.build(das_dir["dir"])
-        assert len(catalog) == 6
-        catalog.save()
-        assert os.path.exists(os.path.join(das_dir["dir"], CATALOG_NAME))
-        loaded = Catalog.load(das_dir["dir"])
-        assert [e.timestamp for e in loaded] == das_dir["stamps"]
-
-    def test_load_missing_raises(self, tmp_path):
-        with pytest.raises(StorageError, match="no catalog"):
-            Catalog.load(str(tmp_path))
-
-    def test_open_builds_when_absent(self, das_dir):
-        catalog = Catalog.open(das_dir["dir"])
-        assert len(catalog) == 6
-
-    def test_refresh_picks_up_new_files(self, das_dir):
-        catalog = Catalog.build(das_dir["dir"])
-        catalog.save()
-        # add a new minute
-        from repro.storage.dasfile import das_filename, write_das_file
-        from repro.storage.metadata import DASMetadata
-
-        stamp = "170620101145"
-        write_das_file(
-            os.path.join(das_dir["dir"], das_filename(stamp)),
-            np.zeros((16, 120), dtype=np.float32),
-            DASMetadata(sampling_frequency=2.0, timestamp=stamp, n_channels=16),
-            channel_groups=False,
-        )
-        reopened = Catalog.open(das_dir["dir"])
-        assert len(reopened) == 7
-        assert reopened.entries[-1].timestamp == stamp
-
-    def test_corrupt_catalog_rejected(self, das_dir):
-        path = os.path.join(das_dir["dir"], CATALOG_NAME)
-        with open(path, "w") as fh:
-            fh.write("{broken")
-        with pytest.raises(StorageError, match="corrupt"):
-            Catalog.load(das_dir["dir"])
 
 
 class TestDasAnalyzeCLI:

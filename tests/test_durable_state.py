@@ -5,9 +5,7 @@
   append; a complete row that does not parse is a typed
   ``CorruptDataError``;
 * readers (``DataServer`` events, ``python -m repro.rt status``) read a
-  log a writer is in the middle of appending to without touching it;
-* a malformed catalog sidecar is a ``StorageError``, so the service
-  rebuilds it instead of stalling.
+  log a writer is in the middle of appending to without touching it.
 """
 
 from __future__ import annotations
@@ -24,18 +22,15 @@ import numpy as np
 import pytest
 
 from repro.core.detection import DetectedEvent
-from repro.core.local_similarity import LocalSimilarityConfig
-from repro.errors import CorruptDataError, StorageError
-from repro.rt import DetectorConfig, EventPolicy, RTService, ServiceConfig
+from repro.errors import CorruptDataError
+from repro.rt import RTService
 from repro.rt.events import EventSink, SeamEvent
 from repro.rt.ingest import QUARANTINE_NAME, Quarantine
 from repro.rt.service import EVENTS_NAME
 from repro.serve import DataServer
-from repro.storage.catalog import CATALOG_NAME, Catalog
 from repro.storage.dasfile import das_filename, write_das_file
 from repro.storage.metadata import DASMetadata
 from repro.storage.vca import create_vca
-from repro.synthetic.generator import drip_feed_dataset, fig1b_scene
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -249,48 +244,3 @@ def test_served_events_name_a_corrupt_row(tmp_path):
         with pytest.raises(CorruptDataError) as err:
             server.session("viewer").events(0, 600)
     assert err.value.path == log and err.value.offset == offset
-
-
-# -- the catalog sidecar ----------------------------------------------------------
-
-MALFORMED_CATALOGS = [
-    [1, 2],
-    {"version": 1, "last_mtime": 0.0},
-    {"version": 1, "entries": [{"timestamp": "170620100545"}]},
-    {"version": 1, "entries": [{"name": "westSac_170620100545.h5"}]},
-    {"version": 1, "entries": [{"name": "westSac_170620100545.h5", "timestamp": None}]},
-    {"version": 1, "entries": [{"name": 7, "timestamp": "170620100545"}]},
-]
-
-
-@pytest.mark.parametrize("document", MALFORMED_CATALOGS)
-def test_a_malformed_catalog_is_a_storage_error(tmp_path, document):
-    (tmp_path / CATALOG_NAME).write_text(json.dumps(document))
-    with pytest.raises(StorageError):
-        Catalog.load(tmp_path)
-
-
-@pytest.mark.parametrize("document", MALFORMED_CATALOGS)
-def test_service_rebuilds_a_malformed_catalog(tmp_path, document):
-    spool = tmp_path / "spool"
-    spool.mkdir()
-    (spool / CATALOG_NAME).write_text(json.dumps(document))
-    scene = fig1b_scene(n_channels=16, fs=50.0, minutes=2,
-                        samples_per_minute=600, seed=7)
-    list(drip_feed_dataset(spool, 2, scene=scene, samples_per_minute=600))
-    service = RTService(
-        str(spool),
-        detector=DetectorConfig(
-            band=(0.5, 12.0),
-            similarity=LocalSimilarityConfig(
-                half_window=25, channel_offset=1, half_lag=5, stride=25
-            ),
-        ),
-        policy=EventPolicy(threshold=0.4, min_fraction=0.25),
-        config=ServiceConfig(poll_interval=0.0, settle_seconds=0.0,
-                             stable_polls=1),
-    )
-    service.drain()
-    assert service.metrics.files_ingested == 2
-    assert Catalog.load(spool).entries == Catalog.build(spool).entries
-    assert len(Catalog.load(spool)) == 2

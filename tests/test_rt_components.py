@@ -33,9 +33,10 @@ from repro.rt.events import (
     SeamEvent,
     map_events,
 )
-from repro.rt.ingest import Quarantine, SpoolWatcher, WorkQueue
+from repro.rt.ingest import Quarantine, SpoolWatcher
 from repro.rt.metrics import LatencyStats, RTMetrics
 from repro.rt.scheduler import DetectorConfig
+from repro.rt.service import ServiceConfig
 from repro.storage.dasfile import write_das_file
 from repro.storage.metadata import DASMetadata
 from tests.conftest import run_chain
@@ -472,20 +473,10 @@ class TestSpoolWatcher:
         assert watcher.scan() == []
 
 
-class TestWorkQueue:
-    def test_backpressure(self):
-        queue = WorkQueue(capacity=2)
-        assert queue.offer("a") and queue.offer("b")
-        assert not queue.offer("c")
-        assert queue.rejected == 1
-        assert queue.pop() == "a"
-        assert queue.offer("c")
-        assert queue.items() == ["b", "c"]
-        assert queue.peak_depth == 2
-
-    def test_validates_capacity(self):
-        with pytest.raises(ConfigError):
-            WorkQueue(0)
+class TestServiceConfig:
+    def test_validates_queue_capacity(self):
+        with pytest.raises(ConfigError, match="queue capacity"):
+            ServiceConfig(queue_capacity=0)
 
 
 class TestQuarantine:

@@ -326,8 +326,7 @@ class TestFaultInjection:
         survivor = self._good_file(tmp_path, "170620100605")
         announced = service.watcher.scan()
         assert doomed in announced
-        for path in announced:
-            service.queue.offer(path)
+        service.backlog.extend(announced)
         os.remove(doomed)  # vanishes between announcement and read
         service.drain()
         assert doomed in service.quarantine
@@ -365,147 +364,131 @@ class TestFaultInjection:
         assert fresh.metrics.files_quarantined == 0  # not re-quarantined
 
 
-class TestServiceCatalog:
-    def test_catalog_tracks_ingested_files(self, tmp_path, scene):
-        service = RTService(
-            tmp_path, detector=DETECTOR, policy=POLICY, config=FAST
-        )
-        _drip_all(tmp_path, scene, service)
-        assert service.catalog is not None
-        assert len(service.catalog) == MINUTES
+class TestSpoolState:
+    """What a drain leaves behind, and the order the backlog hands files
+    to processing."""
 
-    def test_catalog_cost_does_not_grow_with_the_spool(self, tmp_path, monkeypatch):
-        """Only the first ingested file lists the directory; the rest are
-        added to the in-memory index, and the saved index is still the one
-        a from-scratch scan builds."""
-        from repro.storage import catalog as catalog_module
-        from repro.storage.catalog import Catalog
-
-        scans = []
-        real_scan = catalog_module.scan_directory
-        monkeypatch.setattr(
-            catalog_module,
-            "scan_directory",
-            lambda d, **kw: scans.append(d) or real_scan(d, **kw),
+    def _drip_with_poison(self, spool, scene):
+        """Two good minute-files and a zero-length one after them."""
+        paths = list(
+            drip_feed_dataset(spool, 2, scene=scene, samples_per_minute=SPM)
         )
-        files, spm = 60, 200
-        tiny = fig1b_scene(
-            n_channels=8, fs=FS, minutes=files, samples_per_minute=spm, seed=7
-        )
-        service = RTService(tmp_path, detector=DETECTOR, policy=POLICY, config=FAST)
-        paths = []
-        drip = drip_feed_dataset(tmp_path, files, scene=tiny, samples_per_minute=spm)
-        for path in drip:
-            service.drain()
-            paths.append(path)
-        assert service.metrics.files_ingested == files and len(scans) == 1
-        built = Catalog.build(tmp_path).entries
-        assert Catalog.load(tmp_path).entries == service.catalog.entries == built
-        # add() on its own: any arrival order, a repeat, the same index
-        late = Catalog(directory=os.fspath(tmp_path))
-        for path in paths[::-1] + paths[:3]:
-            late.add(path)
-        assert late.entries == built
+        poison = os.path.join(spool, "westSac_170620100645.h5")
+        open(poison, "wb").close()
+        return sorted(os.path.basename(p) for p in paths + [poison])
 
-    def test_same_mtime_tick_file_is_seen(self, tmp_path):
-        # Regression: Catalog.stale() used strict '>' so a file landing in
-        # the same mtime tick as the index write stayed invisible.
-        from repro.storage.catalog import Catalog
-
-        stamp = "170620100545"
-        for k in range(2):
-            meta = DASMetadata(
-                sampling_frequency=FS,
-                spatial_resolution=2.0,
-                timestamp=stamp,
-                n_channels=4,
-            )
-            write_das_file(
-                os.path.join(tmp_path, f"westSac_{stamp}.h5"),
-                np.zeros((4, 10), dtype=np.float32),
-                meta,
-            )
-            stamp = "170620100645"
-        catalog = Catalog.open(tmp_path)
-        assert len(catalog) == 2
-        # A third file written in the same tick: freeze the directory
-        # mtime to the value the catalog recorded.
-        meta = DASMetadata(
-            sampling_frequency=FS,
-            spatial_resolution=2.0,
-            timestamp="170620100745",
-            n_channels=4,
-        )
-        write_das_file(
-            os.path.join(tmp_path, "westSac_170620100745.h5"),
-            np.zeros((4, 10), dtype=np.float32),
-            meta,
-        )
-        os.utime(tmp_path, (catalog.last_mtime, catalog.last_mtime))
-        assert catalog.stale()  # '>=' admits the equal-mtime case
-        reopened = Catalog.open(tmp_path)
-        assert len(reopened) == 3
-
-    def test_reopening_an_unchanged_directory_neither_scans_nor_writes(
-        self, tmp_path, monkeypatch
+    def test_a_drain_writes_only_state_a_resume_reads(
+        self, tmp_path, scene, monkeypatch
     ):
-        """Saving the sidecar moves the directory's mtime past the one the
-        index recorded; that alone must not make the next open rescan."""
-        from repro.storage import catalog as catalog_module
-        from repro.storage.catalog import CATALOG_NAME, Catalog
-
-        for stamp in ("170620100545", "170620100645", "170620100745"):
-            write_das_file(
-                os.path.join(tmp_path, f"westSac_{stamp}.h5"),
-                np.zeros((4, 10), dtype=np.float32),
-                DASMetadata(
-                    sampling_frequency=FS,
-                    spatial_resolution=2.0,
-                    timestamp=stamp,
-                    n_channels=4,
-                ),
-            )
-        scans, saves = [], []
-        real_scan, real_save = catalog_module.scan_directory, Catalog.save
+        saved = []
+        real_save = CheckpointStore.save
         monkeypatch.setattr(
-            catalog_module,
-            "scan_directory",
-            lambda d, **kw: scans.append(d) or real_scan(d, **kw),
+            CheckpointStore,
+            "save",
+            lambda store, payload: saved.append(payload)
+            or real_save(store, payload),
         )
+        spool = tmp_path / "spool"
+        data_files = self._drip_with_poison(spool, scene)
+        service = RTService(spool, detector=DETECTOR, policy=POLICY, config=FAST)
+        service.drain()
+        assert service.metrics.files_quarantined == 1
+        assert service.metrics.events_emitted > 0
+        assert sorted(os.listdir(spool)) == sorted(
+            data_files
+            + [
+                "events.jsonl",
+                ".das_rt_checkpoint.json",
+                ".das_rt_checkpoint.json.prev",
+                ".das_quarantine.jsonl",
+            ]
+        )
+
+        class Reads(dict):
+            """The payload, recording every key read from it."""
+
+            def __init__(self, payload):
+                super().__init__(payload)
+                self.read = set()
+
+            def get(self, key, default=None):
+                self.read.add(key)
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                self.read.add(key)
+                return super().__getitem__(key)
+
+        payload = Reads(saved[-1])
+        assert payload["runner"] is not None  # a live record is resumed
+        payload.read.clear()
+        RTService(
+            spool,
+            detector=DETECTOR,
+            policy=POLICY,
+            config=FAST,
+            state_dir=tmp_path / "elsewhere",
+        )._resume(payload)
+        assert payload.read == set(payload)
+
+    def test_a_drain_with_a_state_dir_leaves_only_data_in_the_spool(
+        self, tmp_path, scene
+    ):
+        spool, state = tmp_path / "spool", tmp_path / "state"
+        data_files = self._drip_with_poison(spool, scene)
+        state.mkdir()
+        service = RTService(
+            spool, detector=DETECTOR, policy=POLICY, config=FAST, state_dir=state
+        )
+        service.drain()
+        assert service.metrics.files_quarantined == 1
+        assert sorted(os.listdir(spool)) == data_files
+
+    def test_backlog_order_with_a_retry(self, tmp_path, monkeypatch):
+        """One file per tick; a torn first file rejoins the back of the
+        backlog and is read again once the others are done."""
+        tiny = fig1b_scene(
+            n_channels=8, fs=FS, minutes=3, samples_per_minute=200, seed=7
+        )
+        paths = list(
+            drip_feed_dataset(tmp_path, 3, scene=tiny, samples_per_minute=200)
+        )
+        torn = paths[0]
+        whole = open(torn, "rb").read()
+        with open(torn, "wb") as handle:
+            handle.write(whole[:60])
+        seen = []
+        real_process = RTService._process
         monkeypatch.setattr(
-            Catalog, "save", lambda self: saves.append(1) or real_save(self)
+            RTService,
+            "_process",
+            lambda service, path: seen.append(os.path.basename(path))
+            or real_process(service, path),
         )
-        first = Catalog.open(tmp_path)
-        sidecar = os.stat(os.path.join(tmp_path, CATALOG_NAME)).st_mtime_ns
-        reopened = [Catalog.open(tmp_path) for _ in range(2)]
-        assert (len(scans), len(saves)) == (1, 1)
-        assert os.stat(os.path.join(tmp_path, CATALOG_NAME)).st_mtime_ns == sidecar
-        assert all(c.entries == first.entries for c in reopened)
-        # a removed file is still noticed
-        os.remove(first.entries[0].path)
-        assert len(Catalog.open(tmp_path)) == 2 and len(scans) == 2
-
-    def test_refresh_dedups_paths(self, tmp_path):
-        from repro.storage.catalog import Catalog
-        from repro.storage.search import DASFileInfo
-
-        meta = DASMetadata(
-            sampling_frequency=FS,
-            spatial_resolution=2.0,
-            timestamp="170620100545",
-            n_channels=4,
+        service = RTService(
+            tmp_path,
+            detector=DETECTOR,
+            policy=POLICY,
+            config=ServiceConfig(
+                poll_interval=0.0,
+                settle_seconds=0.0,
+                stable_polls=1,
+                max_retries=2,
+                queue_capacity=1,
+            ),
         )
-        path = os.path.join(tmp_path, "westSac_170620100545.h5")
-        write_das_file(path, np.zeros((4, 10), dtype=np.float32), meta)
-        catalog = Catalog.build(tmp_path)
-        # Simulate a pre-fix index holding the same path twice.
-        catalog.entries.append(
-            DASFileInfo(
-                path=path, timestamp="170620100545", n_channels=4, n_samples=10
-            )
-        )
-        catalog.refresh()
-        assert len(catalog) == 1
+        backlog = []
+        for tick in range(5):
+            service.tick()
+            backlog.append(service.metrics.backlog)
+            if tick == 0:
+                with open(torn, "wb") as handle:
+                    handle.write(whole)
+        names = [os.path.basename(p) for p in paths]
+        assert seen == names + names[:1]
+        assert backlog == [2, 2, 1, 0, 0]
+        assert service.metrics.files_ingested == 3
+        assert service.metrics.files_requeued == 1
 
 
 class TestCli:

@@ -4,6 +4,7 @@ for every fault kind applied to a shard at a seeded point, the
 recovered merged catalog equals the fault-free reference."""
 
 import os
+from functools import partial
 
 import pytest
 
@@ -70,6 +71,39 @@ OPTIONS = ShardOptions(
     restart_policy=FailurePolicy(retries=6, backoff=0.005),
     idle_sleep=0.001,
 )
+
+
+CLI_WATCH_SHARDS = [
+    "--shards", "2", "--channel-stride", str(CHANNELS),
+    "--poll", "0", "--settle", "0", "--stable-polls", "1",
+    "--threshold", "0.4", "--min-fraction", "0.25",
+    "--half-window", "25", "--half-lag", "5", "--stride", "25",
+]
+
+
+@pytest.fixture
+def short_wall(monkeypatch):
+    """The sharded CLI under a 5 s wall timeout instead of the default
+    600 s, so a shard that never completes fails the test in seconds."""
+    from repro.rt import cli
+
+    monkeypatch.setattr(
+        cli, "SupervisorConfig", partial(SupervisorConfig, wall_timeout=5.0)
+    )
+
+
+def _cli_shard_root(tmp_path):
+    """``<root>/shard-0`` and ``shard-1``, two minute-files each."""
+    root = tmp_path / "root"
+    for shard in range(2):
+        scene = fig1b_scene(
+            n_channels=CHANNELS, fs=FS, minutes=2,
+            samples_per_minute=SPM, seed=7 + shard,
+        )
+        spool = root / f"shard-{shard}"
+        spool.mkdir(parents=True)
+        list(drip_feed_dataset(spool, 2, scene=scene, samples_per_minute=SPM))
+    return root
 
 
 def _event(j_start=0, j_end=3, lo=1, hi=5):
@@ -374,28 +408,13 @@ class TestShardedRuns:
             assert shard["state"] == "stopped"
             assert shard["ingested"] == MINUTES
 
-    def test_cli_watch_shards_and_status(self, tmp_path, capsys):
+    def test_cli_watch_shards_and_status(self, tmp_path, capsys, short_wall):
         import json
 
         from repro.rt.cli import main as rt_main
 
-        root = tmp_path / "root"
-        for shard in range(2):
-            scene = fig1b_scene(
-                n_channels=CHANNELS, fs=FS, minutes=2,
-                samples_per_minute=SPM, seed=7 + shard,
-            )
-            spool = root / f"shard-{shard}"
-            spool.mkdir(parents=True)
-            list(drip_feed_dataset(spool, 2, scene=scene,
-                                   samples_per_minute=SPM))
-        code = rt_main([
-            "watch", str(root), "--shards", "2",
-            "--channel-stride", str(CHANNELS),
-            "--poll", "0", "--settle", "0", "--stable-polls", "1",
-            "--threshold", "0.4", "--min-fraction", "0.25",
-            "--half-window", "25", "--half-lag", "5", "--stride", "25",
-        ])
+        root = _cli_shard_root(tmp_path)
+        code = rt_main(["watch", str(root), *CLI_WATCH_SHARDS])
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["shards"] == 2
@@ -409,6 +428,25 @@ class TestShardedRuns:
         assert set(report["shards"]) == {"0", "1"}
         assert all(s["state"] == "stopped"
                    for s in report["shards"].values())
+
+    def test_cli_shards_expect_only_files_the_watcher_ingests(
+        self, tmp_path, capsys, short_wall
+    ):
+        """A ``.hdf5`` name and a dot-file sit in the spools but are not
+        acquisition files: counting them, a shard would wait for them
+        until the wall timeout and the command would exit 2."""
+        import json
+
+        from repro.rt.cli import main as rt_main
+
+        root = _cli_shard_root(tmp_path)
+        (root / "shard-0" / "westSac_170620100745.hdf5").write_bytes(b"stray")
+        (root / "shard-1" / ".westSac_170620100745.h5").write_bytes(b"partial")
+        code = rt_main(["watch", str(root), *CLI_WATCH_SHARDS])
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["per_shard"]["0"]["ingested"] == 2
+        assert summary["per_shard"]["1"]["ingested"] == 2
 
     def test_shard_chaos_kill_raises_injected_fault(self, tmp_path):
         # The on_file hook fires the action exactly once.
