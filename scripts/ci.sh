@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point.  `scripts/ci.sh` runs the static checks once (repro.checks
-# against scripts/checks_baseline.json), the tier-1 suite, the hdf5lite codec
-# suites under `taskset -c 0`, the paper-figure tests and the harness's
-# self-tests.  The figure tests rewrite
+# against scripts/checks_baseline.json), the src/ line budget (24 000), the
+# tier-1 suite, the hdf5lite codec suites under `taskset -c 0`, the
+# paper-figure tests and the harness's self-tests.  The figure tests rewrite
 # benchmarks/results/*.txt; every table must come out byte-identical except
 # fig6_search_merge.txt and fig9_matlab.txt, the two with wall-clock rows.
 # It gates no timing: every deterministic invariant a layer claims is a test.
@@ -47,6 +47,13 @@ EOF
 fi
 
 python -m repro.checks --baseline scripts/checks_baseline.json
+# The source budget: src/ stays at or under 24 000 lines of Python.
+src_lines="$(find src -name '*.py' -print0 | xargs -0 cat | wc -l)"
+echo "src/ lines: $src_lines (budget 24000)"
+if (( src_lines > 24000 )); then
+    echo "src/ is over its 24000-line budget" >&2
+    exit 1
+fi
 python -m pytest -x -q
 # The codec suites again on a one-CPU affinity mask: the encode and decode
 # pools' no-thread path, on a real mask rather than a patched CPU count.

@@ -19,6 +19,9 @@ from scipy import ndimage
 
 from repro.errors import ConfigError
 
+#: Share of the record a stationary component must last to be "persistent".
+_PERSISTENT_DURATION_FRACTION = 0.7
+
 
 @dataclass(frozen=True)
 class DetectedEvent:
@@ -60,7 +63,6 @@ def detect_events(
     threshold_sigmas: float = 3.0,
     min_cells: int = 6,
     earthquake_span_fraction: float = 0.6,
-    persistent_duration_fraction: float = 0.7,
     min_vehicle_speed: float = 0.5,
     remove_channel_bias: bool = False,
     split_array_wide: bool = False,
@@ -207,7 +209,7 @@ def detect_events(
             0.5 * n_channels
         ):
             kind = "earthquake"
-        elif duration_fraction >= persistent_duration_fraction and abs(slope) < min_vehicle_speed:
+        elif duration_fraction >= _PERSISTENT_DURATION_FRACTION and abs(slope) < min_vehicle_speed:
             kind = "persistent"
         elif abs(slope) >= min_vehicle_speed:
             kind = "vehicle"

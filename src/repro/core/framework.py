@@ -145,22 +145,16 @@ class DASSA:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="dassa-")
         return self._tmpdir.name
 
-    def merge(
-        self,
-        files: list[DASFileInfo | str],
-        out_path: str | None = None,
-        real: bool = False,
-        assume_uniform: bool = False,
-    ) -> str:
-        """Merge files into a VCA (default) or an RCA (``real=True``)."""
+    def merge(self, files: list[DASFileInfo | str], real: bool = False) -> str:
+        """Merge files into a VCA (default) or an RCA (``real=True``) in
+        the facade's working directory."""
         if not files:
             raise StorageError("no files to merge")
-        if out_path is None:
-            kind = "rca" if real else "vca"
-            out_path = os.path.join(self._workdir(), f"merged_{kind}.h5")
+        kind = "rca" if real else "vca"
+        merged = os.path.join(self._workdir(), f"merged_{kind}.h5")
         if real:
-            return create_rca(out_path, files)
-        return create_vca(out_path, files, assume_uniform=assume_uniform)
+            return create_rca(merged, files)
+        return create_vca(merged, files)
 
     def search_and_merge(
         self,

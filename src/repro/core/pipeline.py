@@ -1376,9 +1376,7 @@ class IncrementalRunner:
             "forward_state": None if state is None else _pack_state(state),
         }
 
-    def _check_watermarks(
-        self, seen: int, emitted: int, buf_start: int, version: int
-    ) -> None:
+    def _check_watermarks(self, seen: int, emitted: int, buf_start: int) -> None:
         """Refuse counters :meth:`export_state` could not have written: a
         push leaves ``emitted`` at what ``seen`` samples make ready and a
         flush at the record's total, and the tail starts where the trim
@@ -1396,7 +1394,7 @@ class IncrementalRunner:
                 f"checkpoint says {emitted} outputs were emitted, but "
                 f"{seen} samples make {ready} ready ({total} once flushed)"
             )
-        if self._head is None or version < 2:
+        if self._head is None:
             # The raw-halo trim point, at the chain's input.
             if buf_start != self._keep(emitted, seen, 0):
                 raise ConfigError(
@@ -1417,13 +1415,10 @@ class IncrementalRunner:
         checkpoint can never silently resume against different samples.
         A carried head re-runs its forward pass over the tail from the
         recorded state, so the resumed runner is bit-identical to one
-        that never stopped.  A version-1 payload (raw halo, no forward
-        state) still resumes: its longer tail re-primes the forward pass
-        from an odd-extended start, which settles within the halo before
-        the first sample the next emission needs.
+        that never stopped.  Only :attr:`STATE_VERSION` payloads import.
         """
         version = payload.get("version")
-        if version not in (1, self.STATE_VERSION):
+        if version != self.STATE_VERSION:
             raise ConfigError(f"carried-state version {version!r} unsupported")
         names = [op.name for op in self._maps]
         if payload.get("operators") != names:
@@ -1440,7 +1435,7 @@ class IncrementalRunner:
         seen = int(payload["seen"])
         emitted = int(payload["emitted"])
         buf_start = int(payload["buf_start"])
-        self._check_watermarks(seen, emitted, buf_start, version)
+        self._check_watermarks(seen, emitted, buf_start)
         expect = (self.n_channels, seen - buf_start)
         if tail.ndim != 2 or tail.shape != expect:
             raise ConfigError(f"tail shape {tail.shape} != expected {expect}")
@@ -1449,12 +1444,12 @@ class IncrementalRunner:
                 "carried-state digest mismatch: the re-read tail differs "
                 "from the checkpointed samples"
             )
-        state = payload.get("forward_state") if version > 1 else None
+        state = payload.get("forward_state")
         if state is not None:
             if self._head is None:
                 raise ConfigError("forward state for a chain without a carried head")
             state = _unpack_state(state, self.n_channels)
-        elif self._head is not None and version > 1 and buf_start:
+        elif self._head is not None and buf_start:
             raise ConfigError(
                 f"checkpoint tail starts at {buf_start} without the forward "
                 "state there"

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.pipeline import OpContext, Operator
-from repro.daslib.moving import moving_average
 from repro.errors import ConfigError
 
 
@@ -150,7 +149,6 @@ def array_detections(
     on_threshold: float = 3.5,
     off_threshold: float = 1.5,
     min_fraction: float = 0.3,
-    smooth: int = 1,
 ) -> list[Trigger]:
     """Array-wide STA/LTA: a sample is a detection when at least
     ``min_fraction`` of channels trigger simultaneously.
@@ -166,8 +164,6 @@ def array_detections(
         raise ConfigError("need a 2-D (channels, samples) array")
     ratio = classic_sta_lta(data, nsta, nlta, axis=-1)
     voting = (ratio >= on_threshold).mean(axis=0)
-    if smooth > 1:
-        voting = moving_average(voting, smooth)
     return trigger_onset(
         voting, on_threshold=min_fraction, off_threshold=min_fraction / 2
     )

@@ -22,7 +22,6 @@ __all__ = [
     "AdmissionQueueFullError",
     "CheckpointCorruptError",
     "InjectedFaultError",
-    "StaleReadError",
 ]
 
 
@@ -101,24 +100,6 @@ class InjectedFaultError(ReproError):
     seeded point (kill-at-Nth-file and friends).  Deliberately a direct
     :class:`ReproError` subclass so supervision code can recognise an
     injected death without confusing it with real storage loss."""
-
-
-class StaleReadError(ReproError):
-    """Raised by a bounded-staleness catalog read when some live shard's
-    contribution is older than the caller's staleness bound.
-
-    ``stale_shards`` maps shard id → seconds since that shard's last
-    applied update; ``bound_s`` is the bound that was violated.
-    """
-
-    def __init__(self, stale_shards: "dict[int, float]", bound_s: float):
-        self.stale_shards = dict(stale_shards)
-        self.bound_s = float(bound_s)
-        worst = max(self.stale_shards.values(), default=0.0)
-        super().__init__(
-            f"catalog read exceeds staleness bound {self.bound_s:.3f}s: "
-            f"shards {sorted(self.stale_shards)} up to {worst:.3f}s stale"
-        )
 
 
 class MPIError(ReproError):

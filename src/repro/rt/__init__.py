@@ -13,16 +13,16 @@ long-running service:
   at file seams equal a batch run over the concatenated record;
 * :mod:`repro.rt.events` — streaming event assembly and a JSONL sink
   with seam-dedup;
-* :mod:`repro.rt.checkpoint` — atomic JSON checkpoints for
-  kill-and-resume with no missed or duplicated events;
+* :mod:`repro.rt.checkpoint` — atomic, CRC-verified JSON checkpoints
+  for kill-and-resume with no missed or duplicated events;
 * :mod:`repro.rt.metrics` — per-stage latency, backlog, ingest lag;
 * :mod:`repro.rt.service` / :mod:`repro.rt.cli` — the service loop and
   ``python -m repro.rt watch <spool>``;
 * :mod:`repro.rt.shard` / :mod:`repro.rt.supervisor` — the sharded
   multi-interrogator deployment: one RTService per spool on its own
   ``simmpi`` rank, heartbeat-based failure detection with automatic
-  checkpoint-resume restarts, and an idempotent merged catalog with
-  bounded-staleness reads (``watch --shards N``).
+  checkpoint-resume restarts, and an idempotent merged catalog
+  (``watch --shards N``).
 """
 
 from repro.rt.checkpoint import CheckpointStore, read_sample_range

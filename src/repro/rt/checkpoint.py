@@ -16,7 +16,8 @@ fatal:
 
 * every document carries a CRC32 of its canonical payload, so a torn
   or bit-flipped file is *detected* (truncation breaks the JSON, a
-  parseable mutation breaks the CRC) — never silently resumed from;
+  parseable mutation breaks the CRC, a document without one is refused
+  as unverifiable) — never silently resumed from;
 * :meth:`CheckpointStore.save` keeps the previous generation as
   ``<path>.prev`` before promoting the new one, so detection has
   somewhere to fall back to.  The fallback is reported through
@@ -60,9 +61,6 @@ class CheckpointStore:
         #: Typed error recorded when :meth:`load` had to skip a corrupt
         #: generation (``None`` after a clean load).
         self.last_error: CheckpointCorruptError | None = None
-        #: Which generation the last :meth:`load` returned:
-        #: ``"primary"``, ``"previous"``, or ``None``.
-        self.loaded_from: str | None = None
 
     def save(self, payload: dict) -> None:
         """Atomically persist ``payload`` (version + CRC stamped here),
@@ -90,11 +88,10 @@ class CheckpointStore:
             raise CheckpointCorruptError(
                 path, f"version {document.get('version')!r} unsupported"
             )
-        # Documents written before the CRC existed load unverified.
-        if "crc" in document and document["crc"] != zlib.crc32(
-            _canonical(document)
-        ):
-            raise CheckpointCorruptError(path, "crc mismatch")
+        if document.get("crc") != zlib.crc32(_canonical(document)):
+            raise CheckpointCorruptError(
+                path, "crc mismatch" if "crc" in document else "no crc"
+            )
         return document
 
     def load(self) -> dict | None:
@@ -107,16 +104,15 @@ class CheckpointStore:
         absorbs; resuming from a *wrong* checkpoint would corrupt the
         catalog, which is why an unverifiable generation is never used.
         Raises :class:`~repro.errors.CheckpointCorruptError` only when a
-        checkpoint exists but no generation verifies.
+        checkpoint exists but no generation verifies.  A returned
+        document came from the primary exactly when :attr:`last_error`
+        is ``None``.
         """
         self.last_error = None
-        self.loaded_from = None
         primary_error: CheckpointCorruptError | None = None
         if os.path.exists(self.path):
             try:
-                document = self._read_document(self.path)
-                self.loaded_from = "primary"
-                return document
+                return self._read_document(self.path)
             except CheckpointCorruptError as exc:
                 primary_error = exc
         if os.path.exists(self.previous_path):
@@ -128,7 +124,6 @@ class CheckpointStore:
                     self.path, "primary checkpoint missing (torn promote)"
                 )
             )
-            self.loaded_from = "previous"
             return document
         if primary_error is not None:
             raise primary_error

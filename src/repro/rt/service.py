@@ -384,12 +384,8 @@ class RTService:
         self.backlog.extend(
             path for path in self.watcher.scan() if path not in self.quarantine
         )
-        # Counted before processing: a retry rejoins the back of the
-        # backlog and waits for a later tick.
-        taken = min(self.config.queue_capacity, len(self.backlog))
-        self.metrics.backlog = len(self.backlog) - taken
         processed = 0
-        for _ in range(taken):
+        for _ in range(min(self.config.queue_capacity, len(self.backlog))):
             if not self._process(self.backlog.popleft()):
                 continue
             processed += 1
@@ -399,6 +395,9 @@ class RTService:
                 and self._since_checkpoint >= self.config.checkpoint_every
             ):
                 self.save_checkpoint()
+        # Counted after processing: a retry rejoins the back of the
+        # backlog and is waiting too.
+        self.metrics.backlog = len(self.backlog)
         return processed
 
     def drain(self, max_ticks: int = 1000) -> int:

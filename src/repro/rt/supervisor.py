@@ -11,10 +11,7 @@ Rank 0 of a sharded RT run is the supervisor.  It owns three pieces:
 * :class:`CatalogAggregator` — the merged event catalog.  Ingestion is
   idempotent on ``(shard, record, j_start, j_end)`` — a restarted
   shard replays its whole local log and every already-applied row is
-  counted as a duplicate, not double-counted.  Reads support a
-  bounded-staleness contract: ``read(max_staleness_s=...)`` raises a
-  typed :class:`~repro.errors.StaleReadError` naming the shards whose
-  contributions are older than the bound.
+  counted as a duplicate, not double-counted.
 * :func:`supervisor_main` — the polling loop: drain events and beats,
   drive the monitor, command restarts (restoring the failed rank on
   the fabric first), publish per-shard health to an atomic JSON file,
@@ -32,7 +29,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigError, MPIError, StaleReadError
+from repro.errors import ConfigError, MPIError
 from repro.faults.chaos import ChaosSchedule
 from repro.rt.events import SeamEvent
 from repro.rt.shard import (
@@ -200,16 +197,13 @@ class CatalogAggregator:
     the same key and is dropped as a duplicate.
     """
 
-    def __init__(self, channel_bases: dict[int, int], now: float = 0.0):
+    def __init__(self, channel_bases: dict[int, int]):
         self._bases = {int(s): int(b) for s, b in channel_bases.items()}
         self._rows: dict[tuple, tuple[int, str, SeamEvent]] = {}
-        self._last_applied: dict[int, float] = {
-            s: float(now) for s in self._bases
-        }
         self.duplicates = 0
         self.applied = 0
 
-    def apply(self, shard: int, rows, now: float) -> int:
+    def apply(self, shard: int, rows) -> int:
         """Merge ``[(record, SeamEvent), ...]`` from one shard; returns
         how many rows were new."""
         if shard not in self._bases:
@@ -224,37 +218,10 @@ class CatalogAggregator:
             self._rows[key] = (shard, str(record), event.rebased(base))
             added += 1
         self.applied += added
-        self._last_applied[shard] = float(now)
         return added
 
-    def staleness(self, now: float) -> dict[int, float]:
-        return {
-            s: max(0.0, float(now) - t) for s, t in self._last_applied.items()
-        }
-
-    def read(
-        self,
-        now: float = 0.0,
-        max_staleness_s: float | None = None,
-        exempt=(),
-    ) -> list[tuple[int, str, SeamEvent]]:
-        """The merged catalog, canonically ordered.
-
-        With ``max_staleness_s`` set, every shard not in ``exempt``
-        (dead/stopped shards, typically) must have applied an update
-        within the bound, else :class:`~repro.errors.StaleReadError`
-        names the violators — the caller chooses between retrying,
-        widening the bound, or reading anyway with ``None``.
-        """
-        if max_staleness_s is not None:
-            exempt = set(exempt)
-            stale = {
-                s: age
-                for s, age in self.staleness(now).items()
-                if s not in exempt and age > max_staleness_s
-            }
-            if stale:
-                raise StaleReadError(stale, max_staleness_s)
+    def read(self) -> list[tuple[int, str, SeamEvent]]:
+        """The merged catalog, canonically ordered."""
         return sorted(
             self._rows.values(),
             key=lambda row: (
@@ -326,11 +293,8 @@ def supervisor_main(
 ) -> dict:
     """Rank 0: supervise the shards, merge the catalog, report health."""
     shard_ids = [spec.shard_id for spec in specs]
-    now = clock()
-    monitor = HeartbeatMonitor(config.heartbeat, shard_ids, now=now)
-    aggregator = CatalogAggregator(
-        {spec.shard_id: spec.channel_base for spec in specs}, now=now
-    )
+    monitor = HeartbeatMonitor(config.heartbeat, shard_ids, now=clock())
+    aggregator = CatalogAggregator({spec.shard_id: spec.channel_base for spec in specs})
     rank_of = {spec.shard_id: spec.rank for spec in specs}
     status: dict[int, dict] = {
         sid: {
@@ -357,7 +321,7 @@ def supervisor_main(
             if msg is None:
                 break
             payload = msg.payload
-            aggregator.apply(payload["shard"], payload["rows"], now=now)
+            aggregator.apply(payload["shard"], payload["rows"])
         while True:
             msg = fabric.match_nowait(SUPERVISOR_RANK, ANY_SOURCE, TAG_HEARTBEAT)
             if msg is None:
@@ -451,14 +415,11 @@ def run_sharded(
     supervisor: SupervisorConfig | None = None,
     chaos: ChaosSchedule | None = None,
     health_path: str | None = None,
-    cluster=None,
 ) -> dict:
     """Run supervisor + one rank per shard; returns the merged result.
 
     The chaos schedule (if any) is split per shard; each shard rank
-    interprets only its own actions.  ``cluster`` (a
-    :class:`~repro.cluster.machine.ClusterSpec`) attaches the virtual
-    network cost model to every message for scaling studies.
+    interprets only its own actions.
     """
     if not specs:
         raise ConfigError("need at least one shard spec")
@@ -481,7 +442,6 @@ def run_sharded(
     result = run_spmd(
         rank_main,
         size=len(specs) + 1,
-        cluster=cluster,
         trace=False,
         recv_timeout=supervisor.wall_timeout,
     )
@@ -490,5 +450,4 @@ def run_sharded(
         shard_result["shard"]: shard_result
         for shard_result in result.results[1:]
     }
-    merged["makespan_virtual_s"] = result.makespan
     return merged

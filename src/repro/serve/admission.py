@@ -7,7 +7,7 @@ and a bounded waiting-room.  The failure modes are deliberately typed and
 separable (:mod:`repro.errors`):
 
 * :class:`~repro.errors.QuotaExceededError` — the buckets cannot cover
-  the request now (and the caller declined to wait, or timed out).
+  the request now and the caller declined to wait.
   Carries ``retry_after``: pacing, client should back off.
 * :class:`~repro.errors.AdmissionQueueFullError` — too many requests from
   this tenant are *already waiting*.  Load shedding, drop immediately.
@@ -209,7 +209,6 @@ class AdmissionController:
         tenant: str,
         nbytes: int = 0,
         wait: bool = True,
-        timeout: float | None = None,
     ) -> Admission:
         """Admit one request costing 1 request-token and ``nbytes``
         byte-tokens; blocks (bounded) until both buckets can cover it.
@@ -217,13 +216,12 @@ class AdmissionController:
         Raises :class:`~repro.errors.AdmissionQueueFullError` when the
         tenant's waiting room is full, and
         :class:`~repro.errors.QuotaExceededError` when the tokens are
-        not available and ``wait=False`` — or the ``timeout`` expired.
+        not available and ``wait=False``.
         """
         nbytes = int(nbytes)
         if nbytes < 0:
             raise ConfigError("nbytes must be >= 0")
         started = self._clock()
-        deadline = None if timeout is None else started + float(timeout)
         with self._lock:
             state = self._state(tenant)
             byte_cost = float(min(nbytes, state.quota.byte_burst))
@@ -245,9 +243,6 @@ class AdmissionController:
                     if not wait:
                         state.metrics.rejected_quota += 1
                         raise QuotaExceededError(tenant, kind, retry_after=needed)
-                    if deadline is not None and self._clock() >= deadline:
-                        state.metrics.rejected_quota += 1
-                        raise QuotaExceededError(tenant, kind, retry_after=needed)
                     if not queued:
                         if state.waiting >= state.quota.max_queue:
                             state.metrics.rejected_queue += 1
@@ -256,12 +251,7 @@ class AdmissionController:
                             )
                         state.waiting += 1
                         queued = True
-                    remaining = (
-                        needed
-                        if deadline is None
-                        else min(needed, max(0.0, deadline - self._clock()))
-                    )
-                    self._cond.wait(max(remaining, 1e-4))
+                    self._cond.wait(max(needed, 1e-4))
             finally:
                 if queued:
                     state.waiting -= 1

@@ -40,6 +40,9 @@ from repro.storage.chunks import SourceView, open_stream
 from repro.storage.gaps import GapSpan
 from repro.utils.iostats import IOStats
 
+#: Open archive files the server's pool keeps at once.
+_POOL_HANDLES = 64
+
 __all__ = [
     "ServeConfig",
     "WindowResult",
@@ -61,12 +64,10 @@ class ServeConfig:
     """
 
     cache_bytes: int = 64 << 20
-    pool_handles: int = 64
     on_error: str = "mask"
     fill_value: float = float("nan")
     default_quota: TenantQuota = field(default_factory=TenantQuota)
     quotas: dict[str, TenantQuota] = field(default_factory=dict)
-    admit_timeout: float | None = None
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ class DataServer:
         self.config = config if config is not None else ServeConfig()
         self.iostats = iostats if iostats is not None else IOStats()
         self.pool = FilePool(
-            max_handles=self.config.pool_handles,
+            max_handles=_POOL_HANDLES,
             iostats=self.iostats,
             cache=BlockCache(
                 CacheConfig(byte_budget=self.config.cache_bytes), self.iostats
@@ -260,12 +261,7 @@ class ServeSession:
         return t0, t1
 
     def _admit(self, nbytes: int, wait: bool):
-        return self.server.admission.admit(
-            self.tenant,
-            nbytes,
-            wait=wait,
-            timeout=self.server.config.admit_timeout,
-        )
+        return self.server.admission.admit(self.tenant, nbytes, wait=wait)
 
     # -- requests -----------------------------------------------------------
     def read_window(

@@ -32,8 +32,6 @@ class DASFileInfo:
 
     path: str
     timestamp: str
-    n_channels: int = 0
-    n_samples: int = 0
 
     @property
     def start_time(self):
@@ -46,34 +44,24 @@ def timestamp_from_filename(name: str) -> str | None:
     return match.group(1) if match else None
 
 
-def file_info(
-    path: str, read_shapes: bool = False, iostats: IOStats | None = None
-) -> DASFileInfo | None:
+def file_info(path: str, iostats: IOStats | None = None) -> DASFileInfo | None:
     """Catalog entry for one file, or ``None`` when it is not a DAS file.
 
-    With ``read_shapes`` the metadata footer is opened to record the
-    array shape (one metadata op); otherwise the file name's stamp is
-    enough — the fast path ``das_search`` takes.
+    The file name's stamp is enough — the fast path ``das_search`` takes;
+    only a name without one opens the metadata footer (one metadata op).
     """
     stamp = timestamp_from_filename(path)
-    if not read_shapes and stamp is not None:
+    if stamp is not None:
         return DASFileInfo(path=path, timestamp=stamp)
     try:
-        metadata, shape = read_das_metadata(path, iostats=iostats)
+        metadata, _ = read_das_metadata(path, iostats=iostats)
     except StorageError:
         return None
-    return DASFileInfo(
-        path=path,
-        timestamp=metadata.timestamp,
-        n_channels=shape[0],
-        n_samples=shape[1],
-    )
+    return DASFileInfo(path=path, timestamp=metadata.timestamp)
 
 
 def scan_directory(
-    directory: str | os.PathLike,
-    read_shapes: bool = False,
-    iostats: IOStats | None = None,
+    directory: str | os.PathLike, iostats: IOStats | None = None
 ) -> list[DASFileInfo]:
     """Catalog a directory of DAS files, sorted by timestamp
     (one :func:`file_info` per ``.h5`` name)."""
@@ -81,7 +69,7 @@ def scan_directory(
     if not os.path.isdir(directory):
         raise StorageError(f"not a directory: {directory!r}")
     infos = [
-        file_info(os.path.join(directory, name), read_shapes, iostats)
+        file_info(os.path.join(directory, name), iostats)
         for name in sorted(os.listdir(directory))
         if name.endswith(".h5")
     ]

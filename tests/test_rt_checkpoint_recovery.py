@@ -49,7 +49,6 @@ class TestGenerations:
         assert os.path.exists(store.path)
         assert os.path.exists(store.previous_path)
         assert store.load()["sample_count"] == 1200
-        assert store.loaded_from == "primary"
         assert store.last_error is None
 
     def test_clear_removes_both_generations(self, store):
@@ -64,7 +63,6 @@ class TestGenerations:
         os.remove(store.path)
         payload = store.load()
         assert payload["sample_count"] == 600
-        assert store.loaded_from == "previous"
         assert isinstance(store.last_error, CheckpointCorruptError)
         assert "torn promote" in store.last_error.reason
 
@@ -77,7 +75,6 @@ class TestTruncation:
         payload = store.load()
         # Never the torn state, always the previous verified one.
         assert payload["sample_count"] == 600
-        assert store.loaded_from == "previous"
         assert isinstance(store.last_error, CheckpointCorruptError)
         assert store.last_error.path == store.path
 
@@ -110,9 +107,9 @@ class TestBitFlips:
         # Either the flip landed somewhere harmless enough that the
         # document still verifies byte-for-byte semantics (impossible:
         # CRC covers the whole canonical body), or we fell back.
-        assert store.loaded_from == "previous"
         assert payload["sample_count"] == 600
         assert isinstance(store.last_error, CheckpointCorruptError)
+        assert store.last_error.path == store.path
 
     def test_crc_mismatch_reason_for_parseable_mutation(self, store):
         store.save(PAYLOAD_TWO)
@@ -134,13 +131,37 @@ class TestBitFlips:
         with pytest.raises(CheckpointCorruptError, match="version"):
             store.load()
 
-    def test_legacy_document_without_crc_loads(self, store):
-        # Pre-CRC checkpoints must stay loadable (unverified).
-        document = {"version": 1, **PAYLOAD_ONE}
-        with open(store.path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-        assert store.load()["sample_count"] == 600
-        assert store.loaded_from == "primary"
+
+def _strip_crc(path):
+    """Rename the document's ``crc`` key and change a counter: a
+    parseable document that nothing can verify."""
+    with open(path, encoding="utf-8") as handle:
+        document = json.load(handle)
+    document["crd"] = document.pop("crc")
+    document["files_done"][-1][1] = 900
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle)
+
+
+class TestUnverifiable:
+    """A document without a CRC is refused like a CRC mismatch: every
+    save has always written one, so its absence means damage."""
+
+    def test_primary_without_crc_falls_back_to_prev(self, store):
+        _saved_twice(store)
+        _strip_crc(store.path)
+        payload = store.load()
+        assert {k: payload[k] for k in PAYLOAD_ONE} == PAYLOAD_ONE
+        assert isinstance(store.last_error, CheckpointCorruptError)
+        assert store.last_error.path == store.path
+        assert store.last_error.reason == "no crc"
+
+    def test_only_generation_without_crc_raises(self, store):
+        store.save(PAYLOAD_TWO)
+        _strip_crc(store.path)
+        assert not os.path.exists(store.previous_path)
+        with pytest.raises(CheckpointCorruptError, match="no crc"):
+            store.load()
 
 
 def _crc_rule(document):
@@ -173,7 +194,7 @@ class TestAcrossVersions:
     def test_parent_document_loads_and_verifies(self, store):
         _parent_save(store.path, self.NESTED)
         loaded = store.load()
-        assert store.last_error is None and store.loaded_from == "primary"
+        assert store.last_error is None
         assert {k: loaded[k] for k in self.NESTED} == self.NESTED
         # verified, not waved through: a parseable mutation fails
         loaded["sample_count"] += 1
@@ -259,7 +280,7 @@ class TestServiceRecovery:
                             config=CFG)
         # The fallback is surfaced as a typed reason, not silent.
         assert resumed.checkpoint_fallback is not None
-        assert resumed.checkpoints.loaded_from == "previous"
+        assert resumed.checkpoints.last_error.path == ckpt
         resumed.drain()
         resumed.flush()
         got = {(r, e.j_start, e.j_end)
@@ -283,6 +304,29 @@ class TestServiceRecovery:
         # relying on sink dedup for exactly-once events.
         assert resumed.checkpoint_fallback is not None
         assert "torn json" in resumed.checkpoint_fallback
+        resumed.drain()
+        resumed.flush()
+        got = {(r, e.j_start, e.j_end)
+               for r, e in read_event_log(resumed.sink.path)[0]}
+        assert got == expected
+
+    def test_primary_without_crc_resumes_from_prev(self, tmp_path):
+        """An unverifiable primary is never resumed from: the service
+        falls back to ``.prev`` and reports why."""
+        spool = _spool(tmp_path)
+        expected = _reference_keys(spool)
+        service = RTService(spool, detector=DETECTOR, policy=POLICY,
+                            config=CFG)
+        service.tick()
+        service.tick()  # two checkpoints -> .prev exists
+        ckpt = service.checkpoints.path
+        del service
+        _strip_crc(ckpt)
+        resumed = RTService(spool, detector=DETECTOR, policy=POLICY,
+                            config=CFG)
+        assert resumed.checkpoint_fallback is not None
+        assert "no crc" in resumed.checkpoint_fallback
+        assert resumed.checkpoints.last_error.path == ckpt
         resumed.drain()
         resumed.flush()
         got = {(r, e.j_start, e.j_end)

@@ -175,26 +175,13 @@ class TestIncrementalRunner:
         packed = base64.b64decode(state["forward_state"])
         assert len(packed) == 8 * record.shape[0] * 8
 
-    def test_version_1_payload_resumes_within_settle_tolerance(self, record):
-        """A checkpoint written before the forward state was carried: its
-        raw tail starts a settle length early, and re-priming the forward
-        pass there settles before the first sample the next emission
-        reads."""
-        straight = _carried_runner(record)
-        expected = straight.push(record[:, :1300])
-        expected += straight.push(record[:, 1300:2700])
-        head = len(expected)
-        expected += straight.push(record[:, 2700:]) + straight.flush()
-
+    def test_version_1_payload_is_refused(self, record):
+        """Only format 2 imports: a format-1 payload (raw halo, no forward
+        state) is a ConfigError naming its version, not a resume."""
         resumed = _carried_runner(record)
         tail = record[:, V1_PAYLOAD["buf_start"] : V1_PAYLOAD["seen"]]
-        resumed.import_state(dict(V1_PAYLOAD), tail)
-        assert resumed.export_state()["version"] == 2
-        out = resumed.push(record[:, 2700:]) + resumed.flush()
-        assert [iv for iv, _ in out] == [iv for iv, _ in expected[head:]]
-        np.testing.assert_allclose(
-            _joined(out), _joined(expected[head:]), rtol=0, atol=1e-8
-        )
+        with pytest.raises(ConfigError, match="version 1 unsupported"):
+            resumed.import_state(dict(V1_PAYLOAD), tail)
 
     def test_import_rejects_tampered_tail(self, record):
         runner = IncrementalRunner([StaLtaOp(5, 50)], record.shape[0])

@@ -446,7 +446,8 @@ class TestSpoolState:
 
     def test_backlog_order_with_a_retry(self, tmp_path, monkeypatch):
         """One file per tick; a torn first file rejoins the back of the
-        backlog and is read again once the others are done."""
+        backlog, is counted as waiting, and is read again once the others
+        are done."""
         tiny = fig1b_scene(
             n_channels=8, fs=FS, minutes=3, samples_per_minute=200, seed=7
         )
@@ -486,7 +487,8 @@ class TestSpoolState:
                     handle.write(whole)
         names = [os.path.basename(p) for p in paths]
         assert seen == names + names[:1]
-        assert backlog == [2, 2, 1, 0, 0]
+        # after the first tick B, C and the retried A are waiting
+        assert backlog == [3, 2, 1, 0, 0]
         assert service.metrics.files_ingested == 3
         assert service.metrics.files_requeued == 1
 

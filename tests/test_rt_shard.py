@@ -14,7 +14,6 @@ from repro.errors import (
     ConfigError,
     InjectedFaultError,
     MPIError,
-    StaleReadError,
 )
 from repro.faults.chaos import ChaosAction, ChaosSchedule
 from repro.faults.policy import FailurePolicy
@@ -176,35 +175,20 @@ class TestHeartbeatMonitor:
 
 class TestCatalogAggregator:
     def test_idempotent_apply_and_rebase(self):
-        agg = CatalogAggregator({0: 0, 1: CHANNELS}, now=0.0)
+        agg = CatalogAggregator({0: 0, 1: CHANNELS})
         event = _event()
-        assert agg.apply(1, [("rec", event)], now=1.0) == 1
+        assert agg.apply(1, [("rec", event)]) == 1
         # The same (shard, record, span) row replayed is a duplicate.
-        assert agg.apply(1, [("rec", event)], now=2.0) == 0
+        assert agg.apply(1, [("rec", event)]) == 0
         assert agg.duplicates == 1
         # Same span from another shard is a distinct catalog row.
-        assert agg.apply(0, [("rec", event)], now=2.0) == 1
+        assert agg.apply(0, [("rec", event)]) == 1
         rows = agg.read()
         assert len(rows) == 2
         by_shard = {shard: ev for shard, _, ev in rows}
         assert by_shard[0].event.channel_lo == 1
         assert by_shard[1].event.channel_lo == 1 + CHANNELS
         assert by_shard[1].event.channel_hi == 5 + CHANNELS
-
-    def test_bounded_staleness_read(self):
-        agg = CatalogAggregator({0: 0, 1: 0}, now=0.0)
-        agg.apply(0, [("rec", _event())], now=10.0)
-        # Shard 1 has applied nothing since t=0: stale at bound 5.
-        with pytest.raises(StaleReadError) as info:
-            agg.read(now=10.0, max_staleness_s=5.0)
-        assert info.value.stale_shards == {1: 10.0}
-        assert info.value.bound_s == 5.0
-        # Exempting the stale shard (it is dead) lets the read through.
-        rows = agg.read(now=10.0, max_staleness_s=5.0, exempt={1})
-        assert len(rows) == 1
-        # And once shard 1 reports, the bound is satisfied.
-        agg.apply(1, [], now=9.0)
-        assert len(agg.read(now=10.0, max_staleness_s=5.0)) == 1
 
     def test_signature_ignores_labels(self):
         a = _event()

@@ -139,15 +139,6 @@ def test_queue_full_is_typed_and_immediate():
     assert err.value.depth == 0
 
 
-def test_wait_timeout_raises_quota_error():
-    ctl = AdmissionController(
-        default=TenantQuota(requests_per_s=0.01, request_burst=1.0)
-    )
-    ctl.admit("a")
-    with pytest.raises(QuotaExceededError):
-        ctl.admit("a", timeout=0.02)
-
-
 def test_admit_waits_for_refill():
     ctl = AdmissionController(
         default=TenantQuota(requests_per_s=50.0, request_burst=1.0)
@@ -352,7 +343,7 @@ def test_hammer_is_sanitizer_clean_and_conserves_tokens(lock_sanitizer):
         for i in range(per_thread):
             try:
                 if rng.integers(2) == 0:
-                    ctl.admit(tenant, nbytes=4096, timeout=0.05)
+                    ctl.admit(tenant, nbytes=4096)
                 else:
                     ctl.admit(tenant, nbytes=4096, wait=False)
                 got = "admitted"

@@ -95,14 +95,15 @@ class TestDASMetadata:
 
     def test_search_skips_a_malformed_file(self, tmp_path):
         """One file with a NaN channel count is not a DAS file: a search
-        and a shape scan return the good one instead of aborting."""
+        and a scan (both read the footer of a stamp-less name) return the
+        good one instead of aborting."""
         for name in ("good.h5", "bad.h5"):
             write_das_file(str(tmp_path / name), np.zeros((2, 10)), DASMetadata())
         with File(str(tmp_path / "bad.h5"), "a") as f:
             f.attrs["Number of objects"] = float("nan")
         good = [str(tmp_path / "good.h5")]
         assert [i.path for i in das_search(tmp_path, pattern=".*")] == good
-        assert [i.path for i in scan_directory(tmp_path, read_shapes=True)] == good
+        assert [i.path for i in scan_directory(tmp_path)] == good
 
 
 class TestDASFileIO:

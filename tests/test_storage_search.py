@@ -16,10 +16,6 @@ class TestScanDirectory:
         catalog = scan_directory(das_dir["dir"])
         assert [c.timestamp for c in catalog] == das_dir["stamps"]
 
-    def test_read_shapes(self, das_dir):
-        catalog = scan_directory(das_dir["dir"], read_shapes=True)
-        assert all(c.n_channels == 16 and c.n_samples == 120 for c in catalog)
-
     def test_name_only_scan_does_no_data_io(self, das_dir):
         from repro.utils.iostats import IOStats
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
+from repro.storage.dasfile import read_das_file
 from repro.storage.search import scan_directory
 from repro.synthetic import (
     ambient_noise,
@@ -165,13 +166,11 @@ class TestSceneAndDataset:
             str(tmp_path / "d"), 3, scene=scene, samples_per_minute=100
         )
         assert len(paths) == 3
-        catalog = scan_directory(str(tmp_path / "d"), read_shapes=True)
-        assert [c.n_samples for c in catalog] == [100, 100, 100]
+        catalog = scan_directory(str(tmp_path / "d"))
+        assert [read_das_file(c.path)[0].shape[1] for c in catalog] == [100, 100, 100]
         assert catalog[1].timestamp == "170620100555"  # +10 s at 10 Hz
 
     def test_files_concatenate_to_scene(self, tmp_path):
-        from repro.storage.dasfile import read_das_file
-
         scene = fig1b_scene(n_channels=8, minutes=2, samples_per_minute=50, fs=10.0)
         paths = generate_dataset(
             str(tmp_path / "d"), 2, scene=scene, samples_per_minute=50
