@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point.  `scripts/ci.sh` runs the static checks once (repro.checks
 # against scripts/checks_baseline.json), the src/ line budget (24 000), the
-# tier-1 suite, the hdf5lite codec suites under `taskset -c 0`, the
-# paper-figure tests and the harness's self-tests.  The figure tests rewrite
+# tier-1 suite, the in-source doctests, the hdf5lite codec suites under
+# `taskset -c 0`, the paper-figure tests and the harness's self-tests.  The figure tests rewrite
 # benchmarks/results/*.txt; every table must come out byte-identical except
 # fig6_search_merge.txt and fig9_matlab.txt, the two with wall-clock rows.
 # It gates no timing: every deterministic invariant a layer claims is a test.
@@ -55,6 +55,8 @@ if (( src_lines > 24000 )); then
     exit 1
 fi
 python -m pytest -x -q
+# The in-source doctests (units, timer, hyperslab, dtype).
+python -m pytest --doctest-modules src/repro -q
 # The codec suites again on a one-CPU affinity mask: the encode and decode
 # pools' no-thread path, on a real mask rather than a patched CPU count.
 taskset -c 0 python -m pytest -q tests/test_hdf5lite_read_direct.py \

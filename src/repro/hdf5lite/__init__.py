@@ -6,16 +6,19 @@ DASS storage engine needs:
 * hierarchical **groups** with key-value **attributes** (the two-level DAS
   metadata model of the paper's Fig. 4),
 * N-dimensional **datasets** with contiguous or chunked layout,
-* **hyperslab** partial reads/writes that touch only the required byte
-  ranges (every contiguous run costs one seek + one read, all counted by
-  :class:`repro.utils.IOStats`),
+* **hyperslab** partial reads that touch only the required byte ranges
+  (every contiguous run costs one seek + one read, all counted by
+  :class:`repro.utils.IOStats`), and hyperslab writes into a contiguous
+  dataset without a checksum sidecar,
 * **virtual datasets** that stitch regions of datasets in other files into
   one logical array — the mechanism behind the Virtually Concatenated
   Array (VCA),
 * per-chunk **codecs** (lossless and tolerance-bounded lossy, see
   :mod:`repro.hdf5lite.codecs`) selected by a ``repro:codec`` attribute,
   composing with CRC32 sidecars (checksum the encoded bytes) and the
-  block cache (admit decoded chunks).
+  block cache (admit decoded chunks).  A chunk and a checksummed block
+  are stored once, with their CRC, when the dataset is created; nothing
+  rewrites them.
 
 File layout (version 1)::
 
@@ -29,7 +32,7 @@ data region.
 
 from repro.hdf5lite.attributes import Attributes
 from repro.hdf5lite.cache import BlockCache, CacheConfig, FilePool
-from repro.hdf5lite.checksum import add_checksums, checksum_dataset, checksum_info
+from repro.hdf5lite.checksum import checksum_info
 from repro.hdf5lite.codecs import (
     CODEC_ATTR,
     Codec,
@@ -67,8 +70,6 @@ __all__ = [
     "BlockCache",
     "CacheConfig",
     "FilePool",
-    "add_checksums",
-    "checksum_dataset",
     "checksum_info",
     "CODEC_ATTR",
     "Codec",

@@ -2,8 +2,9 @@
 
 ``FileBackend`` wraps an OS-level file handle, counts every operation in an
 :class:`repro.utils.IOStats`, and exposes exactly the primitives the format
-needs: header read/write, positioned reads/writes of raw element runs, and
-appends.
+needs: header read/write and positioned reads/writes of raw element runs
+(``File._append_data`` is the one appender: it writes at the end of the
+data region, ahead of the metadata footer).
 
 Header layout (32 bytes, little-endian)::
 
@@ -135,16 +136,6 @@ class FileBackend:
             self._pos = offset + len(data)
         self.iostats.record_write(len(data))
 
-    def append(self, data: bytes | memoryview) -> int:
-        """Append at end of file; returns the offset the data landed at."""
-        with self._io_lock:
-            self._fh.seek(0, os.SEEK_END)
-            offset = self._fh.tell()
-            self._fh.write(data)
-            self._pos = offset + len(data)
-        self.iostats.record_write(len(data))
-        return offset
-
     def truncate(self, size: int) -> None:
         with self._io_lock:
             self._fh.truncate(size)
@@ -153,9 +144,6 @@ class FileBackend:
 
     def flush(self) -> None:
         self._fh.flush()
-
-    def size(self) -> int:
-        return os.fstat(self._fh.fileno()).st_size
 
     # -- header helpers ------------------------------------------------------
     def read_header(self) -> Header:

@@ -11,11 +11,11 @@ This module reads and writes the sidecar; which byte ranges it covers is
 the dataset's stored-unit map
 (:meth:`~repro.hdf5lite.dataset.Dataset._stored_units`), and the sidecar
 is ``{unit key: CRC32}`` over it.  One function writes it
-(:func:`_store_crcs`): creation passes the CRCs of the bytes it is
-appending, a hyperslab write those of the units it rewrote (merged into
-an existing sidecar, never starting one), and :func:`checksum_dataset` —
-the retrofit behind :func:`add_checksums` — those of the units it reads
-back.  The map is also where coverage is enforced — a sidecar that does
+(:func:`_store_crcs`), once, when ``create_dataset`` appends the bytes it
+covers — the one moment they are known to be good.  Nothing rewrites a
+checksummed unit afterwards: a hyperslab write into a dataset with a
+sidecar is refused, so no CRC is ever taken of bytes nobody verified.
+The map is also where coverage is enforced — a sidecar that does
 not name every unit exactly once is a ``FormatError`` on the first
 verified read, never a unit read unverified.
 
@@ -104,83 +104,16 @@ def verify_block(
         )
 
 
-def checksum_dataset(ds: "Dataset", block_size: int = DEFAULT_CHECKSUM_BLOCK) -> bool:
-    """Compute and store the sidecar for one dataset — the retrofit
-    behind :func:`add_checksums`, reading the stored units back.
-
-    Contiguous datasets get one CRC per ``block_size`` bytes of their
-    data region; chunked datasets one CRC per chunk (of its stored —
-    encoded, on codec datasets — bytes, so corruption is caught before any
-    decode).  Virtual datasets carry no local bytes — their integrity is
-    their sources' — so they are skipped (returns ``False``).
-    """
-    from repro.hdf5lite.dataset import LAYOUT_VIRTUAL
-
-    if block_size < 1:
-        raise FormatError(f"block_size must be >= 1, got {block_size}")
-    if ds.layout == LAYOUT_VIRTUAL:
-        return False  # no local bytes
-    crcs = {
-        key: zlib.crc32(ds._fetch_unit(unit))
-        for key, unit in ds._stored_units(sidecar=False, span=block_size).items()
-    }
-    _store_crcs(ds, crcs, 0 if ds.chunks is not None else block_size)
-    return True
-
-
-def _store_crcs(
-    ds: "Dataset", crcs: dict[object, int], block_size: int | None = None
-) -> None:
-    """Write ``crcs`` — ``{unit key: CRC32 of its stored bytes}`` — into
-    the sidecar: the one place the ``repro:crc32*`` attributes are set.
-
-    Given ``block_size`` the sidecar is created (or replaced) with exactly
-    these units: ``0`` for one CRC per chunk, by chunk key, else one per
-    ``block_size``-byte block, by block number.  Without it the CRCs are
-    merged into the sidecar the dataset carries, and a dataset without
-    one is left without (a hyperslab write keeps a sidecar true, it never
-    starts one).  A chunk the sidecar lacks — re-stored by a write that
-    did not verify — is appended, so it is covered again.
-    """
-    if block_size is None:
-        info = checksum_info(ds)
-        if info is None:
-            return
-        if info.chunked:
-            crcs = {**info.chunk_crcs, **crcs}
-            if len(crcs) > len(info.crcs):
-                ds.attrs[CRC_KEYS_ATTR] = list(crcs)
-        else:
-            crcs = {i: crcs.get(i, old) for i, old in enumerate(info.crcs)}
+def _store_crcs(ds: "Dataset", crcs: dict[object, int], block_size: int) -> None:
+    """Create the sidecar from ``crcs`` — ``{unit key: CRC32 of its stored
+    bytes}``, taken as the dataset was created: the one place the
+    ``repro:crc32*`` attributes are set.  ``block_size`` is ``0`` for one
+    CRC per chunk, by chunk key, else the byte size of the contiguous
+    blocks, by block number."""
     ds.attrs[CRC_ATTR] = list(crcs.values())
-    if block_size is not None:
-        ds.attrs[CRC_BLOCK_ATTR] = int(block_size)
-        if block_size:
-            ds.attrs.pop(CRC_KEYS_ATTR, None)
-        else:
-            ds.attrs[CRC_KEYS_ATTR] = list(crcs)
-
-
-def add_checksums(file, block_size: int = DEFAULT_CHECKSUM_BLOCK) -> int:
-    """Retrofit checksums onto every dataset of an open writable file;
-    returns how many datasets gained a sidecar."""
-    from repro.hdf5lite.dataset import Dataset
-    from repro.hdf5lite.file import Group
-
-    count = 0
-
-    def walk(group: Group) -> None:
-        nonlocal count
-        for name in group.keys():
-            child = group[name]
-            if isinstance(child, Dataset):
-                if checksum_dataset(child, block_size=block_size):
-                    count += 1
-            else:
-                walk(child)
-
-    walk(file)
-    return count
+    ds.attrs[CRC_BLOCK_ATTR] = int(block_size)
+    if not block_size:
+        ds.attrs[CRC_KEYS_ATTR] = list(crcs)
 
 
 def verify_dataset(ds: "Dataset") -> list[tuple[int, str]]:

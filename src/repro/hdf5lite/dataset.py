@@ -13,8 +13,8 @@ byte range one backend request fetches, one sidecar CRC covers, one decode
 turns into samples and one cache entry holds — a chunk, a checksum block,
 or a cache page.  The map is where the chunk index, the ``chunk_enc`` size
 map, the codec attribute and the checksum sidecar are checked against each
-other and against the data region; reads, writes, ``checksum`` and
-``inspect`` all walk it.
+other and against the data region; reads, ``checksum`` and ``inspect``
+all walk it.
 
 A read is one ordered stage list.  *Plan*: the selection becomes spans
 (:func:`~repro.hdf5lite.hyperslab.plan_spans`) or touched chunks
@@ -32,9 +32,13 @@ samples are cast-assigned into an array the caller owns
 a fresh array) — any dtype, any strides.  A virtual dataset's plan
 stage hands every source its own band of the caller's buffer and pre-fills
 only when its sources do not tile it.  From the executor's float64 block
-down to the unit, every sample lands once.  A write plans with the same
-planner at ``max_gap=0`` (or re-stores the touched chunks) and hands the
-CRCs of what it rewrote to the one sidecar writer.
+down to the unit, every sample lands once.
+
+A stored unit and its CRC are written once, when the dataset is created
+(:meth:`Dataset._store_chunks` appends every chunk).  A hyperslab write
+plans with the same planner at ``max_gap=0`` and is taken only by a
+contiguous dataset without a sidecar; on any other it is a
+``FormatError`` before any byte is written.
 """
 
 from __future__ import annotations
@@ -54,12 +58,7 @@ from repro.errors import FormatError, ReproError, SelectionError
 from repro.hdf5lite import dtype as _dtype
 from repro.hdf5lite.attributes import Attributes
 from repro.hdf5lite.binary import HEADER_SIZE
-from repro.hdf5lite.checksum import (
-    _store_crcs,
-    block_count,
-    checksum_info,
-    verify_block,
-)
+from repro.hdf5lite.checksum import CRC_ATTR, block_count, checksum_info, verify_block
 from repro.hdf5lite.codecs import CODEC_ATTR, Codec, resolve_codec
 from repro.hdf5lite.hyperslab import (
     COALESCE_GAP_BYTES,
@@ -169,7 +168,7 @@ def _chunk_grid(
     """Walk grid coordinates ``lo..hi`` (inclusive; the whole grid by
     default) of a chunked array in row-major order: ``(key, start, count)``
     with ``count`` clipped at the array's edge.  The one chunk-grid
-    odometer: creation, reads, writes and the unit map all iterate it."""
+    odometer: creation, reads and the unit map all iterate it."""
     if lo is None or hi is None:
         lo = [0] * len(shape)
         hi = [(dim - 1) // c for dim, c in zip(shape, chunks)]
@@ -217,8 +216,8 @@ class Dataset:
     """A dataset inside an hdf5lite file.
 
     Supports numpy-style basic indexing for reads (``ds[...]``,
-    ``ds[2:5, ::3]``) and, for contiguous datasets in writable files,
-    hyperslab writes (``ds[2:5] = values``).
+    ``ds[2:5, ::3]``) and, for contiguous datasets without a checksum
+    sidecar in writable files, hyperslab writes (``ds[2:5] = values``).
     """
 
     #: Degraded-read hook of a virtual dataset: ``handler(source, overlap,
@@ -240,8 +239,8 @@ class Dataset:
         self._meta["attrs"] = self.attrs._data
 
     def _changed(self) -> None:
-        """An attribute (the sidecar and the codec are attributes) or a
-        stored chunk changed: the file is dirty, and what was derived from
+        """An attribute (the sidecar and the codec are attributes) changed
+        or a chunk was stored: the file is dirty, and what was derived from
         the old state — the one place it is invalidated — is derived again
         on its next use."""
         self.__dict__.pop("_units", None)
@@ -332,7 +331,7 @@ class Dataset:
     # -- stored units --------------------------------------------------------
     @cached_property
     def _units(self) -> dict[object, _Unit]:
-        """The unit map reads and writes go through: CRCs attached when the
+        """The unit map reads go through: CRCs attached when the
         file verifies reads, an unchecksummed contiguous region cut into the
         cache's pages when there is a cache."""
         file = self._file
@@ -348,9 +347,8 @@ class Dataset:
         codec is recorded, the clipped chunk shape x itemsize otherwise.  A
         contiguous region is cut into the sidecar's checksum blocks when
         ``sidecar`` asks for CRCs and the dataset carries them, else into
-        ``span``-byte units (cache pages; the block size a new sidecar is
-        computed at), else not at all — the empty map: nothing needs whole
-        units, and a virtual dataset stores none.
+        ``span``-byte units (cache pages), else not at all — the empty map:
+        nothing needs whole units, and a virtual dataset stores none.
 
         This is also the one place the storage maps are checked against
         each other: a chunk index that is not the grid, a codec without its
@@ -724,7 +722,7 @@ class Dataset:
                             lambda offset, dest, at=unit.offset: backend.readinto_at(
                                 at + offset, dest
                             ),
-                            out[vals],
+                            out[(*vals, ...)],  # a view, also of a 0-d out
                         )
                     elif codec is None or cached:
                         out[vals] = self._load_unit(
@@ -815,13 +813,27 @@ class Dataset:
         self.write_hyperslab(hs, arr)
 
     def write_hyperslab(self, hs: Hyperslab, values: np.ndarray) -> None:
-        """Write ``values`` (shape ``hs.count``) into the hyperslab."""
+        """Write ``values`` (shape ``hs.count``) into the hyperslab of a
+        contiguous dataset without a checksum sidecar.
+
+        A chunk and a checksummed block are stored once, with their CRC,
+        when the dataset is created: a write that would re-store a chunk
+        or re-checksum bytes nobody verified is a ``FormatError``, raised
+        before any byte is written.  The values go over the read planner's
+        spans at ``max_gap=0`` (a write cannot bridge a hole without
+        reading it): each span is hole-free and all have one length, so
+        span ``i`` takes the ``i``-th run of the C-ordered values.
+        """
         if not self._file.writable:
             raise FormatError("file is not writable")
-        if self.layout not in (LAYOUT_CONTIGUOUS, LAYOUT_CHUNKED):
+        if self.layout != LAYOUT_CONTIGUOUS:
             raise FormatError(
-                f"writes are only supported on contiguous or chunked "
+                f"{self.path}: writes are only supported on contiguous "
                 f"datasets, not {self.layout}"
+            )
+        if CRC_ATTR in self.attrs:
+            raise FormatError(
+                f"{self.path}: a checksummed dataset is written once, at creation"
             )
         self._require_within(hs)
         values = np.asarray(values, dtype=self.dtype, order="C")
@@ -829,72 +841,22 @@ class Dataset:
             raise SelectionError(
                 f"value shape {values.shape} != selection shape {hs.count}"
             )
-        if self.layout == LAYOUT_CHUNKED:
-            crcs = self._write_chunked(hs, values)
-        else:
-            crcs = self._write_contiguous(hs, values)
-        self._file._invalidate_cache()
-        if crcs:  # keep a sidecar true, even unverified; never start one
-            _store_crcs(self, crcs)
-
-    def _write_contiguous(self, hs: Hyperslab, values: np.ndarray) -> dict[int, int]:
-        """Write ``values`` over the read planner's spans at ``max_gap=0`` (a
-        write cannot bridge a hole without reading it): each span is
-        hole-free and all have one length, so span ``i`` takes the ``i``-th
-        run of the C-ordered values.  Returns the CRCs of the sidecar
-        blocks from the first span's start to the last span's end."""
         plan = plan_spans(hs, self.shape, 0)
         span = plan.span_len(plan.block) * self.itemsize
-        offsets = (plan.offsets * self.itemsize).tolist()
         base, write_at = int(self._meta["offset"]), self._file._backend.write_at
         data = memoryview(values.reshape(-1).view(np.uint8))
-        for i, offset in enumerate(offsets):
+        for i, offset in enumerate((plan.offsets * self.itemsize).tolist()):
             write_at(base + offset, data[i * span : (i + 1) * span])
-        info = checksum_info(self)
-        if not offsets or info is None or info.chunked:
-            return {}
-        size = info.block_size
-        units = self._stored_units(sidecar=False, span=size)
-        return {
-            i: zlib.crc32(self._fetch_unit(units[i]))
-            for i in range(offsets[0] // size, (offsets[-1] + span - 1) // size + 1)
-        }
-
-    def _write_chunked(self, hs: Hyperslab, values: np.ndarray) -> dict[str, int]:
-        """Read-modify-rewrite every chunk the selection touches; returns
-        the CRC of each payload stored, so checksums cover the bytes on
-        disk.  The touched chunk is loaded CRC-verified when the file
-        verifies reads: a read-modify-write must not launder corruption
-        into a fresh checksum."""
-
-        def patched() -> Iterator[tuple[str, np.ndarray, _Unit]]:
-            for unit, local_sel, vals_sel in self._touched_chunks(hs):
-                # (a 0-d chunk loads as a numpy scalar)
-                chunk_arr = np.asarray(
-                    self._load_unit(unit, None, (slice(None),) * self.ndim)
-                )
-                if not chunk_arr.flags.writeable:
-                    chunk_arr = chunk_arr.copy()
-                chunk_arr[local_sel] = values[vals_sel]
-                yield unit.key, chunk_arr, unit
-
-        return self._store_chunks(patched(), self.codec)
+        self._file._invalidate_cache()
 
     def _store_chunks(
-        self,
-        items: Iterable[tuple[str, np.ndarray, _Unit | None]],
-        codec: "Codec | None",
+        self, items: Iterable[tuple[str, np.ndarray]], codec: "Codec | None"
     ) -> dict[str, int]:
-        """Encode chunks and put them on disk, in the order ``items`` lists
-        them; returns ``{key: crc32(payload)}`` for the stored payloads
-        (what a sidecar CRC covers).  The one place a chunk is encoded:
-        creation stores every chunk of the grid through here, a hyperslab
-        write the chunks it patched.  An item is ``(key, block, slot)``.
-
-        The payload goes into ``slot`` — the unit it replaces — when it
-        fits; a new chunk, or one that grew past its old slot, is appended
-        to the data region and the chunk index pointed at it (the old bytes
-        are dead — acceptable for an append-only format).
+        """Encode chunks and append them to the data region, in the order
+        ``items`` lists them, pointing the chunk index at each; returns
+        ``{key: crc32(payload)}`` for the stored payloads (what a sidecar
+        CRC covers).  The one place a chunk is encoded: creation stores
+        every chunk of the grid through here.  An item is ``(key, block)``.
 
         With two chunks or more and more than one CPU, the encodes overlap
         on a pool of this call's own (``zlib`` releases the GIL), through
@@ -909,21 +871,16 @@ class Dataset:
         ``items`` is drawn no further ahead.
         """
 
-        def encode(item: tuple[str, np.ndarray, _Unit | None]) -> tuple[bytes, int]:
+        def encode(item: tuple[str, np.ndarray]) -> tuple[bytes, int]:
             block = np.asarray(item[1], order="C")
             payload = block.tobytes() if codec is None else codec.encode(block)
             return payload, zlib.crc32(payload)
 
         crcs: dict[str, int] = {}
 
-        def store(
-            item: tuple[str, np.ndarray, _Unit | None], encoded: tuple[bytes, int]
-        ) -> None:
-            (ckey, _block, slot), (payload, crc) = item, encoded
-            if slot is not None and len(payload) <= slot.nbytes:
-                self._file._backend.write_at(slot.offset, payload)
-            else:
-                self._meta["chunk_index"][ckey] = self._file._append_data(payload)
+        def store(item: tuple[str, np.ndarray], encoded: tuple[bytes, int]) -> None:
+            ckey, (payload, crc) = item[0], encoded
+            self._meta["chunk_index"][ckey] = self._file._append_data(payload)
             if codec is not None:
                 self._meta["chunk_enc"][ckey] = len(payload)
             crcs[ckey] = crc

@@ -6,8 +6,8 @@ JSON metadata footer) and flushed on close.  A file appends dataset bytes
 and records where they went; how a dataset's bytes divide into stored
 units — and so how a chunk is encoded, sized, checksummed and found again
 — is :mod:`repro.hdf5lite.dataset`'s (``create_dataset`` stores the chunk
-grid through ``Dataset._store_chunks``, the function a hyperslab write
-re-stores chunks with).
+grid through ``Dataset._store_chunks``, and each stored unit and its CRC
+are written once, there).
 
 Example::
 
@@ -173,8 +173,10 @@ class Group:
 
         ``checksum=True`` stores a per-block CRC32 sidecar (see
         :mod:`repro.hdf5lite.checksum`) verified on every subsequent read,
-        taken from the bytes as they are appended — nothing is read back;
-        ``checksum_block`` overrides the contiguous block size.  Virtual
+        taken from the bytes as they are appended — nothing is read back,
+        and nothing rewrites them: a chunked or checksummed dataset takes
+        no hyperslab write.  ``checksum_block`` overrides the contiguous
+        block size.  Virtual
         datasets hold no local bytes, so the flag is a no-op for them.
 
         ``codec`` — a codec spec string (``"delta-zlib"``,
@@ -279,13 +281,12 @@ class Group:
         if meta["layout"] == LAYOUT_CHUNKED:
             if resolved is not None:
                 ds.attrs[CODEC_ATTR] = resolved.spec
-            # Every chunk of the grid goes through the function a hyperslab
-            # write re-stores chunks with; each payload's CRC is taken in
-            # the task that makes it, not by reading the file back.
-            def grid() -> Iterator[tuple[str, np.ndarray, None]]:
+            # Every chunk of the grid is appended once; each payload's CRC
+            # is taken in the task that makes it, not by reading the file
+            # back.
+            def grid() -> Iterator[tuple[str, np.ndarray]]:
                 for ckey, start, count in _chunk_grid(arr.shape, chunks):
-                    block = arr[tuple(slice(s, s + n) for s, n in zip(start, count))]
-                    yield ckey, block, None
+                    yield ckey, arr[tuple(slice(s, s + n) for s, n in zip(start, count))]
 
             chunk_crcs = ds._store_chunks(grid(), resolved)
             if checksum:

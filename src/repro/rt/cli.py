@@ -19,7 +19,7 @@ import signal
 import sys
 
 from repro.core.local_similarity import LocalSimilarityConfig
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError, CorruptDataError, ReproError
 from repro.rt.events import EventPolicy, read_event_log
 from repro.rt.ingest import Quarantine, is_acquisition_file
 from repro.rt.scheduler import DETECTORS, DetectorConfig
@@ -267,6 +267,24 @@ def cmd_watch(args: argparse.Namespace) -> int:
     return 0
 
 
+def _shard_health(path: str) -> dict:
+    """Each shard's state and counters from the supervisor's health file,
+    which writes all four: a file that does not parse, or a shard entry
+    without one of them, is :class:`CorruptDataError`."""
+    keys = ("state", "ingested", "events", "restarts")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            shards = json.load(handle)["shards"]
+        return {
+            shard: {key: info[key] for key in keys}
+            for shard, info in sorted(shards.items())
+        }
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CorruptDataError(
+            path, reason=f"malformed health file ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
 def cmd_status(args: argparse.Namespace) -> int:
     events_path = (
         args.events
@@ -283,17 +301,7 @@ def cmd_status(args: argparse.Namespace) -> int:
     }
     health_path = os.path.join(args.spool, HEALTH_NAME)
     if os.path.exists(health_path):
-        with open(health_path, encoding="utf-8") as handle:
-            health = json.load(handle)
-        report["shards"] = {
-            shard: {
-                "state": info["state"],
-                "ingested": info.get("ingested", 0),
-                "events": info.get("events", 0),
-                "restarts": info.get("restarts", 0),
-            }
-            for shard, info in sorted(health.get("shards", {}).items())
-        }
+        report["shards"] = _shard_health(health_path)
     print(json.dumps(report, indent=2))
     return 0
 

@@ -26,6 +26,7 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass
+from typing import Any
 
 from repro.core.pipeline import IncrementalRunner
 from repro.errors import CheckpointCorruptError, ConfigError, ReproError
@@ -64,6 +65,28 @@ class ServiceConfig:
             raise ConfigError("max_retries must be >= 1")
         if self.checkpoint_every < 0:
             raise ConfigError("checkpoint_every must be >= 0")
+
+
+def _checkpoint_field(
+    payload: dict,
+    key: str,
+    kind: type | tuple[type, ...],
+    member: type | None = None,
+) -> Any:
+    """``payload[key]``, refused as :class:`ConfigError` naming the key when
+    the document lacks it or it is not a ``kind`` (whose list items or dict
+    values are all of type ``member``, given one).  Every key read is one
+    :meth:`RTService.save_checkpoint` writes, so a CRC-valid document that
+    lacks one or mistypes it is no service's, not an older one to default."""
+    if key not in payload:
+        raise ConfigError(f"checkpoint lacks {key!r}")
+    value = payload[key]
+    members = value.values() if isinstance(value, dict) else value
+    if not isinstance(value, kind) or (
+        member is not None and not all(isinstance(m, member) for m in members)
+    ):
+        raise ConfigError(f"checkpoint {key!r} has the wrong type: {value!r:.80}")
+    return value
 
 
 class RTService:
@@ -153,24 +176,26 @@ class RTService:
         service: the carried detector state is dropped — the record is
         started fresh at the next file — and the failure is kept in
         :attr:`resume_error`.  Already-processed files stay marked as
-        known either way, so nothing is double-ingested.
+        known either way, so nothing is double-ingested.  Every key
+        :meth:`save_checkpoint` writes is read as written: one missing or
+        of the wrong type is a ``ConfigError``, never a default.
         """
-        self.files_done = [
-            (str(name), int(n)) for name, n in payload.get("files_done", [])
-        ]
+        done = _checkpoint_field(payload, "files_done", list, list)
+        try:
+            self.files_done = [(str(name), int(n)) for name, n in done]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"checkpoint 'files_done' is malformed: {exc}") from exc
         # files_seen outlives record finalisation (files_done is cleared
         # when a record ends) — it is what keeps finalised-record files
-        # from being re-announced after a restart.  Older checkpoints
-        # without the field fall back to files_done.
-        self.files_seen = {str(name) for name in payload.get("files_seen", [])}
-        self.files_seen.update(name for name, _ in self.files_done)
-        self._record = str(payload.get("record", ""))
-        self._expected_stamp = payload.get("expected_stamp")
-        self._attempts = {
-            str(name): int(n) for name, n in payload.get("attempts", {}).items()
-        }
+        # from being re-announced after a restart.
+        self.files_seen = set(_checkpoint_field(payload, "files_seen", list, str))
+        self._record = _checkpoint_field(payload, "record", str)
+        self._expected_stamp = _checkpoint_field(
+            payload, "expected_stamp", (str, type(None))
+        )
+        self._attempts = dict(_checkpoint_field(payload, "attempts", dict, int))
         self.watcher.mark_known(self._seen_paths())
-        runner_state = payload.get("runner")
+        runner_state = _checkpoint_field(payload, "runner", (dict, type(None)))
         if runner_state is not None:
             lo = int(runner_state["buf_start"])
             hi = int(runner_state["seen"])
@@ -198,7 +223,7 @@ class RTService:
             self._runner_for(
                 int(runner_state["n_channels"]), float(runner_state["fs"])
             ).import_state(runner_state, tail)
-        assembler_state = payload.get("assembler")
+        assembler_state = _checkpoint_field(payload, "assembler", (dict, type(None)))
         if assembler_state is not None:
             self._ensure_assembler()
             self.assembler.import_state(assembler_state)

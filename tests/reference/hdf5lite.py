@@ -9,7 +9,10 @@ it, kept verbatim as the slow, obviously correct spec.
   loaded by :func:`parent_load_unit` on the calling thread;
 * :func:`parent_encode` / :func:`parent_decode` — ``transpose-zlib`` before
   its planes were told apart: one ``zlib.compress`` over the transposed
-  buffer, and the matching unbounded inflate plus one transpose.
+  buffer, and the matching unbounded inflate plus one transpose;
+* :func:`read_back_sidecar` — the checksum sidecar as the retrofit that
+  preceded creation-time CRCs computed it: every stored unit read back
+  from the file and CRC'd.
 """
 
 import math
@@ -17,6 +20,12 @@ import zlib
 
 import numpy as np
 
+from repro.hdf5lite.checksum import (
+    CRC_ATTR,
+    CRC_BLOCK_ATTR,
+    CRC_KEYS_ATTR,
+    DEFAULT_CHECKSUM_BLOCK,
+)
 from repro.hdf5lite.hyperslab import Hyperslab
 
 
@@ -86,3 +95,19 @@ def parent_decode(payload: bytes, shape, dtype) -> np.ndarray:
     assert len(raw) == n * dtype.itemsize
     planes = np.frombuffer(raw, dtype=np.uint8).reshape(dtype.itemsize, n)
     return np.ascontiguousarray(planes.T).reshape(-1).view(dtype).reshape(shape)
+
+
+def read_back_sidecar(ds, block_size=DEFAULT_CHECKSUM_BLOCK):
+    """The ``repro:crc32*`` attributes a read-back derives from the file's
+    bytes (frozen from the retrofit): one CRC per chunk of its stored,
+    encoded bytes, by chunk key, or one per ``block_size`` bytes of a
+    contiguous region, by block number."""
+    crcs = {
+        key: zlib.crc32(ds._fetch_unit(unit))
+        for key, unit in ds._stored_units(sidecar=False, span=block_size).items()
+    }
+    chunked = ds.chunks is not None
+    sidecar = {CRC_ATTR: list(crcs.values()), CRC_BLOCK_ATTR: 0 if chunked else block_size}
+    if chunked:
+        sidecar[CRC_KEYS_ATTR] = list(crcs)
+    return sidecar

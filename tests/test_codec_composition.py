@@ -20,7 +20,6 @@ from repro.errors import CorruptDataError, MPIError
 from repro.faults.inject import FaultInjector, clear_read_faults
 from repro.hdf5lite import File
 from repro.hdf5lite.codecs import TransposeZlibCodec
-from repro.hdf5lite.inspect import verify
 from repro.simmpi import run_spmd
 from repro.storage.chunks import SourceView
 from repro.storage.dasfile import das_filename, write_das_file
@@ -160,37 +159,6 @@ class TestCorruptPayloadNeverReachesDecode:
             with pytest.raises(CorruptDataError, match="crc32 mismatch"):
                 ds[:, 64:128]  # exactly the corrupted chunk
         assert calls == []  # verification fired before any decode
-
-
-class TestWriteRecomputesEncodedCrc:
-    def test_hyperslab_write_keeps_sidecar_true(self, tmp_path):
-        data = np.random.default_rng(5).normal(size=(8, 256)).astype(np.float32)
-        path = str(tmp_path / "w.h5")
-        with File(path, "w") as f:
-            f.create_dataset(
-                "d", data=data, chunks=(8, 64), codec=CODEC, checksum=True
-            )
-        with File(path, "r+") as f:
-            f.dataset("d")[2:6, 30:100] = 1.5
-        expected = data.copy()
-        expected[2:6, 30:100] = 1.5
-        # Reopen with verification on: every CRC must match the
-        # re-encoded bytes, and the contents must be the new values.
-        with File(path, "r") as f:
-            assert verify(f) == []
-            np.testing.assert_array_equal(f.dataset("d").read(), expected)
-
-    def test_write_with_verification_off_still_updates_crcs(self, tmp_path):
-        data = np.random.default_rng(6).normal(size=(8, 128)).astype(np.float32)
-        path = str(tmp_path / "w2.h5")
-        with File(path, "w") as f:
-            f.create_dataset(
-                "d", data=data, chunks=(4, 64), codec=CODEC, checksum=True
-            )
-        with File(path, "r+", verify_checksums=False) as f:
-            f.dataset("d")[0:2, 0:10] = -3.0
-        with File(path, "r") as f:
-            assert verify(f) == []
 
 
 class TestLosslessBitExactThroughAlgorithms:

@@ -236,6 +236,40 @@ def test_status_names_a_corrupt_row_and_exits_2(tmp_path, target):
     assert "Traceback" not in proc.stderr
 
 
+HEALTH = {
+    "updated_unix": 0.0,
+    "shards": {
+        "0": {"state": "alive", "ingested": 3, "events": 1, "restarts": 0},
+        "1": {"state": "alive", "ingested": 2, "events": 0, "restarts": 1},
+    },
+}
+
+
+@pytest.mark.parametrize("damage", ["torn", "no-state"])
+def test_status_names_a_malformed_health_file_and_exits_2(tmp_path, capsys, damage):
+    from repro.rt.cli import main
+    from repro.rt.supervisor import HEALTH_NAME
+
+    _write_log("events", str(tmp_path))
+    path = tmp_path / HEALTH_NAME
+    text = json.dumps(HEALTH, indent=2)
+    assert main(["status", str(tmp_path)]) == 0
+    capsys.readouterr()
+    path.write_text(text)
+    assert main(["status", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["shards"] == HEALTH["shards"]
+    if damage == "torn":
+        path.write_text(text[: len(text) // 2])
+    else:
+        health = json.loads(text)
+        del health["shards"]["1"]["state"]
+        path.write_text(json.dumps(health))
+    assert main(["status", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    assert "malformed health file" in err
+
+
 def test_served_events_name_a_corrupt_row(tmp_path):
     log = _write_log("events", str(tmp_path))
     offset = _flip(log, b"j_start")

@@ -1,6 +1,8 @@
 """Tests for per-chunk CRC32 checksum sidecars: creation, verified reads
-on every layout/path, corruption detection, and sidecar maintenance
-under partial writes."""
+on every layout/path, corruption detection, and the refusal of any write
+that would re-checksum stored bytes."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -15,18 +17,17 @@ from repro.hdf5lite import (
     File,
     FilePool,
     VirtualSource,
-    add_checksums,
     checksum_info,
     normalize_selection,
 )
 from repro.hdf5lite.checksum import (
     CRC_ATTR,
     DEFAULT_CHECKSUM_BLOCK,
-    checksum_dataset,
     verify_dataset,
 )
 from repro.hdf5lite.inspect import verify
 from repro.utils.iostats import IOStats
+from tests.reference.hdf5lite import read_back_sidecar
 
 
 def _write(path, data, checksum=True, chunks=None, block=None):
@@ -36,6 +37,11 @@ def _write(path, data, checksum=True, chunks=None, block=None):
             checksum_block=block,
         )
     return str(path)
+
+
+def _digest(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 class TestSidecarCreation:
@@ -62,7 +68,7 @@ class TestSidecarCreation:
     @pytest.mark.parametrize("codec", [None, "transpose-zlib", "delta-zlib:1"])
     def test_create_time_crcs_equal_a_read_back(self, tmp_path, codec):
         # create_dataset CRCs each payload as it appends it; the sidecar
-        # must be the one checksum_dataset derives from the file's bytes
+        # must be the one a read-back derives from the file's bytes
         data = np.random.default_rng(2).normal(size=(6, 100)).astype(np.float32)
         data[2:4] = 0.0
         path = str(tmp_path / "k.h5")
@@ -73,19 +79,14 @@ class TestSidecarCreation:
             at_create = dict(ds.attrs.items())
             assert len(at_create[CRC_ATTR]) == 2 * 3
             f.flush()
-            assert checksum_dataset(ds)
+            read_back = read_back_sidecar(ds)
+            assert {key: at_create[key] for key in read_back} == read_back
+            # a write into a chunk would re-store it: refused, CRCs untouched
+            with pytest.raises(FormatError, match="/d: writes are only supported"):
+                ds[0:2, 0:10] = 5.0
             assert dict(ds.attrs.items()) == at_create
-            # a write into a chunk re-stores it: its CRC is refreshed to
-            # what a read-back computes, the others are untouched
-            ds[0:2, 0:10] = 5.0
-            after_write = dict(ds.attrs.items())
-            assert after_write[CRC_ATTR][0] != at_create[CRC_ATTR][0]
-            assert after_write[CRC_ATTR][1:] == at_create[CRC_ATTR][1:]
-            assert checksum_dataset(ds)
-            assert dict(ds.attrs.items()) == after_write
         with File(path, "r") as f:
             assert verify(f) == []
-            data[0:2, 0:10] = 5.0
             assert np.array_equal(f.dataset("d").read(), data)
 
     def test_no_checksum_by_default(self, tmp_path):
@@ -93,14 +94,6 @@ class TestSidecarCreation:
         with File(path, "r") as f:
             assert checksum_info(f.dataset("d")) is None
             assert CRC_ATTR not in f.dataset("d").attrs
-
-    def test_add_checksums_retrofits_a_file(self, tmp_path):
-        path = _write(tmp_path / "r.h5", np.arange(64.0), checksum=False)
-        with File(path, "r+") as f:
-            added = add_checksums(f)
-            assert added == 1
-        with File(path, "r") as f:
-            assert checksum_info(f.dataset("d")) is not None
 
 
 class TestCorruptionDetection:
@@ -174,18 +167,62 @@ class TestCorruptionDetection:
             assert verify(f) == []
 
 
-class TestSidecarMaintenance:
-    def test_write_hyperslab_updates_crcs(self, tmp_path):
-        data = np.zeros((4, 1024))
-        path = _write(tmp_path / "w.h5", data, block=2048)
-        with File(path, "r+") as f:
-            ds = f.dataset("d")
-            ds[1:3, 100:200] = 7.5
-            expected = data.copy()
-            expected[1:3, 100:200] = 7.5
+class TestWritesAreRefused:
+    """A stored unit and its CRC are written once, at creation: a write
+    into a dataset with a sidecar, or into a chunked one, raises before
+    any byte is written."""
+
+    def test_a_write_beside_a_flipped_byte_does_not_launder_it(self, tmp_path):
+        data = np.arange(64 * 64, dtype=np.float64).reshape(64, 64)
+        path = _write(tmp_path / "l.h5", data, block=4096)
+        _flip(path, 32 + 100)  # block 0, row 1
         with File(path, "r") as f:
-            assert np.array_equal(f.dataset("d").read(), expected)
+            with pytest.raises(CorruptDataError):
+                f.dataset("d").read()
+        before = _digest(path)
+        with File(path, "r+") as f:
+            # row 7 lies in the same 4096-byte block as the flipped byte:
+            # re-CRCing that block would bless the flip
+            with pytest.raises(FormatError, match="/d: a checksummed dataset"):
+                f.dataset("d")[7] = 12.0
+        assert _digest(path) == before
+        with File(path, "r") as f:
+            with pytest.raises(CorruptDataError):
+                f.dataset("d").read()
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"block": 2048},
+            {"chunks": (2, 256)},
+            {"chunks": (2, 256), "checksum": False},
+        ],
+        ids=["contiguous-crc", "chunked-crc", "chunked"],
+    )
+    @pytest.mark.parametrize("verify_checksums", [True, False])
+    def test_refused_write_leaves_the_file_unchanged(
+        self, tmp_path, kwargs, verify_checksums
+    ):
+        data = np.zeros((4, 1024))
+        path = _write(tmp_path / "w.h5", data, **kwargs)
+        before = _digest(path)
+        stats = IOStats()
+        with File(path, "r+", iostats=stats, verify_checksums=verify_checksums) as f:
+            ds = f.dataset("d")
+            with pytest.raises(FormatError, match="/d: "):
+                ds[1:3, 100:200] = 7.5
+            with pytest.raises(FormatError, match="/d: "):
+                ds.write_hyperslab(
+                    normalize_selection(np.s_[0], ds.shape)[0], np.ones((1, 1024))
+                )
+        assert stats.writes == 0
+        assert _digest(path) == before
+        with File(path, "r") as f:
+            assert np.array_equal(f.dataset("d").read(), data)
             assert verify_dataset(f.dataset("d")) == []
+
+
+class TestSidecarMaintenance:
 
     def test_default_block_size(self, tmp_path):
         path = _write(tmp_path / "b.h5", np.zeros(64))
@@ -212,8 +249,8 @@ class TestSidecarMaintenance:
         assert problems and "expected" in problems[0][1]
 
     def test_virtual_dataset_skips_checksum(self, tmp_path):
-        # checksum_dataset declines virtual layouts (sources carry their
-        # own sidecars); no sidecar is written.
+        # a virtual dataset stores no local bytes (its sources carry their
+        # own sidecars): checksum=True writes no sidecar.
         src = _write(tmp_path / "s.h5", np.ones((2, 8)))
         from repro.hdf5lite.dataset import VirtualSource
 
@@ -229,8 +266,9 @@ class TestSidecarMaintenance:
                         dst_start=(0, 0), count=(2, 8),
                     )
                 ],
+                checksum=True,
             )
-            assert checksum_dataset(ds) is False
+            assert checksum_info(ds) is None
         with File(vpath, "r") as f:
             assert checksum_info(f.dataset("v")) is None
 
@@ -458,12 +496,12 @@ class TestSidecarCoverage:
             ]
         with File(path, "r", verify_checksums=False) as f:
             assert (f.dataset("d").read() != self.DATA).sum() == 1
-        # a writer that re-stores the chunk appends its key: covered again
+        # no writer re-stores the chunk under a fresh CRC, even unverified
+        before = _digest(path)
         with File(path, "r+", verify_checksums=False) as f:
-            f.dataset("d")[0:32, 1024:2048] = self.DATA[0:32, 1024:2048]
-        with File(path, "r") as f:
-            assert verify(f) == []
-            assert np.array_equal(f.dataset("d").read(), self.DATA)
+            with pytest.raises(FormatError, match="/d: writes are only supported"):
+                f.dataset("d")[0:32, 1024:2048] = self.DATA[0:32, 1024:2048]
+        assert _digest(path) == before
 
     def test_one_missing_encoded_size_is_one_problem(self, tmp_path):
         path = str(tmp_path / "z.h5")

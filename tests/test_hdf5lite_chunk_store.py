@@ -5,8 +5,9 @@ request stays on the calling thread in grid order.
 
 * files written with encodes overlapping are byte-identical to a serial
   run (the CPU helper patched to 1) — ``write_das_file``, each codec and
-  raw chunks over ragged and one-chunk grids, a multi-chunk hyperslab
-  write into a checksummed codec dataset;
+  raw chunks over ragged and one-chunk grids; a multi-chunk hyperslab
+  write into a checksummed chunked dataset is refused with no encode and
+  no thread, the file's bytes unchanged;
 * a codec's ``encode`` runs on at most ``workers + 1`` threads at once
   (one with one CPU), and the store draws its items no further ahead than
   that;
@@ -183,28 +184,27 @@ class TestSameBytes:
     def test_hyperslab_write_into_a_checksummed_dataset(
         self, monkeypatch, tmp_path, codec
     ):
+        # chunks are stored once, at creation: the write is refused before
+        # any chunk is encoded, a pool started or a byte written
         data = _signal()
         patch = np.random.default_rng(1).normal(size=(30, 900)).astype(np.float32) * 50
-
-        def write(path, cpus):
-            _cpus(monkeypatch, 1)
-            with File(path, "w") as f:
-                f.create_dataset("d", data=data, chunks=(16, 1024), codec=codec, checksum=True)
-            _cpus(monkeypatch, cpus)
-            with File(path, "r+") as f:
+        path = str(tmp_path / "d.h5")
+        with File(path, "w") as f:
+            f.create_dataset("d", data=data, chunks=(16, 1024), codec=codec, checksum=True)
+        before = _digest(path)
+        _cpus(monkeypatch, CPUS)
+        stored = []
+        monkeypatch.setattr(Dataset, "_store_chunks", lambda *args: stored.append(args))
+        baseline = threading.active_count()
+        with File(path, "r+") as f:
+            with pytest.raises(FormatError, match="/d: writes are only supported"):
                 f["d"][5:35, 100:2800:3] = patch
-            return _digest(path)
-
-        digests = [
-            write(str(tmp_path / name), cpus)
-            for cpus, name in ((1, "serial.h5"), (CPUS, "pooled.h5"))
-        ]
-        assert digests[0] == digests[1]
-        expected = data.copy()
-        expected[5:35, 100:2800:3] = patch
-        with File(str(tmp_path / "pooled.h5"), "r") as f:
-            np.testing.assert_array_equal(f["d"][:], expected)
-        assert _problems(str(tmp_path / "pooled.h5")) == []
+            assert threading.active_count() == baseline
+        assert stored == []
+        assert _digest(path) == before
+        with File(path, "r") as f:
+            np.testing.assert_array_equal(f["d"][:], data)
+        assert _problems(path) == []
 
 
 class TestConcurrency:
@@ -249,7 +249,7 @@ class TestConcurrency:
             def items():
                 for i in range(12):
                     ahead.append(i - len(stored))
-                    yield f"x{i}", data[:8, :500], None
+                    yield f"x{i}", data[:8, :500]
 
             ds._store_chunks(items(), ds.codec)
         assert len(stored) == 12

@@ -197,16 +197,16 @@ class TestChunked:
             with pytest.raises(FormatError):
                 f.create_dataset("d", data=np.zeros((4, 4)), chunks=(2,))
 
-    def test_chunked_accepts_writes(self, tmpfile):
+    def test_chunked_refuses_writes(self, tmpfile):
+        # a chunk is stored once, at creation: a write would re-store it
         with File(tmpfile, "w") as f:
             ds = f.create_dataset("d", data=np.zeros((4, 4)), chunks=(2, 2))
-            ds[0] = 1.0
-            ds[1:3, ::2] = 2.0
-        expected = np.zeros((4, 4))
-        expected[0] = 1.0
-        expected[1:3, ::2] = 2.0
+            with pytest.raises(FormatError, match="/d: writes are only supported"):
+                ds[0] = 1.0
+            with pytest.raises(FormatError, match="not chunked"):
+                ds[1:3, ::2] = 2.0
         with File(tmpfile, "r") as f:
-            np.testing.assert_array_equal(f.dataset("d").read(), expected)
+            np.testing.assert_array_equal(f.dataset("d").read(), np.zeros((4, 4)))
 
     def test_read_touches_only_needed_chunks(self, tmpfile):
         data = np.arange(16 * 16, dtype=np.float64).reshape(16, 16)
@@ -236,30 +236,51 @@ class TestScalar:
         ids=["contiguous", "chunked", "transpose-zlib", "delta-zlib"],
     )
     def test_roundtrip(self, tmpfile, checksum, chunks, codec):
+        writable = chunks is None and not checksum
         with File(tmpfile, "w") as f:
             ds = f.create_dataset(
                 "s", data=np.float64(2.5), chunks=chunks, codec=codec, checksum=checksum
             )
             assert ds.shape == ()
             assert ds[()] == 2.5
-            ds[()] = 3.0
+            if writable:
+                ds[()] = 3.0
+            else:  # a chunk or a checksummed block is written once
+                with pytest.raises(FormatError, match="/s: "):
+                    ds[()] = 3.0
             assert ds.read().shape == ()
-            assert ds.read() == 3.0
+            assert ds.read() == (3.0 if writable else 2.5)
         with File(tmpfile, "r") as f:
             ds = f.dataset("s")
             assert ds.shape == ()
-            assert ds[...] == 3.0
+            assert ds[...] == (3.0 if writable else 2.5)
             assert verify(f) == []
+
+    def test_raw_chunk_lands_in_a_0d_destination(self, tmpfile):
+        # a raw chunk read straight into place must get a view of a 0-d
+        # destination, not a scalar copy that drops the samples
+        with File(tmpfile, "w") as f:
+            f.create_dataset("s", data=np.float64(2.5), chunks=())
+        with File(tmpfile, "r") as f:
+            ds = f.dataset("s")
+            out = np.full((), 9.0)
+            ds.read_direct(Hyperslab((), (), ()), out)
+            assert out == 2.5
 
     @pytest.mark.parametrize("checksum", [False, True])
     def test_created_by_shape(self, tmpfile, checksum):
         with File(tmpfile, "w") as f:
             ds = f.create_dataset("s", shape=(), dtype=np.int32, checksum=checksum)
             assert ds.read() == 0
-            ds[...] = 7
+            if checksum:
+                with pytest.raises(FormatError, match="/s: a checksummed dataset"):
+                    ds[...] = 7
+            else:
+                ds[...] = 7
         with File(tmpfile, "r") as f:
             value = f.dataset("s")[()]
-            assert value.shape == () and value.dtype == np.int32 and value == 7
+            assert value.shape == () and value.dtype == np.int32
+            assert value == (0 if checksum else 7)
             assert verify(f) == []
         with pytest.raises(TypeError):
             len(File(tmpfile, "r").dataset("s"))

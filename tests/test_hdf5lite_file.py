@@ -93,11 +93,6 @@ class TestBackend:
             with pytest.raises(FormatError):
                 be.read_at(0, 100)
 
-    def test_append_returns_offset(self, tmpfile):
-        with FileBackend(tmpfile, "w+b") as be:
-            assert be.append(b"aaaa") == 0
-            assert be.append(b"bb") == 4
-
     def test_sequential_reads_skip_seeks(self, tmpfile):
         stats = IOStats()
         with FileBackend(tmpfile, "w+b", stats) as be:

@@ -1,24 +1,27 @@
 """The hdf5lite write path: hyperslab writes plan with the read planner
-(``plan_spans`` at ``max_gap=0``), and every writer keeps the CRC32
-sidecar true through one function.
+(``plan_spans`` at ``max_gap=0``), and a stored unit and its CRC are
+written once, when the dataset is created.
 
-* a random strided ``write_hyperslab`` into a contiguous N-D dataset, with
-  and without a sidecar whose blocks the write straddles, reads back as
-  the same assignment done in numpy, leaves ``verify_dataset`` clean, and
+* a random strided ``write_hyperslab`` into a contiguous N-D dataset
+  without a sidecar reads back as the same assignment done in numpy and
   issues between the selection's maximal gap-free runs (computed with
-  numpy) and one request per innermost run;
+  numpy) and one request per innermost run; with a sidecar it is refused
+  and the file's bytes are unchanged;
 * creating a checksummed contiguous dataset reads nothing back and stores
   ``zlib.crc32`` of each block of the bytes it appended;
-* a strided write into a checksummed codec chunked dataset leaves the
-  sidecar true.
+* a strided write into a checksummed codec chunked dataset is refused and
+  the dataset still verifies.
 """
 
+import hashlib
 import zlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import FormatError
 from repro.hdf5lite import File, Hyperslab
 from repro.hdf5lite.checksum import (
     CRC_ATTR,
@@ -71,6 +74,18 @@ def test_strided_writes_equal_numpy_keep_the_sidecar_and_issue_runs(
             "d", data=data, checksum=block is not None, checksum_block=block
         )
     stats = IOStats()
+    if block is not None:  # a checksummed block is written once, at creation
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        with File(path, "r+", iostats=stats) as f:
+            with pytest.raises(FormatError, match="/d: a checksummed dataset"):
+                f.dataset("d").write_hyperslab(hs, values)
+        assert stats.writes == 0
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest
+        with File(path, "r") as f:
+            assert verify_dataset(f.dataset("d")) == []
+        return
     with File(path, "r+", iostats=stats) as f:
         before = stats.snapshot()
         f.dataset("d").write_hyperslab(hs, values)
@@ -85,8 +100,7 @@ def test_strided_writes_equal_numpy_keep_the_sidecar_and_issue_runs(
     with File(path, "r") as f:
         ds = f.dataset("d")
         np.testing.assert_array_equal(ds.read(), expected)
-        assert verify_dataset(ds) == []
-        assert (CRC_ATTR in ds.attrs) == (block is not None)
+        assert CRC_ATTR not in ds.attrs
     inner_run = hs.count[-1] if hs.stride[-1] == 1 else 1
     assert gap_free_runs(hs, shape) <= writes <= hs.size // max(inner_run, 1)
 
@@ -120,8 +134,8 @@ def test_strided_write_into_a_checksummed_codec_dataset_verifies(tmp_path):
         )
     values = rng.normal(size=(4, 49)).astype(np.float32)
     with File(path, "r+") as f:
-        f.dataset("d")[1:12:3, 7:300:6] = values
-    data[1:12:3, 7:300:6] = values
+        with pytest.raises(FormatError, match="/d: writes are only supported"):
+            f.dataset("d")[1:12:3, 7:300:6] = values
     with File(path, "r") as f:
         ds = f.dataset("d")
         assert verify_dataset(ds) == []

@@ -265,6 +265,23 @@ def _reference_keys(spool):
     return {(r, e.j_start, e.j_end) for r, e in rows}
 
 
+def _ticked_twice(tmp_path):
+    """A spool whose service checkpointed twice: ``(spool, store)``."""
+    spool = _spool(tmp_path)
+    service = RTService(spool, detector=DETECTOR, policy=POLICY, config=CFG)
+    service.tick()
+    service.tick()
+    return spool, service.checkpoints
+
+
+def _resave(store, edit):
+    """Load the primary, ``edit`` it and save it again with a fresh CRC."""
+    document = store.load()
+    edit(document)
+    store.save({k: v for k, v in document.items()
+                if k not in ("version", "crc")})
+
+
 class TestServiceRecovery:
     def test_torn_primary_resumes_from_prev_and_matches(self, tmp_path):
         spool = _spool(tmp_path)
@@ -355,6 +372,35 @@ class TestServiceRecovery:
         store.save({k: v for k, v in document.items()
                     if k not in ("version", "crc")})
         with pytest.raises(ConfigError):
+            RTService(spool, detector=DETECTOR, policy=POLICY, config=CFG)
+
+    @pytest.mark.parametrize(
+        "key",
+        ["files_done", "files_seen", "record", "expected_stamp", "runner",
+         "assembler", "attempts"],
+    )
+    def test_verified_checkpoint_without_a_saved_key_is_refused(
+        self, tmp_path, key
+    ):
+        """Every key ``save_checkpoint`` writes is read as written: a
+        CRC-valid document that lacks one is no service's, and resuming
+        it with a default would be a silent wrong resume."""
+        spool, store = _ticked_twice(tmp_path)
+        _resave(store, lambda document: document.pop(key))
+        with pytest.raises(ConfigError, match=repr(key)):
+            RTService(spool, detector=DETECTOR, policy=POLICY, config=CFG)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("files_done", [["a.h5"]]), ("files_seen", "a.h5"), ("record", 7),
+         ("expected_stamp", 170620), ("runner", []), ("attempts", [["a.h5", 1]])],
+    )
+    def test_verified_checkpoint_with_a_mistyped_key_is_refused(
+        self, tmp_path, key, value
+    ):
+        spool, store = _ticked_twice(tmp_path)
+        _resave(store, lambda document: document.__setitem__(key, value))
+        with pytest.raises(ConfigError, match=repr(key)):
             RTService(spool, detector=DETECTOR, policy=POLICY, config=CFG)
 
     def test_a_checkpoint_still_carrying_a_queue_field_resumes_unchanged(
