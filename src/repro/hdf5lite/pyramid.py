@@ -8,7 +8,9 @@ holds the base record decimated by ``factor**k`` with the phase-aligned
 anti-aliasing semantics of :class:`repro.core.operators.DecimateOp`:
 level sample ``j`` is centred on base sample ``j * factor**k`` and is
 NaN exactly when a base sample within ``10 * factor**k`` of that centre
-is non-finite (a masked gap).
+is non-finite (a masked gap).  Levels are float32, the precision of the
+samples they are computed from; float64 levels, as pyramids were stored
+before that, stay valid and are served as stored.
 
 This module defines the on-disk *convention* only — the attribute names
 a reader keys on and one walk over the group that both discovers the
@@ -25,6 +27,8 @@ inspection layer reaching above its rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import FormatError
 from repro.hdf5lite.codecs import CODEC_ATTR
@@ -54,6 +58,8 @@ BASE_DATASET_ATTR = "repro:pyramid of"      # path of the base dataset
 FS_ATTR = "repro:pyramid fs"                # sampling rate *at this level*
 #: Group attribute: the per-level decimation factor the chain multiplies.
 BASE_FACTOR_ATTR = "repro:pyramid base factor"
+#: Level dtypes a reader serves: float32, and float64 from older builds.
+_LEVEL_DTYPES = (np.dtype("<f4"), np.dtype("<f8"))
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -127,8 +133,8 @@ def pyramid_problems(file) -> list[tuple[str, str]]:
 
     Checked invariants (the contract :mod:`repro.serve` relies on):
 
-    * every dataset under ``pyramid/`` carries the level attributes and
-      is 2-D;
+    * every dataset under ``pyramid/`` carries the level attributes, is
+      2-D, and is float32 (or float64, as levels were stored before);
     * ``factor >= 1``, ``level >= 1``, and — when the group declares a
       base factor — ``factor == base_factor ** level``;
     * level length is exactly ``ceil(base_samples / factor)`` (the
@@ -165,6 +171,11 @@ def _walk(file) -> tuple[list[PyramidLevel], list[tuple[str, str]]]:
         if len(ds.shape) != 2:
             problems.append(
                 (ds.path, f"pyramid level must be 2-D, got shape {ds.shape}")
+            )
+            continue
+        if ds.dtype not in _LEVEL_DTYPES:
+            problems.append(
+                (ds.path, f"pyramid level must be float32 or float64, got {ds.dtype}")
             )
             continue
         try:

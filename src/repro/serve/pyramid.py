@@ -4,6 +4,11 @@ The storage-side format — attribute names, discovery, validation — lives
 in :mod:`repro.hdf5lite.pyramid` (so ``das_inspect`` works without this
 package).  This module produces the levels and picks one per request:
 
+* A level is ``float32(DecimateOp(factor) over the record)``: the
+  planner's float64 decimation, rounded once to the precision of the
+  float32 samples it is computed from.  :func:`compute_level` is that
+  definition; a finite decimated sample beyond float32's range is a
+  :class:`~repro.errors.ServeError`, never a stored ``inf``.
 * :func:`build_pyramid` streams the archive **once**: every level is a
   branch ``scan → DecimateOp(factor**k)`` of one multi-output plan, so
   each chunk is fetched, CRC-verified and decoded a single time and
@@ -55,6 +60,7 @@ __all__ = [
     "PyramidConfig",
     "build_pyramid",
     "compute_level",
+    "round_to_level",
     "select_level",
     "level_slice",
 ]
@@ -74,13 +80,13 @@ class PyramidConfig:
     8 192 samples.  The build itself streams with the planner's auto-sized
     chunk.
 
-    The default codec is ``transpose-zlib:1``: of a float64 level's
-    eight byte planes six are mantissa noise, which it stores, and the
-    two that are not it Huffman-codes — smaller, and several times
+    The default codec is ``transpose-zlib:1``: of a float32 level's
+    four byte planes three are mantissa noise, which it stores, and the
+    sign/exponent plane it Huffman-codes — smaller, and several times
     faster both ways, than deflating a first difference of the same
     bits (``delta-zlib``, the default before it; archives built then
     stay readable, the codec is recorded per level).  Level 1 because
-    nothing in those two planes repays a longer match search.
+    nothing in the exponent plane repays a longer match search.
     """
 
     factor: int = 4
@@ -97,14 +103,29 @@ class PyramidConfig:
             raise ConfigError("min_samples must be >= 1")
 
 
+def round_to_level(decimated: np.ndarray, what: str) -> np.ndarray:
+    """``decimated`` rounded once to float32, the precision levels are
+    stored at.  A finite sample beyond float32's range would round to
+    ``inf`` and render as a gap: :class:`~repro.errors.ServeError`
+    naming ``what`` instead.  NaN and infinite samples stay what they are.
+    """
+    with np.errstate(over="ignore"):
+        level = decimated.astype(np.float32)
+    overflow = np.isinf(level)
+    if overflow.any() and np.isfinite(decimated[overflow]).any():
+        raise ServeError(f"{what}: a decimated sample is outside float32 range")
+    return level
+
+
 def compute_level(
     source: object,
     factor: int,
     chunk_samples: int | None = None,
     iostats: IOStats | None = None,
 ) -> np.ndarray:
-    """The decimated record: ``DecimateOp(factor)`` streamed over
-    ``source`` via the planner.  This *is* the pyramid-level definition —
+    """The pyramid level at ``factor``: ``DecimateOp(factor)`` streamed
+    over ``source`` via the planner, rounded once to float32
+    (:func:`round_to_level`).  This *is* the pyramid-level definition —
     the builder stores its output, and the correctness tests compare the
     stored level against a fresh call.
     """
@@ -114,7 +135,7 @@ def compute_level(
         chunk_samples=chunk_samples,
     )
     (result,) = execute(plan, source=src, iostats=iostats)
-    return result.output
+    return round_to_level(result.output, f"decimation by {int(factor)}")
 
 
 def build_pyramid(
@@ -129,13 +150,15 @@ def build_pyramid(
     Streams the archive once — one plan with a ``DecimateOp(factor**k)``
     branch per level, one read per chunk — and appends the outputs as
     ``pyramid/level<k>`` chunked datasets with the configured codec and
-    CRC sidecars.  Returns the stored levels.
+    CRC sidecars: each is :func:`compute_level` of the record, float32.
+    Returns the stored levels.
 
     ``on_error="mask"`` builds through degraded sources: vanished or
     corrupt minutes become NaN spans in the raw stream and hence NaN
     pixels at every level.  Raises :class:`~repro.errors.ServeError` if
     the archive already carries a pyramid (rebuilds need a fresh VCA —
-    hdf5lite data regions are append-only).
+    hdf5lite data regions are append-only), or, before anything is
+    written, if a level does not fit float32.
     """
     config = config if config is not None else PyramidConfig()
     path = os.fspath(archive)
@@ -161,12 +184,18 @@ def build_pyramid(
         scan = Query.scan(None)
         plan = optimize([scan.then(DecimateOp(f)) for f in factors])
         results = execute(plan, source=src, iostats=iostats)
+    outputs = [
+        round_to_level(
+            result.output, f"{path}: {PYRAMID_GROUP}/level{k} (factor {factor})"
+        )
+        for k, (factor, result) in enumerate(zip(factors, results), start=1)
+    ]
+    del results
 
     with File(path, "r+") as f:
         group = f.create_group(PYRAMID_GROUP)
         group.attrs[BASE_FACTOR_ATTR] = int(config.factor)
-        for k, (factor, result) in enumerate(zip(factors, results), start=1):
-            out = result.output
+        for k, (factor, out) in enumerate(zip(factors, outputs), start=1):
             fs = base_fs / factor if base_fs else 0.0
             ds = f.create_dataset(
                 f"{PYRAMID_GROUP}/level{k}",

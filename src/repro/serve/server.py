@@ -35,7 +35,7 @@ from repro.hdf5lite.cache import BlockCache, CacheConfig, FilePool
 from repro.hdf5lite.pyramid import PyramidLevel, pyramid_levels
 from repro.rt.events import SeamEvent, read_event_log
 from repro.serve.admission import AdmissionController, TenantQuota
-from repro.serve.pyramid import level_slice, select_level
+from repro.serve.pyramid import level_slice, round_to_level, select_level
 from repro.storage.chunks import SourceView, open_stream
 from repro.storage.gaps import GapSpan
 from repro.utils.iostats import IOStats
@@ -335,11 +335,14 @@ class ServeSession:
         the raw window when no stored level fits (or
         ``use_pyramid=False``, which tests use to compare the two paths).
         Both paths emit pixels on the absolute lattice ``j * factor``
-        (the raw window is snapped to the next lattice point), so a
-        whole-record preview at a stored level's factor is *identical*
-        pixel-for-pixel between them; partial windows may differ in the
-        last FIR taps near the window edges, where the streamed path has
-        less context than the whole-record pyramid build had.
+        (the raw window is snapped to the next lattice point) and round
+        them through float32 like a stored level
+        (:func:`~repro.serve.pyramid.compute_level`), so a whole-record
+        preview at a stored level's factor is *identical* pixel-for-pixel
+        between them; partial windows may differ in the last FIR taps
+        near the window edges, where the streamed path has less context
+        than the whole-record pyramid build had.  ``data`` is float64
+        either way.
         """
         t0, t1 = self._window(t0, t1)
         lo, hi = self._channels(channels)
@@ -374,7 +377,11 @@ class ServeSession:
             (result,) = execute(
                 optimize(query), source=window, iostats=self.server.iostats
             )
-            block, level_no = result.output, None
+            # through float32, as a stored level is: aligned paths agree
+            block = round_to_level(
+                result.output, f"preview of [{t0}, {t1})"
+            ).astype(np.float64)
+            level_no = None
         self.server.admission.reconcile(
             admission,
             self.server.iostats.total_bytes_read() - read_before,

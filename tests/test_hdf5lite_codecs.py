@@ -17,6 +17,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.graph import Query
+from repro.core.operators import DecimateOp
+from repro.core.optimizer import execute, optimize
 from repro.errors import ConfigError, FormatError, SelectionError
 from repro.hdf5lite import (
     BlockCache,
@@ -35,6 +38,7 @@ from repro.hdf5lite.codecs import (
 )
 from repro.hdf5lite.inspect import describe, verify
 from repro.serve import compute_level
+from repro.storage.chunks import ArraySource
 from repro.synthetic.generator import fig1b_scene, synthesize_scene
 from repro.utils.iostats import IOStats
 from tests.reference.hdf5lite import parent_decode, parent_encode
@@ -377,7 +381,8 @@ CHUNK = (32, 4096)
 @pytest.fixture(scope="module")
 def corpus() -> dict[str, np.ndarray]:
     """Chunks the encoder must never make larger than the whole-buffer
-    deflate did: the harness's scene and a pyramid level of it, pure
+    deflate did: the harness's scene, a pyramid level of it (float32, as
+    levels are stored) and its float64 decimation (as they were), pure
     structure, pure noise, integer layouts, and dead regions in both
     orientations — two of them an eighth of the chunk placed between
     the start, middle and end, where a whole-plane probe would not look."""
@@ -391,9 +396,14 @@ def corpus() -> dict[str, np.ndarray]:
         np.sin(2 * np.pi * 7 * np.arange(CHUNK[1]) / 500.0).astype(np.float32),
         (CHUNK[0], 1),
     )
+    (decimated,) = execute(
+        optimize(Query.scan(None).then(DecimateOp(4))),
+        source=ArraySource(record.astype(np.float64)),
+    )
     members = {
         "scene_f32": f32,
-        "level_f64": compute_level(record.astype(np.float64), 4),
+        "level_f32": compute_level(record.astype(np.float64), 4),
+        "level_f64": decimated.output,
         "white_noise": rng.normal(size=CHUNK).astype(np.float32),
         "sine": sine,
         "sine_plus_noise": (sine + 0.1 * rng.normal(size=CHUNK)).astype(
@@ -570,6 +580,15 @@ class TestTransposeMethodSelection:
             assert plane_methods(codec, corpus["level_f64"], plane) == {
                 "huffman"
             }
+
+    def test_float32_level_is_three_stored_planes_and_a_huffman_one(self, corpus):
+        # what the pyramid's default codec does with a stored level
+        codec = TransposeZlibCodec(1)
+        arr = corpus["level_f32"]
+        assert arr.dtype == np.float32
+        for plane in range(3):
+            assert plane_methods(codec, arr, plane) == {"stored"}
+        assert plane_methods(codec, arr, 3) == {"huffman"}
 
     def test_histogram_flat_but_repetitive_plane_is_not_stored(self, corpus):
         # low byte of an int32 ramp: every value equally often, all matches

@@ -2,13 +2,21 @@
 
 The contract under test (``repro.serve.pyramid`` + ``repro.hdf5lite.pyramid``):
 
-* every stored level ``k`` equals ``DecimateOp(factor**k)`` streamed
-  over the raw record with the builder's chunking — bit-for-bit (the
-  computation is deterministic), and within the repo's established
-  1e-9 of a single-chunk whole-record run under any other chunking
-  (chunk fringes see zeros where the whole record has samples, and BLAS
-  may round edge blocks differently — same tolerance the core streaming
-  suite uses for resample chains);
+* a level is ``float32(DecimateOp(factor) over the record)``: the
+  float64 plan ``Query.scan(None).then(DecimateOp(factor))`` rounded
+  once.  ``compute_level`` equals that rounding bit-for-bit at any
+  chunking, and every stored level ``k`` equals ``compute_level`` at
+  ``factor**k`` bit-for-bit (the computation is deterministic);
+* the float64 plan streamed at any chunking stays within the repo's
+  established 1e-9 of a single-chunk whole-record run (chunk fringes see
+  zeros where the whole record has samples, and BLAS may round edge
+  blocks differently — same tolerance the core streaming suite uses for
+  resample chains);
+* a finite decimated sample beyond float32's range is refused
+  (``ServeError``), never stored as an ``inf`` a preview would show as
+  a gap; a level that is neither float32 nor float64 (the dtype older
+  builds stored) is a ``verify`` problem the server refuses, and float64
+  levels from those builds still verify and serve bit-for-bit;
 * the build reads the archive once, whatever the number of levels;
 * NaN gap columns in the raw record propagate into NaN (masked) preview
   pixels: exactly the pixels whose FIR support reaches into the gap are
@@ -33,7 +41,15 @@ from repro.errors import ConfigError, FormatError, ServeError
 from repro.hdf5lite import File, pyramid_levels
 from repro.hdf5lite.cli import main as das_inspect_main
 from repro.hdf5lite.inspect import describe, verify
-from repro.hdf5lite.pyramid import FACTOR_ATTR, PyramidLevel
+from repro.hdf5lite.pyramid import (
+    BASE_DATASET_ATTR,
+    BASE_FACTOR_ATTR,
+    BASE_SAMPLES_ATTR,
+    FACTOR_ATTR,
+    FS_ATTR,
+    LEVEL_ATTR,
+    PyramidLevel,
+)
 from repro.serve import DataServer
 from repro.serve.pyramid import (
     PyramidConfig,
@@ -47,16 +63,22 @@ from repro.storage.dasfile import das_filename, write_das_file
 from repro.storage.metadata import DASMetadata, timestamp_add_seconds
 from repro.storage.vca import create_vca
 from repro.utils.iostats import IOStats
+from tests.reference.serve import parent_build_pyramid
 
 
-def whole_record_reference(data: np.ndarray, factor: int) -> np.ndarray:
-    """DecimateOp in one chunk covering the entire record."""
+def decimated(data: np.ndarray, factor: int, chunk: int | None = None) -> np.ndarray:
+    """The float64 plan a level rounds: ``DecimateOp(factor)`` streamed
+    over ``data`` in ``chunk``-sample chunks."""
     plan = optimize(
-        Query.scan(None).then(DecimateOp(factor)),
-        chunk_samples=data.shape[1],
+        Query.scan(None).then(DecimateOp(factor)), chunk_samples=chunk
     )
     (result,) = execute(plan, source=ArraySource(data))
     return result.output
+
+
+def whole_record_reference(data: np.ndarray, factor: int) -> np.ndarray:
+    """DecimateOp in one chunk covering the entire record (float64)."""
+    return decimated(data, factor, chunk=data.shape[1])
 
 
 def make_vca(root: str, n_channels=8, minutes=3, spm=600, fs=10.0, seed=7):
@@ -94,16 +116,20 @@ def make_vca(root: str, n_channels=8, minutes=3, spm=600, fs=10.0, seed=7):
 def test_compute_level_matches_whole_record(n_samples, factor, chunk, seed):
     rng = np.random.default_rng(seed)
     data = rng.normal(size=(3, n_samples))
-    streamed = compute_level(data, factor, chunk_samples=chunk)
+    streamed = decimated(data, factor, chunk)
     assert streamed.shape == (3, -(-n_samples // factor))
-    # chunked agrees with the whole-record run to the core suite's
-    # resample tolerance, and the computation itself is deterministic
-    # bit-for-bit.
+    # the float64 plan, chunked, agrees with the whole-record run to the
+    # core suite's resample tolerance ...
     np.testing.assert_allclose(
         streamed, whole_record_reference(data, factor), rtol=0, atol=1e-9
     )
+    # ... and the level is that plan's output rounded once to float32,
+    # deterministically, bit-for-bit
+    level = compute_level(data, factor, chunk_samples=chunk)
+    assert level.dtype == np.float32
+    np.testing.assert_array_equal(level, streamed.astype(np.float32))
     np.testing.assert_array_equal(
-        streamed, compute_level(data, factor, chunk_samples=chunk)
+        level, compute_level(data, factor, chunk_samples=chunk)
     )
 
 
@@ -112,11 +138,41 @@ def test_ragged_tail_lengths():
     # output sample hit each ragged configuration
     for extra in range(4):
         data = np.random.default_rng(extra).normal(size=(2, 96 + extra))
-        out = compute_level(data, 4, chunk_samples=25)
-        assert out.shape == (2, -(-(96 + extra) // 4))
+        streamed = decimated(data, 4, 25)
+        assert streamed.shape == (2, -(-(96 + extra) // 4))
         np.testing.assert_allclose(
-            out, whole_record_reference(data, 4), rtol=0, atol=1e-9
+            streamed, whole_record_reference(data, 4), rtol=0, atol=1e-9
         )
+        np.testing.assert_array_equal(
+            compute_level(data, 4, chunk_samples=25),
+            streamed.astype(np.float32),
+        )
+
+
+def float32_max_square_wave(n_channels: int, n_samples: int) -> np.ndarray:
+    """Finite float32 samples whose decimation overshoots float32's range:
+    the anti-aliasing FIR rings past a full-scale step."""
+    top = np.finfo(np.float32).max
+    phase = (np.arange(n_samples) // 100) % 2 == 0
+    return np.tile(np.where(phase, top, -top).astype(np.float32), (n_channels, 1))
+
+
+def test_level_outside_float32_range_is_refused():
+    wave = float32_max_square_wave(2, 800).astype(np.float64)
+    assert np.isfinite(decimated(wave, 4)).all()
+    assert (np.abs(decimated(wave, 4)) > np.finfo(np.float32).max).any()
+    with pytest.raises(ServeError, match="decimation by 4.*float32 range"):
+        compute_level(wave, 4)
+    # non-finite samples are no overflow: NaN and inf round to themselves
+    quiet = np.zeros((2, 800))
+    quiet[0, 100], quiet[1, 300:] = np.inf, np.nan
+    level = compute_level(quiet, 4)
+    np.testing.assert_array_equal(
+        np.isnan(level), np.isnan(decimated(quiet, 4))
+    )
+    np.testing.assert_array_equal(
+        np.isinf(level), np.isinf(decimated(quiet, 4))
+    )
 
 
 # -- NaN gaps → masked pixels ------------------------------------------------
@@ -174,11 +230,13 @@ def test_build_pyramid_stored_levels_bit_exact(tmp_path):
             assert verify(f) == []
             raw = np.asarray(f["VCA"][:, :], dtype=np.float64)
             for lvl in levels:
-                stored = np.asarray(f[lvl.path][:, :], dtype=np.float64)
+                stored = f[lvl.path][:, :]
+                assert stored.dtype == np.float32 and lvl.dtype == "float32"
                 # this record fits one auto-sized chunk, so the build and
                 # the whole-record reference run the identical computation
                 np.testing.assert_array_equal(
-                    stored, whole_record_reference(raw, lvl.factor)
+                    stored,
+                    whole_record_reference(raw, lvl.factor).astype(np.float32),
                 )
                 np.testing.assert_array_equal(
                     stored, compute_level(raw, lvl.factor)
@@ -195,6 +253,59 @@ def test_build_pyramid_stored_levels_bit_exact(tmp_path):
             np.testing.assert_array_equal(
                 preview.data, compute_level(raw, 16)
             )
+
+
+@pytest.mark.parametrize("codec", ["transpose-zlib:1", "delta-zlib:1"])
+def test_float64_pyramids_from_older_builds_still_serve(tmp_path, codec):
+    # levels stored by the builder before levels were float32: the
+    # float64 plan's outputs, with the default codec and with the one
+    # that was the default before it
+    vca = make_vca(str(tmp_path))
+    levels = parent_build_pyramid(
+        vca, PyramidConfig(factor=4, min_samples=32, codec=codec)
+    )
+    assert [(lvl.factor, lvl.dtype) for lvl in levels] == [
+        (4, "float64"), (16, "float64")
+    ]
+    with File(vca, "r") as f:
+        assert verify(f) == []
+        raw = np.asarray(f["VCA"][:, :], dtype=np.float64)
+        stored = {lvl.factor: f[lvl.path][:, :] for lvl in levels}
+    with DataServer(vca) as server:
+        session = server.session("viewer")
+        for lvl in levels:
+            n = raw.shape[1]
+            preview = session.preview(0, n, n // lvl.factor)
+            assert preview.level == lvl.level
+            assert preview.data.dtype == np.float64
+            # the stored float64 values, not rounded through float32
+            np.testing.assert_array_equal(preview.data, stored[lvl.factor])
+            np.testing.assert_array_equal(
+                preview.data, whole_record_reference(raw, lvl.factor)
+            )
+
+
+def test_build_refuses_a_level_outside_float32_range(tmp_path):
+    # finite float32 minutes whose decimation overshoots float32's range:
+    # refused naming the level, before any level is written
+    stamp = "170620100545"
+    path = str(tmp_path / das_filename(stamp))
+    write_das_file(
+        path,
+        float32_max_square_wave(4, 800),
+        DASMetadata(
+            sampling_frequency=10.0,
+            spatial_resolution=2.0,
+            timestamp=stamp,
+            n_channels=4,
+        ),
+        channel_groups=False,
+    )
+    vca = create_vca(str(tmp_path / "arch.h5"), [path])
+    with pytest.raises(ServeError, match=r"pyramid/level1 \(factor 4\)"):
+        build_pyramid(vca, PyramidConfig(factor=4, min_samples=32))
+    with File(vca, "r") as f:
+        assert pyramid_levels(f) == [] and verify(f) == []
 
 
 def archive_scan_stats(vca: str) -> dict:
@@ -328,6 +439,43 @@ def test_server_refuses_what_verify_rejects(tmp_path):
     with pytest.raises(FormatError, match="base factor") as err:
         DataServer(vca)
     assert str(err.value) == f"{first.path}: {first.message}"
+
+
+def add_level(vca: str, dtype: str) -> None:
+    """A hand-made ``pyramid/level1`` of ``dtype`` whose attributes all
+    hold: factor 4 of the archive's 8 x 1800 record."""
+    with File(vca, "r+") as f:
+        group = f.create_group("pyramid")
+        group.attrs[BASE_FACTOR_ATTR] = 4
+        ds = f.create_dataset(
+            "pyramid/level1",
+            data=np.ones((8, 450), dtype=dtype),
+            chunks=(8, 450),
+            checksum=True,
+        )
+        ds.attrs[LEVEL_ATTR] = 1
+        ds.attrs[FACTOR_ATTR] = 4
+        ds.attrs[BASE_SAMPLES_ATTR] = 1800
+        ds.attrs[BASE_DATASET_ATTR] = "VCA"
+        ds.attrs[FS_ATTR] = 2.5
+
+
+@pytest.mark.parametrize("dtype", ["int16", "complex128"])
+def test_level_that_is_not_float_is_refused(tmp_path, capsys, dtype):
+    """Only float32 levels (and float64 ones from older builds) are
+    pixels: ``das_inspect --verify`` reports any other dtype, and the
+    server refuses it rather than serve its values as a preview."""
+    vca = make_vca(str(tmp_path))
+    add_level(vca, dtype)
+    with File(vca, "r") as f:
+        problems = [(p.path, p.message) for p in verify(f)]
+    assert problems == [
+        ("/pyramid/level1", f"pyramid level must be float32 or float64, got {dtype}")
+    ]
+    assert das_inspect_main(["--verify", vca]) == 1
+    assert "float32 or float64" in capsys.readouterr().err
+    with pytest.raises(FormatError, match=f"got {dtype}"):
+        DataServer(vca)
 
 
 def test_build_twice_rejected(tmp_path):
