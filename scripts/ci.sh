@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point.  `scripts/ci.sh` runs the static checks once (repro.checks
 # against scripts/checks_baseline.json), the src/ line budget (24 000), the
-# tier-1 suite, the in-source doctests, the hdf5lite codec suites under
+# tier-1 suite, every crash point of the file writers, the in-source doctests, the hdf5lite codec suites under
 # `taskset -c 0`, the paper-figure tests and the harness's self-tests.  The figure tests rewrite
 # benchmarks/results/*.txt; every table must come out byte-identical except
 # fig6_search_merge.txt and fig9_matlab.txt, the two with wall-clock rows.
@@ -55,6 +55,9 @@ if (( src_lines > 24000 )); then
     exit 1
 fi
 python -m pytest -x -q
+# Every crash point of the four file writers (tier-1 kills each at its
+# first, middle and last write and at the publish).
+python -m pytest -q tests/test_hdf5lite_publish.py --every-crash-point
 # The in-source doctests (units, timer, hyperslab, dtype).
 python -m pytest --doctest-modules src/repro -q
 # The codec suites again on a one-CPU affinity mask: the encode and decode

@@ -26,8 +26,10 @@ File layout (version 1)::
     [raw dataset bytes ...]
     [metadata: JSON-encoded group tree]
 
-The metadata footer is rewritten on close; datasets are appended to the
-data region.
+A file is written once: ``File(path, "w")`` appends datasets to the data
+region of a ``.tmp`` sibling, and a clean close writes the metadata
+footer and header and publishes the sibling onto ``path`` (fsync, then
+rename).  Nothing opens an existing file to change it.
 """
 
 from repro.hdf5lite.attributes import Attributes

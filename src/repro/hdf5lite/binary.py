@@ -4,7 +4,8 @@
 :class:`repro.utils.IOStats`, and exposes exactly the primitives the format
 needs: header read/write and positioned reads/writes of raw element runs
 (``File._append_data`` is the one appender: it writes at the end of the
-data region, ahead of the metadata footer).
+data region, ahead of the metadata footer).  A backend reads a file
+(``"rb"``) or builds a new one (``"w+b"``), never changes one in place.
 
 Header layout (32 bytes, little-endian)::
 
@@ -62,7 +63,7 @@ class FileBackend:
     read_fault_hook = None
 
     def __init__(self, path: str | os.PathLike, mode: str, iostats: IOStats | None = None):
-        if mode not in ("rb", "r+b", "w+b"):
+        if mode not in ("rb", "w+b"):
             raise ConfigError(f"unsupported backend mode {mode!r}")
         self.path = os.fspath(path)
         self.mode = mode
@@ -136,14 +137,8 @@ class FileBackend:
             self._pos = offset + len(data)
         self.iostats.record_write(len(data))
 
-    def truncate(self, size: int) -> None:
-        with self._io_lock:
-            self._fh.truncate(size)
-            if self._pos > size:
-                self._pos = size
-
-    def flush(self) -> None:
-        self._fh.flush()
+    def fstat(self) -> os.stat_result:
+        return os.fstat(self._fh.fileno())
 
     # -- header helpers ------------------------------------------------------
     def read_header(self) -> Header:

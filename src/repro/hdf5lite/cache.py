@@ -72,11 +72,14 @@ class CacheConfig:
 
 
 class BlockCache:
-    """Byte-budgeted LRU cache mapping ``(file_key, unit offset, unit bytes)`` → bytes.
+    """Byte-budgeted LRU cache mapping ``(file identity, unit offset, unit
+    bytes)`` → bytes.
 
     Keys are opaque hashables built by the dataset layer; values are
-    immutable ``bytes``.  A block larger than the whole budget is never
-    admitted (the read still succeeds, it just isn't retained).
+    immutable ``bytes``.  The identity (``st_dev``, ``st_ino``,
+    ``st_mtime_ns``, ``st_size`` of the opened file) replaces
+    invalidation.  A block larger than the whole budget is never admitted
+    (the read still succeeds, it just isn't retained).
     """
 
     def __init__(self, config: CacheConfig | None = None, iostats: IOStats | None = None):
@@ -142,14 +145,6 @@ class BlockCache:
         if evicted and stats is not None:
             stats.record_cache_eviction(evicted)
 
-    def invalidate_file(self, file_key: str) -> int:
-        """Drop every block belonging to ``file_key`` (after a write/truncate)."""
-        with self._lock:
-            doomed = [k for k in self._blocks if k[0] == file_key]
-            for k in doomed:
-                self._current_bytes -= len(self._blocks.pop(k))
-            return len(doomed)
-
     def clear(self) -> None:
         with self._lock:
             self._blocks.clear()
@@ -172,11 +167,6 @@ class BlockCache:
             f"(budget {self.config.byte_budget}B) hits={s['hits']} "
             f"misses={s['misses']} evictions={s['evictions']}>"
         )
-
-
-def normalize_file_key(path: str | os.PathLike) -> str:
-    """Canonical cache/pool key for a file path."""
-    return os.path.normpath(os.path.abspath(os.fspath(path)))
 
 
 class FilePool:
@@ -216,7 +206,7 @@ class FilePool:
         """An open read-only handle for ``path`` (opened at most once)."""
         from repro.hdf5lite.file import File
 
-        key = normalize_file_key(path)
+        key = os.path.normpath(os.path.abspath(os.fspath(path)))
         stats = iostats if iostats is not None else self.iostats
         with self._lock:
             handle = self._handles.get(key)

@@ -240,12 +240,10 @@ class Dataset:
 
     def _changed(self) -> None:
         """An attribute (the sidecar and the codec are attributes) changed
-        or a chunk was stored: the file is dirty, and what was derived from
-        the old state — the one place it is invalidated — is derived again
-        on its next use."""
+        or a chunk was stored: what was derived from the old state — the
+        one place it is invalidated — is derived again on its next use."""
         self.__dict__.pop("_units", None)
         self.__dict__.pop("codec", None)
-        self._file._mark_dirty()
 
     # -- basic properties ----------------------------------------------------
     # Nothing resizes, retypes or re-sources a dataset in place, so what is
@@ -298,6 +296,11 @@ class Dataset:
         if self.layout != LAYOUT_VIRTUAL:
             return ()
         return tuple(VirtualSource.from_dict(raw) for raw in self._meta["sources"])
+
+    @property
+    def fill(self) -> float:
+        """What a virtual dataset reads where no source maps."""
+        return self._meta.get("fill", 0)
 
     @cached_property
     def _sources_tile(self) -> bool:
@@ -745,9 +748,8 @@ class Dataset:
 
     def _read_virtual(self, hs: Hyperslab, out: np.ndarray, pool: _Pool) -> None:
         file = self._file
-        fill = self._meta.get("fill", 0)
         if not self._sources_tile:
-            out[...] = fill
+            out[...] = self.fill
         handler = self.on_source_error
         # Only sources starting at or before the lattice's last index on the
         # last axis, and past a reach beyond its first, can overlap it; they
@@ -847,7 +849,6 @@ class Dataset:
         data = memoryview(values.reshape(-1).view(np.uint8))
         for i, offset in enumerate((plan.offsets * self.itemsize).tolist()):
             write_at(base + offset, data[i * span : (i + 1) * span])
-        self._file._invalidate_cache()
 
     def _store_chunks(
         self, items: Iterable[tuple[str, np.ndarray]], codec: "Codec | None"

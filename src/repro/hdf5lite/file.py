@@ -2,12 +2,12 @@
 
 A file holds a tree of groups; each group holds attributes, child groups,
 and datasets.  The tree is kept in memory as plain dicts (mirroring the
-JSON metadata footer) and flushed on close.  A file appends dataset bytes
-and records where they went; how a dataset's bytes divide into stored
-units — and so how a chunk is encoded, sized, checksummed and found again
-— is :mod:`repro.hdf5lite.dataset`'s (``create_dataset`` stores the chunk
-grid through ``Dataset._store_chunks``, and each stored unit and its CRC
-are written once, there).
+JSON metadata footer), written when a new file is closed.  A file appends
+dataset bytes and records where they went; how a dataset's bytes divide
+into stored units — and so how a chunk is encoded, sized, checksummed
+and found again — is :mod:`repro.hdf5lite.dataset`'s (``create_dataset``
+stores the chunk grid through ``Dataset._store_chunks``, and each stored
+unit and its CRC are written once, there).
 
 Example::
 
@@ -31,13 +31,7 @@ from repro.errors import ConfigError, FormatError
 from repro.hdf5lite import dtype as _dtype
 from repro.hdf5lite.attributes import Attributes
 from repro.hdf5lite.binary import FORMAT_VERSION, HEADER_SIZE, FileBackend, Header
-from repro.hdf5lite.cache import (
-    BlockCache,
-    CacheConfig,
-    FilePool,
-    normalize_file_key,
-    resolve_cache,
-)
+from repro.hdf5lite.cache import BlockCache, CacheConfig, FilePool, resolve_cache
 from repro.hdf5lite.checksum import DEFAULT_CHECKSUM_BLOCK, _store_crcs
 from repro.hdf5lite.codecs import CODEC_ATTR, resolve_codec
 from repro.hdf5lite.dataset import (
@@ -48,6 +42,7 @@ from repro.hdf5lite.dataset import (
     _chunk_grid,
 )
 from repro.hdf5lite.virtual import VirtualSource, validate_sources
+from repro.utils import durable
 from repro.utils.iostats import IOStats
 
 
@@ -72,7 +67,6 @@ class Group:
         self._node = node
         self.attrs = Attributes(
             node.setdefault("attrs", {}),
-            on_change=file._mark_dirty,
             writable=file.writable,
         )
         self._node["attrs"] = self.attrs._data
@@ -147,7 +141,6 @@ class Group:
                 raise FormatError(f"{walked}/{part} is a dataset, not a group")
             node = node["groups"].setdefault(part, _empty_node())
             walked = walked + "/" + part
-        self._file._mark_dirty()
         return Group(self._file, walked, node)
 
     def create_dataset(
@@ -301,7 +294,6 @@ class Group:
             }
             _store_crcs(ds, crcs, checksum_block)
         parent._node["datasets"][ds_name] = meta
-        self._file._mark_dirty()
         return ds
 
     def __repr__(self) -> str:
@@ -311,8 +303,10 @@ class Group:
 class File(Group):
     """An hdf5lite file handle (also the root group).
 
-    Modes: ``"r"`` read-only, ``"r+"`` read-write existing, ``"w"``
-    create/truncate, ``"a"`` read-write, creating if missing.
+    Modes: ``"r"`` reads a file; ``"w"`` writes one, once: it builds a
+    ``path + ".tmp"`` sibling, which a clean :meth:`close` finishes and
+    publishes onto ``path`` (:func:`repro.utils.durable.promote`).  A
+    ``with`` block that raises publishes nothing and removes the sibling.
 
     A :class:`FilePool` hands one ``File`` to every reader of a path, so a
     file holds no per-reader state (a degraded-read mode is set on a
@@ -333,7 +327,8 @@ class File(Group):
         ``cache`` — an optional read-side block cache (see
         :mod:`repro.hdf5lite.cache`): a shared :class:`BlockCache`, a
         :class:`CacheConfig` (a private cache is built), or ``None`` /
-        budget-0 config for the exact uncached behaviour.
+        budget-0 config for the exact uncached behaviour; keyed on the
+        opened file's identity, not its path.  A ``"w"`` file takes none.
         ``pool`` — an optional :class:`FilePool`; when given, virtual-source
         files are acquired from the pool (shared, kept open) instead of
         being opened privately by this handle.
@@ -344,15 +339,14 @@ class File(Group):
         either way).
         """
         path = os.fspath(path)
-        if mode == "a":
-            mode = "r+" if os.path.exists(path) else "w"
-        if mode not in ("r", "r+", "w"):
+        if mode not in ("r", "w"):
             raise ConfigError(f"unsupported file mode {mode!r}")
+        if mode == "w" and cache is not None:
+            raise ConfigError("a file opened for writing takes no cache")
         self.filename = path
         self.mode = mode
-        self.writable = mode != "r"
+        self.writable = mode == "w"
         self.verify_checksums = bool(verify_checksums)
-        self._dirty = False
         # One Dataset object per dataset (it memoises what it parses out of
         # the metadata — its stored-unit map above all), and each
         # virtual-source path resolved once.
@@ -361,50 +355,36 @@ class File(Group):
         self._source_cache: dict[str, File] = {}
         self._cache = resolve_cache(cache)
         self._pool = pool
-        self._cache_key = normalize_file_key(path)
-        if self._cache is not None and mode == "w":
-            # Truncating invalidates anything a shared cache knew about us.
-            self._cache.invalidate_file(self._cache_key)
 
         if mode == "w":
-            self._backend = FileBackend(path, "w+b", iostats)
+            self._backend = FileBackend(path + ".tmp", "w+b", iostats)
             self._backend.write_header(Header(FORMAT_VERSION, HEADER_SIZE, 0))
             self._data_end = HEADER_SIZE
             root = _empty_node()
         else:
-            backend_mode = "rb" if mode == "r" else "r+b"
-            self._backend = FileBackend(path, backend_mode, iostats)
+            self._backend = FileBackend(path, "rb", iostats)
+            st = self._backend.fstat()
+            self._cache_key = (st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
             header = self._backend.read_header()
             if header.meta_len == 0:
                 root = _empty_node()
-                self._data_end = header.meta_offset
             else:
                 raw = self._backend.read_at(header.meta_offset, header.meta_len)
                 try:
                     root = json.loads(raw.decode("utf-8"))
                 except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                     raise FormatError(f"corrupt metadata footer: {exc}") from exc
-                self._data_end = header.meta_offset
+            self._data_end = header.meta_offset
 
         super().__init__(self, "/", root)
 
     # -- plumbing used by Group/Dataset ------------------------------------------
-    def _mark_dirty(self) -> None:
-        self._dirty = True
-
     def _append_data(self, payload: bytes) -> int:
         """Append raw dataset bytes to the data region; return the offset."""
         offset = self._data_end
         self._backend.write_at(offset, payload)
         self._data_end = offset + len(payload)
-        self._dirty = True
-        self._invalidate_cache()
         return offset
-
-    def _invalidate_cache(self) -> None:
-        """Drop this file's cached blocks after any mutation."""
-        if self._cache is not None:
-            self._cache.invalidate_file(self._cache_key)
 
     def _dataset_for(self, path: str, meta: dict[str, Any]) -> Dataset:
         ds = self._datasets.get(path)
@@ -464,27 +444,27 @@ class File(Group):
             if not src.closed:
                 src.set_iostats(iostats)
 
-    def flush(self) -> None:
-        """Write the metadata footer and header if anything changed."""
-        if not self.writable or not self._dirty:
-            return
-        payload = json.dumps(self._node, separators=(",", ":")).encode("utf-8")
-        self._backend.write_at(self._data_end, payload)
-        self._backend.truncate(self._data_end + len(payload))
-        self._backend.write_header(
-            Header(FORMAT_VERSION, self._data_end, len(payload))
-        )
-        self._backend.flush()
-        self._dirty = False
-
     def close(self) -> None:
+        """Close the file; a ``"w"`` file is finished and published."""
+        self._close(publish=True)
+
+    def _close(self, publish: bool) -> None:
         if self._backend.closed:
             return
         for src in self._source_cache.values():
             src.close()
         self._source_cache.clear()
-        self.flush()
+        if self.writable and publish:
+            payload = json.dumps(self._node, separators=(",", ":")).encode("utf-8")
+            self._backend.write_at(self._data_end, payload)
+            self._backend.write_header(
+                Header(FORMAT_VERSION, self._data_end, len(payload))
+            )
         self._backend.close()
+        if self.writable and publish:
+            durable.promote(self._backend.path, self.filename)
+        elif self.writable:
+            os.remove(self._backend.path)
 
     @property
     def closed(self) -> bool:
@@ -493,8 +473,11 @@ class File(Group):
     def __enter__(self) -> "File":
         return self
 
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+    def __exit__(self, exc_type: object, *exc: object) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self._close(publish=False)
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else f"mode={self.mode!r}"

@@ -24,7 +24,7 @@ QUARANTINE_NAME = ".das_quarantine.jsonl"
 
 def is_acquisition_file(name: str) -> bool:
     """Whether a spool entry's name is an acquisition file the service
-    ingests: ``*.h5``, and not a dot-file (a writer's temporary)."""
+    ingests: ``*.h5`` (not a writer's ``.h5.tmp``), not a dot-file."""
     return name.endswith(".h5") and not name.startswith(".")
 
 

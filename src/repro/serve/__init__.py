@@ -10,7 +10,8 @@ zoomed-out previews, and event feeds off one VCA archive — the
   slice (or the planner's ``DecimateOp`` over the raw window), all on
   pooled, block-cached, degraded-read-safe strided backend reads.
 * :mod:`repro.serve.pyramid` — precomputed decimation pyramids (built
-  with the core ``DecimateOp``, stored as codec+CRC hdf5lite datasets)
+  with the core ``DecimateOp``, stored as codec+CRC hdf5lite datasets in
+  the VCA archive, which the build writes again and publishes whole)
   and per-request level selection, so a zoomed-out preview costs
   O(output pixels) rather than O(raw samples).
 * :mod:`repro.serve.admission` — per-tenant token-bucket quotas on
@@ -21,7 +22,7 @@ Quickstart::
 
     from repro.serve import DataServer, build_pyramid
 
-    build_pyramid("archive.h5")           # once, after creating the VCA
+    build_pyramid("archive.h5")           # once: re-publishes the VCA
     with DataServer("archive.h5") as server:
         session = server.session("alice")
         pv = session.preview(0, server.n_samples, width=1200)

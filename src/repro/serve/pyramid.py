@@ -13,7 +13,7 @@ package).  This module produces the levels and picks one per request:
   branch ``scan → DecimateOp(factor**k)`` of one multi-output plan, so
   each chunk is fetched, CRC-verified and decoded a single time and
   fanned out to all levels.  The results are stored as chunked hdf5lite
-  datasets (codec + CRC sidecar) inside the archive file itself.  Each
+  datasets (codec + CRC sidecar) in the archive file, written again.  Each
   level is computed *from the raw record* with the cumulative factor —
   never by re-decimating the previous level — which is what makes the
   bit-exactness contract checkable: level ``k`` equals
@@ -40,7 +40,8 @@ from repro.core.graph import Query
 from repro.core.operators import DecimateOp
 from repro.core.optimizer import execute, optimize
 from repro.errors import ConfigError, ServeError
-from repro.hdf5lite import File
+from repro.hdf5lite import Dataset, File
+from repro.hdf5lite.dataset import LAYOUT_VIRTUAL
 from repro.hdf5lite.pyramid import (
     BASE_DATASET_ATTR,
     BASE_FACTOR_ATTR,
@@ -145,26 +146,33 @@ def build_pyramid(
     fill_value: float = float("nan"),
     iostats: IOStats | None = None,
 ) -> list[PyramidLevel]:
-    """Build and store a decimation pyramid inside a VCA archive file.
+    """Build a decimation pyramid and re-publish the VCA archive with it.
 
     Streams the archive once — one plan with a ``DecimateOp(factor**k)``
-    branch per level, one read per chunk — and appends the outputs as
+    branch per level, one read per chunk — then writes the archive again
+    (its attributes and virtual datasets) with the outputs as
     ``pyramid/level<k>`` chunked datasets with the configured codec and
     CRC sidecars: each is :func:`compute_level` of the record, float32.
     Returns the stored levels.
 
     ``on_error="mask"`` builds through degraded sources: vanished or
     corrupt minutes become NaN spans in the raw stream and hence NaN
-    pixels at every level.  Raises :class:`~repro.errors.ServeError` if
-    the archive already carries a pyramid (rebuilds need a fresh VCA —
-    hdf5lite data regions are append-only), or, before anything is
-    written, if a level does not fit float32.
+    pixels at every level.  Raises :class:`~repro.errors.ServeError`,
+    before anything is written, if the archive already carries a pyramid
+    (rebuilds need a fresh VCA), stores sample bytes (only a
+    metadata-only archive is free to write again), or if a level does not
+    fit float32.
     """
     config = config if config is not None else PyramidConfig()
     path = os.fspath(archive)
-    with File(path, "r") as probe:
-        if PYRAMID_GROUP in probe:
+    with File(path, "r") as old:
+        if PYRAMID_GROUP in old:
             raise ServeError(f"{path}: archive already carries a pyramid")
+        root_attrs = old.attrs.to_dict()
+        members = [old[name] for name in old.visit()]
+    for obj in members:
+        if isinstance(obj, Dataset) and obj.layout != LAYOUT_VIRTUAL:
+            raise ServeError(f"{path}: {obj.path} stores sample bytes")
 
     with open_stream(
         path, iostats=iostats, on_error=on_error, fill_value=fill_value
@@ -192,7 +200,17 @@ def build_pyramid(
     ]
     del results
 
-    with File(path, "r+") as f:
+    with File(path, "w") as f:
+        f.attrs.update_many(root_attrs)
+        for obj in members:
+            if isinstance(obj, Dataset):
+                copy = f.create_dataset(
+                    obj.path, shape=obj.shape, dtype=obj.dtype,
+                    virtual_sources=obj.virtual_sources, fill=obj.fill,
+                )
+            else:
+                copy = f.create_group(obj.path)
+            copy.attrs.update_many(obj.attrs)
         group = f.create_group(PYRAMID_GROUP)
         group.attrs[BASE_FACTOR_ATTR] = int(config.factor)
         for k, (factor, out) in enumerate(zip(factors, outputs), start=1):

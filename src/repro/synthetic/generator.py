@@ -194,8 +194,9 @@ def drip_feed_dataset(
     """Yield per-minute file paths one at a time, like a live acquisition.
 
     The drip-feed mode for exercising the monitoring service: each file
-    is written to a temp name and atomically renamed into place (a
-    watcher never observes a half-written ``.h5``), then the generator
+    is published whole by :func:`write_das_file` (it is built in a
+    ``.h5.tmp`` sibling and renamed into place, so a watcher never
+    observes a half-written ``.h5``), then the generator
     yields its path; with ``interval_seconds > 0`` it sleeps between
     files to emulate the acquisition cadence.  ``sleep`` is injectable
     so tests can drip without waiting.
@@ -222,13 +223,9 @@ def drip_feed_dataset(
             n_channels=scene.n_channels,
         )
         path = os.path.join(directory, das_filename(stamp, prefix=prefix))
-        tmp = os.path.join(
-            directory, "." + os.path.basename(path) + ".part"
-        )
         write_das_file(
-            tmp, block, metadata, channel_groups=channel_groups, codec=codec
+            path, block, metadata, channel_groups=channel_groups, codec=codec
         )
-        os.replace(tmp, path)
         yield path
         stamp = timestamp_add_seconds(stamp, spm / scene.fs)
         if interval_seconds > 0 and minute + 1 < minutes:

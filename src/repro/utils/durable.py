@@ -1,11 +1,12 @@
 """Durable state: the one atomic publisher and the one JSONL log format.
 
 Sidecars (checkpoints, health files, checks baselines) are
-published whole by :func:`publish`; the event and quarantine logs are
-one JSON object per line, written by :func:`append_lines` and read by
-:func:`read_lines`.  This is the only module that calls ``os.fsync``.
-A log row counts once its newline is on disk: readers skip a torn last
-line and the next append cuts it off.
+published whole by :func:`publish`; an hdf5lite file, which its writer
+builds in a ``.tmp`` sibling, by :func:`promote`.  The event and
+quarantine logs are one JSON object per line, written by
+:func:`append_lines` and read by :func:`read_lines`.  This is the only
+module that calls ``os.fsync``.  A log row counts once its newline is
+on disk: readers skip a torn last line and the next append cuts it off.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Any, Callable
 
 from repro.errors import CorruptDataError
 
-__all__ = ["publish", "append_lines", "read_lines"]
+__all__ = ["publish", "promote", "append_lines", "read_lines"]
 
 
 def publish(path: str | os.PathLike, data: bytes, previous: str | None = None) -> None:
@@ -36,6 +37,14 @@ def publish(path: str | os.PathLike, data: bytes, previous: str | None = None) -
         os.fsync(handle.fileno())
     if previous is not None and os.path.exists(path):
         os.replace(path, previous)
+    os.replace(tmp, path)
+
+
+def promote(tmp: str, path: str) -> None:
+    """Publish ``tmp``, a finished sibling of ``path`` its writer closed:
+    fsync it, then ``os.replace`` it onto ``path``."""
+    with open(tmp, "rb") as handle:
+        os.fsync(handle.fileno())
     os.replace(tmp, path)
 
 

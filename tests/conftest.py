@@ -9,6 +9,14 @@ from repro.storage.dasfile import das_filename, write_das_file
 from repro.storage.metadata import DASMetadata, timestamp_add_seconds
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--every-crash-point", action="store_true",
+        help="kill the writers of tests/test_hdf5lite_publish.py at every "
+             "durable effect, not only the first, middle and last write "
+             "and the promote",
+    )
+
 @pytest.fixture
 def das_dir(tmp_path):
     """Six tiny per-minute DAS files (16 channels x 120 samples, 2 Hz)."""

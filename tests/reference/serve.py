@@ -4,7 +4,9 @@ against, kept verbatim as they stood before the program changed.
 * :func:`parent_build_pyramid` — ``repro.serve.pyramid.build_pyramid``
   when levels were stored as float64: the planner's ``DecimateOp``
   outputs written as they came out.  Archives built by it must still
-  verify and serve bit for bit.
+  verify and serve bit for bit.  It publishes the way every writer does
+  now: the VCA archive is written again, levels included, and replaces
+  the old file on close.
 """
 
 import os
@@ -40,6 +42,9 @@ def parent_build_pyramid(archive, config=None, on_error="raise",
     with File(path, "r") as probe:
         if PYRAMID_GROUP in probe:
             raise ServeError(f"{path}: archive already carries a pyramid")
+        root_attrs = probe.attrs.to_dict()
+        vca = probe.dataset(VCA_DATASET)
+        vca_attrs = vca.attrs.to_dict()
 
     with open_stream(
         path, iostats=iostats, on_error=on_error, fill_value=fill_value
@@ -60,7 +65,12 @@ def parent_build_pyramid(archive, config=None, on_error="raise",
         plan = optimize([scan.then(DecimateOp(f)) for f in factors])
         results = execute(plan, source=src, iostats=iostats)
 
-    with File(path, "r+") as f:
+    with File(path, "w") as f:
+        f.attrs.update_many(root_attrs)
+        f.create_dataset(
+            VCA_DATASET, shape=vca.shape, dtype=vca.dtype,
+            virtual_sources=vca.virtual_sources, fill=vca.fill,
+        ).attrs.update_many(vca_attrs)
         group = f.create_group(PYRAMID_GROUP)
         group.attrs[BASE_FACTOR_ATTR] = int(config.factor)
         for k, (factor, result) in enumerate(zip(factors, results), start=1):

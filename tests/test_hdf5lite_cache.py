@@ -1,10 +1,12 @@
 """Tests for the hdf5lite read-side cache layer (cache.py) and its wiring
 through contiguous, chunked, and virtual reads."""
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.errors import FormatError
+from repro.errors import ConfigError, FormatError
 from repro.hdf5lite import BlockCache, CacheConfig, File, FilePool
 from repro.hdf5lite.cache import resolve_cache
 from repro.storage.chunks import SourceView, open_stream
@@ -74,14 +76,6 @@ class TestBlockCache:
         cache = BlockCache(CacheConfig(byte_budget=4))
         cache.put(("f", 1), b"toolarge")
         assert len(cache) == 0
-
-    def test_invalidate_file_drops_only_that_file(self):
-        cache = BlockCache()
-        cache.put(("a", "page", 0, 0), b"x")
-        cache.put(("b", "page", 0, 0), b"y")
-        assert cache.invalidate_file("a") == 1
-        assert cache.get(("a", "page", 0, 0)) is None
-        assert cache.get(("b", "page", 0, 0)) == b"y"
 
     def test_counters_flow_into_iostats(self):
         stats = IOStats()
@@ -263,19 +257,29 @@ class TestChunkedCached:
 
 
 class TestWriteInvalidation:
+    """A shared cache keys its blocks on the opened file's identity, so a
+    path published again is never served from the old file's blocks."""
+
     def test_write_then_cached_read_sees_new_data(self, tmp_path):
-        path = str(tmp_path / "rw.h5")
-        data = np.zeros((8, 8), dtype=np.float32)
-        with File(path, "w") as f:
-            f.create_dataset("D", data=data)
+        path = str(tmp_path / "c.h5")
         cache = BlockCache()
-        with File(path, "r+", cache=cache) as f:
-            ds = f.dataset("D")
-            np.testing.assert_array_equal(ds.read(), data)  # warm the cache
-            ds[2:4, :] = 7.0
-            got = ds.read()
-        assert (got[2:4] == 7.0).all()
-        assert (got[:2] == 0.0).all()
+
+        def write(value):
+            with File(path, "w") as f:
+                f.create_dataset(
+                    "D", data=np.full((8, 64), value, dtype=np.float32),
+                    chunks=(8, 16), checksum=True,
+                )
+
+        write(1.0)
+        with File(path, "r", cache=cache) as f:
+            assert (f.dataset("D").read() == 1.0).all()
+        assert len(cache) > 0
+        write(2.0)  # same path, same layout, same size; no cache passed
+        with File(path, "r") as f:
+            assert (f.dataset("D").read() == 2.0).all()
+        with File(path, "r", cache=cache) as f:
+            assert (f.dataset("D").read() == 2.0).all()
 
     def test_truncating_open_invalidates_shared_cache(self, tmp_path):
         path = str(tmp_path / "t.h5")
@@ -285,7 +289,12 @@ class TestWriteInvalidation:
         with File(path, "r", cache=cache) as f:
             f.dataset("D").read()
         assert len(cache) > 0
-        with File(path, "w", cache=cache) as f:
+        # a writable file takes no cache: there is nothing to invalidate
+        for arg in (cache, CacheConfig()):
+            with pytest.raises(ConfigError, match="takes no cache"):
+                File(path, "w", cache=arg)
+        assert not os.path.exists(path + ".tmp")
+        with File(path, "w") as f:
             f.create_dataset("D", data=np.zeros((4, 4), dtype=np.float32))
         with File(path, "r", cache=cache) as f:
             np.testing.assert_array_equal(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CorruptDataError, FormatError, ReproError
+from repro.errors import ConfigError, CorruptDataError, FormatError, ReproError
 from repro.faults.inject import FaultInjector
 from repro.hdf5lite import (
     BlockCache,
@@ -36,6 +36,15 @@ def _write(path, data, checksum=True, chunks=None, block=None):
             "d", data=data, chunks=chunks, checksum=checksum,
             checksum_block=block,
         )
+    return str(path)
+
+
+def _write_tampered(path, mutate, data, **kwargs):
+    """Create ``d`` and tamper with its stored metadata before the file is
+    published (a written file is never changed): ``mutate(ds)`` may
+    assign attributes or reach into the dataset's raw size maps."""
+    with File(str(path), "w") as f:
+        mutate(f.create_dataset("d", data=data, **kwargs))
     return str(path)
 
 
@@ -78,7 +87,6 @@ class TestSidecarCreation:
             )
             at_create = dict(ds.attrs.items())
             assert len(at_create[CRC_ATTR]) == 2 * 3
-            f.flush()
             read_back = read_back_sidecar(ds)
             assert {key: at_create[key] for key in read_back} == read_back
             # a write into a chunk would re-store it: refused, CRCs untouched
@@ -180,11 +188,11 @@ class TestWritesAreRefused:
             with pytest.raises(CorruptDataError):
                 f.dataset("d").read()
         before = _digest(path)
-        with File(path, "r+") as f:
-            # row 7 lies in the same 4096-byte block as the flipped byte:
-            # re-CRCing that block would bless the flip
-            with pytest.raises(FormatError, match="/d: a checksummed dataset"):
-                f.dataset("d")[7] = 12.0
+        # re-CRCing the flipped byte's block would bless the flip: a
+        # written file is never opened for writing again
+        for mode in ("r+", "a"):
+            with pytest.raises(ConfigError, match="unsupported file mode"):
+                File(path, mode)
         assert _digest(path) == before
         with File(path, "r") as f:
             with pytest.raises(CorruptDataError):
@@ -204,19 +212,24 @@ class TestWritesAreRefused:
         self, tmp_path, kwargs, verify_checksums
     ):
         data = np.zeros((4, 1024))
-        path = _write(tmp_path / "w.h5", data, **kwargs)
-        before = _digest(path)
+        clean = _digest(_write(tmp_path / "clean.h5", data, **kwargs))
+        path = str(tmp_path / "w.h5")
         stats = IOStats()
-        with File(path, "r+", iostats=stats, verify_checksums=verify_checksums) as f:
-            ds = f.dataset("d")
+        with File(path, "w", iostats=stats, verify_checksums=verify_checksums) as f:
+            ds = f.create_dataset(
+                "d", data=data, chunks=kwargs.get("chunks"),
+                checksum=kwargs.get("checksum", True),
+                checksum_block=kwargs.get("block"),
+            )
+            before = stats.writes
             with pytest.raises(FormatError, match="/d: "):
                 ds[1:3, 100:200] = 7.5
             with pytest.raises(FormatError, match="/d: "):
                 ds.write_hyperslab(
                     normalize_selection(np.s_[0], ds.shape)[0], np.ones((1, 1024))
                 )
-        assert stats.writes == 0
-        assert _digest(path) == before
+            assert stats.writes == before
+        assert _digest(path) == clean
         with File(path, "r") as f:
             assert np.array_equal(f.dataset("d").read(), data)
             assert verify_dataset(f.dataset("d")) == []
@@ -232,18 +245,21 @@ class TestSidecarMaintenance:
     def test_bad_sidecar_is_format_error(self, tmp_path):
         from repro.hdf5lite.checksum import CRC_BLOCK_ATTR
 
-        path = _write(tmp_path / "bad.h5", np.zeros(64))
-        with File(path, "r+") as f:
-            # Claim a chunked sidecar (block 0) without the key list.
-            f.dataset("d").attrs[CRC_BLOCK_ATTR] = 0
+        # Claim a chunked sidecar (block 0) without the key list.
+        path = _write_tampered(
+            tmp_path / "bad.h5", lambda ds: ds.attrs.__setitem__(CRC_BLOCK_ATTR, 0),
+            np.zeros(64), checksum=True,
+        )
         with File(path, "r") as f:
             with pytest.raises(FormatError):
                 checksum_info(f.dataset("d"))
 
     def test_stale_sidecar_length_reported(self, tmp_path):
-        path = _write(tmp_path / "stale.h5", np.zeros(64))
-        with File(path, "r+") as f:
-            f.dataset("d").attrs[CRC_ATTR] = [1, 2, 3, 4, 5]
+        path = _write_tampered(
+            tmp_path / "stale.h5",
+            lambda ds: ds.attrs.__setitem__(CRC_ATTR, [1, 2, 3, 4, 5]),
+            np.zeros(64), checksum=True,
+        )
         with File(path, "r") as f:
             problems = verify_dataset(f.dataset("d"))
         assert problems and "expected" in problems[0][1]
@@ -438,14 +454,6 @@ def test_reads_cost_what_they_cost_before_the_unit_map(io_files, layout, how, se
 # ---------------------------------------------------------------------------
 
 
-def _edit(path, mutate):
-    """Rewrite stored metadata in place: ``mutate(ds)`` may assign
-    attributes or reach into the dataset's raw size maps."""
-    with File(path, "r+", verify_checksums=False) as f:
-        mutate(f.dataset("d"))
-        f._mark_dirty()
-
-
 def _flip(path, offset):
     with open(path, "r+b") as fh:
         fh.seek(offset)
@@ -458,8 +466,11 @@ class TestSidecarCoverage:
     DATA = np.random.default_rng(23).normal(size=(64, 4096)).astype(np.float32)
 
     def test_truncated_block_list_is_refused_not_read_unverified(self, tmp_path):
-        path = _write(tmp_path / "c.h5", self.DATA, block=4096)
-        _edit(path, lambda ds: ds.attrs.__setitem__(CRC_ATTR, ds.attrs[CRC_ATTR][:10]))
+        path = _write_tampered(
+            tmp_path / "c.h5",
+            lambda ds: ds.attrs.__setitem__(CRC_ATTR, ds.attrs[CRC_ATTR][:10]),
+            self.DATA, checksum=True, checksum_block=4096,
+        )
         _flip(path, 32 + 200 * 4096 + 17)  # block 200: past the CRCs that remain
         with File(path, "r") as f:
             with pytest.raises(FormatError, match=r"/d: checksum sidecar has 10 CRCs, expected 256"):
@@ -476,14 +487,17 @@ class TestSidecarCoverage:
         assert (got != self.DATA).sum() == 1
 
     def test_chunk_missing_from_the_sidecar_is_refused_and_reported(self, tmp_path):
-        path = _write(tmp_path / "k.h5", self.DATA, chunks=(32, 1024))
-
         def drop(ds, key="0,1"):
             at = ds.attrs["repro:crc32 keys"].index(key)
             for name in (CRC_ATTR, "repro:crc32 keys"):
                 ds.attrs[name] = [v for i, v in enumerate(ds.attrs[name]) if i != at]
+            # no writer re-stores the chunk under a fresh CRC
+            with pytest.raises(FormatError, match="/d: writes are only supported"):
+                ds[0:32, 1024:2048] = self.DATA[0:32, 1024:2048]
 
-        _edit(path, drop)
+        path = _write_tampered(
+            tmp_path / "k.h5", drop, self.DATA, chunks=(32, 1024), checksum=True
+        )
         with File(path, "r") as f:
             victim = int(f.dataset("d")._meta["chunk_index"]["0,1"]) + 40
         _flip(path, victim)
@@ -496,21 +510,12 @@ class TestSidecarCoverage:
             ]
         with File(path, "r", verify_checksums=False) as f:
             assert (f.dataset("d").read() != self.DATA).sum() == 1
-        # no writer re-stores the chunk under a fresh CRC, even unverified
-        before = _digest(path)
-        with File(path, "r+", verify_checksums=False) as f:
-            with pytest.raises(FormatError, match="/d: writes are only supported"):
-                f.dataset("d")[0:32, 1024:2048] = self.DATA[0:32, 1024:2048]
-        assert _digest(path) == before
 
     def test_one_missing_encoded_size_is_one_problem(self, tmp_path):
-        path = str(tmp_path / "z.h5")
-        with File(path, "w") as f:
-            f.create_dataset(
-                "d", data=self.DATA, chunks=(32, 1024), codec="transpose-zlib",
-                checksum=True,
-            )
-        _edit(path, lambda ds: ds._meta["chunk_enc"].pop("1,2"))
+        path = _write_tampered(
+            tmp_path / "z.h5", lambda ds: ds._meta["chunk_enc"].pop("1,2"),
+            self.DATA, chunks=(32, 1024), codec="transpose-zlib", checksum=True,
+        )
         with File(path, "r") as f:
             assert [p.message for p in verify(f)] == [
                 "chunk 1,2 missing from the chunk_enc size map"
@@ -622,10 +627,11 @@ def test_a_mutated_sidecar_never_yields_a_wrong_answer(tmp_path_factory, data):
     name = data.draw(
         st.sampled_from(sorted(m for m, (where, _) in MUTATIONS.items() if layout in where))
     )
-    path = str(tmp_path_factory.mktemp("fuzz") / "f.h5")
-    with File(path, "w") as f:
-        f.create_dataset("d", data=FUZZ_DATA, checksum=True, **FUZZ_LAYOUTS[layout])
-    _edit(path, lambda ds: MUTATIONS[name][1](ds, data.draw))
+    path = _write_tampered(
+        tmp_path_factory.mktemp("fuzz") / "f.h5",
+        lambda ds: MUTATIONS[name][1](ds, data.draw),
+        FUZZ_DATA, checksum=True, **FUZZ_LAYOUTS[layout],
+    )
     if data.draw(st.booleans()):
         _flip(path, data.draw(st.integers(32, 32 + _stored_bytes(path) - 1)))
 

@@ -277,9 +277,7 @@ class TestFileIntegration:
         # an encoded chunk is stored once, at creation: writes are refused
         data = _signal()
         with File(tmpfile, "w") as f:
-            f.create_dataset("d", data=data, chunks=(8, 128), codec="delta-zlib")
-        with File(tmpfile, "r+") as f:
-            ds = f.dataset("d")
+            ds = f.create_dataset("d", data=data, chunks=(8, 128), codec="delta-zlib")
             index = dict(ds._meta["chunk_index"])
             with pytest.raises(FormatError, match="not chunked"):
                 ds[4:12, 100:200] = 0.25

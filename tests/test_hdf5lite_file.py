@@ -1,9 +1,11 @@
 """Tests for hdf5lite File/Group/Attributes and the binary layer."""
 
+import os
+
 import numpy as np
 import pytest
 
-from repro.errors import FormatError
+from repro.errors import ConfigError, FormatError
 from repro.hdf5lite import File
 from repro.hdf5lite.binary import FileBackend, Header
 from repro.utils.iostats import IOStats
@@ -22,13 +24,24 @@ class TestFileLifecycle:
             assert f.keys() == []
 
     def test_mode_a_creates_then_appends(self, tmpfile):
-        with File(tmpfile, "a") as f:
+        # files are read ("r") or written once ("w"): "a" and "r+" are
+        # refused whether the file exists or not, and create nothing
+        for mode in ("a", "r+"):
+            with pytest.raises(ConfigError, match="unsupported file mode"):
+                File(tmpfile, mode)
+        assert not os.path.exists(tmpfile)
+        with File(tmpfile, "w") as f:
             f.attrs["x"] = 1
-        with File(tmpfile, "a") as f:
-            assert f.attrs["x"] == 1
-            f.attrs["y"] = 2
+        for mode in ("a", "r+"):
+            with pytest.raises(ConfigError, match="unsupported file mode"):
+                File(tmpfile, mode)
         with File(tmpfile, "r") as f:
-            assert f.attrs["y"] == 2
+            assert dict(f.attrs) == {"x": 1}
+
+    def test_backend_modes_are_read_and_create(self, tmpfile):
+        for mode in ("r+b", "ab", "wb"):
+            with pytest.raises(ConfigError, match="unsupported backend mode"):
+                FileBackend(tmpfile, mode)
 
     def test_bad_mode_rejected(self, tmpfile):
         with pytest.raises(ValueError):

@@ -1,5 +1,9 @@
-"""Edge coverage: read-write reopen ("r+"), flush semantics, engine
-estimate validation, and misc small paths."""
+"""Edge coverage: a file is written once (``"r+"``/``"a"`` are refused, a
+new file is published on close), engine estimate validation, and misc
+small paths."""
+
+import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -10,12 +14,26 @@ from repro.errors import ConfigError, FormatError
 from repro.hdf5lite import File
 
 
+def _digest(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 class TestReadWriteReopen:
     def test_append_dataset_to_existing_file(self, tmp_path):
+        # an existing file gains nothing in place: "r+" and "a" are refused
+        # and the file keeps its bytes; a dataset is added by writing the
+        # file again
         path = str(tmp_path / "f.h5")
         with File(path, "w") as f:
             f.create_dataset("first", data=np.arange(10.0))
-        with File(path, "r+") as f:
+        before = _digest(path)
+        for mode in ("r+", "a"):
+            with pytest.raises(ConfigError, match="unsupported file mode"):
+                File(path, mode)
+        assert _digest(path) == before
+        with File(path, "w") as f:
+            f.create_dataset("first", data=np.arange(10.0))
             f.create_dataset("second", data=np.arange(5.0) * 2)
             np.testing.assert_array_equal(f.dataset("first").read(), np.arange(10.0))
         with File(path, "r") as f:
@@ -23,47 +41,84 @@ class TestReadWriteReopen:
             np.testing.assert_array_equal(f.dataset("second").read(), np.arange(5.0) * 2)
 
     def test_modify_data_in_place(self, tmp_path):
+        # a hyperslab write goes into the session that creates the dataset
         path = str(tmp_path / "f.h5")
         with File(path, "w") as f:
             f.create_dataset("d", data=np.zeros((4, 4)))
-        with File(path, "r+") as f:
             f.dataset("d")[1, :] = 7.0
         with File(path, "r") as f:
             np.testing.assert_array_equal(f.dataset("d")[1], np.full(4, 7.0))
             np.testing.assert_array_equal(f.dataset("d")[0], np.zeros(4))
+            with pytest.raises(FormatError, match="not writable"):
+                f.dataset("d")[1, :] = 8.0
 
     def test_attr_update_on_reopen(self, tmp_path):
         path = str(tmp_path / "f.h5")
         with File(path, "w") as f:
             f.attrs["version"] = 1
-        with File(path, "r+") as f:
+        with File(path, "r") as f:
+            with pytest.raises(FormatError, match="read-only"):
+                f.attrs["version"] = 2
+        with File(path, "w") as f:
             f.attrs["version"] = 2
         with File(path, "r") as f:
             assert f.attrs["version"] == 2
 
     def test_flush_without_changes_noop(self, tmp_path):
+        # a read-only open and close leaves the file's bytes and inode as
+        # they were
         path = str(tmp_path / "f.h5")
         with File(path, "w") as f:
             f.create_dataset("d", data=np.zeros(4))
-        import os
-
-        size_before = os.path.getsize(path)
-        with File(path, "r+") as f:
-            f.flush()  # nothing dirty
-        assert os.path.getsize(path) == size_before
+        before, inode = _digest(path), os.stat(path).st_ino
+        with File(path, "r") as f:
+            np.testing.assert_array_equal(f.dataset("d").read(), np.zeros(4))
+        assert _digest(path) == before
+        assert os.stat(path).st_ino == inode
 
     def test_explicit_flush_midway(self, tmp_path):
+        # a reader sees the previous file until the writer closes
         path = str(tmp_path / "f.h5")
+        with File(path, "w") as f:
+            f.create_dataset("old", data=np.ones(3))
         writer = File(path, "w")
         writer.create_dataset("d", data=np.arange(6.0))
-        writer.flush()
-        # A concurrent reader sees the flushed state.
         with File(path, "r") as reader:
-            np.testing.assert_array_equal(reader.dataset("d").read(), np.arange(6.0))
+            assert reader.datasets() == ["old"]
         writer.create_dataset("e", data=np.zeros(2))
+        assert os.path.exists(path + ".tmp")
         writer.close()
+        assert not os.path.exists(path + ".tmp")
         with File(path, "r") as reader:
             assert reader.datasets() == ["d", "e"]
+            np.testing.assert_array_equal(reader.dataset("d").read(), np.arange(6.0))
+
+    def test_a_raising_writer_publishes_nothing(self, tmp_path):
+        path = str(tmp_path / "f.h5")
+        with File(path, "w") as f:
+            f.create_dataset("d", data=np.arange(4.0))
+        before = _digest(path)
+        with pytest.raises(RuntimeError, match="half-way"):
+            with File(path, "w") as f:
+                f.create_dataset("d", data=np.zeros(4))
+                raise RuntimeError("half-way")
+        assert _digest(path) == before
+        assert sorted(os.listdir(tmp_path)) == ["f.h5"]
+        fresh = str(tmp_path / "new.h5")
+        with pytest.raises(RuntimeError):
+            with File(fresh, "w") as f:
+                raise RuntimeError("half-way")
+        assert sorted(os.listdir(tmp_path)) == ["f.h5"]
+
+    def test_a_leftover_tmp_is_overwritten(self, tmp_path):
+        path = str(tmp_path / "f.h5")
+        with open(path + ".tmp", "wb") as fh:
+            fh.write(b"torn by a killed writer" * 100)
+        with File(path, "w") as f:
+            f.create_dataset("d", data=np.arange(3.0))
+        assert sorted(os.listdir(tmp_path)) == ["f.h5"]
+        with File(path, "r") as f:
+            np.testing.assert_array_equal(f.dataset("d").read(), np.arange(3.0))
 
     def test_many_small_datasets(self, tmp_path):
         path = str(tmp_path / "many.h5")

@@ -34,6 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.serve.pyramid as pyramid_module
 from repro.core.operators import DecimateOp
 from repro.core.optimizer import execute, optimize
 from repro.core.graph import Query
@@ -48,6 +49,7 @@ from repro.hdf5lite.pyramid import (
     FACTOR_ATTR,
     FS_ATTR,
     LEVEL_ATTR,
+    PYRAMID_GROUP,
     PyramidLevel,
 )
 from repro.serve import DataServer
@@ -308,6 +310,43 @@ def test_build_refuses_a_level_outside_float32_range(tmp_path):
         assert pyramid_levels(f) == [] and verify(f) == []
 
 
+def test_build_refuses_an_archive_that_stores_sample_bytes(tmp_path):
+    # the archive is written again with its levels, which costs nothing
+    # only for a metadata-only VCA: a file with stored samples is refused
+    # before a byte is written
+    vca = make_vca(str(tmp_path))
+    with File(vca, "r") as f:
+        minute = os.path.join(
+            str(tmp_path), f.dataset("VCA").virtual_sources[0].file
+        )
+    with open(minute, "rb") as fh:
+        before = fh.read()
+    with pytest.raises(ServeError, match="stores sample bytes"):
+        build_pyramid(minute, PyramidConfig(factor=4, min_samples=32))
+    with open(minute, "rb") as fh:
+        assert fh.read() == before
+    assert not any(name.endswith(".tmp") for name in os.listdir(tmp_path))
+
+
+def test_build_republishes_the_archive_whole(tmp_path):
+    # the new archive carries the old one's attributes and virtual dataset
+    # unchanged, and no staging file is left behind
+    vca = make_vca(str(tmp_path))
+    def described(f):
+        base = f.dataset("VCA")
+        return (f.attrs.to_dict(), base.attrs.to_dict(), base.virtual_sources,
+                base.shape, base.dtype, base.fill)
+
+    with File(vca, "r") as f:
+        expected = described(f)
+    build_pyramid(vca, PyramidConfig(factor=4, min_samples=32))
+    with File(vca, "r") as f:
+        assert described(f) == expected
+        assert f.keys() == ["VCA", PYRAMID_GROUP]
+        assert verify(f) == []
+    assert not any(name.endswith(".tmp") for name in os.listdir(tmp_path))
+
+
 def archive_scan_stats(vca: str) -> dict:
     """The backend I/O of one full read of the archive."""
     stats = IOStats()
@@ -414,26 +453,38 @@ def test_das_inspect_verify_clean_on_packed_files_vca_and_levels(tmp_path, capsy
     assert "codec=transpose-zlib:1 (lossless)" in out.out
 
 
-def test_verify_catches_tampered_factor(tmp_path):
+def build_lying_about_the_rate(vca, monkeypatch):
+    """``build_pyramid`` with level 1's factor attribute set to 8 on the
+    new archive just before it is published (a written archive is never
+    changed); the build's own read-back already refuses it."""
+
+    class Tampered(File):
+        def close(self):
+            if self.writable and not self.closed:
+                self["pyramid/level1"].attrs[FACTOR_ATTR] = 8
+            super().close()
+
+    monkeypatch.setattr(pyramid_module, "File", Tampered)
+    with pytest.raises(FormatError, match="base factor"):
+        build_pyramid(vca, PyramidConfig(factor=4, min_samples=32))
+
+
+def test_verify_catches_tampered_factor(tmp_path, monkeypatch):
     vca = make_vca(str(tmp_path))
-    build_pyramid(vca, PyramidConfig(factor=4, min_samples=32))
-    with File(vca, "r+") as f:
-        f["pyramid/level1"].attrs[FACTOR_ATTR] = 8  # lies about the rate
+    build_lying_about_the_rate(vca, monkeypatch)
     with File(vca, "r") as f:
         messages = [p.message for p in verify(f)]
     assert any("base factor" in m for m in messages)
     assert any("level length" in m for m in messages)
 
 
-def test_server_refuses_what_verify_rejects(tmp_path):
+def test_server_refuses_what_verify_rejects(tmp_path, monkeypatch):
     """``pyramid_levels`` is the one walk ``verify`` and ``DataServer``
     share: a level whose factor lies is refused at open, typed, naming
     the first problem ``verify`` lists — never served as pixels that are
     not ``compute_level(raw, factor)``."""
     vca = make_vca(str(tmp_path))
-    build_pyramid(vca, PyramidConfig(factor=4, min_samples=32))
-    with File(vca, "r+") as f:
-        f["pyramid/level1"].attrs[FACTOR_ATTR] = 8
+    build_lying_about_the_rate(vca, monkeypatch)
     with File(vca, "r") as f:
         first = verify(f)[0]
     with pytest.raises(FormatError, match="base factor") as err:
@@ -443,8 +494,16 @@ def test_server_refuses_what_verify_rejects(tmp_path):
 
 def add_level(vca: str, dtype: str) -> None:
     """A hand-made ``pyramid/level1`` of ``dtype`` whose attributes all
-    hold: factor 4 of the archive's 8 x 1800 record."""
-    with File(vca, "r+") as f:
+    hold: factor 4 of the archive's 8 x 1800 record, in the archive
+    written again."""
+    with File(vca, "r") as old:
+        root_attrs, base = old.attrs.to_dict(), old.dataset("VCA")
+    with File(vca, "w") as f:
+        f.attrs.update_many(root_attrs)
+        f.create_dataset(
+            "VCA", shape=base.shape, dtype=base.dtype,
+            virtual_sources=base.virtual_sources,
+        ).attrs.update_many(base.attrs.to_dict())
         group = f.create_group("pyramid")
         group.attrs[BASE_FACTOR_ATTR] = 4
         ds = f.create_dataset(

@@ -97,10 +97,13 @@ class TestDASMetadata:
         """One file with a NaN channel count is not a DAS file: a search
         and a scan (both read the footer of a stamp-less name) return the
         good one instead of aborting."""
-        for name in ("good.h5", "bad.h5"):
-            write_das_file(str(tmp_path / name), np.zeros((2, 10)), DASMetadata())
-        with File(str(tmp_path / "bad.h5"), "a") as f:
-            f.attrs["Number of objects"] = float("nan")
+        write_das_file(str(tmp_path / "good.h5"), np.zeros((2, 10)), DASMetadata())
+        with File(str(tmp_path / "good.h5"), "r") as good:
+            with File(str(tmp_path / "bad.h5"), "w") as f:
+                f.attrs.update_many(good.attrs.to_dict())
+                f.attrs["Number of objects"] = float("nan")
+                for name in good.datasets():
+                    f.create_dataset(name, data=good.dataset(name).read())
         good = [str(tmp_path / "good.h5")]
         assert [i.path for i in das_search(tmp_path, pattern=".*")] == good
         assert [i.path for i in scan_directory(tmp_path)] == good

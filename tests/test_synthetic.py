@@ -1,5 +1,7 @@
 """Tests for the synthetic DAS data generator."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -195,3 +197,28 @@ class TestSceneAndDataset:
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
+
+
+class TestDrip:
+    def test_a_drip_whose_write_raises_leaves_no_h5(self, tmp_path, monkeypatch):
+        # write_das_file publishes a minute file whole: a write that fails
+        # half-way leaves neither a .h5 nor its .tmp sibling in the spool
+        from repro.hdf5lite.binary import FileBackend
+        from repro.synthetic.generator import drip_feed_dataset
+
+        scene = fig1b_scene(minutes=2, samples_per_minute=200)
+        drip = drip_feed_dataset(tmp_path, 2, scene=scene, samples_per_minute=200)
+        first = next(drip)
+        assert os.listdir(tmp_path) == [os.path.basename(first)]
+        write_at, calls = FileBackend.write_at, []
+
+        def failing(self, offset, data):
+            calls.append(offset)
+            if len(calls) == 2:  # the header went out, the samples do not
+                raise OSError("device full")
+            write_at(self, offset, data)
+
+        monkeypatch.setattr(FileBackend, "write_at", failing)
+        with pytest.raises(OSError, match="device full"):
+            next(drip)
+        assert os.listdir(tmp_path) == [os.path.basename(first)]
