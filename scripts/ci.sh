@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# CI entry point.  `scripts/ci.sh` runs the static checks once (repro.checks
-# against scripts/checks_baseline.json), the src/ line budget (24 000), the
-# tier-1 suite, every crash point of the file writers, the in-source doctests, the hdf5lite codec suites under
-# `taskset -c 0`, the paper-figure tests and the harness's self-tests.  The figure tests rewrite
+# CI entry point.  `scripts/ci.sh` runs the static checks once (repro.checks,
+# six AST analyzer families, against scripts/checks_baseline.json), the src/
+# line budget (24 000), the tier-1 suite, every crash point of the file
+# writers, the in-source doctests, the hdf5lite codec suites under
+# `taskset -c 0`, the paper-figure tests and the harness's self-tests.  Every
+# pytest step runs under pyproject.toml's filterwarnings, which make a leaked
+# handle (a ResourceWarning) an error.  The figure tests rewrite
 # benchmarks/results/*.txt; every table must come out byte-identical except
 # fig6_search_merge.txt and fig9_matlab.txt, the two with wall-clock rows.
 # It gates no timing: every deterministic invariant a layer claims is a test.

@@ -21,13 +21,8 @@ guards it:
   that composes (the ``PLN`` codes);
 * :mod:`repro.checks.api` — public API: ``__all__`` completeness and
   cross-layer import direction (``hdf5lite`` must never import ``rt``);
-* :mod:`repro.checks.ccm` — simmpi protocol: rank-divergent
-  collectives, unmatched sends and receives, recv-before-send;
-* :mod:`repro.checks.res` — resource lifecycle: handles released on
-  every exit path, no blocking call while a lock is held;
-* :mod:`repro.checks.atm` — atomic persistence: durable writes go
-  through a synced temporary file and ``os.replace``, as
-  ``repro.utils.durable.publish`` does;
+* :mod:`repro.checks.res` — resource lifecycle: no blocking call while
+  a lock is held;
 * :mod:`repro.checks.bls` — BLAS calls: no BLAS-backed product on the
   executor's worker threads;
 * :mod:`repro.checks.runtime` — an instrumented ``Lock``/``RLock``
@@ -35,8 +30,12 @@ guards it:
   attribute access without the lock held (zero overhead when not
   installed — production code uses plain ``threading`` locks).
 
-The eight analyzers form one fixed table
-(:func:`~repro.checks.registry.all_analyzers`).
+The six analyzers form one fixed table
+(:func:`~repro.checks.registry.all_analyzers`).  What a test run
+catches needs no analyzer: a handle left open fails the suite as a
+``ResourceWarning``, a collective some rank skips as an ``MPIError``
+after the communicator's ``recv_timeout``, and the write order of
+:mod:`repro.utils.durable` is pinned by recording its ``os`` calls.
 
 Run ``python -m repro.checks`` from the repository root; see
 ``--help`` for ``--json`` / ``--baseline`` / ``--update-baseline`` /

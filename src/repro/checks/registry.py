@@ -45,21 +45,17 @@ def all_analyzers() -> list[Analyzer]:
     """One instance of every analyzer, in name order."""
     # Imported here: each analyzer module imports Analyzer from this one.
     from repro.checks.api import PublicApiAnalyzer
-    from repro.checks.atm import AtomicPersistenceAnalyzer
     from repro.checks.bls import BlasCallAnalyzer
-    from repro.checks.ccm import CommProtocolAnalyzer
     from repro.checks.contracts import OperatorContractAnalyzer
     from repro.checks.locks import LockDisciplineAnalyzer
     from repro.checks.res import ResourceLifecycleAnalyzer
     from repro.checks.taxonomy import ExceptionTaxonomyAnalyzer
 
     return [cls() for cls in (
-        AtomicPersistenceAnalyzer,    # atomic-persistence
         BlasCallAnalyzer,             # blas-call
         ExceptionTaxonomyAnalyzer,    # exception-taxonomy
         LockDisciplineAnalyzer,       # lock-discipline
         OperatorContractAnalyzer,     # operator-contract
         PublicApiAnalyzer,            # public-api
         ResourceLifecycleAnalyzer,    # resource-lifecycle
-        CommProtocolAnalyzer,         # simmpi-protocol
     )]

@@ -1,22 +1,5 @@
 """Resource-lifecycle analyzer (``RES``).
 
-``RES001`` — leak on an exception edge.  A handle acquired by
-``h = open(...)`` or ``x = something.acquire(...)`` must be released on
-*every* CFG path out of the function, including the exceptional ones.
-The check is a forward may-hold dataflow (:mod:`repro.checks.dataflow`)
-over the function's CFG: acquisitions add ``(name, line)`` facts,
-releases (``close``/``release`` on the name) remove them, and any fact
-still live at ``exit`` or ``raise-exit`` is a potential leak.  The
-exception-edge transfer applies releases but **not** acquisitions — a
-statement that raises mid-acquire never produced the handle, while a
-``close`` on the exception path is assumed to have closed (flagging the
-canonical ``try/finally: h.close()`` would be noise, not signal).
-Facts also die when the handle escapes the function — returned,
-yielded, stored on an attribute / in a container, or passed to another
-call — because ownership moved somewhere this intraprocedural analysis
-cannot see.  ``with open(...) as f`` never creates a fact at all: the
-context manager *is* the discipline.
-
 ``RES002`` — blocking operation while holding a lock.  Inside a
 ``with <lock>:`` region (any context expression whose final name looks
 lock-ish: ``lock``/``mutex``/``cond``/``sem``, or a lock named by the
@@ -28,6 +11,10 @@ one blessed exception: ``.wait()`` *on the held lock itself* — that is
 ``Condition.wait``, which releases the lock while sleeping.  As in
 :mod:`repro.checks.locks`, nested ``def``/``lambda`` bodies do not
 inherit the region (a closure outlives the block that made it).
+
+A handle left open is not this module's business: the test suite turns
+every ``ResourceWarning`` into an error, so a leak fails the test that
+provokes it.
 """
 
 from __future__ import annotations
@@ -36,8 +23,6 @@ import ast
 import re
 from typing import Iterator
 
-from repro.checks.cfg import CFGNode, build_cfg, node_exprs
-from repro.checks.dataflow import solve_forward
 from repro.checks.findings import Finding
 from repro.checks.locks import _collect_guards
 from repro.checks.registry import Analyzer
@@ -47,11 +32,6 @@ __all__ = ["ResourceLifecycleAnalyzer", "BLOCKING_CALLS", "LOCKISH_RE"]
 
 #: Final attribute/name components treated as a lock object.
 LOCKISH_RE = re.compile(r"(lock|mutex|cond|sem|rlock)", re.IGNORECASE)
-
-#: Method names acquiring a trackable resource when the result is bound.
-_ACQUIRE_METHODS = frozenset({"acquire", "open", "connect", "lease"})
-#: Method names releasing it.
-_RELEASE_METHODS = frozenset({"close", "release", "shutdown", "unlink"})
 
 #: Method names that can block the calling thread indefinitely.
 BLOCKING_CALLS = frozenset({
@@ -73,70 +53,10 @@ def _last_name(expr: ast.expr) -> str | None:
     return None
 
 
-def _is_acquire(value: ast.expr) -> bool:
-    if not isinstance(value, ast.Call):
-        return False
-    func = value.func
-    if isinstance(func, ast.Name):
-        return func.id == "open"
-    if isinstance(func, ast.Attribute):
-        return func.attr in _ACQUIRE_METHODS
-    return False
-
-
-class _NodeFacts:
-    """Per-CFG-node acquire/release/escape effects for RES001."""
-
-    def __init__(self, stmt: ast.stmt):
-        self.acquires: list[tuple[str, int]] = []
-        self.releases: set[str] = set()
-        self.escapes: set[str] = set()
-        self._scan(stmt)
-
-    def _scan(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-            if isinstance(target, ast.Name):
-                # any rebind kills the old fact; an acquiring RHS adds one
-                self.releases.add(target.id)
-                if _is_acquire(stmt.value):
-                    self.acquires.append((target.id, stmt.lineno))
-            elif isinstance(target, (ast.Attribute, ast.Subscript, ast.Tuple)):
-                # stored somewhere longer-lived: every name in the RHS escapes
-                for node in ast.walk(stmt.value):
-                    if isinstance(node, ast.Name):
-                        self.escapes.add(node.id)
-        for node in node_exprs(stmt):
-            if isinstance(node, ast.Call):
-                func = node.func
-                if isinstance(func, ast.Attribute):
-                    if func.attr in _RELEASE_METHODS and isinstance(
-                        func.value, ast.Name
-                    ):
-                        self.releases.add(func.value.id)
-                    # a tracked handle passed as an argument escapes
-                for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                    if isinstance(arg, ast.Name):
-                        self.escapes.add(arg.id)
-        if isinstance(stmt, (ast.Return, ast.Expr)):
-            value = stmt.value
-            if value is not None:
-                for node in ast.walk(value):
-                    if isinstance(node, (ast.Name,)) and isinstance(
-                        stmt, ast.Return
-                    ):
-                        self.escapes.add(node.id)
-                    if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                        for sub in ast.walk(node):
-                            if isinstance(sub, ast.Name):
-                                self.escapes.add(sub.id)
-
-
 class ResourceLifecycleAnalyzer(Analyzer):
     name = "resource-lifecycle"
-    description = "handles released on every path; no blocking under a lock"
+    description = "no blocking call while a lock is held"
     codes = {
-        "RES001": "resource acquired but not released on some exit path",
         "RES002": "blocking operation while holding a lock",
     }
 
@@ -144,62 +64,8 @@ class ResourceLifecycleAnalyzer(Analyzer):
         for mod in project.modules:
             if mod.tree is None or mod.relaxed:
                 continue
-            guards_by_class = self._class_guards(mod)
-            for node in ast.walk(mod.tree):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield from self._check_leaks(mod, node)
-            yield from self._check_blocking(mod, guards_by_class)
+            yield from self._check_blocking(mod, self._class_guards(mod))
 
-    # -- RES001 ---------------------------------------------------------------
-    def _check_leaks(
-        self, mod: SourceModule, func: ast.FunctionDef | ast.AsyncFunctionDef
-    ) -> Iterator[Finding]:
-        cfg = build_cfg(func)
-        facts = {
-            n.uid: _NodeFacts(n.stmt)
-            for n in cfg.stmt_nodes()
-            if n.stmt is not None
-        }
-        if not any(f.acquires for f in facts.values()):
-            return
-
-        def apply(node: CFGNode, state, with_acquires: bool):
-            fact = facts.get(node.uid)
-            if fact is None:
-                return state
-            out = {
-                (name, line)
-                for name, line in state
-                if name not in fact.releases and name not in fact.escapes
-            }
-            if with_acquires:
-                out |= set(fact.acquires)
-            return frozenset(out)
-
-        state_in, _ = solve_forward(
-            cfg,
-            lambda node, state: apply(node, state, with_acquires=True),
-            transfer_exc=lambda node, state: apply(node, state, with_acquires=False),
-            init=frozenset(),
-            join=lambda a, b: a | b,
-        )
-        seen: set[tuple[str, int, str]] = set()
-        for exit_uid, where in ((cfg.raise_exit, "an exception path"),
-                                (cfg.exit, "a return path")):
-            for name, line in sorted(state_in.get(exit_uid, frozenset())):
-                if (name, line, where) in seen:
-                    continue
-                seen.add((name, line, where))
-                if mod.is_suppressed(line, "RES001"):
-                    continue
-                yield self.finding(
-                    "RES001", mod, line,
-                    f"{func.name}: {name!r} acquired here may never be "
-                    f"released on {where}",
-                    hint="use `with`, or release in a `finally:` block",
-                )
-
-    # -- RES002 ---------------------------------------------------------------
     def _class_guards(self, mod: SourceModule) -> dict[int, set[str]]:
         """id(ClassDef) -> lock attribute names from # guarded-by."""
         out: dict[int, set[str]] = {}

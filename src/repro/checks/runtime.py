@@ -73,7 +73,7 @@ class SanitizedLock:
         self.name = name or f"{'rlock' if reentrant else 'lock'}-{sanitizer._next_id()}"
 
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        acquired = self._inner.acquire(blocking, timeout)  # noqa: RES001 - wrapper relays acquire; release arrives via its own method
+        acquired = self._inner.acquire(blocking, timeout)
         if acquired:
             self._sanitizer._on_acquire(self)
         return acquired

@@ -360,9 +360,10 @@ class File(Group):
             self._backend = FileBackend(path + ".tmp", "w+b", iostats)
             self._backend.write_header(Header(FORMAT_VERSION, HEADER_SIZE, 0))
             self._data_end = HEADER_SIZE
-            root = _empty_node()
-        else:
-            self._backend = FileBackend(path, "rb", iostats)
+            super().__init__(self, "/", _empty_node())
+            return
+        self._backend = FileBackend(path, "rb", iostats)
+        try:
             st = self._backend.fstat()
             self._cache_key = (st.st_dev, st.st_ino, st.st_mtime_ns, st.st_size)
             header = self._backend.read_header()
@@ -374,9 +375,15 @@ class File(Group):
                     root = json.loads(raw.decode("utf-8"))
                 except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                     raise FormatError(f"corrupt metadata footer: {exc}") from exc
+                if not isinstance(root, dict):
+                    raise FormatError("corrupt metadata footer: not a json object")
             self._data_end = header.meta_offset
-
-        super().__init__(self, "/", root)
+            super().__init__(self, "/", root)
+        except BaseException:  # noqa: TAX001 - closes the backend, then re-raises
+            # The caller gets no handle to close: a torn file must not
+            # cost an fd per failed open.
+            self._backend.close()
+            raise
 
     # -- plumbing used by Group/Dataset ------------------------------------------
     def _append_data(self, payload: bytes) -> int:

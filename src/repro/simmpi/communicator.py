@@ -136,7 +136,9 @@ class Communicator:
     # -- collectives ---------------------------------------------------------------
     def _collective(self, op: str, contribution: Any, cost: float, nbytes: int, peer: int = -1) -> list[Any]:
         t_entry = self.clock.now
-        contributions, t_start = self._fabric.exchange(self.rank, contribution, t_entry)
+        contributions, t_start = self._fabric.exchange(
+            self.rank, contribution, t_entry, op, self._recv_timeout
+        )
         self.clock.synchronize(t_start)
         self.clock.advance(cost, phase="comm")
         self.tracer.record(op, nbytes, peer, t_entry, self.clock.now)
@@ -147,9 +149,10 @@ class Communicator:
         self._check_root(root)
         # Sizes must agree across ranks for the cost; share root's size.
         contribution = obj if self.rank == root else None
-        contributions = self._fabric.exchange(self.rank, contribution, self.clock.now)
-        payload = contributions[0][root]
-        t_start = contributions[1]
+        contributions, t_start = self._fabric.exchange(
+            self.rank, contribution, self.clock.now, "bcast", self._recv_timeout
+        )
+        payload = contributions[root]
         nbytes = payload_nbytes(payload)
         self.clock.synchronize(t_start)
         self.clock.advance(self._network.bcast_time(nbytes, self.size), phase="comm")

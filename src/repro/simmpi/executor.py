@@ -64,7 +64,10 @@ def run_spmd(
 
     ``cluster`` supplies the network cost model and the rank→node mapping
     (``ranks_per_node`` defaults to packing all ranks on one node when no
-    cluster is given, or ``cluster.node.cores`` otherwise).  Raises
+    cluster is given, or ``cluster.node.cores`` otherwise).
+    ``recv_timeout`` bounds every blocking receive and every collective's
+    wait for the other ranks, so a rank that never sends or skips a
+    collective fails the run instead of hanging it.  Raises
     :class:`MPIError` carrying the first rank failure.
     """
     if size < 1:

@@ -147,7 +147,10 @@ class Fabric:
             return self._take(dest, source, tag)
 
     # -- collective rendezvous ------------------------------------------------
-    def exchange(self, rank: int, contribution: Any, entry_time: float) -> tuple[list[Any], float]:
+    def exchange(
+        self, rank: int, contribution: Any, entry_time: float,
+        op: str, timeout: float | None,
+    ) -> tuple[list[Any], float]:
         """All-ranks rendezvous: deposit a contribution, get everyone's.
 
         Returns ``(contributions_by_rank, t_start)`` where ``t_start`` is
@@ -156,17 +159,26 @@ class Fabric:
 
         Protocol: deposit → barrier → read → barrier.  The second barrier
         prevents a fast rank from starting the *next* collective and
-        overwriting slots another rank has not read yet.
+        overwriting slots another rank has not read yet.  ``timeout``
+        bounds each barrier wait as it bounds :meth:`match`: a rank that
+        never arrives (it skipped ``op`` or returned) breaks the barrier
+        and every waiting rank raises :class:`MPIError` naming ``op``.
+        ``None`` or a negative value waits without limit.
         """
+        if timeout is not None and timeout < 0:
+            timeout = None
         self._check_abort()
         self._coll_slots[rank] = contribution
         self._coll_times[rank] = entry_time
         try:
-            self._coll_barrier.wait()
+            self._coll_barrier.wait(timeout)
             contributions = list(self._coll_slots)
             t_start = max(self._coll_times)
-            self._coll_barrier.wait()
+            self._coll_barrier.wait(timeout)
         except threading.BrokenBarrierError:
             self._check_abort()
-            raise MPIError("collective barrier broken") from None
+            raise MPIError(
+                f"{op} on rank {rank}: not every rank arrived within "
+                f"{timeout} s"
+            ) from None
         return contributions, t_start

@@ -222,7 +222,7 @@ def read_rca_direct(
     """Read an RCA in parallel — one contiguous request per rank — and
     return this rank's channel-block array."""
     if pool is not None:
-        f = pool.acquire(rca_path, iostats=iostats)  # noqa: RES001 - the pool owns the handle; close_all() releases it
+        f = pool.acquire(rca_path, iostats=iostats)  # the pool owns it; close_all() releases it
         ds = f.dataset(dataset)
         n_channels, total_samples = ds.shape
         lo, hi = channel_block(n_channels, comm.size, comm.rank)

@@ -1,29 +1,12 @@
 """Checks fixture: resource-lifecycle violations.
 
-Expected RES001: ``leak_on_return`` leaks its handle on both the
-return path and the exception path (two findings, one line);
-``leak_on_exception`` closes on the happy path but leaks when the read
-between open and close raises (one finding).  Expected RES002: a
-socket recv and a sleep inside ``with self._lock:``, plus a recv in a
-``# holds-lock`` method whose class declares guarded state (three
-findings).
+Expected RES002: a socket recv and a sleep inside ``with self._lock:``,
+plus a recv in a ``# holds-lock`` method whose class declares guarded
+state (three findings).
 """
 
 import threading
 import time
-
-
-def leak_on_return(path):
-    fh = open(path, "w")
-    fh.write("x")
-    return True
-
-
-def leak_on_exception(path):
-    fh = open(path)
-    text = fh.read()  # raises -> fh is still open on the exception edge
-    fh.close()
-    return text
 
 
 class ChannelMonitor:

@@ -1,31 +1,12 @@
 """Checks fixture: resource-lifecycle — the blessed shapes.
 
-Twins of ``res_bad.py``: ``with``-scoped handles, ``finally:`` release,
-ownership transfer by returning the handle, blocking work moved off the
-lock, ``Condition.wait`` (which releases its lock while sleeping), and
-a string ``join`` that only looks like a thread join.  Expected: no
-RES findings.
+Twins of ``res_bad.py``: blocking work moved off the lock,
+``Condition.wait`` (which releases its lock while sleeping), and a
+string ``join`` that only looks like a thread join.  Expected: no RES
+findings.
 """
 
 import threading
-
-
-def with_block(path):
-    with open(path) as fh:
-        return fh.read()
-
-
-def closed_in_finally(path):
-    fh = open(path)
-    try:
-        return fh.read()
-    finally:
-        fh.close()
-
-
-def ownership_transfer(path):
-    fh = open(path)
-    return fh
 
 
 class ChannelMonitor:

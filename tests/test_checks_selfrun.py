@@ -35,15 +35,20 @@ def run_cli(*args: str, root: Path = ROOT) -> subprocess.CompletedProcess:
 
 @pytest.fixture
 def mini_repo(tmp_path):
-    """A three-module tree whose ``a.py`` carries one ATM001 finding."""
+    """A three-module tree whose ``a.py`` carries one RES002 finding."""
     pkg = tmp_path / "src" / "repro"
     pkg.mkdir(parents=True)
     (pkg / "a.py").write_text(textwrap.dedent("""
+        import threading
+
         __all__ = ["save"]
 
+        _lock = threading.Lock()
+
         def save(path, payload):
-            with open(path, "w") as fh:
-                fh.write(payload)
+            with _lock:
+                with open(path, "w") as fh:
+                    fh.write(payload)
     """))
     (pkg / "b.py").write_text(textwrap.dedent("""
         from repro.a import save
@@ -131,9 +136,9 @@ def test_cli_only_selects_one_family():
 
 
 def test_only_accepts_individual_codes(mini_repo):
-    proc = run_cli("--only", "ATM001", "--json", root=mini_repo)
+    proc = run_cli("--only", "RES002", "--json", root=mini_repo)
     assert proc.returncode == 1
-    assert [f["code"] for f in json.loads(proc.stdout)["findings"]] == ["ATM001"]
+    assert [f["code"] for f in json.loads(proc.stdout)["findings"]] == ["RES002"]
 
 
 def test_json_reports_per_analyzer_wall_time(mini_repo):

@@ -4,6 +4,7 @@ handling of a failing UDF."""
 
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,9 +47,9 @@ class TestFaultInjector:
         path = str(tmp_path / "x.h5")
         with File(path, "w") as f:
             f.create_dataset("d", data=np.arange(64, dtype=np.float64))
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
         offset = FaultInjector(seed=3).bit_flip(path)
-        after = open(path, "rb").read()
+        after = Path(path).read_bytes()
         assert len(before) == len(after)
         diffs = [i for i, (x, y) in enumerate(zip(before, after)) if x != y]
         assert diffs == [offset]

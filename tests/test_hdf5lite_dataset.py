@@ -282,8 +282,8 @@ class TestScalar:
             assert value.shape == () and value.dtype == np.int32
             assert value == (0 if checksum else 7)
             assert verify(f) == []
-        with pytest.raises(TypeError):
-            len(File(tmpfile, "r").dataset("s"))
+            with pytest.raises(TypeError):
+                len(f.dataset("s"))
 
 
 class TestVirtual:

@@ -1,13 +1,14 @@
 """Tests for hdf5lite File/Group/Attributes and the binary layer."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError, FormatError
 from repro.hdf5lite import File
-from repro.hdf5lite.binary import FileBackend, Header
+from repro.hdf5lite.binary import HEADER_SIZE, FileBackend, Header
 from repro.utils.iostats import IOStats
 
 
@@ -56,6 +57,34 @@ class TestFileLifecycle:
             fh.write(b"this is not the right magic value at all")
         with pytest.raises(FormatError):
             File(tmpfile, "r")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    @pytest.mark.parametrize(
+        "tear", ["header", "footer", "footer-json", "footer-not-an-object"]
+    )
+    def test_a_failed_open_leaks_no_fd(self, tmpfile, tear):
+        """A torn or malformed file raises ``FormatError`` out of
+        ``File(path, "r")`` before the caller holds anything it could
+        close, so the open closes its own fd."""
+        with File(tmpfile, "w") as f:
+            f.create_dataset("d", data=np.arange(64.0))
+        raw = Path(tmpfile).read_bytes()
+        header = Header.unpack(raw)
+        footer = raw[header.meta_offset:]
+        torn = {
+            "header": raw[: HEADER_SIZE // 2],
+            "footer": raw[: header.meta_offset + len(footer) // 2],
+            "footer-json": raw[: header.meta_offset] + b"{" * len(footer),
+            "footer-not-an-object": raw[: header.meta_offset] + b"[]".ljust(len(footer)),
+        }[tear]
+        Path(tmpfile).write_bytes(torn)
+        fds = len(os.listdir("/proc/self/fd"))
+        errors = []
+        for _ in range(50):
+            with pytest.raises(FormatError) as info:
+                File(tmpfile, "r")
+            errors.append(info.value)  # a kept traceback keeps its frames
+        assert len(os.listdir("/proc/self/fd")) == fds
 
     def test_context_manager_closes(self, tmpfile):
         with File(tmpfile, "w") as f:

@@ -14,6 +14,9 @@
   fsync the tmp sibling's inode before ``os.replace`` puts it under the
   final name: a rename that can reach the disk before the bytes it names
   would publish unwritten data after a power cut.
+* **fsync before an append returns.**  ``durable.append_lines`` writes and
+  flushes its rows, then fsyncs the log, before it returns the log's new
+  length: a row the caller counts as logged is on disk.
 """
 
 import hashlib
@@ -214,13 +217,15 @@ def test_the_first_publish_of_a_new_file_is_absent_until_promoted(tmp_path):
 # ---------------------------------------------------------------------------
 @pytest.fixture
 def os_calls(monkeypatch):
-    """Record ``os.fsync`` (by the inode it syncs) and ``os.replace`` (by
-    the inode it moves) in call order."""
+    """Record ``os.fsync`` (by the inode it syncs and the size that inode
+    has when it is synced) and ``os.replace`` (by the inode it moves) in
+    call order."""
     calls = []
     fsync, replace = os.fsync, os.replace
 
     def recording_fsync(fd):
-        calls.append(("fsync", os.fstat(fd).st_ino))
+        st = os.fstat(fd)
+        calls.append(("fsync", st.st_ino, st.st_size))
         fsync(fd)
 
     def recording_replace(src, dst):
@@ -238,7 +243,7 @@ def _assert_fsynced_before_published(calls, path):
         i for i, c in enumerate(calls) if c[0] == "replace" and c[2:] == (tmp, path)
     ]
     ino = calls[publish][1]
-    synced = [i for i, c in enumerate(calls) if c == ("fsync", ino)]
+    synced = [i for i, c in enumerate(calls) if c[:2] == ("fsync", ino)]
     assert synced, f"{tmp} was renamed onto {path} without an fsync"
     renames = [i for i, c in enumerate(calls) if c[0] == "replace"]
     assert synced[0] < min(renames), calls
@@ -263,3 +268,17 @@ def test_a_file_close_fsyncs_the_tmp_before_the_rename(tmp_path, os_calls):
         assert os_calls == []  # nothing is published before close
     _assert_fsynced_before_published(os_calls, path)
     assert [c[0] for c in os_calls] == ["fsync", "replace"]
+
+
+def test_append_lines_fsyncs_what_it_wrote_before_it_returns(tmp_path, os_calls):
+    path = str(tmp_path / "events.jsonl")
+    first = durable.append_lines(path, [{"kind": "a"}])
+    with open(path, "ab") as fh:
+        fh.write(b'{"kind": "to')  # a torn row the next append cuts
+    end = durable.append_lines(path, [{"kind": "b"}, {"kind": "c"}])
+    ino = os.stat(path).st_ino
+    # The size at each fsync is what the append returned: the rows were
+    # written and flushed before the sync, and the sync came before the
+    # return.
+    assert os_calls == [("fsync", ino, first), ("fsync", ino, end)]
+    assert end == os.path.getsize(path)

@@ -10,6 +10,7 @@ mode none of these tests may permit."""
 import json
 import os
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -97,9 +98,9 @@ class TestBitFlips:
     @pytest.mark.parametrize("seed", range(8))
     def test_flipped_primary_never_loads_silently(self, store, seed):
         _saved_twice(store)
-        original = open(store.path, encoding="utf-8").read()
+        original = Path(store.path).read_text(encoding="utf-8")
         flip_text_byte(store.path, seed=seed)
-        assert open(store.path, encoding="utf-8").read() != original
+        assert Path(store.path).read_text(encoding="utf-8") != original
         try:
             payload = store.load()
         except CheckpointCorruptError:

@@ -3,6 +3,7 @@ injection, kill-and-resume, and the ``python -m repro.rt`` CLI."""
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,7 +312,7 @@ class TestFaultInjection:
         service = self._service(tmp_path)
         good = self._good_file(tmp_path, "170620100545")
         bad = self._good_file(tmp_path, "170620100605")
-        raw = open(bad, "rb").read()
+        raw = Path(bad).read_bytes()
         with open(bad, "wb") as handle:
             handle.write(raw[:60])  # header torn mid-write
         service.drain()
@@ -455,7 +456,7 @@ class TestSpoolState:
             drip_feed_dataset(tmp_path, 3, scene=tiny, samples_per_minute=200)
         )
         torn = paths[0]
-        whole = open(torn, "rb").read()
+        whole = Path(torn).read_bytes()
         with open(torn, "wb") as handle:
             handle.write(whole[:60])
         seen = []

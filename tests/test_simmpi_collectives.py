@@ -1,5 +1,8 @@
 """Tests for simmpi collectives: semantics and virtual-clock charging."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -167,3 +170,62 @@ class TestVirtualTime:
 
         result = run_spmd(fn, 3)
         assert result.makespan == pytest.approx(3.0)
+
+
+class TestSkippedCollective:
+    """A rank that skips a collective fails the run with an ``MPIError``
+    after ``recv_timeout``, as a receive with no sender does; it never
+    hangs.  The run goes on a daemon thread so a hang fails the test
+    instead of stalling the suite."""
+
+    def _outcome(self, fn, size=2, recv_timeout=0.5):
+        outcome = {}
+
+        def target():
+            t0 = time.monotonic()
+            try:
+                run_spmd(fn, size, recv_timeout=recv_timeout)
+            except MPIError as exc:
+                outcome["error"] = exc
+            outcome["waited"] = time.monotonic() - t0
+
+        runner = threading.Thread(target=target, daemon=True)
+        runner.start()
+        runner.join(10)
+        assert not runner.is_alive(), "the run hangs on a skipped collective"
+        return outcome
+
+    def test_bcast_one_rank_skips(self):
+        outcome = self._outcome(
+            lambda comm: comm.bcast(1) if comm.rank == 0 else None
+        )
+        assert "bcast" in str(outcome["error"])
+        assert "0.5 s" in str(outcome["error"])
+        assert 0.5 <= outcome["waited"] < 5.0
+
+    def test_gather_on_root_only(self):
+        outcome = self._outcome(
+            lambda comm: comm.gather(comm.rank) if comm.rank == 0 else None,
+            size=3,
+        )
+        assert "gather" in str(outcome["error"])
+
+    def test_a_later_collective_is_bounded_too(self):
+        """Every rank enters the first collective, one skips the next."""
+
+        def fn(comm):
+            comm.allreduce(1)
+            if comm.rank != 1:
+                comm.allreduce(2)
+
+        outcome = self._outcome(fn, size=3)
+        assert "allreduce" in str(outcome["error"])
+
+    def test_a_slow_rank_within_the_timeout_is_waited_for(self):
+        def fn(comm):
+            if comm.rank == 1:
+                time.sleep(0.2)
+            return comm.allreduce(comm.rank)
+
+        result = run_spmd(fn, 3, recv_timeout=2.0)
+        assert result.results == [3, 3, 3]
