@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI entry point.  `scripts/ci.sh` runs the static checks once (repro.checks,
-# six AST analyzer families, against scripts/checks_baseline.json), the src/
+# four AST analyzer families, against scripts/checks_baseline.json), the src/
 # line budget (24 000), the tier-1 suite, every crash point of the file
 # writers, the in-source doctests, the hdf5lite codec suites under
 # `taskset -c 0`, the paper-figure tests and the harness's self-tests.  Every

@@ -14,13 +14,6 @@ guards it:
 * :mod:`repro.checks.taxonomy` — exception taxonomy: broad/bare
   excepts, ``raise`` of builtins where a :mod:`repro.errors` type
   exists, silently-swallowed handlers;
-* :mod:`repro.checks.contracts` — operator contracts:
-  :class:`~repro.core.pipeline.Operator` subclasses must declare
-  consistent ``halo``/``decimate``/``channel_halo``/``stream_safe``,
-  override the right hooks, and give the planner an interval algebra
-  that composes (the ``PLN`` codes);
-* :mod:`repro.checks.api` — public API: ``__all__`` completeness and
-  cross-layer import direction (``hdf5lite`` must never import ``rt``);
 * :mod:`repro.checks.res` — resource lifecycle: no blocking call while
   a lock is held;
 * :mod:`repro.checks.bls` — BLAS calls: no BLAS-backed product on the
@@ -30,12 +23,15 @@ guards it:
   attribute access without the lock held (zero overhead when not
   installed — production code uses plain ``threading`` locks).
 
-The six analyzers form one fixed table
+The four analyzers form one fixed table
 (:func:`~repro.checks.registry.all_analyzers`).  What a test run
 catches needs no analyzer: a handle left open fails the suite as a
 ``ResourceWarning``, a collective some rank skips as an ``MPIError``
-after the communicator's ``recv_timeout``, and the write order of
-:mod:`repro.utils.durable` is pinned by recording its ``os`` calls.
+after the communicator's ``recv_timeout``, the write order of
+:mod:`repro.utils.durable` is pinned by recording its ``os`` calls, an
+operator's streaming and interval contracts by running every shipped
+operator incrementally and in batch, and the public surface and the
+layer DAG by importing every module and reading every import.
 
 Run ``python -m repro.checks`` from the repository root; see
 ``--help`` for ``--json`` / ``--baseline`` / ``--update-baseline`` /

@@ -44,9 +44,7 @@ class Analyzer:
 def all_analyzers() -> list[Analyzer]:
     """One instance of every analyzer, in name order."""
     # Imported here: each analyzer module imports Analyzer from this one.
-    from repro.checks.api import PublicApiAnalyzer
     from repro.checks.bls import BlasCallAnalyzer
-    from repro.checks.contracts import OperatorContractAnalyzer
     from repro.checks.locks import LockDisciplineAnalyzer
     from repro.checks.res import ResourceLifecycleAnalyzer
     from repro.checks.taxonomy import ExceptionTaxonomyAnalyzer
@@ -55,7 +53,5 @@ def all_analyzers() -> list[Analyzer]:
         BlasCallAnalyzer,             # blas-call
         ExceptionTaxonomyAnalyzer,    # exception-taxonomy
         LockDisciplineAnalyzer,       # lock-discipline
-        OperatorContractAnalyzer,     # operator-contract
-        PublicApiAnalyzer,            # public-api
         ResourceLifecycleAnalyzer,    # resource-lifecycle
     )]

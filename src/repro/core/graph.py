@@ -24,15 +24,17 @@ makes the pushdown rewrite testably bit-exact: the optimized plan reads
 the selected lattice straight from storage and must produce byte-equal
 output.
 
-:func:`verify_geometry` is the exhaustive half of the ``PLN`` lint series:
-the kernel trusts each operator's declared interval algebra
+:func:`verify_geometry` checks an operator's planner geometry: the
+kernel trusts each operator's declared interval algebra
 (``out_total`` / ``out_core`` / ``out_full`` / ``in_needed``) and
 validates it on the one chunking a run actually uses
 (:func:`repro.core.pipeline.run_chunks`, before its first read);
 ``verify_geometry`` sweeps a single operator over several chunkings with
 the same checks (tiling, coverage, and containment of every core target
 in its padded production), which is what the test suite runs over every
-shipped operator.
+shipped operator.  An interval method that is wrong but still tiles
+(``out_full`` dropped, say) passes it; the suite's incremental-versus-batch
+sweep over the same operators is what fails then.
 """
 
 from __future__ import annotations
@@ -264,7 +266,7 @@ class Query:
 
 
 # ---------------------------------------------------------------------------
-# geometry verification (exhaustive half of the PLN lint series)
+# geometry verification
 # ---------------------------------------------------------------------------
 
 
@@ -283,9 +285,8 @@ def verify_geometry(
     one chunking it executes.
 
     Raises :class:`~repro.errors.ConfigError` naming the operator and the
-    first violated invariant.  This is the lint API: tests sweep every
-    shipped operator with it, and the static ``PLN`` analyzers in
-    :mod:`repro.checks` lint the same declarations at review time.
+    first violated invariant.  Tests sweep every shipped operator with
+    it, and run each one incrementally against batch execution.
     """
     if total < 1:
         raise ConfigError("verify_geometry needs total >= 1")

@@ -266,7 +266,9 @@ class LocalSimilarityOp(Operator):
     def apply(self, data: np.ndarray, ctx: OpContext) -> np.ndarray:
         cfg = self.config
         th, s = cfg.time_halo, cfg.stride
-        n_out = self.out_total(ctx.total)  # noqa: OPC001 - total is only the right-edge clamp; windows never read past their declared halo, so incremental execution stays exact
+        # ctx.total is only the right-edge clamp: windows never read past
+        # their declared halo, so incremental execution stays exact.
+        n_out = self.out_total(ctx.total)
         j_lo = min(max(_ceil_div(ctx.start, s), 0), n_out)
         j_hi = min(max(_ceil_div(ctx.stop - 2 * th, s), j_lo), n_out)
         # Window start (centre − M) in block-local coordinates.

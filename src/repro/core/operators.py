@@ -305,6 +305,7 @@ class CorrelateOp(Operator):
     """
 
     name = "correlate"
+    stream_safe = False  # abscorr reduces the whole time axis to one value
 
     def __init__(
         self, master_fft: np.ndarray | None = None, master_channel: int = 0

@@ -227,11 +227,15 @@ class Dataset:
     on_source_error = None
 
     def __init__(self, file: "File", path: str, meta: dict[str, Any]):
+        if not (
+            isinstance(meta, dict) and isinstance(meta.setdefault("attrs", {}), dict)
+        ):
+            raise FormatError(f"corrupt metadata footer: dataset {path!r} is malformed")
         self._file = file
         self.path = path
         self._meta = meta
         self.attrs = Attributes(
-            meta.setdefault("attrs", {}),
+            meta["attrs"],
             on_change=self._changed,
             writable=file.writable,
         )

@@ -50,6 +50,18 @@ def _empty_node() -> dict[str, Any]:
     return {"attrs": {}, "groups": {}, "datasets": {}}
 
 
+def _group_node(node: Any, path: str) -> dict[str, Any]:
+    """``node`` when it is a group node (missing members become empty),
+    else :class:`FormatError`: a footer that parses as JSON but has the
+    wrong shape must not escape the error taxonomy."""
+    if isinstance(node, dict) and all(
+        isinstance(node.setdefault(key, {}), dict)
+        for key in ("attrs", "groups", "datasets")
+    ):
+        return node
+    raise FormatError(f"corrupt metadata footer: group {path!r} is malformed")
+
+
 def _split_path(path: str) -> list[str]:
     parts = [p for p in path.strip("/").split("/") if p]
     for part in parts:
@@ -64,11 +76,8 @@ class Group:
     def __init__(self, file: "File", path: str, node: dict[str, Any]):
         self._file = file
         self.path = path or "/"
-        self._node = node
-        self.attrs = Attributes(
-            node.setdefault("attrs", {}),
-            writable=file.writable,
-        )
+        self._node = _group_node(node, self.path)
+        self.attrs = Attributes(self._node["attrs"], writable=file.writable)
         self._node["attrs"] = self.attrs._data
 
     def _child_path(self, name: str) -> str:
@@ -96,11 +105,10 @@ class Group:
                 return self._file._dataset_for(
                     walked + "/" + part, node["datasets"][part]
                 )
-            if part in node["groups"]:
-                node = node["groups"][part]
-                walked = walked + "/" + part
-            else:
+            if part not in node["groups"]:
                 raise KeyError(f"no such group or dataset: {path!r}")
+            walked = walked + "/" + part
+            node = _group_node(node["groups"][part], walked)
         return Group(self._file, walked, node)
 
     def keys(self) -> list[str]:
@@ -375,8 +383,6 @@ class File(Group):
                     root = json.loads(raw.decode("utf-8"))
                 except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                     raise FormatError(f"corrupt metadata footer: {exc}") from exc
-                if not isinstance(root, dict):
-                    raise FormatError("corrupt metadata footer: not a json object")
             self._data_end = header.meta_offset
             super().__init__(self, "/", root)
         except BaseException:  # noqa: TAX001 - closes the backend, then re-raises

@@ -29,7 +29,7 @@ Quickstart::
         win = session.read_window(10_000, 20_000, channels=(32, 64))
 
 Layering: serve sits above core/storage/rt/hdf5lite and nothing imports
-it back (enforced by the ``repro.checks`` API003 layer rules).
+it back (``tests/test_misc_api.py::test_imports_follow_the_layer_dag``).
 """
 
 from repro.serve.admission import (

@@ -2,9 +2,9 @@
 
 Each analyzer gets a good/bad fixture pair under
 ``tests/fixtures/checks/``; bad fixtures document the exact findings
-they seed.  Library-context rules (TAX002, API002, API003) are
-exercised by loading the same fixture under a synthetic ``src/repro/...``
-rel, since fixture files live outside the library tree.
+they seed.  Library-context rules (TAX002, BLS001) are exercised by
+loading the same fixture under a synthetic ``src/repro/...`` rel, since
+fixture files live outside the library tree.
 """
 
 from collections import Counter
@@ -12,10 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.checks.api import PublicApiAnalyzer
 from repro.checks.baseline import Baseline, Waiver
 from repro.checks.bls import ANALYSIS_LAYERS, BlasCallAnalyzer
-from repro.checks.contracts import OperatorContractAnalyzer
 from repro.checks.locks import LockDisciplineAnalyzer
 from repro.checks.runner import load_project, run_analyzers
 from repro.checks.source import Project, load_module
@@ -153,136 +151,6 @@ def test_taxonomy_ble001_alias_still_suppresses(tmp_path):
         ExceptionTaxonomyAnalyzer().run(Project(root=tmp_path, modules=[mod]))
     )
     assert findings == []
-
-
-# -- operator contract -------------------------------------------------------
-
-def test_contracts_good_is_clean():
-    findings = list(
-        OperatorContractAnalyzer().run(project_for("contracts_good.py"))
-    )
-    assert findings == []
-
-
-def test_contracts_bad_findings():
-    findings = list(
-        OperatorContractAnalyzer().run(project_for("contracts_bad.py"))
-    )
-    assert codes(findings) == {
-        "OPC001": 1,
-        "OPC002": 1,
-        "OPC003": 2,
-        "OPC004": 2,
-        "OPC005": 1,
-        "OPC006": 2,
-        "OPC007": 1,
-    }
-
-
-def test_contracts_inherited_hooks_count():
-    """DerivedSink (contracts_good) inherits init/finalize from GoodSink
-    and must not be flagged OPC007."""
-    findings = list(
-        OperatorContractAnalyzer().run(project_for("contracts_good.py"))
-    )
-    assert not any("DerivedSink" in f.message for f in findings)
-
-
-# -- planner geometry (the PLN codes of operator-contract) -------------------
-
-def pln_findings(fixture: str) -> list:
-    findings = OperatorContractAnalyzer().run(project_for(fixture))
-    return [f for f in findings if f.code.startswith("PLN")]
-
-
-def test_pln_good_is_clean():
-    assert pln_findings("pln_good.py") == []
-
-
-def test_pln_bad_findings():
-    assert codes(pln_findings("pln_bad.py")) == {
-        "PLN001": 1,
-        "PLN002": 2,
-        "PLN003": 1,
-        "PLN004": 1,
-    }
-
-
-def test_pln_partial_trio_not_double_reported():
-    """A partial trio is PLN001 only — PLN002 must not re-flag the same
-    incoherence."""
-    partial = [f for f in pln_findings("pln_bad.py") if "PartialTrioOp" in f.message]
-    assert [f.code for f in partial] == ["PLN001"]
-
-
-def test_pln_inherited_grid_not_reflagged():
-    """DerivedGridOp (pln_good) inherits the complete custom grid and
-    must not be flagged."""
-    assert not any("DerivedGridOp" in f.message for f in pln_findings("pln_good.py"))
-
-
-def test_pln_real_operator_stack_is_clean():
-    """The shipped operator stack's declarations must pass their own
-    lint: LocalSimilarityOp overrides the full trio, SubsampleOp's
-    decimate is non-literal."""
-    project = load_project(ROOT_SRC.parent.parent)
-    findings = [
-        f for f in run_analyzers(project) if f.code.startswith("PLN")
-    ]
-    assert findings == []
-
-
-# -- public API --------------------------------------------------------------
-
-def test_api_good_is_clean():
-    findings = list(PublicApiAnalyzer().run(project_for("api_good.py")))
-    assert findings == []
-
-
-def test_api_bad_stale_export():
-    findings = list(PublicApiAnalyzer().run(project_for("api_bad.py")))
-    assert codes(findings) == {"API001": 1}
-    assert "missing_name" in findings[0].message
-
-
-def test_api_bad_layer_violation_under_library_rel():
-    findings = list(PublicApiAnalyzer().run(
-        project_for("api_bad.py", rel="src/repro/hdf5lite/api_bad.py")
-    ))
-    assert codes(findings) == {"API001": 1, "API003": 1}
-    layered = next(f for f in findings if f.code == "API003")
-    assert "hdf5lite" in layered.message and "rt" in layered.message
-
-
-def test_api_serve_layer_may_import_below():
-    findings = list(PublicApiAnalyzer().run(
-        project_for("api_serve_good.py", rel="src/repro/serve/api_serve_good.py")
-    ))
-    assert findings == []
-
-
-def test_api_nothing_may_import_serve():
-    findings = list(PublicApiAnalyzer().run(
-        project_for("api_serve_bad.py", rel="src/repro/rt/api_serve_bad.py")
-    ))
-    assert codes(findings) == {"API003": 1}
-    assert "rt" in findings[0].message and "serve" in findings[0].message
-    assert "higher layer" in findings[0].message
-
-
-def test_api_serve_checks_same_rank_coupling_flagged():
-    findings = list(PublicApiAnalyzer().run(
-        project_for("api_serve_bad.py", rel="src/repro/checks/api_serve_bad.py")
-    ))
-    assert codes(findings) == {"API003": 1}
-    assert "same-rank" in findings[0].message
-
-
-def test_api_missing_all_on_top_level_library_module():
-    findings = list(PublicApiAnalyzer().run(
-        project_for("taxonomy_bad.py", rel="src/repro/taxonomy_bad.py")
-    ))
-    assert codes(findings) == {"API002": 1}
 
 
 # -- baseline mechanics ------------------------------------------------------

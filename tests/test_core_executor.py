@@ -12,6 +12,8 @@ own ``naive`` reference, and must honour ``threads`` like a single chain.
 The kernel also validates the chunk plan it is about to run — before its
 first read, whatever the lowering — and the exhaustive half of that
 check, ``verify_geometry``, is swept here over every shipped operator.
+So is the streaming contract: a stream-safe operator run incrementally
+equals its batch run, and every other operator is refused up front.
 
 Between operators the kernel hands on only what the plan asks for: a
 multi-map chain equals its members applied level by level to exactly the
@@ -336,6 +338,29 @@ def test_every_shipped_operator_is_swept():
 def test_shipped_algebra_verifies_across_ragged_totals(op, total):
     verify_geometry(op, total)
     verify_geometry(op, total, chunk_sizes=[1, 5, 64, total - 1, total])
+
+
+@pytest.mark.parametrize("op", SHIPPED, ids=lambda op: op.name)
+def test_shipped_operator_streams_like_batch_or_is_refused(op):
+    """A stream-safe operator without a pre-pass, pushed through
+    ``IncrementalRunner`` in uneven pieces and flushed, equals the batch
+    kernel over the whole record; every other operator is refused when
+    the runner is built, before any data has been pushed."""
+    data = np.cumsum(_data(23, total=3000), axis=1)  # a random walk
+    if op.needs_prepass or not op.stream_safe:
+        with pytest.raises(ConfigError, match="not stream-safe"):
+            IncrementalRunner([op], data.shape[0], fs=100.0)
+        return
+    runner = IncrementalRunner([op], data.shape[0], fs=100.0)
+    cuts = [0, 171, 172, 900, 1750, 2501, 3000]
+    pieces = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        pieces.extend(runner.push(data[:, lo:hi]))
+    pieces.extend(runner.flush())
+    streamed = np.concatenate([block for _, block in pieces], axis=1)
+    batch = run_chain([op], data, fs=100.0).output
+    assert streamed.shape == batch.shape
+    np.testing.assert_allclose(streamed, batch, rtol=0, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------

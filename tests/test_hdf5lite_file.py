@@ -1,5 +1,6 @@
 """Tests for hdf5lite File/Group/Attributes and the binary layer."""
 
+import json
 import os
 from pathlib import Path
 
@@ -85,6 +86,26 @@ class TestFileLifecycle:
                 File(tmpfile, "r")
             errors.append(info.value)  # a kept traceback keeps its frames
         assert len(os.listdir("/proc/self/fd")) == fds
+
+    @pytest.mark.parametrize("tree", [
+        {"attrs": 1},
+        {"groups": {}, "datasets": {"d": 5}, "attrs": {}},
+        {"groups": {"g": 3}, "datasets": {}, "attrs": {}},
+        {"groups": [], "datasets": {}, "attrs": {}},
+    ], ids=["attrs", "dataset-node", "group-node", "groups"])
+    def test_a_footer_of_the_wrong_shape_is_a_format_error(self, tmpfile, tree):
+        """A footer that parses as a JSON object but is not a tree of
+        objects is refused as ``FormatError`` where its node is reached:
+        at the open for the root, on the walk for a child."""
+        with File(tmpfile, "w") as f:
+            f.create_dataset("d", data=np.arange(64.0))
+        raw = Path(tmpfile).read_bytes()
+        header = Header.unpack(raw)
+        footer = json.dumps(tree).encode().ljust(len(raw) - header.meta_offset)
+        Path(tmpfile).write_bytes(raw[: header.meta_offset] + footer)
+        with pytest.raises(FormatError, match="corrupt metadata footer"):
+            with File(tmpfile, "r") as f:
+                list(f.visit())
 
     def test_context_manager_closes(self, tmpfile):
         with File(tmpfile, "w") as f:

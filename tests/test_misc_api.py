@@ -1,4 +1,9 @@
-"""Top-level API surface and rendering utilities."""
+"""API surface (exports and the layer DAG) and rendering utilities."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +11,29 @@ import pytest
 import repro
 from repro.errors import ConfigError
 from repro.synthetic.render import to_ascii, wiggle_summary
+
+SRC = Path(repro.__file__).parent
+
+#: The architecture's dependency order: a module in package P imports
+#: ``repro.Q`` only if Q ranks strictly below P, or Q is P.  Mirrors
+#: DESIGN.md §3's module map; add a new package to both.
+LAYER_RANKS = {
+    "_version": 0,
+    "errors": 0,
+    "utils": 1,
+    "daslib": 1,       # standalone DSP library (deliberately dependency-free)
+    "hdf5lite": 2,
+    "cluster": 2,
+    "simmpi": 3,
+    "faults": 3,
+    "storage": 4,
+    "arrayudf": 5,
+    "synthetic": 5,
+    "core": 6,
+    "rt": 7,
+    "serve": 8,        # consumer-facing top; nothing may import it back
+    "checks": 8,       # tooling on top; nothing may depend on it
+}
 
 
 class TestTopLevel:
@@ -27,6 +55,60 @@ class TestTopLevel:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None
+
+
+def test_every_module_imports_and_every_export_resolves():
+    """Each package and each public top-level module pins ``__all__``, and
+    every name in any module's ``__all__`` resolves on import."""
+    modules = [
+        info
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith(".__main__")
+    ]
+    assert len(modules) > 100
+    for info in modules:
+        module = importlib.import_module(info.name)
+        leaf = info.name.rsplit(".", 1)[1]
+        public_top = info.name.count(".") == 1 and not leaf.startswith("_")
+        if info.ispkg or public_top:
+            assert hasattr(module, "__all__"), f"{info.name} has no __all__"
+        for name in getattr(module, "__all__", []):
+            assert hasattr(module, name), f"{info.name}.__all__ names {name!r}"
+
+
+def _repro_imports(tree):
+    """The ``repro.X`` package of every absolute import in ``tree``,
+    function-local ones included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            names = (
+                [f"{module}.{alias.name}" for alias in node.names]
+                if module == "repro"
+                else [module]
+            )
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "repro" and len(parts) > 1:
+                yield parts[1], node.lineno
+
+
+def test_imports_follow_the_layer_dag():
+    bad = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC)
+        if rel.parts == ("__init__.py",):
+            continue  # the package root re-exports its layers
+        layer = rel.parts[0].removesuffix(".py")
+        assert layer in LAYER_RANKS, f"add {layer!r} to LAYER_RANKS"
+        for target, line in _repro_imports(ast.parse(path.read_text())):
+            if target != layer and LAYER_RANKS.get(target, -1) >= LAYER_RANKS[layer]:
+                bad.append(f"{rel}:{line}: {layer} imports repro.{target}")
+    assert bad == []
 
 
 class TestRender:

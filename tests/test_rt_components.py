@@ -17,7 +17,7 @@ from repro.core.local_similarity import (
     LocalSimilarityOp,
     local_similarity_block,
 )
-from repro.core.operators import DetrendOp, FiltFiltOp, TaperOp
+from repro.core.operators import FiltFiltOp
 from repro.core.pipeline import IncrementalRunner, _levels, _needed, _run_chain
 from repro.core.stalta import (
     StaLtaOp,
@@ -133,11 +133,6 @@ class TestIncrementalRunner:
         streamed = np.concatenate([block for _, block in pieces], axis=1)
         expected = classic_sta_lta(record, 20, 200)
         assert np.abs(streamed - expected).max() == pytest.approx(0.0, abs=1e-9)
-
-    def test_rejects_whole_record_operators(self):
-        for op in (DetrendOp(), TaperOp(0.05)):
-            with pytest.raises(ConfigError):
-                IncrementalRunner([op], 4)
 
     def test_export_import_resumes_identically(self, record):
         """Resume re-runs the carried forward pass over the re-read tail
