@@ -16,8 +16,10 @@ one) and drive three in-source conventions:
     exempt.
 ``# noqa`` / ``# noqa: CODE[,CODE...] - reason``
     suppress findings on that line; a bare ``noqa`` suppresses every
-    code.  The historical flake8 ``BLE001`` marker is
-    accepted as an alias for the broad-except code ``TAX001``.
+    code, a marker with codes only the codes it lists (a flake8 code such
+    as ``F401`` or ``E402`` silences none of ours).  The historical flake8
+    ``BLE001`` marker is accepted as an alias for the broad-except code
+    ``TAX001``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ __all__ = ["Project", "SourceModule", "GUARDED_BY_RE", "HOLDS_LOCK_RE"]
 
 GUARDED_BY_RE = re.compile(r"#\s*guarded-by:\s*([A-Za-z_][A-Za-z0-9_]*)")
 HOLDS_LOCK_RE = re.compile(r"#\s*holds-lock\b")
-_NOQA_RE = re.compile(r"#\s*noqa\b(?::?\s*(?P<codes>[A-Z]{3}\d{3}(?:\s*,\s*[A-Z]{3}\d{3})*))?")
+_NOQA_RE = re.compile(r"#\s*noqa\b(?::?\s*(?P<codes>[A-Z]+\d+(?:\s*,\s*[A-Z]+\d+)*))?")
 
 #: Legacy flake8-style markers accepted as aliases for our codes, so the
 #: ``# noqa: BLE001 - reason`` boundaries written before the ``TAX`` codes

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from repro.errors import ConfigError
 
@@ -50,8 +49,12 @@ def _connected_components(mask: np.ndarray) -> np.ndarray:
     """4-connected component labelling.
 
     Returns an int array: 0 = background, 1..n = component ids, numbered
-    in raster order of each component's first cell.
+    in raster order of each component's first cell.  ``scipy.ndimage`` is
+    imported here, on first use, so the layers that import ``repro.core``
+    to plan or serve never load scipy.
     """
+    from scipy import ndimage
+
     labels, _ = ndimage.label(mask)  # default structure: 4-connected
     return labels
 

@@ -41,6 +41,7 @@ from repro.daslib import (
     whiten,
 )
 from repro.daslib.filtfilt import _backward, _forward, _odd_ext
+from repro.daslib.lfilter import compiled_kernel
 from repro.errors import ConfigError
 
 __all__ = [
@@ -158,6 +159,9 @@ class FiltFiltOp(Operator):
         self.halo = (settle, settle)
         #: ``filtfilt``'s odd-extension length at each record edge.
         self.padlen = 3 * max(len(self.a), len(self.b))
+        # Import the compiled kernel now, so a plan or service pays for it
+        # when it is built rather than on its first chunk.
+        compiled_kernel()
 
     def forward_half(
         self, x: np.ndarray, zi: np.ndarray | None = None

@@ -6,16 +6,29 @@ scipy is importable, ``engine="auto"`` delegates the inner recursion to
 ``scipy.signal.lfilter`` as a compiled kernel — the algorithmic content
 (normalisation, state handling, initial conditions) lives here either
 way, and the two paths are cross-validated by tests.
+
+The kernel is imported on the first compiled call (:func:`compiled_kernel`),
+not with this module: ``scipy.signal`` maps ~530 modules and ~70 MiB, and
+the storage and serving layers that reach ``daslib`` never filter.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-try:  # optional compiled kernel
-    from scipy.signal import lfilter as _scipy_lfilter
-except ImportError:  # pragma: no cover - scipy is present in CI
-    _scipy_lfilter = None
+
+@functools.cache
+def compiled_kernel():
+    """``scipy.signal.lfilter``, imported on the first call; None when
+    scipy cannot be imported.  Concurrent first calls are safe: the
+    import system runs the module's import once and the others wait."""
+    try:
+        from scipy.signal import lfilter as kernel
+    except ImportError:
+        return None
+    return kernel
 
 
 def _normalise_ba(b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -71,18 +84,18 @@ def lfilter(
     x = np.asarray(x, dtype=np.float64)
     if engine not in ("auto", "numpy", "scipy"):
         raise ValueError(f"unknown engine {engine!r}")
-    use_scipy = (engine == "scipy") or (engine == "auto" and _scipy_lfilter is not None)
-    if engine == "scipy" and _scipy_lfilter is None:
+    kernel = None if engine == "numpy" else compiled_kernel()
+    if engine == "scipy" and kernel is None:
         raise RuntimeError("scipy is not available")
 
     moved = np.moveaxis(x, axis, -1)
-    if use_scipy:
+    if kernel is not None:
         if zi is None:
-            y = _scipy_lfilter(b, a, moved, axis=-1)
+            y = kernel(b, a, moved, axis=-1)
             return np.moveaxis(y, -1, axis)
         # scipy wants the state axis last; ours is first for broadcasting.
         zi_s = np.moveaxis(np.asarray(zi, dtype=np.float64), 0, -1)
-        y, zf = _scipy_lfilter(b, a, moved, axis=-1, zi=zi_s)
+        y, zf = kernel(b, a, moved, axis=-1, zi=zi_s)
         return np.moveaxis(y, -1, axis), np.moveaxis(zf, -1, 0)
 
     y, zf = _lfilter_numpy(b, a, moved, zi)

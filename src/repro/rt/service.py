@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.pipeline import IncrementalRunner
+from repro.daslib.lfilter import compiled_kernel
 from repro.errors import CheckpointCorruptError, ConfigError, ReproError
 from repro.rt.checkpoint import CHECKPOINT_NAME, CheckpointStore, read_sample_range
 from repro.rt.events import EventAssembler, EventPolicy, EventSink
@@ -113,6 +114,10 @@ class RTService:
             os.fspath(state_dir) if state_dir is not None else self.spool
         )
         self.detector = detector if detector is not None else DetectorConfig()
+        if self.detector.band is not None:
+            # The chain is built from the first file's geometry; import its
+            # band-pass kernel now so that file's latency does not carry it.
+            compiled_kernel()
         self.policy = policy if policy is not None else EventPolicy()
         self.config = config if config is not None else ServiceConfig()
         self.clock = clock

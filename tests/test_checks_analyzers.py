@@ -151,6 +151,13 @@ def test_taxonomy_ble001_alias_still_suppresses(tmp_path):
         ExceptionTaxonomyAnalyzer().run(Project(root=tmp_path, modules=[mod]))
     )
     assert findings == []
+    # a foreign code in the same marker does not turn it into a bare noqa
+    path.write_text(path.read_text().replace("BLE001", "F401"))
+    mod = load_module(path, "src/repro/utils/legacy.py")
+    findings = list(
+        ExceptionTaxonomyAnalyzer().run(Project(root=tmp_path, modules=[mod]))
+    )
+    assert codes(findings) == {"TAX001": 1}
 
 
 # -- baseline mechanics ------------------------------------------------------

@@ -46,6 +46,29 @@ def test_res_holds_lock_method_composes_with_guarded_by():
     assert any(f.code == "RES002" and f.line == drain_line for f in findings)
 
 
+def _res_findings_under(tmp_path, marker: str):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "import time\n\n\n"
+        "def nap(lock):\n"
+        "    with lock:\n"
+        f"        time.sleep(1)  {marker}\n"
+    )
+    project = Project(root=tmp_path, modules=[load_module(path, "mod.py")])
+    return list(ResourceLifecycleAnalyzer().run(project))
+
+
+def test_noqa_with_foreign_codes_silences_none_of_ours(tmp_path):
+    """A flake8 code in the marker is a list of codes, not a bare noqa."""
+    assert codes(_res_findings_under(tmp_path, "# noqa: F401")) == {"RES002": 1}
+    assert codes(_res_findings_under(tmp_path, "# noqa: E402, E731")) == {"RES002": 1}
+
+
+def test_noqa_silences_only_the_codes_it_lists(tmp_path):
+    assert _res_findings_under(tmp_path, "# noqa: F401, RES002 - reason") == []
+    assert _res_findings_under(tmp_path, "# noqa") == []
+
+
 # -- fingerprints ------------------------------------------------------------
 
 def test_fingerprint_survives_line_drift(tmp_path):

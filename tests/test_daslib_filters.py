@@ -1,12 +1,16 @@
 """Tests for filter design and application (butter/lfilter/filtfilt),
 cross-validated against scipy.signal."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.signal as sps
 
 from repro.daslib import butter, filtfilt, lfilter, lfilter_zi
 from repro.daslib.butterworth import bilinear_zpk, buttap, zpk2tf
+from repro.daslib.lfilter import compiled_kernel
 
 
 class TestButtap:
@@ -162,6 +166,69 @@ class TestLfilter:
             lfilter([1.0], [0.0], np.zeros(4))
         with pytest.raises(ValueError):
             lfilter([1.0], [1.0], np.zeros(4), engine="cuda")
+
+
+@pytest.fixture
+def unresolved_kernel():
+    """The compiled kernel as a fresh process has it: not yet imported."""
+    compiled_kernel.cache_clear()
+    yield
+    compiled_kernel.cache_clear()
+
+
+class TestKernelImport:
+    """``scipy.signal`` is imported on the first compiled call, and a
+    process that cannot import it still filters."""
+
+    @pytest.fixture
+    def scipy_refused(self, monkeypatch, unresolved_kernel):
+        monkeypatch.setitem(sys.modules, "scipy.signal", None)
+
+    def test_auto_falls_back_to_the_numpy_recursion(self, scipy_refused):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(3, 257))
+        b, a = sps.butter(4, 0.3)
+        np.testing.assert_allclose(
+            lfilter(b, a, x, engine="auto"), sps.lfilter(b, a, x), atol=1e-10
+        )
+        zi = np.zeros((len(a) - 1, 3))
+        y, zf = lfilter(b, a, x, zi=zi, engine="auto")
+        y_s, zf_s = sps.lfilter(b, a, x, zi=zi.T)
+        np.testing.assert_allclose(y, y_s, atol=1e-10)
+        np.testing.assert_allclose(zf, zf_s.T, atol=1e-10)
+        assert compiled_kernel() is None
+
+    def test_scipy_engine_is_a_runtime_error(self, scipy_refused):
+        with pytest.raises(RuntimeError, match="scipy is not available"):
+            lfilter([1.0], [1.0, -0.5], np.ones(8), engine="scipy")
+
+    def test_concurrent_first_calls_resolve_one_kernel(self, unresolved_kernel):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(2, 200))
+        b, a = sps.butter(3, 0.2)
+        expected = sps.lfilter(b, a, x)
+        start = threading.Barrier(8, timeout=30)
+        results = []
+
+        def first_call():
+            start.wait()
+            results.append((compiled_kernel(), lfilter(b, a, x)))
+
+        threads = [threading.Thread(target=first_call) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8
+        for kernel, y in results:
+            assert kernel is sps.lfilter
+            np.testing.assert_array_equal(y, expected)
 
 
 class TestLfilterZi:

@@ -14,6 +14,7 @@ from repro.core.local_similarity import (
     local_similarity_block,
 )
 from repro.daslib import butter, filtfilt
+from repro.daslib.lfilter import compiled_kernel
 from repro.rt import (
     CheckpointStore,
     DetectorConfig,
@@ -631,3 +632,18 @@ class TestCheckpointCadence:
         )
         assert service.drain() == 5
         assert saves == expected
+
+
+@pytest.mark.parametrize("band, resolved", [((0.5, 12.0), True), (None, False)])
+def test_a_bandpass_service_imports_its_filter_kernel_when_built(
+    tmp_path, band, resolved
+):
+    """The band-pass chain is built from the first file, but its compiled
+    kernel is imported with the service, so that file's latency does not
+    carry the import; a service that never filters never imports it."""
+    compiled_kernel.cache_clear()
+    try:
+        RTService(tmp_path, detector=DetectorConfig(band=band, similarity=SIM))
+        assert compiled_kernel.cache_info().currsize == int(resolved)
+    finally:
+        compiled_kernel.cache_clear()
