@@ -3,7 +3,8 @@
 # four AST analyzer families, against scripts/checks_baseline.json), the src/
 # line budget (24 000), the tier-1 suite, every crash point of the file
 # writers, the in-source doctests, the hdf5lite codec suites under
-# `taskset -c 0`, the paper-figure tests and the harness's self-tests.  Every
+# `taskset -c 0`, the source-handle suites under a 256-descriptor limit
+# (`ulimit -n 256`), the paper-figure tests and the harness's self-tests.  Every
 # pytest step runs under pyproject.toml's filterwarnings, which make a leaked
 # handle (a ResourceWarning) an error.  The figure tests rewrite
 # benchmarks/results/*.txt; every table must come out byte-identical except
@@ -68,6 +69,12 @@ python -m pytest --doctest-modules src/repro -q
 taskset -c 0 python -m pytest -q tests/test_hdf5lite_read_direct.py \
     tests/test_hdf5lite_chunk_store.py tests/test_hdf5lite_codecs.py \
     tests/test_codec_composition.py
+# The suites that open many source files again under a real descriptor
+# limit: a read holds at most DEFAULT_MAX_HANDLES (64) source files open,
+# however many minutes its VCA merges.
+( ulimit -n 256; python -m pytest -q tests/test_vca_handle.py \
+    tests/test_storage_parallel_read.py tests/test_hdf5lite_cache.py \
+    tests/test_storage_search.py tests/test_source_handle_bound.py )
 python -m pytest benchmarks/ --ignore=benchmarks/harness --benchmark-disable -q
 git diff --exit-code -- 'benchmarks/results/*.txt' \
     ':!benchmarks/results/fig6_search_merge.txt' \

@@ -19,7 +19,7 @@ from repro.core.detection import detect_events
 from repro.core.framework import DASSA
 from repro.core.interferometry import InterferometryConfig
 from repro.core.local_similarity import LocalSimilarityConfig
-from repro.errors import ReproError
+from repro.errors import run_cli
 from repro.hdf5lite import File
 
 
@@ -54,78 +54,77 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        with DASSA(threads=args.threads) as dassa:
-            hits = dassa.search(
-                args.directory, start=args.start, count=args.count, pattern=args.regex
+    return run_cli("das_analyze", _analyze, build_parser().parse_args(argv))
+
+
+def _analyze(args: argparse.Namespace) -> int:
+    with DASSA(threads=args.threads) as dassa:
+        hits = dassa.search(
+            args.directory, start=args.start, count=args.count, pattern=args.regex
+        )
+        if not hits:
+            print("das_analyze: no files matched", file=sys.stderr)
+            return 1
+        print(f"merged {len(hits)} files "
+              f"({hits[0].timestamp} .. {hits[-1].timestamp})")
+        vca = dassa.merge(hits)
+
+        from repro.storage.vca import open_vca
+
+        with open_vca(vca) as handle:
+            fs = handle.metadata.sampling_frequency
+            shape = handle.shape
+        print(f"array: {shape[0]} channels x {shape[1]} samples at {fs:g} Hz")
+
+        if args.analysis == "similarity":
+            config = LocalSimilarityConfig(
+                half_window=args.half_window,
+                channel_offset=args.channel_offset,
+                half_lag=args.half_lag,
+                stride=args.stride,
             )
-            if not hits:
-                print("das_analyze: no files matched", file=sys.stderr)
-                return 1
-            print(f"merged {len(hits)} files "
-                  f"({hits[0].timestamp} .. {hits[-1].timestamp})")
-            vca = dassa.merge(hits)
-
-            from repro.storage.vca import open_vca
-
-            with open_vca(vca) as handle:
-                fs = handle.metadata.sampling_frequency
-                shape = handle.shape
-            print(f"array: {shape[0]} channels x {shape[1]} samples at {fs:g} Hz")
-
-            if args.analysis == "similarity":
-                config = LocalSimilarityConfig(
-                    half_window=args.half_window,
-                    channel_offset=args.channel_offset,
-                    half_lag=args.half_lag,
-                    stride=args.stride,
-                )
-                simi, centers = dassa.local_similarity(vca, config)
-                print(f"similarity map: {simi.shape}")
-                if args.output:
-                    with File(args.output, "w") as f:
-                        f.attrs["analysis"] = "local-similarity"
-                        f.attrs["fs"] = fs
-                        f.create_dataset("similarity", data=simi)
-                        f.create_dataset("centers", data=centers.astype(np.int64))
-                    print(f"wrote {args.output}")
-                if args.detect:
-                    events = detect_events(
-                        simi,
-                        centers,
-                        fs=fs,
-                        threshold_sigmas=args.threshold,
-                        remove_channel_bias=True,
-                        split_array_wide=True,
-                    )
-                    print(f"{len(events)} event(s):")
-                    for ev in events:
-                        print(
-                            f"  {ev.kind:<12} channels {ev.channel_lo}-{ev.channel_hi}"
-                            f"  t={ev.t_start:.1f}-{ev.t_end:.1f}s"
-                            f"  peak={ev.peak_similarity:.2f}"
-                        )
-            else:
-                config = InterferometryConfig(
+            simi, centers = dassa.local_similarity(vca, config)
+            print(f"similarity map: {simi.shape}")
+            if args.output:
+                with File(args.output, "w") as f:
+                    f.attrs["analysis"] = "local-similarity"
+                    f.attrs["fs"] = fs
+                    f.create_dataset("similarity", data=simi)
+                    f.create_dataset("centers", data=centers.astype(np.int64))
+                print(f"wrote {args.output}")
+            if args.detect:
+                events = detect_events(
+                    simi,
+                    centers,
                     fs=fs,
-                    band=(args.band[0], args.band[1]),
-                    resample_q=args.resample_q,
-                    master_channel=args.master,
+                    threshold_sigmas=args.threshold,
+                    remove_channel_bias=True,
+                    split_array_wide=True,
                 )
-                corr = dassa.interferometry(vca, config)
-                print(f"per-channel |corr| vs master {args.master}: "
-                      f"mean={corr.mean():.3f} max={corr.max():.3f}")
-                if args.output:
-                    with File(args.output, "w") as f:
-                        f.attrs["analysis"] = "interferometry"
-                        f.attrs["fs"] = fs
-                        f.attrs["master"] = args.master
-                        f.create_dataset("correlation", data=corr)
-                    print(f"wrote {args.output}")
-    except ReproError as exc:
-        print(f"das_analyze: error: {exc}", file=sys.stderr)
-        return 2
+                print(f"{len(events)} event(s):")
+                for ev in events:
+                    print(
+                        f"  {ev.kind:<12} channels {ev.channel_lo}-{ev.channel_hi}"
+                        f"  t={ev.t_start:.1f}-{ev.t_end:.1f}s"
+                        f"  peak={ev.peak_similarity:.2f}"
+                    )
+        else:
+            config = InterferometryConfig(
+                fs=fs,
+                band=(args.band[0], args.band[1]),
+                resample_q=args.resample_q,
+                master_channel=args.master,
+            )
+            corr = dassa.interferometry(vca, config)
+            print(f"per-channel |corr| vs master {args.master}: "
+                  f"mean={corr.mean():.3f} max={corr.max():.3f}")
+            if args.output:
+                with File(args.output, "w") as f:
+                    f.attrs["analysis"] = "interferometry"
+                    f.attrs["fs"] = fs
+                    f.attrs["master"] = args.master
+                    f.create_dataset("correlation", data=corr)
+                print(f"wrote {args.output}")
     return 0
 
 

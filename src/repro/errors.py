@@ -1,10 +1,15 @@
 """Exception hierarchy for the repro (DASSA) package.
 
 Every subsystem raises a subclass of :class:`ReproError` so callers can
-catch framework-level failures without masking programming errors.
+catch framework-level failures without masking programming errors;
+:func:`run_cli` is where every command-line tool turns one into its exit
+status.
 """
 
 from __future__ import annotations
+
+import sys
+from typing import Any, Callable
 
 __all__ = [
     "ReproError",
@@ -22,6 +27,7 @@ __all__ = [
     "AdmissionQueueFullError",
     "CheckpointCorruptError",
     "InjectedFaultError",
+    "run_cli",
 ]
 
 
@@ -179,3 +185,16 @@ class ConfigError(ReproError, ValueError):
     catching ``ValueError`` continue to work, while new code can catch
     the taxonomy root instead.
     """
+
+
+def run_cli(prog: str, body: Callable[..., int], *args: Any) -> int:
+    """``body(*args)``'s exit status; a :class:`ReproError` or an
+    :class:`OSError` (a missing file, too many open files) it raises is
+    instead one ``prog: error: …`` line on stderr — argparse's format for
+    a usage error — and status 2.  The one error boundary of every
+    command-line tool."""
+    try:
+        return body(*args)
+    except (ReproError, OSError) as exc:
+        print(f"{prog}: error: {exc}", file=sys.stderr)
+        return 2

@@ -43,7 +43,8 @@ DEFAULT_BYTE_BUDGET = 64 * 2**20
 #: Default page size for contiguous datasets (1 MiB keeps a whole scaled
 #: one-minute dataset in one page while bounding read amplification).
 DEFAULT_PAGE_SIZE = 1 << 20
-#: Default maximum number of simultaneously open pooled file handles.
+#: Open handles a :class:`FilePool` keeps at once (every pool, private or
+#: shared: there is no per-pool setting).
 DEFAULT_MAX_HANDLES = 64
 
 
@@ -175,7 +176,9 @@ class FilePool:
     ``acquire`` returns an open handle for a path, opening it only on first
     use (or after eviction).  Handles are owned by the pool: callers must
     not close them; the pool closes the least-recently-used handle when
-    more than ``max_handles`` are open, and all of them on ``close_all``.
+    more than :data:`DEFAULT_MAX_HANDLES` are open, and all of them on
+    ``close_all``.  A ``File`` opened without a pool builds its own for
+    its virtual sources, so no read holds more.
 
     A pool carries an optional shared :class:`BlockCache` and default
     :class:`~repro.utils.iostats.IOStats`; files it opens inherit both (and
@@ -185,14 +188,10 @@ class FilePool:
 
     def __init__(
         self,
-        max_handles: int = DEFAULT_MAX_HANDLES,
         iostats: IOStats | None = None,
         cache: BlockCache | None = None,
         verify_checksums: bool = True,
     ):
-        if max_handles < 1:
-            raise FormatError(f"max_handles must be >= 1, got {max_handles}")
-        self.max_handles = max_handles
         self.iostats = iostats
         self.cache = cache
         self.verify_checksums = bool(verify_checksums)
@@ -231,7 +230,7 @@ class FilePool:
                 verify_checksums=self.verify_checksums,
             )
             self._handles[key] = handle
-            while len(self._handles) > self.max_handles:
+            while len(self._handles) > DEFAULT_MAX_HANDLES:
                 _, victim = self._handles.popitem(last=False)
                 victim.close()
                 self.evictions += 1
@@ -255,7 +254,7 @@ class FilePool:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"<FilePool {len(self)}/{self.max_handles} handles "
+            f"<FilePool {len(self)}/{DEFAULT_MAX_HANDLES} handles "
             f"hits={self.hits} misses={self.misses} evictions={self.evictions}>"
         )
 

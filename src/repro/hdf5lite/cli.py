@@ -13,7 +13,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.errors import FormatError
+from repro.errors import run_cli
 from repro.hdf5lite.file import File
 from repro.hdf5lite.inspect import describe, verify
 
@@ -37,23 +37,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    status = 0
-    for path in args.files:
-        try:
-            with File(path, "r") as f:
-                print(describe(f, attrs=args.attrs))
-                if args.verify:
-                    problems = verify(f)
-                    if problems:
-                        status = 1
-                        for problem in problems:
-                            print(f"  PROBLEM {problem}", file=sys.stderr)
-                    else:
-                        print("  integrity: ok")
-        except (FormatError, OSError) as exc:
-            print(f"das_inspect: {path}: {exc}", file=sys.stderr)
-            status = 2
-    return status
+    return max(
+        run_cli(f"das_inspect: {path}", _inspect, path, args) for path in args.files
+    )
+
+
+def _inspect(path: str, args: argparse.Namespace) -> int:
+    """List one file (and verify it): 1 when verification finds problems."""
+    with File(path, "r") as f:
+        print(describe(f, attrs=args.attrs))
+        if not args.verify:
+            return 0
+        problems = verify(f)
+        for problem in problems:
+            print(f"  PROBLEM {problem}", file=sys.stderr)
+        if problems:
+            return 1
+        print("  integrity: ok")
+        return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -791,7 +791,7 @@ class Dataset:
                     values = np.empty(dest.shape, dtype=src_ds.dtype)
                     src_ds._read_direct(src_slab, values, pool)
                     dest[...] = values.astype(self.dtype)
-            except (ReproError, OSError, KeyError) as exc:
+            except (ReproError, OSError) as exc:
                 if handler is None:
                     raise
                 # Degraded-read bookkeeping is in unit-stride *bounding*

@@ -318,7 +318,11 @@ class File(Group):
 
     A :class:`FilePool` hands one ``File`` to every reader of a path, so a
     file holds no per-reader state (a degraded-read mode is set on a
-    reader's own ``Dataset`` object: ``Dataset.on_source_error``).
+    reader's own ``Dataset`` object: ``Dataset.on_source_error``).  A
+    virtual dataset's source files are always pool handles: the ``pool``
+    given, else one of the file's own, closed with it — either way at most
+    :data:`~repro.hdf5lite.cache.DEFAULT_MAX_HANDLES` are open at once,
+    however many sources the dataset has.
     """
 
     def __init__(
@@ -337,9 +341,10 @@ class File(Group):
         :class:`CacheConfig` (a private cache is built), or ``None`` /
         budget-0 config for the exact uncached behaviour; keyed on the
         opened file's identity, not its path.  A ``"w"`` file takes none.
-        ``pool`` — an optional :class:`FilePool`; when given, virtual-source
-        files are acquired from the pool (shared, kept open) instead of
-        being opened privately by this handle.
+        ``pool`` — an optional :class:`FilePool` to acquire virtual-source
+        files from (shared, kept open after this file closes); without one
+        the file builds its own, with this file's cache, and closes it on
+        :meth:`close`.
         ``verify_checksums`` — when True (default), reads of datasets that
         carry a ``repro:crc32`` sidecar verify each block as it is loaded
         and raise :class:`~repro.errors.CorruptDataError` on mismatch;
@@ -360,9 +365,11 @@ class File(Group):
         # virtual-source path resolved once.
         self._datasets: dict[str, Dataset] = {}
         self._source_paths: dict[str, str] = {}
-        self._source_cache: dict[str, File] = {}
         self._cache = resolve_cache(cache)
-        self._pool = pool
+        self._owns_pool = pool is None
+        self._pool = pool if pool is not None else FilePool(
+            cache=self._cache, verify_checksums=self.verify_checksums
+        )
 
         if mode == "w":
             self._backend = FileBackend(path + ".tmp", "w+b", iostats)
@@ -406,37 +413,22 @@ class File(Group):
         return ds
 
     def _resolve_source(self, source_path: str) -> "File":
-        """Open (and cache) a source file referenced by a virtual dataset.
-
-        With a :class:`FilePool` attached, handles come from (and belong
-        to) the pool — shared across every file using that pool, never
-        re-opened per read.  Otherwise this handle keeps its own private
-        source handles, closed together with it.
-        """
+        """The open source file a virtual dataset references: a handle of
+        this file's pool, which owns it (see the class docstring)."""
         resolved = self._source_paths.get(source_path)
         if resolved is None:
             resolved = self._source_paths[source_path] = os.path.normpath(
                 os.path.join(os.path.dirname(self.filename), source_path)
             )
-        source_path = resolved
-        if self._pool is not None:
-            return self._pool.acquire(source_path, iostats=self._backend.iostats)
-        cached = self._source_cache.get(source_path)
-        if cached is not None and not cached._backend.closed:
-            return cached
-        src = File(
-            source_path,
-            "r",
-            iostats=self._backend.iostats,
-            cache=self._cache,
-            verify_checksums=self.verify_checksums,
-        )
-        self._source_cache[source_path] = src
-        return src
+        return self._pool.acquire(resolved, iostats=self._backend.iostats)
 
     def dataset(self, path: str) -> Dataset:
-        """Fetch a dataset by absolute path, with a clear error otherwise."""
-        obj = self[path]
+        """Fetch a dataset by absolute path; a missing path or a group is
+        :class:`FormatError`."""
+        try:
+            obj = self[path]
+        except KeyError:
+            raise FormatError(f"{self.filename}: no dataset {path!r}") from None
         if not isinstance(obj, Dataset):
             raise FormatError(f"{path!r} is a group, not a dataset")
         return obj
@@ -453,9 +445,6 @@ class File(Group):
     def set_iostats(self, iostats: IOStats) -> None:
         """Re-point I/O accounting at ``iostats`` (pooled-handle reuse)."""
         self._backend.iostats = iostats
-        for src in self._source_cache.values():
-            if not src.closed:
-                src.set_iostats(iostats)
 
     def close(self) -> None:
         """Close the file; a ``"w"`` file is finished and published."""
@@ -464,9 +453,8 @@ class File(Group):
     def _close(self, publish: bool) -> None:
         if self._backend.closed:
             return
-        for src in self._source_cache.values():
-            src.close()
-        self._source_cache.clear()
+        if self._owns_pool:
+            self._pool.close_all()
         if self.writable and publish:
             payload = json.dumps(self._node, separators=(",", ":")).encode("utf-8")
             self._backend.write_at(self._data_end, payload)

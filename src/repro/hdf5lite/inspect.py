@@ -144,7 +144,7 @@ def verify(file: File) -> list[Problem]:
                                     )
                                 )
                                 break
-                except (FormatError, KeyError) as exc:
+                except FormatError as exc:
                     problems.append(
                         Problem(ds.path, f"unreadable source {source.file!r}: {exc}")
                     )

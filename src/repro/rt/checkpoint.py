@@ -166,7 +166,7 @@ def read_sample_range(files: list[tuple[str, int]], lo: int, hi: int) -> np.ndar
             retry_call(
                 read_slice,
                 retries=_TAIL_READ_RETRIES,
-                retry_on=(ReproError, OSError, KeyError),
+                retry_on=(ReproError, OSError),
             )
         )
     if offset < hi:

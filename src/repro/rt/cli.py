@@ -19,7 +19,7 @@ import signal
 import sys
 
 from repro.core.local_similarity import LocalSimilarityConfig
-from repro.errors import ConfigError, CorruptDataError, ReproError
+from repro.errors import ConfigError, CorruptDataError, run_cli
 from repro.rt.events import EventPolicy, read_event_log
 from repro.rt.ingest import Quarantine, is_acquisition_file
 from repro.rt.scheduler import DETECTORS, DetectorConfig
@@ -307,14 +307,10 @@ def cmd_status(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        if args.command == "watch":
-            return cmd_watch(args)
-        return cmd_status(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    command = cmd_watch if args.command == "watch" else cmd_status
+    return run_cli(parser.prog, command, args)
 
 
 if __name__ == "__main__":

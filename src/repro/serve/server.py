@@ -40,9 +40,6 @@ from repro.storage.chunks import SourceView, open_stream
 from repro.storage.gaps import GapSpan
 from repro.utils.iostats import IOStats
 
-#: Open archive files the server's pool keeps at once.
-_POOL_HANDLES = 64
-
 __all__ = [
     "ServeConfig",
     "WindowResult",
@@ -133,7 +130,6 @@ class DataServer:
         self.config = config if config is not None else ServeConfig()
         self.iostats = iostats if iostats is not None else IOStats()
         self.pool = FilePool(
-            max_handles=_POOL_HANDLES,
             iostats=self.iostats,
             cache=BlockCache(
                 CacheConfig(byte_budget=self.config.cache_bytes), self.iostats

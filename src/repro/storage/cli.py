@@ -17,7 +17,7 @@ import sys
 import time
 from typing import Sequence
 
-from repro.errors import ReproError
+from repro.errors import run_cli
 from repro.storage.rca import create_rca
 from repro.storage.search import das_search
 from repro.storage.vca import create_vca
@@ -53,33 +53,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
+    return run_cli("das_search", _search, build_parser().parse_args(argv))
+
+
+def _search(args: argparse.Namespace) -> int:
+    t0 = time.perf_counter()
+    hits = das_search(
+        args.directory, start=args.start, count=args.count, pattern=args.regex
+    )
+    search_elapsed = time.perf_counter() - t0
+    for info in hits:
+        if args.quiet:
+            print(info.path)
+        else:
+            print(f"{info.timestamp}  {info.path}")
+    if not args.quiet:
+        print(f"# {len(hits)} file(s) in {search_elapsed * 1e3:.3f} ms")
+    if args.vca:
         t0 = time.perf_counter()
-        hits = das_search(
-            args.directory, start=args.start, count=args.count, pattern=args.regex
-        )
-        search_elapsed = time.perf_counter() - t0
-        for info in hits:
-            if args.quiet:
-                print(info.path)
-            else:
-                print(f"{info.timestamp}  {info.path}")
+        create_vca(args.vca, hits)
         if not args.quiet:
-            print(f"# {len(hits)} file(s) in {search_elapsed * 1e3:.3f} ms")
-        if args.vca:
-            t0 = time.perf_counter()
-            create_vca(args.vca, hits)
-            if not args.quiet:
-                print(f"# VCA {args.vca} in {(time.perf_counter() - t0) * 1e3:.3f} ms")
-        if args.rca:
-            t0 = time.perf_counter()
-            create_rca(args.rca, hits)
-            if not args.quiet:
-                print(f"# RCA {args.rca} in {time.perf_counter() - t0:.3f} s")
-    except ReproError as exc:
-        print(f"das_search: error: {exc}", file=sys.stderr)
-        return 2
+            print(f"# VCA {args.vca} in {(time.perf_counter() - t0) * 1e3:.3f} ms")
+    if args.rca:
+        t0 = time.perf_counter()
+        create_rca(args.rca, hits)
+        if not args.quiet:
+            print(f"# RCA {args.rca} in {time.perf_counter() - t0:.3f} s")
     return 0
 
 

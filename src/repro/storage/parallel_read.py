@@ -19,11 +19,10 @@ shared discrete-event schedule (so concurrent requests contend for OSTs
 exactly as in the stand-alone model evaluation), and communication time
 through the simmpi cost model.
 
-Each reader accepts an optional :class:`repro.hdf5lite.FilePool`: with a
-pool (typically carrying a shared block cache), source files are opened
-once and reused across sources, ranks, and repeated reads instead of
-being re-opened per access; without one, every access opens its own
-handle, which is the uncached behaviour the paper's Fig. 7 charges for.
+Every source access opens its own handle and closes it, which is the
+uncached behaviour the paper's Fig. 7 charges for; the readers take no
+pool or cache (a read that should reuse handles goes through
+``open_vca(..., pool=...)``).
 
 The readers compare request patterns, not fault handling: a source read
 that fails is retried once, then its typed error propagates.  Reads that
@@ -37,7 +36,7 @@ import numpy as np
 from repro.cluster.storage import IORequest, StorageModel
 from repro.errors import ReproError, StorageError
 from repro.faults.policy import retry_call
-from repro.hdf5lite import File, FilePool
+from repro.hdf5lite import File
 from repro.simmpi.communicator import Communicator
 from repro.storage.rca import RCA_DATASET
 from repro.storage.vca import VCAHandle
@@ -59,22 +58,17 @@ def channel_block(n_channels: int, size: int, rank: int) -> tuple[int, int]:
 
 
 def _read_source_whole(
-    path: str,
-    dataset: str,
-    pool: FilePool | None,
-    iostats: IOStats | None,
+    path: str, dataset: str, iostats: IOStats | None
 ) -> np.ndarray:
-    """Read one source dataset whole, via the pool when available.  A
-    failed read is retried once; then its typed error propagates."""
+    """Read one source dataset whole.  A failed read is retried once;
+    then its typed error propagates."""
 
     def read() -> np.ndarray:
-        if pool is not None:
-            return pool.acquire(path, iostats=iostats).dataset(dataset).read()
         with File(path, "r", iostats=iostats) as f:
             return f.dataset(dataset).read()
 
     return retry_call(
-        read, retries=_SOURCE_READ_RETRIES, retry_on=(ReproError, OSError, KeyError)
+        read, retries=_SOURCE_READ_RETRIES, retry_on=(ReproError, OSError)
     )
 
 
@@ -107,7 +101,6 @@ def read_vca_collective_per_file(
     comm: Communicator,
     vca_path: str,
     storage: StorageModel | None = None,
-    pool: FilePool | None = None,
     iostats: IOStats | None = None,
 ) -> np.ndarray:
     """Fig. 5a: per-file aggregator read + broadcast to all ranks.
@@ -116,7 +109,7 @@ def read_vca_collective_per_file(
     ``(channels_of_this_rank, total_samples)``; virtual time is charged
     on ``comm``'s clock rather than returned.
     """
-    with VCAHandle(vca_path, iostats=iostats, pool=pool) as vca:
+    with VCAHandle(vca_path, iostats=iostats) as vca:
         n_channels, total_samples = vca.shape
         sources = vca.sources
         paths = vca.source_paths()
@@ -126,7 +119,7 @@ def read_vca_collective_per_file(
     for index, (source, path) in enumerate(zip(sources, paths)):
         aggregator = index % comm.size
         if comm.rank == aggregator:
-            block = _read_source_whole(path, source.dataset, pool, iostats)
+            block = _read_source_whole(path, source.dataset, iostats)
             # One whole-file read by the aggregator, charged at the bytes
             # actually read (the source's own dtype, not assumed float32).
             _charge_scheduled_io(
@@ -157,7 +150,6 @@ def read_vca_communication_avoiding(
     comm: Communicator,
     vca_path: str,
     storage: StorageModel | None = None,
-    pool: FilePool | None = None,
     iostats: IOStats | None = None,
 ) -> np.ndarray:
     """Fig. 5b: each rank reads whole files, one all-to-all exchange.
@@ -166,7 +158,7 @@ def read_vca_communication_avoiding(
     ``(channels_of_this_rank, total_samples)``; virtual time is charged
     on ``comm``'s clock rather than returned.
     """
-    with VCAHandle(vca_path, iostats=iostats, pool=pool) as vca:
+    with VCAHandle(vca_path, iostats=iostats) as vca:
         n_channels, total_samples = vca.shape
         sources = vca.sources
         paths = vca.source_paths()
@@ -180,7 +172,7 @@ def read_vca_communication_avoiding(
     requests: list[IORequest] = []
     for index in my_files:
         blocks[index] = _read_source_whole(
-            paths[index], sources[index].dataset, pool, iostats
+            paths[index], sources[index].dataset, iostats
         )
         requests.append(
             IORequest(
@@ -216,23 +208,14 @@ def read_rca_direct(
     rca_path: str,
     storage: StorageModel | None = None,
     dataset: str = RCA_DATASET,
-    pool: FilePool | None = None,
     iostats: IOStats | None = None,
 ) -> np.ndarray:
     """Read an RCA in parallel — one contiguous request per rank — and
     return this rank's channel-block array."""
-    if pool is not None:
-        f = pool.acquire(rca_path, iostats=iostats)  # the pool owns it; close_all() releases it
+    with File(rca_path, "r", iostats=iostats) as f:
         ds = f.dataset(dataset)
-        n_channels, total_samples = ds.shape
-        lo, hi = channel_block(n_channels, comm.size, comm.rank)
+        lo, hi = channel_block(ds.shape[0], comm.size, comm.rank)
         block = ds[lo:hi, :]
-    else:
-        with File(rca_path, "r", iostats=iostats) as f:
-            ds = f.dataset(dataset)
-            n_channels, total_samples = ds.shape
-            lo, hi = channel_block(n_channels, comm.size, comm.rank)
-            block = ds[lo:hi, :]
     # Charge the bytes actually read: the dataset's own dtype width.
     nbytes = block.nbytes
     # A single large file is striped over only default_stripe_count OSTs;

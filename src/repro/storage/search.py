@@ -18,7 +18,7 @@ import os
 import re
 from dataclasses import dataclass
 
-from repro.errors import StorageError
+from repro.errors import FormatError, StorageError
 from repro.storage.dasfile import read_das_metadata
 from repro.storage.metadata import parse_timestamp
 from repro.utils.iostats import IOStats
@@ -49,13 +49,17 @@ def file_info(path: str, iostats: IOStats | None = None) -> DASFileInfo | None:
 
     The file name's stamp is enough — the fast path ``das_search`` takes;
     only a name without one opens the metadata footer (one metadata op).
+    Such a name is skipped when it is a directory, not an hdf5lite file
+    (junk bytes, a torn footer) or an hdf5lite file without DAS metadata
+    and a ``DataCT`` dataset — a VCA or RCA merged into the same
+    directory, say.
     """
     stamp = timestamp_from_filename(path)
     if stamp is not None:
         return DASFileInfo(path=path, timestamp=stamp)
     try:
         metadata, _ = read_das_metadata(path, iostats=iostats)
-    except StorageError:
+    except (FormatError, StorageError, IsADirectoryError):
         return None
     return DASFileInfo(path=path, timestamp=metadata.timestamp)
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import ConfigError, StorageError
+from repro.errors import ConfigError, FormatError, StorageError
 from repro.hdf5lite import File, FilePool, VirtualSource
 from repro.storage.chunks import DatasetSource
 from repro.storage.dasfile import DATASET_NAME, read_das_metadata
@@ -156,7 +156,11 @@ class VCAHandle(DatasetSource):
     both the VCA file itself and its per-minute source files are acquired
     from (and owned by) the pool, so repeated opens of the same VCA and
     repeated reads across handles stop re-opening files; a pool built
-    with ``cache=`` is how a VCA read gets a shared block cache.
+    with ``cache=`` is how a VCA read gets a shared block cache.  Without
+    one the VCA file pools its sources itself and :meth:`close` closes
+    them; either way a read holds at most
+    :data:`~repro.hdf5lite.cache.DEFAULT_MAX_HANDLES` source files open,
+    however many minutes the VCA merges.
 
     ``on_error`` selects degraded-read behaviour when a source file is
     unreadable (vanished, truncated, corrupt):
@@ -208,7 +212,7 @@ class VCAHandle(DatasetSource):
                 copy.copy(self._file.dataset(VCA_DATASET)),
                 fs=self.metadata.sampling_frequency,
             )
-        except (StorageError, ConfigError, KeyError):
+        except (StorageError, ConfigError, FormatError):
             self.close()
             raise StorageError(f"{self.path!r} is not a VCA file") from None
         self._dataset.on_source_error = (

@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.errors import ReproError
+from repro.errors import run_cli
 from repro.synthetic.generator import (
     drip_feed_dataset,
     fig1b_scene,
@@ -58,42 +58,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        scene = fig1b_scene(
-            n_channels=args.channels,
-            fs=args.fs,
-            minutes=args.minutes,
+    return run_cli("das_generate", _generate, build_parser().parse_args(argv))
+
+
+def _generate(args: argparse.Namespace) -> int:
+    scene = fig1b_scene(
+        n_channels=args.channels,
+        fs=args.fs,
+        minutes=args.minutes,
+        samples_per_minute=args.spm,
+        seed=args.seed,
+    )
+    if args.drip is not None:
+        for path in drip_feed_dataset(
+            args.output,
+            args.minutes,
+            scene=scene,
             samples_per_minute=args.spm,
-            seed=args.seed,
+            start_timestamp=args.start,
+            channel_groups=args.channel_groups,
+            interval_seconds=args.drip,
+            codec=args.codec,
+        ):
+            print(path, flush=True)
+    else:
+        paths = generate_dataset(
+            args.output,
+            args.minutes,
+            scene=scene,
+            samples_per_minute=args.spm,
+            start_timestamp=args.start,
+            channel_groups=args.channel_groups,
+            codec=args.codec,
         )
-        if args.drip is not None:
-            for path in drip_feed_dataset(
-                args.output,
-                args.minutes,
-                scene=scene,
-                samples_per_minute=args.spm,
-                start_timestamp=args.start,
-                channel_groups=args.channel_groups,
-                interval_seconds=args.drip,
-                codec=args.codec,
-            ):
-                print(path, flush=True)
-        else:
-            paths = generate_dataset(
-                args.output,
-                args.minutes,
-                scene=scene,
-                samples_per_minute=args.spm,
-                start_timestamp=args.start,
-                channel_groups=args.channel_groups,
-                codec=args.codec,
-            )
-            for path in paths:
-                print(path)
-    except ReproError as exc:
-        print(f"das_generate: error: {exc}", file=sys.stderr)
-        return 2
+        for path in paths:
+            print(path)
     return 0
 
 

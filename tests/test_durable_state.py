@@ -231,7 +231,7 @@ def test_status_names_a_corrupt_row_and_exits_2(tmp_path, target):
     offset = _flip(log, target)
     proc = _status(str(tmp_path))
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ") and log in proc.stderr
+    assert proc.stderr.startswith("python -m repro.rt: error: ") and log in proc.stderr
     assert f"offset {offset}" in proc.stderr
     assert "Traceback" not in proc.stderr
 
@@ -266,7 +266,7 @@ def test_status_names_a_malformed_health_file_and_exits_2(tmp_path, capsys, dama
         path.write_text(json.dumps(health))
     assert main(["status", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(path) in err
+    assert err.startswith("python -m repro.rt: error: ") and str(path) in err
     assert "malformed health file" in err
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ConfigError, FormatError
 from repro.hdf5lite import BlockCache, CacheConfig, File, FilePool
-from repro.hdf5lite.cache import resolve_cache
+from repro.hdf5lite.cache import DEFAULT_MAX_HANDLES, resolve_cache
 from repro.storage.chunks import SourceView, open_stream
 from repro.storage.vca import VCA_DATASET, VCAHandle, create_vca
 from repro.utils.iostats import IOStats
@@ -328,17 +328,17 @@ class TestFilePool:
 
     def test_eviction_closes_lru_handle(self, tmp_path):
         paths = []
-        for i in range(3):
+        for i in range(DEFAULT_MAX_HANDLES + 1):
             p = str(tmp_path / f"p{i}.h5")
             with File(p, "w") as f:
                 f.create_dataset("D", data=np.ones((2, 2), dtype=np.float32))
             paths.append(p)
-        with FilePool(max_handles=2) as pool:
+        with FilePool() as pool:
             h0 = pool.acquire(paths[0])
-            pool.acquire(paths[1])
-            pool.acquire(paths[2])  # evicts h0
+            for p in paths[1:]:
+                pool.acquire(p)  # the last one evicts h0
             assert h0.closed
-            assert len(pool) == 2
+            assert len(pool) == DEFAULT_MAX_HANDLES
             assert pool.evictions == 1
             # Re-acquiring an evicted path reopens it.
             h0b = pool.acquire(paths[0])
@@ -351,10 +351,6 @@ class TestFilePool:
         pool.close_all()
         assert h.closed
         assert len(pool) == 0
-
-    def test_max_handles_validation(self):
-        with pytest.raises(FormatError):
-            FilePool(max_handles=0)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +394,7 @@ class TestVirtualCached:
         np.testing.assert_array_equal(first, second)
 
     def test_vca_cached_without_pool(self, das_dir, tmp_path):
-        """Cache propagates from the VCA file to its private source handles."""
+        """Cache propagates from the VCA file to the sources of its own pool."""
         vca_path = create_vca(str(tmp_path / "v.h5"), das_dir["paths"])
         stats = IOStats()
         with File(vca_path, "r", iostats=stats, cache=CacheConfig()) as f:

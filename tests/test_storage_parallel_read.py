@@ -351,43 +351,6 @@ class TestDtypeAccounting:
             assert reads[0][1] == (hi - lo) * total_cols * 8
 
 
-class TestPooledReaders:
-    """The readers accept a shared FilePool: same results, fewer opens."""
-
-    def _pooled_run(self, reader, path, ranks):
-        from repro.hdf5lite import BlockCache, FilePool
-        from repro.utils.iostats import IOStats
-
-        stats = IOStats()
-        cache = BlockCache(iostats=stats)
-        with FilePool(iostats=stats, cache=cache) as pool:
-            def fn(comm):
-                return reader(comm, path, pool=pool, iostats=stats)
-
-            result = run_spmd(fn, ranks)
-        return result, stats
-
-    def test_commavoid_pooled_matches_unpooled(self, merged):
-        result, stats = self._pooled_run(
-            read_vca_communication_avoiding, merged["vca"], 4
-        )
-        _assemble(result.results, merged["full"], 4)
-        # 6 sources + the VCA file itself, each opened exactly once.
-        assert stats.opens == 7
-
-    def test_collective_pooled_matches_unpooled(self, merged):
-        result, stats = self._pooled_run(
-            read_vca_collective_per_file, merged["vca"], 4
-        )
-        _assemble(result.results, merged["full"], 4)
-        assert stats.opens == 7
-
-    def test_rca_pooled(self, merged):
-        result, stats = self._pooled_run(read_rca_direct, merged["rca"], 4)
-        _assemble(result.results, merged["full"], 4)
-        assert stats.opens == 1
-
-
 class TestTraceEquivalence:
     """The executed schedules match what the model assumes."""
 

@@ -1,5 +1,7 @@
 """Tests for das_search (type-1 range and type-2 regex queries) and the CLI."""
 
+import os
+
 import pytest
 
 from repro.errors import StorageError
@@ -9,6 +11,7 @@ from repro.storage.search import (
     scan_directory,
     timestamp_from_filename,
 )
+from repro.synthetic.cli import main as das_generate_main
 
 
 class TestScanDirectory:
@@ -133,3 +136,31 @@ class TestCLI:
         rc = das_search_main(["-d", str(tmp_path), "-s", "x", "-c", "1"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["vca", "rca", "junk", "directory"])
+    def test_a_stamp_less_entry_that_is_no_das_file_is_skipped(
+        self, tmp_path, capsys, entry
+    ):
+        """A VCA or RCA merged into the directory, junk bytes and a
+        directory, each under a ``.h5`` name without a stamp: the search
+        lists the two minutes and says nothing else."""
+        directory = str(tmp_path)
+        generate = ["-o", directory, "-m", "2", "-n", "8", "--fs", "10"]
+        assert das_generate_main(generate) == 0
+        minutes = [os.path.join(directory, n) for n in sorted(os.listdir(directory))]
+        assert len(minutes) == 2
+        stray = os.path.join(directory, "merged.h5")
+        if entry in ("vca", "rca"):
+            merge = ["-d", directory, "-e", ".", "-q", f"--{entry}", stray]
+            assert das_search_main(merge) == 0
+        elif entry == "junk":
+            with open(stray, "wb") as fh:
+                fh.write(b"junk bytes " * 16)
+        else:
+            os.mkdir(stray)
+        capsys.readouterr()
+        assert das_search_main(["-d", directory, "-e", "."]) == 0
+        out, err = capsys.readouterr()
+        assert all(path in out for path in minutes)
+        assert "# 2 file(s)" in out
+        assert err == ""
