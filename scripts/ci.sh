@@ -2,11 +2,12 @@
 # CI entry point.  `scripts/ci.sh` runs the static checks once (repro.checks,
 # four AST analyzer families, against scripts/checks_baseline.json), the src/
 # line budget (24 000), the tier-1 suite, every crash point of the file
-# writers, the in-source doctests, the hdf5lite codec suites under
-# `taskset -c 0`, the source-handle suites under a 256-descriptor limit
-# (`ulimit -n 256`), the paper-figure tests and the harness's self-tests.  Every
-# pytest step runs under pyproject.toml's filterwarnings, which make a leaked
-# handle (a ResourceWarning) an error.  The figure tests rewrite
+# writers, the in-source doctests, the hdf5lite codec suites and the
+# incremental-runner suites under `taskset -c 0`, the source-handle suites
+# under a 256-descriptor limit (`ulimit -n 256`), the paper-figure tests
+# and the harness's self-tests.  Every pytest step runs under
+# pyproject.toml's filterwarnings, which make a leaked handle (a
+# ResourceWarning) an error.  The figure tests rewrite
 # benchmarks/results/*.txt; every table must come out byte-identical except
 # fig6_search_merge.txt and fig9_matlab.txt, the two with wall-clock rows.
 # It gates no timing: every deterministic invariant a layer claims is a test.
@@ -64,11 +65,13 @@ python -m pytest -x -q
 python -m pytest -q tests/test_hdf5lite_publish.py --every-crash-point
 # The in-source doctests (units, timer, hyperslab, dtype).
 python -m pytest --doctest-modules src/repro -q
-# The codec suites again on a one-CPU affinity mask: the encode and decode
-# pools' no-thread path, on a real mask rather than a patched CPU count.
+# The codec suites and the incremental runner's suites again on a one-CPU
+# affinity mask: the encode and decode pools' and the runner's row pool's
+# no-thread path, on a real mask rather than a patched CPU count.
 taskset -c 0 python -m pytest -q tests/test_hdf5lite_read_direct.py \
     tests/test_hdf5lite_chunk_store.py tests/test_hdf5lite_codecs.py \
-    tests/test_codec_composition.py
+    tests/test_codec_composition.py tests/test_rt_service.py \
+    tests/test_rt_checkpoint_recovery.py tests/test_core_executor.py
 # The suites that open many source files again under a real descriptor
 # limit: a read holds at most DEFAULT_MAX_HANDLES (64) source files open,
 # however many minutes its VCA merges.

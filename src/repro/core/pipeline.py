@@ -38,7 +38,8 @@ whole-array materialisation.  This module is that execution core:
   hand-built chain is ``run_chunks(src, [], [Branch.of(ops)], chunk)``,
   the reference the tests hold the facade to; and
   :class:`IncrementalRunner` drives the kernel's planning helpers and
-  chain runner over an unbounded record with a carried tail buffer.
+  row-split chain runner over an unbounded record with a carried tail
+  buffer.
   :meth:`Branch.of` is the one place an operator list is split into
   maps, sink and post stages.
 * :func:`run_materialized` — the reference the tests compare against:
@@ -69,6 +70,7 @@ from repro.errors import ConfigError
 from repro.faults.policy import RETRYABLE, FailurePolicy, retry_call
 from repro.storage.chunks import ChunkSource, iter_intervals
 from repro.storage.gaps import GapMap
+from repro.utils import cpus
 from repro.utils.iostats import IOStats
 from repro.utils.timer import Timer
 
@@ -520,13 +522,14 @@ def _run_rows(
     totals: list[int],
     rates: list[float],
     states: list,
-    timer: Timer,
+    timer: Timer | None,
 ) -> tuple[np.ndarray, int]:
     """:func:`_run_chain`, with the chain's ``out_rows`` output rows split
     statically into ``workers`` tasks on ``pool`` when there is one (the
-    ApplyMT structure — how a one-chunk plan uses ``threads``): each task
-    runs the whole chain on the input rows its slice needs, and the slices
-    are concatenated in row order."""
+    ApplyMT structure — how a one-chunk plan uses ``threads``, and how
+    :class:`IncrementalRunner` runs each emission): each task runs the
+    whole chain on the input rows its slice needs, and the slices are
+    concatenated in row order."""
     rows = partition_row_blocks(out_rows, workers) if pool is not None and maps else ()
     if len(rows) < 2:
         return _run_chain(maps, block, needs, totals, rates, states, 0, timer)
@@ -536,15 +539,16 @@ def _run_rows(
         for k in range(len(maps) - 1, -1, -1):
             lo, hi = maps[k].in_rows(lo, hi)
             offs[k] = lo
-        sub = Timer()
+        sub = Timer() if timer is not None else None
         out, peak = _run_chain(
             maps, block[lo:hi], needs, totals, rates, states, offs, sub
         )
         return out, peak, sub
 
     done = [f.result() for f in [pool.submit(task, lo, hi) for lo, hi in rows]]
-    for _out, _peak, sub in done:
-        timer.merge(sub)
+    if timer is not None:
+        for _out, _peak, sub in done:
+            timer.merge(sub)
     return (
         np.concatenate([out for out, _peak, _sub in done], axis=0),
         max(block.nbytes, sum(peak for _out, peak, _sub in done)),
@@ -1116,6 +1120,16 @@ class IncrementalRunner:
     checkpoint needs: the samples from the forward state's position on,
     plus the ``padlen + 1`` the closing odd extension reflects.
 
+    **The chain after the head splits its rows over the process's CPUs.**
+    Each emission runs it through :func:`_run_rows`, as a one-chunk batch
+    plan does: the output rows are split over a pool of
+    :func:`repro.utils.cpus.available` threads, started by the first
+    emission that splits into two row blocks or more (never with one CPU,
+    where every emission runs on the calling thread).
+    The head stays on the calling thread: ``lfilter`` holds the GIL, so
+    splitting it buys nothing.  :meth:`flush` and :meth:`close` stop the
+    pool, so no thread outlives a record.
+
     :meth:`export_state` / :meth:`import_state` round-trip the carried
     state through JSON for checkpoint/resume: counters and the forward
     state at ``buf_start`` travel verbatim while the tail samples —
@@ -1158,6 +1172,8 @@ class IncrementalRunner:
         # buf_start on; ``None`` marks where the record opens.
         self._fwd = np.zeros((self.n_channels, 0))
         self._marks: list[tuple[int, np.ndarray | None]] = [(0, None)]
+        self._workers = cpus.available()
+        self._pool: ThreadPoolExecutor | None = None
 
     # -- watermarks ---------------------------------------------------------
     @property
@@ -1242,7 +1258,18 @@ class IncrementalRunner:
         if self._finished:
             return []
         self._finished = True
-        return self._emit(at_edge=True, timer=timer)
+        try:
+            return self._emit(at_edge=True, timer=timer)
+        finally:
+            self.close()
+
+    def close(self) -> None:
+        """Stop the row pool's threads; none runs once this returns.  The
+        runner stays usable: a later emission that splits starts a new
+        pool."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
 
     def _emit(
         self, at_edge: bool, timer: Timer | None
@@ -1278,9 +1305,19 @@ class IncrementalRunner:
                 block = self._backward(needs, at_edge, timer)
             else:
                 block = self._buf[:, a - self._buf_start : b - self._buf_start]
-            out, _ = _run_chain(
-                maps[skip:], block, needs[skip:], totals[skip:], rates[skip:],
-                states[skip:], 0, timer,
+            rows = channels[-1]
+            # The record's pool starts with its first emission that splits.
+            if (
+                self._pool is None
+                and maps[skip:]
+                and len(partition_row_blocks(rows, self._workers)) > 1
+            ):
+                self._pool = ThreadPoolExecutor(
+                    self._workers, thread_name_prefix="incremental-rows"
+                )
+            out, _ = _run_rows(
+                self._pool, self._workers, maps[skip:], rows, block,
+                needs[skip:], totals[skip:], rates[skip:], states[skip:], timer,
             )
             pieces.append((needs[-1], np.ascontiguousarray(out)))
             self._emitted = needs[-1][1]

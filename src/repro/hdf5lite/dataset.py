@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import zlib
 from bisect import bisect_right
 from concurrent.futures import Future, ThreadPoolExecutor, wait
@@ -70,6 +69,7 @@ from repro.hdf5lite.hyperslab import (
     selection_shape,
 )
 from repro.hdf5lite.virtual import VirtualSource, sources_tile
+from repro.utils import cpus
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hdf5lite.cache import BlockCache
@@ -90,14 +90,6 @@ class _Unit(NamedTuple):
     shape: tuple[int, ...] | None  # what a chunk decodes to; None = region bytes
 
 
-def _cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one (``taskset -c 0`` makes it 1), else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 class _Pool:
     """Threads for one call's codec work: ``workers`` of them, one per CPU
     but the caller's (none with one CPU), started by the first
@@ -112,7 +104,7 @@ class _Pool:
 
     @cached_property
     def workers(self) -> int:
-        return _cpus() - 1
+        return cpus.available() - 1
 
     def submit(self, fn: Callable[[Any], Any], item: Any) -> Future:
         if self._executor is None:
@@ -231,6 +223,12 @@ class Dataset:
             isinstance(meta, dict) and isinstance(meta.setdefault("attrs", {}), dict)
         ):
             raise FormatError(f"corrupt metadata footer: dataset {path!r} is malformed")
+        missing = [key for key in ("shape", "dtype", "layout") if key not in meta]
+        if missing:
+            raise FormatError(
+                f"corrupt metadata footer: dataset {path!r} has no "
+                f"{', '.join(missing)}"
+            )
         self._file = file
         self.path = path
         self._meta = meta

@@ -460,7 +460,7 @@ class RTService:
             ticks += 1
             if not processed and self.config.poll_interval > 0:
                 time.sleep(self.config.poll_interval)
-        self.save_checkpoint()
+        self.close()
 
     # -- checkpointing ------------------------------------------------------
     def save_checkpoint(self) -> None:
@@ -487,5 +487,8 @@ class RTService:
 
     def close(self) -> None:
         """Checkpoint without finalising the record (a paused acquisition
-        resumes mid-record; use :meth:`flush` for a true end-of-record)."""
+        resumes mid-record; use :meth:`flush` for a true end-of-record),
+        and stop the runner's row threads."""
         self.save_checkpoint()
+        if self.runner is not None:
+            self.runner.close()

@@ -230,7 +230,10 @@ class ShardRuntime:
     def _crash(self) -> None:
         """Drop the service exactly as a SIGKILL would: no flush, no
         checkpoint, volatile queue/announce state gone; then mark the
-        rank dead on the fabric so the supervisor's detector sees it."""
+        rank dead on the fabric so the supervisor's detector sees it.
+        (The runner's row threads are stopped, as the kill would end them.)"""
+        if self.service is not None and self.service.runner is not None:
+            self.service.runner.close()
         self.service = None
         self.chaos.on_crash(self._checkpoint_path)
         self.comm.fabric.fail_rank(self.comm.rank)

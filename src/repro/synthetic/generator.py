@@ -135,6 +135,23 @@ def synthesize_scene(
     return data.astype(np.float32)
 
 
+def _minute_stamps(start: str, minutes: int, seconds: float) -> list[str]:
+    """Each minute file's start stamp, to the second (its file name).  A
+    minute shorter than a second can share the stamp of the one before, and
+    its file would silently replace that one: such a set of minutes is a
+    :class:`ConfigError` before any file is written."""
+    stamps, stamp = [], start
+    for _ in range(minutes):
+        stamps.append(stamp)
+        stamp = timestamp_add_seconds(stamp, seconds)
+    if len(set(stamps)) < len(stamps):
+        raise ConfigError(
+            f"minutes of {seconds:g} s would share file names (stamps are to "
+            "the second): give each minute at least fs samples"
+        )
+    return stamps
+
+
 def generate_dataset(
     directory: str | os.PathLike,
     minutes: int,
@@ -158,11 +175,11 @@ def generate_dataset(
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
     spm = samples_per_minute or int(60 * scene.fs)
+    stamps = _minute_stamps(start_timestamp, minutes, spm / scene.fs)
     data = synthesize_scene(scene, minutes, samples_per_minute=spm)
 
     paths: list[str] = []
-    stamp = start_timestamp
-    for minute in range(minutes):
+    for minute, stamp in enumerate(stamps):
         block = data[:, minute * spm : (minute + 1) * spm]
         metadata = DASMetadata(
             sampling_frequency=scene.fs,
@@ -175,7 +192,6 @@ def generate_dataset(
             path, block, metadata, channel_groups=channel_groups, codec=codec
         )
         paths.append(path)
-        stamp = timestamp_add_seconds(stamp, spm / scene.fs)
     return paths
 
 
@@ -210,11 +226,11 @@ def drip_feed_dataset(
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
     spm = samples_per_minute or int(60 * scene.fs)
+    stamps = _minute_stamps(start_timestamp, minutes, spm / scene.fs)
     data = synthesize_scene(scene, minutes, samples_per_minute=spm)
     sleep = sleep if sleep is not None else _time.sleep
 
-    stamp = start_timestamp
-    for minute in range(minutes):
+    for minute, stamp in enumerate(stamps):
         block = data[:, minute * spm : (minute + 1) * spm]
         metadata = DASMetadata(
             sampling_frequency=scene.fs,
@@ -227,6 +243,5 @@ def drip_feed_dataset(
             path, block, metadata, channel_groups=channel_groups, codec=codec
         )
         yield path
-        stamp = timestamp_add_seconds(stamp, spm / scene.fs)
         if interval_seconds > 0 and minute + 1 < minutes:
             sleep(interval_seconds)

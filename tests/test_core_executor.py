@@ -513,7 +513,7 @@ def test_shared_prefix_probe_sees_the_hull_of_branch_needs(threads):
 
 
 class CountingSimilarity(LocalSimilarityOp):
-    """Records how many columns each ``apply`` computed."""
+    """Records how many cells (rows x columns) each ``apply`` computed."""
 
     def __init__(self, config):
         super().__init__(config)
@@ -521,33 +521,37 @@ class CountingSimilarity(LocalSimilarityOp):
 
     def apply(self, data, ctx):
         out = super().apply(data, ctx)
-        self.computed.append(out.shape[-1])
+        self.computed.append(out.size)
         return out
 
 
 def test_incremental_runner_never_computes_fringe():
     """Push/flush: the probe behind the filter sees exactly the open-edge
-    need of each emission, and the detector computes the emitted columns
-    and nothing else (the filter's settle halo is dropped, not scored)."""
+    need of each emission (once per row block the emission splits into),
+    and the detector computes the emitted cells and nothing else (the
+    filter's settle halo is dropped, not scored)."""
     data = _data(25, total=3000)
     probe, simi = Probe("after-filter"), CountingSimilarity(SIMI)
     ops = [FiltFiltOp(B, A), probe, simi]
     runner = IncrementalRunner(ops, data.shape[0], fs=100.0)
     for lo in range(0, 3000, 500):
         pieces = runner.push(data[:, lo : lo + 500])
-        assert len(probe.seen) == len(simi.computed) == len(pieces) <= 1
+        assert len(pieces) <= 1
+        assert len(probe.seen) == len(simi.computed)
+        assert bool(probe.seen) == bool(pieces)
         for (j0, j1), block in pieces:
             a, b = _needed(ops, (j0, j1), None)[1]
-            assert probe.seen == [(a, b, b - a)]
+            assert set(probe.seen) == {(a, b, b - a)}
             assert block.shape[-1] == j1 - j0
-            assert j1 - j0 <= simi.computed[0] <= j1 - j0 + 1
+            rows = block.shape[0]
+            assert rows * (j1 - j0) <= sum(simi.computed) <= rows * (j1 - j0 + 1)
         probe.seen.clear()
         simi.computed.clear()
     ((j0, j1), block), = runner.flush()
     totals, _, _ = _levels(ops, data.shape[0], 3000, 100.0)
     a, b = _needed(ops, (j0, j1), totals)[1]
-    assert probe.seen == [(a, b, b - a)]
-    assert simi.computed == [j1 - j0] and j1 == totals[-1]
+    assert set(probe.seen) == {(a, b, b - a)}
+    assert sum(simi.computed) == block.size and j1 == totals[-1]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -43,6 +43,7 @@ from repro.hdf5lite import CacheConfig, Codec, File, VirtualSource, register_cod
 from repro.hdf5lite.binary import FileBackend
 from repro.hdf5lite.codecs import CODEC_ATTR, TransposeZlibCodec
 from repro.hdf5lite.dataset import Dataset
+from repro.utils import cpus as cpu_rule
 from repro.utils.iostats import IOStats
 from repro.hdf5lite.inspect import verify
 from repro.storage.dasfile import DASMetadata, write_das_file
@@ -54,7 +55,7 @@ CPUS = 3
 
 
 def _cpus(monkeypatch, n):
-    monkeypatch.setattr(dataset_mod, "_cpus", lambda: n)
+    monkeypatch.setattr(cpu_rule, "available", lambda: n)
 
 
 def _digest(path):

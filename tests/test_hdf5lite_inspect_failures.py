@@ -8,6 +8,9 @@ readers fail loudly with FormatError rather than returning garbage, and
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,8 @@ from repro.errors import FormatError
 from repro.hdf5lite import File, VirtualSource, pyramid_levels, pyramid_problems
 from repro.hdf5lite.binary import HEADER_SIZE, Header
 from repro.hdf5lite.inspect import describe, verify
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -179,6 +184,41 @@ class TestCorruption:
         open(path, "wb").close()
         with pytest.raises(FormatError):
             File(path, "r")
+
+    @pytest.mark.parametrize("key", ["shape", "dtype", "layout"])
+    def test_a_dataset_node_without_a_required_key(self, tmp_path, key):
+        """A footer that parses but whose dataset node lacks ``shape``,
+        ``dtype`` or ``layout`` is a ``FormatError`` where the node is
+        reached, so ``das_inspect --verify`` reports it as one error line
+        and exits 2 instead of printing a ``KeyError`` traceback."""
+        path = str(tmp_path / "one.h5")
+        with File(path, "w") as f:
+            f.create_dataset("d", data=np.arange(64.0))
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        header = Header.unpack(raw)
+        meta = json.loads(raw[header.meta_offset :])
+        del meta["datasets"]["d"][key]
+        footer = json.dumps(meta).encode().ljust(len(raw) - header.meta_offset)
+        with open(path, "wb") as fh:
+            fh.write(raw[: header.meta_offset] + footer)
+        with File(path, "r") as f:
+            with pytest.raises(FormatError, match=f"has no {key}"):
+                f.dataset("d")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.hdf5lite.cli", "--verify", path],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            f"das_inspect: {path}: error: corrupt metadata footer: "
+            f"dataset '/d' has no {key}"
+        ]
+        assert "Traceback" not in done.stdout + done.stderr
 
 
 class TestMalformedPyramid:

@@ -49,6 +49,7 @@ from repro.hdf5lite.hyperslab import (
     plan_spans,
 )
 from repro.hdf5lite.virtual import sources_tile
+from repro.utils import cpus as cpu_rule
 from repro.utils.iostats import IOStats
 from tests.reference.hdf5lite import parent_load_unit, parent_read_chunked
 
@@ -676,7 +677,7 @@ def test_codec_reads_equal_numpy_and_move_no_request(packed, sel, how, cache, de
         Dataset, "_read_chunked", parent_read_chunked
     ):
         before = run()
-    with mock.patch.object(dataset_module, "_cpus", lambda: cpus):
+    with mock.patch.object(cpu_rule, "available", lambda: cpus):
         assert run() == before
 
 

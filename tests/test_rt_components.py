@@ -5,6 +5,7 @@ import base64
 import importlib
 import json
 import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -39,6 +40,7 @@ from repro.rt.scheduler import DetectorConfig
 from repro.rt.service import ServiceConfig
 from repro.storage.dasfile import write_das_file
 from repro.storage.metadata import DASMetadata
+from repro.utils import cpus as cpu_rule
 from tests.conftest import run_chain
 from tests.reference.rt import LoopAssembler
 
@@ -391,6 +393,66 @@ class TestCarriedForwardPass:
         if detector == "local_similarity":
             # position-independent windows: also the batch run's columns
             np.testing.assert_array_equal(last, whole[:, j0:j1])
+
+
+class TestRowPool:
+    """Each emission splits the detector's rows over one pool per runner,
+    sized by :func:`repro.utils.cpus.available`: the pieces are the ones
+    a serial runner emits, bit for bit, and no thread outlives ``flush``."""
+
+    PIECES = (700, 450, 1, 300, 349)  # cuts 700 .. 1800, one 1-sample piece
+
+    def _run(self, monkeypatch, detector, n_cpus, resume_at=None):
+        """Every ``(interval, block)`` a runner emits over the generated
+        record; ``resume_at`` exports the state before that piece and
+        imports it into a fresh runner, as a checkpoint resume does."""
+        monkeypatch.setattr(cpu_rule, "available", lambda: n_cpus)
+        ops = _gen_chain(detector, GEN_BANDS[0])
+        record = _gen_record()
+        runner = IncrementalRunner(ops, record.shape[0], fs=GEN_FS)
+        pieces, lo = [], 0
+        for k, n in enumerate(self.PIECES):
+            if k == resume_at:
+                state = runner.export_state()
+                runner.close()
+                runner = IncrementalRunner(ops, record.shape[0], fs=GEN_FS)
+                runner.import_state(
+                    state, record[:, state["buf_start"] : state["seen"]]
+                )
+            pieces += runner.push(record[:, lo : lo + n])
+            lo += n
+            assert (runner._pool is not None) == (n_cpus > 1 and bool(pieces))
+        return pieces + runner.flush()
+
+    @pytest.mark.parametrize("detector", ["local_similarity", "sta_lta"])
+    def test_pieces_do_not_depend_on_the_cpus_or_a_resume(
+        self, monkeypatch, detector
+    ):
+        serial = self._run(monkeypatch, detector, 1)
+        assert len(serial) >= 3
+        for pooled in (
+            self._run(monkeypatch, detector, 2),
+            self._run(monkeypatch, detector, 2, resume_at=3),
+        ):
+            assert [iv for iv, _ in pooled] == [iv for iv, _ in serial]
+            for (_, got), (_, want) in zip(pooled, serial):
+                np.testing.assert_array_equal(got, want)
+
+    def test_no_thread_outlives_flush_or_close(self, monkeypatch):
+        monkeypatch.setattr(cpu_rule, "available", lambda: 2)
+        record = _gen_record()
+        idle = threading.active_count()
+        runner = IncrementalRunner(
+            _gen_chain("sta_lta", GEN_BANDS[0]), record.shape[0], fs=GEN_FS
+        )
+        assert runner.push(record[:, :1200])
+        assert threading.active_count() > idle
+        runner.close()
+        assert threading.active_count() == idle
+        assert runner.push(record[:, 1200:])  # a closed runner starts anew
+        assert threading.active_count() > idle
+        runner.flush()
+        assert threading.active_count() == idle
 
 
 

@@ -3,6 +3,7 @@ injection, kill-and-resume, and the ``python -m repro.rt`` CLI."""
 
 import json
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.synthetic.generator import (
     fig1b_scene,
     synthesize_scene,
 )
+from repro.utils import cpus as cpu_rule
 
 FS = 50.0
 CHANNELS = 48
@@ -88,7 +90,7 @@ class TestSeamEquivalence:
 
         def counting_apply(op, block, ctx):
             out = similarity_apply(op, block, ctx)
-            computed.append(out.shape[-1])
+            computed.append(out.size)
             return out
 
         monkeypatch.setattr(LocalSimilarityOp, "apply", counting_apply)
@@ -98,10 +100,13 @@ class TestSeamEquivalence:
         _drip_all(tmp_path, scene, service)
         service.flush()
         streamed = service.sink.load()
-        # No fringe compute: flushed, the service has emitted every column
+        # No fringe compute: flushed, the service has emitted every cell
         # of the record's grid and the detector scored hardly any more (a
         # chain handing it the filter's settle halo again reads ~1.5x).
-        emitted = len(SIM.centers(MINUTES * SPM))
+        # Cells, not columns per call: a row split scores an emission's
+        # columns once per row block.
+        rows = CHANNELS - 2 * SIM.channel_offset
+        emitted = rows * len(SIM.centers(MINUTES * SPM))
         assert emitted <= sum(computed) <= 1.05 * emitted
 
         # One batch pass over the concatenated record.
@@ -271,6 +276,50 @@ class TestKillAndResume:
         resumed.drain()
         assert resumed.metrics.files_ingested == MINUTES - len(paths)
         resumed.flush()
+
+
+class TestRowPool:
+    """The runner splits each emission's detector rows over the process's
+    CPUs: the event log is the one a one-CPU service writes, byte for
+    byte, and no row thread outlives ``close`` or the record's flush."""
+
+    def _log(self, spool, scene, monkeypatch, n_cpus):
+        monkeypatch.setattr(cpu_rule, "available", lambda: n_cpus)
+        spool.mkdir()
+        service = RTService(spool, detector=DETECTOR, policy=POLICY, config=FAST)
+        _drip_all(spool, scene, service)
+        service.flush()
+        return Path(service.sink.path).read_bytes()
+
+    def test_event_log_does_not_depend_on_the_cpus(
+        self, tmp_path, scene, monkeypatch
+    ):
+        serial = self._log(tmp_path / "one", scene, monkeypatch, 1)
+        assert serial.count(b"\n") > 1
+        assert self._log(tmp_path / "two", scene, monkeypatch, 2) == serial
+
+    def test_no_row_thread_outlives_close_or_flush(
+        self, tmp_path, scene, monkeypatch
+    ):
+        monkeypatch.setattr(cpu_rule, "available", lambda: 2)
+        idle = threading.active_count()
+        service = RTService(tmp_path, detector=DETECTOR, policy=POLICY, config=FAST)
+        drip = drip_feed_dataset(
+            tmp_path, MINUTES, scene=scene, samples_per_minute=SPM
+        )
+        for _ in range(2):
+            next(drip)
+            service.drain()
+        assert threading.active_count() > idle
+        service.close()  # a paused acquisition: checkpointed mid-record
+        assert threading.active_count() == idle
+        resumed = RTService(tmp_path, detector=DETECTOR, policy=POLICY, config=FAST)
+        assert resumed.runner is not None
+        for _ in drip:
+            resumed.drain()
+        assert threading.active_count() > idle
+        resumed.flush()
+        assert threading.active_count() == idle
 
 
 class TestFaultInjection:

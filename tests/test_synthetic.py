@@ -198,6 +198,31 @@ class TestSceneAndDataset:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("drip", [False, True])
+    def test_minutes_that_would_share_a_name_are_refused(
+        self, tmp_path, capsys, drip
+    ):
+        """Stamps are to the second: two 0.4 s minutes (200 samples at the
+        default 500 Hz) would both be ``westSac_170620100545.h5``, the
+        second silently replacing the first.  Nothing is written; the CLI
+        says so in one line and exits 2."""
+        out = tmp_path / "out"
+        argv = ["-o", str(out), "-m", "2", "-n", "8", "--spm", "200"]
+        rc = das_generate_main(argv + (["--drip", "0"] if drip else []))
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "das_generate: error: minutes of 0.4 s would share file names "
+            "(stamps are to the second): give each minute at least fs samples"
+        ]
+        assert not any(out.iterdir())
+        with pytest.raises(ConfigError, match="share file names"):
+            generate_dataset(str(out), 2, scene=SceneSpec(n_channels=4), samples_per_minute=200)
+        # one second a minute is enough
+        assert das_generate_main(["-o", str(out), "-m", "2", "-n", "8", "--spm", "500"]) == 0
+        assert len(os.listdir(out)) == 2
+
 
 class TestDrip:
     def test_a_drip_whose_write_raises_leaves_no_h5(self, tmp_path, monkeypatch):
@@ -206,8 +231,10 @@ class TestDrip:
         from repro.hdf5lite.binary import FileBackend
         from repro.synthetic.generator import drip_feed_dataset
 
-        scene = fig1b_scene(minutes=2, samples_per_minute=200)
-        drip = drip_feed_dataset(tmp_path, 2, scene=scene, samples_per_minute=200)
+        # 500 samples at the default 500 Hz: one second, so the two minutes
+        # get two file names
+        scene = fig1b_scene(minutes=2, samples_per_minute=500)
+        drip = drip_feed_dataset(tmp_path, 2, scene=scene, samples_per_minute=500)
         first = next(drip)
         assert os.listdir(tmp_path) == [os.path.basename(first)]
         write_at, calls = FileBackend.write_at, []
