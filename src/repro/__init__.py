@@ -20,9 +20,9 @@ system described in the paper:
 Quickstart::
 
     from repro import DASSA
-    from repro.synthetic import generate_dataset
+    from repro.synthetic import fig1b_scene, generate_dataset
 
-    files = generate_dataset("data/", minutes=6, channels=256)
+    files = generate_dataset("data/", minutes=6, scene=fig1b_scene(n_channels=256))
     dassa = DASSA()
     vca = dassa.search_and_merge("data/", start="170620100545", count=6)
     result = dassa.local_similarity(vca)

@@ -96,8 +96,6 @@ class StaLtaOp(Operator):
         self.halo = (self.nlta - 1, 0)
 
     def apply(self, data: np.ndarray, ctx: OpContext) -> np.ndarray:
-        if ctx.whole and data.shape[-1] >= self.nlta:
-            return classic_sta_lta(data, self.nsta, self.nlta, axis=-1)
         ratio = _windowed_ratio(
             np.asarray(data, dtype=np.float64), self.nsta, self.nlta
         )

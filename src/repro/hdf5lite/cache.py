@@ -14,10 +14,12 @@ and per-request IOPS pressure.  This module supplies the amortisation:
   handles keyed by absolute path, so VCA handles and parallel readers stop
   paying one open per source per read.
 
-Both layers are thread-safe (simmpi ranks are threads) and both report
-into :class:`repro.utils.iostats.IOStats` (``cache_hits``/``cache_misses``/
-``cache_evictions`` and ``pool_hits``/``pool_misses``) so experiments can
-assert on exactly how many requests the cache absorbed.
+Both layers are thread-safe (simmpi ranks are threads) and count their
+events only in :class:`repro.utils.iostats.IOStats` (``cache_hits``/
+``cache_misses``/``cache_evictions`` and ``pool_hits``/``pool_misses``):
+they keep no counters of their own, so experiments read how many requests
+the cache absorbed from the same ``IOStats`` as the backend's requests.
+A cache or pool built without an ``IOStats`` counts nothing.
 
 A ``byte_budget`` of 0 disables the cache entirely: every read takes the
 uncached code path and the backend sees byte-for-byte the same requests as
@@ -89,9 +91,6 @@ class BlockCache:
         self._lock = threading.RLock()
         self._blocks: OrderedDict[Hashable, bytes] = OrderedDict()  # guarded-by: _lock
         self._current_bytes = 0  # guarded-by: _lock
-        self.hits = 0  # guarded-by: _lock
-        self.misses = 0  # guarded-by: _lock
-        self.evictions = 0  # guarded-by: _lock
 
     @property
     def enabled(self) -> bool:
@@ -110,15 +109,12 @@ class BlockCache:
         return iostats if iostats is not None else self.iostats
 
     def get(self, key: Hashable, iostats: IOStats | None = None) -> bytes | None:
-        """Look up a block; counts a hit or miss."""
+        """Look up a block; counts a hit or miss in the ``IOStats``."""
         stats = self._stats(iostats)
         with self._lock:
             data = self._blocks.get(key)
             if data is not None:
                 self._blocks.move_to_end(key)
-                self.hits += 1
-            else:
-                self.misses += 1
         if stats is not None:
             if data is not None:
                 stats.record_cache_hit()
@@ -142,7 +138,6 @@ class BlockCache:
                 _, victim = self._blocks.popitem(last=False)
                 self._current_bytes -= len(victim)
                 evicted += 1
-            self.evictions += evicted
         if evicted and stats is not None:
             stats.record_cache_eviction(evicted)
 
@@ -151,22 +146,12 @@ class BlockCache:
             self._blocks.clear()
             self._current_bytes = 0
 
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "blocks": len(self._blocks),
-                "current_bytes": self._current_bytes,
-            }
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        s = self.stats()
+        with self._lock:
+            blocks, nbytes = len(self._blocks), self._current_bytes
         return (
-            f"<BlockCache {s['blocks']} blocks / {s['current_bytes']}B "
-            f"(budget {self.config.byte_budget}B) hits={s['hits']} "
-            f"misses={s['misses']} evictions={s['evictions']}>"
+            f"<BlockCache {blocks} blocks / {nbytes}B "
+            f"(budget {self.config.byte_budget}B)>"
         )
 
 
@@ -197,9 +182,6 @@ class FilePool:
         self.verify_checksums = bool(verify_checksums)
         self._lock = threading.RLock()
         self._handles: OrderedDict[str, "File"] = OrderedDict()  # guarded-by: _lock
-        self.hits = 0  # guarded-by: _lock
-        self.misses = 0  # guarded-by: _lock
-        self.evictions = 0  # guarded-by: _lock
 
     def acquire(self, path: str | os.PathLike, iostats: IOStats | None = None) -> "File":
         """An open read-only handle for ``path`` (opened at most once)."""
@@ -211,14 +193,12 @@ class FilePool:
             handle = self._handles.get(key)
             if handle is not None and not handle.closed:
                 self._handles.move_to_end(key)
-                self.hits += 1
                 if stats is not None:
                     stats.record_pool_hit()
                     handle.set_iostats(stats)
                 return handle
             if handle is not None:  # closed behind our back; reopen
                 del self._handles[key]
-            self.misses += 1
             if stats is not None:
                 stats.record_pool_miss()
             handle = File(
@@ -233,7 +213,6 @@ class FilePool:
             while len(self._handles) > DEFAULT_MAX_HANDLES:
                 _, victim = self._handles.popitem(last=False)
                 victim.close()
-                self.evictions += 1
             return handle
 
     def __len__(self) -> int:
@@ -253,10 +232,7 @@ class FilePool:
         self.close_all()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<FilePool {len(self)}/{DEFAULT_MAX_HANDLES} handles "
-            f"hits={self.hits} misses={self.misses} evictions={self.evictions}>"
-        )
+        return f"<FilePool {len(self)}/{DEFAULT_MAX_HANDLES} handles>"
 
 
 def resolve_cache(cache: BlockCache | CacheConfig | None) -> BlockCache | None:

@@ -36,7 +36,8 @@ import numpy as np
 
 from repro.errors import CheckpointCorruptError, ReproError, StorageError
 from repro.faults.policy import retry_call
-from repro.storage.dasfile import DASFile
+from repro.hdf5lite import File
+from repro.storage.dasfile import DATASET_NAME
 from repro.utils.durable import publish
 
 CHECKPOINT_VERSION = 1
@@ -140,8 +141,10 @@ def read_sample_range(files: list[tuple[str, int]], lo: int, hi: int) -> np.ndar
 
     ``files`` lists ``(path, n_samples)`` in record order — the
     checkpoint's ``files_done``.  Only the overlapping slice of each
-    file is read (partial reads through :class:`DASFile`), which is how a
-    resume rebuilds the carried tail without re-reading whole files.
+    file is read (a partial read of its ``DataCT``), which is how a resume
+    rebuilds the carried tail without re-reading whole files.  The tail's
+    samples are checked against the checkpoint's digest by the runner's
+    ``import_state``, not here.
 
     Each file read is retried once, so a transient fault is absorbed; a
     file that stays unreadable raises its error, and the caller decides
@@ -159,8 +162,8 @@ def read_sample_range(files: list[tuple[str, int]], lo: int, hi: int) -> np.ndar
         b = min(hi, offset) - file_lo
 
         def read_slice() -> np.ndarray:
-            with DASFile(path) as handle:
-                return np.asarray(handle.data[:, a:b], dtype=np.float64)
+            with File(path, "r") as f:
+                return np.asarray(f.dataset(DATASET_NAME)[:, a:b], dtype=np.float64)
 
         blocks.append(
             retry_call(
@@ -178,6 +181,6 @@ def read_sample_range(files: list[tuple[str, int]], lo: int, hi: int) -> np.ndar
         return np.concatenate(blocks, axis=1)
     n_channels = 0
     if files:
-        with DASFile(files[0][0]) as handle:
-            n_channels = handle.data.shape[0]
+        with File(files[0][0], "r") as f:
+            n_channels = f.dataset(DATASET_NAME).shape[0]
     return np.zeros((n_channels, 0))

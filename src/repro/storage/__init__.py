@@ -30,7 +30,7 @@ from repro.storage.chunks import (
     iter_intervals,
     open_stream,
 )
-from repro.storage.dasfile import DASFile, read_das_file, write_das_file
+from repro.storage.dasfile import read_das_file, write_das_file
 from repro.storage.gaps import GapMap, GapSpan
 from repro.storage.metadata import (
     DASMetadata,
@@ -52,7 +52,6 @@ __all__ = [
     "parse_timestamp",
     "format_timestamp",
     "timestamp_add_seconds",
-    "DASFile",
     "write_das_file",
     "read_das_file",
     "das_search",

@@ -106,48 +106,3 @@ def read_das_metadata(
         shape = f.dataset(DATASET_NAME).shape
     return metadata, shape
 
-
-class DASFile:
-    """An open DAS file handle with typed accessors.
-
-    Usage::
-
-        with DASFile(path) as das:
-            chunk = das.data[0:64, :]          # partial read
-            fs = das.metadata.sampling_frequency
-    """
-
-    def __init__(self, path: str | os.PathLike, iostats: IOStats | None = None):
-        self._file = File(path, "r", iostats=iostats)
-        try:
-            self.metadata = DASMetadata.from_attrs(dict(self._file.attrs))
-        except StorageError:
-            self._file.close()
-            raise
-        self.path = os.fspath(path)
-
-    @property
-    def data(self):
-        """The ``DataCT`` dataset (lazily sliceable)."""
-        return self._file.dataset(DATASET_NAME)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def n_channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.data.shape[1]
-
-    def close(self) -> None:
-        self._file.close()
-
-    def __enter__(self) -> "DASFile":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()

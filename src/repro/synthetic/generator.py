@@ -1,4 +1,9 @@
-"""Scene composition and per-minute dataset generation."""
+"""Scene composition and per-minute dataset generation.
+
+One loop writes the minute files (:func:`drip_feed_dataset`;
+:func:`generate_dataset` drains it).  Each file is named by its minute's
+true start time, truncated to the second, as an acquisition names it.
+"""
 
 from __future__ import annotations
 
@@ -136,14 +141,13 @@ def synthesize_scene(
 
 
 def _minute_stamps(start: str, minutes: int, seconds: float) -> list[str]:
-    """Each minute file's start stamp, to the second (its file name).  A
-    minute shorter than a second can share the stamp of the one before, and
-    its file would silently replace that one: such a set of minutes is a
-    :class:`ConfigError` before any file is written."""
-    stamps, stamp = [], start
-    for _ in range(minutes):
-        stamps.append(stamp)
-        stamp = timestamp_add_seconds(stamp, seconds)
+    """Each minute file's start stamp (its file name): minute ``k`` starts
+    ``k * seconds`` after ``start``, truncated to the second, so a stamp is
+    the minute's true start time however many minutes precede it.  A
+    minute shorter than a second can share the stamp of the one before,
+    and its file would silently replace that one: such a set of minutes is
+    a :class:`ConfigError` before any file or directory is written."""
+    stamps = [timestamp_add_seconds(start, k * seconds) for k in range(minutes)]
     if len(set(stamps)) < len(stamps):
         raise ConfigError(
             f"minutes of {seconds:g} s would share file names (stamps are to "
@@ -164,35 +168,25 @@ def generate_dataset(
 ) -> list[str]:
     """Write a scene as per-minute DAS files (the acquisition layout).
 
-    Returns the file paths in time order.  ``channel_groups=False`` skips
-    the per-channel Fig. 4 metadata groups (they're exercised separately;
-    at 10k+ channels they dominate file-creation time).  ``codec``
-    selects per-chunk compression of each file's ``DataCT`` (see
-    :mod:`repro.hdf5lite.codecs`).
+    Returns the file paths in time order: every file
+    :func:`drip_feed_dataset` yields, written back to back.
+    ``channel_groups=False`` skips the per-channel Fig. 4 metadata groups
+    (they're exercised separately; at 10k+ channels they dominate
+    file-creation time).  ``codec`` selects per-chunk compression of each
+    file's ``DataCT`` (see :mod:`repro.hdf5lite.codecs`).
     """
-    if scene is None:
-        scene = fig1b_scene(minutes=minutes, samples_per_minute=samples_per_minute)
-    directory = os.fspath(directory)
-    os.makedirs(directory, exist_ok=True)
-    spm = samples_per_minute or int(60 * scene.fs)
-    stamps = _minute_stamps(start_timestamp, minutes, spm / scene.fs)
-    data = synthesize_scene(scene, minutes, samples_per_minute=spm)
-
-    paths: list[str] = []
-    for minute, stamp in enumerate(stamps):
-        block = data[:, minute * spm : (minute + 1) * spm]
-        metadata = DASMetadata(
-            sampling_frequency=scene.fs,
-            spatial_resolution=scene.channel_spacing,
-            timestamp=stamp,
-            n_channels=scene.n_channels,
+    return list(
+        drip_feed_dataset(
+            directory,
+            minutes,
+            scene=scene,
+            samples_per_minute=samples_per_minute,
+            start_timestamp=start_timestamp,
+            prefix=prefix,
+            channel_groups=channel_groups,
+            codec=codec,
         )
-        path = os.path.join(directory, das_filename(stamp, prefix=prefix))
-        write_das_file(
-            path, block, metadata, channel_groups=channel_groups, codec=codec
-        )
-        paths.append(path)
-    return paths
+    )
 
 
 def drip_feed_dataset(
@@ -209,13 +203,14 @@ def drip_feed_dataset(
 ):
     """Yield per-minute file paths one at a time, like a live acquisition.
 
-    The drip-feed mode for exercising the monitoring service: each file
-    is published whole by :func:`write_das_file` (it is built in a
-    ``.h5.tmp`` sibling and renamed into place, so a watcher never
-    observes a half-written ``.h5``), then the generator
+    Each file is named by its minute's true start stamp (see
+    :func:`_minute_stamps`) and published whole by :func:`write_das_file`
+    (it is built in a ``.h5.tmp`` sibling and renamed into place, so a
+    watcher never observes a half-written ``.h5``), then the generator
     yields its path; with ``interval_seconds > 0`` it sleeps between
     files to emulate the acquisition cadence.  ``sleep`` is injectable
-    so tests can drip without waiting.
+    so tests can drip without waiting.  A refused set of minutes creates
+    no directory.
     """
     import time as _time
 
@@ -223,11 +218,11 @@ def drip_feed_dataset(
         scene = fig1b_scene(minutes=minutes, samples_per_minute=samples_per_minute)
     if interval_seconds < 0:
         raise ConfigError("interval_seconds must be >= 0")
-    directory = os.fspath(directory)
-    os.makedirs(directory, exist_ok=True)
     spm = samples_per_minute or int(60 * scene.fs)
     stamps = _minute_stamps(start_timestamp, minutes, spm / scene.fs)
     data = synthesize_scene(scene, minutes, samples_per_minute=spm)
+    directory = os.fspath(directory)
+    os.makedirs(directory, exist_ok=True)
     sleep = sleep if sleep is not None else _time.sleep
 
     for minute, stamp in enumerate(stamps):

@@ -7,11 +7,11 @@ the hdf5lite backend and the DASS readers so every experiment can report —
 and every test can assert on — exact counts.
 
 Cache-layer counters (block-cache hits/misses/evictions, handle-pool
-hits/misses) live on the same object so one ``IOStats`` tells the whole
-story of a read path: how many requests reached the backend *and* how many
-were absorbed by the cache.  They are reported via :meth:`cache_snapshot`
-/ :meth:`full_snapshot`; :meth:`snapshot` keeps its historical seven-key
-shape for backend-only accounting.
+hits/misses) live on the same object, and only here — the cache and pool
+keep none of their own — so one ``IOStats`` tells the whole story of a read
+path: how many requests reached the backend *and* how many were absorbed
+by the cache.  :meth:`full_snapshot` reads every counter in one consistent
+view and :meth:`delta` the counts since an earlier one.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-_BASE_FIELDS = (
+_FIELDS = (
     "opens",
     "closes",
     "seeks",
@@ -27,8 +27,6 @@ _BASE_FIELDS = (
     "writes",
     "bytes_read",
     "bytes_written",
-)
-_CACHE_FIELDS = (
     "cache_hits",
     "cache_misses",
     "cache_evictions",
@@ -119,35 +117,25 @@ class IOStats:
         """
         other_snap = other.full_snapshot()
         with self._lock:
-            for name in _BASE_FIELDS + _CACHE_FIELDS:
+            for name in _FIELDS:
                 setattr(self, name, getattr(self, name) + other_snap[name])
 
     def reset(self) -> None:
         with self._lock:
-            for name in _BASE_FIELDS + _CACHE_FIELDS:
+            for name in _FIELDS:
                 setattr(self, name, 0)
-
-    def snapshot(self) -> dict[str, int]:
-        """Backend operation counts (the historical seven-key view)."""
-        with self._lock:
-            return {name: getattr(self, name) for name in _BASE_FIELDS}
-
-    def cache_snapshot(self) -> dict[str, int]:
-        """Block-cache and handle-pool counters."""
-        with self._lock:
-            return {name: getattr(self, name) for name in _CACHE_FIELDS}
 
     def full_snapshot(self) -> dict[str, int]:
         """Every counter (backend + cache layer) in one consistent view."""
         with self._lock:
-            return {name: getattr(self, name) for name in _BASE_FIELDS + _CACHE_FIELDS}
+            return {name: getattr(self, name) for name in _FIELDS}
 
     def delta(self, before: dict[str, int]) -> dict[str, int]:
         """Counters accumulated since ``before`` (a :meth:`full_snapshot`).
 
-        Keys absent from ``before`` count from zero, so a plain
-        :meth:`snapshot` works too.  This is how per-run profiles report
-        the I/O of one pipeline execution against a shared accumulator.
+        Keys absent from ``before`` count from zero.  This is how per-run
+        profiles report the I/O of one pipeline execution against a shared
+        accumulator.
         """
         now = self.full_snapshot()
         return {name: now[name] - before.get(name, 0) for name in now}

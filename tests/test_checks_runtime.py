@@ -13,7 +13,8 @@ import threading
 import pytest
 
 from repro.checks.runtime import LockSanitizer, LockSanitizerError, SanitizedLock
-from repro.hdf5lite.cache import BlockCache
+from repro.hdf5lite.cache import BlockCache, CacheConfig
+from repro.utils.iostats import IOStats
 
 
 class Account:
@@ -108,11 +109,10 @@ def test_guard_attributes_requires_sanitized_lock():
 
 def test_blockcache_is_clean_under_sanitized_hammer():
     sanitizer = LockSanitizer()
+    stats = IOStats()
     with sanitizer:
-        cache = BlockCache()
-    sanitizer.guard_attributes(
-        cache, ["hits", "misses", "evictions", "_current_bytes"], "_lock"
-    )
+        cache = BlockCache(CacheConfig(byte_budget=64 * 20), iostats=stats)
+    sanitizer.guard_attributes(cache, ["_current_bytes"], "_lock")
 
     def hammer(seed: int) -> None:
         for i in range(200):
@@ -126,7 +126,8 @@ def test_blockcache_is_clean_under_sanitized_hammer():
     for t in workers:
         t.join()
     sanitizer.raise_on_violations()  # annotated discipline holds at runtime
-    assert cache.hits + cache.misses == 4 * 200
+    assert stats.cache_hits + stats.cache_misses == 4 * 200
+    assert stats.cache_evictions > 0  # 34 keys of 64 B overflow the 20-block budget
 
 
 def test_reentrant_rlock_is_not_an_inversion():

@@ -44,23 +44,25 @@ class TestCacheConfig:
 
 class TestBlockCache:
     def test_get_put_and_counters(self):
-        cache = BlockCache(CacheConfig(byte_budget=100))
+        stats = IOStats()
+        cache = BlockCache(CacheConfig(byte_budget=100), iostats=stats)
         key = ("f", "page", 0, 0)
         assert cache.get(key) is None
         cache.put(key, b"abc")
         assert cache.get(key) == b"abc"
-        assert cache.hits == 1
-        assert cache.misses == 1
+        assert stats.cache_hits == 1
+        assert stats.cache_misses == 1
         assert cache.current_bytes == 3
 
     def test_lru_eviction_respects_budget(self):
-        cache = BlockCache(CacheConfig(byte_budget=10))
+        stats = IOStats()
+        cache = BlockCache(CacheConfig(byte_budget=10), iostats=stats)
         cache.put(("f", 1), b"aaaa")
         cache.put(("f", 2), b"bbbb")
         cache.put(("f", 3), b"cccc")  # evicts ("f", 1)
         assert cache.get(("f", 1)) is None
         assert cache.get(("f", 3)) == b"cccc"
-        assert cache.evictions == 1
+        assert stats.cache_evictions == 1
         assert cache.current_bytes <= 10
 
     def test_recently_used_survives(self):
@@ -84,10 +86,11 @@ class TestBlockCache:
         cache.put(("f", 1), b"aaaa")
         cache.get(("f", 1))
         cache.put(("f", 2), b"bbbbbb")  # evicts ("f", 1)
-        snap = stats.cache_snapshot()
-        assert snap["cache_misses"] == 1
-        assert snap["cache_hits"] == 1
-        assert snap["cache_evictions"] == 1
+        assert (stats.cache_misses, stats.cache_hits, stats.cache_evictions) == (
+            1,
+            1,
+            1,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +154,7 @@ class TestContiguousCached:
                 a = ds.read()
                 b = ds[3:17, 5:90]
                 c = ds[::3, ::7]
-            return stats.snapshot(), (a, b, c)
+            return stats.full_snapshot(), (a, b, c)
 
         seed_snap, seed_out = read_all(None)
         zero_snap, zero_out = read_all(CacheConfig(byte_budget=0))
@@ -251,7 +254,7 @@ class TestChunkedCached:
             with File(path, "r", iostats=stats, cache=cache) as f:
                 f.dataset("D").read()
                 f.dataset("D")[5:30, 7:50]
-            return stats.snapshot()
+            return stats.full_snapshot()
 
         assert read_all(None) == read_all(CacheConfig(byte_budget=0))
 
@@ -312,8 +315,6 @@ class TestFilePool:
             a = pool.acquire(path)
             b = pool.acquire(path)
             assert a is b
-            assert pool.hits == 1
-            assert pool.misses == 1
             assert len(pool) == 1
 
     def test_pool_hit_counters_in_iostats(self, contiguous_file):
@@ -322,9 +323,7 @@ class TestFilePool:
         with FilePool(iostats=stats) as pool:
             pool.acquire(path)
             pool.acquire(path)
-        snap = stats.cache_snapshot()
-        assert snap["pool_misses"] == 1
-        assert snap["pool_hits"] == 1
+        assert (stats.pool_misses, stats.pool_hits) == (1, 1)
 
     def test_eviction_closes_lru_handle(self, tmp_path):
         paths = []
@@ -334,12 +333,10 @@ class TestFilePool:
                 f.create_dataset("D", data=np.ones((2, 2), dtype=np.float32))
             paths.append(p)
         with FilePool() as pool:
-            h0 = pool.acquire(paths[0])
-            for p in paths[1:]:
-                pool.acquire(p)  # the last one evicts h0
-            assert h0.closed
+            handles = [pool.acquire(p) for p in paths]  # the last evicts the first
+            # the least recently used handle, and only it, was closed
+            assert [h.closed for h in handles] == [True] + [False] * DEFAULT_MAX_HANDLES
             assert len(pool) == DEFAULT_MAX_HANDLES
-            assert pool.evictions == 1
             # Re-acquiring an evicted path reopens it.
             h0b = pool.acquire(paths[0])
             assert not h0b.closed
@@ -423,7 +420,7 @@ class TestVirtualCached:
                 np.testing.assert_array_equal(
                     f.dataset(VCA_DATASET).read(), das_dir["full"]
                 )
-            return stats.snapshot()
+            return stats.full_snapshot()
 
         assert read(None) == read(CacheConfig(byte_budget=0))
 
@@ -436,7 +433,7 @@ class TestVirtualCached:
             for _ in range(3):
                 with VCAHandle(vca_path, iostats=stats, pool=pool) as vca:
                     np.testing.assert_array_equal(vca.dataset.read(), das_dir["full"])
-            return stats.snapshot()
+            return stats.full_snapshot()
 
         uncached = three_passes(None, IOStats())
         stats = IOStats()

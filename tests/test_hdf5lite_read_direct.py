@@ -160,12 +160,12 @@ def test_zero_size_selections_touch_nothing(stored, layout):
     stats = IOStats()
     with File(str(root / f"{layout}.h5"), "r", iostats=stats) as f:
         ds = f.dataset("d")
-        before = stats.snapshot()
+        before = stats.full_snapshot()
         for sel in [(slice(2, 2),), (slice(None), slice(9, 9, 3)), (0, 0, slice(40, 40))]:
             hs, _ = normalize_selection(sel, SHAPE)
             assert ds.read_hyperslab(hs).shape == hs.count
             ds.read_direct(hs, np.empty(hs.count, dtype=np.float64))
-        assert stats.snapshot() == before
+        assert stats.full_snapshot() == before
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ def test_strided_writes_equal_numpy_keep_the_sidecar_and_issue_runs(
         return
     with File(path, "w", iostats=stats) as f:
         ds = f.create_dataset("d", data=data)
-        before = stats.snapshot()
+        before = stats.full_snapshot()
         ds.write_hyperslab(hs, values)
         writes = stats.delta(before)["writes"]
     expected = data.copy()

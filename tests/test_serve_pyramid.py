@@ -352,7 +352,7 @@ def archive_scan_stats(vca: str) -> dict:
     stats = IOStats()
     with open_stream(vca, iostats=stats) as src:
         src.read(0, src.n_samples)
-    return stats.snapshot()
+    return stats.full_snapshot()
 
 
 @pytest.mark.parametrize("max_levels", [2, 5])
@@ -366,7 +366,7 @@ def test_build_reads_the_archive_once(tmp_path, max_levels):
         iostats=stats,
     )
     assert len(levels) == max_levels
-    built = stats.snapshot()
+    built = stats.full_snapshot()
     assert built["bytes_read"] == scan["bytes_read"]
     assert built["reads"] == scan["reads"]
     assert built["opens"] == scan["opens"]

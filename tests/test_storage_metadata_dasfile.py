@@ -6,7 +6,7 @@ import pytest
 from repro.errors import StorageError
 from repro.hdf5lite import File
 from repro.storage.dasfile import (
-    DASFile,
+    DATASET_NAME,
     das_filename,
     read_das_file,
     read_das_metadata,
@@ -148,10 +148,10 @@ class TestDASFileIO:
         data = np.arange(200, dtype=np.float32).reshape(10, 20)
         path = str(tmp_path / "f.h5")
         write_das_file(path, data, DASMetadata(n_channels=10))
-        with DASFile(path) as das:
-            assert das.n_channels == 10
-            assert das.n_samples == 20
-            np.testing.assert_array_equal(das.data[3:5, ::2], data[3:5, ::2])
+        with File(path, "r") as f:
+            ds = f.dataset(DATASET_NAME)
+            assert ds.shape == (10, 20)
+            np.testing.assert_array_equal(ds[3:5, ::2], data[3:5, ::2])
 
     def test_non_2d_rejected(self, tmp_path):
         with pytest.raises(StorageError):
@@ -164,10 +164,9 @@ class TestDASFileIO:
             )
 
     def test_opening_non_das_file_fails_cleanly(self, tmp_path):
-        from repro.hdf5lite import File
-
         path = str(tmp_path / "not_das.h5")
         with File(path, "w") as f:
             f.attrs["hello"] = "world"
-        with pytest.raises(StorageError):
-            DASFile(path)
+        for read in (read_das_file, read_das_metadata):
+            with pytest.raises(StorageError):
+                read(path)

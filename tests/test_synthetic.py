@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.storage.dasfile import read_das_file
+from repro.storage.dasfile import read_das_file, read_das_metadata
 from repro.storage.search import scan_directory
 from repro.synthetic import (
     ambient_noise,
+    drip_feed_dataset,
     earthquake_signal,
     fig1b_scene,
     generate_dataset,
@@ -19,7 +20,7 @@ from repro.synthetic import (
     vehicle_signal,
 )
 from repro.synthetic.cli import main as das_generate_main
-from repro.synthetic.generator import SceneSpec
+from repro.synthetic.generator import SceneSpec, _minute_stamps
 
 
 class TestRicker:
@@ -216,12 +217,43 @@ class TestSceneAndDataset:
             "das_generate: error: minutes of 0.4 s would share file names "
             "(stamps are to the second): give each minute at least fs samples"
         ]
-        assert not any(out.iterdir())
+        assert not out.exists()  # refused before the directory is made
         with pytest.raises(ConfigError, match="share file names"):
             generate_dataset(str(out), 2, scene=SceneSpec(n_channels=4), samples_per_minute=200)
+        assert not out.exists()
         # one second a minute is enough
         assert das_generate_main(["-o", str(out), "-m", "2", "-n", "8", "--spm", "500"]) == 0
         assert len(os.listdir(out)) == 2
+
+    def test_stamps_are_true_start_times(self, tmp_path):
+        """Minute k is stamped ``start + k * seconds``, truncated to the
+        second: the truncation of one stamp never carries into the next."""
+        assert _minute_stamps("170620100545", 6, 1.5)[-1] == "170620100552"
+        assert _minute_stamps("170620100545", 10, 59.9)[-1] == "170620101444"
+        # 1.5 s minutes: 15 samples at 10 Hz
+        scene = SceneSpec(n_channels=2, fs=10.0)
+        paths = generate_dataset(tmp_path, 6, scene=scene, samples_per_minute=15)
+        assert [os.path.basename(p)[-9:-3] for p in paths] == [
+            "100545", "100546", "100548", "100549", "100551", "100552",
+        ]
+        # 59.9 s minutes: ten of them span 599 s, the last starts at +539.1 s
+        paths = generate_dataset(
+            tmp_path / "long", 10, scene=scene, samples_per_minute=599
+        )
+        assert os.path.basename(paths[-1]) == "westSac_170620101444.h5"
+        assert read_das_metadata(paths[-1])[0].timestamp == "170620101444"
+
+    def test_generate_dataset_is_the_drained_drip(self, tmp_path):
+        scene = fig1b_scene(n_channels=8, minutes=3, samples_per_minute=600)
+        kwargs = dict(scene=scene, samples_per_minute=600, codec="delta-zlib")
+        batch = generate_dataset(tmp_path / "batch", 3, **kwargs)
+        drip = list(drip_feed_dataset(tmp_path / "drip", 3, **kwargs))
+        assert [os.path.basename(p) for p in batch] == [
+            os.path.basename(p) for p in drip
+        ]
+        for a, b in zip(batch, drip):
+            with open(a, "rb") as fa, open(b, "rb") as fb:
+                assert fa.read() == fb.read()
 
 
 class TestDrip:

