@@ -4,10 +4,12 @@
 # line budget (24 000), the tier-1 suite, every crash point of the file
 # writers, the in-source doctests, the hdf5lite codec suites and the
 # incremental-runner suites under `taskset -c 0`, the source-handle suites
-# under a 256-descriptor limit (`ulimit -n 256`), every examples/*.py as a
-# script, the paper-figure tests and the harness's self-tests.  Every pytest
-# step runs under pyproject.toml's filterwarnings, which make a leaked handle
-# (a ResourceWarning) an error.  The figure tests rewrite
+# under a 256-descriptor limit (`ulimit -n 256`), the paper-figure tests and
+# the harness's self-tests.  Tier-1 runs every examples/*.py as a script
+# (tests/test_examples_smoke.py, which fails on an example without a case),
+# so no step here runs them again.  Every pytest step runs under
+# pyproject.toml's filterwarnings, which make a leaked handle (a
+# ResourceWarning) an error.  The figure tests rewrite
 # benchmarks/results/*.txt; every table must come out byte-identical except
 # fig6_search_merge.txt and fig9_matlab.txt, the two with wall-clock rows.
 # It gates no timing: every deterministic invariant a layer claims is a test.
@@ -78,12 +80,6 @@ taskset -c 0 python -m pytest -q tests/test_hdf5lite_read_direct.py \
 ( ulimit -n 256; python -m pytest -q tests/test_vca_handle.py \
     tests/test_storage_parallel_read.py tests/test_hdf5lite_cache.py \
     tests/test_storage_search.py tests/test_source_handle_bound.py )
-# Every shipped example, run as a user runs it; none writes outside its
-# own temporary directory.
-for example in examples/*.py; do
-    echo "example: $example"
-    python "$example" > /dev/null
-done
 python -m pytest benchmarks/ --ignore=benchmarks/harness --benchmark-disable -q
 git diff --exit-code -- 'benchmarks/results/*.txt' \
     ':!benchmarks/results/fig6_search_merge.txt' \

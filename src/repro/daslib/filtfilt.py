@@ -13,6 +13,8 @@ exactly the ``lfilter`` calls ``filtfilt`` makes, in the same order.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.daslib.lfilter import lfilter, lfilter_zi
@@ -100,11 +102,23 @@ def filtfilt(
     return np.moveaxis(y, -1, axis)
 
 
+@functools.lru_cache(maxsize=64)
+def _unit_step_state(b: bytes, a: bytes) -> np.ndarray:
+    """``lfilter_zi`` of the float64 coefficients ``b`` and ``a`` (as
+    bytes), solved once per filter and shared read-only."""
+    zi = lfilter_zi(np.frombuffer(b), np.frombuffer(a))
+    zi.flags.writeable = False
+    return zi
+
+
 def _steady_state(b: np.ndarray, a: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """The filter state of a step of height ``x0`` held forever (state
     axis first, then ``x0``'s shape): the start that keeps a filter run
     from an edge free of its switch-on transient."""
-    zi = lfilter_zi(b, a)
+    zi = _unit_step_state(
+        np.asarray(b, dtype=np.float64).tobytes(),
+        np.asarray(a, dtype=np.float64).tobytes(),
+    )
     return zi.reshape((len(zi),) + (1,) * np.ndim(x0)) * x0
 
 

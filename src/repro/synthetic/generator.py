@@ -1,5 +1,13 @@
 """Scene composition and per-minute dataset generation.
 
+:func:`synthesize_scene` draws the noise floor, then adds each event into
+it in place over the event's support only (see
+:mod:`repro.synthetic.events`); the result is bit for bit the floor plus
+every event rendered on the full grid.  A scene's draws come from one
+generator seeded by ``SceneSpec.seed`` in a fixed order (the floor, then
+each event in list order, whether or not it falls inside the record):
+that order is a contract, since it fixes every sample of every seed.
+
 One loop writes the minute files (:func:`drip_feed_dataset`;
 :func:`generate_dataset` drains it).  Each file is named by its minute's
 true start time, truncated to the second, as an acquisition names it.
@@ -16,7 +24,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.storage.dasfile import das_filename, write_das_file
 from repro.storage.metadata import DASMetadata, timestamp_add_seconds
-from repro.synthetic.events import earthquake_signal, vehicle_signal
+from repro.synthetic.events import _earthquake_block, _vehicle_block
 from repro.synthetic.noise import ambient_noise, persistent_vibration
 
 
@@ -103,17 +111,31 @@ def fig1b_scene(
     )
 
 
-_EVENT_BUILDERS: dict[str, Callable[..., np.ndarray]] = {
-    "earthquake": earthquake_signal,
-    "vehicle": vehicle_signal,
-    "vibration": persistent_vibration,
+def _vibration_block(*args, **kwargs) -> tuple[int, np.ndarray, float]:
+    return 0, persistent_vibration(*args, **kwargs), 0.0
+
+
+#: Each kind's block helper: ``(lo, block, zero)``, the event over columns
+#: ``[lo, lo + block.shape[1])`` and the zero it is everywhere else.
+_EVENT_BLOCKS: dict[str, Callable[..., tuple[int, np.ndarray, Any]]] = {
+    "earthquake": _earthquake_block,
+    "vehicle": _vehicle_block,
+    "vibration": _vibration_block,
 }
 
 
 def synthesize_scene(
     scene: SceneSpec, minutes: int, samples_per_minute: int | None = None
 ) -> np.ndarray:
-    """Render a scene to one ``(channels, samples)`` array."""
+    """Render a scene to one ``(channels, samples)`` array.
+
+    Each event is added into the noise floor in place, over its own
+    columns only.  Elsewhere it is a zero, and adding a zero changes a
+    sample only when that sample is -0.0; a floor that holds a zero (a
+    zero ``noise_amplitude``) therefore gets every event's zero added as
+    well, so the result is the floor plus each full-size event, bit for
+    bit, either way.
+    """
     if minutes < 1:
         raise ConfigError("minutes must be >= 1")
     spm = samples_per_minute or int(60 * scene.fs)
@@ -127,16 +149,23 @@ def synthesize_scene(
         amplitude=scene.noise_amplitude,
         rng=rng,
     )
+    floor_has_zero = np.count_nonzero(data) < data.size
     for kind, kwargs in scene.events:
-        if kind not in _EVENT_BUILDERS:
+        if kind not in _EVENT_BLOCKS:
             raise ConfigError(f"unknown event kind {kind!r}")
-        builder = _EVENT_BUILDERS[kind]
         call_kwargs = dict(kwargs)
         if kind in ("earthquake", "vehicle"):
             call_kwargs.setdefault("channel_spacing", scene.channel_spacing)
         if kind in ("earthquake", "vibration"):
             call_kwargs.setdefault("rng", rng)
-        data += builder(scene.n_channels, n_samples, fs=scene.fs, **call_kwargs)
+        lo, block, zero = _EVENT_BLOCKS[kind](
+            scene.n_channels, n_samples, fs=scene.fs, **call_kwargs
+        )
+        hi = lo + block.shape[1]
+        data[:, lo:hi] += block
+        if floor_has_zero:
+            data[:, :lo] += zero
+            data[:, hi:] += zero
     return data.astype(np.float32)
 
 

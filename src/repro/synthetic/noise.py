@@ -28,10 +28,12 @@ def ambient_noise(
     hi = min(band[1] / nyq, 0.999)
     b, a = butter(2, (lo, hi), "bandpass")
     shaped = lfilter(b, a, white, axis=-1)
+    del white
     scale = np.std(shaped)
     if scale > 0:
-        shaped = shaped / scale
-    return amplitude * shaped
+        shaped /= scale
+    shaped *= amplitude
+    return shaped
 
 
 def persistent_vibration(

@@ -249,6 +249,29 @@ class TestLfilterZi:
 
 
 class TestFiltfilt:
+    def test_steady_state_is_solved_once_per_filter(self, monkeypatch):
+        """Each filtfilt call starts both halves in steady state; the
+        state is solved once per coefficient set, shared read-only, and
+        equal to solving it afresh."""
+        module = sys.modules["repro.daslib.filtfilt"]
+        solves = []
+
+        def counting(b, a):
+            solves.append(1)
+            return lfilter_zi(b, a)
+
+        monkeypatch.setattr(module, "lfilter_zi", counting)
+        b, a = sps.butter(3, (0.0123, 0.4567), "bandpass")
+        x = np.random.default_rng(8).normal(size=(3, 400))
+        first = filtfilt(b, a, x)
+        assert np.array_equal(filtfilt(list(b), list(a), x), first)
+        assert len(solves) == 1
+        zi = lfilter_zi(b, a)
+        state = module._steady_state(b, a, x[:, 0])
+        assert np.array_equal(state, zi[:, None] * x[:, 0])
+        with pytest.raises(ValueError):
+            module._unit_step_state(b.tobytes(), a.tobytes())[0] = 0.0
+
     @pytest.mark.parametrize("order,wn", [(2, 0.2), (4, 0.3)])
     def test_matches_scipy(self, order, wn):
         rng = np.random.default_rng(5)

@@ -2,6 +2,7 @@
 its headline results.  Kept at scaled sizes so the whole module stays
 under a minute."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -64,3 +65,18 @@ class TestExamples:
         out = run_example("velocity_profiling.py")
         assert "m/s" in out
         assert "err" in out
+
+
+def test_every_example_has_a_smoke_case():
+    """The examples run only here (CI has no separate loop over them):
+    every ``examples/<name>.py`` needs a ``TestExamples.test_<name>`` that
+    runs it."""
+    names = sorted(f[:-3] for f in os.listdir(EXAMPLES) if f.endswith(".py"))
+    assert names
+    missing = [
+        name
+        for name in names
+        if f'run_example("{name}.py")'
+        not in inspect.getsource(getattr(TestExamples, f"test_{name}", lambda: None))
+    ]
+    assert missing == []
